@@ -16,14 +16,14 @@ built from it; the two are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from .core import (MAX_ENUM, Algebra, AlgebraHom, BilinearMap, FiniteModule,
-                   ModuleHom, PreconditionError, Submodule,
-                   UnsupportedScaleError, direct_sum, identity_hom, is_ideal,
-                   kernel, maps_equal_report, multiplicativity_report,
+from .core import (MAX_ENUM, Algebra, AlgebraHom, BilinearMap, ModuleHom,
+                   PreconditionError, Submodule, UnsupportedScaleError,
+                   direct_sum, identity_hom, is_ideal, kernel,
+                   maps_equal_report, multiplicativity_report,
                    validate_algebra, validate_hom)
-from .policy import Policy, sweep
+from .policy import Policy, check
 from .report import (AXIOM, FAIL, PASS, STRUCTURAL, THEOREM, Report, group,
-                     leaf)
+                     leaf, relabel)
 from .xmod import (CrossedModule, ModuleAction, translation_action,
                    validate_module_action)
 
@@ -92,7 +92,7 @@ class TruncatedBarModule:
 
         dom = self.levels[n]
         images = [fn(g) for g in dom.generators()]
-        return ModuleHom(dom, self.levels[n - 1], images, fn=fn, name=f"d{i}@{n}")
+        return ModuleHom(dom, self.levels[n - 1], images, name=f"d{i}@{n}")
 
     def _build_degen(self, n, i):
         zero = self.r_mod.zero
@@ -103,7 +103,7 @@ class TruncatedBarModule:
 
         dom = self.levels[n]
         images = [fn(g) for g in dom.generators()]
-        return ModuleHom(dom, self.levels[n + 1], images, fn=fn, name=f"s{i}@{n}")
+        return ModuleHom(dom, self.levels[n + 1], images, name=f"s{i}@{n}")
 
 
 def build_bar_module(act: ModuleAction, depth: int = DEFAULT_DEPTH,
@@ -190,17 +190,29 @@ def _bar_module_of(obj) -> TruncatedBarModule:
     return obj.module if isinstance(obj, TruncatedBarAlgebra) else obj
 
 
-def verify_simplicial_identities(bar, policy: Policy | None = None) -> Report:
+def verify_simplicial_identities(bar, policy: Policy | None = None,
+                                 face=None, degen=None, identity=None,
+                                 names=("d", "s", "{}")) -> Report:
+    """Face-face, degeneracy-degeneracy and face-degeneracy identities of
+    a truncated simplicial module of depth bar.depth.
+
+    face(n, i) and degen(n, i) are the operators leaving level n and
+    identity(n) is the identity of level n; they default to those of bar.
+    names holds the face letter, the degeneracy letter and the format of
+    the level in the leaf names."""
     bm = _bar_module_of(bar)
     n_max = bm.depth
-    face, degen = bm.face, bm.degen
+    face = face or bm.face
+    degen = degen or bm.degen
+    identity = identity or (lambda n: identity_hom(bm.levels[n]))
+    d, s, level = names
 
     ff = []
     for n in range(2, n_max + 1):
         for j in range(n + 1):
             for i in range(j):
                 ff.append(maps_equal_report(
-                    f"d{i} d{j} = d{j - 1} d{i} @ {n}",
+                    f"{d}{i} {d}{j} = {d}{j - 1} {d}{i} @ {level.format(n)}",
                     face(n - 1, i).compose(face(n, j)),
                     face(n - 1, j - 1).compose(face(n, i)), policy))
 
@@ -209,28 +221,27 @@ def verify_simplicial_identities(bar, policy: Policy | None = None) -> Report:
         for j in range(n + 1):
             for i in range(j + 1):
                 ss.append(maps_equal_report(
-                    f"s{i} s{j} = s{j + 1} s{i} @ {n}",
+                    f"{s}{i} {s}{j} = {s}{j + 1} {s}{i} @ {level.format(n)}",
                     degen(n + 1, i).compose(degen(n, j)),
                     degen(n + 1, j + 1).compose(degen(n, i)), policy))
 
     ds = []
     for n in range(n_max):
+        at = level.format(n)
         for j in range(n + 1):
             for i in range(n + 2):
+                lhs = face(n + 1, i).compose(degen(n, j))
                 if i in (j, j + 1):
                     ds.append(maps_equal_report(
-                        f"d{i} s{j} = id @ {n}",
-                        face(n + 1, i).compose(degen(n, j)),
-                        identity_hom(bm.levels[n]), policy))
+                        f"{d}{i} {s}{j} = id @ {at}", lhs, identity(n),
+                        policy))
                 elif i < j:
                     ds.append(maps_equal_report(
-                        f"d{i} s{j} = s{j - 1} d{i} @ {n}",
-                        face(n + 1, i).compose(degen(n, j)),
+                        f"{d}{i} {s}{j} = {s}{j - 1} {d}{i} @ {at}", lhs,
                         degen(n - 1, j - 1).compose(face(n, i)), policy))
                 else:
                     ds.append(maps_equal_report(
-                        f"d{i} s{j} = s{j} d{i - 1} @ {n}",
-                        face(n + 1, i).compose(degen(n, j)),
+                        f"{d}{i} {s}{j} = {s}{j} {d}{i - 1} @ {at}", lhs,
                         degen(n - 1, j).compose(face(n, i - 1)), policy))
 
     return group("simplicial-identities", [
@@ -275,22 +286,19 @@ def verify_ideal_axiom(bar: TruncatedBarAlgebra,
         prod = bar.multiply(1, bar.embed_s(1, s), bar.embed_r(1, [b]))
         return bar.module.split(prod, 1)[1][0]
 
-    checks = []
-    res = sweep([s_alg.elements(), r_mod.elements()],
-                lambda s, b: bar.module.split(
-                    bar.multiply(1, bar.embed_s(1, s), bar.embed_r(1, [b])),
-                    1)[0] == x_zero, policy)
-    checks.append(leaf("mixed-into-tail @ 1", PASS if res.ok else FAIL, AXIOM,
-                       detail="(s,0)(0,b) has base coordinate 0",
-                       witness=res.witness, meta=res.meta()))
+    checks = [check("mixed-into-tail @ 1", AXIOM,
+                    [s_alg.elements(), r_mod.elements()],
+                    lambda s, b: bar.module.split(
+                        bar.multiply(1, bar.embed_s(1, s), bar.embed_r(1, [b])),
+                        1)[0] == x_zero, policy,
+                    detail="(s,0)(0,b) has base coordinate 0")]
 
     for n in range(1, bar.depth + 1):
-        res = sweep([s_alg.elements(), s_alg.elements()],
-                    lambda a, b, n=n:
-                    bar.multiply(n, bar.embed_s(n, a), bar.embed_s(n, b))
-                    == bar.embed_s(n, s_alg.multiply(a, b)), policy)
-        checks.append(leaf(f"base-subalgebra @ {n}", PASS if res.ok else FAIL,
-                           AXIOM, witness=res.witness, meta=res.meta()))
+        checks.append(check(
+            f"base-subalgebra @ {n}", AXIOM, [s_alg.elements(), s_alg.elements()],
+            lambda a, b, n=n:
+            bar.multiply(n, bar.embed_s(n, a), bar.embed_s(n, b))
+            == bar.embed_s(n, s_alg.multiply(a, b)), policy))
 
         tail = direct_sum([r_mod] * n)
         pr = r_mod.rank
@@ -300,12 +308,10 @@ def verify_ideal_axiom(bar: TruncatedBarAlgebra,
             return bar.multiply(n, bar.embed_s(n, s), bar.embed_r(n, blocks)) \
                 == bar.embed_r(n, [ell(s, b) for b in blocks])
 
-        res = sweep([s_alg.elements(), tail.elements()], letterwise, policy)
-        checks.append(leaf(f"mixed-letterwise @ {n}", PASS if res.ok else FAIL,
-                           AXIOM,
-                           detail="base times tail is the level-1 letter rule "
-                                  "in every letter",
-                           witness=res.witness, meta=res.meta()))
+        checks.append(check(
+            f"mixed-letterwise @ {n}", AXIOM, [s_alg.elements(), tail.elements()],
+            letterwise, policy,
+            detail="base times tail is the level-1 letter rule in every letter"))
     return group("tail-absorption", checks)
 
 
@@ -333,11 +339,8 @@ def verify_decomposition(bar: TruncatedBarAlgebra, k: int,
         f"sk-subalgebra-isomorphic-to-s @ {k}", embed, s_alg,
         bar.algebras[k], policy, kind=THEOREM))
 
-    rep = is_ideal(bar.algebras[k], rk, policy)
+    rep = relabel(is_ideal(bar.algebras[k], rk, policy), THEOREM)
     rep.name = f"rk-is-ideal @ {k}"
-    for node in rep.walk():
-        if node.kind == AXIOM:
-            node.kind = THEOREM
     checks.append(rep)
 
     # top face at every level, applied from level k down to 0
@@ -382,12 +385,10 @@ def rk_closed_formulas(bar: TruncatedBarAlgebra, k: int,
         return bar.multiply(k, bar.embed_r(k, a), bar.embed_r(k, b)) \
             == bar.embed_r(k, expect)
 
-    checks = []
-    res = sweep([r_tail.elements(), r_tail.elements()], tail_product_ok, policy)
-    checks.append(leaf(
-        f"tail-tail-product @ {k}", PASS if res.ok else FAIL, THEOREM,
-        detail="(0,a)(0,b) has j-th letter (a_1+..+a_{j-1})b_j + a_j(b_1+..+b_j)",
-        witness=res.witness, meta=res.meta()))
+    checks = [check(
+        f"tail-tail-product @ {k}", THEOREM,
+        [r_tail.elements(), r_tail.elements()], tail_product_ok, policy,
+        detail="(0,a)(0,b) has j-th letter (a_1+..+a_{j-1})b_j + a_j(b_1+..+b_j)")]
 
     def mixed_product_ok(ta, s):
         a = blocks_of(ta)
@@ -395,11 +396,10 @@ def rk_closed_formulas(bar: TruncatedBarAlgebra, k: int,
         return bar.multiply(k, bar.embed_r(k, a), bar.embed_s(k, s)) \
             == bar.embed_r(k, expect)
 
-    res = sweep([r_tail.elements(), xm.s_alg.elements()], mixed_product_ok, policy)
-    checks.append(leaf(
-        f"tail-base-product @ {k}", PASS if res.ok else FAIL, THEOREM,
-        detail="(0,a)(s,0) = (0, s.a_1, .., s.a_k)",
-        witness=res.witness, meta=res.meta()))
+    checks.append(check(
+        f"tail-base-product @ {k}", THEOREM,
+        [r_tail.elements(), xm.s_alg.elements()], mixed_product_ok, policy,
+        detail="(0,a)(s,0) = (0, s.a_1, .., s.a_k)"))
     return group(f"tail-ideal-products @ {k}", checks)
 
 
@@ -419,7 +419,7 @@ def eta_k(bar: TruncatedBarAlgebra, k: int, policy: Policy | None = None):
 
     images = [fn(g) for g in lvl.generators()]
     hom = AlgebraHom(bar.algebras[k], xm.s_alg,
-                     ModuleHom(lvl, s_mod, images, fn=fn, name=f"eta{k}"),
+                     ModuleHom(lvl, s_mod, images, name=f"eta{k}"),
                      name=f"eta{k}")
     rep = validate_hom(hom, policy)
     rep.name = f"eta-k @ {k}"

@@ -15,6 +15,8 @@ products.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .bar import (TruncatedBarAlgebra, TruncatedBarModule,
                   verify_simplicial_identities)
 from .core import (Algebra, BilinearMap, ModuleHom, StructuralError,
@@ -61,7 +63,7 @@ def phi_maps(morphism: XModMorphism, n_depth: int, drop=()) -> list[ModuleHom]:
             return tuple(img)
 
         images = [fn(g) for g in dom.generators()]
-        out.append(ModuleHom(dom, cod, images, fn=fn, name=f"phi@{n}"))
+        out.append(ModuleHom(dom, cod, images, name=f"phi@{n}"))
     return out
 
 
@@ -136,7 +138,7 @@ class BiBar:
 
         dom, cod = self.level(n, m), self.rows[n_out].levels[m]
         images = [fn(g) for g in dom.generators()]
-        return ModuleHom(dom, cod, images, fn=fn, name=name)
+        return ModuleHom(dom, cod, images, name=name)
 
     def multiply(self, n, m, u, v):
         xu, wu = self.split(u, n, m)
@@ -177,86 +179,34 @@ def verify_bibar(bb: BiBar, policy: Policy | None = None) -> Report:
 
     cols = []
     for m in range(bb.m_depth + 1):
-        ff, ss, ds = [], [], []
-        for n in range(2, bb.n_depth + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    ff.append(maps_equal_report(
-                        f"dv{i} dv{j} = dv{j - 1} dv{i} @ ({n},{m})",
-                        bb.v_face(n - 1, m, i).compose(bb.v_face(n, m, j)),
-                        bb.v_face(n - 1, m, j - 1).compose(bb.v_face(n, m, i)),
-                        policy))
-        for n in range(bb.n_depth - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    ss.append(maps_equal_report(
-                        f"sv{i} sv{j} = sv{j + 1} sv{i} @ ({n},{m})",
-                        bb.v_degen(n + 1, m, i).compose(bb.v_degen(n, m, j)),
-                        bb.v_degen(n + 1, m, j + 1).compose(bb.v_degen(n, m, i)),
-                        policy))
-        for n in range(bb.n_depth):
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    if i in (j, j + 1):
-                        ds.append(maps_equal_report(
-                            f"dv{i} sv{j} = id @ ({n},{m})",
-                            bb.v_face(n + 1, m, i).compose(bb.v_degen(n, m, j)),
-                            identity_hom(bb.level(n, m)), policy))
-                    elif i < j:
-                        ds.append(maps_equal_report(
-                            f"dv{i} sv{j} = sv{j - 1} dv{i} @ ({n},{m})",
-                            bb.v_face(n + 1, m, i).compose(bb.v_degen(n, m, j)),
-                            bb.v_degen(n - 1, m, j - 1).compose(bb.v_face(n, m, i)),
-                            policy))
-                    else:
-                        ds.append(maps_equal_report(
-                            f"dv{i} sv{j} = sv{j} dv{i - 1} @ ({n},{m})",
-                            bb.v_face(n + 1, m, i).compose(bb.v_degen(n, m, j)),
-                            bb.v_degen(n - 1, m, j).compose(bb.v_face(n, m, i - 1)),
-                            policy))
-        cols.append(group(f"vertical-simplicial @ column {m}",
-                          [group("face-face", ff),
-                           group("degeneracy-degeneracy", ss),
-                           group("face-degeneracy", ds)]))
+        # bar2 only sets the depth; the operators are those of column m
+        rep = verify_simplicial_identities(
+            bb.bar2, policy,
+            face=lambda n, i, m=m: bb.v_face(n, m, i),
+            degen=lambda n, i, m=m: bb.v_degen(n, m, i),
+            identity=lambda n, m=m: identity_hom(bb.level(n, m)),
+            names=("dv", "sv", f"({{}},{m})"))
+        rep.name = f"vertical-simplicial @ column {m}"
+        cols.append(rep)
     checks.append(group("vertical-identities", cols))
 
+    # every vertical operator against every horizontal one: name, family,
+    # the level shift it makes, and the levels it leaves from
+    vertical = (("dv", bb.v_face, -1, range(1, bb.n_depth + 1)),
+                ("sv", bb.v_degen, 1, range(bb.n_depth)))
+    horizontal = (("dh", bb.h_face, -1, range(1, bb.m_depth + 1)),
+                  ("sh", bb.h_degen, 1, range(bb.m_depth)))
     comm = []
-    for n in range(1, bb.n_depth + 1):
-        for m in range(1, bb.m_depth + 1):
-            for i in range(n + 1):
-                for j in range(m + 1):
-                    comm.append(maps_equal_report(
-                        f"dv{i} dh{j} = dh{j} dv{i} @ ({n},{m})",
-                        bb.v_face(n, m - 1, i).compose(bb.h_face(n, m, j)),
-                        bb.h_face(n - 1, m, j).compose(bb.v_face(n, m, i)),
-                        policy))
-    for n in range(1, bb.n_depth + 1):
-        for m in range(bb.m_depth):
-            for i in range(n + 1):
-                for j in range(m + 1):
-                    comm.append(maps_equal_report(
-                        f"dv{i} sh{j} = sh{j} dv{i} @ ({n},{m})",
-                        bb.v_face(n, m + 1, i).compose(bb.h_degen(n, m, j)),
-                        bb.h_degen(n - 1, m, j).compose(bb.v_face(n, m, i)),
-                        policy))
-    for n in range(bb.n_depth):
-        for m in range(1, bb.m_depth + 1):
-            for i in range(n + 1):
-                for j in range(m + 1):
-                    comm.append(maps_equal_report(
-                        f"sv{i} dh{j} = dh{j} sv{i} @ ({n},{m})",
-                        bb.v_degen(n, m - 1, i).compose(bb.h_face(n, m, j)),
-                        bb.h_face(n + 1, m, j).compose(bb.v_degen(n, m, i)),
-                        policy))
-    for n in range(bb.n_depth):
-        for m in range(bb.m_depth):
-            for i in range(n + 1):
-                for j in range(m + 1):
-                    comm.append(maps_equal_report(
-                        f"sv{i} sh{j} = sh{j} sv{i} @ ({n},{m})",
-                        bb.v_degen(n, m + 1, i).compose(bb.h_degen(n, m, j)),
-                        bb.h_degen(n + 1, m, j).compose(bb.v_degen(n, m, i)),
-                        policy))
+    for (v, v_op, dn, ns), (h, h_op, dm, ms) in product(vertical, horizontal):
+        for n in ns:
+            for m in ms:
+                for i in range(n + 1):
+                    for j in range(m + 1):
+                        comm.append(maps_equal_report(
+                            f"{v}{i} {h}{j} = {h}{j} {v}{i} @ ({n},{m})",
+                            v_op(n, m + dm, i).compose(h_op(n, m, j)),
+                            h_op(n + dn, m, j).compose(v_op(n, m, i)),
+                            policy))
     checks.append(group("horizontal-vertical-commutation", comm))
 
     mult = []

@@ -119,10 +119,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _at_least_one(value: int, flag: str) -> int:
+    if value < 1:
+        raise IdealbarError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def _policy(args) -> Policy:
     kwargs = {"mode": args.policy, "seed": args.seed}
     if args.samples is not None:
-        kwargs["sample_count"] = args.samples
+        kwargs["sample_count"] = _at_least_one(args.samples, "--samples")
     return Policy(**kwargs)
 
 
@@ -135,7 +141,7 @@ def _workspace(args) -> Workspace:
 def _depth(args, ws: Workspace) -> int:
     if args.depth is not None:
         return args.depth
-    return int(ws.options.get("depth", DEFAULT_DEPTH))
+    return ws.options.get("depth", DEFAULT_DEPTH)
 
 
 def run(args) -> "Report":
@@ -144,8 +150,9 @@ def run(args) -> "Report":
     if args.command == "enumerate":
         return enumeration_report(args.modulus, args.max_rank, policy)
     if args.command == "fuzz":
-        return fuzz_report(args.modulus, args.max_rank, args.count,
-                           args.seed, policy)
+        return fuzz_report(args.modulus, args.max_rank,
+                           _at_least_one(args.count, "--count"), args.seed,
+                           policy)
 
     ws = _workspace(args)
     if args.command == "check-algebra":
@@ -178,9 +185,9 @@ def run(args) -> "Report":
         xm = ws.xmod(args.name)
         checks = [roundtrip_check(xm, _depth(args, ws), policy)]
         if args.perturb:
-            checks.append(perturb_and_filter(xm, seed=args.seed,
-                                             budget=args.budget,
-                                             policy=policy))
+            checks.append(perturb_and_filter(
+                xm, seed=args.seed,
+                budget=_at_least_one(args.budget, "--budget"), policy=policy))
         return group(f"roundtrip {args.name}", checks)
 
     if args.command == "ideal-check":

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .policy import Policy, sweep
+# sweep is re-exported: perfbench's tracer self-test reaches it as
+# idealbar.core.sweep and idealbar.xmod.sweep
+from .policy import EXHAUSTIVE, Policy, check, sweep  # noqa: F401
 from .report import (AXIOM, FAIL, NOTE, PASS, STRUCTURAL, Report, group,
                      leaf)
 
@@ -248,15 +250,11 @@ class Algebra:
 
 
 class ModuleHom:
-    """Z/m-linear map given by generator images; optional fast evaluator.
-
-    The images define the map.  When fn is supplied it must agree with the
-    linear extension; it only exists so composite sweeps avoid the
-    generator expansion on every call.
-    """
+    """Z/m-linear map given by its image matrix: images[i] is the image
+    of the i-th domain generator, and apply is the linear extension."""
 
     def __init__(self, domain: FiniteModule, codomain: FiniteModule,
-                 images, fn=None, name: str = ""):
+                 images, name: str = ""):
         images = tuple(codomain.reduce(tuple(img)) for img in images)
         if len(images) != domain.rank:
             raise StructuralError(
@@ -264,13 +262,7 @@ class ModuleHom:
         self.domain = domain
         self.codomain = codomain
         self.images = images
-        self.fn = fn
         self.name = name
-        if fn is not None:
-            for g, img in zip(domain.generators(), images):
-                if tuple(fn(g)) != img:
-                    raise StructuralError(
-                        f"evaluator disagrees with generator image at {g}")
 
     def order_violations(self):
         """Indices i where d_i * images[i] != 0, i.e. the map is not well
@@ -282,8 +274,6 @@ class ModuleHom:
         return out
 
     def apply(self, x):
-        if self.fn is not None:
-            return self.codomain.reduce(tuple(self.fn(x)))
         out = [0] * self.codomain.rank
         for c, img in zip(x, self.images):
             if c:
@@ -296,11 +286,7 @@ class ModuleHom:
         if inner.codomain != self.domain:
             raise StructuralError("composite maps do not chain")
         images = [self.apply(inner.apply(g)) for g in inner.domain.generators()]
-        fn = None
-        if self.fn is not None and inner.fn is not None:
-            outer = self
-            fn = lambda x: outer.apply(inner.apply(x))
-        return ModuleHom(inner.domain, self.codomain, images, fn=fn,
+        return ModuleHom(inner.domain, self.codomain, images,
                          name=f"{self.name}.{inner.name}" if self.name or inner.name else "")
 
     def __eq__(self, other):
@@ -314,7 +300,7 @@ class ModuleHom:
 
 
 def identity_hom(mod: FiniteModule, name: str = "id") -> ModuleHom:
-    return ModuleHom(mod, mod, mod.generators(), fn=lambda x: x, name=name)
+    return ModuleHom(mod, mod, mod.generators(), name=name)
 
 
 class AlgebraHom:
@@ -470,61 +456,65 @@ def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
     generator-pair comparison decides the property for every pair of
     elements; an element-level sweep only runs to pin down the least
     witness after a mismatch."""
-    policy = policy or Policy()
     n = dom.carrier.rank
+    gens = dom.generators()
     mismatch = None
     for i in range(n):
         for j in range(n):
             lhs = hom.apply(dom.mul.constants[i][j])
-            rhs = cod.mul.evaluate(hom.apply(dom.generators()[i]),
-                                   hom.apply(dom.generators()[j]))
+            rhs = cod.mul.evaluate(hom.apply(gens[i]), hom.apply(gens[j]))
             if lhs != rhs:
                 mismatch = (i, j)
                 break
         if mismatch:
             break
-    total = dom.carrier.size ** 2
     if mismatch is None:
         return leaf(name, PASS, kind,
                     detail="f(uv) = f(u)f(v), generator pairs, complete by bilinearity",
-                    meta={"mode": "exhaustive", "checked": total,
+                    meta={"mode": "exhaustive", "checked": dom.carrier.size ** 2,
                           "generator_pairs": n * n})
-    if total <= policy.exhaustive_bound:
-        res = sweep([dom.elements(), dom.elements()],
-                    lambda u, v: hom.apply(dom.multiply(u, v))
-                    == cod.multiply(hom.apply(u), hom.apply(v)),
-                    policy)
-        return leaf(name, FAIL, kind, detail="f(uv) != f(u)f(v)",
-                    witness=res.witness, meta=res.meta())
-    gens = dom.generators()
-    return leaf(name, FAIL, kind,
-                detail="f(uv) != f(u)f(v), witness is a generator pair",
-                witness=(gens[mismatch[0]], gens[mismatch[1]]),
-                meta={"mode": "generators", "checked": n * n})
+    found = _element_witness(name, kind, "f(uv) != f(u)f(v)", dom.carrier, 2,
+                             lambda u, v: hom.apply(dom.multiply(u, v))
+                             == cod.multiply(hom.apply(u), hom.apply(v)),
+                             policy)
+    return found or leaf(
+        name, FAIL, kind, detail="f(uv) != f(u)f(v), witness is a generator pair",
+        witness=(gens[mismatch[0]], gens[mismatch[1]]),
+        meta={"mode": "generators", "checked": n * n})
 
 
 def maps_equal_report(name: str, f: ModuleHom, g: ModuleHom,
                       policy: Policy | None = None, kind: str = AXIOM,
                       detail: str = "") -> Report:
     """Equality of two linear maps; generator images decide it."""
-    policy = policy or Policy()
     if f.domain != g.domain or f.codomain != g.codomain:
         return leaf(name, FAIL, STRUCTURAL,
                     detail="maps do not share domain and codomain")
-    total = f.domain.size
     if f.images == g.images:
         return leaf(name, PASS, kind, detail=detail,
-                    meta={"mode": "exhaustive", "checked": total})
-    if total <= policy.exhaustive_bound:
-        res = sweep([f.domain.elements()],
-                    lambda x: f.apply(x) == g.apply(x), policy)
-        return leaf(name, FAIL, kind, detail=detail or "maps differ",
-                    witness=res.witness, meta=res.meta())
+                    meta={"mode": "exhaustive", "checked": f.domain.size})
+    detail = detail or "maps differ"
+    found = _element_witness(name, kind, detail, f.domain, 1,
+                             lambda x: f.apply(x) == g.apply(x), policy)
     bad = next(gen for gen, a, b in
                zip(f.domain.generators(), f.images, g.images) if a != b)
-    return leaf(name, FAIL, kind,
-                detail=(detail or "maps differ") + ", witness is a generator",
-                witness=(bad,), meta={"mode": "generators"})
+    return found or leaf(name, FAIL, kind,
+                         detail=detail + ", witness is a generator",
+                         witness=(bad,), meta={"mode": "generators"})
+
+
+def _element_witness(name, kind, detail, mod: FiniteModule, arity: int, pred,
+                     policy: Policy | None) -> Report | None:
+    """FAIL leaf for an identity that generator tuples already refuted.
+    Within the exhaustive bound every arity-tuple of elements of mod is
+    searched in lexicographic order, whatever the policy's mode, so the
+    witness is the least failing tuple and cannot be missed by a sample.
+    Above the bound returns None and the caller reports the generators."""
+    policy = policy or Policy()
+    if mod.size ** arity > policy.exhaustive_bound:
+        return None
+    return check(name, kind, [mod.elements()] * arity, pred,
+                 Policy(mode=EXHAUSTIVE), detail)
 
 
 def validate_hom(f: AlgebraHom, policy: Policy | None = None) -> Report:
@@ -558,11 +548,9 @@ def is_ideal(alg: Algebra, sub: Submodule, policy: Policy | None = None) -> Repo
     checks.append(leaf("additive-closure", FAIL if bad else PASS, STRUCTURAL,
                        detail="contains 0 and is closed under addition",
                        witness=bad))
-    res = sweep([alg.elements(), list(sub.elements)],
-                lambda a, x: sub.contains(alg.multiply(a, x)), policy)
-    checks.append(leaf("absorption", PASS if res.ok else FAIL, AXIOM,
-                       detail="a*x stays in the subset for a in the algebra",
-                       witness=res.witness, meta=res.meta()))
+    checks.append(check("absorption", AXIOM, [alg.elements(), sub.elements],
+                        lambda a, x: sub.contains(alg.multiply(a, x)), policy,
+                        detail="a*x stays in the subset for a in the algebra"))
     return group("is-ideal", checks)
 
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 from .core import (AlgebraHom, BilinearMap, ModuleHom, PreconditionError,
                    StructuralError, Submodule, image, maps_equal_report,
                    multiplicativity_report, subalgebra_presentation)
-from .policy import Policy, sweep
+from .policy import Policy, check
 from .report import (AXIOM, FAIL, PASS, SKIP, STRUCTURAL, THEOREM,
-                     Report, group, leaf)
+                     Report, group, leaf, relabel)
 from .xmod import (AlgebraAction, CrossedModule, validate_crossed_module,
                    validate_hom)
 
@@ -61,15 +61,21 @@ def validate_morphism(mor: XModMorphism, policy: Policy | None = None) -> Report
         mor.target.eta.hom.compose(mor.alpha1.hom),
         policy, detail="alpha2 eta1 = eta2 alpha1"))
 
-    res = sweep([mor.source.s_alg.elements(), mor.source.r_alg.elements()],
-                lambda s1, r1: mor.alpha1.apply(mor.source.action.apply(s1, r1))
-                == mor.target.action.apply(mor.alpha2.apply(s1),
-                                           mor.alpha1.apply(r1)), policy)
-    checks.append(leaf("equivariance", PASS if res.ok else FAIL, AXIOM,
-                       detail="alpha1(s1.r1) = alpha2(s1).alpha1(r1)",
-                       witness=res.witness, meta=res.meta()))
+    checks.append(equivariance_report(
+        mor, "equivariance", AXIOM, "alpha1(s1.r1) = alpha2(s1).alpha1(r1)",
+        policy))
     name = mor.name or "morphism"
     return group(f"validate-morphism {name}", checks)
+
+
+def equivariance_report(mor: XModMorphism, name: str, kind: str, detail: str,
+                        policy: Policy | None = None) -> Report:
+    """alpha1(s1.r1) = alpha2(s1).alpha1(r1) over S1 x R1."""
+    src, tgt = mor.source, mor.target
+    return check(name, kind, [src.s_alg.elements(), src.r_alg.elements()],
+                 lambda s1, r1: mor.alpha1.apply(src.action.apply(s1, r1))
+                 == tgt.action.apply(mor.alpha2.apply(s1),
+                                     mor.alpha1.apply(r1)), policy, detail)
 
 
 class SubXMod:
@@ -193,12 +199,12 @@ def validate_crossed_ideal(sx: SubXMod, policy: Policy | None = None) -> Report:
         ci1.append(multiplicativity_report(
             "nu-multiplicative", sx.nu.hom, sx.sub.s_alg, s_amb, policy))
 
-        res = sweep([sx.sub.s_alg.elements(), sx.sub.r_alg.elements()],
-                    lambda s, x: sx.mu.apply(sx.sub.action.apply(s, x))
-                    == amb.action.apply(sx.nu.apply(s), sx.mu.apply(x)), policy)
-        ci1.append(leaf("action-is-induced", PASS if res.ok else FAIL, AXIOM,
-                        detail="mu(s'.r') = nu(s').mu(r')",
-                        witness=res.witness, meta=res.meta()))
+        ci1.append(check(
+            "action-is-induced", AXIOM,
+            [sx.sub.s_alg.elements(), sx.sub.r_alg.elements()],
+            lambda s, x: sx.mu.apply(sx.sub.action.apply(s, x))
+            == amb.action.apply(sx.nu.apply(s), sx.mu.apply(x)), policy,
+            detail="mu(s'.r') = nu(s').mu(r')"))
 
         sub_rep = validate_crossed_module(sx.sub, policy)
         sub_rep.name = "sub-is-crossed-module"
@@ -214,28 +220,22 @@ def validate_crossed_ideal(sx: SubXMod, policy: Policy | None = None) -> Report:
 
     checks = [group("ci1-sub-crossed-module", ci1)]
 
-    res = sweep([list(sx.r_subset.elements), r_amb.elements()],
-                lambda x, r: sx.r_subset.contains(r_amb.multiply(x, r)), policy)
-    r_ideal = leaf("r-sub-is-ideal", PASS if res.ok else FAIL, AXIOM,
-                   witness=res.witness, meta=res.meta())
-    res = sweep([list(sx.s_subset.elements), s_amb.elements()],
-                lambda x, s: sx.s_subset.contains(s_amb.multiply(x, s)), policy)
-    s_ideal = leaf("s-sub-is-ideal", PASS if res.ok else FAIL, AXIOM,
-                   witness=res.witness, meta=res.meta())
-    checks.append(group("ci2-ideals", [r_ideal, s_ideal]))
-
-    res = sweep([list(sx.s_subset.elements), r_amb.elements()],
-                lambda s, r: sx.r_subset.contains(amb.action.apply(s, r)), policy)
-    checks.append(leaf("ci3-sub-base-acts-into-sub",
-                       PASS if res.ok else FAIL, AXIOM,
-                       detail="S'.R lands in R'", witness=res.witness,
-                       meta=res.meta()))
-
-    res = sweep([s_amb.elements(), list(sx.r_subset.elements)],
-                lambda s, x: sx.r_subset.contains(amb.action.apply(s, x)), policy)
-    checks.append(leaf("ci4-base-acts-into-sub", PASS if res.ok else FAIL,
-                       AXIOM, detail="S.R' lands in R'", witness=res.witness,
-                       meta=res.meta()))
+    checks.append(group("ci2-ideals", [
+        check("r-sub-is-ideal", AXIOM, [sx.r_subset.elements, r_amb.elements()],
+              lambda x, r: sx.r_subset.contains(r_amb.multiply(x, r)), policy),
+        check("s-sub-is-ideal", AXIOM, [sx.s_subset.elements, s_amb.elements()],
+              lambda x, s: sx.s_subset.contains(s_amb.multiply(x, s)), policy),
+    ]))
+    checks.append(check(
+        "ci3-sub-base-acts-into-sub", AXIOM,
+        [sx.s_subset.elements, r_amb.elements()],
+        lambda s, r: sx.r_subset.contains(amb.action.apply(s, r)), policy,
+        detail="S'.R lands in R'"))
+    checks.append(check(
+        "ci4-base-acts-into-sub", AXIOM,
+        [s_amb.elements(), sx.r_subset.elements],
+        lambda s, x: sx.r_subset.contains(amb.action.apply(s, x)), policy,
+        detail="S.R' lands in R'"))
     name = sx.name or "sub"
     return group(f"validate-crossed-ideal {name}", checks)
 
@@ -291,42 +291,32 @@ def validate_crossed_ideal_map(cim: CrossedIdealMap,
     checks.append(leaf("h-bilinearity", PASS, STRUCTURAL,
                        detail="holds by the tensor encoding"))
 
-    res = sweep([r2.elements(), s1.elements()],
-                lambda x, s: mor.alpha1.apply(cim.h.evaluate(x, s))
-                == tgt.action.apply(mor.alpha2.apply(s), x), policy)
-    checks.append(leaf("alpha1-of-h", PASS if res.ok else FAIL, AXIOM,
-                       detail="alpha1 h(r2, s1) = alpha2(s1).r2",
-                       witness=res.witness, meta=res.meta()))
-
-    res = sweep([r2.elements(), s1.elements()],
-                lambda x, s: src.eta.apply(cim.h.evaluate(x, s))
-                == cim.act2.apply(tgt.eta.apply(x), s), policy)
-    checks.append(leaf("eta1-of-h", PASS if res.ok else FAIL, AXIOM,
-                       detail="eta1 h(r2, s1) = eta2(r2).s1",
-                       witness=res.witness, meta=res.meta()))
-
-    res = sweep([r1.elements(), s1.elements()],
-                lambda r, s: cim.h.evaluate(mor.alpha1.apply(r), s)
-                == src.action.apply(s, r), policy)
-    checks.append(leaf("h-on-alpha1-image", PASS if res.ok else FAIL, AXIOM,
-                       detail="h(alpha1 r1, s1) = s1.r1",
-                       witness=res.witness, meta=res.meta()))
-
-    res = sweep([r2.elements(), r1.elements()],
-                lambda x, r: cim.h.evaluate(x, src.eta.apply(r))
-                == cim.act1.apply(x, r), policy)
-    checks.append(leaf("h-on-eta1-image", PASS if res.ok else FAIL, AXIOM,
-                       detail="h(r2, eta1 r1) = r2.r1",
-                       witness=res.witness, meta=res.meta()))
+    checks.append(check("alpha1-of-h", AXIOM, [r2.elements(), s1.elements()],
+                        lambda x, s: mor.alpha1.apply(cim.h.evaluate(x, s))
+                        == tgt.action.apply(mor.alpha2.apply(s), x), policy,
+                        detail="alpha1 h(r2, s1) = alpha2(s1).r2"))
+    checks.append(check("eta1-of-h", AXIOM, [r2.elements(), s1.elements()],
+                        lambda x, s: src.eta.apply(cim.h.evaluate(x, s))
+                        == cim.act2.apply(tgt.eta.apply(x), s), policy,
+                        detail="eta1 h(r2, s1) = eta2(r2).s1"))
+    checks.append(check("h-on-alpha1-image", AXIOM,
+                        [r1.elements(), s1.elements()],
+                        lambda r, s: cim.h.evaluate(mor.alpha1.apply(r), s)
+                        == src.action.apply(s, r), policy,
+                        detail="h(alpha1 r1, s1) = s1.r1"))
+    checks.append(check("h-on-eta1-image", AXIOM, [r2.elements(), r1.elements()],
+                        lambda x, r: cim.h.evaluate(x, src.eta.apply(r))
+                        == cim.act1.apply(x, r), policy,
+                        detail="h(r2, eta1 r1) = r2.r1"))
 
     if check_balance:
-        res = sweep([s2.elements(), r2.elements(), s1.elements()],
-                    lambda t, x, s: cim.h.evaluate(tgt.action.apply(t, x), s)
-                    == cim.h.evaluate(x, cim.act2.apply(t, s)), policy)
-        checks.append(leaf("h-base-balance", PASS if res.ok else FAIL, AXIOM,
-                           detail="h(s2.r2, s1) = h(r2, s2.s1); interpreted "
-                                  "reading, no action of S2 on R1 is given",
-                           witness=res.witness, meta=res.meta()))
+        checks.append(check(
+            "h-base-balance", AXIOM,
+            [s2.elements(), r2.elements(), s1.elements()],
+            lambda t, x, s: cim.h.evaluate(tgt.action.apply(t, x), s)
+            == cim.h.evaluate(x, cim.act2.apply(t, s)), policy,
+            detail="h(s2.r2, s1) = h(r2, s2.s1); interpreted reading, no "
+                   "action of S2 on R1 is given"))
     else:
         checks.append(leaf("h-base-balance", SKIP, None,
                            detail="disabled by flag"))
@@ -348,23 +338,12 @@ def image_crossed_ideal_check(cim: CrossedIdealMap,
                               policy: Policy | None = None) -> Report:
     """The image of a validated crossed ideal map is a crossed ideal.
     Any failure here on validated input is an implementation bug."""
-    sx = image_sub_xmod(cim)
-    rep = validate_crossed_ideal(sx, policy)
-    for node in rep.walk():
-        if node.kind == AXIOM:
-            node.kind = THEOREM
-
-    mor = cim.morphism
-    res = sweep([mor.source.s_alg.elements(), mor.source.r_alg.elements()],
-                lambda s1, r1: mor.alpha1.apply(mor.source.action.apply(s1, r1))
-                == mor.target.action.apply(mor.alpha2.apply(s1),
-                                           mor.alpha1.apply(r1)), policy)
-    push = leaf("pushforward-action-agrees", PASS if res.ok else FAIL, THEOREM,
-                detail="the induced action on the image is the restricted "
-                       "ambient action, independent of preimage choices",
-                witness=res.witness, meta=res.meta())
-    return group(f"image-crossed-ideal {cim.name or 'cim'}",
-                 [rep, push])
+    rep = relabel(validate_crossed_ideal(image_sub_xmod(cim), policy), THEOREM)
+    push = equivariance_report(
+        cim.morphism, "pushforward-action-agrees", THEOREM,
+        "the induced action on the image is the restricted ambient action, "
+        "independent of preimage choices", policy)
+    return group(f"image-crossed-ideal {cim.name or 'cim'}", [rep, push])
 
 
 def inclusion_cim(sx: SubXMod, name: str = "") -> CrossedIdealMap:

@@ -5,7 +5,13 @@ lists.  When the product has at most `exhaustive_bound` tuples the sweep
 walks it in lexicographic order, so the reported witness of a failure is
 the lexicographically least violating tuple.  Above the bound it draws
 `sample_count` uniform tuples from a seeded generator; the seed is echoed
-in the result so runs are reproducible.
+in the result so runs are reproducible.  A policy refuses a sample count
+below 1, so a sampled PASS always rests on at least one draw.
+
+`check` is the one way element identities become report leaves: it
+sweeps the predicate and returns a PASS or FAIL leaf of the given class
+carrying the witness and the sweep's coverage (mode, tuples checked and,
+when sampled, the seed) in its meta.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+
+from .report import FAIL, PASS, Report, leaf
 
 EXHAUSTIVE_BOUND = 1_000_000
 SAMPLE_COUNT = 10_000
@@ -28,6 +36,11 @@ class Policy:
     seed: int = 0
     sample_count: int = SAMPLE_COUNT
     exhaustive_bound: int = EXHAUSTIVE_BOUND
+
+    def __post_init__(self):
+        if self.sample_count < 1:
+            raise ValueError(
+                f"sample count must be at least 1, got {self.sample_count}")
 
     def use_exhaustive(self, total: int) -> bool:
         if self.mode == EXHAUSTIVE:
@@ -74,3 +87,11 @@ def sweep(spaces, pred, policy: Policy | None = None) -> SweepResult:
         if not pred(*tup):
             return SweepResult(False, tup, "sampled", draws, policy.seed)
     return SweepResult(True, None, "sampled", draws, policy.seed)
+
+
+def check(name, kind, spaces, pred, policy: Policy | None = None,
+          detail: str = "") -> Report:
+    """Sweep pred over the product of spaces and report it as one leaf."""
+    res = sweep(spaces, pred, policy)
+    return leaf(name, PASS if res.ok else FAIL, kind, detail=detail,
+                witness=res.witness, meta=res.meta())

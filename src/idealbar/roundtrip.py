@@ -13,9 +13,9 @@ import random
 
 from .core import (AlgebraHom, BilinearMap, ModuleHom, StructuralError,
                    multiplicativity_report, validate_algebra)
-from .bar import (TruncatedBarAlgebra, build_bar_algebra, definition_checks,
-                  verify_ideal_axiom, verify_level_homomorphisms)
-from .policy import Policy, sweep
+from .bar import (TruncatedBarAlgebra, build_bar_algebra, verify_ideal_axiom,
+                  verify_level_homomorphisms)
+from .policy import Policy, check
 from .report import (AXIOM, FAIL, NOTE, PASS, SKIP, STRUCTURAL, THEOREM,
                      Report, group, leaf)
 from .xmod import (AlgebraAction, CrossedModule, cm1_report, cm2_report,
@@ -71,11 +71,9 @@ def _tail_face_multiplicativity(bar: TruncatedBarAlgebra,
         rhs = bar.multiply(1, d0.apply(u), d0.apply(v))
         return lhs == rhs
 
-    rs = r_mod.elements()
-    res = sweep([rs, rs, rs, rs], ok, policy)
-    return leaf("d0-on-tail-multiplicative @ 2", PASS if res.ok else FAIL,
-                AXIOM, witness=res.witness,
-                detail="fails exactly on CM2 violations", meta=res.meta())
+    return check("d0-on-tail-multiplicative @ 2", AXIOM,
+                 [r_mod.elements()] * 4, ok, policy,
+                 detail="fails exactly on CM2 violations")
 
 
 def verify_extracted(bar: TruncatedBarAlgebra,

@@ -20,9 +20,10 @@ A workspace file names every object the command line can check:
       "options":  {"depth": 4}
     }
 
-Coordinates must be canonical (0 <= c < order of the summand) and every
-summand order must be at least 2; anything else is rejected with the key
-path in the message, as is any reference to a name that does not exist.
+Coordinates must be canonical (0 <= c < order of the summand), every
+summand order must be at least 2 and options.depth, when given, an
+integer of at least 1; anything else is rejected with the key path in the
+message, as is any reference to a name that does not exist.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ class Workspace:
         self.modulus = modulus
         self.options = data.get("options", {})
         _expect(isinstance(self.options, dict), "options", "must be an object")
+        depth = self.options.get("depth")
+        _expect(depth is None or (isinstance(depth, int)
+                                  and not isinstance(depth, bool)
+                                  and depth >= 1),
+                "options.depth", "expected an integer of at least 1")
 
         self.algebras: dict[str, Algebra] = {}
         self.homs: dict[str, AlgebraHom] = {}

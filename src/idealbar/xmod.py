@@ -18,8 +18,9 @@ from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                    ModuleHom, PreconditionError, StructuralError, Submodule,
                    image, is_ideal, kernel, subalgebra_presentation,
                    validate_algebra, validate_hom)
-from .policy import Policy, sweep
-from .report import AXIOM, FAIL, NOTE, PASS, STRUCTURAL, THEOREM, Report, group, leaf
+from .policy import Policy, check, sweep  # noqa: F401 (see core)
+from .report import (AXIOM, FAIL, NOTE, PASS, STRUCTURAL, THEOREM, Report,
+                     group, leaf, relabel)
 
 
 class ModuleAction:
@@ -61,35 +62,24 @@ def translation_action(eta: AlgebraHom) -> ModuleAction:
 def validate_module_action(act: ModuleAction, policy: Policy | None = None) -> Report:
     alg, sp = act.algebra, act.space
     xs, rs = sp.elements(), alg.elements()
-    checks = []
-
-    res = sweep([xs, rs, rs],
-                lambda x, r1, r2: act.apply(x, alg.carrier.add(r1, r2))
-                == act.apply(act.apply(x, r1), r2), policy)
-    checks.append(leaf("actor-sum-composes", PASS if res.ok else FAIL, AXIOM,
-                       detail="x^(r1+r2) = (x^r1)^r2", witness=res.witness,
-                       meta=res.meta()))
-
-    res = sweep([xs], lambda x: act.apply(x, alg.zero) == x, policy)
-    checks.append(leaf("zero-acts-trivially", PASS if res.ok else FAIL, AXIOM,
-                       detail="x^0 = x", witness=res.witness, meta=res.meta()))
-
-    res = sweep([xs, xs, rs, rs],
-                lambda x1, x2, r1, r2:
-                act.apply(sp.add(x1, x2), alg.carrier.add(r1, r2))
-                == sp.add(act.apply(x1, r1), act.apply(x2, r2)), policy)
-    checks.append(leaf("additivity", PASS if res.ok else FAIL, AXIOM,
-                       detail="(x1+x2)^(r1+r2) = x1^r1 + x2^r2",
-                       witness=res.witness, meta=res.meta()))
-
-    scalars = list(range(alg.modulus))
-    res = sweep([scalars, xs, rs],
-                lambda k, x, r: sp.scale(k, act.apply(x, r))
-                == act.apply(sp.scale(k, x), alg.carrier.scale(k, r)), policy)
-    checks.append(leaf("scalar-compatibility", PASS if res.ok else FAIL, AXIOM,
-                       detail="k(x^r) = (kx)^(kr)", witness=res.witness,
-                       meta=res.meta()))
-    return group("validate-module-action", checks)
+    return group("validate-module-action", [
+        check("actor-sum-composes", AXIOM, [xs, rs, rs],
+              lambda x, r1, r2: act.apply(x, alg.carrier.add(r1, r2))
+              == act.apply(act.apply(x, r1), r2), policy,
+              detail="x^(r1+r2) = (x^r1)^r2"),
+        check("zero-acts-trivially", AXIOM, [xs],
+              lambda x: act.apply(x, alg.zero) == x, policy,
+              detail="x^0 = x"),
+        check("additivity", AXIOM, [xs, xs, rs, rs],
+              lambda x1, x2, r1, r2:
+              act.apply(sp.add(x1, x2), alg.carrier.add(r1, r2))
+              == sp.add(act.apply(x1, r1), act.apply(x2, r2)), policy,
+              detail="(x1+x2)^(r1+r2) = x1^r1 + x2^r2"),
+        check("scalar-compatibility", AXIOM, [range(alg.modulus), xs, rs],
+              lambda k, x, r: sp.scale(k, act.apply(x, r))
+              == act.apply(sp.scale(k, x), alg.carrier.scale(k, r)), policy,
+              detail="k(x^r) = (kx)^(kr)"),
+    ])
 
 
 class AlgebraAction:
@@ -133,17 +123,12 @@ def validate_algebra_action(act: AlgebraAction, policy: Policy | None = None) ->
         return (lhs == r_alg.multiply(act.apply(s, r1), r2)
                 and lhs == r_alg.multiply(r1, act.apply(s, r2)))
 
-    res = sweep([ss, rs, rs], compat, policy)
-    checks.append(leaf("product-compatibility", PASS if res.ok else FAIL, AXIOM,
-                       detail="s.(r1 r2) = (s.r1) r2 = r1 (s.r2)",
-                       witness=res.witness, meta=res.meta()))
-
-    res = sweep([ss, ss, rs],
-                lambda s1, s2, r: act.apply(s_alg.multiply(s1, s2), r)
-                == act.apply(s1, act.apply(s2, r)), policy)
-    checks.append(leaf("actor-composition", PASS if res.ok else FAIL, AXIOM,
-                       detail="(s1 s2).r = s1.(s2.r)", witness=res.witness,
-                       meta=res.meta()))
+    checks.append(check("product-compatibility", AXIOM, [ss, rs, rs], compat,
+                        policy, detail="s.(r1 r2) = (s.r1) r2 = r1 (s.r2)"))
+    checks.append(check("actor-composition", AXIOM, [ss, ss, rs],
+                        lambda s1, s2, r: act.apply(s_alg.multiply(s1, s2), r)
+                        == act.apply(s1, act.apply(s2, r)), policy,
+                        detail="(s1 s2).r = s1.(s2.r)"))
     return group("validate-algebra-action", checks)
 
 
@@ -175,23 +160,19 @@ class CrossedModule:
 
 
 def cm1_report(xm: CrossedModule, policy: Policy | None = None) -> Report:
-    s_alg, r_alg = xm.s_alg, xm.r_alg
-    res = sweep([s_alg.elements(), r_alg.elements()],
-                lambda s, r: xm.eta.apply(xm.action.apply(s, r))
-                == s_alg.multiply(s, xm.eta.apply(r)), policy)
-    return leaf("cm1", PASS if res.ok else FAIL, AXIOM,
-                detail="eta(s.r) = s eta(r)", witness=res.witness,
-                meta=res.meta())
+    s_alg = xm.s_alg
+    return check("cm1", AXIOM, [s_alg.elements(), xm.r_alg.elements()],
+                 lambda s, r: xm.eta.apply(xm.action.apply(s, r))
+                 == s_alg.multiply(s, xm.eta.apply(r)), policy,
+                 detail="eta(s.r) = s eta(r)")
 
 
 def cm2_report(xm: CrossedModule, policy: Policy | None = None) -> Report:
     r_alg = xm.r_alg
-    res = sweep([r_alg.elements(), r_alg.elements()],
-                lambda r1, r2: xm.action.apply(xm.eta.apply(r1), r2)
-                == r_alg.multiply(r1, r2), policy)
-    return leaf("cm2", PASS if res.ok else FAIL, AXIOM,
-                detail="eta(r1).r2 = r1 r2", witness=res.witness,
-                meta=res.meta())
+    return check("cm2", AXIOM, [r_alg.elements(), r_alg.elements()],
+                 lambda r1, r2: xm.action.apply(xm.eta.apply(r1), r2)
+                 == r_alg.multiply(r1, r2), policy,
+                 detail="eta(r1).r2 = r1 r2")
 
 
 def validate_crossed_module(xm: CrossedModule, policy: Policy | None = None) -> Report:
@@ -231,54 +212,37 @@ def consequence_checks(xm: CrossedModule, policy: Policy | None = None) -> Repor
     ker = kernel(xm.eta.hom)
     checks = []
 
-    img_rep = is_ideal(s_alg, im, policy)
-    img_rep.name = "image-is-ideal"
-    _rekind(img_rep, THEOREM)
-    checks.append(img_rep)
+    for name, alg, sub in (("image-is-ideal", s_alg, im),
+                           ("kernel-is-ideal", r_alg, ker)):
+        rep = relabel(is_ideal(alg, sub, policy), THEOREM)
+        rep.name = name
+        checks.append(rep)
 
-    ker_rep = is_ideal(r_alg, ker, policy)
-    ker_rep.name = "kernel-is-ideal"
-    _rekind(ker_rep, THEOREM)
-    checks.append(ker_rep)
+    checks.append(check("kernel-annihilates", THEOREM,
+                        [ker.elements, r_alg.elements()],
+                        lambda x, r: r_alg.multiply(x, r) == r_alg.zero,
+                        policy, detail="x r = 0 for x in ker(eta)"))
 
-    res = sweep([list(ker.elements), r_alg.elements()],
-                lambda x, r: r_alg.multiply(x, r) == r_alg.zero, policy)
-    checks.append(leaf("kernel-annihilates", PASS if res.ok else FAIL, THEOREM,
-                       detail="x r = 0 for x in ker(eta)", witness=res.witness,
-                       meta=res.meta()))
-
-    quotient_checks = []
-    res = sweep([s_alg.elements(), list(ker.elements)],
-                lambda s, x: ker.contains(xm.action.apply(s, x)), policy)
-    quotient_checks.append(leaf("kernel-closed-under-action",
-                                PASS if res.ok else FAIL, THEOREM,
-                                witness=res.witness, meta=res.meta()))
-    res = sweep([list(im.elements), list(ker.elements)],
-                lambda t, x: xm.action.apply(t, x) == r_alg.zero, policy)
-    quotient_checks.append(leaf("image-acts-trivially-on-kernel",
-                                PASS if res.ok else FAIL, THEOREM,
-                                detail="makes the action of S/im(eta) well defined",
-                                witness=res.witness, meta=res.meta()))
-    res = sweep([s_alg.elements(), s_alg.elements(), list(ker.elements)],
-                lambda s1, s2, x: xm.action.apply(s_alg.multiply(s1, s2), x)
-                == xm.action.apply(s1, xm.action.apply(s2, x)), policy)
-    quotient_checks.append(leaf("induced-action-composes",
-                                PASS if res.ok else FAIL, THEOREM,
-                                witness=res.witness, meta=res.meta()))
-    quotient_checks.append(leaf(
-        "induced-action-reading", NOTE, None,
-        detail="checked as a k-bilinear module action; translation-style "
-               "axioms are not imposed, they fail for linear actions"))
-    checks.append(group("quotient-action-well-defined", quotient_checks))
+    checks.append(group("quotient-action-well-defined", [
+        check("kernel-closed-under-action", THEOREM,
+              [s_alg.elements(), ker.elements],
+              lambda s, x: ker.contains(xm.action.apply(s, x)), policy),
+        check("image-acts-trivially-on-kernel", THEOREM,
+              [im.elements, ker.elements],
+              lambda t, x: xm.action.apply(t, x) == r_alg.zero, policy,
+              detail="makes the action of S/im(eta) well defined"),
+        check("induced-action-composes", THEOREM,
+              [s_alg.elements(), s_alg.elements(), ker.elements],
+              lambda s1, s2, x: xm.action.apply(s_alg.multiply(s1, s2), x)
+              == xm.action.apply(s1, xm.action.apply(s2, x)), policy),
+        leaf("induced-action-reading", NOTE, None,
+             detail="checked as a k-bilinear module action; translation-"
+                    "style axioms are not imposed, they fail for linear "
+                    "actions"),
+    ]))
 
     name = xm.name or "xmod"
     return group(f"consequence-checks {name}", checks)
-
-
-def _rekind(rep: Report, kind: str) -> None:
-    for node in rep.walk():
-        if node.kind == AXIOM:
-            node.kind = kind
 
 
 def phi_cm1_criterion(xm: CrossedModule, policy: Policy | None = None) -> Report:
@@ -296,11 +260,10 @@ def phi_cm1_criterion(xm: CrossedModule, policy: Policy | None = None) -> Report
                              s_alg.carrier.add(s2, eta.apply(r2)))
         return lhs == rhs
 
-    res = sweep([s_alg.elements(), r_alg.elements(),
-                 s_alg.elements(), r_alg.elements()], phi_ok, policy)
-    return leaf("cm1-phi-criterion", PASS if res.ok else FAIL, AXIOM,
-                detail="s + eta(r) multiplicative on S|xR, equivalent to CM1",
-                witness=res.witness, meta=res.meta())
+    return check("cm1-phi-criterion", AXIOM,
+                 [s_alg.elements(), r_alg.elements(),
+                  s_alg.elements(), r_alg.elements()], phi_ok, policy,
+                 detail="s + eta(r) multiplicative on S|xR, equivalent to CM1")
 
 
 def phi_cm2_criterion(xm: CrossedModule, policy: Policy | None = None) -> Report:
@@ -318,9 +281,6 @@ def phi_cm2_criterion(xm: CrossedModule, policy: Policy | None = None) -> Report
                             act.apply(eta.apply(c), b)), rmul(b, d))
         return left_s == right_s and left_r == right_r
 
-    rs = r_alg.elements()
-    res = sweep([rs, rs, rs, rs], phi_ok, policy)
-    return leaf("cm2-phi-criterion", PASS if res.ok else FAIL, AXIOM,
-                detail="(a, b) -> (eta(a), b) multiplicative into S|xR, "
-                       "equivalent to CM2",
-                witness=res.witness, meta=res.meta())
+    return check("cm2-phi-criterion", AXIOM, [r_alg.elements()] * 4, phi_ok,
+                 policy, detail="(a, b) -> (eta(a), b) multiplicative into "
+                                "S|xR, equivalent to CM2")

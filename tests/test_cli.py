@@ -128,3 +128,55 @@ def test_unknown_subcommand_is_a_usage_error():
     res = cli("frobnicate")
     assert res.returncode == 2
     assert "invalid choice" in res.stderr
+
+
+def _one_line_error(res, *needles):
+    assert res.returncode == 3, res.stdout + res.stderr
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
+    for needle in needles:
+        assert needle in res.stderr
+
+
+def test_sample_count_below_one_is_refused():
+    # a sampled sweep with no draws used to report PASS with checked=0
+    for samples in ("0", "-1"):
+        res = cli("-w", BROKEN, "check-xmod", "main", "--policy", "sample",
+                  "--samples", samples)
+        _one_line_error(res, "--samples")
+
+
+def test_count_and_budget_below_one_are_refused():
+    _one_line_error(cli("fuzz", "--count", "-5"), "--count")
+    _one_line_error(cli("-w", NILSQUARE, "roundtrip", "main", "--perturb",
+                        "--budget", "-3"), "--budget")
+
+
+def test_malformed_depth_option_names_its_json_path(tmp_path):
+    doc = json.loads(Path(NILSQUARE).read_text())
+    doc["options"] = {"depth": "deep"}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    _one_line_error(cli("-w", str(path), "bar-verify", "main"),
+                    "options.depth")
+
+
+def _fail_witnesses(node, path=()):
+    path = path + (node["name"],)
+    out = {}
+    if node["status"] == "FAIL" and not node["checks"]:
+        out[path] = node["witness"]
+    for child in node["checks"]:
+        out.update(_fail_witnesses(child, path))
+    return out
+
+
+def test_sampled_policy_still_finds_the_least_witness_after_a_mismatch():
+    args = ("-w", NILCUBE, "--format", "json", "bibar-verify", "incl",
+            "--corrupt-phi", "1:0")
+    default = _fail_witnesses(json.loads(cli(*args).stdout))
+    sampled = _fail_witnesses(json.loads(cli(
+        *args, "--policy", "sample", "--samples", "1", "--seed", "0").stdout))
+    assert default and sampled == default
+    assert all(w is not None for w in sampled.values())

@@ -1,0 +1,69 @@
+"""Golden output: the exact bytes of report commands, pinned by digest.
+
+Each entry records the exit code and the SHA-256 of stdout, once with
+--format json and once with the default text rendering.  The digests
+were taken from the code before the checking logic was folded into one
+primitive, so a refactor that changes any verdict, witness, meta entry
+or rendered byte fails here, not only one that is nondeterministic.
+"""
+
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+NILSQUARE = str(FIXTURES / "nilsquare.json")
+NILCUBE = str(FIXTURES / "nilcube.json")
+BROKEN = str(FIXTURES / "broken_action.json")
+
+# (arguments, exit code, json digest, text digest)
+GOLDEN = [
+    (("-w", NILSQUARE, "--seed", "11", "bar-verify", "main", "--depth", "3"),
+     0, "1dddde180093f4b14fa0115ed057f908e7b73914274e79fcd08684f0ba69dbcc",
+     "af84239dad3dfec0e3e254739474f412d22c13bb0722181a061049aace14787c"),
+    (("-w", NILSQUARE, "--seed", "11", "--policy", "sample", "--samples",
+      "128", "check-xmod", "main", "--consequences"),
+     0, "a6322fc22b138ff4de668bbc1ecfbd1d311f795b72544091a876546504dac3d5",
+     "c7014bb70373cc92520270885fffb151f013fe46939bb280bc2a072363949aac"),
+    (("-w", NILCUBE, "--seed", "11", "cim-check", "incl_cim"),
+     0, "47a3786f65a955ca8c9007ad0a0223de198a4bd575b4f9daff64e88d77d20c79",
+     "427de27d860661e787f7001aa007f3df64daf760c15f38401104de4e6f0b9528"),
+    (("-w", NILCUBE, "--seed", "11", "bibar-verify", "incl"),
+     0, "9d6ebd695d3541d677c025c763471b6400c39450cfc6fefda60216a97214cfee",
+     "e9e60241e8dbbddff2754660a2c2f9979f0386b2d81669cec64feabb6d0451f0"),
+    (("--seed", "11", "fuzz", "--count", "25"),
+     0, "4efb8b5aa9da54d871f32b4d27defffabf83a4ec2fefb0845f83dc0fa9df1703",
+     "539597bb0a3f9d5b4266826f67b0189de650c173ac5302aa2e796958fcaf1f99"),
+    (("-w", NILSQUARE, "--seed", "11", "roundtrip", "main", "--depth", "2",
+      "--perturb", "--budget", "80"),
+     0, "9a075cfbb4aea0048e8aa59c152d457c45ced2eca86861732011fb773e7b7318",
+     "c621d5b75deac3e9703038f9d1fba0cf978a2331a51c2182e0ed01c5f0419d93"),
+    (("-w", BROKEN, "check-xmod", "main", "--consequences"),
+     1, "9ec943cc69dfed52267fc462fb5f2a850908af6bb11bcf8e78df26b716f2f17a",
+     "33ae41b969ebcd8b1ffd201cf176df9cf9ac6e16ae574be1bf3dcfea95ec99fb"),
+    (("-w", NILCUBE, "ideal-check", "good"),
+     0, "7049e38dfe44a9d8bcfff286800e1508591916e3c548f8d86f2af829c3444f63",
+     "7f34e261d8ba423380330ec1d6d191b9357befd1d2f11cd0a02964a9118e03b5"),
+    (("-w", NILCUBE, "bibar-verify", "incl", "--corrupt-phi", "1:0"),
+     1, "9e25e932d91cca9e857a669bd80cbba81bb232bf57ab3b9fde728b132af27394",
+     "5876888f464dc76ed96e605453b9792e7322be810d2c86f2c5e6fdf102f06444"),
+]
+
+
+def _ident(entry):
+    args = [a if not a.startswith("/") else Path(a).name for a in entry[0]]
+    return " ".join(args)
+
+
+@pytest.mark.parametrize("args,code,json_digest,text_digest", GOLDEN,
+                         ids=[_ident(e) for e in GOLDEN])
+def test_output_matches_golden_digest(args, code, json_digest, text_digest):
+    for fmt, digest in (("json", json_digest), ("text", text_digest)):
+        res = subprocess.run(
+            [sys.executable, "-m", "idealbar", "--format", fmt, *args],
+            capture_output=True)
+        assert res.returncode == code, (fmt, res.stderr.decode())
+        assert hashlib.sha256(res.stdout).hexdigest() == digest, fmt

@@ -1,5 +1,7 @@
 """Sweep policy: lexicographic witnesses at desk scale, seeded sampling above."""
 
+import pytest
+
 from idealbar.policy import EXHAUSTIVE, SAMPLE, Policy, sweep
 
 
@@ -57,3 +59,9 @@ def test_forced_exhaustive_ignores_bound():
 def test_meta_omits_seed_for_exhaustive():
     res = sweep([[0]], lambda a: True)
     assert res.meta() == {"mode": "exhaustive", "checked": 1}
+
+
+def test_policy_refuses_a_sample_count_below_one():
+    for count in (0, -1):
+        with pytest.raises(ValueError):
+            Policy(mode=SAMPLE, sample_count=count)
