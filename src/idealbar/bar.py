@@ -121,6 +121,13 @@ class TruncatedBarAlgebra:
     level_tensors overrides the canonical products (used by the
     perturbation harness); by default every level tensor is built from
     the closed product formula.
+
+    bilinear records that every tensor the level products and the closed
+    product formulas read (each level tensor, the products of S and R
+    and the action tensor) is torsion-compatible.  Both sides of each
+    product identity are then bilinear on the modules, so generator
+    tuples decide it; a torsion-violating tensor is not bilinear on the
+    module, and its identities are swept element by element.
     """
 
     def __init__(self, xm: CrossedModule, depth: int, level_tensors=None):
@@ -141,6 +148,15 @@ class TruncatedBarAlgebra:
                 tensor = BilinearMap(carrier, carrier, carrier, constants)
             name = s_alg.name or "S"
             self.algebras.append(Algebra(carrier, tensor, name=f"B{n}({name})"))
+        tensors = self.level_tensors() + [s_alg.mul, xm.r_alg.mul,
+                                          xm.action.tensor]
+        self.bilinear = all(next(t.torsion_violations(), None) is None
+                            for t in tensors)
+
+    def generator_lists(self, *spaces):
+        """Generator lists of the given modules or algebras for
+        policy.check, or None when generator tuples do not decide."""
+        return [sp.generators() for sp in spaces] if self.bilinear else None
 
     def face(self, n, i):
         return self.module.face(n, i)
@@ -291,14 +307,16 @@ def verify_ideal_axiom(bar: TruncatedBarAlgebra,
                     lambda s, b: bar.module.split(
                         bar.multiply(1, bar.embed_s(1, s), bar.embed_r(1, [b])),
                         1)[0] == x_zero, policy,
-                    detail="(s,0)(0,b) has base coordinate 0")]
+                    detail="(s,0)(0,b) has base coordinate 0",
+                    generators=bar.generator_lists(s_alg, r_mod))]
 
     for n in range(1, bar.depth + 1):
         checks.append(check(
             f"base-subalgebra @ {n}", AXIOM, [s_alg.elements(), s_alg.elements()],
             lambda a, b, n=n:
             bar.multiply(n, bar.embed_s(n, a), bar.embed_s(n, b))
-            == bar.embed_s(n, s_alg.multiply(a, b)), policy))
+            == bar.embed_s(n, s_alg.multiply(a, b)), policy,
+            generators=bar.generator_lists(s_alg, s_alg)))
 
         tail = direct_sum([r_mod] * n)
         pr = r_mod.rank
@@ -311,7 +329,8 @@ def verify_ideal_axiom(bar: TruncatedBarAlgebra,
         checks.append(check(
             f"mixed-letterwise @ {n}", AXIOM, [s_alg.elements(), tail.elements()],
             letterwise, policy,
-            detail="base times tail is the level-1 letter rule in every letter"))
+            detail="base times tail is the level-1 letter rule in every letter",
+            generators=bar.generator_lists(s_alg, tail)))
     return group("tail-absorption", checks)
 
 
@@ -324,11 +343,11 @@ def verify_decomposition(bar: TruncatedBarAlgebra, k: int,
     lvl = bar.levels[k]
     r_tail = direct_sum([bar.module.r_mod] * k)
     pr = bar.module.r_mod.rank
-    r_elems = []
-    for tail in r_tail.elements():
-        blocks = [tail[j * pr:(j + 1) * pr] for j in range(k)]
-        r_elems.append(bar.embed_r(k, blocks))
-    rk = Submodule(lvl, r_elems)
+
+    def embed_tail(tail):
+        return bar.embed_r(k, [tail[j * pr:(j + 1) * pr] for j in range(k)])
+
+    rk = Submodule(lvl, [embed_tail(t) for t in r_tail.elements()])
     sk = Submodule(lvl, [bar.embed_s(k, s) for s in s_alg.elements()])
 
     checks = []
@@ -339,7 +358,9 @@ def verify_decomposition(bar: TruncatedBarAlgebra, k: int,
         f"sk-subalgebra-isomorphic-to-s @ {k}", embed, s_alg,
         bar.algebras[k], policy, kind=THEOREM))
 
-    rep = relabel(is_ideal(bar.algebras[k], rk, policy), THEOREM)
+    rk_gens = [embed_tail(g) for g in r_tail.generators()] \
+        if bar.bilinear else None
+    rep = relabel(is_ideal(bar.algebras[k], rk, policy, gens=rk_gens), THEOREM)
     rep.name = f"rk-is-ideal @ {k}"
     checks.append(rep)
 
@@ -388,7 +409,8 @@ def rk_closed_formulas(bar: TruncatedBarAlgebra, k: int,
     checks = [check(
         f"tail-tail-product @ {k}", THEOREM,
         [r_tail.elements(), r_tail.elements()], tail_product_ok, policy,
-        detail="(0,a)(0,b) has j-th letter (a_1+..+a_{j-1})b_j + a_j(b_1+..+b_j)")]
+        detail="(0,a)(0,b) has j-th letter (a_1+..+a_{j-1})b_j + a_j(b_1+..+b_j)",
+        generators=bar.generator_lists(r_tail, r_tail))]
 
     def mixed_product_ok(ta, s):
         a = blocks_of(ta)
@@ -399,7 +421,8 @@ def rk_closed_formulas(bar: TruncatedBarAlgebra, k: int,
     checks.append(check(
         f"tail-base-product @ {k}", THEOREM,
         [r_tail.elements(), xm.s_alg.elements()], mixed_product_ok, policy,
-        detail="(0,a)(s,0) = (0, s.a_1, .., s.a_k)"))
+        detail="(0,a)(s,0) = (0, s.a_1, .., s.a_k)",
+        generators=bar.generator_lists(r_tail, xm.s_alg)))
     return group(f"tail-ideal-products @ {k}", checks)
 
 

@@ -119,16 +119,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _at_least_one(value: int, flag: str) -> int:
-    if value < 1:
-        raise IdealbarError(f"{flag} must be at least 1, got {value}")
+def _at_least(value: int, flag: str, low: int = 1) -> int:
+    if value < low:
+        raise IdealbarError(f"{flag} must be at least {low}, got {value}")
     return value
 
 
 def _policy(args) -> Policy:
     kwargs = {"mode": args.policy, "seed": args.seed}
     if args.samples is not None:
-        kwargs["sample_count"] = _at_least_one(args.samples, "--samples")
+        kwargs["sample_count"] = _at_least(args.samples, "--samples")
     return Policy(**kwargs)
 
 
@@ -148,10 +148,13 @@ def run(args) -> "Report":
     policy = _policy(args)
 
     if args.command == "enumerate":
-        return enumeration_report(args.modulus, args.max_rank, policy)
+        return enumeration_report(_at_least(args.modulus, "--modulus", 2),
+                                  _at_least(args.max_rank, "--max-rank", 0),
+                                  policy)
     if args.command == "fuzz":
-        return fuzz_report(args.modulus, args.max_rank,
-                           _at_least_one(args.count, "--count"), args.seed,
+        return fuzz_report(_at_least(args.modulus, "--modulus", 2),
+                           _at_least(args.max_rank, "--max-rank"),
+                           _at_least(args.count, "--count"), args.seed,
                            policy)
 
     ws = _workspace(args)
@@ -187,7 +190,7 @@ def run(args) -> "Report":
         if args.perturb:
             checks.append(perturb_and_filter(
                 xm, seed=args.seed,
-                budget=_at_least_one(args.budget, "--budget"), policy=policy))
+                budget=_at_least(args.budget, "--budget"), policy=policy))
         return group(f"roundtrip {args.name}", checks)
 
     if args.command == "ideal-check":
@@ -206,10 +209,15 @@ def run(args) -> "Report":
         if args.corrupt_phi is not None:
             n, _, j = args.corrupt_phi.partition(":")
             try:
-                drop = {(int(n), int(j))}
+                n, j = int(n), int(j)
             except ValueError:
                 raise IdealbarError("--corrupt-phi expects N:J with integers")
-            phi = phi_maps(mor, args.rows, drop=drop)
+            # phi_N has letters 0..N-1, and rows 0..--rows are built
+            if not 0 <= j < n <= args.rows:
+                raise IdealbarError(
+                    f"--corrupt-phi {n}:{j} names no built letter: "
+                    f"need 0 <= J < N <= --rows ({args.rows})")
+            phi = phi_maps(mor, args.rows, drop={(n, j)})
         bb = build_bibar(mor, args.rows, args.cols, phi=phi)
         return verify_bibar(bb, policy)
 

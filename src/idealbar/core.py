@@ -540,7 +540,12 @@ def kernel(f: ModuleHom) -> Submodule:
                      [x for x in f.domain.elements() if f.apply(x) == zero])
 
 
-def is_ideal(alg: Algebra, sub: Submodule, policy: Policy | None = None) -> Report:
+def is_ideal(alg: Algebra, sub: Submodule, policy: Policy | None = None,
+             gens=None) -> Report:
+    """Additive closure and absorption of a subset.  gens, when given,
+    must generate sub and alg.mul must be torsion-compatible; absorption
+    is then decided on pairs of algebra and ideal generators once the
+    subset is known to be closed under addition."""
     if sub.ambient != alg.carrier:
         raise StructuralError("submodule does not live in the algebra carrier")
     checks = []
@@ -550,7 +555,9 @@ def is_ideal(alg: Algebra, sub: Submodule, policy: Policy | None = None) -> Repo
                        witness=bad))
     checks.append(check("absorption", AXIOM, [alg.elements(), sub.elements],
                         lambda a, x: sub.contains(alg.multiply(a, x)), policy,
-                        detail="a*x stays in the subset for a in the algebra"))
+                        detail="a*x stays in the subset for a in the algebra",
+                        generators=None if bad or gens is None
+                        else [alg.generators(), gens]))
     return group("is-ideal", checks)
 
 

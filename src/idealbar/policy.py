@@ -11,7 +11,14 @@ below 1, so a sampled PASS always rests on at least one draw.
 `check` is the one way element identities become report leaves: it
 sweeps the predicate and returns a PASS or FAIL leaf of the given class
 carrying the witness and the sweep's coverage (mode, tuples checked and,
-when sampled, the seed) in its meta.
+when sampled, the seed) in its meta.  `checked` counts the element tuples
+the verdict covers.  Within the exhaustive bound a bilinear clause is
+decided on generator tuples: a caller whose predicate compares two maps
+that are additive in every argument (or asks that such a map land in a
+submodule) passes one generator list per space, and when every generator
+tuple passes so does every element tuple, so the leaf is the one the
+full sweep would give.  A failing generator tuple falls back to the
+sweep, which finds the least witness.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .report import FAIL, PASS, Report, leaf
 
@@ -90,8 +98,19 @@ def sweep(spaces, pred, policy: Policy | None = None) -> SweepResult:
 
 
 def check(name, kind, spaces, pred, policy: Policy | None = None,
-          detail: str = "") -> Report:
-    """Sweep pred over the product of spaces and report it as one leaf."""
+          detail: str = "", generators=None) -> Report:
+    """Sweep pred over the product of spaces and report it as one leaf.
+
+    generators, when given, holds one generator list per space and
+    vouches that pred is decided by generator tuples (see the module
+    docstring); spaces must then be sized sequences."""
+    policy = policy or Policy()
+    if generators is not None:
+        total = prod(len(s) for s in spaces)
+        if total and policy.use_exhaustive(total) \
+                and all(pred(*tup) for tup in product(*generators)):
+            return leaf(name, PASS, kind, detail=detail,
+                        meta={"mode": EXHAUSTIVE, "checked": total})
     res = sweep(spaces, pred, policy)
     return leaf(name, PASS if res.ok else FAIL, kind, detail=detail,
                 witness=res.witness, meta=res.meta())

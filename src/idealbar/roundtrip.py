@@ -71,6 +71,9 @@ def _tail_face_multiplicativity(bar: TruncatedBarAlgebra,
         rhs = bar.multiply(1, d0.apply(u), d0.apply(v))
         return lhs == rhs
 
+    # swept, not decided on generators: u and v are linear in the letter
+    # pairs jointly, not in each letter separately, so generator tuples
+    # of r_mod^4 do not decide ok
     return check("d0-on-tail-multiplicative @ 2", AXIOM,
                  [r_mod.elements()] * 4, ok, policy,
                  detail="fails exactly on CM2 violations")

@@ -20,10 +20,11 @@ A workspace file names every object the command line can check:
       "options":  {"depth": 4}
     }
 
-Coordinates must be canonical (0 <= c < order of the summand), every
-summand order must be at least 2 and options.depth, when given, an
-integer of at least 1; anything else is rejected with the key path in the
-message, as is any reference to a name that does not exist.
+Every section must be a JSON object, coordinates must be canonical
+(0 <= c < order of the summand), every summand order must be at least 2
+and options.depth, when given, an integer of at least 1; anything else is
+rejected with the key path in the message, as is any reference to a name
+that does not exist.
 """
 
 from __future__ import annotations
@@ -97,22 +98,20 @@ class Workspace:
         self.subxmods: dict[str, SubXMod] = {}
         self.cims: dict[str, CrossedIdealMap] = {}
 
-        for name, spec in data.get("algebras", {}).items():
-            self.algebras[name] = self._parse_algebra(name, spec)
-        for name, spec in data.get("homs", {}).items():
-            self.homs[name] = self._parse_hom(name, spec)
-        for name, spec in data.get("actions", {}).items():
-            self.actions[name] = self._parse_action(name, spec)
-        for name, spec in data.get("xmods", {}).items():
-            self.xmods[name] = self._parse_xmod(name, spec)
-        for name, spec in data.get("subsets", {}).items():
-            self.subsets[name] = self._parse_subset(name, spec)
-        for name, spec in data.get("morphisms", {}).items():
-            self.morphisms[name] = self._parse_morphism(name, spec)
-        for name, spec in data.get("subxmods", {}).items():
-            self.subxmods[name] = self._parse_subxmod(name, spec)
-        for name, spec in data.get("cims", {}).items():
-            self.cims[name] = self._parse_cim(name, spec)
+        # in dependency order: later sections name objects of earlier ones
+        for section, parse in (("algebras", self._parse_algebra),
+                               ("homs", self._parse_hom),
+                               ("actions", self._parse_action),
+                               ("xmods", self._parse_xmod),
+                               ("subsets", self._parse_subset),
+                               ("morphisms", self._parse_morphism),
+                               ("subxmods", self._parse_subxmod),
+                               ("cims", self._parse_cim)):
+            specs = data.get(section, {})
+            _expect(isinstance(specs, dict), section, "must be an object")
+            table = getattr(self, section)
+            for name, spec in specs.items():
+                table[name] = parse(name, spec)
 
     @classmethod
     def load(cls, path: str) -> "Workspace":

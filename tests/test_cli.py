@@ -180,3 +180,25 @@ def test_sampled_policy_still_finds_the_least_witness_after_a_mismatch():
         *args, "--policy", "sample", "--samples", "1", "--seed", "0").stdout))
     assert default and sampled == default
     assert all(w is not None for w in sampled.values())
+
+
+def test_modulus_and_rank_out_of_range_are_refused():
+    # fuzz --modulus 0 used to end in ValueError from randrange
+    for modulus in ("0", "1", "-4"):
+        _one_line_error(cli("fuzz", "--modulus", modulus, "--count", "1"),
+                        "--modulus")
+        _one_line_error(cli("enumerate", "--modulus", modulus), "--modulus")
+    _one_line_error(cli("fuzz", "--max-rank", "0", "--count", "1"),
+                    "--max-rank")
+    _one_line_error(cli("enumerate", "--max-rank", "-1"), "--max-rank")
+
+
+def test_corrupt_phi_outside_the_built_letters_is_refused():
+    # 9:0 names a row beyond --rows and used to corrupt nothing, so the
+    # negative control passed with exit 0
+    for spec in ("9:0", "3:0", "1:1", "2:2", "-1:0", "1:-1"):
+        _one_line_error(cli("-w", NILCUBE, "bibar-verify", "incl",
+                            f"--corrupt-phi={spec}"), "--corrupt-phi")
+    res = cli("-w", NILCUBE, "bibar-verify", "incl", "--rows", "3",
+              "--corrupt-phi", "3:2")
+    assert res.returncode == 1

@@ -134,3 +134,13 @@ def test_fixture_files_are_valid_json_documents():
     for path in (NILSQUARE, NILCUBE, BROKEN):
         with open(path) as fh:
             json.load(fh)
+
+
+@pytest.mark.parametrize("section", ["algebras", "homs", "actions", "xmods",
+                                     "subsets", "morphisms", "subxmods",
+                                     "cims"])
+@pytest.mark.parametrize("value", [[], "S", 3, None])
+def test_section_of_the_wrong_type_is_named(section, value):
+    # a list used to reach .items() and end in AttributeError
+    with pytest.raises(WorkspaceError, match=f"^{section}: must be an object$"):
+        Workspace(small_doc(**{section: value}))
