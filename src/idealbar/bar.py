@@ -106,11 +106,10 @@ class TruncatedBarModule:
         return ModuleHom(dom, self.levels[n + 1], images, name=f"s{i}@{n}")
 
 
-def build_bar_module(act: ModuleAction, depth: int = DEFAULT_DEPTH,
-                     policy: Policy | None = None) -> TruncatedBarModule:
+def build_bar_module(act: ModuleAction,
+                     depth: int = DEFAULT_DEPTH) -> TruncatedBarModule:
     """Bar object of a validated module action."""
-    rep = validate_module_action(act, policy)
-    if not rep.passed:
+    if not validate_module_action(act).passed:
         raise PreconditionError("build_bar_module needs a valid module action")
     return TruncatedBarModule(act, depth)
 

@@ -88,10 +88,8 @@ class BiBar:
 
         self.rows = []
         for n in range(n_depth + 1):
-            base = self.bar2.levels[n]
-            act = ModuleAction.from_function(
-                self.bar1.algebras[n], base,
-                lambda x, w, n=n, base=base: base.add(x, self.phi[n].apply(w)))
+            act = ModuleAction(self.bar1.algebras[n], self.bar2.levels[n],
+                               self.phi[n])
             self.rows.append(TruncatedBarModule(act, m_depth))
 
         self._vfaces = {}

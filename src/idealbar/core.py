@@ -117,11 +117,16 @@ class FiniteModule:
         return self._elements
 
     def element_order(self, x) -> int:
-        t, acc = 1, x
-        while acc != self.zero:
-            acc = self.add(acc, x)
-            t += 1
-        return t
+        return additive_order(x, self.add, self.zero)
+
+
+def additive_order(x, add, zero) -> int:
+    """Least t >= 1 with t*x = zero, for an addition callable."""
+    t, acc = 1, x
+    while acc != zero:
+        acc = add(acc, x)
+        t += 1
+    return t
 
 
 def direct_sum(mods) -> FiniteModule:
@@ -367,8 +372,16 @@ class Submodule:
     def size(self):
         return len(self.elements)
 
-    def addition_violation(self):
-        """First pair (lex) whose sum escapes the subset, or None."""
+    def spanned_by(self, gens) -> bool:
+        return Submodule.from_generators(self.ambient, gens) == self
+
+    def addition_violation(self, gens=None):
+        """First pair (lex) whose sum escapes the subset, or None.  When
+        gens spans exactly this subset, the subset is a submodule and no
+        pair is added; otherwise every pair is scanned, so the witness
+        does not depend on gens."""
+        if gens is not None and self.spanned_by(gens):
+            return None
         for x in self.elements:
             for y in self.elements:
                 if not self.contains(self.ambient.add(x, y)):
@@ -517,17 +530,21 @@ def _element_witness(name, kind, detail, mod: FiniteModule, arity: int, pred,
                  Policy(mode=EXHAUSTIVE), detail)
 
 
+def order_compatibility(hom: ModuleHom) -> Report:
+    """Whether the image matrix defines a map on the domain: the least
+    generator index i with d_i * f(g_i) != 0 is the witness."""
+    bad = hom.order_violations()
+    return leaf("order-compatibility", FAIL if bad else PASS, STRUCTURAL,
+                detail="d_i * f(g_i) = 0 in the codomain",
+                witness=(bad[0],) if bad else None)
+
+
 def validate_hom(f: AlgebraHom, policy: Policy | None = None) -> Report:
-    checks = []
-    bad = f.hom.order_violations()
-    checks.append(leaf(
-        "order-compatibility", FAIL if bad else PASS, STRUCTURAL,
-        detail="d_i * f(g_i) = 0 in the codomain",
-        witness=(bad[0],) if bad else None))
-    checks.append(multiplicativity_report("multiplicativity", f.hom, f.dom,
-                                          f.cod, policy))
     name = f.name or "hom"
-    return group(f"validate-hom {name}", checks)
+    return group(f"validate-hom {name}", [
+        order_compatibility(f.hom),
+        multiplicativity_report("multiplicativity", f.hom, f.dom, f.cod,
+                                policy)])
 
 
 def image(f: ModuleHom) -> Submodule:
@@ -542,14 +559,16 @@ def kernel(f: ModuleHom) -> Submodule:
 
 def is_ideal(alg: Algebra, sub: Submodule, policy: Policy | None = None,
              gens=None) -> Report:
-    """Additive closure and absorption of a subset.  gens, when given,
-    must generate sub and alg.mul must be torsion-compatible; absorption
-    is then decided on pairs of algebra and ideal generators once the
-    subset is known to be closed under addition."""
+    """Additive closure and absorption of a subset.  gens, when given and
+    spanning sub, decide additive closure, and absorption is decided on
+    pairs of algebra and ideal generators; alg.mul must then be
+    torsion-compatible.  gens that do not span sub are not used."""
     if sub.ambient != alg.carrier:
         raise StructuralError("submodule does not live in the algebra carrier")
+    if gens is not None and not sub.spanned_by(gens):
+        gens = None
     checks = []
-    bad = sub.addition_violation()
+    bad = sub.addition_violation(gens)
     checks.append(leaf("additive-closure", FAIL if bad else PASS, STRUCTURAL,
                        detail="contains 0 and is closed under addition",
                        witness=bad))
@@ -575,14 +594,7 @@ def decompose_abelian(elements, add, zero):
     if len(elems) <= 1:
         return (), []
 
-    def order_of(x):
-        t, acc = 1, x
-        while acc != zero:
-            acc = add(acc, x)
-            t += 1
-        return t
-
-    orders = {x: order_of(x) for x in elems}
+    orders = {x: additive_order(x, add, zero) for x in elems}
     d = max(orders.values())
     g = min(x for x in elems if orders[x] == d)
     cyc = []

@@ -17,7 +17,8 @@ from idealbar.bar import (
     verify_level_homomorphisms,
     verify_simplicial_identities,
 )
-from idealbar.core import ModuleHom, PreconditionError
+from idealbar.core import (Algebra, BilinearMap, FiniteModule, ModuleHom,
+                           PreconditionError)
 from idealbar.fixtures import broken_action_xmod, nilcube_xmod, nilsquare_xmod
 from idealbar.xmod import ModuleAction, translation_action
 
@@ -182,11 +183,12 @@ def test_verify_bar_full_pass(bar3):
 
 
 def test_build_bar_module_gates_on_action_validity():
-    xm = nilsquare_xmod()
-    s_mod = xm.s_alg.carrier
-    # even r = 0 shifts, so zero does not act trivially
-    crooked = ModuleAction.from_function(
-        xm.r_alg, s_mod, lambda x, r: s_mod.add(x, (1, 0)))
+    # R on Z/2 translating Z/4 through g -> 1: 2 * t(g) = 2 != 0, so
+    # x^(g+g) = x differs from (x^g)^g = x + 2
+    r_mod = FiniteModule(4, [2])
+    r_alg = Algebra(r_mod, BilinearMap(r_mod, r_mod, r_mod, [[(0,)]]))
+    x_mod = FiniteModule(4, [4])
+    crooked = ModuleAction(r_alg, x_mod, ModuleHom(r_mod, x_mod, [(1,)]))
     with pytest.raises(PreconditionError):
         build_bar_module(crooked, 2)
 

@@ -184,6 +184,40 @@ def test_submodule_addition_violation():
     assert sub.addition_violation() == ((0, 1), (1, 0))
 
 
+MIXED = [FiniteModule(4, [2, 4]), FiniteModule(6, [2, 3]),
+         FiniteModule(6, [6, 2]), FiniteModule(12, [2, 3, 4])]
+
+
+@st.composite
+def subsets_and_generators(draw):
+    mod = draw(st.sampled_from(MIXED))
+    elems = st.sampled_from(mod.elements())
+    gens = draw(st.lists(elems, max_size=3))
+    if draw(st.booleans()):
+        # a span, possibly with strays added
+        subset = set(Submodule.from_generators(mod, gens).elements)
+        subset |= draw(st.sets(elems, max_size=2))
+    else:
+        subset = draw(st.sets(elems, max_size=12))
+    return Submodule(mod, subset), gens
+
+
+@given(subsets_and_generators())
+def test_addition_violation_does_not_depend_on_gens(case):
+    sub, gens = case
+    assert sub.addition_violation(gens) == sub.addition_violation()
+
+
+def test_is_ideal_does_not_trust_generators_that_do_not_span():
+    alg = nilcube_algebra()
+    # span{1, x^2} is closed under addition but x * 1 = x escapes it;
+    # the pairs of algebra generators with x^2 alone all land inside
+    sub = Submodule.from_generators(alg.carrier, [(1, 0, 0), (0, 0, 1)])
+    node = is_ideal(alg, sub, gens=[(0, 0, 1)]).find("absorption")
+    assert node.status == "FAIL"
+    assert node.witness == is_ideal(alg, sub).find("absorption").witness
+
+
 def test_is_ideal_accepts_and_rejects():
     alg = nilcube_algebra()
     xs = Submodule.from_generators(alg.carrier, [(0, 1, 0), (0, 0, 1)])

@@ -1,10 +1,14 @@
 """Crossed module axioms on the fixture pairs and small enumerated families."""
 
+from itertools import product
+from math import prod
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from idealbar.core import BilinearMap, StructuralError, Submodule, validate_hom
+from idealbar.core import (Algebra, BilinearMap, FiniteModule, ModuleHom,
+                           StructuralError, Submodule, validate_hom)
 from idealbar.enumeration import enumerate_xmods
 from idealbar.fixtures import (
     broken_action_xmod,
@@ -15,6 +19,8 @@ from idealbar.fixtures import (
     nilsquare_ideal_algebra,
     nilsquare_xmod,
 )
+from idealbar.policy import check
+from idealbar.report import AXIOM, group
 from idealbar.xmod import (
     AlgebraAction,
     CrossedModule,
@@ -100,6 +106,54 @@ def test_module_action_table_must_be_total():
     s = nilsquare_algebra()
     with pytest.raises(StructuralError):
         ModuleAction(s, s.carrier, {})
+
+
+def swept_module_action(act):
+    """The four translation axioms swept element by element: the check
+    validate_module_action replaced, kept as its oracle."""
+    alg, sp = act.algebra, act.space
+    xs, rs = sp.elements(), alg.elements()
+    return group("validate-module-action", [
+        check("actor-sum-composes", AXIOM, [xs, rs, rs],
+              lambda x, r1, r2: act.apply(x, alg.carrier.add(r1, r2))
+              == act.apply(act.apply(x, r1), r2)),
+        check("zero-acts-trivially", AXIOM, [xs],
+              lambda x: act.apply(x, alg.zero) == x),
+        check("additivity", AXIOM, [xs, xs, rs, rs],
+              lambda x1, x2, r1, r2:
+              act.apply(sp.add(x1, x2), alg.carrier.add(r1, r2))
+              == sp.add(act.apply(x1, r1), act.apply(x2, r2))),
+        check("scalar-compatibility", AXIOM, [range(alg.modulus), xs, rs],
+              lambda k, x, r: sp.scale(k, act.apply(x, r))
+              == act.apply(sp.scale(k, x), alg.carrier.scale(k, r))),
+    ])
+
+
+def small_modules(modulus, size):
+    """Every module over Z/m of rank at most 2 with at most size elements."""
+    divisors = [d for d in range(2, modulus + 1) if modulus % d == 0]
+    shapes = [(d,) for d in divisors] + [
+        (d, e) for d in divisors for e in divisors]
+    return [FiniteModule(modulus, shape) for shape in shapes
+            if prod(shape) <= size]
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 4, 6])
+def test_module_action_verdict_matches_the_axiom_sweep(modulus):
+    verdicts = set()
+    for r_mod in small_modules(modulus, 4):
+        zero = [[r_mod.zero] * r_mod.rank] * r_mod.rank
+        r_alg = Algebra(r_mod, BilinearMap(r_mod, r_mod, r_mod, zero))
+        for x_mod in small_modules(modulus, 8):
+            for images in product(x_mod.elements(), repeat=r_mod.rank):
+                act = ModuleAction(r_alg, x_mod,
+                                   ModuleHom(r_mod, x_mod, images))
+                passed = validate_module_action(act).passed
+                assert passed == swept_module_action(act).passed, (
+                    r_mod, x_mod, images)
+                verdicts.add(passed)
+    # over a prime modulus every hom is well defined
+    assert verdicts == ({True} if modulus in (2, 3) else {True, False})
 
 
 @given(st.sampled_from(nilsquare_algebra().elements()),
