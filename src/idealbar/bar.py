@@ -16,6 +16,8 @@ built from it; the two are cross-checked in the test suite.
 
 from __future__ import annotations
 
+import copy
+
 from .core import (MAX_ENUM, Algebra, AlgebraHom, BilinearMap, ModuleHom,
                    PreconditionError, Submodule, UnsupportedScaleError,
                    direct_sum, identity_hom, is_ideal, kernel,
@@ -125,8 +127,9 @@ class TruncatedBarAlgebra:
     product formulas read (each level tensor, the products of S and R
     and the action tensor) is torsion-compatible.  Both sides of each
     product identity are then bilinear on the modules, so generator
-    tuples decide it; a torsion-violating tensor is not bilinear on the
-    module, and its identities are swept element by element.
+    tuples decide it and give its least witness; a torsion-violating
+    tensor is not bilinear on the module, and its identities are swept
+    element by element.
     """
 
     def __init__(self, xm: CrossedModule, depth: int, level_tensors=None):
@@ -134,9 +137,21 @@ class TruncatedBarAlgebra:
         self.depth = depth
         self.module = TruncatedBarModule(translation_action(xm.eta), depth)
         self.levels = self.module.levels
+        self._set_products(level_tensors)
+
+    def with_level_tensors(self, level_tensors) -> "TruncatedBarAlgebra":
+        """This bar object with other level products.  The module, its
+        faces and degeneracies are shared, not rebuilt, and so is every
+        tensor object passed back in, with its torsion verdict."""
+        other = copy.copy(self)
+        other._set_products(level_tensors)
+        return other
+
+    def _set_products(self, level_tensors):
+        xm = self.xm
         s_alg = xm.s_alg
         self.algebras = []
-        for n in range(depth + 1):
+        for n in range(self.depth + 1):
             carrier = self.levels[n]
             if level_tensors is not None and level_tensors[n] is not None:
                 tensor = level_tensors[n]
@@ -149,13 +164,13 @@ class TruncatedBarAlgebra:
             self.algebras.append(Algebra(carrier, tensor, name=f"B{n}({name})"))
         tensors = self.level_tensors() + [s_alg.mul, xm.r_alg.mul,
                                           xm.action.tensor]
-        self.bilinear = all(next(t.torsion_violations(), None) is None
-                            for t in tensors)
+        self.bilinear = all(t.well_defined() for t in tensors)
 
     def generator_lists(self, *spaces):
-        """Generator lists of the given modules or algebras for
-        policy.check, or None when generator tuples do not decide."""
-        return [sp.generators() for sp in spaces] if self.bilinear else None
+        """Generator entries of the given modules or algebras for
+        policy.check, standing for their standard generators, or None
+        when generator tuples do not decide."""
+        return list(spaces) if self.bilinear else None
 
     def face(self, n, i):
         return self.module.face(n, i)
@@ -301,8 +316,7 @@ def verify_ideal_axiom(bar: TruncatedBarAlgebra,
         prod = bar.multiply(1, bar.embed_s(1, s), bar.embed_r(1, [b]))
         return bar.module.split(prod, 1)[1][0]
 
-    checks = [check("mixed-into-tail @ 1", AXIOM,
-                    [s_alg.elements(), r_mod.elements()],
+    checks = [check("mixed-into-tail @ 1", AXIOM, [s_alg, r_mod],
                     lambda s, b: bar.module.split(
                         bar.multiply(1, bar.embed_s(1, s), bar.embed_r(1, [b])),
                         1)[0] == x_zero, policy,
@@ -311,7 +325,7 @@ def verify_ideal_axiom(bar: TruncatedBarAlgebra,
 
     for n in range(1, bar.depth + 1):
         checks.append(check(
-            f"base-subalgebra @ {n}", AXIOM, [s_alg.elements(), s_alg.elements()],
+            f"base-subalgebra @ {n}", AXIOM, [s_alg, s_alg],
             lambda a, b, n=n:
             bar.multiply(n, bar.embed_s(n, a), bar.embed_s(n, b))
             == bar.embed_s(n, s_alg.multiply(a, b)), policy,
@@ -326,7 +340,7 @@ def verify_ideal_axiom(bar: TruncatedBarAlgebra,
                 == bar.embed_r(n, [ell(s, b) for b in blocks])
 
         checks.append(check(
-            f"mixed-letterwise @ {n}", AXIOM, [s_alg.elements(), tail.elements()],
+            f"mixed-letterwise @ {n}", AXIOM, [s_alg, tail],
             letterwise, policy,
             detail="base times tail is the level-1 letter rule in every letter",
             generators=bar.generator_lists(s_alg, tail)))
@@ -407,7 +421,7 @@ def rk_closed_formulas(bar: TruncatedBarAlgebra, k: int,
 
     checks = [check(
         f"tail-tail-product @ {k}", THEOREM,
-        [r_tail.elements(), r_tail.elements()], tail_product_ok, policy,
+        [r_tail, r_tail], tail_product_ok, policy,
         detail="(0,a)(0,b) has j-th letter (a_1+..+a_{j-1})b_j + a_j(b_1+..+b_j)",
         generators=bar.generator_lists(r_tail, r_tail))]
 
@@ -419,7 +433,7 @@ def rk_closed_formulas(bar: TruncatedBarAlgebra, k: int,
 
     checks.append(check(
         f"tail-base-product @ {k}", THEOREM,
-        [r_tail.elements(), xm.s_alg.elements()], mixed_product_ok, policy,
+        [r_tail, xm.s_alg], mixed_product_ok, policy,
         detail="(0,a)(s,0) = (0, s.a_1, .., s.a_k)",
         generators=bar.generator_lists(r_tail, xm.s_alg)))
     return group(f"tail-ideal-products @ {k}", checks)

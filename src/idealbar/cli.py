@@ -81,7 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rebuild the crossed module from its bar object "
                             "and compare exactly")
     p.add_argument("name")
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=int, default=None,
+                   help="truncation depth (default: the workspace's "
+                        "options.depth, else 4); --perturb uses it only "
+                        "when given, else depth 2")
     p.add_argument("--perturb", action="store_true",
                    help="also mutate level tensors and round-trip the "
                         "mutants that still satisfy the definition")
@@ -189,8 +192,9 @@ def run(args) -> "Report":
         checks = [roundtrip_check(xm, _depth(args, ws), policy)]
         if args.perturb:
             checks.append(perturb_and_filter(
-                xm, seed=args.seed,
-                budget=_at_least(args.budget, "--budget"), policy=policy))
+                xm, depth=2 if args.depth is None else args.depth,
+                seed=args.seed, budget=_at_least(args.budget, "--budget"),
+                policy=policy))
         return group(f"roundtrip {args.name}", checks)
 
     if args.command == "ideal-check":

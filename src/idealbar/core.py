@@ -65,6 +65,7 @@ class FiniteModule:
             size *= d
         self.size = size
         self._elements = None
+        self._generators = None
 
     def __eq__(self, other):
         return (isinstance(other, FiniteModule)
@@ -100,12 +101,13 @@ class FiniteModule:
         return tuple((k * a) % d for a, d in zip(x, self.orders))
 
     def generators(self):
-        gs = []
-        for i in range(self.rank):
-            g = [0] * self.rank
-            g[i] = 1
-            gs.append(tuple(g))
-        return gs
+        # cached, so the witnesses taken from generators share one tuple
+        # per generator, as sweep witnesses share the cached elements
+        if self._generators is None:
+            self._generators = tuple(
+                tuple(int(i == j) for j in range(self.rank))
+                for i in range(self.rank))
+        return list(self._generators)
 
     def elements(self):
         if self._elements is None:
@@ -165,6 +167,7 @@ class BilinearMap:
         self.constants = tuple(tuple(target.reduce(vec) for vec in row)
                                for row in constants)
         self._nz = None
+        self._well_defined = None
 
     def _nonzero(self):
         if self._nz is None:
@@ -200,6 +203,12 @@ class BilinearMap:
                     if (d[i] * vec[l]) % f[l] or (e[j] * vec[l]) % f[l]:
                         yield (i, j, l)
 
+    def well_defined(self) -> bool:
+        """No torsion violation: the tensor is a bilinear map of modules."""
+        if self._well_defined is None:
+            self._well_defined = next(self.torsion_violations(), None) is None
+        return self._well_defined
+
     def __eq__(self, other):
         return (isinstance(other, BilinearMap)
                 and self.left == other.left and self.right == other.right
@@ -231,6 +240,10 @@ class Algebra:
     @property
     def zero(self):
         return self.carrier.zero
+
+    @property
+    def size(self):
+        return self.carrier.size
 
     def elements(self):
         return self.carrier.elements()
@@ -277,6 +290,9 @@ class ModuleHom:
             if self.codomain.scale(d, img) != self.codomain.zero:
                 out.append(i)
         return out
+
+    def well_defined(self) -> bool:
+        return not self.order_violations()
 
     def apply(self, x):
         out = [0] * self.codomain.rank
@@ -405,7 +421,8 @@ def validate_algebra(alg: Algebra, policy: Policy | None = None) -> Report:
     multiplication tensor.  Generator checks are complete here because
     every side of every identity is multilinear."""
     checks = []
-    bad = next(alg.mul.torsion_violations(), None)
+    bad = None if alg.mul.well_defined() \
+        else next(alg.mul.torsion_violations())
     checks.append(leaf(
         "torsion-compatibility", FAIL if bad else PASS, STRUCTURAL,
         detail="d_i*c[i][j] and d_j*c[i][j] vanish mod target orders",
@@ -425,12 +442,13 @@ def validate_algebra(alg: Algebra, policy: Policy | None = None) -> Report:
                        witness=comm, meta={"pairs": n * n}))
 
     gens = alg.generators()
+    c = alg.mul.constants
     assoc = None
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = alg.multiply(alg.multiply(gens[i], gens[j]), gens[k])
-                rhs = alg.multiply(gens[i], alg.multiply(gens[j], gens[k]))
+                lhs = alg.multiply(c[i][j], gens[k])
+                rhs = alg.multiply(gens[i], c[j][k])
                 if lhs != rhs:
                     assoc = (i, j, k)
                     break
@@ -449,12 +467,15 @@ def validate_algebra(alg: Algebra, policy: Policy | None = None) -> Report:
 
 
 def _unit_note(alg: Algebra) -> Report:
-    # informational only, a unit is never required
+    # informational only, a unit is never required.  e*x is linear in x
+    # on canonical representatives whatever the tensor, so e*g = g on
+    # the generators decides e*x = x on every element
     if alg.carrier.size > 4096:
         return leaf("unital", NOTE, None, detail="unit detection skipped, carrier too large")
+    gens = alg.generators()
     unit = None
     for e in alg.elements():
-        if all(alg.multiply(e, x) == x for x in alg.elements()):
+        if all(alg.multiply(e, g) == g for g in gens):
             unit = e
             break
     if unit is not None:
@@ -467,8 +488,8 @@ def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
                             kind: str = AXIOM) -> Report:
     """Check f(uv) = f(u)f(v).  Both sides are bilinear in (u, v), so the
     generator-pair comparison decides the property for every pair of
-    elements; an element-level sweep only runs to pin down the least
-    witness after a mismatch."""
+    elements; after a mismatch _element_witness pins down the least
+    witness."""
     n = dom.carrier.rank
     gens = dom.generators()
     mismatch = None
@@ -489,7 +510,7 @@ def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
     found = _element_witness(name, kind, "f(uv) != f(u)f(v)", dom.carrier, 2,
                              lambda u, v: hom.apply(dom.multiply(u, v))
                              == cod.multiply(hom.apply(u), hom.apply(v)),
-                             policy)
+                             policy, (hom, dom.mul, cod.mul))
     return found or leaf(
         name, FAIL, kind, detail="f(uv) != f(u)f(v), witness is a generator pair",
         witness=(gens[mismatch[0]], gens[mismatch[1]]),
@@ -508,7 +529,8 @@ def maps_equal_report(name: str, f: ModuleHom, g: ModuleHom,
                     meta={"mode": "exhaustive", "checked": f.domain.size})
     detail = detail or "maps differ"
     found = _element_witness(name, kind, detail, f.domain, 1,
-                             lambda x: f.apply(x) == g.apply(x), policy)
+                             lambda x: f.apply(x) == g.apply(x), policy,
+                             (f, g))
     bad = next(gen for gen, a, b in
                zip(f.domain.generators(), f.images, g.images) if a != b)
     return found or leaf(name, FAIL, kind,
@@ -517,17 +539,32 @@ def maps_equal_report(name: str, f: ModuleHom, g: ModuleHom,
 
 
 def _element_witness(name, kind, detail, mod: FiniteModule, arity: int, pred,
-                     policy: Policy | None) -> Report | None:
+                     policy: Policy | None, maps) -> Report | None:
     """FAIL leaf for an identity that generator tuples already refuted.
-    Within the exhaustive bound every arity-tuple of elements of mod is
-    searched in lexicographic order, whatever the policy's mode, so the
-    witness is the least failing tuple and cannot be missed by a sample.
-    Above the bound returns None and the caller reports the generators."""
+    Within the exhaustive bound the witness is the least failing
+    arity-tuple of elements of mod, whatever the policy's mode, so a
+    sample cannot miss it: the first failing generator tuple when the
+    maps pred is built from are well defined, else found by a sweep in
+    lexicographic order.  Above the bound returns None and the caller
+    reports the generators."""
     policy = policy or Policy()
     if mod.size ** arity > policy.exhaustive_bound:
         return None
-    return check(name, kind, [mod.elements()] * arity, pred,
-                 Policy(mode=EXHAUSTIVE), detail)
+    spaces = [mod] * arity
+    return check(name, kind, spaces, pred, Policy(mode=EXHAUSTIVE), detail,
+                 generators=standard_generators(spaces, *maps))
+
+
+def standard_generators(spaces, *maps):
+    """spaces as the generator entries of policy.check, standing for
+    their standard generators, when every map is well defined (tensors
+    torsion-compatible, homs order-compatible); None otherwise.
+
+    A predicate built from such maps by composing, multiplying and
+    comparing is multilinear on the full modules, so generator tuples
+    decide it and give its least witness; a map that is not well defined
+    is not additive, and its identities are swept element by element."""
+    return list(spaces) if all(m.well_defined() for m in maps) else None
 
 
 def order_compatibility(hom: ModuleHom) -> Report:

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from .core import (AlgebraHom, BilinearMap, ModuleHom, PreconditionError,
                    StructuralError, Submodule, image, maps_equal_report,
-                   multiplicativity_report, subalgebra_presentation)
+                   multiplicativity_report, standard_generators,
+                   subalgebra_presentation)
 from .policy import Policy, check
 from .report import (AXIOM, FAIL, PASS, SKIP, STRUCTURAL, THEOREM,
                      Report, group, leaf, relabel)
@@ -72,10 +73,14 @@ def equivariance_report(mor: XModMorphism, name: str, kind: str, detail: str,
                         policy: Policy | None = None) -> Report:
     """alpha1(s1.r1) = alpha2(s1).alpha1(r1) over S1 x R1."""
     src, tgt = mor.source, mor.target
-    return check(name, kind, [src.s_alg.elements(), src.r_alg.elements()],
+    spaces = [src.s_alg, src.r_alg]
+    return check(name, kind, spaces,
                  lambda s1, r1: mor.alpha1.apply(src.action.apply(s1, r1))
                  == tgt.action.apply(mor.alpha2.apply(s1),
-                                     mor.alpha1.apply(r1)), policy, detail)
+                                     mor.alpha1.apply(r1)), policy, detail,
+                 generators=standard_generators(
+                     spaces, mor.alpha1.hom, mor.alpha2.hom,
+                     src.action.tensor, tgt.action.tensor))
 
 
 class SubXMod:
@@ -199,12 +204,15 @@ def validate_crossed_ideal(sx: SubXMod, policy: Policy | None = None) -> Report:
         ci1.append(multiplicativity_report(
             "nu-multiplicative", sx.nu.hom, sx.sub.s_alg, s_amb, policy))
 
+        spaces = [sx.sub.s_alg, sx.sub.r_alg]
         ci1.append(check(
-            "action-is-induced", AXIOM,
-            [sx.sub.s_alg.elements(), sx.sub.r_alg.elements()],
+            "action-is-induced", AXIOM, spaces,
             lambda s, x: sx.mu.apply(sx.sub.action.apply(s, x))
             == amb.action.apply(sx.nu.apply(s), sx.mu.apply(x)), policy,
-            detail="mu(s'.r') = nu(s').mu(r')"))
+            detail="mu(s'.r') = nu(s').mu(r')",
+            generators=standard_generators(
+                spaces, sx.mu.hom, sx.nu.hom, sx.sub.action.tensor,
+                amb.action.tensor)))
 
         sub_rep = validate_crossed_module(sx.sub, policy)
         sub_rep.name = "sub-is-crossed-module"
@@ -291,32 +299,39 @@ def validate_crossed_ideal_map(cim: CrossedIdealMap,
     checks.append(leaf("h-bilinearity", PASS, STRUCTURAL,
                        detail="holds by the tensor encoding"))
 
-    checks.append(check("alpha1-of-h", AXIOM, [r2.elements(), s1.elements()],
-                        lambda x, s: mor.alpha1.apply(cim.h.evaluate(x, s))
-                        == tgt.action.apply(mor.alpha2.apply(s), x), policy,
-                        detail="alpha1 h(r2, s1) = alpha2(s1).r2"))
-    checks.append(check("eta1-of-h", AXIOM, [r2.elements(), s1.elements()],
-                        lambda x, s: src.eta.apply(cim.h.evaluate(x, s))
-                        == cim.act2.apply(tgt.eta.apply(x), s), policy,
-                        detail="eta1 h(r2, s1) = eta2(r2).s1"))
-    checks.append(check("h-on-alpha1-image", AXIOM,
-                        [r1.elements(), s1.elements()],
-                        lambda r, s: cim.h.evaluate(mor.alpha1.apply(r), s)
-                        == src.action.apply(s, r), policy,
-                        detail="h(alpha1 r1, s1) = s1.r1"))
-    checks.append(check("h-on-eta1-image", AXIOM, [r2.elements(), r1.elements()],
-                        lambda x, r: cim.h.evaluate(x, src.eta.apply(r))
-                        == cim.act1.apply(x, r), policy,
-                        detail="h(r2, eta1 r1) = r2.r1"))
+    def h_check(name, spaces, pred, detail, *maps):
+        return check(name, AXIOM, spaces, pred, policy, detail,
+                     generators=standard_generators(spaces, cim.h, *maps))
+
+    checks.append(h_check("alpha1-of-h", [r2, s1],
+                          lambda x, s: mor.alpha1.apply(cim.h.evaluate(x, s))
+                          == tgt.action.apply(mor.alpha2.apply(s), x),
+                          "alpha1 h(r2, s1) = alpha2(s1).r2",
+                          mor.alpha1.hom, mor.alpha2.hom, tgt.action.tensor))
+    checks.append(h_check("eta1-of-h", [r2, s1],
+                          lambda x, s: src.eta.apply(cim.h.evaluate(x, s))
+                          == cim.act2.apply(tgt.eta.apply(x), s),
+                          "eta1 h(r2, s1) = eta2(r2).s1",
+                          src.eta.hom, tgt.eta.hom, cim.act2.tensor))
+    checks.append(h_check("h-on-alpha1-image", [r1, s1],
+                          lambda r, s: cim.h.evaluate(mor.alpha1.apply(r), s)
+                          == src.action.apply(s, r),
+                          "h(alpha1 r1, s1) = s1.r1",
+                          mor.alpha1.hom, src.action.tensor))
+    checks.append(h_check("h-on-eta1-image", [r2, r1],
+                          lambda x, r: cim.h.evaluate(x, src.eta.apply(r))
+                          == cim.act1.apply(x, r),
+                          "h(r2, eta1 r1) = r2.r1",
+                          src.eta.hom, cim.act1.tensor))
 
     if check_balance:
-        checks.append(check(
-            "h-base-balance", AXIOM,
-            [s2.elements(), r2.elements(), s1.elements()],
+        checks.append(h_check(
+            "h-base-balance", [s2, r2, s1],
             lambda t, x, s: cim.h.evaluate(tgt.action.apply(t, x), s)
-            == cim.h.evaluate(x, cim.act2.apply(t, s)), policy,
-            detail="h(s2.r2, s1) = h(r2, s2.s1); interpreted reading, no "
-                   "action of S2 on R1 is given"))
+            == cim.h.evaluate(x, cim.act2.apply(t, s)),
+            "h(s2.r2, s1) = h(r2, s2.s1); interpreted reading, no "
+            "action of S2 on R1 is given",
+            tgt.action.tensor, cim.act2.tensor))
     else:
         checks.append(leaf("h-base-balance", SKIP, None,
                            detail="disabled by flag"))

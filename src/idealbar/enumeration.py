@@ -42,7 +42,7 @@ def _symmetric_tensors(carrier: FiniteModule):
             constants[i][j] = val
             constants[j][i] = val
         tensor = BilinearMap(carrier, carrier, carrier, constants)
-        if next(tensor.torsion_violations(), None) is None:
+        if tensor.well_defined():
             yield tensor
 
 
@@ -93,7 +93,7 @@ def enumerate_action_tensors(s_alg: Algebra, r_alg: Algebra) -> list[BilinearMap
         constants = [list(combo[i * r_mod.rank:(i + 1) * r_mod.rank])
                      for i in range(s_mod.rank)]
         tensor = BilinearMap(s_mod, r_mod, r_mod, constants)
-        if next(tensor.torsion_violations(), None) is None:
+        if tensor.well_defined():
             out.append(tensor)
     return out
 

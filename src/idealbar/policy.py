@@ -12,13 +12,27 @@ below 1, so a sampled PASS always rests on at least one draw.
 sweeps the predicate and returns a PASS or FAIL leaf of the given class
 carrying the witness and the sweep's coverage (mode, tuples checked and,
 when sampled, the seed) in its meta.  `checked` counts the element tuples
-the verdict covers.  Within the exhaustive bound a bilinear clause is
-decided on generator tuples: a caller whose predicate compares two maps
-that are additive in every argument (or asks that such a map land in a
-submodule) passes one generator list per space, and when every generator
-tuple passes so does every element tuple, so the leaf is the one the
-full sweep would give.  A failing generator tuple falls back to the
-sweep, which finds the least witness.
+the verdict covers.  A space is a list of elements or a module (anything
+with `size`, `elements()` and `generators()`), which stands for all its
+elements in lexicographic order.
+
+Within the exhaustive bound a multilinear clause is decided on generator
+tuples: a caller whose predicate compares two maps that are additive in
+every argument (or asks that such a map land in a submodule) passes one
+generator entry per space.  When every generator tuple passes so does
+every element tuple, so the leaf is the one the full sweep would give.
+
+When a generator tuple fails, the least witness comes from generators
+too if every entry is a module, standing for its standard generators
+e_1..e_n with the space all of that module.  For each argument the
+values that pass, whatever the later arguments, form a subgroup, and the
+least element of Z/d_1 + .. + Z/d_n outside a subgroup is e_i for the
+largest i with e_i outside it.  Taking the generators in element order
+(e_n < .. < e_1), the first failing generator tuple is therefore the
+lexicographically least failing element tuple, by induction on the
+arity, and the FAIL leaf is the sweep's: that witness, mode exhaustive,
+every tuple counted.  An entry that is a generator list of a subset gives
+no such witness, and a failure there falls back to the sweep.
 """
 
 from __future__ import annotations
@@ -97,20 +111,29 @@ def sweep(spaces, pred, policy: Policy | None = None) -> SweepResult:
     return SweepResult(True, None, "sampled", draws, policy.seed)
 
 
+def _is_module(space) -> bool:
+    return callable(getattr(space, "generators", None))
+
+
 def check(name, kind, spaces, pred, policy: Policy | None = None,
           detail: str = "", generators=None) -> Report:
     """Sweep pred over the product of spaces and report it as one leaf.
 
-    generators, when given, holds one generator list per space and
-    vouches that pred is decided by generator tuples (see the module
-    docstring); spaces must then be sized sequences."""
+    generators, when given, holds one entry per space, a module or a
+    generator list, and vouches that pred is decided by generator tuples
+    (see the module docstring)."""
     policy = policy or Policy()
     if generators is not None:
-        total = prod(len(s) for s in spaces)
-        if total and policy.use_exhaustive(total) \
-                and all(pred(*tup) for tup in product(*generators)):
-            return leaf(name, PASS, kind, detail=detail,
-                        meta={"mode": EXHAUSTIVE, "checked": total})
-    res = sweep(spaces, pred, policy)
+        total = prod(s.size if _is_module(s) else len(s) for s in spaces)
+        if total and policy.use_exhaustive(total):
+            tuples = product(*(sorted(g.generators()) if _is_module(g) else g
+                               for g in generators))
+            bad = next((tup for tup in tuples if not pred(*tup)), None)
+            if bad is None or all(_is_module(g) for g in generators):
+                return leaf(name, PASS if bad is None else FAIL, kind,
+                            detail=detail, witness=bad,
+                            meta={"mode": EXHAUSTIVE, "checked": total})
+    res = sweep([s.elements() if _is_module(s) else s for s in spaces],
+                pred, policy)
     return leaf(name, PASS if res.ok else FAIL, kind, detail=detail,
                 witness=res.witness, meta=res.meta())

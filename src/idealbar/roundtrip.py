@@ -158,32 +158,36 @@ def roundtrip_check(xm: CrossedModule, depth: int = 4,
 
 
 def _mutate_tensors(bar: TruncatedBarAlgebra, rng: random.Random):
-    tensors = []
-    for k, tensor in enumerate(bar.level_tensors()):
-        tensors.append([[list(vec) for vec in row] for row in tensor.constants])
+    """bar's level tensors with one level mutated; the other levels are
+    bar's own tensor objects."""
+    tensors = bar.level_tensors()
     k = rng.randrange(1, bar.depth + 1)
     lvl = bar.levels[k]
     n = lvl.rank
+    raw = [[list(vec) for vec in row] for row in tensors[k].constants]
     for _ in range(rng.randrange(1, 4)):
         i = rng.randrange(n)
         j = rng.randrange(n)
         l = rng.randrange(n)
-        cur = tensors[k][i][j][l]
+        cur = raw[i][j][l]
         # always move to a different value, no-op mutants tell us nothing
         v = (cur + 1 + rng.randrange(lvl.orders[l] - 1)) % lvl.orders[l]
-        tensors[k][i][j][l] = v
-        tensors[k][j][i][l] = v  # keep the tensor symmetric
-    out = []
-    for k, raw in enumerate(tensors):
-        lvl = bar.levels[k]
-        out.append(BilinearMap(lvl, lvl, lvl, raw))
-    return out
+        raw[i][j][l] = v
+        raw[j][i][l] = v  # keep the tensor symmetric
+    tensors[k] = BilinearMap(lvl, lvl, lvl, raw)
+    return tensors
 
 
-def _passes_definition(bar: TruncatedBarAlgebra, policy: Policy | None) -> bool:
-    # sequential early exit; same primitives as definition_checks
+def _passes_definition(bar: TruncatedBarAlgebra, policy: Policy | None,
+                       known: dict) -> bool:
+    # sequential early exit; same primitives as definition_checks.  known
+    # maps id(tensor) to the validate_algebra verdict of tensors that
+    # outlive the run, the canonical ones the mutants share
     for alg in bar.algebras:
-        if not validate_algebra(alg, policy).passed:
+        ok = known.get(id(alg.mul))
+        if ok is None:
+            ok = validate_algebra(alg, policy).passed
+        if not ok:
             return False
     if not verify_level_homomorphisms(bar, policy).passed:
         return False
@@ -194,19 +198,21 @@ def perturb_and_filter(xm: CrossedModule, depth: int = 2, seed: int = 0,
                        budget: int = 1000,
                        policy: Policy | None = None) -> Report:
     """Candidate 0 is the canonical structure; the rest mutate one level
-    tensor at random.  Survivors of the definition filter must round-trip
-    exactly."""
+    tensor at random and share the canonical bar module.  Survivors of
+    the definition filter must round-trip exactly."""
     rng = random.Random(seed)
     canonical = build_bar_algebra(xm, depth)
+    known = {id(alg.mul): validate_algebra(alg, policy).passed
+             for alg in canonical.algebras}
     survivors = 0
     failures = []
     for t in range(budget):
         if t == 0:
             cand = canonical
         else:
-            cand = build_bar_algebra(xm, depth,
-                                     level_tensors=_mutate_tensors(canonical, rng))
-        if not _passes_definition(cand, policy):
+            cand = canonical.with_level_tensors(
+                _mutate_tensors(canonical, rng))
+        if not _passes_definition(cand, policy, known):
             continue
         survivors += 1
         rep = roundtrip_from_structure(cand, policy)

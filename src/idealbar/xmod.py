@@ -17,7 +17,8 @@ from __future__ import annotations
 from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                    ModuleHom, PreconditionError, StructuralError, Submodule,
                    image, is_ideal, kernel, order_compatibility,
-                   subalgebra_presentation, validate_algebra, validate_hom)
+                   standard_generators, subalgebra_presentation,
+                   validate_algebra, validate_hom)
 from .policy import Policy, check, sweep  # noqa: F401 (see core)
 from .report import (AXIOM, FAIL, NOTE, PASS, STRUCTURAL, THEOREM, Report,
                      group, leaf, relabel)
@@ -84,10 +85,10 @@ def validate_algebra_action(act: AlgebraAction, policy: Policy | None = None) ->
     torsion, compatibility with the product of R, and composition of
     actors."""
     s_alg, r_alg = act.actor, act.acted
-    ss, rs = s_alg.elements(), r_alg.elements()
     checks = []
 
-    bad = next(act.tensor.torsion_violations(), None)
+    bad = None if act.tensor.well_defined() \
+        else next(act.tensor.torsion_violations())
     checks.append(leaf("torsion-compatibility", FAIL if bad else PASS,
                        STRUCTURAL, witness=bad))
     checks.append(leaf("k-bilinearity", PASS, STRUCTURAL,
@@ -98,12 +99,18 @@ def validate_algebra_action(act: AlgebraAction, policy: Policy | None = None) ->
         return (lhs == r_alg.multiply(act.apply(s, r1), r2)
                 and lhs == r_alg.multiply(r1, act.apply(s, r2)))
 
-    checks.append(check("product-compatibility", AXIOM, [ss, rs, rs], compat,
-                        policy, detail="s.(r1 r2) = (s.r1) r2 = r1 (s.r2)"))
-    checks.append(check("actor-composition", AXIOM, [ss, ss, rs],
+    spaces = [s_alg, r_alg, r_alg]
+    checks.append(check("product-compatibility", AXIOM, spaces, compat,
+                        policy, detail="s.(r1 r2) = (s.r1) r2 = r1 (s.r2)",
+                        generators=standard_generators(spaces, act.tensor,
+                                                       r_alg.mul)))
+    spaces = [s_alg, s_alg, r_alg]
+    checks.append(check("actor-composition", AXIOM, spaces,
                         lambda s1, s2, r: act.apply(s_alg.multiply(s1, s2), r)
                         == act.apply(s1, act.apply(s2, r)), policy,
-                        detail="(s1 s2).r = s1.(s2.r)"))
+                        detail="(s1 s2).r = s1.(s2.r)",
+                        generators=standard_generators(spaces, act.tensor,
+                                                       s_alg.mul)))
     return group("validate-algebra-action", checks)
 
 
@@ -136,18 +143,24 @@ class CrossedModule:
 
 def cm1_report(xm: CrossedModule, policy: Policy | None = None) -> Report:
     s_alg = xm.s_alg
-    return check("cm1", AXIOM, [s_alg.elements(), xm.r_alg.elements()],
+    spaces = [s_alg, xm.r_alg]
+    return check("cm1", AXIOM, spaces,
                  lambda s, r: xm.eta.apply(xm.action.apply(s, r))
                  == s_alg.multiply(s, xm.eta.apply(r)), policy,
-                 detail="eta(s.r) = s eta(r)")
+                 detail="eta(s.r) = s eta(r)",
+                 generators=standard_generators(
+                     spaces, xm.eta.hom, xm.action.tensor, s_alg.mul))
 
 
 def cm2_report(xm: CrossedModule, policy: Policy | None = None) -> Report:
     r_alg = xm.r_alg
-    return check("cm2", AXIOM, [r_alg.elements(), r_alg.elements()],
+    spaces = [r_alg, r_alg]
+    return check("cm2", AXIOM, spaces,
                  lambda r1, r2: xm.action.apply(xm.eta.apply(r1), r2)
                  == r_alg.multiply(r1, r2), policy,
-                 detail="eta(r1).r2 = r1 r2")
+                 detail="eta(r1).r2 = r1 r2",
+                 generators=standard_generators(
+                     spaces, xm.eta.hom, xm.action.tensor, r_alg.mul))
 
 
 def validate_crossed_module(xm: CrossedModule, policy: Policy | None = None) -> Report:

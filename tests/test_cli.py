@@ -202,3 +202,20 @@ def test_corrupt_phi_outside_the_built_letters_is_refused():
     res = cli("-w", NILCUBE, "bibar-verify", "incl", "--rows", "3",
               "--corrupt-phi", "3:2")
     assert res.returncode == 1
+
+
+def test_perturb_follows_an_explicit_depth_and_defaults_to_two():
+    def candidates(*extra):
+        res = cli("-w", NILCUBE, "--format", "json", "roundtrip", "main",
+                  "--perturb", "--budget", "5", *extra)
+        assert res.returncode == 0, res.stderr
+        rep = json.loads(res.stdout)
+        perturb = next(c for c in rep["checks"]
+                       if c["name"].startswith("perturb-and-filter"))
+        return next(c for c in perturb["checks"]
+                    if c["name"] == "candidates")["meta"]
+
+    assert candidates("--depth", "1")["depth"] == 1
+    assert candidates("--depth", "3")["depth"] == 3
+    # without the flag the harness keeps depth 2, whatever options.depth
+    assert candidates()["depth"] == 2

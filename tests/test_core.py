@@ -120,6 +120,50 @@ def test_validate_algebra_catches_nonassociative():
     assert node.witness == (0, 0, 1)
 
 
+def _unit_by_element_scan(alg):
+    # the scan the generator test replaced: e*x = x on every element
+    for e in alg.elements():
+        if all(alg.multiply(e, x) == x for x in alg.elements()):
+            return f"unit {e}"
+    return "no unit"
+
+
+def _associativity_by_products(alg):
+    # the four-product form the structure-constant lookup replaced
+    gens = alg.generators()
+    n = len(gens)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = alg.multiply(alg.multiply(gens[i], gens[j]), gens[k])
+                rhs = alg.multiply(gens[i], alg.multiply(gens[j], gens[k]))
+                if lhs != rhs:
+                    return (i, j, k)
+    return None
+
+
+@st.composite
+def any_algebras(draw):
+    """Any tensor on a mixed-order module, torsion-violating and
+    non-commutative ones included, biased towards a unit."""
+    mod = draw(st.sampled_from(MIXED[:3] + [FiniteModule(8, [2, 8])]))
+    n = mod.rank
+    consts = [[[draw(st.integers(0, d - 1)) for d in mod.orders]
+               for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        u = draw(st.integers(0, n - 1))
+        for j in range(n):
+            consts[u][j] = [int(j == l) for l in range(n)]
+    return Algebra(mod, BilinearMap(mod, mod, mod, consts))
+
+
+@given(any_algebras())
+def test_unit_note_and_associativity_match_the_element_forms(alg):
+    rep = validate_algebra(alg)
+    assert rep.find("unital").detail == _unit_by_element_scan(alg)
+    assert rep.find("associativity").witness == _associativity_by_products(alg)
+
+
 def test_validate_algebra_catches_noncommutative_tensor():
     m = FiniteModule(2, [2, 2])
     mul = BilinearMap(m, m, m, [[(0, 0), (0, 1)], [(0, 0), (0, 0)]])

@@ -1,11 +1,13 @@
 """Generator-decided checks against the element sweep they replace.
 
-Within the exhaustive bound the bar layer's bilinear clauses (and the
-absorption clause of is_ideal) are decided on generator tuples.  The
-slow path, an element sweep of every tuple, is kept as the oracle: each
-case below runs once as shipped and once with the generator lists
-dropped from every check call, and the JSON reports must be identical,
-verdicts, witnesses and meta alike.
+Within the exhaustive bound the multilinear clauses of the bar layer,
+of xmod and of crossed_ideal (and the absorption clause of is_ideal)
+are decided on generator tuples, and a failing one is witnessed by the
+first failing generator tuple.  The slow path, an element sweep of
+every tuple, is kept as the oracle: each case below runs once as
+shipped and once with the generator entries dropped from every check
+call, and the JSON reports must be identical, verdicts, witnesses and
+meta alike.
 
 roundtrip's `d0-on-tail-multiplicative @ 2` is deliberately not on the
 fast path: its predicate takes four letters that are only jointly linear
@@ -13,19 +15,25 @@ fast path: its predicate takes four letters that are only jointly linear
 generator tuples of r_mod^4 do not decide it.
 """
 
+import random
+
 import pytest
 
 import idealbar.bar as bar_mod
 import idealbar.core as core_mod
+import idealbar.crossed_ideal as crossed_ideal_mod
 import idealbar.policy as policy_mod
+import idealbar.xmod as xmod_mod
 from idealbar.bar import build_bar_algebra, verify_bar
 from idealbar.core import Algebra, AlgebraHom, BilinearMap, FiniteModule, ModuleHom
+from idealbar.crossed_ideal import (CrossedIdealMap, image_crossed_ideal_check,
+                                    validate_crossed_ideal_map)
 from idealbar.enumeration import (all_valid_xmods, enumerate_algebras,
-                                  enumerate_xmods)
+                                  enumerate_xmods, fuzz_cims, fuzz_report)
 from idealbar.fixtures import broken_action_xmod, nilcube_xmod, nilsquare_xmod
 from idealbar.policy import Policy
 from idealbar.roundtrip import perturb_and_filter
-from idealbar.xmod import AlgebraAction, CrossedModule
+from idealbar.xmod import AlgebraAction, CrossedModule, validate_crossed_module
 
 SAMPLED = Policy(mode="sample", sample_count=64, seed=11)
 
@@ -39,9 +47,21 @@ def assert_same(monkeypatch, run):
     element by element."""
     fast = run().to_json()
     with monkeypatch.context() as m:
-        m.setattr(bar_mod, "check", _without_generators)
-        m.setattr(core_mod, "check", _without_generators)
+        for mod in (bar_mod, core_mod, xmod_mod, crossed_ideal_mod):
+            m.setattr(mod, "check", _without_generators)
         assert run().to_json() == fast
+
+
+def count_sweeps(monkeypatch):
+    calls = []
+    sweep = policy_mod.sweep
+
+    def counting_sweep(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(policy_mod, "sweep", counting_sweep)
+    return calls
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 4])
@@ -79,17 +99,65 @@ def test_perturbation_harness_on_nilcube(monkeypatch):
             xm, depth=2, seed=seed, budget=30))
 
 
+@pytest.mark.parametrize("modulus", [4, 6])
+def test_every_rank_one_candidate(monkeypatch, modulus):
+    algebras = enumerate_algebras(modulus, 1)
+    verdicts = set()
+    for r_alg in algebras:
+        for s_alg in algebras:
+            for xm in enumerate_xmods(r_alg, s_alg):
+                assert_same(monkeypatch,
+                            lambda: validate_crossed_module(xm))
+                verdicts.add(validate_crossed_module(xm).passed)
+    assert verdicts == {True, False}
+
+
+def test_fuzz_report_mod_4(monkeypatch):
+    assert_same(monkeypatch, lambda: fuzz_report(4, 2, 25, seed=3))
+
+
+def _twisted(cim, rng):
+    """cim with one coefficient of h moved, which may break the h
+    identities and may break the torsion of h."""
+    raw = [[list(vec) for vec in row] for row in cim.h.constants]
+    row = rng.choice(raw)
+    vec = rng.choice(row)
+    l = rng.randrange(len(vec))
+    vec[l] = (vec[l] + 1 + rng.randrange(cim.h.target.orders[l] - 1)) \
+        % cim.h.target.orders[l]
+    h = BilinearMap(cim.h.left, cim.h.right, cim.h.target, raw)
+    return CrossedIdealMap(cim.morphism, cim.act1, cim.act2, h, name="twisted")
+
+
+def test_fuzzed_and_twisted_crossed_ideal_maps_mod_4(monkeypatch):
+    rng = random.Random(5)
+    statuses = set()
+    for _, cim in fuzz_cims(4, 2, 25, 7):
+        cases = [cim]
+        if cim.h.left.rank and cim.h.right.rank and cim.h.target.rank:
+            cases.append(_twisted(cim, rng))
+        for case in cases:
+            assert_same(monkeypatch,
+                        lambda: validate_crossed_ideal_map(case))
+            assert_same(monkeypatch,
+                        lambda: image_crossed_ideal_check(case))
+            statuses.add(validate_crossed_ideal_map(case).passed)
+    assert statuses == {True, False}
+
+
+def test_rank_one_candidates_never_sweep(monkeypatch):
+    calls = count_sweeps(monkeypatch)
+    for r_alg in enumerate_algebras(4, 1):
+        for s_alg in enumerate_algebras(4, 1):
+            for xm in enumerate_xmods(r_alg, s_alg):
+                validate_crossed_module(xm)
+    assert calls == []
+
+
 def test_nilcube_depth_four_never_sweeps(monkeypatch):
     # the differential tests above would pass vacuously if the fast path
     # were never taken
-    calls = []
-    sweep = policy_mod.sweep
-
-    def counting_sweep(*args, **kwargs):
-        calls.append(args)
-        return sweep(*args, **kwargs)
-
-    monkeypatch.setattr(policy_mod, "sweep", counting_sweep)
+    calls = count_sweeps(monkeypatch)
     rep = verify_bar(build_bar_algebra(nilcube_xmod(), 4))
     assert rep.passed
     assert calls == []

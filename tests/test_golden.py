@@ -18,6 +18,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 NILSQUARE = str(FIXTURES / "nilsquare.json")
 NILCUBE = str(FIXTURES / "nilcube.json")
 BROKEN = str(FIXTURES / "broken_action.json")
+BROKEN_Z4 = str(FIXTURES / "broken_z4.json")
 
 # (arguments, exit code, json digest, text digest)
 GOLDEN = [
@@ -50,6 +51,14 @@ GOLDEN = [
     (("-w", NILCUBE, "bibar-verify", "incl", "--corrupt-phi", "1:0"),
      1, "9e25e932d91cca9e857a669bd80cbba81bb232bf57ab3b9fde728b132af27394",
      "5876888f464dc76ed96e605453b9792e7322be810d2c86f2c5e6fdf102f06444"),
+    # mixed orders (2, 4) over Z/4: witnesses in modules whose summands
+    # differ, recorded before failing checks were witnessed on generators
+    (("-w", BROKEN_Z4, "check-xmod", "main", "--consequences"),
+     2, "e3263c65417f717bbccab89493893093a29af8b7e4f76d6ac027acc6df44103e",
+     "28ef0635c3766f1f01965220a26435d84dee20905108f6c5dc1e1d0c7757e9c2"),
+    (("-w", BROKEN_Z4, "bar-verify", "main", "--depth", "2"),
+     1, "357172e6ca6f3437791dbd7ebbde92c0d7933f66775b81ada75595cf541ddea9",
+     "14734149d3ca1cb8075f10e0a35938396cc724965f9683ebe3c6cd5e5d13ab38"),
 ]
 
 

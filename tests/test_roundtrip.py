@@ -1,8 +1,10 @@
 """Extraction from the bar structure and the round trip in both directions."""
 
+import random
+
 import pytest
 
-from idealbar.bar import build_bar_algebra
+from idealbar.bar import build_bar_algebra, definition_checks, verify_bar
 from idealbar.fixtures import (
     broken_action_xmod,
     nilcube_inclusion_xmod,
@@ -11,6 +13,7 @@ from idealbar.fixtures import (
 )
 from idealbar.roundtrip import (
     MalformedStructureError,
+    _mutate_tensors,
     extract_action,
     extract_eta,
     perturb_and_filter,
@@ -100,3 +103,24 @@ def test_perturbation_is_seed_deterministic():
     a = perturb_and_filter(nilsquare_xmod(), depth=2, seed=3, budget=60)
     b = perturb_and_filter(nilsquare_xmod(), depth=2, seed=3, budget=60)
     assert a.to_json() == b.to_json()
+
+
+def test_mutants_share_the_canonical_module_and_verify_alike():
+    # perturb_and_filter builds the bar module once and reuses every
+    # unmutated level tensor; a mutant so built must verify exactly like
+    # a bar built from scratch on the same tensors
+    xm = nilcube_xmod()
+    canonical = build_bar_algebra(xm, 2)
+    rng = random.Random(4)
+    for _ in range(12):
+        tensors = _mutate_tensors(canonical, rng)
+        assert sum(t is not c for t, c in
+                   zip(tensors, canonical.level_tensors())) == 1
+        shared = canonical.with_level_tensors(tensors)
+        fresh = build_bar_algebra(xm, 2, level_tensors=tensors)
+        assert shared.module is canonical.module
+        assert shared.level_tensors() == tensors
+        assert shared.bilinear == fresh.bilinear
+        assert definition_checks(shared).to_json() \
+            == definition_checks(fresh).to_json()
+        assert verify_bar(shared).to_json() == verify_bar(fresh).to_json()
