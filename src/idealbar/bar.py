@@ -22,7 +22,7 @@ from .core import (MAX_ENUM, Algebra, AlgebraHom, BilinearMap, ModuleHom,
                    PreconditionError, Submodule, UnsupportedScaleError,
                    direct_sum, identity_hom, is_ideal, kernel,
                    maps_equal_report, multiplicativity_report,
-                   validate_algebra, validate_hom)
+                   standard_generators, validate_algebra, validate_hom)
 from .policy import Policy, check
 from .report import (AXIOM, FAIL, PASS, STRUCTURAL, THEOREM, Report, group,
                      leaf, relabel)
@@ -119,9 +119,8 @@ def build_bar_module(act: ModuleAction,
 class TruncatedBarAlgebra:
     """Bar object of a crossed-module candidate, with level products.
 
-    level_tensors overrides the canonical products (used by the
-    perturbation harness); by default every level tensor is built from
-    the closed product formula.
+    Every level tensor is built from the closed product formula;
+    with_level_tensors gives the same bar object with other products.
 
     bilinear records that every tensor the level products and the closed
     product formulas read (each level tensor, the products of S and R
@@ -132,12 +131,12 @@ class TruncatedBarAlgebra:
     element by element.
     """
 
-    def __init__(self, xm: CrossedModule, depth: int, level_tensors=None):
+    def __init__(self, xm: CrossedModule, depth: int):
         self.xm = xm
         self.depth = depth
         self.module = TruncatedBarModule(translation_action(xm.eta), depth)
         self.levels = self.module.levels
-        self._set_products(level_tensors)
+        self._set_products(None)
 
     def with_level_tensors(self, level_tensors) -> "TruncatedBarAlgebra":
         """This bar object with other level products.  The module, its
@@ -162,15 +161,19 @@ class TruncatedBarAlgebra:
                 tensor = BilinearMap(carrier, carrier, carrier, constants)
             name = s_alg.name or "S"
             self.algebras.append(Algebra(carrier, tensor, name=f"B{n}({name})"))
-        tensors = self.level_tensors() + [s_alg.mul, xm.r_alg.mul,
-                                          xm.action.tensor]
-        self.bilinear = all(t.well_defined() for t in tensors)
 
     def generator_lists(self, *spaces):
         """Generator entries of the given modules or algebras for
         policy.check, standing for their standard generators, or None
         when generator tuples do not decide."""
-        return list(spaces) if self.bilinear else None
+        xm = self.xm
+        return standard_generators(spaces, *self.level_tensors(),
+                                   xm.s_alg.mul, xm.r_alg.mul,
+                                   xm.action.tensor)
+
+    @property
+    def bilinear(self) -> bool:
+        return self.generator_lists() is not None
 
     def face(self, n, i):
         return self.module.face(n, i)
@@ -212,8 +215,10 @@ class TruncatedBarAlgebra:
 def build_bar_algebra(xm: CrossedModule, depth: int = DEFAULT_DEPTH,
                       level_tensors=None) -> TruncatedBarAlgebra:
     """No validity gate: broken candidates must still build so that the
-    verifiers can show where they fail."""
-    return TruncatedBarAlgebra(xm, depth, level_tensors=level_tensors)
+    verifiers can show where they fail.  level_tensors, when given,
+    overrides the canonical level products (see with_level_tensors)."""
+    bar = TruncatedBarAlgebra(xm, depth)
+    return bar if level_tensors is None else bar.with_level_tensors(level_tensors)
 
 
 def _bar_module_of(obj) -> TruncatedBarModule:

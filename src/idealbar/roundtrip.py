@@ -179,13 +179,12 @@ def _mutate_tensors(bar: TruncatedBarAlgebra, rng: random.Random):
 
 
 def _passes_definition(bar: TruncatedBarAlgebra, policy: Policy | None,
-                       known: dict) -> bool:
-    # sequential early exit; same primitives as definition_checks.  known
-    # maps id(tensor) to the validate_algebra verdict of tensors that
-    # outlive the run, the canonical ones the mutants share
-    for alg in bar.algebras:
-        ok = known.get(id(alg.mul))
-        if ok is None:
+                       canonical: TruncatedBarAlgebra,
+                       canonical_ok: list) -> bool:
+    # sequential early exit; same primitives as definition_checks.  A
+    # level whose tensor is the canonical one has the canonical verdict
+    for alg, base, ok in zip(bar.algebras, canonical.algebras, canonical_ok):
+        if alg.mul is not base.mul:
             ok = validate_algebra(alg, policy).passed
         if not ok:
             return False
@@ -202,8 +201,8 @@ def perturb_and_filter(xm: CrossedModule, depth: int = 2, seed: int = 0,
     the definition filter must round-trip exactly."""
     rng = random.Random(seed)
     canonical = build_bar_algebra(xm, depth)
-    known = {id(alg.mul): validate_algebra(alg, policy).passed
-             for alg in canonical.algebras}
+    canonical_ok = [validate_algebra(alg, policy).passed
+                    for alg in canonical.algebras]
     survivors = 0
     failures = []
     for t in range(budget):
@@ -212,7 +211,7 @@ def perturb_and_filter(xm: CrossedModule, depth: int = 2, seed: int = 0,
         else:
             cand = canonical.with_level_tensors(
                 _mutate_tensors(canonical, rng))
-        if not _passes_definition(cand, policy, known):
+        if not _passes_definition(cand, policy, canonical, canonical_ok):
             continue
         survivors += 1
         rep = roundtrip_from_structure(cand, policy)

@@ -191,7 +191,7 @@ def test_torsion_violation_closes_the_gate(monkeypatch):
     # the gate matters: with it forced open the generator pairs pass a
     # clause that the element sweep refutes at (0,0,e0)(0,e0,e0)
     assert not verify_bar(bar).find("tail-tail-product @ 2").passed
-    bar.bilinear = True
+    monkeypatch.setattr(bar, "generator_lists", lambda *spaces: list(spaces))
     assert verify_bar(bar).find("tail-tail-product @ 2").passed
 
 
