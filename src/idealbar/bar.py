@@ -22,7 +22,7 @@ from .core import (MAX_ENUM, Algebra, AlgebraHom, BilinearMap, ModuleHom,
                    PreconditionError, Submodule, UnsupportedScaleError,
                    direct_sum, identity_hom, is_ideal, kernel,
                    maps_equal_report, multiplicativity_report,
-                   standard_generators, validate_algebra, validate_hom)
+                   validate_algebra, validate_hom)
 from .policy import Policy, check
 from .report import (AXIOM, FAIL, PASS, STRUCTURAL, THEOREM, Report, group,
                      leaf, relabel)
@@ -122,13 +122,11 @@ class TruncatedBarAlgebra:
     Every level tensor is built from the closed product formula;
     with_level_tensors gives the same bar object with other products.
 
-    bilinear records that every tensor the level products and the closed
-    product formulas read (each level tensor, the products of S and R
-    and the action tensor) is torsion-compatible.  Both sides of each
-    product identity are then bilinear on the modules, so generator
-    tuples decide it and give its least witness; a torsion-violating
-    tensor is not bilinear on the module, and its identities are swept
-    element by element.
+    tensors holds every tensor the level products and the closed product
+    formulas read: each level tensor, the products of S and R and the
+    action tensor.  The bar's product identities hand it to policy.check
+    as their maps, so they are decided on generator tuples exactly when
+    all of these are torsion-compatible.
     """
 
     def __init__(self, xm: CrossedModule, depth: int):
@@ -161,19 +159,8 @@ class TruncatedBarAlgebra:
                 tensor = BilinearMap(carrier, carrier, carrier, constants)
             name = s_alg.name or "S"
             self.algebras.append(Algebra(carrier, tensor, name=f"B{n}({name})"))
-
-    def generator_lists(self, *spaces):
-        """Generator entries of the given modules or algebras for
-        policy.check, standing for their standard generators, or None
-        when generator tuples do not decide."""
-        xm = self.xm
-        return standard_generators(spaces, *self.level_tensors(),
-                                   xm.s_alg.mul, xm.r_alg.mul,
-                                   xm.action.tensor)
-
-    @property
-    def bilinear(self) -> bool:
-        return self.generator_lists() is not None
+        self.tensors = tuple(self.level_tensors()) + (
+            s_alg.mul, xm.r_alg.mul, xm.action.tensor)
 
     def face(self, n, i):
         return self.module.face(n, i)
@@ -212,13 +199,11 @@ class TruncatedBarAlgebra:
         return [alg.mul for alg in self.algebras]
 
 
-def build_bar_algebra(xm: CrossedModule, depth: int = DEFAULT_DEPTH,
-                      level_tensors=None) -> TruncatedBarAlgebra:
+def build_bar_algebra(xm: CrossedModule,
+                      depth: int = DEFAULT_DEPTH) -> TruncatedBarAlgebra:
     """No validity gate: broken candidates must still build so that the
-    verifiers can show where they fail.  level_tensors, when given,
-    overrides the canonical level products (see with_level_tensors)."""
-    bar = TruncatedBarAlgebra(xm, depth)
-    return bar if level_tensors is None else bar.with_level_tensors(level_tensors)
+    verifiers can show where they fail."""
+    return TruncatedBarAlgebra(xm, depth)
 
 
 def _bar_module_of(obj) -> TruncatedBarModule:
@@ -326,7 +311,7 @@ def verify_ideal_axiom(bar: TruncatedBarAlgebra,
                         bar.multiply(1, bar.embed_s(1, s), bar.embed_r(1, [b])),
                         1)[0] == x_zero, policy,
                     detail="(s,0)(0,b) has base coordinate 0",
-                    generators=bar.generator_lists(s_alg, r_mod))]
+                    maps=bar.tensors)]
 
     for n in range(1, bar.depth + 1):
         checks.append(check(
@@ -334,7 +319,7 @@ def verify_ideal_axiom(bar: TruncatedBarAlgebra,
             lambda a, b, n=n:
             bar.multiply(n, bar.embed_s(n, a), bar.embed_s(n, b))
             == bar.embed_s(n, s_alg.multiply(a, b)), policy,
-            generators=bar.generator_lists(s_alg, s_alg)))
+            maps=bar.tensors))
 
         tail = direct_sum([r_mod] * n)
         pr = r_mod.rank
@@ -348,7 +333,7 @@ def verify_ideal_axiom(bar: TruncatedBarAlgebra,
             f"mixed-letterwise @ {n}", AXIOM, [s_alg, tail],
             letterwise, policy,
             detail="base times tail is the level-1 letter rule in every letter",
-            generators=bar.generator_lists(s_alg, tail)))
+            maps=bar.tensors))
     return group("tail-absorption", checks)
 
 
@@ -365,7 +350,8 @@ def verify_decomposition(bar: TruncatedBarAlgebra, k: int,
     def embed_tail(tail):
         return bar.embed_r(k, [tail[j * pr:(j + 1) * pr] for j in range(k)])
 
-    rk = Submodule(lvl, [embed_tail(t) for t in r_tail.elements()])
+    rk = Submodule.from_generators(
+        lvl, [embed_tail(g) for g in r_tail.generators()])
     sk = Submodule(lvl, [bar.embed_s(k, s) for s in s_alg.elements()])
 
     checks = []
@@ -376,9 +362,7 @@ def verify_decomposition(bar: TruncatedBarAlgebra, k: int,
         f"sk-subalgebra-isomorphic-to-s @ {k}", embed, s_alg,
         bar.algebras[k], policy, kind=THEOREM))
 
-    rk_gens = [embed_tail(g) for g in r_tail.generators()] \
-        if bar.bilinear else None
-    rep = relabel(is_ideal(bar.algebras[k], rk, policy, gens=rk_gens), THEOREM)
+    rep = relabel(is_ideal(bar.algebras[k], rk, policy), THEOREM)
     rep.name = f"rk-is-ideal @ {k}"
     checks.append(rep)
 
@@ -428,7 +412,7 @@ def rk_closed_formulas(bar: TruncatedBarAlgebra, k: int,
         f"tail-tail-product @ {k}", THEOREM,
         [r_tail, r_tail], tail_product_ok, policy,
         detail="(0,a)(0,b) has j-th letter (a_1+..+a_{j-1})b_j + a_j(b_1+..+b_j)",
-        generators=bar.generator_lists(r_tail, r_tail))]
+        maps=bar.tensors)]
 
     def mixed_product_ok(ta, s):
         a = blocks_of(ta)
@@ -440,7 +424,7 @@ def rk_closed_formulas(bar: TruncatedBarAlgebra, k: int,
         f"tail-base-product @ {k}", THEOREM,
         [r_tail, xm.s_alg], mixed_product_ok, policy,
         detail="(0,a)(s,0) = (0, s.a_1, .., s.a_k)",
-        generators=bar.generator_lists(r_tail, xm.s_alg)))
+        maps=bar.tensors))
     return group(f"tail-ideal-products @ {k}", checks)
 
 

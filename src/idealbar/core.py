@@ -281,6 +281,7 @@ class ModuleHom:
         self.codomain = codomain
         self.images = images
         self.name = name
+        self._well_defined = None
 
     def order_violations(self):
         """Indices i where d_i * images[i] != 0, i.e. the map is not well
@@ -292,7 +293,9 @@ class ModuleHom:
         return out
 
     def well_defined(self) -> bool:
-        return not self.order_violations()
+        if self._well_defined is None:
+            self._well_defined = not self.order_violations()
+        return self._well_defined
 
     def apply(self, x):
         out = [0] * self.codomain.rank
@@ -352,7 +355,9 @@ class AlgebraHom:
 
 class Submodule:
     """Subset of a module that is expected to be closed under addition;
-    stored sorted so every iteration over it is deterministic."""
+    stored sorted so every iteration over it is deterministic.  A span
+    built by from_generators keeps its reduced generator list as gens;
+    a subset given by its elements has gens None."""
 
     def __init__(self, ambient: FiniteModule, elements):
         elems = sorted(set(tuple(e) for e in elements))
@@ -364,22 +369,26 @@ class Submodule:
         self.ambient = ambient
         self.elements = tuple(elems)
         self._set = frozenset(elems)
+        self.gens = None
 
     @classmethod
     def from_generators(cls, ambient: FiniteModule, gens) -> "Submodule":
+        gens = tuple(ambient.reduce(tuple(g)) for g in gens)
         seen = {ambient.zero}
-        frontier = [ambient.reduce(tuple(g)) for g in gens]
-        seen.update(frontier)
+        seen.update(gens)
+        frontier = list(gens)
         while frontier:
             nxt = []
             for x in frontier:
                 for g in gens:
-                    y = ambient.add(x, ambient.reduce(tuple(g)))
+                    y = ambient.add(x, g)
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
             frontier = nxt
-        return cls(ambient, seen)
+        span = cls(ambient, seen)
+        span.gens = gens
+        return span
 
     def contains(self, x) -> bool:
         return tuple(x) in self._set
@@ -388,15 +397,16 @@ class Submodule:
     def size(self):
         return len(self.elements)
 
-    def spanned_by(self, gens) -> bool:
-        return Submodule.from_generators(self.ambient, gens) == self
+    def __len__(self):
+        return len(self.elements)
 
-    def addition_violation(self, gens=None):
-        """First pair (lex) whose sum escapes the subset, or None.  When
-        gens spans exactly this subset, the subset is a submodule and no
-        pair is added; otherwise every pair is scanned, so the witness
-        does not depend on gens."""
-        if gens is not None and self.spanned_by(gens):
+    def __iter__(self):
+        return iter(self.elements)
+
+    def addition_violation(self):
+        """First pair (lex) whose sum escapes the subset, or None.  A
+        span is closed by construction, so no pair is added."""
+        if self.gens is not None:
             return None
         for x in self.elements:
             for y in self.elements:
@@ -418,8 +428,16 @@ class Submodule:
 
 def validate_algebra(alg: Algebra, policy: Policy | None = None) -> Report:
     """Torsion compatibility, commutativity and associativity of the
-    multiplication tensor.  Generator checks are complete here because
-    every side of every identity is multilinear."""
+    multiplication tensor, then a NOTE on the unit."""
+    rep = algebra_axioms(alg)
+    rep.checks.append(_unit_note(alg))  # a NOTE leaves the status as is
+    return rep
+
+
+def algebra_axioms(alg: Algebra) -> Report:
+    """validate_algebra without the unit search, for callers that read
+    only the verdict.  Generator checks are complete here because every
+    side of every identity is multilinear."""
     checks = []
     bad = None if alg.mul.well_defined() \
         else next(alg.mul.torsion_violations())
@@ -460,10 +478,7 @@ def validate_algebra(alg: Algebra, policy: Policy | None = None) -> Report:
         "associativity", FAIL if assoc else PASS, AXIOM,
         detail="(g_i g_j) g_k = g_i (g_j g_k), complete by trilinearity",
         witness=assoc, meta={"triples": n ** 3}))
-
-    checks.append(_unit_note(alg))
-    name = alg.name or "algebra"
-    return group(f"validate-algebra {name}", checks)
+    return group(f"validate-algebra {alg.name or 'algebra'}", checks)
 
 
 def _unit_note(alg: Algebra) -> Report:
@@ -486,10 +501,20 @@ def _unit_note(alg: Algebra) -> Report:
 def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
                             cod: Algebra, policy: Policy | None = None,
                             kind: str = AXIOM) -> Report:
-    """Check f(uv) = f(u)f(v).  Both sides are bilinear in (u, v), so the
-    generator-pair comparison decides the property for every pair of
-    elements; after a mismatch _element_witness pins down the least
-    witness."""
+    """Check f(uv) = f(u)f(v).  When hom and both products are well
+    defined, both sides are bilinear in (u, v), so the generator-pair
+    comparison decides the property for every pair of elements, and
+    after a mismatch _element_witness pins down the least witness.
+    Otherwise the element pairs are swept under policy."""
+
+    def pred(u, v):
+        return hom.apply(dom.multiply(u, v)) \
+            == cod.multiply(hom.apply(u), hom.apply(v))
+
+    maps = (hom, dom.mul, cod.mul)
+    if not all(m.well_defined() for m in maps):
+        return check(name, kind, [dom.carrier] * 2, pred, policy,
+                     detail="f(uv) = f(u)f(v)")
     n = dom.carrier.rank
     gens = dom.generators()
     mismatch = None
@@ -508,9 +533,7 @@ def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
                     meta={"mode": "exhaustive", "checked": dom.carrier.size ** 2,
                           "generator_pairs": n * n})
     found = _element_witness(name, kind, "f(uv) != f(u)f(v)", dom.carrier, 2,
-                             lambda u, v: hom.apply(dom.multiply(u, v))
-                             == cod.multiply(hom.apply(u), hom.apply(v)),
-                             policy, (hom, dom.mul, cod.mul))
+                             pred, policy, maps)
     return found or leaf(
         name, FAIL, kind, detail="f(uv) != f(u)f(v), witness is a generator pair",
         witness=(gens[mismatch[0]], gens[mismatch[1]]),
@@ -550,21 +573,8 @@ def _element_witness(name, kind, detail, mod: FiniteModule, arity: int, pred,
     policy = policy or Policy()
     if mod.size ** arity > policy.exhaustive_bound:
         return None
-    spaces = [mod] * arity
-    return check(name, kind, spaces, pred, Policy(mode=EXHAUSTIVE), detail,
-                 generators=standard_generators(spaces, *maps))
-
-
-def standard_generators(spaces, *maps):
-    """spaces as the generator entries of policy.check, standing for
-    their standard generators, when every map is well defined (tensors
-    torsion-compatible, homs order-compatible); None otherwise.
-
-    A predicate built from such maps by composing, multiplying and
-    comparing is multilinear on the full modules, so generator tuples
-    decide it and give its least witness; a map that is not well defined
-    is not additive, and its identities are swept element by element."""
-    return list(spaces) if all(m.well_defined() for m in maps) else None
+    return check(name, kind, [mod] * arity, pred, Policy(mode=EXHAUSTIVE),
+                 detail, maps=maps)
 
 
 def order_compatibility(hom: ModuleHom) -> Report:
@@ -594,27 +604,21 @@ def kernel(f: ModuleHom) -> Submodule:
                      [x for x in f.domain.elements() if f.apply(x) == zero])
 
 
-def is_ideal(alg: Algebra, sub: Submodule, policy: Policy | None = None,
-             gens=None) -> Report:
-    """Additive closure and absorption of a subset.  gens, when given and
-    spanning sub, decide additive closure, and absorption is decided on
-    pairs of algebra and ideal generators; alg.mul must then be
-    torsion-compatible.  gens that do not span sub are not used."""
+def is_ideal(alg: Algebra, sub: Submodule,
+             policy: Policy | None = None) -> Report:
+    """Additive closure and absorption of a subset.  A span is closed by
+    construction, and when alg.mul is torsion-compatible its absorption
+    is decided on pairs of algebra and span generators."""
     if sub.ambient != alg.carrier:
         raise StructuralError("submodule does not live in the algebra carrier")
-    if gens is not None and not sub.spanned_by(gens):
-        gens = None
-    checks = []
-    bad = sub.addition_violation(gens)
-    checks.append(leaf("additive-closure", FAIL if bad else PASS, STRUCTURAL,
-                       detail="contains 0 and is closed under addition",
-                       witness=bad))
-    checks.append(check("absorption", AXIOM, [alg.elements(), sub.elements],
-                        lambda a, x: sub.contains(alg.multiply(a, x)), policy,
-                        detail="a*x stays in the subset for a in the algebra",
-                        generators=None if bad or gens is None
-                        else [alg.generators(), gens]))
-    return group("is-ideal", checks)
+    bad = sub.addition_violation()
+    return group("is-ideal", [
+        leaf("additive-closure", FAIL if bad else PASS, STRUCTURAL,
+             detail="contains 0 and is closed under addition", witness=bad),
+        check("absorption", AXIOM, [alg, sub],
+              lambda a, x: sub.contains(alg.multiply(a, x)), policy,
+              detail="a*x stays in the subset for a in the algebra",
+              maps=(alg.mul,))])
 
 
 # ---------------------------------------------------------------------------

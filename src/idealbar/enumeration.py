@@ -11,8 +11,7 @@ import random
 from itertools import combinations_with_replacement, product
 
 from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule, ModuleHom,
-                   Submodule, UnsupportedScaleError, is_ideal,
-                   subalgebra_presentation)
+                   Submodule, UnsupportedScaleError, is_ideal)
 from .crossed_ideal import (inclusion_cim, sub_crossed_module,
                             validate_crossed_ideal,
                             validate_crossed_ideal_map,
@@ -141,7 +140,7 @@ def enumerate_ideals(alg: Algebra) -> list[Submodule]:
     """All ideals, found by closing subgroups one generator at a time.
     Sorted by size then by element list, so the order is reproducible."""
     carrier = alg.carrier
-    zero_sub = Submodule(carrier, [carrier.zero])
+    zero_sub = Submodule.from_generators(carrier, [])
     seen = {zero_sub.elements: zero_sub}
     frontier = [zero_sub]
     while frontier:
@@ -149,8 +148,7 @@ def enumerate_ideals(alg: Algebra) -> list[Submodule]:
         for e in carrier.elements():
             if base.contains(e):
                 continue
-            grown = Submodule.from_generators(carrier,
-                                              list(base.elements) + [e])
+            grown = Submodule.from_generators(carrier, base.gens + (e,))
             if grown.elements not in seen:
                 seen[grown.elements] = grown
                 frontier.append(grown)
@@ -186,11 +184,10 @@ def fuzz_cims(modulus: int, max_rank: int, count: int, seed: int = 0):
         small = inside[rng.randrange(len(inside))]
 
         ambient = inclusion_xmod(s_alg, big, name=f"fuzz{len(out)}")
-        _, _, coords = subalgebra_presentation(s_alg, big)
-        r_subset = Submodule(ambient.r_alg.carrier,
-                             [coords[x] for x in small.elements])
-        s_subset = Submodule(s_alg.carrier, list(small.elements))
-        sx = sub_crossed_module(ambient, r_subset, s_subset,
+        coords = {ambient.eta.apply(x): x for x in ambient.r_alg.elements()}
+        r_subset = Submodule.from_generators(ambient.r_alg.carrier,
+                                             [coords[g] for g in small.gens])
+        sx = sub_crossed_module(ambient, r_subset, small,
                                 name=f"fuzz{len(out)}")
         if sx.sub is None or not validate_crossed_ideal(sx).passed:
             continue

@@ -12,27 +12,36 @@ below 1, so a sampled PASS always rests on at least one draw.
 sweeps the predicate and returns a PASS or FAIL leaf of the given class
 carrying the witness and the sweep's coverage (mode, tuples checked and,
 when sampled, the seed) in its meta.  `checked` counts the element tuples
-the verdict covers.  A space is a list of elements or a module (anything
-with `size`, `elements()` and `generators()`), which stands for all its
-elements in lexicographic order.
+the verdict covers.  A space is one of three kinds:
+
+- a module (anything with `size`, `elements()` and `generators()`),
+  standing for all its elements in lexicographic order;
+- a span (a Submodule built from generators, whose `gens` is not None),
+  standing for its sorted elements;
+- a list of elements, or a Submodule given by its elements.
 
 Within the exhaustive bound a multilinear clause is decided on generator
-tuples: a caller whose predicate compares two maps that are additive in
-every argument (or asks that such a map land in a submodule) passes one
-generator entry per space.  When every generator tuple passes so does
-every element tuple, so the leaf is the one the full sweep would give.
+tuples.  A caller passes `maps`, the tensors and homs the predicate
+reads, and so vouches that the predicate compares two maps built from
+them that are additive in every argument, or asks such a map to land in
+a span being swept.  When every map is well defined (tensors torsion-
+compatible, homs order-compatible) and every space is a module or a
+span, `check` takes the generator tuples: a module gives its standard
+generators, a span its generating list.  When every generator tuple
+passes so does every element tuple, so the leaf is the one the full
+sweep would give.  A map that is not well defined is not additive, and
+an element list has no generators; either way the elements are swept.
 
 When a generator tuple fails, the least witness comes from generators
-too if every entry is a module, standing for its standard generators
-e_1..e_n with the space all of that module.  For each argument the
-values that pass, whatever the later arguments, form a subgroup, and the
-least element of Z/d_1 + .. + Z/d_n outside a subgroup is e_i for the
-largest i with e_i outside it.  Taking the generators in element order
+too if every space is a module.  For each argument the values that
+pass, whatever the later arguments, form a subgroup, and the least
+element of Z/d_1 + .. + Z/d_n outside a subgroup is e_i for the largest
+i with e_i outside it.  Taking the generators in element order
 (e_n < .. < e_1), the first failing generator tuple is therefore the
 lexicographically least failing element tuple, by induction on the
 arity, and the FAIL leaf is the sweep's: that witness, mode exhaustive,
-every tuple counted.  An entry that is a generator list of a subset gives
-no such witness, and a failure there falls back to the sweep.
+every tuple counted.  A span gives no such witness, and a failure there
+falls back to the sweep.
 """
 
 from __future__ import annotations
@@ -115,21 +124,28 @@ def _is_module(space) -> bool:
     return callable(getattr(space, "generators", None))
 
 
+def _generator_entry(space):
+    """Generators standing for space, or None for an element list."""
+    if _is_module(space):
+        return sorted(space.generators())
+    return getattr(space, "gens", None)
+
+
 def check(name, kind, spaces, pred, policy: Policy | None = None,
-          detail: str = "", generators=None) -> Report:
+          detail: str = "", maps=None) -> Report:
     """Sweep pred over the product of spaces and report it as one leaf.
 
-    generators, when given, holds one entry per space, a module or a
-    generator list, and vouches that pred is decided by generator tuples
-    (see the module docstring)."""
+    maps, when given, holds the tensors and homs pred reads and vouches
+    that generator tuples decide pred (see the module docstring)."""
     policy = policy or Policy()
-    if generators is not None:
+    if maps is not None and all(m.well_defined() for m in maps):
         total = prod(s.size if _is_module(s) else len(s) for s in spaces)
-        if total and policy.use_exhaustive(total):
-            tuples = product(*(sorted(g.generators()) if _is_module(g) else g
-                               for g in generators))
-            bad = next((tup for tup in tuples if not pred(*tup)), None)
-            if bad is None or all(_is_module(g) for g in generators):
+        entries = [_generator_entry(s) for s in spaces]
+        if total and policy.use_exhaustive(total) \
+                and all(e is not None for e in entries):
+            bad = next((tup for tup in product(*entries) if not pred(*tup)),
+                       None)
+            if bad is None or all(_is_module(s) for s in spaces):
                 return leaf(name, PASS if bad is None else FAIL, kind,
                             detail=detail, witness=bad,
                             meta={"mode": EXHAUSTIVE, "checked": total})

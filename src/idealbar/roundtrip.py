@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .core import (AlgebraHom, BilinearMap, ModuleHom, StructuralError,
-                   multiplicativity_report, validate_algebra)
+                   algebra_axioms, direct_sum, multiplicativity_report)
 from .bar import (TruncatedBarAlgebra, build_bar_algebra, verify_ideal_axiom,
                   verify_level_homomorphisms)
 from .policy import Policy, check
@@ -61,22 +61,21 @@ def _tail_face_multiplicativity(bar: TruncatedBarAlgebra,
     if bar.depth < 2:
         return leaf("d0-on-tail-multiplicative @ 2", SKIP, None,
                     detail="needs depth at least 2")
-    r_mod = bar.xm.r_alg.carrier
+    pr = bar.xm.r_alg.carrier.rank
     d0 = bar.face(2, 0)
 
-    def ok(a1, a2, b1, b2):
-        u = bar.embed_r(2, [a1, a2])
-        v = bar.embed_r(2, [b1, b2])
-        lhs = d0.apply(bar.multiply(2, u, v))
-        rhs = bar.multiply(1, d0.apply(u), d0.apply(v))
-        return lhs == rhs
+    def ok(a, b):  # the letter pairs (a1, a2) and (b1, b2)
+        u, v = bar.embed_r(2, [a]), bar.embed_r(2, [b])
+        return d0.apply(bar.multiply(2, u, v)) \
+            == bar.multiply(1, d0.apply(u), d0.apply(v))
 
-    # swept, not decided on generators: u and v are linear in the letter
-    # pairs jointly, not in each letter separately, so generator tuples
-    # of r_mod^4 do not decide ok
-    return check("d0-on-tail-multiplicative @ 2", AXIOM,
-                 [r_mod.elements()] * 4, ok, policy,
-                 detail="fails exactly on CM2 violations")
+    tail = direct_sum([bar.xm.r_alg.carrier] * 2)
+    rep = check("d0-on-tail-multiplicative @ 2", AXIOM, [tail, tail], ok,
+                policy, detail="fails exactly on CM2 violations",
+                maps=(d0,) + bar.tensors)
+    if rep.witness is not None:
+        rep.witness = tuple(w for t in rep.witness for w in (t[:pr], t[pr:]))
+    return rep
 
 
 def verify_extracted(bar: TruncatedBarAlgebra,
@@ -181,11 +180,12 @@ def _mutate_tensors(bar: TruncatedBarAlgebra, rng: random.Random):
 def _passes_definition(bar: TruncatedBarAlgebra, policy: Policy | None,
                        canonical: TruncatedBarAlgebra,
                        canonical_ok: list) -> bool:
-    # sequential early exit; same primitives as definition_checks.  A
-    # level whose tensor is the canonical one has the canonical verdict
+    # sequential early exit; same primitives as definition_checks, less
+    # the unit NOTE.  A level whose tensor is the canonical one has the
+    # canonical verdict
     for alg, base, ok in zip(bar.algebras, canonical.algebras, canonical_ok):
         if alg.mul is not base.mul:
-            ok = validate_algebra(alg, policy).passed
+            ok = algebra_axioms(alg).passed
         if not ok:
             return False
     if not verify_level_homomorphisms(bar, policy).passed:
@@ -201,8 +201,7 @@ def perturb_and_filter(xm: CrossedModule, depth: int = 2, seed: int = 0,
     the definition filter must round-trip exactly."""
     rng = random.Random(seed)
     canonical = build_bar_algebra(xm, depth)
-    canonical_ok = [validate_algebra(alg, policy).passed
-                    for alg in canonical.algebras]
+    canonical_ok = [algebra_axioms(alg).passed for alg in canonical.algebras]
     survivors = 0
     failures = []
     for t in range(budget):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                    ModuleHom, PreconditionError, StructuralError, Submodule,
                    image, is_ideal, kernel, order_compatibility,
-                   standard_generators, subalgebra_presentation,
+                   semidirect_product, subalgebra_presentation,
                    validate_algebra, validate_hom)
 from .policy import Policy, check, sweep  # noqa: F401 (see core)
 from .report import (AXIOM, FAIL, NOTE, PASS, STRUCTURAL, THEOREM, Report,
@@ -99,18 +99,15 @@ def validate_algebra_action(act: AlgebraAction, policy: Policy | None = None) ->
         return (lhs == r_alg.multiply(act.apply(s, r1), r2)
                 and lhs == r_alg.multiply(r1, act.apply(s, r2)))
 
-    spaces = [s_alg, r_alg, r_alg]
-    checks.append(check("product-compatibility", AXIOM, spaces, compat,
-                        policy, detail="s.(r1 r2) = (s.r1) r2 = r1 (s.r2)",
-                        generators=standard_generators(spaces, act.tensor,
-                                                       r_alg.mul)))
-    spaces = [s_alg, s_alg, r_alg]
-    checks.append(check("actor-composition", AXIOM, spaces,
+    checks.append(check("product-compatibility", AXIOM, [s_alg, r_alg, r_alg],
+                        compat, policy,
+                        detail="s.(r1 r2) = (s.r1) r2 = r1 (s.r2)",
+                        maps=(act.tensor, r_alg.mul)))
+    checks.append(check("actor-composition", AXIOM, [s_alg, s_alg, r_alg],
                         lambda s1, s2, r: act.apply(s_alg.multiply(s1, s2), r)
                         == act.apply(s1, act.apply(s2, r)), policy,
                         detail="(s1 s2).r = s1.(s2.r)",
-                        generators=standard_generators(spaces, act.tensor,
-                                                       s_alg.mul)))
+                        maps=(act.tensor, s_alg.mul)))
     return group("validate-algebra-action", checks)
 
 
@@ -143,24 +140,20 @@ class CrossedModule:
 
 def cm1_report(xm: CrossedModule, policy: Policy | None = None) -> Report:
     s_alg = xm.s_alg
-    spaces = [s_alg, xm.r_alg]
-    return check("cm1", AXIOM, spaces,
+    return check("cm1", AXIOM, [s_alg, xm.r_alg],
                  lambda s, r: xm.eta.apply(xm.action.apply(s, r))
                  == s_alg.multiply(s, xm.eta.apply(r)), policy,
                  detail="eta(s.r) = s eta(r)",
-                 generators=standard_generators(
-                     spaces, xm.eta.hom, xm.action.tensor, s_alg.mul))
+                 maps=(xm.eta.hom, xm.action.tensor, s_alg.mul))
 
 
 def cm2_report(xm: CrossedModule, policy: Policy | None = None) -> Report:
     r_alg = xm.r_alg
-    spaces = [r_alg, r_alg]
-    return check("cm2", AXIOM, spaces,
+    return check("cm2", AXIOM, [r_alg, r_alg],
                  lambda r1, r2: xm.action.apply(xm.eta.apply(r1), r2)
                  == r_alg.multiply(r1, r2), policy,
                  detail="eta(r1).r2 = r1 r2",
-                 generators=standard_generators(
-                     spaces, xm.eta.hom, xm.action.tensor, r_alg.mul))
+                 maps=(xm.eta.hom, xm.action.tensor, r_alg.mul))
 
 
 def validate_crossed_module(xm: CrossedModule, policy: Policy | None = None) -> Report:
@@ -233,42 +226,42 @@ def consequence_checks(xm: CrossedModule, policy: Policy | None = None) -> Repor
     return group(f"consequence-checks {name}", checks)
 
 
+def _four_letter_check(name, detail, dom, cod, images, rank, policy):
+    """Multiplicativity of the hom dom -> cod with these generator images,
+    over pairs of elements of the semidirect product dom, whose first
+    factor has the given rank; the witness is split back into its four
+    letters."""
+    phi = ModuleHom(dom.carrier, cod.carrier, images)
+    rep = check(name, AXIOM, [dom, dom],
+                lambda x, y: phi.apply(dom.multiply(x, y))
+                == cod.multiply(phi.apply(x), phi.apply(y)), policy, detail,
+                maps=(phi, dom.mul, cod.mul))
+    if rep.witness is not None:
+        rep.witness = tuple(half for x in rep.witness
+                            for half in (x[:rank], x[rank:]))
+    return rep
+
+
 def phi_cm1_criterion(xm: CrossedModule, policy: Policy | None = None) -> Report:
     """(s, r) -> s + eta(r) from S |x R to S is multiplicative exactly
-    when CM1 holds; checked directly from the product formula."""
-    s_alg, r_alg = xm.s_alg, xm.r_alg
-    eta, act = xm.eta, xm.action
-
-    def phi_ok(s, r, s2, r2):
-        prod_r = r_alg.carrier.add(
-            r_alg.carrier.add(act.apply(s, r2), act.apply(s2, r)),
-            r_alg.multiply(r, r2))
-        lhs = s_alg.carrier.add(s_alg.multiply(s, s2), eta.apply(prod_r))
-        rhs = s_alg.multiply(s_alg.carrier.add(s, eta.apply(r)),
-                             s_alg.carrier.add(s2, eta.apply(r2)))
-        return lhs == rhs
-
-    return check("cm1-phi-criterion", AXIOM,
-                 [s_alg.elements(), r_alg.elements(),
-                  s_alg.elements(), r_alg.elements()], phi_ok, policy,
-                 detail="s + eta(r) multiplicative on S|xR, equivalent to CM1")
+    when CM1 holds."""
+    s_alg = xm.s_alg
+    return _four_letter_check(
+        "cm1-phi-criterion",
+        "s + eta(r) multiplicative on S|xR, equivalent to CM1",
+        semidirect_product(s_alg, xm.r_alg, xm.action.tensor), s_alg,
+        s_alg.generators() + list(xm.eta.images), s_alg.carrier.rank, policy)
 
 
 def phi_cm2_criterion(xm: CrossedModule, policy: Policy | None = None) -> Report:
     """(a, b) -> (eta(a), b) from R |x R (multiplication action) to S |x R
     is multiplicative exactly when CM2 holds."""
-    s_alg, r_alg = xm.s_alg, xm.r_alg
-    radd, rmul = r_alg.carrier.add, r_alg.multiply
-    eta, act = xm.eta, xm.action
-
-    def phi_ok(a, b, c, d):
-        left_s = eta.apply(rmul(a, c))
-        left_r = radd(radd(rmul(a, d), rmul(c, b)), rmul(b, d))
-        right_s = s_alg.multiply(eta.apply(a), eta.apply(c))
-        right_r = radd(radd(act.apply(eta.apply(a), d),
-                            act.apply(eta.apply(c), b)), rmul(b, d))
-        return left_s == right_s and left_r == right_r
-
-    return check("cm2-phi-criterion", AXIOM, [r_alg.elements()] * 4, phi_ok,
-                 policy, detail="(a, b) -> (eta(a), b) multiplicative into "
-                                "S|xR, equivalent to CM2")
+    r_alg, s_zero = xm.r_alg, xm.s_alg.zero
+    images = [img + r_alg.zero for img in xm.eta.images] \
+        + [s_zero + g for g in r_alg.generators()]
+    return _four_letter_check(
+        "cm2-phi-criterion",
+        "(a, b) -> (eta(a), b) multiplicative into S|xR, equivalent to CM2",
+        semidirect_product(r_alg, r_alg, r_alg.mul),
+        semidirect_product(xm.s_alg, r_alg, xm.action.tensor), images,
+        r_alg.carrier.rank, policy)

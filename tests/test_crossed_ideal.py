@@ -164,3 +164,16 @@ def test_image_of_inclusion_recovers_the_subsets():
     sx = image_sub_xmod(cim)
     assert set(sx.r_subset.elements) == {(0, 0), (0, 1)}
     assert set(sx.s_subset.elements) == {(0, 0, 0), (0, 0, 1)}
+
+
+def test_ci3_is_swept_when_the_subset_landed_in_is_not_a_span():
+    # S' is the span of the unit, R' = {0, (0,1), (1,0)} is not closed
+    # under addition: the unit sends both generators of R into R', but
+    # (1,1) = (1,0) + (0,1) lands outside it
+    xm = nilcube_xmod()
+    s_sub = Submodule.from_generators(xm.s_alg.carrier, [(1, 0, 0)])
+    r_sub = Submodule(xm.r_alg.carrier, [(0, 0), (0, 1), (1, 0)])
+    rep = validate_crossed_ideal(sub_crossed_module(xm, r_sub, s_sub))
+    node = rep.find("ci3-sub-base-acts-into-sub")
+    assert node.status == "FAIL"
+    assert node.witness == ((1, 0, 0), (1, 1))

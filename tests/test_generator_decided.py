@@ -1,18 +1,13 @@
 """Generator-decided checks against the element sweep they replace.
 
 Within the exhaustive bound the multilinear clauses of the bar layer,
-of xmod and of crossed_ideal (and the absorption clause of is_ideal)
-are decided on generator tuples, and a failing one is witnessed by the
-first failing generator tuple.  The slow path, an element sweep of
-every tuple, is kept as the oracle: each case below runs once as
-shipped and once with the generator entries dropped from every check
-call, and the JSON reports must be identical, verdicts, witnesses and
-meta alike.
-
-roundtrip's `d0-on-tail-multiplicative @ 2` is deliberately not on the
-fast path: its predicate takes four letters that are only jointly linear
-(u = embed_r([a1, a2])), not linear in each letter separately, so
-generator tuples of r_mod^4 do not decide it.
+of xmod, of crossed_ideal and of roundtrip (and the absorption clause of
+is_ideal) are decided on generator tuples, and a failing one is
+witnessed by the first failing generator tuple.  The slow path, an
+element sweep of every tuple, is kept as the oracle: each case below
+runs once as shipped and once with the maps dropped from every check
+call, which closes the generator path, and the JSON reports must be
+identical, verdicts, witnesses and meta alike.
 """
 
 import random
@@ -23,6 +18,7 @@ import idealbar.bar as bar_mod
 import idealbar.core as core_mod
 import idealbar.crossed_ideal as crossed_ideal_mod
 import idealbar.policy as policy_mod
+import idealbar.roundtrip as roundtrip_mod
 import idealbar.xmod as xmod_mod
 from idealbar.bar import build_bar_algebra, verify_bar
 from idealbar.core import Algebra, AlgebraHom, BilinearMap, FiniteModule, ModuleHom
@@ -32,13 +28,15 @@ from idealbar.enumeration import (all_valid_xmods, enumerate_algebras,
                                   enumerate_xmods, fuzz_cims, fuzz_report)
 from idealbar.fixtures import broken_action_xmod, nilcube_xmod, nilsquare_xmod
 from idealbar.policy import Policy
-from idealbar.roundtrip import perturb_and_filter
-from idealbar.xmod import AlgebraAction, CrossedModule, validate_crossed_module
+from idealbar.report import AXIOM
+from idealbar.roundtrip import perturb_and_filter, verify_extracted
+from idealbar.xmod import (AlgebraAction, CrossedModule, phi_cm1_criterion,
+                           phi_cm2_criterion, validate_crossed_module)
 
 SAMPLED = Policy(mode="sample", sample_count=64, seed=11)
 
 
-def _without_generators(*args, generators=None, **kwargs):
+def _without_generators(*args, maps=None, **kwargs):
     return policy_mod.check(*args, **kwargs)
 
 
@@ -47,7 +45,8 @@ def assert_same(monkeypatch, run):
     element by element."""
     fast = run().to_json()
     with monkeypatch.context() as m:
-        for mod in (bar_mod, core_mod, xmod_mod, crossed_ideal_mod):
+        for mod in (bar_mod, core_mod, xmod_mod, crossed_ideal_mod,
+                    roundtrip_mod):
             m.setattr(mod, "check", _without_generators)
         assert run().to_json() == fast
 
@@ -110,6 +109,63 @@ def test_every_rank_one_candidate(monkeypatch, modulus):
                             lambda: validate_crossed_module(xm))
                 verdicts.add(validate_crossed_module(xm).passed)
     assert verdicts == {True, False}
+
+
+def _by_letters(xm):
+    """The semidirect criteria and the tail face check as sweeps over
+    four letters, with the product formulas written out."""
+    s_alg, r_alg = xm.s_alg, xm.r_alg
+    sadd, radd, rmul = s_alg.carrier.add, r_alg.carrier.add, r_alg.multiply
+    eta, act = xm.eta.apply, xm.action.apply
+    s_el, r_el = s_alg.elements(), r_alg.elements()
+
+    def cm1(s, r, s2, r2):
+        prod_r = radd(radd(act(s, r2), act(s2, r)), rmul(r, r2))
+        return sadd(s_alg.multiply(s, s2), eta(prod_r)) \
+            == s_alg.multiply(sadd(s, eta(r)), sadd(s2, eta(r2)))
+
+    def cm2(a, b, c, d):
+        return (eta(rmul(a, c)), radd(radd(rmul(a, d), rmul(c, b)),
+                                      rmul(b, d))) \
+            == (s_alg.multiply(eta(a), eta(c)),
+                radd(radd(act(eta(a), d), act(eta(c), b)), rmul(b, d)))
+
+    bar = build_bar_algebra(xm, 2)
+    d0 = bar.face(2, 0)
+
+    def tail(a1, a2, b1, b2):
+        u, v = bar.embed_r(2, [a1, a2]), bar.embed_r(2, [b1, b2])
+        return d0.apply(bar.multiply(2, u, v)) \
+            == bar.multiply(1, d0.apply(u), d0.apply(v))
+
+    return [policy_mod.check("cm1-phi-criterion", AXIOM, [s_el, r_el] * 2,
+                             cm1, None, phi_cm1_criterion(xm).detail),
+            policy_mod.check("cm2-phi-criterion", AXIOM, [r_el] * 4, cm2,
+                             None, phi_cm2_criterion(xm).detail),
+            policy_mod.check("d0-on-tail-multiplicative @ 2", AXIOM,
+                             [r_el] * 4, tail, None,
+                             "fails exactly on CM2 violations")]
+
+
+def test_semidirect_criteria_and_the_tail_face(monkeypatch):
+    # cm1-phi-criterion, cm2-phi-criterion and d0-on-tail-multiplicative
+    # @ 2 check pairs of elements of a semidirect product or of the
+    # level-2 tail, and split the witness back into four letters; the
+    # sweep over the four letters is the oracle
+    algebras = enumerate_algebras(4, 1)
+    cases = [xm for r_alg in algebras for s_alg in algebras
+             for xm in enumerate_xmods(r_alg, s_alg)[::7]]
+    cases += [nilcube_xmod(), broken_action_xmod(), _torsion_violating_xmod()]
+    statuses = set()
+    for xm in cases:
+        runs = [lambda: phi_cm1_criterion(xm), lambda: phi_cm2_criterion(xm),
+                lambda: verify_extracted(build_bar_algebra(xm, 2)).find(
+                    "d0-on-tail-multiplicative @ 2")]
+        for run, oracle in zip(runs, _by_letters(xm)):
+            assert run().to_json() == oracle.to_json()
+            assert_same(monkeypatch, run)
+            statuses.add(oracle.passed)
+    assert statuses == {True, False}
 
 
 def test_fuzz_report_mod_4(monkeypatch):
@@ -184,14 +240,13 @@ def test_torsion_violation_closes_the_gate(monkeypatch):
     xm = _torsion_violating_xmod()
     assert next(xm.r_alg.mul.torsion_violations(), None) is not None
     bar = build_bar_algebra(xm, 2)
-    assert not bar.bilinear
-    assert bar.generator_lists(xm.s_alg) is None
+    assert not all(t.well_defined() for t in bar.tensors)
     assert_same(monkeypatch, lambda: verify_bar(build_bar_algebra(xm, 2)))
 
     # the gate matters: with it forced open the generator pairs pass a
     # clause that the element sweep refutes at (0,0,e0)(0,e0,e0)
     assert not verify_bar(bar).find("tail-tail-product @ 2").passed
-    monkeypatch.setattr(bar, "generator_lists", lambda *spaces: list(spaces))
+    monkeypatch.setattr(bar, "tensors", ())
     assert verify_bar(bar).find("tail-tail-product @ 2").passed
 
 
@@ -202,12 +257,12 @@ def test_torsion_violating_level_tensor_closes_the_gate(monkeypatch):
     xm = next(x for x in all_valid_xmods(4, 1)
               if x.s_alg.orders == (2,) and x.r_alg.orders == (4,))
     canonical = build_bar_algebra(xm, 1)
-    assert canonical.bilinear
+    assert all(t.well_defined() for t in canonical.tensors)
     lvl = canonical.levels[1]
     raw = [[list(v) for v in row] for row in canonical.level_tensors()[1].constants]
     raw[0][0] = [raw[0][0][0], 1]
     tensors = [canonical.level_tensors()[0], BilinearMap(lvl, lvl, lvl, raw)]
     assert next(tensors[1].torsion_violations(), None) is not None
-    assert not build_bar_algebra(xm, 1, level_tensors=tensors).bilinear
-    assert_same(monkeypatch, lambda: verify_bar(
-        build_bar_algebra(xm, 1, level_tensors=tensors)))
+    mutant = canonical.with_level_tensors(tensors)
+    assert not all(t.well_defined() for t in mutant.tensors)
+    assert_same(monkeypatch, lambda: verify_bar(mutant))

@@ -1,9 +1,9 @@
 """The least-witness rule against the element sweep.
 
-Handed modules as generator entries, policy.check decides a multilinear
-clause on generator tuples and, when one fails, reports the first
-failing tuple of standard generators, taken in element order, as the
-lexicographically least witness.  The element sweep under
+Handed modules as spaces and the maps a multilinear clause reads,
+policy.check decides the clause on generator tuples and, when one
+fails, reports the first failing tuple of standard generators, taken in
+element order, as the lexicographically least witness.  The element sweep under
 Policy(mode="exhaustive") is the oracle: on random mixed-order modules
 over Z/4, Z/6, Z/8 and Z/9 both must give the same leaf, witness, mode
 and count included.  Maps that are not well defined (a torsion-violating
@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 import idealbar.core as core_mod
 import idealbar.policy as policy_mod
 from idealbar.core import (Algebra, BilinearMap, FiniteModule, ModuleHom,
-                           maps_equal_report, multiplicativity_report,
-                           standard_generators)
+                           maps_equal_report, multiplicativity_report)
 from idealbar.policy import EXHAUSTIVE, Policy, check
 from idealbar.report import AXIOM, FAIL, PASS
 
@@ -89,11 +88,11 @@ def not_well_defined(m):
 
 
 def assert_matches_the_sweep(spaces, pred, maps, compatible):
-    gens = standard_generators(spaces, *maps)
-    assert (gens is None) == any(not_well_defined(m) for m in maps)
+    gate = all(m.well_defined() for m in maps)
+    assert gate != any(not_well_defined(m) for m in maps)
     if compatible:
-        assert gens is not None
-    fast = check("clause", AXIOM, spaces, pred, ORACLE, generators=gens)
+        assert gate
+    fast = check("clause", AXIOM, spaces, pred, ORACLE, maps=maps)
     slow = check("clause", AXIOM, [s.elements() for s in spaces], pred,
                  ORACLE)
     assert fast.to_json() == slow.to_json()
@@ -134,7 +133,7 @@ def test_arity_three(data, m, compatible):
         (inner, outer1, outer2, f, g), compatible)
 
 
-def _swept(*args, generators=None, **kwargs):
+def _swept(*args, maps=None, **kwargs):
     return policy_mod.check(*args, **kwargs)
 
 
@@ -168,11 +167,46 @@ def test_a_closed_gate_matters():
     def pred(x):
         return f.apply(g.apply(x)) == fg.apply(x)
 
-    gens = standard_generators([z4], g, f, fg)
-    assert gens is None
+    assert not f.well_defined()
     swept = check("clause", AXIOM, [z4], pred, ORACLE)
     assert swept.status == FAIL and swept.witness == ((2,),)
     assert check("clause", AXIOM, [z4], pred, ORACLE,
-                 generators=gens).to_json() == swept.to_json()
-    forced = check("clause", AXIOM, [z4], pred, ORACLE, generators=[z4])
+                 maps=(g, f, fg)).to_json() == swept.to_json()
+    forced = check("clause", AXIOM, [z4], pred, ORACLE, maps=())
     assert forced.status == PASS
+
+
+def test_multiplicativity_sweeps_when_a_product_is_not_bilinear():
+    # cod = Z/4 + Z/2 with g0*g0 = (1, 1), of order 4 in a summand of
+    # order 2: the product is not bilinear, so the one generator pair,
+    # which passes, decides nothing.  f(2 * 1) = 0 but f(2) f(1) = (2, 0)
+    dom_mod, cod_mod = FiniteModule(4, [4]), FiniteModule(4, [4, 2])
+    dom = Algebra(dom_mod, BilinearMap(dom_mod, dom_mod, dom_mod, [[(0,)]]))
+    cod = Algebra(cod_mod, BilinearMap(cod_mod, cod_mod, cod_mod,
+                                       [[(1, 1), (2, 1)], [(3, 1), (2, 1)]]))
+    f = ModuleHom(dom_mod, cod_mod, [(1, 1)])
+    assert f.well_defined() and not cod.mul.well_defined()
+    rep = multiplicativity_report("mult", f, dom, cod)
+    assert rep.status == FAIL
+    assert rep.witness == ((2,), (1,))
+    assert rep.meta == {"mode": "exhaustive", "checked": 16}
+
+
+@given(st.data(), st.sampled_from(MODULI), st.booleans(), st.booleans(),
+       st.booleans())
+@CASES
+def test_multiplicativity_matches_the_exhaustive_sweep(data, m, dom_ok,
+                                                       cod_ok, hom_ok):
+    dom, cod = module(data, m, 36), module(data, m, 36)
+    a = Algebra(dom, BilinearMap(dom, dom, dom, tensor_constants(
+        data, dom, dom, dom, dom_ok)))
+    b = Algebra(cod, BilinearMap(cod, cod, cod, tensor_constants(
+        data, cod, cod, cod, cod_ok)))
+    f = ModuleHom(dom, cod, hom_images(data, dom, cod, hom_ok))
+    rep = multiplicativity_report("mult", f, a, b, ORACLE)
+    swept = check("mult", AXIOM, [dom, dom],
+                  lambda u, v: f.apply(a.multiply(u, v))
+                  == b.multiply(f.apply(u), f.apply(v)), ORACLE)
+    assert (rep.status, rep.witness, rep.meta["mode"], rep.meta["checked"]) \
+        == (swept.status, swept.witness, swept.meta["mode"],
+            swept.meta["checked"])

@@ -49,7 +49,7 @@ def test_extraction_rejects_products_leaving_the_tail():
     from idealbar.core import BilinearMap
     lvl = bar.levels[1]
     tensors[1] = BilinearMap(lvl, lvl, lvl, consts)
-    crooked = build_bar_algebra(xm, depth=1, level_tensors=tensors)
+    crooked = build_bar_algebra(xm, depth=1).with_level_tensors(tensors)
     with pytest.raises(MalformedStructureError):
         extract_action(crooked)
 
@@ -117,10 +117,10 @@ def test_mutants_share_the_canonical_module_and_verify_alike():
         assert sum(t is not c for t, c in
                    zip(tensors, canonical.level_tensors())) == 1
         shared = canonical.with_level_tensors(tensors)
-        fresh = build_bar_algebra(xm, 2, level_tensors=tensors)
+        fresh = build_bar_algebra(xm, 2).with_level_tensors(tensors)
         assert shared.module is canonical.module
         assert shared.level_tensors() == tensors
-        assert shared.bilinear == fresh.bilinear
+        assert shared.tensors == fresh.tensors
         assert definition_checks(shared).to_json() \
             == definition_checks(fresh).to_json()
         assert verify_bar(shared).to_json() == verify_bar(fresh).to_json()
