@@ -210,8 +210,7 @@ def _bar_module_of(obj) -> TruncatedBarModule:
     return obj.module if isinstance(obj, TruncatedBarAlgebra) else obj
 
 
-def verify_simplicial_identities(bar, policy: Policy | None = None,
-                                 face=None, degen=None, identity=None,
+def verify_simplicial_identities(bar, face=None, degen=None, identity=None,
                                  names=("d", "s", "{}")) -> Report:
     """Face-face, degeneracy-degeneracy and face-degeneracy identities of
     a truncated simplicial module of depth bar.depth.
@@ -234,7 +233,7 @@ def verify_simplicial_identities(bar, policy: Policy | None = None,
                 ff.append(maps_equal_report(
                     f"{d}{i} {d}{j} = {d}{j - 1} {d}{i} @ {level.format(n)}",
                     face(n - 1, i).compose(face(n, j)),
-                    face(n - 1, j - 1).compose(face(n, i)), policy))
+                    face(n - 1, j - 1).compose(face(n, i))))
 
     ss = []
     for n in range(n_max - 1):
@@ -243,7 +242,7 @@ def verify_simplicial_identities(bar, policy: Policy | None = None,
                 ss.append(maps_equal_report(
                     f"{s}{i} {s}{j} = {s}{j + 1} {s}{i} @ {level.format(n)}",
                     degen(n + 1, i).compose(degen(n, j)),
-                    degen(n + 1, j + 1).compose(degen(n, i)), policy))
+                    degen(n + 1, j + 1).compose(degen(n, i))))
 
     ds = []
     for n in range(n_max):
@@ -253,16 +252,15 @@ def verify_simplicial_identities(bar, policy: Policy | None = None,
                 lhs = face(n + 1, i).compose(degen(n, j))
                 if i in (j, j + 1):
                     ds.append(maps_equal_report(
-                        f"{d}{i} {s}{j} = id @ {at}", lhs, identity(n),
-                        policy))
+                        f"{d}{i} {s}{j} = id @ {at}", lhs, identity(n)))
                 elif i < j:
                     ds.append(maps_equal_report(
                         f"{d}{i} {s}{j} = {s}{j - 1} {d}{i} @ {at}", lhs,
-                        degen(n - 1, j - 1).compose(face(n, i)), policy))
+                        degen(n - 1, j - 1).compose(face(n, i))))
                 else:
                     ds.append(maps_equal_report(
                         f"{d}{i} {s}{j} = {s}{j} {d}{i - 1} @ {at}", lhs,
-                        degen(n - 1, j).compose(face(n, i - 1)), policy))
+                        degen(n - 1, j).compose(face(n, i - 1))))
 
     return group("simplicial-identities", [
         group("face-face", ff),
@@ -457,7 +455,7 @@ def definition_checks(bar: TruncatedBarAlgebra,
     structure: valid level algebras, faces and degeneracies that are
     algebra maps, and the absorption axiom.  This is the filter used by
     the perturbation harness."""
-    algs = [validate_algebra(alg, policy) for alg in bar.algebras]
+    algs = [validate_algebra(alg) for alg in bar.algebras]
     for n, rep in enumerate(algs):
         rep.name = f"level-{n}-algebra"
     return group("ideal-structure-definition", [
@@ -469,7 +467,7 @@ def definition_checks(bar: TruncatedBarAlgebra,
 
 def verify_bar(bar: TruncatedBarAlgebra, policy: Policy | None = None) -> Report:
     checks = [
-        verify_simplicial_identities(bar, policy),
+        verify_simplicial_identities(bar),
         definition_checks(bar, policy),
     ]
     for k in range(1, bar.depth + 1):

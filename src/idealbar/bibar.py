@@ -170,7 +170,7 @@ def verify_bibar(bb: BiBar, policy: Policy | None = None) -> Report:
 
     rows = []
     for n in range(bb.n_depth + 1):
-        rep = verify_simplicial_identities(bb.rows[n], policy)
+        rep = verify_simplicial_identities(bb.rows[n])
         rep.name = f"horizontal-simplicial @ row {n}"
         rows.append(rep)
     checks.append(group("horizontal-identities", rows))
@@ -179,7 +179,7 @@ def verify_bibar(bb: BiBar, policy: Policy | None = None) -> Report:
     for m in range(bb.m_depth + 1):
         # bar2 only sets the depth; the operators are those of column m
         rep = verify_simplicial_identities(
-            bb.bar2, policy,
+            bb.bar2,
             face=lambda n, i, m=m: bb.v_face(n, m, i),
             degen=lambda n, i, m=m: bb.v_degen(n, m, i),
             identity=lambda n, m=m: identity_hom(bb.level(n, m)),
@@ -203,8 +203,7 @@ def verify_bibar(bb: BiBar, policy: Policy | None = None) -> Report:
                         comm.append(maps_equal_report(
                             f"{v}{i} {h}{j} = {h}{j} {v}{i} @ ({n},{m})",
                             v_op(n, m + dm, i).compose(h_op(n, m, j)),
-                            h_op(n + dn, m, j).compose(v_op(n, m, i)),
-                            policy))
+                            h_op(n + dn, m, j).compose(v_op(n, m, i))))
     checks.append(group("horizontal-vertical-commutation", comm))
 
     mult = []

@@ -37,7 +37,8 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="path to a workspace JSON file")
     parser.add_argument("--policy", choices=["auto", "exhaustive", "sample"],
                         default=default("auto"),
-                        help="sweep policy for the checkers")
+                        help="policy for element sweeps; clauses that "
+                        "generator tuples decide are exact under every policy")
     parser.add_argument("--seed", type=int, default=default(0),
                         help="seed for sampled sweeps and the fuzzer")
     parser.add_argument("--samples", type=int, default=default(None),
@@ -162,7 +163,7 @@ def run(args) -> "Report":
 
     ws = _workspace(args)
     if args.command == "check-algebra":
-        return validate_algebra(ws.algebra(args.name), policy)
+        return validate_algebra(ws.algebra(args.name))
 
     if args.command == "check-xmod":
         xm = ws.xmod(args.name)

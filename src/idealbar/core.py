@@ -426,7 +426,7 @@ class Submodule:
 # validators
 
 
-def validate_algebra(alg: Algebra, policy: Policy | None = None) -> Report:
+def validate_algebra(alg: Algebra) -> Report:
     """Torsion compatibility, commutativity and associativity of the
     multiplication tensor, then a NOTE on the unit."""
     rep = algebra_axioms(alg)
@@ -502,79 +502,37 @@ def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
                             cod: Algebra, policy: Policy | None = None,
                             kind: str = AXIOM) -> Report:
     """Check f(uv) = f(u)f(v).  When hom and both products are well
-    defined, both sides are bilinear in (u, v), so the generator-pair
-    comparison decides the property for every pair of elements, and
-    after a mismatch _element_witness pins down the least witness.
-    Otherwise the element pairs are swept under policy."""
-
-    def pred(u, v):
-        return hom.apply(dom.multiply(u, v)) \
-            == cod.multiply(hom.apply(u), hom.apply(v))
-
+    defined, both sides are bilinear in (u, v), so check decides the
+    property on generator pairs at every size, and a mismatch gives the
+    least witness.  Otherwise the element pairs are swept under policy."""
     maps = (hom, dom.mul, cod.mul)
-    if not all(m.well_defined() for m in maps):
-        return check(name, kind, [dom.carrier] * 2, pred, policy,
-                     detail="f(uv) = f(u)f(v)")
-    n = dom.carrier.rank
-    gens = dom.generators()
-    mismatch = None
-    for i in range(n):
-        for j in range(n):
-            lhs = hom.apply(dom.mul.constants[i][j])
-            rhs = cod.mul.evaluate(hom.apply(gens[i]), hom.apply(gens[j]))
-            if lhs != rhs:
-                mismatch = (i, j)
-                break
-        if mismatch:
-            break
-    if mismatch is None:
-        return leaf(name, PASS, kind,
-                    detail="f(uv) = f(u)f(v), generator pairs, complete by bilinearity",
-                    meta={"mode": "exhaustive", "checked": dom.carrier.size ** 2,
-                          "generator_pairs": n * n})
-    found = _element_witness(name, kind, "f(uv) != f(u)f(v)", dom.carrier, 2,
-                             pred, policy, maps)
-    return found or leaf(
-        name, FAIL, kind, detail="f(uv) != f(u)f(v), witness is a generator pair",
-        witness=(gens[mismatch[0]], gens[mismatch[1]]),
-        meta={"mode": "generators", "checked": n * n})
+    gate = all(m.well_defined() for m in maps)
+    rep = check(name, kind, [dom.carrier] * 2,
+                lambda u, v: hom.apply(dom.multiply(u, v))
+                == cod.multiply(hom.apply(u), hom.apply(v)), policy,
+                detail="f(uv) != f(u)f(v)" if gate else "f(uv) = f(u)f(v)",
+                maps=maps)
+    if gate and rep.passed:
+        rep.detail = "f(uv) = f(u)f(v), generator pairs, complete by bilinearity"
+        rep.meta["generator_pairs"] = dom.carrier.rank ** 2
+    return rep
 
 
 def maps_equal_report(name: str, f: ModuleHom, g: ModuleHom,
-                      policy: Policy | None = None, kind: str = AXIOM,
-                      detail: str = "") -> Report:
-    """Equality of two linear maps; generator images decide it."""
+                      kind: str = AXIOM, detail: str = "") -> Report:
+    """Equality of two linear maps.  Equal image matrices decide a PASS;
+    otherwise check decides on generators when both maps are well
+    defined, and a difference it cannot read off generators is swept
+    exhaustively, so no sample can miss it."""
     if f.domain != g.domain or f.codomain != g.codomain:
         return leaf(name, FAIL, STRUCTURAL,
                     detail="maps do not share domain and codomain")
     if f.images == g.images:
         return leaf(name, PASS, kind, detail=detail,
                     meta={"mode": "exhaustive", "checked": f.domain.size})
-    detail = detail or "maps differ"
-    found = _element_witness(name, kind, detail, f.domain, 1,
-                             lambda x: f.apply(x) == g.apply(x), policy,
-                             (f, g))
-    bad = next(gen for gen, a, b in
-               zip(f.domain.generators(), f.images, g.images) if a != b)
-    return found or leaf(name, FAIL, kind,
-                         detail=detail + ", witness is a generator",
-                         witness=(bad,), meta={"mode": "generators"})
-
-
-def _element_witness(name, kind, detail, mod: FiniteModule, arity: int, pred,
-                     policy: Policy | None, maps) -> Report | None:
-    """FAIL leaf for an identity that generator tuples already refuted.
-    Within the exhaustive bound the witness is the least failing
-    arity-tuple of elements of mod, whatever the policy's mode, so a
-    sample cannot miss it: the first failing generator tuple when the
-    maps pred is built from are well defined, else found by a sweep in
-    lexicographic order.  Above the bound returns None and the caller
-    reports the generators."""
-    policy = policy or Policy()
-    if mod.size ** arity > policy.exhaustive_bound:
-        return None
-    return check(name, kind, [mod] * arity, pred, Policy(mode=EXHAUSTIVE),
-                 detail, maps=maps)
+    return check(name, kind, [f.domain], lambda x: f.apply(x) == g.apply(x),
+                 Policy(mode=EXHAUSTIVE), detail or "maps differ",
+                 maps=(f, g))
 
 
 def order_compatibility(hom: ModuleHom) -> Report:
@@ -681,6 +639,16 @@ def _coordinates(orders, gens, add, zero, elements):
     return coords
 
 
+def multiplicatively_closed(alg: Algebra, sub: Submodule,
+                            name: str = "multiplicatively-closed") -> Report:
+    """Whether x*y stays in the subset for x, y in it, swept for the least
+    witness.  A span decides a PASS on pairs of its generators."""
+    return check(name, AXIOM, [sub, sub],
+                 lambda x, y: sub.contains(alg.multiply(x, y)),
+                 Policy(mode=EXHAUSTIVE),
+                 maps=(alg.mul,) if sub.gens is not None else None)
+
+
 def subalgebra_presentation(alg: Algebra, sub: Submodule):
     """Present a multiplicatively closed submodule as an algebra of its
     own.  Returns (sub_algebra, embedding AlgebraHom, coords) where coords
@@ -690,12 +658,11 @@ def subalgebra_presentation(alg: Algebra, sub: Submodule):
         raise StructuralError("submodule does not live in the algebra carrier")
     if sub.addition_violation() is not None:
         raise PreconditionError("subset is not closed under addition")
+    closed = multiplicatively_closed(alg, sub)
+    if not closed.passed:
+        raise PreconditionError(
+            f"subset is not closed under multiplication at {closed.witness}")
     amb = alg.carrier
-    for x in sub.elements:
-        for y in sub.elements:
-            if not sub.contains(alg.multiply(x, y)):
-                raise PreconditionError(
-                    f"subset is not closed under multiplication at {(x, y)}")
     orders, gens = decompose_abelian(list(sub.elements), amb.add, amb.zero)
     carrier = FiniteModule(amb.modulus, orders)
     coords = _coordinates(orders, gens, amb.add, amb.zero, sub.elements)

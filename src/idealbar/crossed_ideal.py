@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from .core import (AlgebraHom, BilinearMap, ModuleHom, PreconditionError,
                    StructuralError, Submodule, image, maps_equal_report,
-                   multiplicativity_report, subalgebra_presentation)
-from .policy import Policy, check
+                   multiplicatively_closed, multiplicativity_report,
+                   subalgebra_presentation)
+from .policy import EXHAUSTIVE, Policy, check
 from .report import (AXIOM, FAIL, PASS, SKIP, STRUCTURAL, THEOREM,
                      Report, group, leaf, relabel)
 from .xmod import (AlgebraAction, CrossedModule, validate_crossed_module,
@@ -59,7 +60,7 @@ def validate_morphism(mor: XModMorphism, policy: Policy | None = None) -> Report
         "square-commutes",
         mor.alpha2.hom.compose(mor.source.eta.hom),
         mor.target.eta.hom.compose(mor.alpha1.hom),
-        policy, detail="alpha2 eta1 = eta2 alpha1"))
+        detail="alpha2 eta1 = eta2 alpha1"))
 
     checks.append(equivariance_report(
         mor, "equivariance", AXIOM, "alpha1(s1.r1) = alpha2(s1).alpha1(r1)",
@@ -125,47 +126,30 @@ def sub_crossed_module(ambient: CrossedModule, r_subset: Submodule,
                        s_subset: Submodule, name: str = "") -> SubXMod:
     """Assemble the sub crossed module spanned by two subsets, inducing
     eta and the action from the ambient structure.  Obstructions are
-    recorded instead of raised so the CI report can show them."""
+    recorded instead of raised so the CI report can show them.  The
+    closures are check calls swept exhaustively for the least witness;
+    one that lands in a span decides a PASS on generators."""
     r_amb, s_amb = ambient.r_alg, ambient.s_alg
-    problems = []
-
-    def closed_subalgebra(alg, sub, tag):
+    checks = []
+    for tag, alg, sub in (("r-subset", r_amb, r_subset),
+                          ("s-subset", s_amb, s_subset)):
         bad = sub.addition_violation()
-        if bad is not None:
-            problems.append(leaf(f"{tag}-additively-closed", FAIL, STRUCTURAL,
-                                 witness=bad))
-            return False
-        for x in sub.elements:
-            for y in sub.elements:
-                if not sub.contains(alg.multiply(x, y)):
-                    problems.append(leaf(f"{tag}-multiplicatively-closed",
-                                         FAIL, AXIOM, witness=(x, y)))
-                    return False
-        return True
-
-    ok = closed_subalgebra(r_amb, r_subset, "r-subset")
-    ok = closed_subalgebra(s_amb, s_subset, "s-subset") and ok
-
-    eta_ok = True
-    for x in r_subset.elements:
-        if not s_subset.contains(ambient.eta.apply(x)):
-            problems.append(leaf("eta-maps-sub-into-sub", FAIL, AXIOM,
-                                 detail="eta(R') must land in S'", witness=(x,)))
-            eta_ok = False
-            break
-
-    act_ok = True
-    for s in s_subset.elements:
-        for x in r_subset.elements:
-            if not r_subset.contains(ambient.action.apply(s, x)):
-                problems.append(leaf("induced-action-closed", FAIL, AXIOM,
-                                     witness=(s, x)))
-                act_ok = False
-                break
-        if not act_ok:
-            break
-
-    if not (ok and eta_ok and act_ok):
+        checks.append(
+            leaf(f"{tag}-additively-closed", FAIL, STRUCTURAL, witness=bad)
+            if bad is not None else
+            multiplicatively_closed(alg, sub, f"{tag}-multiplicatively-closed"))
+    checks.append(check(
+        "eta-maps-sub-into-sub", AXIOM, [r_subset],
+        lambda x: s_subset.contains(ambient.eta.apply(x)),
+        Policy(mode=EXHAUSTIVE), detail="eta(R') must land in S'",
+        maps=(ambient.eta.hom,) if s_subset.gens is not None else None))
+    checks.append(check(
+        "induced-action-closed", AXIOM, [s_subset, r_subset],
+        lambda s, x: r_subset.contains(ambient.action.apply(s, x)),
+        Policy(mode=EXHAUSTIVE),
+        maps=(ambient.action.tensor,) if r_subset.gens is not None else None))
+    problems = [rep for rep in checks if not rep.passed]
+    if problems:
         return SubXMod(ambient, None, None, None, r_subset, s_subset,
                        problems, name=name)
 
@@ -215,8 +199,7 @@ def validate_crossed_ideal(sx: SubXMod, policy: Policy | None = None) -> Report:
 
         ci1.append(maps_equal_report(
             "inclusion-square", sx.nu.hom.compose(sx.sub.eta.hom),
-            amb.eta.hom.compose(sx.mu.hom), policy,
-            detail="nu eta' = eta mu"))
+            amb.eta.hom.compose(sx.mu.hom), detail="nu eta' = eta mu"))
     else:
         ci1.append(leaf("sub-structure", SKIP, None,
                         detail="sub crossed module could not be assembled"))
@@ -292,7 +275,7 @@ def validate_crossed_ideal_map(cim: CrossedIdealMap,
 
     checks.append(maps_equal_report(
         "square-commutes", mor.alpha2.hom.compose(src.eta.hom),
-        tgt.eta.hom.compose(mor.alpha1.hom), policy,
+        tgt.eta.hom.compose(mor.alpha1.hom),
         detail="eta2 alpha1 = alpha2 eta1"))
 
     checks.append(leaf("h-bilinearity", PASS, STRUCTURAL,

@@ -1,4 +1,5 @@
-"""Verification policy: exhaustive sweeps at desk scale, seeded sampling above.
+"""Verification policy: generator tuples where they decide, element sweeps
+elsewhere, exhaustive at desk scale and seeded sampling above.
 
 A sweep runs a predicate over the cartesian product of finite element
 lists.  When the product has at most `exhaustive_bound` tuples the sweep
@@ -6,13 +7,14 @@ walks it in lexicographic order, so the reported witness of a failure is
 the lexicographically least violating tuple.  Above the bound it draws
 `sample_count` uniform tuples from a seeded generator; the seed is echoed
 in the result so runs are reproducible.  A policy refuses a sample count
-below 1, so a sampled PASS always rests on at least one draw.
+below 1, so a sampled PASS always rests on at least one draw.  The bound,
+the mode and the sample count govern element sweeps only.
 
 `check` is the one way element identities become report leaves: it
-sweeps the predicate and returns a PASS or FAIL leaf of the given class
-carrying the witness and the sweep's coverage (mode, tuples checked and,
-when sampled, the seed) in its meta.  `checked` counts the element tuples
-the verdict covers.  A space is one of three kinds:
+returns a PASS or FAIL leaf of the given class carrying the witness and
+the coverage (mode, tuples checked and, when sampled, the seed) in its
+meta.  `checked` counts the element tuples the verdict covers.  A space
+is one of three kinds:
 
 - a module (anything with `size`, `elements()` and `generators()`),
   standing for all its elements in lexicographic order;
@@ -20,17 +22,18 @@ the verdict covers.  A space is one of three kinds:
   standing for its sorted elements;
 - a list of elements, or a Submodule given by its elements.
 
-Within the exhaustive bound a multilinear clause is decided on generator
-tuples.  A caller passes `maps`, the tensors and homs the predicate
-reads, and so vouches that the predicate compares two maps built from
-them that are additive in every argument, or asks such a map to land in
-a span being swept.  When every map is well defined (tensors torsion-
-compatible, homs order-compatible) and every space is a module or a
-span, `check` takes the generator tuples: a module gives its standard
-generators, a span its generating list.  When every generator tuple
-passes so does every element tuple, so the leaf is the one the full
-sweep would give.  A map that is not well defined is not additive, and
-an element list has no generators; either way the elements are swept.
+A multilinear clause is decided on generator tuples at every size and
+under every policy.  A caller passes `maps`, the tensors and homs the
+predicate reads, and so vouches that the predicate compares two maps
+built from them that are additive in every argument, or asks such a map
+to land in a span being swept.  When every map is well defined (tensors
+torsion-compatible, homs order-compatible) and every space is a module
+or a span, `check` takes the generator tuples: a module gives its
+standard generators, a span its generating list.  When every generator
+tuple passes so does every element tuple, so the leaf is the one the
+full sweep would give: mode exhaustive, every element tuple counted.  A
+map that is not well defined is not additive, and an element list has
+no generators; either way the elements are swept.
 
 When a generator tuple fails, the least witness comes from generators
 too if every space is a module.  For each argument the values that
@@ -41,7 +44,9 @@ i with e_i outside it.  Taking the generators in element order
 lexicographically least failing element tuple, by induction on the
 arity, and the FAIL leaf is the sweep's: that witness, mode exhaustive,
 every tuple counted.  A span gives no such witness, and a failure there
-falls back to the sweep.
+falls back to the sweep.  A failing generator tuple is an element tuple,
+so when a sampled sweep misses every failure the leaf still fails, with
+that tuple as its witness.
 """
 
 from __future__ import annotations
@@ -137,19 +142,18 @@ def check(name, kind, spaces, pred, policy: Policy | None = None,
 
     maps, when given, holds the tensors and homs pred reads and vouches
     that generator tuples decide pred (see the module docstring)."""
-    policy = policy or Policy()
+    bad = None
     if maps is not None and all(m.well_defined() for m in maps):
-        total = prod(s.size if _is_module(s) else len(s) for s in spaces)
         entries = [_generator_entry(s) for s in spaces]
-        if total and policy.use_exhaustive(total) \
-                and all(e is not None for e in entries):
+        if all(e is not None for e in entries):
             bad = next((tup for tup in product(*entries) if not pred(*tup)),
                        None)
             if bad is None or all(_is_module(s) for s in spaces):
+                total = prod(s.size for s in spaces)
                 return leaf(name, PASS if bad is None else FAIL, kind,
                             detail=detail, witness=bad,
                             meta={"mode": EXHAUSTIVE, "checked": total})
     res = sweep([s.elements() if _is_module(s) else s for s in spaces],
                 pred, policy)
-    return leaf(name, PASS if res.ok else FAIL, kind, detail=detail,
-                witness=res.witness, meta=res.meta())
+    return leaf(name, PASS if res.ok and bad is None else FAIL, kind,
+                detail=detail, witness=res.witness or bad, meta=res.meta())

@@ -160,8 +160,8 @@ def validate_crossed_module(xm: CrossedModule, policy: Policy | None = None) -> 
     """Full stack of checks.  Reported in layers rather than gated, so an
     input that is not even an action still gets CM1/CM2 verdicts."""
     checks = [
-        validate_algebra(xm.r_alg, policy),
-        validate_algebra(xm.s_alg, policy),
+        validate_algebra(xm.r_alg),
+        validate_algebra(xm.s_alg),
         validate_hom(xm.eta, policy),
         validate_algebra_action(xm.action, policy),
         cm1_report(xm, policy),

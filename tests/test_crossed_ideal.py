@@ -177,3 +177,17 @@ def test_ci3_is_swept_when_the_subset_landed_in_is_not_a_span():
     node = rep.find("ci3-sub-base-acts-into-sub")
     assert node.status == "FAIL"
     assert node.witness == ((1, 0, 0), (1, 1))
+
+
+def test_eta_closure_is_swept_when_the_subset_landed_in_is_not_a_span():
+    # R' is all of R, built as a span; S' = {0, x, x^2} is not closed
+    # under addition: eta sends both generators of R into S', but (1,1)
+    # to x + x^2
+    xm = nilcube_xmod()
+    r_sub = Submodule.from_generators(xm.r_alg.carrier, [(1, 0), (0, 1)])
+    s_sub = Submodule(xm.s_alg.carrier, [(0, 0, 0), (0, 1, 0), (0, 0, 1)])
+    sx = sub_crossed_module(xm, r_sub, s_sub)
+    assert sx.sub is None
+    node = next(p for p in sx.problems if p.name == "eta-maps-sub-into-sub")
+    assert node.witness == ((1, 1),)
+    assert node.meta == {"mode": "exhaustive", "checked": 4}

@@ -1,22 +1,27 @@
 """Generator-decided checks against the element sweep they replace.
 
-Within the exhaustive bound the multilinear clauses of the bar layer,
-of xmod, of crossed_ideal and of roundtrip (and the absorption clause of
-is_ideal) are decided on generator tuples, and a failing one is
-witnessed by the first failing generator tuple.  The slow path, an
-element sweep of every tuple, is kept as the oracle: each case below
-runs once as shipped and once with the maps dropped from every check
-call, which closes the generator path, and the JSON reports must be
-identical, verdicts, witnesses and meta alike.
+The multilinear clauses of the bar layer, of xmod, of crossed_ideal and
+of roundtrip (and the absorption clause of is_ideal) are decided on
+generator tuples at every size, and a failing one is witnessed by the
+first failing generator tuple.  The slow path, an element sweep of every
+tuple, is kept as the oracle: each case below runs once as shipped and
+once with the maps dropped from every check call, which closes the
+generator path, and the JSON reports must be identical, verdicts,
+witnesses and meta alike.  Under the default policy that compares the
+clauses within the exhaustive bound; with the bound lowered to 1 every
+element sweep samples, and each leaf decided on generators must still
+match the exhaustive sweep.
 """
 
 import random
+import sys
 
 import pytest
 
 import idealbar.bar as bar_mod
 import idealbar.core as core_mod
 import idealbar.crossed_ideal as crossed_ideal_mod
+import idealbar.enumeration as enumeration_mod
 import idealbar.policy as policy_mod
 import idealbar.roundtrip as roundtrip_mod
 import idealbar.xmod as xmod_mod
@@ -27,16 +32,24 @@ from idealbar.crossed_ideal import (CrossedIdealMap, image_crossed_ideal_check,
 from idealbar.enumeration import (all_valid_xmods, enumerate_algebras,
                                   enumerate_xmods, fuzz_cims, fuzz_report)
 from idealbar.fixtures import broken_action_xmod, nilcube_xmod, nilsquare_xmod
-from idealbar.policy import Policy
-from idealbar.report import AXIOM
+from idealbar.policy import EXHAUSTIVE, Policy
+from idealbar.report import AXIOM, FAIL
 from idealbar.roundtrip import perturb_and_filter, verify_extracted
 from idealbar.xmod import (AlgebraAction, CrossedModule, phi_cm1_criterion,
                            phi_cm2_criterion, validate_crossed_module)
 
-SAMPLED = Policy(mode="sample", sample_count=64, seed=11)
+CHECKERS = (bar_mod, core_mod, xmod_mod, crossed_ideal_mod, roundtrip_mod)
+LOWERED = Policy(exhaustive_bound=1)
 
 
 def _without_generators(*args, maps=None, **kwargs):
+    # a PASS of multiplicativity_report stays on generator pairs: sweeping
+    # the 2048^2 pairs of nilcube level 4 takes minutes.  Its failures
+    # are swept, and the lowered-bound tests sweep its passes too
+    if sys._getframe(1).f_code.co_name == "multiplicativity_report":
+        rep = policy_mod.check(*args, maps=maps, **kwargs)
+        if rep.passed:
+            return rep
     return policy_mod.check(*args, **kwargs)
 
 
@@ -45,8 +58,7 @@ def assert_same(monkeypatch, run):
     element by element."""
     fast = run().to_json()
     with monkeypatch.context() as m:
-        for mod in (bar_mod, core_mod, xmod_mod, crossed_ideal_mod,
-                    roundtrip_mod):
+        for mod in CHECKERS:
             m.setattr(mod, "check", _without_generators)
         assert run().to_json() == fast
 
@@ -83,12 +95,71 @@ def test_first_candidates_of_every_rank_one_pair_mod_4(monkeypatch):
 
 
 @pytest.mark.parametrize("make", [nilsquare_xmod, nilcube_xmod,
-                                  broken_action_xmod])
-@pytest.mark.parametrize("policy", [None, SAMPLED], ids=["default", "sampled"])
-def test_fixtures_at_depth_four(monkeypatch, make, policy):
+                                  broken_action_xmod],
+                         ids=lambda make: f"default-{make.__name__}")
+def test_fixtures_at_depth_four(monkeypatch, make):
     xm = make()
-    assert_same(monkeypatch,
-                lambda: verify_bar(build_bar_algebra(xm, 4), policy))
+    assert_same(monkeypatch, lambda: verify_bar(build_bar_algebra(xm, 4)))
+
+
+def _swept_exhaustively(name, kind, spaces, pred, policy=None, detail="",
+                        maps=None):
+    return policy_mod.check(name, kind, spaces, pred, Policy(mode=EXHAUSTIVE),
+                            detail)
+
+
+def assert_generator_leaves_match_the_sweep(monkeypatch, xm, depth):
+    """verify_bar under LOWERED, where every element sweep samples, against
+    the same report with every check swept exhaustively without maps:
+    each leaf decided on generators (mode exhaustive) must be the
+    sweep's leaf, and a sampled FAIL must be a FAIL of the sweep.
+    Returns the report under LOWERED."""
+    fast = verify_bar(build_bar_algebra(xm, depth), LOWERED)
+    with monkeypatch.context() as m:
+        for mod in CHECKERS:
+            m.setattr(mod, "check", _swept_exhaustively)
+        slow = verify_bar(build_bar_algebra(xm, depth), LOWERED)
+    for a, b in zip(fast.walk(), slow.walk(), strict=True):
+        assert a.name == b.name
+        if a.checks:
+            continue
+        if a.meta.get("mode") == "sampled":
+            assert a.status != FAIL or b.status == FAIL, a.name
+        else:
+            assert a.to_dict() == b.to_dict(), a.name
+    return fast
+
+
+def _sampled(rep):
+    return [node.name for node in rep.walk()
+            if node.meta.get("mode") == "sampled"]
+
+
+@pytest.mark.parametrize("make,depth", [(nilsquare_xmod, 3), (nilcube_xmod, 2),
+                                        (broken_action_xmod, 3)],
+                         ids=lambda p: getattr(p, "__name__", str(p)))
+def test_lowered_bound_matches_the_exhaustive_sweep(monkeypatch, make, depth):
+    # nilcube stops at depth 2: the exhaustive sweep of its level-3
+    # multiplicativity pairs alone takes about 40 s
+    rep = assert_generator_leaves_match_the_sweep(monkeypatch, make(), depth)
+    assert rep.passed == (make is not broken_action_xmod)
+    if rep.passed:
+        assert not _sampled(rep)
+
+
+def test_lowered_bound_on_every_valid_rank_one_xmod_mod_4(monkeypatch):
+    # depth 1: at depth 2 the exhaustive sweeps of the 51 bars take 6 s,
+    # and the fixtures above reach levels 2 and 3
+    xmods = all_valid_xmods(4, 1)
+    assert len(xmods) == 51
+    for xm in xmods:
+        rep = assert_generator_leaves_match_the_sweep(monkeypatch, xm, 1)
+        assert rep.passed and not _sampled(rep)
+
+
+def test_nilcube_depth_six_samples_nothing():
+    rep = verify_bar(build_bar_algebra(nilcube_xmod(), 6))
+    assert rep.passed and not _sampled(rep)
 
 
 def test_perturbation_harness_on_nilcube(monkeypatch):
@@ -266,3 +337,26 @@ def test_torsion_violating_level_tensor_closes_the_gate(monkeypatch):
     mutant = canonical.with_level_tensors(tensors)
     assert not all(t.well_defined() for t in mutant.tensors)
     assert_same(monkeypatch, lambda: verify_bar(mutant))
+
+
+def test_fuzzed_subsets_are_closed_on_generators(monkeypatch):
+    # every subset fuzz_cims builds is a span, so the closures in
+    # sub_crossed_module and subalgebra_presentation pass on generators
+    calls = count_sweeps(monkeypatch)
+    inside = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            before = len(calls)
+            out = fn(*args, **kwargs)
+            inside.append(len(calls) - before)
+            return out
+        return wrapper
+
+    for mod, name in ((enumeration_mod, "sub_crossed_module"),
+                      (crossed_ideal_mod, "sub_crossed_module"),
+                      (crossed_ideal_mod, "subalgebra_presentation"),
+                      (xmod_mod, "subalgebra_presentation")):
+        monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    assert fuzz_report(2, 2, 100).passed
+    assert inside and sum(inside) == 0

@@ -5,6 +5,7 @@ Each entry records the exit code and the SHA-256 of stdout, once with
 were taken from the code before the checking logic was folded into one
 primitive, so a refactor that changes any verdict, witness, meta entry
 or rendered byte fails here, not only one that is nondeterministic.
+The last two entries were recorded later, as their comment says.
 """
 
 import hashlib
@@ -59,6 +60,16 @@ GOLDEN = [
     (("-w", BROKEN_Z4, "bar-verify", "main", "--depth", "2"),
      1, "357172e6ca6f3437791dbd7ebbde92c0d7933f66775b81ada75595cf541ddea9",
      "14734149d3ca1cb8075f10e0a35938396cc724965f9683ebe3c6cd5e5d13ab38"),
+    # recorded once generator tuples decided clauses at every size: the
+    # level-5 absorption and tail-tail-product leaves are above the
+    # exhaustive bound, and the problem leaf of a sub crossed module
+    # that does not assemble carries check's coverage meta
+    (("-w", NILCUBE, "bar-verify", "main", "--depth", "5"),
+     0, "adcf0e0df70096492a0334c607d44a115fc3b8d0c0b828fd3ea4671f45cce6f5",
+     "4d941b655f9247b3eee29db8d37e6c86d692dc2857e02a4f72c361a85a18a7eb"),
+    (("-w", NILCUBE, "ideal-check", "bad"),
+     1, "908fb5aff7ee9174352983e3dc14a98bad888ff4acdc66d82840c76731adfcba",
+     "d3223996739b2dc19d70d38f9bce6386aa40d8d02d5b4645d24cf6b5b846e11c"),
 ]
 
 

@@ -101,3 +101,20 @@ def test_a_failing_span_is_swept_for_the_least_witness():
     assert node.status == FAIL
     assert node.witness == ((1, 0), (1, 1))
     assert node.meta == {"mode": "exhaustive", "checked": 64}
+
+
+def test_a_failing_generator_tuple_is_never_sampled_away():
+    # the span of (3, 3) above, with the bound lowered so that its failure
+    # is sampled: three draws under seed 5 miss every failing pair, and
+    # the failing generator tuple, an element tuple, stays the witness
+    mod = FiniteModule(4, [4, 4])
+    alg = Algebra(mod, BilinearMap(mod, mod, mod,
+                                   [[(1, 0), (0, 0)], [(0, 0), (0, 0)]]))
+    sub = Submodule.from_generators(mod, [(3, 3)])
+    lowered = Policy(exhaustive_bound=1, sample_count=3, seed=5)
+    plain = is_ideal(alg, Submodule(mod, sub.elements), lowered)
+    assert plain.find("absorption").passed
+    node = is_ideal(alg, sub, lowered).find("absorption")
+    assert node.status == FAIL
+    assert node.witness == ((1, 0), (3, 3))
+    assert node.meta == {"mode": "sampled", "checked": 3, "seed": 5}
