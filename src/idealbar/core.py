@@ -11,6 +11,7 @@ identities that can actually fail.
 from __future__ import annotations
 
 from itertools import product
+from operator import mod
 
 # sweep is re-exported: perfbench's tracer self-test reaches it as
 # idealbar.core.sweep and idealbar.xmod.sweep
@@ -169,26 +170,30 @@ class BilinearMap:
         self._nz = None
         self._well_defined = None
 
-    def _nonzero(self):
+    def _rows(self):
+        # per left index i, the (j, nonzero (l, v) entries) of the cells
+        # (i, j) that are not zero, so evaluate reads only the rows
+        # where x[i] != 0
         if self._nz is None:
             zero = self.target.zero
-            self._nz = [
-                (i, j, tuple((l, v) for l, v in enumerate(vec) if v))
-                for i, row in enumerate(self.constants)
-                for j, vec in enumerate(row) if vec != zero
-            ]
+            self._nz = tuple(
+                tuple((j, tuple((l, v) for l, v in enumerate(vec) if v))
+                      for j, vec in enumerate(row) if vec != zero)
+                for row in self.constants)
         return self._nz
 
     def evaluate(self, x, y):
         if len(x) != self.left.rank or len(y) != self.right.rank:
             raise StructuralError("operand length does not match the tensor")
         out = [0] * self.target.rank
-        for i, j, vec in self._nonzero():
-            c = x[i] * y[j]
-            if c:
-                for l, v in vec:
-                    out[l] += c * v
-        return self.target.reduce(out)
+        for xi, row in zip(x, self._rows()):
+            if xi:
+                for j, vec in row:
+                    c = xi * y[j]
+                    if c:
+                        for l, v in vec:
+                            out[l] += c * v
+        return tuple(map(mod, out, self.target.orders))
 
     def torsion_violations(self):
         """Yield index triples (i, j, l) where the bilinear extension is
@@ -303,7 +308,7 @@ class ModuleHom:
             if c:
                 for l, v in enumerate(img):
                     out[l] += c * v
-        return self.codomain.reduce(out)
+        return tuple(map(mod, out, self.codomain.orders))
 
     def compose(self, inner: "ModuleHom") -> "ModuleHom":
         """self after inner."""
@@ -662,6 +667,13 @@ def subalgebra_presentation(alg: Algebra, sub: Submodule):
     if not closed.passed:
         raise PreconditionError(
             f"subset is not closed under multiplication at {closed.witness}")
+    return _present_subalgebra(alg, sub)
+
+
+def _present_subalgebra(alg: Algebra, sub: Submodule):
+    """subalgebra_presentation without its precondition checks, for a
+    caller that has already found the subset closed under addition and
+    multiplication."""
     amb = alg.carrier
     orders, gens = decompose_abelian(list(sub.elements), amb.add, amb.zero)
     carrier = FiniteModule(amb.modulus, orders)

@@ -20,9 +20,9 @@ canonical crossed ideal map.
 from __future__ import annotations
 
 from .core import (AlgebraHom, BilinearMap, ModuleHom, PreconditionError,
-                   StructuralError, Submodule, image, maps_equal_report,
-                   multiplicatively_closed, multiplicativity_report,
-                   subalgebra_presentation)
+                   StructuralError, Submodule, _present_subalgebra, image,
+                   maps_equal_report, multiplicatively_closed,
+                   multiplicativity_report)
 from .policy import EXHAUSTIVE, Policy, check
 from .report import (AXIOM, FAIL, PASS, SKIP, STRUCTURAL, THEOREM,
                      Report, group, leaf, relabel)
@@ -153,8 +153,8 @@ def sub_crossed_module(ambient: CrossedModule, r_subset: Submodule,
         return SubXMod(ambient, None, None, None, r_subset, s_subset,
                        problems, name=name)
 
-    r_alg, mu, r_coords = subalgebra_presentation(r_amb, r_subset)
-    s_alg, nu, s_coords = subalgebra_presentation(s_amb, s_subset)
+    r_alg, mu, r_coords = _present_subalgebra(r_amb, r_subset)
+    s_alg, nu, s_coords = _present_subalgebra(s_amb, s_subset)
     eta_images = [s_coords[ambient.eta.apply(img)] for img in mu.images]
     eta = AlgebraHom(r_alg, s_alg,
                      ModuleHom(r_alg.carrier, s_alg.carrier, eta_images),

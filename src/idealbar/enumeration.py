@@ -11,15 +11,16 @@ import random
 from itertools import combinations_with_replacement, product
 
 from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule, ModuleHom,
-                   Submodule, UnsupportedScaleError, is_ideal)
+                   Submodule, UnsupportedScaleError, validate_algebra,
+                   validate_hom)
 from .crossed_ideal import (inclusion_cim, sub_crossed_module,
                             validate_crossed_ideal,
                             validate_crossed_ideal_map,
                             image_crossed_ideal_check)
 from .policy import Policy
 from .report import FAIL, NOTE, PASS, THEOREM, Report, group, leaf
-from .xmod import (AlgebraAction, CrossedModule, inclusion_xmod,
-                   validate_crossed_module)
+from .xmod import (AlgebraAction, CrossedModule, crossed_module_report,
+                   inclusion_xmod, validate_algebra_action)
 
 MAX_PAIR_ENUM = 200_000
 
@@ -99,9 +100,10 @@ def enumerate_action_tensors(s_alg: Algebra, r_alg: Algebra) -> list[BilinearMap
 
 def enumerate_xmods(r_alg: Algebra, s_alg: Algebra) -> list[CrossedModule]:
     """Every (eta, action tensor) candidate on a fixed pair of algebras."""
+    tensors = enumerate_action_tensors(s_alg, r_alg)
     out = []
     for eta in enumerate_homs(r_alg, s_alg):
-        for tensor in enumerate_action_tensors(s_alg, r_alg):
+        for tensor in tensors:
             out.append(CrossedModule(
                 eta, AlgebraAction(s_alg, r_alg, tensor),
                 name=f"cand{len(out)}"))
@@ -110,15 +112,33 @@ def enumerate_xmods(r_alg: Algebra, s_alg: Algebra) -> list[CrossedModule]:
 
 def classify_xmods(r_alg: Algebra, s_alg: Algebra,
                    policy: Policy | None = None):
-    """Split the candidates into valid crossed modules and rejects, each
-    reject paired with its failing report."""
+    """Split the candidates of enumerate_xmods, in its order and with its
+    names, into valid crossed modules and rejects, each reject paired
+    with the report validate_crossed_module gives it.
+
+    Each factor of a candidate is validated once: validate_algebra of R
+    and of S once per call, validate_hom once per hom eta and
+    validate_algebra_action once per action tensor.  Only CM1 and CM2
+    run per candidate.  Every reject gets its own copy of the factor
+    reports, so changing one report changes no other."""
+    algebra_reps = [validate_algebra(r_alg), validate_algebra(s_alg)]
+    actions = []
+    for tensor in enumerate_action_tensors(s_alg, r_alg):
+        act = AlgebraAction(s_alg, r_alg, tensor)
+        actions.append((act, validate_algebra_action(act, policy)))
     valid, invalid = [], []
-    for xm in enumerate_xmods(r_alg, s_alg):
-        rep = validate_crossed_module(xm, policy)
-        if rep.passed:
-            valid.append(xm)
-        else:
-            invalid.append((xm, rep))
+    for eta in enumerate_homs(r_alg, s_alg):
+        hom_rep = validate_hom(eta, policy)
+        for act, act_rep in actions:
+            xm = CrossedModule(eta, act,
+                               name=f"cand{len(valid) + len(invalid)}")
+            rep = crossed_module_report(
+                xm, [r.copy() for r in (*algebra_reps, hom_rep, act_rep)],
+                policy)
+            if rep.passed:
+                valid.append(xm)
+            else:
+                invalid.append((xm, rep))
     return valid, invalid
 
 
@@ -136,24 +156,43 @@ def all_valid_xmods(modulus: int, max_rank: int,
     return out
 
 
-def enumerate_ideals(alg: Algebra) -> list[Submodule]:
-    """All ideals, found by closing subgroups one generator at a time.
-    Sorted by size then by element list, so the order is reproducible."""
+def _ideal_closure(alg: Algebra, gens) -> Submodule:
+    """The least ideal holding gens: their span, grown by each product
+    a*x that escapes it.  When alg.mul is torsion-compatible, absorption
+    is bilinear and the products of algebra and span generators decide
+    it; otherwise every pair of elements is tried."""
     carrier = alg.carrier
-    zero_sub = Submodule.from_generators(carrier, [])
-    seen = {zero_sub.elements: zero_sub}
-    frontier = [zero_sub]
+    span = Submodule.from_generators(carrier, gens)
+    bilinear = alg.mul.well_defined()
+    while True:
+        pairs = (product(alg.generators(), span.gens) if bilinear
+                 else product(alg.elements(), span.elements))
+        escaped = next((p for p in (alg.multiply(a, x) for a, x in pairs)
+                        if not span.contains(p)), None)
+        if escaped is None:
+            return span
+        span = Submodule.from_generators(carrier, span.gens + (escaped,))
+
+
+def enumerate_ideals(alg: Algebra) -> list[Submodule]:
+    """All ideals, found by closing ideals one generator at a time: every
+    ideal is reached from the zero ideal by adding its elements one by
+    one.  Sorted by size then by element list, so the order is
+    reproducible."""
+    carrier = alg.carrier
+    zero_ideal = _ideal_closure(alg, [])
+    seen = {zero_ideal.elements: zero_ideal}
+    frontier = [zero_ideal]
     while frontier:
         base = frontier.pop()
         for e in carrier.elements():
             if base.contains(e):
                 continue
-            grown = Submodule.from_generators(carrier, base.gens + (e,))
+            grown = _ideal_closure(alg, base.gens + (e,))
             if grown.elements not in seen:
                 seen[grown.elements] = grown
                 frontier.append(grown)
-    subs = sorted(seen.values(), key=lambda s: (s.size, s.elements))
-    return [s for s in subs if is_ideal(alg, s).passed]
+    return sorted(seen.values(), key=lambda s: (s.size, s.elements))
 
 
 def fuzz_cims(modulus: int, max_rank: int, count: int, seed: int = 0):

@@ -159,16 +159,24 @@ def cm2_report(xm: CrossedModule, policy: Policy | None = None) -> Report:
 def validate_crossed_module(xm: CrossedModule, policy: Policy | None = None) -> Report:
     """Full stack of checks.  Reported in layers rather than gated, so an
     input that is not even an action still gets CM1/CM2 verdicts."""
-    checks = [
+    return crossed_module_report(xm, [
         validate_algebra(xm.r_alg),
         validate_algebra(xm.s_alg),
         validate_hom(xm.eta, policy),
         validate_algebra_action(xm.action, policy),
-        cm1_report(xm, policy),
-        cm2_report(xm, policy),
-    ]
+    ], policy)
+
+
+def crossed_module_report(xm: CrossedModule, factors: list[Report],
+                          policy: Policy | None = None) -> Report:
+    """The report of validate_crossed_module from the reports of its
+    factors, which depend on less than the whole candidate: validate_algebra
+    of R and of S, validate_hom of eta and validate_algebra_action, in that
+    order.  CM1 and CM2 read all of it and are run here.  The factor
+    reports become nodes of the returned tree."""
     name = xm.name or "xmod"
-    return group(f"validate-crossed-module {name}", checks)
+    return group(f"validate-crossed-module {name}",
+                 factors + [cm1_report(xm, policy), cm2_report(xm, policy)])
 
 
 def inclusion_xmod(alg: Algebra, ideal: Submodule, name: str = "") -> CrossedModule:

@@ -85,6 +85,46 @@ def test_bilinear_evaluate_matches_expansion():
     assert alg.multiply((0, 1), (0, 1)) == (0, 0)
 
 
+@st.composite
+def tensors_and_operands(draw):
+    """A tensor between mixed-order modules over Z/4, Z/6, Z/8 or Z/9,
+    with operands whose support is often partial."""
+    modulus = draw(st.sampled_from([4, 6, 8, 9]))
+    divisors = [d for d in range(2, modulus + 1) if modulus % d == 0]
+
+    def module():
+        return FiniteModule(modulus, draw(st.lists(
+            st.sampled_from(divisors), min_size=1, max_size=3)))
+
+    def vector(mod):
+        return tuple(draw(st.one_of(st.just(0), st.integers(0, d - 1)))
+                     for d in mod.orders)
+
+    left, right, target = module(), module(), module()
+    constants = [[vector(target) for _ in right.orders] for _ in left.orders]
+    return (BilinearMap(left, right, target, constants), vector(left),
+            vector(right))
+
+
+@given(tensors_and_operands())
+def test_evaluate_is_the_double_sum(case):
+    tensor, x, y = case
+    c = tensor.constants
+    expected = tuple(
+        sum(x[i] * y[j] * c[i][j][l] for i in range(len(x))
+            for j in range(len(y))) % d
+        for l, d in enumerate(tensor.target.orders))
+    assert tensor.evaluate(x, y) == expected
+    hom = ModuleHom(tensor.left, tensor.target, [row[0] for row in c])
+    assert hom.apply(x) == tuple(
+        sum(x[i] * c[i][0][l] for i in range(len(x))) % d
+        for l, d in enumerate(tensor.target.orders))
+    with pytest.raises(StructuralError):
+        tensor.evaluate(x + (0,), y)
+    with pytest.raises(StructuralError):
+        tensor.evaluate(x, y[1:])
+
+
 def test_bilinear_shape_is_enforced():
     m = FiniteModule(2, [2])
     with pytest.raises(StructuralError):

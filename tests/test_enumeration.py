@@ -1,8 +1,16 @@
 """Exhaustive enumeration at desk scale and the seeded fuzzer."""
 
+import json
+import random
+from collections import Counter
+
 import pytest
 
-from idealbar.core import validate_algebra
+import idealbar.core as core_mod
+import idealbar.enumeration as enumeration_mod
+import idealbar.xmod as xmod_mod
+from idealbar.core import (Algebra, BilinearMap, FiniteModule, Submodule,
+                           is_ideal, validate_algebra)
 from idealbar.crossed_ideal import (
     validate_crossed_ideal,
     validate_crossed_ideal_map,
@@ -25,7 +33,10 @@ from idealbar.fixtures import (
     nilsquare_algebra,
     nilsquare_ideal_algebra,
 )
-from idealbar.xmod import cm1_report, cm2_report, validate_algebra_action
+from idealbar.policy import Policy
+from idealbar.report import THEOREM, relabel
+from idealbar.xmod import (cm1_report, cm2_report, validate_algebra_action,
+                           validate_crossed_module)
 
 
 def test_order_tuples():
@@ -74,6 +85,100 @@ def test_classification_of_the_nilsquare_pair():
         assert not rep.passed
 
 
+def classify_by_candidate(r_alg, s_alg, policy=None):
+    """The oracle of classify_xmods: validate_crossed_module on every
+    candidate of enumerate_xmods."""
+    valid, invalid = [], []
+    for xm in enumerate_xmods(r_alg, s_alg):
+        rep = validate_crossed_module(xm, policy)
+        if rep.passed:
+            valid.append(xm)
+        else:
+            invalid.append((xm, rep))
+    return valid, invalid
+
+
+def json_text(rep):
+    # to_json without its indent: the same tokens, so equal exactly when
+    # to_json is, and written by the C encoder, which indent turns off
+    return json.dumps(rep.to_dict(), sort_keys=True)
+
+
+def assert_same_classification(r_alg, s_alg, policy=None):
+    valid, invalid = classify_xmods(r_alg, s_alg, policy)
+    o_valid, o_invalid = classify_by_candidate(r_alg, s_alg, policy)
+    assert valid == o_valid
+    assert [xm.name for xm in valid] == [xm.name for xm in o_valid]
+    assert [xm for xm, _ in invalid] == [xm for xm, _ in o_invalid]
+    assert [(xm.name, json_text(rep)) for xm, rep in invalid] \
+        == [(xm.name, json_text(rep)) for xm, rep in o_invalid]
+
+
+@pytest.mark.parametrize("modulus", [3, 4])
+def test_classification_matches_the_oracle_at_rank_one(modulus):
+    algs = [a for rank in (0, 1) for a in enumerate_algebras(modulus, rank)]
+    for r_alg in algs:
+        for s_alg in algs:
+            assert_same_classification(r_alg, s_alg)
+
+
+RANK_TWO = enumerate_algebras(2, 2)
+RANK_TWO_PAIRS = random.Random(8).sample(
+    [(r, s) for r in range(len(RANK_TWO)) for s in range(len(RANK_TWO))], 8)
+
+
+@pytest.mark.parametrize("pair", RANK_TWO_PAIRS, ids=str)
+def test_classification_matches_the_oracle_at_rank_two(pair):
+    assert_same_classification(RANK_TWO[pair[0]], RANK_TWO[pair[1]])
+
+
+def test_classification_matches_the_oracle_under_sampling():
+    policy = Policy(mode="sample", sample_count=3, seed=5)
+    r, s = RANK_TWO_PAIRS[0]
+    assert_same_classification(RANK_TWO[r], RANK_TWO[s], policy)
+    assert_same_classification(nilsquare_ideal_algebra(), nilsquare_algebra(),
+                               policy)
+
+
+def test_each_factor_is_validated_once(monkeypatch):
+    r, s = nilsquare_ideal_algebra(), nilsquare_algebra()
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("validate_algebra", "validate_hom", "validate_algebra_action"):
+        for mod in (core_mod, xmod_mod, enumeration_mod):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    valid, invalid = classify_xmods(r, s)
+    homs, tensors = enumerate_homs(r, s), enumerate_action_tensors(s, r)
+    assert len(valid) + len(invalid) == len(homs) * len(tensors) == 8
+    assert calls == {"validate_algebra": 2, "validate_hom": len(homs),
+                     "validate_algebra_action": len(tensors)}
+
+
+def test_rejects_share_no_report_node():
+    r, s = nilsquare_ideal_algebra(), nilsquare_algebra()
+    _, invalid = classify_xmods(r, s)
+    nodes = [node for _, rep in invalid for node in rep.walk()]
+    assert len({id(node) for node in nodes}) == len(nodes)
+    assert len({id(node.meta) for node in nodes}) == len(nodes)
+    assert len({id(node.checks) for node in nodes}) == len(nodes)
+
+    before = [rep.to_json() for _, rep in invalid]
+    changed = invalid[0][1]
+    relabel(changed, THEOREM)
+    for node in changed.walk():
+        node.name += "-changed"
+        node.meta["changed"] = True
+    assert changed.to_json() != before[0]
+    assert [rep.to_json() for _, rep in invalid[1:]] == before[1:]
+
+
 def test_a_cm1_only_candidate_exists():
     """Some candidate satisfies everything except CM2; it is the one the
     localization tests lean on.  The witnesses live over R = Z/2 with an
@@ -98,6 +203,43 @@ def test_all_valid_xmods_total():
 def test_ideal_lattice_of_the_nilcube():
     sizes = [i.size for i in enumerate_ideals(nilcube_algebra())]
     assert sizes == [1, 2, 4, 8]
+
+
+def ideals_by_subgroups(alg):
+    """The oracle of enumerate_ideals: every subgroup, found by adding
+    one element at a time, kept when is_ideal passes."""
+    carrier = alg.carrier
+    zero_sub = Submodule.from_generators(carrier, [])
+    seen = {zero_sub.elements: zero_sub}
+    frontier = [zero_sub]
+    while frontier:
+        base = frontier.pop()
+        for e in carrier.elements():
+            if base.contains(e):
+                continue
+            grown = Submodule.from_generators(carrier, base.gens + (e,))
+            if grown.elements not in seen:
+                seen[grown.elements] = grown
+                frontier.append(grown)
+    subs = sorted(seen.values(), key=lambda s: (s.size, s.elements))
+    return [s for s in subs if is_ideal(alg, s).passed]
+
+
+def _torsion_violating_algebra():
+    # over Z/6 on Z/3 + Z/6 with e0*e1 = e1: 3*e0 = 0 but 3*e1 != 0, so
+    # the product is not well defined on the module and closing on
+    # generators would find 6 ideals where there are 5
+    mod = FiniteModule(6, [3, 6])
+    return Algebra(mod, BilinearMap(mod, mod, mod,
+                                    [[[0, 0], [0, 1]], [[0, 1], [0, 0]]]))
+
+
+def test_ideals_match_the_subgroups_that_are_ideals():
+    algs = [a for modulus, rank in ((2, 0), (2, 1), (2, 2), (4, 1))
+            for a in enumerate_algebras(modulus, rank)]
+    for alg in algs + [_torsion_violating_algebra()]:
+        assert [i.elements for i in enumerate_ideals(alg)] \
+            == [s.elements for s in ideals_by_subgroups(alg)]
 
 
 def test_ideals_are_sorted_and_reproducible():

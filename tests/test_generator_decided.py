@@ -355,8 +355,26 @@ def test_fuzzed_subsets_are_closed_on_generators(monkeypatch):
 
     for mod, name in ((enumeration_mod, "sub_crossed_module"),
                       (crossed_ideal_mod, "sub_crossed_module"),
-                      (crossed_ideal_mod, "subalgebra_presentation"),
+                      (crossed_ideal_mod, "_present_subalgebra"),
                       (xmod_mod, "subalgebra_presentation")):
         monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    assert fuzz_report(2, 2, 100).passed
+    assert inside and sum(inside) == 0
+
+
+def test_ideal_enumeration_never_sweeps(monkeypatch):
+    # enumerate_ideals grows ideal closures, so no span is swept for an
+    # absorption witness
+    calls = count_sweeps(monkeypatch)
+    inside = []
+    enumerate_ideals = enumeration_mod.enumerate_ideals
+
+    def counted(alg):
+        before = len(calls)
+        out = enumerate_ideals(alg)
+        inside.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(enumeration_mod, "enumerate_ideals", counted)
     assert fuzz_report(2, 2, 100).passed
     assert inside and sum(inside) == 0

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import idealbar.core as core_mod
+import idealbar.crossed_ideal as crossed_ideal_mod
 from idealbar import fixtures
 from idealbar.workspace import Workspace, WorkspaceError
 
@@ -144,3 +146,19 @@ def test_section_of_the_wrong_type_is_named(section, value):
     # a list used to reach .items() and end in AttributeError
     with pytest.raises(WorkspaceError, match=f"^{section}: must be an object$"):
         Workspace(small_doc(**{section: value}))
+
+
+def test_nilcube_subsets_are_checked_for_closure_once(monkeypatch):
+    # sub_crossed_module checks the closure of each of its two subsets,
+    # then presents them without checking them again
+    calls = []
+    closed = core_mod.multiplicatively_closed
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return closed(*args, **kwargs)
+
+    for mod in (core_mod, crossed_ideal_mod):
+        monkeypatch.setattr(mod, "multiplicatively_closed", counted)
+    Workspace.load(NILCUBE)
+    assert len(calls) == 4
