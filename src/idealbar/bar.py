@@ -20,7 +20,7 @@ import copy
 
 from .core import (MAX_ENUM, Algebra, AlgebraHom, BilinearMap, ModuleHom,
                    PreconditionError, Submodule, UnsupportedScaleError,
-                   direct_sum, identity_hom, is_ideal, kernel,
+                   direct_sum, identity_hom, image, is_ideal, kernel,
                    maps_equal_report, multiplicativity_report,
                    validate_algebra, validate_hom)
 from .policy import Policy, check
@@ -350,12 +350,12 @@ def verify_decomposition(bar: TruncatedBarAlgebra, k: int,
 
     rk = Submodule.from_generators(
         lvl, [embed_tail(g) for g in r_tail.generators()])
-    sk = Submodule(lvl, [bar.embed_s(k, s) for s in s_alg.elements()])
-
-    checks = []
     embed = ModuleHom(s_alg.carrier, lvl,
                       [bar.embed_s(k, g) for g in s_alg.generators()],
                       name="embed-s")
+    sk = image(embed)
+
+    checks = []
     checks.append(multiplicativity_report(
         f"sk-subalgebra-isomorphic-to-s @ {k}", embed, s_alg,
         bar.algebras[k], policy, kind=THEOREM))

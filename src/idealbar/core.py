@@ -650,8 +650,7 @@ def multiplicatively_closed(alg: Algebra, sub: Submodule,
     witness.  A span decides a PASS on pairs of its generators."""
     return check(name, AXIOM, [sub, sub],
                  lambda x, y: sub.contains(alg.multiply(x, y)),
-                 Policy(mode=EXHAUSTIVE),
-                 maps=(alg.mul,) if sub.gens is not None else None)
+                 Policy(mode=EXHAUSTIVE), maps=(alg.mul,))
 
 
 def subalgebra_presentation(alg: Algebra, sub: Submodule):

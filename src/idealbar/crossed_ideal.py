@@ -146,8 +146,7 @@ def sub_crossed_module(ambient: CrossedModule, r_subset: Submodule,
     checks.append(check(
         "induced-action-closed", AXIOM, [s_subset, r_subset],
         lambda s, x: r_subset.contains(ambient.action.apply(s, x)),
-        Policy(mode=EXHAUSTIVE),
-        maps=(ambient.action.tensor,) if r_subset.gens is not None else None))
+        Policy(mode=EXHAUSTIVE), maps=(ambient.action.tensor,)))
     problems = [rep for rep in checks if not rep.passed]
     if problems:
         return SubXMod(ambient, None, None, None, r_subset, s_subset,

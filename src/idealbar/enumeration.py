@@ -11,13 +11,13 @@ import random
 from itertools import combinations_with_replacement, product
 
 from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule, ModuleHom,
-                   Submodule, UnsupportedScaleError, validate_algebra,
-                   validate_hom)
+                   Submodule, UnsupportedScaleError, algebra_axioms,
+                   multiplicativity_report, validate_algebra, validate_hom)
 from .crossed_ideal import (inclusion_cim, sub_crossed_module,
                             validate_crossed_ideal,
                             validate_crossed_ideal_map,
                             image_crossed_ideal_check)
-from .policy import Policy
+from .policy import EXHAUSTIVE, Policy
 from .report import FAIL, NOTE, PASS, THEOREM, Report, group, leaf
 from .xmod import (AlgebraAction, CrossedModule, crossed_module_report,
                    inclusion_xmod, validate_algebra_action)
@@ -31,17 +31,25 @@ def enumerate_order_tuples(modulus: int, rank: int) -> list[tuple]:
     return [tuple(t) for t in combinations_with_replacement(divisors, rank)]
 
 
-def _symmetric_tensors(carrier: FiniteModule):
-    """All symmetric structure-constant tensors on a carrier, torsion
-    violating ones filtered out."""
-    rank = carrier.rank
-    cells = [(i, j) for i in range(rank) for j in range(i, rank)]
-    for combo in product(carrier.elements(), repeat=len(cells)):
-        constants = [[None] * rank for _ in range(rank)]
+def _tensors(left: FiniteModule, right: FiniteModule, target: FiniteModule,
+             symmetric: bool):
+    """All torsion-compatible tensors left x right -> target, in
+    lexicographic order of their cells (i, j) taken row by row.  A
+    symmetric tensor on a carrier fills the cells with i <= j and
+    mirrors them.  A space of more than MAX_PAIR_ENUM tensors is refused
+    before any is built."""
+    cells = [(i, j) for i in range(left.rank)
+             for j in range(i if symmetric else 0, right.rank)]
+    if target.size ** len(cells) > MAX_PAIR_ENUM:
+        raise UnsupportedScaleError(
+            "tensor space too large to enumerate at this rank")
+    for combo in product(target.elements(), repeat=len(cells)):
+        constants = [[None] * right.rank for _ in range(left.rank)]
         for (i, j), val in zip(cells, combo):
             constants[i][j] = val
-            constants[j][i] = val
-        tensor = BilinearMap(carrier, carrier, carrier, constants)
+            if symmetric:
+                constants[j][i] = val
+        tensor = BilinearMap(left, right, target, constants)
         if tensor.well_defined():
             yield tensor
 
@@ -52,23 +60,18 @@ def enumerate_algebras(modulus: int, rank: int) -> list[Algebra]:
     out = []
     for orders in enumerate_order_tuples(modulus, rank):
         carrier = FiniteModule(modulus, orders)
-        if carrier.size ** (rank * (rank + 1) // 2) > MAX_PAIR_ENUM:
-            raise UnsupportedScaleError(
-                "tensor space too large to enumerate at this rank")
-        gens = carrier.generators()
-        for tensor in _symmetric_tensors(carrier):
+        for tensor in _tensors(carrier, carrier, carrier, symmetric=True):
             alg = Algebra(carrier, tensor)
-            if all(alg.multiply(alg.multiply(a, b), c)
-                   == alg.multiply(a, alg.multiply(b, c))
-                   for a in gens for b in gens for c in gens):
+            if algebra_axioms(alg).passed:
                 alg.name = f"m{modulus}o{'x'.join(map(str, orders)) or '1'}#{len(out)}"
                 out.append(alg)
     return out
 
 
 def enumerate_homs(dom: Algebra, cod: Algebra) -> list[AlgebraHom]:
-    """All multiplicative module homs between two algebras."""
-    dgens = dom.generators()
+    """All multiplicative module homs between two algebras.
+    multiplicativity_report decides each candidate, so the list is exact
+    also when a product is not torsion-compatible."""
     choices = []
     for d in dom.carrier.orders:
         choices.append([y for y in cod.carrier.elements()
@@ -76,9 +79,8 @@ def enumerate_homs(dom: Algebra, cod: Algebra) -> list[AlgebraHom]:
     out = []
     for images in product(*choices):
         f = ModuleHom(dom.carrier, cod.carrier, list(images))
-        if all(f.apply(dom.multiply(a, b))
-               == cod.multiply(f.apply(a), f.apply(b))
-               for a in dgens for b in dgens):
+        if multiplicativity_report("multiplicativity", f, dom, cod,
+                                   Policy(mode=EXHAUSTIVE)).passed:
             out.append(AlgebraHom(dom, cod, f))
     return out
 
@@ -86,16 +88,8 @@ def enumerate_homs(dom: Algebra, cod: Algebra) -> list[AlgebraHom]:
 def enumerate_action_tensors(s_alg: Algebra, r_alg: Algebra) -> list[BilinearMap]:
     """All torsion-compatible bilinear tensors S x R -> R.  These are
     action candidates, not validated actions."""
-    s_mod, r_mod = s_alg.carrier, r_alg.carrier
-    cells = s_mod.rank * r_mod.rank
-    out = []
-    for combo in product(r_mod.elements(), repeat=cells):
-        constants = [list(combo[i * r_mod.rank:(i + 1) * r_mod.rank])
-                     for i in range(s_mod.rank)]
-        tensor = BilinearMap(s_mod, r_mod, r_mod, constants)
-        if tensor.well_defined():
-            out.append(tensor)
-    return out
+    return list(_tensors(s_alg.carrier, r_alg.carrier, r_alg.carrier,
+                         symmetric=False))
 
 
 def enumerate_xmods(r_alg: Algebra, s_alg: Algebra) -> list[CrossedModule]:
@@ -119,8 +113,8 @@ def classify_xmods(r_alg: Algebra, s_alg: Algebra,
     Each factor of a candidate is validated once: validate_algebra of R
     and of S once per call, validate_hom once per hom eta and
     validate_algebra_action once per action tensor.  Only CM1 and CM2
-    run per candidate.  Every reject gets its own copy of the factor
-    reports, so changing one report changes no other."""
+    run per candidate.  The rejects share those factor reports as nodes
+    of their trees, so every returned report is read-only."""
     algebra_reps = [validate_algebra(r_alg), validate_algebra(s_alg)]
     actions = []
     for tensor in enumerate_action_tensors(s_alg, r_alg):
@@ -133,8 +127,7 @@ def classify_xmods(r_alg: Algebra, s_alg: Algebra,
             xm = CrossedModule(eta, act,
                                name=f"cand{len(valid) + len(invalid)}")
             rep = crossed_module_report(
-                xm, [r.copy() for r in (*algebra_reps, hom_rep, act_rep)],
-                policy)
+                xm, [*algebra_reps, hom_rep, act_rep], policy)
             if rep.passed:
                 valid.append(xm)
             else:

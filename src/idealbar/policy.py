@@ -132,7 +132,8 @@ def _is_module(space) -> bool:
 def _generator_entry(space):
     """Generators standing for space, or None for an element list."""
     if _is_module(space):
-        return sorted(space.generators())
+        # sorted standard generators are always e_n < .. < e_1
+        return space.generators()[::-1]
     return getattr(space, "gens", None)
 
 

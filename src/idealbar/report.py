@@ -48,13 +48,6 @@ class Report:
                 return node
         return None
 
-    def copy(self) -> "Report":
-        """A copy of the tree sharing no node or meta dict with it, for
-        a report that goes into more than one tree."""
-        return Report(self.name, self.status, self.kind, self.detail,
-                      self.witness, dict(self.meta),
-                      list(map(Report.copy, self.checks)))
-
     def failures(self) -> list["Report"]:
         return [node for node in self.walk() if node.status == FAIL]
 

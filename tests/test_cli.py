@@ -193,6 +193,12 @@ def test_modulus_and_rank_out_of_range_are_refused():
     _one_line_error(cli("enumerate", "--max-rank", "-1"), "--max-rank")
 
 
+def test_enumerate_beyond_the_tensor_bound_is_refused():
+    # rank-3 algebras over Z/2 have 8^6 symmetric tensors per carrier
+    _one_line_error(cli("enumerate", "--modulus", "2", "--max-rank", "3"),
+                    "tensor space too large")
+
+
 def test_corrupt_phi_outside_the_built_letters_is_refused():
     # 9:0 names a row beyond --rows and used to corrupt nothing, so the
     # negative control passed with exit 0

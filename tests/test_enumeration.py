@@ -10,7 +10,8 @@ import idealbar.core as core_mod
 import idealbar.enumeration as enumeration_mod
 import idealbar.xmod as xmod_mod
 from idealbar.core import (Algebra, BilinearMap, FiniteModule, Submodule,
-                           is_ideal, validate_algebra)
+                           UnsupportedScaleError, is_ideal,
+                           multiplicativity_report, validate_algebra)
 from idealbar.crossed_ideal import (
     validate_crossed_ideal,
     validate_crossed_ideal_map,
@@ -34,7 +35,6 @@ from idealbar.fixtures import (
     nilsquare_ideal_algebra,
 )
 from idealbar.policy import Policy
-from idealbar.report import THEOREM, relabel
 from idealbar.xmod import (cm1_report, cm2_report, validate_algebra_action,
                            validate_crossed_module)
 
@@ -161,22 +161,71 @@ def test_each_factor_is_validated_once(monkeypatch):
                      "validate_algebra_action": len(tensors)}
 
 
-def test_rejects_share_no_report_node():
+def test_rejects_share_their_factor_reports():
+    # each factor is validated once per call, and its report is a node of
+    # every reject built on it; only the root, cm1 and cm2 are per reject
     r, s = nilsquare_ideal_algebra(), nilsquare_algebra()
     _, invalid = classify_xmods(r, s)
-    nodes = [node for _, rep in invalid for node in rep.walk()]
-    assert len({id(node) for node in nodes}) == len(nodes)
-    assert len({id(node.meta) for node in nodes}) == len(nodes)
-    assert len({id(node.checks) for node in nodes}) == len(nodes)
+    assert len(invalid) == 5
+    factors = [rep.checks[:4] for _, rep in invalid]
+    for (xm, _), reps in zip(invalid, factors):
+        for (other, _), other_reps in zip(invalid, factors):
+            assert reps[0] is other_reps[0] and reps[1] is other_reps[1]
+            assert (reps[2] is other_reps[2]) == (xm.eta == other.eta)
+            assert (reps[3] is other_reps[3]) == (xm.action == other.action)
+    assert len({id(reps[2]) for reps in factors}) == 2
+    assert len({id(reps[3]) for reps in factors}) < len(invalid)
 
-    before = [rep.to_json() for _, rep in invalid]
-    changed = invalid[0][1]
-    relabel(changed, THEOREM)
-    for node in changed.walk():
-        node.name += "-changed"
-        node.meta["changed"] = True
-    assert changed.to_json() != before[0]
-    assert [rep.to_json() for _, rep in invalid[1:]] == before[1:]
+    assert all([c.name for c in rep.checks[4:]] == ["cm1", "cm2"]
+               for _, rep in invalid)
+    own = [node for _, rep in invalid for node in [rep] + rep.checks[4:]]
+    assert len({id(node) for node in own}) == len(own) == 3 * len(invalid)
+
+
+def test_enumerated_homs_are_multiplicative_over_torsion_violating_products():
+    # the codomain product is not torsion-compatible, so generator pairs
+    # decide nothing: f = ((1,3), (0,2)) agrees with the product on them,
+    # yet f((1,0)(2,0)) = (0,2) while f(1,0) f(2,0) = (0,0)
+    dom_mod, cod_mod = FiniteModule(4, [4, 2]), FiniteModule(4, [2, 4])
+    dom = Algebra(dom_mod, BilinearMap(dom_mod, dom_mod, dom_mod,
+                                       [[(3, 0), (0, 0)], [(0, 0), (2, 1)]]))
+    cod = Algebra(cod_mod, BilinearMap(cod_mod, cod_mod, cod_mod,
+                                       [[(1, 3), (1, 0)], [(1, 0), (0, 2)]]))
+    assert dom.mul.well_defined() and not cod.mul.well_defined()
+    homs = enumerate_homs(dom, cod)
+    assert ((1, 3), (0, 2)) not in [h.images for h in homs]
+    for h in homs:
+        assert multiplicativity_report("f", h.hom, dom, cod,
+                                       Policy(mode="exhaustive")).passed
+
+
+@pytest.mark.parametrize("modulus, total, valid",
+                         [(3, 52, 16), (4, 201, 51), (6, 884, 144)])
+def test_enumeration_counts_at_rank_one(modulus, total, valid):
+    cand = enumeration_report(modulus, 1).find("xmod-candidates")
+    assert cand.meta == {"total": total, "valid": valid,
+                         "invalid": total - valid}
+
+
+def test_action_tensors_beyond_the_bound_are_refused_before_any_is_built(
+        monkeypatch):
+    # S of rank 2 on R of rank 3 over Z/2 has 8^6 = 262,144 tensors
+    s_mod, r_mod = FiniteModule(2, [2, 2]), FiniteModule(2, [2, 2, 2])
+    s_alg = Algebra(s_mod, BilinearMap(s_mod, s_mod, s_mod,
+                                       [[s_mod.zero] * 2] * 2))
+    r_alg = Algebra(r_mod, BilinearMap(r_mod, r_mod, r_mod,
+                                       [[r_mod.zero] * 3] * 3))
+    built = Counter()
+
+    class CountedBilinearMap(BilinearMap):
+        def __init__(self, *args):
+            built["tensors"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(enumeration_mod, "BilinearMap", CountedBilinearMap)
+    with pytest.raises(UnsupportedScaleError, match="tensor space too large"):
+        enumerate_action_tensors(s_alg, r_alg)
+    assert built["tensors"] == 0
 
 
 def test_a_cm1_only_candidate_exists():
