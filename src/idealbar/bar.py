@@ -10,8 +10,9 @@ eta: R -> S, each level also carries a multiplication
       = (ss', ..., s.b_j + s'.a_j + (a_1+..+a_{j-1}) b_j
                    + a_j (b_1+..+b_j), ...)
 
-realised both as that closed formula and as a structure-constant tensor
-built from it; the two are cross-checked in the test suite.
+realised as a structure-constant tensor assembled block by block from
+the constants of S, R and the action, and as that closed formula, which
+is kept as its oracle; the two are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -119,7 +120,9 @@ def build_bar_module(act: ModuleAction,
 class TruncatedBarAlgebra:
     """Bar object of a crossed-module candidate, with level products.
 
-    Every level tensor is built from the closed product formula;
+    Every level tensor is assembled from the structure constants of S,
+    R and the action (_level_constants), so its build costs only its
+    cells; product_formula is the closed formula it is checked against.
     with_level_tensors gives the same bar object with other products.
 
     tensors holds every tensor the level products and the closed product
@@ -153,14 +156,35 @@ class TruncatedBarAlgebra:
             if level_tensors is not None and level_tensors[n] is not None:
                 tensor = level_tensors[n]
             else:
-                gens = carrier.generators()
-                constants = [[self.product_formula(n, gi, gj) for gj in gens]
-                             for gi in gens]
-                tensor = BilinearMap(carrier, carrier, carrier, constants)
+                tensor = BilinearMap(carrier, carrier, carrier,
+                                     self._level_constants(n))
             name = s_alg.name or "S"
             self.algebras.append(Algebra(carrier, tensor, name=f"B{n}({name})"))
         self.tensors = tuple(self.level_tensors()) + (
             s_alg.mul, xm.r_alg.mul, xm.action.tensor)
+
+    def _level_constants(self, n):
+        """Structure constants of the level-n product, block by block:
+        S x S is the product of S, S x letter q and letter q x S put the
+        action cell into letter q, and letter p x letter q puts the
+        product cell of R into letter max(p, q)."""
+        xm = self.xm
+        s_mul, r_mul = xm.s_alg.mul.constants, xm.r_alg.mul.constants
+        act = xm.action.tensor.constants
+        zs, zr = xm.s_alg.zero, xm.r_alg.zero
+
+        def letter(q, cell):
+            return zs + zr * q + cell + zr * (n - 1 - q)
+
+        rows = [[cell + zr * n for cell in s_row]
+                + [letter(q, a) for q in range(n) for a in a_row]
+                for s_row, a_row in zip(s_mul, act)]
+        for p in range(n):
+            for k, r_row in enumerate(r_mul):
+                rows.append([letter(p, a[k]) for a in act]
+                            + [letter(max(p, q), b)
+                               for q in range(n) for b in r_row])
+        return rows
 
     def face(self, n, i):
         return self.module.face(n, i)

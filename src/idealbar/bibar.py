@@ -149,10 +149,21 @@ class BiBar:
         """Componentwise product algebra at bilevel (n, m)."""
         key = (n, m)
         if key not in self._algebras:
+            # block-diagonal: the base block holds the level-n product of
+            # bar2 and each letter block the one of bar1
             carrier = self.level(n, m)
-            gens = carrier.generators()
-            constants = [[self.multiply(n, m, gi, gj) for gj in gens]
-                         for gi in gens]
+            base = self.bar2.algebras[n].mul.constants
+            letter = self.bar1.algebras[n].mul.constants
+            zb, zl = self.bar2.levels[n].zero, self.bar1.levels[n].zero
+            zero = zb + zl * m
+            constants = [[cell + zl * m for cell in row]
+                         + [zero] * (m * len(letter)) for row in base]
+            for p in range(m):
+                for row in letter:
+                    constants.append(
+                        [zero] * (len(base) + p * len(letter))
+                        + [zb + zl * p + cell + zl * (m - 1 - p) for cell in row]
+                        + [zero] * ((m - 1 - p) * len(letter)))
             self._algebras[key] = Algebra(
                 carrier, BilinearMap(carrier, carrier, carrier, constants),
                 name=f"B({n},{m})")

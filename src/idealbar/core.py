@@ -149,24 +149,31 @@ class BilinearMap:
 
     def __init__(self, left: FiniteModule, right: FiniteModule,
                  target: FiniteModule, constants):
-        constants = tuple(tuple(tuple(int(v) for v in vec) for vec in row)
-                          for row in constants)
+        # each entry is converted and reduced once; the shape is checked
+        # row count first, then row by row in order
+        constants = tuple(constants)
         if len(constants) != left.rank:
             raise StructuralError(
                 f"tensor has {len(constants)} rows, left rank is {left.rank}")
+        orders = target.orders
+        rows = []
         for row in constants:
+            row = tuple(row)
             if len(row) != right.rank:
                 raise StructuralError(
                     f"tensor row has {len(row)} entries, right rank is {right.rank}")
+            cells = []
             for vec in row:
+                vec = tuple(vec)
                 if len(vec) != target.rank:
                     raise StructuralError(
                         f"tensor entry has length {len(vec)}, target rank is {target.rank}")
+                cells.append(tuple(map(mod, map(int, vec), orders)))
+            rows.append(tuple(cells))
         self.left = left
         self.right = right
         self.target = target
-        self.constants = tuple(tuple(target.reduce(vec) for vec in row)
-                               for row in constants)
+        self.constants = tuple(rows)
         self._nz = None
         self._well_defined = None
 
@@ -314,8 +321,8 @@ class ModuleHom:
         """self after inner."""
         if inner.codomain != self.domain:
             raise StructuralError("composite maps do not chain")
-        images = [self.apply(inner.apply(g)) for g in inner.domain.generators()]
-        return ModuleHom(inner.domain, self.codomain, images,
+        return ModuleHom(inner.domain, self.codomain,
+                         [self.apply(img) for img in inner.images],
                          name=f"{self.name}.{inner.name}" if self.name or inner.name else "")
 
     def __eq__(self, other):
@@ -464,21 +471,24 @@ def algebra_axioms(alg: Algebra) -> Report:
                        detail="c[i][j] = c[j][i] on generator pairs",
                        witness=comm, meta={"pairs": n * n}))
 
-    gens = alg.generators()
-    c = alg.mul.constants
-    assoc = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = alg.multiply(c[i][j], gens[k])
-                rhs = alg.multiply(gens[i], c[j][k])
-                if lhs != rhs:
-                    assoc = (i, j, k)
-                    break
-            if assoc:
-                break
-        if assoc:
-            break
+    # (g_i g_j) g_k = sum_l c[i][j][l] c[l][k] and g_i (g_j g_k) =
+    # sum_l c[j][k][l] c[i][l], read off the nonzero constants
+    orders = alg.carrier.orders
+    nz = [[tuple((l, v) for l, v in enumerate(cell) if v) for cell in row]
+          for row in alg.mul.constants]
+    cols = list(zip(*nz))
+
+    def combine(terms, cells):
+        out = [0] * n
+        for l, v in terms:
+            for m, w in cells[l]:
+                out[m] += v * w
+        return list(map(mod, out, orders))
+
+    assoc = next(((i, j, k) for i, j, k in product(range(n), repeat=3)
+                  if (nz[i][j] or nz[j][k])
+                  and combine(nz[i][j], cols[k]) != combine(nz[j][k], nz[i])),
+                 None)
     checks.append(leaf(
         "associativity", FAIL if assoc else PASS, AXIOM,
         detail="(g_i g_j) g_k = g_i (g_j g_k), complete by trilinearity",

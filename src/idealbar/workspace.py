@@ -22,9 +22,9 @@ A workspace file names every object the command line can check:
 
 Every section must be a JSON object, coordinates must be canonical
 (0 <= c < order of the summand), every summand order must be at least 2
-and options.depth, when given, an integer of at least 1; anything else is
-rejected with the key path in the message, as is any reference to a name
-that does not exist.
+and options.depth, when given, an integer of at least 1; true and false
+are not integers anywhere.  Anything else is rejected with the key path
+in the message, as is any reference to a name that does not exist.
 """
 
 from __future__ import annotations
@@ -47,9 +47,14 @@ def _expect(cond: bool, where: str, message: str) -> None:
         raise WorkspaceError(f"{where}: {message}")
 
 
+def _integer(v) -> bool:
+    # JSON true and false load as bool, which is a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _element(mod: FiniteModule, raw, where: str) -> tuple:
     _expect(isinstance(raw, list) and len(raw) == mod.rank
-            and all(isinstance(c, int) for c in raw),
+            and all(_integer(c) for c in raw),
             where, f"expected a list of {mod.rank} integers")
     t = tuple(raw)
     _expect(mod.contains(t), where,
@@ -78,15 +83,13 @@ class Workspace:
         _expect(isinstance(data, dict), label, "workspace must be an object")
         self.label = label
         modulus = data.get("modulus")
-        _expect(isinstance(modulus, int) and modulus >= 2, "modulus",
+        _expect(_integer(modulus) and modulus >= 2, "modulus",
                 "an integer modulus of at least 2 is required")
         self.modulus = modulus
         self.options = data.get("options", {})
         _expect(isinstance(self.options, dict), "options", "must be an object")
         depth = self.options.get("depth")
-        _expect(depth is None or (isinstance(depth, int)
-                                  and not isinstance(depth, bool)
-                                  and depth >= 1),
+        _expect(depth is None or (_integer(depth) and depth >= 1),
                 "options.depth", "expected an integer of at least 1")
 
         self.algebras: dict[str, Algebra] = {}
@@ -153,7 +156,7 @@ class Workspace:
         _expect(isinstance(spec, dict), where, "must be an object")
         orders = spec.get("orders")
         _expect(isinstance(orders, list) and orders
-                and all(isinstance(d, int) for d in orders),
+                and all(_integer(d) for d in orders),
                 f"{where}.orders", "expected a non-empty list of integers")
         for d in orders:
             _expect(d >= 2, f"{where}.orders",

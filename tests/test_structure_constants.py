@@ -1,0 +1,240 @@
+"""Tensors read off structure constants against the element arithmetic
+they replace.
+
+The bar level tensors are assembled block by block from the constants of
+S, R and the action, the bibar products block-diagonally from the two
+bars, and associativity is decided on sums of constants.  The slow paths
+are kept here as the oracles: the closed product formula and
+BiBar.multiply on every generator pair, and the evaluate-based
+associativity loop.  The inputs are mixed-order modules with
+torsion-violating tensors, where a missing reduction or a misplaced
+block shows.
+"""
+
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idealbar.bar import build_bar_algebra
+from idealbar.bibar import BiBar
+from idealbar.core import (MAX_ENUM, Algebra, AlgebraHom, BilinearMap,
+                           FiniteModule, ModuleHom, StructuralError,
+                           algebra_axioms)
+from idealbar.crossed_ideal import XModMorphism
+from idealbar.enumeration import all_valid_xmods
+from idealbar.fixtures import broken_action_xmod, nilcube_xmod, nilsquare_xmod
+from idealbar.xmod import AlgebraAction, CrossedModule
+
+# summand orders above 1 for each modulus
+ORDERS = {4: (2, 4), 6: (2, 3, 6), 8: (2, 4, 8), 9: (3, 9)}
+moduli = st.sampled_from(sorted(ORDERS))
+
+
+@st.composite
+def modules(draw, m, max_rank=2):
+    return FiniteModule(m, draw(st.lists(st.sampled_from(ORDERS[m]),
+                                         min_size=1, max_size=max_rank)))
+
+
+def elements(draw, mod):
+    return tuple(draw(st.integers(0, d - 1)) for d in mod.orders)
+
+
+def tensor(draw, left, right, target, sparse=False):
+    # canonical coordinates, but no torsion condition, so torsion
+    # violations are common; sparse tensors are mostly zero cells and
+    # reach late associativity witnesses
+    return BilinearMap(left, right, target, [
+        [target.zero if sparse and draw(st.integers(0, 3))
+         else elements(draw, target) for _ in range(right.rank)]
+        for _ in range(left.rank)])
+
+
+def hom(draw, dom, cod):
+    return AlgebraHom(dom, cod, ModuleHom(
+        dom.carrier, cod.carrier,
+        [elements(draw, cod.carrier) for _ in range(dom.carrier.rank)]))
+
+
+@st.composite
+def xmods(draw, m, max_rank=2):
+    s_mod = draw(modules(m, max_rank))
+    r_mod = draw(modules(m, max_rank))
+    s_alg = Algebra(s_mod, tensor(draw, s_mod, s_mod, s_mod))
+    r_alg = Algebra(r_mod, tensor(draw, r_mod, r_mod, r_mod))
+    return CrossedModule(hom(draw, r_alg, s_alg), AlgebraAction(
+        s_alg, r_alg, tensor(draw, s_mod, r_mod, r_mod)))
+
+
+def level_size(xm, n):
+    return xm.s_alg.size * xm.r_alg.size ** n
+
+
+def product_formula_constants(bar, n):
+    gens = bar.levels[n].generators()
+    return tuple(tuple(bar.product_formula(n, gi, gj) for gj in gens)
+                 for gi in gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_level_constants_match_the_closed_formula(data):
+    xm = data.draw(moduli.flatmap(xmods))
+    depth = data.draw(st.integers(1, 3))
+    while depth > 1 and level_size(xm, depth) > MAX_ENUM:
+        depth -= 1
+    bar = build_bar_algebra(xm, depth)
+    for n in range(depth + 1):
+        assert bar.algebras[n].mul.constants \
+            == product_formula_constants(bar, n), n
+
+
+@pytest.mark.parametrize("make", [nilsquare_xmod, nilcube_xmod,
+                                  broken_action_xmod])
+def test_fixture_level_constants_match_the_closed_formula(make):
+    bar = build_bar_algebra(make(), 4)
+    for n in range(5):
+        assert bar.algebras[n].mul.constants \
+            == product_formula_constants(bar, n), n
+
+
+@st.composite
+def morphisms(draw):
+    m = draw(moduli)
+    source, target = draw(xmods(m, 1)), draw(xmods(m, 1))
+    return XModMorphism(source, target, hom(draw, source.r_alg, target.r_alg),
+                        hom(draw, source.s_alg, target.s_alg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(morphisms(), st.integers(1, 2), st.integers(1, 2))
+def test_bibar_constants_match_the_componentwise_product(mor, n_depth,
+                                                         m_depth):
+    def row_size(m):
+        return level_size(mor.target, n_depth) \
+            * level_size(mor.source, n_depth) ** m
+
+    while m_depth > 1 and row_size(m_depth) > MAX_ENUM:
+        m_depth -= 1
+    while n_depth > 1 and row_size(m_depth) > MAX_ENUM:
+        n_depth -= 1
+    bb = BiBar(mor, n_depth, m_depth)
+    for n in range(n_depth + 1):
+        for m in range(m_depth + 1):
+            gens = bb.level(n, m).generators()
+            assert bb.algebra(n, m).mul.constants == tuple(
+                tuple(bb.multiply(n, m, gi, gj) for gj in gens)
+                for gi in gens), (n, m)
+
+
+def associativity_by_evaluate(alg):
+    """The loop algebra_axioms ran before it read associativity off the
+    constants: (g_i g_j) g_k against g_i (g_j g_k) through evaluate."""
+    gens = alg.generators()
+    c = alg.mul.constants
+    n = len(gens)
+    for i, j, k in product(range(n), repeat=3):
+        if alg.multiply(c[i][j], gens[k]) != alg.multiply(gens[i], c[j][k]):
+            return (i, j, k)
+    return None
+
+
+def _bar_level_algebras():
+    out = [alg for make, depth in ((nilsquare_xmod, 3), (nilcube_xmod, 2),
+                                   (broken_action_xmod, 2))
+           for alg in build_bar_algebra(make(), depth).algebras]
+    for xm in all_valid_xmods(4, 1):
+        out.extend(build_bar_algebra(xm, 2).algebras)
+    return [alg for alg in out if alg.carrier.rank]
+
+
+BAR_LEVELS = _bar_level_algebras()
+
+
+@st.composite
+def mutated_bar_levels(draw):
+    """A bar level algebra with up to three symmetric entry changes, as
+    the perturbation harness makes them: mostly associative before the
+    change, with late witnesses after it."""
+    alg = draw(st.sampled_from(BAR_LEVELS))
+    mod = alg.carrier
+    raw = [[list(vec) for vec in row] for row in alg.mul.constants]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j, l = (draw(st.integers(0, mod.rank - 1)) for _ in range(3))
+        raw[i][j][l] = raw[j][i][l] = draw(st.integers(0, mod.orders[l] - 1))
+    return Algebra(mod, BilinearMap(mod, mod, mod, raw))
+
+
+@st.composite
+def random_algebras(draw):
+    mod = draw(moduli.flatmap(lambda m: modules(m, 3)))
+    return Algebra(mod, tensor(draw, mod, mod, mod, draw(st.booleans())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_algebras(), mutated_bar_levels()))
+def test_associativity_witness_matches_the_evaluate_loop(alg):
+    assert algebra_axioms(alg).find("associativity").witness \
+        == associativity_by_evaluate(alg)
+
+
+def test_associativity_makes_no_evaluate_call(monkeypatch):
+    calls = []
+    evaluate = BilinearMap.evaluate
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return evaluate(self, x, y)
+
+    monkeypatch.setattr(BilinearMap, "evaluate", counted)
+    for alg in BAR_LEVELS[:12]:
+        algebra_axioms(alg)
+    assert calls == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compose_matches_the_generator_images(data):
+    m = data.draw(moduli)
+    a, b, c = (data.draw(modules(m, 3)) for _ in range(3))
+    inner = ModuleHom(a, b, [elements(data.draw, b) for _ in range(a.rank)])
+    outer = ModuleHom(b, c, [elements(data.draw, c) for _ in range(b.rank)])
+    assert outer.compose(inner).images == tuple(
+        outer.apply(inner.apply(g)) for g in a.generators())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_tensor_entries_are_reduced_like_module_elements(data):
+    m = data.draw(moduli)
+    left, right, target = (data.draw(modules(m)) for _ in range(3))
+    raw = [[[data.draw(st.integers(-3 * m, 3 * m)) for _ in target.orders]
+            for _ in right.orders] for _ in left.orders]
+    assert BilinearMap(left, right, target, raw).constants == tuple(
+        tuple(target.reduce(tuple(vec)) for vec in row) for row in raw)
+
+
+M = FiniteModule(4, [2, 4])
+
+
+@pytest.mark.parametrize("constants, message", [
+    ([[(0, 0), (0, 0)]], "tensor has 1 rows, left rank is 2"),
+    # a short row as well: the row count is checked first
+    ([[(0, 0)]], "tensor has 1 rows, left rank is 2"),
+    ([[(0, 0), (0, 0)], [(0, 0)]], "tensor row has 1 entries, right rank is 2"),
+    ([[(0, 0), (0, 0)], [(0, 0), (0, 0), (0, 0)]],
+     "tensor row has 3 entries, right rank is 2"),
+    ([[(0, 0), (0,)], [(0, 0), (0, 0)]],
+     "tensor entry has length 1, target rank is 2"),
+    ([[(0, 0), (0, 0)], [(0, 0), (0, 0, 1)]],
+     "tensor entry has length 3, target rank is 2"),
+    # the first bad row decides which message is given
+    ([[(0, 0), (0,)], [(0, 0)]], "tensor entry has length 1, target rank is 2"),
+])
+def test_malformed_constants_keep_their_messages(constants, message):
+    with pytest.raises(StructuralError) as exc:
+        BilinearMap(M, M, M, constants)
+    assert str(exc.value) == message
+

@@ -1,6 +1,8 @@
 """Workspace JSON parsing against the shipped fixture files."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,6 +96,34 @@ def test_out_of_range_coordinates_are_rejected():
     doc["algebras"]["A"]["mul"] = [[[2]]]
     with pytest.raises(WorkspaceError, match="out of range"):
         Workspace(doc)
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("orders", [True], r"^algebras\.A\.orders: expected a non-empty list"),
+    ("mul", [[[True]]], r"^algebras\.A\.mul\[0\]\[0\]: expected a list"),
+])
+def test_boolean_integers_are_rejected(key, value, path):
+    # JSON true loads as a bool, which is an int in Python
+    doc = small_doc()
+    doc["algebras"]["A"][key] = value
+    with pytest.raises(WorkspaceError, match=path):
+        Workspace(doc)
+
+
+def test_boolean_subset_coordinates_exit_3_with_the_key_path(tmp_path):
+    # read as integers, [true, false] gave the witness ((True, False),)
+    # and ideal-check exited 1, as if an axiom had failed
+    with open(NILCUBE) as fh:
+        doc = json.load(fh)
+    subset = doc["subsets"]["r_all"]
+    subset["elements"] = [[bool(c) for c in e] for e in subset["elements"]]
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(doc))
+    res = subprocess.run([sys.executable, "-m", "idealbar", "-w", str(path),
+                          "ideal-check", "bad"], capture_output=True, text=True)
+    assert res.returncode == 3
+    assert res.stderr.splitlines() == [
+        "error: subsets.r_all.elements[0]: expected a list of 2 integers"]
 
 
 def test_tensor_shape_is_checked_with_a_path():
