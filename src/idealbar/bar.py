@@ -477,8 +477,9 @@ def definition_checks(bar: TruncatedBarAlgebra,
                       policy: Policy | None = None) -> Report:
     """The clauses that make a level-product family an ideal simplicial
     structure: valid level algebras, faces and degeneracies that are
-    algebra maps, and the absorption axiom.  This is the filter used by
-    the perturbation harness."""
+    algebra maps, and the absorption axiom.  The perturbation harness
+    filters through roundtrip._passes_definition, which runs the same
+    clauses with an early exit and without the unit NOTE."""
     algs = [validate_algebra(alg) for alg in bar.algebras]
     for n, rep in enumerate(algs):
         rep.name = f"level-{n}-algebra"

@@ -95,9 +95,6 @@ class FiniteModule:
     def neg(self, x):
         return tuple((-a) % d for a, d in zip(x, self.orders))
 
-    def sub(self, x, y):
-        return tuple((a - b) % d for a, b, d in zip(x, y, self.orders))
-
     def scale(self, k, x):
         return tuple((k * a) % d for a, d in zip(x, self.orders))
 
@@ -450,13 +447,8 @@ def algebra_axioms(alg: Algebra) -> Report:
     """validate_algebra without the unit search, for callers that read
     only the verdict.  Generator checks are complete here because every
     side of every identity is multilinear."""
-    checks = []
-    bad = None if alg.mul.well_defined() \
-        else next(alg.mul.torsion_violations())
-    checks.append(leaf(
-        "torsion-compatibility", FAIL if bad else PASS, STRUCTURAL,
-        detail="d_i*c[i][j] and d_j*c[i][j] vanish mod target orders",
-        witness=bad))
+    checks = [torsion_compatibility(
+        alg.mul, "d_i*c[i][j] and d_j*c[i][j] vanish mod target orders")]
 
     n = alg.carrier.rank
     comm = None
@@ -534,7 +526,7 @@ def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
 
 
 def maps_equal_report(name: str, f: ModuleHom, g: ModuleHom,
-                      kind: str = AXIOM, detail: str = "") -> Report:
+                      detail: str = "") -> Report:
     """Equality of two linear maps.  Equal image matrices decide a PASS;
     otherwise check decides on generators when both maps are well
     defined, and a difference it cannot read off generators is swept
@@ -543,9 +535,9 @@ def maps_equal_report(name: str, f: ModuleHom, g: ModuleHom,
         return leaf(name, FAIL, STRUCTURAL,
                     detail="maps do not share domain and codomain")
     if f.images == g.images:
-        return leaf(name, PASS, kind, detail=detail,
+        return leaf(name, PASS, AXIOM, detail=detail,
                     meta={"mode": "exhaustive", "checked": f.domain.size})
-    return check(name, kind, [f.domain], lambda x: f.apply(x) == g.apply(x),
+    return check(name, AXIOM, [f.domain], lambda x: f.apply(x) == g.apply(x),
                  Policy(mode=EXHAUSTIVE), detail or "maps differ",
                  maps=(f, g))
 
@@ -557,6 +549,14 @@ def order_compatibility(hom: ModuleHom) -> Report:
     return leaf("order-compatibility", FAIL if bad else PASS, STRUCTURAL,
                 detail="d_i * f(g_i) = 0 in the codomain",
                 witness=(bad[0],) if bad else None)
+
+
+def torsion_compatibility(tensor: BilinearMap, detail: str = "") -> Report:
+    """Whether the tensor is a bilinear map of modules: the first
+    torsion violation (i, j, l) is the witness."""
+    bad = None if tensor.well_defined() else next(tensor.torsion_violations())
+    return leaf("torsion-compatibility", FAIL if bad else PASS, STRUCTURAL,
+                detail=detail, witness=bad)
 
 
 def validate_hom(f: AlgebraHom, policy: Policy | None = None) -> Report:

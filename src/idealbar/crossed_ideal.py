@@ -56,11 +56,8 @@ def validate_morphism(mor: XModMorphism, policy: Policy | None = None) -> Report
     rep.name = "alpha2-hom"
     checks.append(rep)
 
-    checks.append(maps_equal_report(
-        "square-commutes",
-        mor.alpha2.hom.compose(mor.source.eta.hom),
-        mor.target.eta.hom.compose(mor.alpha1.hom),
-        detail="alpha2 eta1 = eta2 alpha1"))
+    checks.append(square_report(mor, "square-commutes",
+                                "alpha2 eta1 = eta2 alpha1"))
 
     checks.append(equivariance_report(
         mor, "equivariance", AXIOM, "alpha1(s1.r1) = alpha2(s1).alpha1(r1)",
@@ -79,6 +76,13 @@ def equivariance_report(mor: XModMorphism, name: str, kind: str, detail: str,
                                      mor.alpha1.apply(r1)), policy, detail,
                  maps=(mor.alpha1.hom, mor.alpha2.hom, src.action.tensor,
                        tgt.action.tensor))
+
+
+def square_report(mor: XModMorphism, name: str, detail: str) -> Report:
+    """alpha2 eta1 = eta2 alpha1 as maps R1 -> S2."""
+    return maps_equal_report(
+        name, mor.alpha2.hom.compose(mor.source.eta.hom),
+        mor.target.eta.hom.compose(mor.alpha1.hom), detail=detail)
 
 
 class SubXMod:
@@ -175,6 +179,7 @@ def validate_crossed_ideal(sx: SubXMod, policy: Policy | None = None) -> Report:
     ci1 = list(sx.problems)
 
     if sx.sub is not None:
+        incl = XModMorphism(sx.sub, amb, sx.mu, sx.nu)
         inj = (len(sx.r_coords()) == sx.sub.r_alg.carrier.size
                and len(sx.s_coords()) == sx.sub.s_alg.carrier.size)
         ci1.append(leaf("inclusions-injective", PASS if inj else FAIL,
@@ -184,21 +189,16 @@ def validate_crossed_ideal(sx: SubXMod, policy: Policy | None = None) -> Report:
         ci1.append(multiplicativity_report(
             "nu-multiplicative", sx.nu.hom, sx.sub.s_alg, s_amb, policy))
 
-        ci1.append(check(
-            "action-is-induced", AXIOM, [sx.sub.s_alg, sx.sub.r_alg],
-            lambda s, x: sx.mu.apply(sx.sub.action.apply(s, x))
-            == amb.action.apply(sx.nu.apply(s), sx.mu.apply(x)), policy,
-            detail="mu(s'.r') = nu(s').mu(r')",
-            maps=(sx.mu.hom, sx.nu.hom, sx.sub.action.tensor,
-                  amb.action.tensor)))
+        ci1.append(equivariance_report(
+            incl, "action-is-induced", AXIOM, "mu(s'.r') = nu(s').mu(r')",
+            policy))
 
         sub_rep = validate_crossed_module(sx.sub, policy)
         sub_rep.name = "sub-is-crossed-module"
         ci1.append(sub_rep)
 
-        ci1.append(maps_equal_report(
-            "inclusion-square", sx.nu.hom.compose(sx.sub.eta.hom),
-            amb.eta.hom.compose(sx.mu.hom), detail="nu eta' = eta mu"))
+        ci1.append(square_report(incl, "inclusion-square",
+                                 "nu eta' = eta mu"))
     else:
         ci1.append(leaf("sub-structure", SKIP, None,
                         detail="sub crossed module could not be assembled"))
@@ -272,10 +272,8 @@ def validate_crossed_ideal_map(cim: CrossedIdealMap,
     rep2.name = "alpha2-crossed-module"
     checks = [rep1, rep2]
 
-    checks.append(maps_equal_report(
-        "square-commutes", mor.alpha2.hom.compose(src.eta.hom),
-        tgt.eta.hom.compose(mor.alpha1.hom),
-        detail="eta2 alpha1 = alpha2 eta1"))
+    checks.append(square_report(mor, "square-commutes",
+                                "eta2 alpha1 = alpha2 eta1"))
 
     checks.append(leaf("h-bilinearity", PASS, STRUCTURAL,
                        detail="holds by the tensor encoding"))

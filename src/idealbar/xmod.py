@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                    ModuleHom, PreconditionError, StructuralError, Submodule,
-                   image, is_ideal, kernel, order_compatibility,
-                   semidirect_product, subalgebra_presentation,
-                   validate_algebra, validate_hom)
-from .policy import Policy, check, sweep  # noqa: F401 (see core)
-from .report import (AXIOM, FAIL, NOTE, PASS, STRUCTURAL, THEOREM, Report,
+                   _present_subalgebra, image, is_ideal, kernel,
+                   order_compatibility, semidirect_product,
+                   torsion_compatibility, validate_algebra, validate_hom)
+from .policy import EXHAUSTIVE, Policy, check, sweep  # noqa: F401 (see core)
+from .report import (AXIOM, NOTE, PASS, STRUCTURAL, THEOREM, Report,
                      group, leaf, relabel)
 
 
@@ -85,14 +85,9 @@ def validate_algebra_action(act: AlgebraAction, policy: Policy | None = None) ->
     torsion, compatibility with the product of R, and composition of
     actors."""
     s_alg, r_alg = act.actor, act.acted
-    checks = []
-
-    bad = None if act.tensor.well_defined() \
-        else next(act.tensor.torsion_violations())
-    checks.append(leaf("torsion-compatibility", FAIL if bad else PASS,
-                       STRUCTURAL, witness=bad))
-    checks.append(leaf("k-bilinearity", PASS, STRUCTURAL,
-                       detail="holds by the tensor encoding"))
+    checks = [torsion_compatibility(act.tensor),
+              leaf("k-bilinearity", PASS, STRUCTURAL,
+                   detail="holds by the tensor encoding")]
 
     def compat(s, r1, r2):
         lhs = act.apply(s, r_alg.multiply(r1, r2))
@@ -180,11 +175,13 @@ def crossed_module_report(xm: CrossedModule, factors: list[Report],
 
 
 def inclusion_xmod(alg: Algebra, ideal: Submodule, name: str = "") -> CrossedModule:
-    """The inclusion of an ideal, with S acting on I by multiplication."""
-    check = is_ideal(alg, ideal)
-    if not check.passed:
+    """The inclusion of an ideal, with S acting on I by multiplication.
+    An ideal is closed under addition and, by absorption, under
+    multiplication, so is_ideal is the one precondition check; it is
+    exhaustive, so no sample can stand in for the closure."""
+    if not is_ideal(alg, ideal, Policy(mode=EXHAUSTIVE)).passed:
         raise PreconditionError("inclusion_xmod requires an ideal")
-    sub_alg, embed, coords = subalgebra_presentation(alg, ideal)
+    sub_alg, embed, coords = _present_subalgebra(alg, ideal)
     s_gens = alg.generators()
     constants = [[coords[alg.multiply(sg, emb)] for emb in embed.images]
                  for sg in s_gens]

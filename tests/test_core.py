@@ -142,6 +142,18 @@ def test_torsion_violation_detected():
     assert list(good.torsion_violations()) == []
 
 
+def test_algebra_torsion_failure_is_pinned():
+    # g0 has order 2 but g0 g1 = g1 has order 4: the first violation is
+    # (i, j, l) = (0, 1, 1)
+    m = FiniteModule(4, [2, 4])
+    alg = Algebra(m, BilinearMap(m, m, m, [[(0, 0), (0, 1)],
+                                           [(0, 1), (0, 0)]]))
+    node = validate_algebra(alg).find("torsion-compatibility")
+    assert (node.status, node.kind, node.witness, node.detail, node.meta) == (
+        "FAIL", "STRUCTURAL", (0, 1, 1),
+        "d_i*c[i][j] and d_j*c[i][j] vanish mod target orders", {})
+
+
 def test_validate_algebra_passes_fixtures():
     for alg in (nilsquare_algebra(), nilcube_algebra()):
         rep = validate_algebra(alg)

@@ -3,6 +3,7 @@
 import pytest
 
 from idealbar.core import (
+    AlgebraHom,
     BilinearMap,
     ModuleHom,
     PreconditionError,
@@ -28,6 +29,7 @@ from idealbar.fixtures import (
     nilcube_sub,
     nilcube_xmod,
 )
+from idealbar.xmod import AlgebraAction, CrossedModule
 
 
 def test_fixture_morphism_validates():
@@ -191,3 +193,70 @@ def test_eta_closure_is_swept_when_the_subset_landed_in_is_not_a_span():
     node = next(p for p in sx.problems if p.name == "eta-maps-sub-into-sub")
     assert node.witness == ((1, 1),)
     assert node.meta == {"mode": "exhaustive", "checked": 4}
+
+
+# The failing leaves below are pinned whole: status, kind, witness,
+# detail and meta.  Each sub is declared through SubXMod.from_inclusions
+# over the inclusions of (x^2) into nilcube, so only the leaf under test
+# is changed by the mutation.
+
+def _wrong_nu():
+    # send the sub generator x^2 to x instead
+    nu = nilcube_morphism().alpha2
+    return AlgebraHom(nu.dom, nu.cod,
+                      ModuleHom(nu.dom.carrier, nu.cod.carrier, [(0, 1, 0)]),
+                      name="nu")
+
+
+def _leaf(node):
+    return (node.status, node.kind, node.witness, node.detail, node.meta)
+
+
+SQUARE_FAIL = ("FAIL", "AXIOM", ((1,),))
+SWEPT_2 = {"mode": "exhaustive", "checked": 2}
+
+
+def test_inclusion_square_failure_is_pinned():
+    mor = nilcube_morphism()
+    sx = SubXMod.from_inclusions(mor.target, mor.source, mor.alpha1,
+                                 _wrong_nu(), name="wrong-nu")
+    rep = validate_crossed_ideal(sx)
+    # nu eta'(g) = x, but eta mu(g) = x^2
+    assert _leaf(rep.find("inclusion-square")) == (
+        *SQUARE_FAIL, "nu eta' = eta mu", SWEPT_2)
+    assert rep.find("action-is-induced").status == "PASS"
+
+
+def test_action_is_induced_failure_is_pinned():
+    mor = nilcube_morphism()
+    sub = mor.source
+    loud = AlgebraAction(sub.s_alg, sub.r_alg,
+                         BilinearMap(sub.s_alg.carrier, sub.r_alg.carrier,
+                                     sub.r_alg.carrier, [[(1,)]]))
+    sx = SubXMod.from_inclusions(
+        mor.target, CrossedModule(sub.eta, loud, name="loud"),
+        mor.alpha1, mor.alpha2, name="loud-action")
+    rep = validate_crossed_ideal(sx)
+    # x^2 . x^2 is x^2 in the sub, but x^2 acts on R by zero
+    assert _leaf(rep.find("action-is-induced")) == (
+        "FAIL", "AXIOM", ((1,), (1,)), "mu(s'.r') = nu(s').mu(r')",
+        {"mode": "exhaustive", "checked": 4})
+    assert rep.find("inclusion-square").status == "PASS"
+
+
+def test_morphism_square_failure_is_pinned():
+    mor = nilcube_morphism()
+    rep = validate_morphism(XModMorphism(mor.source, mor.target,
+                                         mor.alpha1, _wrong_nu()))
+    assert _leaf(rep.find("square-commutes")) == (
+        *SQUARE_FAIL, "alpha2 eta1 = eta2 alpha1", SWEPT_2)
+
+
+def test_cim_square_failure_is_pinned():
+    cim = nilcube_cim()
+    mor = cim.morphism
+    wrong = XModMorphism(mor.source, mor.target, mor.alpha1, _wrong_nu())
+    rep = validate_crossed_ideal_map(
+        CrossedIdealMap(wrong, cim.act1, cim.act2, cim.h, name="wrong-nu"))
+    assert _leaf(rep.find("square-commutes")) == (
+        *SQUARE_FAIL, "eta2 alpha1 = alpha2 eta1", SWEPT_2)

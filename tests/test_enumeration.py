@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import idealbar.core as core_mod
+import idealbar.crossed_ideal as crossed_ideal_mod
 import idealbar.enumeration as enumeration_mod
 import idealbar.xmod as xmod_mod
 from idealbar.core import (Algebra, BilinearMap, FiniteModule, Submodule,
@@ -324,6 +325,23 @@ def test_fuzz_report_rolls_up():
     assert summary.meta["failures"] == 0
     # one row per instance on top of the summary
     assert len(rep.checks) == 9
+
+
+def test_fuzz_report_validates_each_draw_once(monkeypatch):
+    # fuzz_cims validates nothing; the image check of fuzz_report is the
+    # one validate_crossed_ideal call per draw
+    calls = []
+    validate = crossed_ideal_mod.validate_crossed_ideal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(crossed_ideal_mod, "validate_crossed_ideal", counted)
+    monkeypatch.setattr(enumeration_mod, "validate_crossed_ideal", counted,
+                        raising=False)
+    assert fuzz_report(2, 2, 20).passed
+    assert len(calls) == 20
 
 
 def test_enumeration_report_counts():

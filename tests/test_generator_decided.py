@@ -341,7 +341,8 @@ def test_torsion_violating_level_tensor_closes_the_gate(monkeypatch):
 
 def test_fuzzed_subsets_are_closed_on_generators(monkeypatch):
     # every subset fuzz_cims builds is a span, so the closures in
-    # sub_crossed_module and subalgebra_presentation pass on generators
+    # sub_crossed_module and the presentation inclusion_xmod builds pass
+    # on generators
     calls = count_sweeps(monkeypatch)
     inside = []
 
@@ -356,7 +357,7 @@ def test_fuzzed_subsets_are_closed_on_generators(monkeypatch):
     for mod, name in ((enumeration_mod, "sub_crossed_module"),
                       (crossed_ideal_mod, "sub_crossed_module"),
                       (crossed_ideal_mod, "_present_subalgebra"),
-                      (xmod_mod, "subalgebra_presentation")):
+                      (xmod_mod, "_present_subalgebra")):
         monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
     assert fuzz_report(2, 2, 100).passed
     assert inside and sum(inside) == 0

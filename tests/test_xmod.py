@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import idealbar.core as core_mod
 from idealbar.core import (Algebra, BilinearMap, FiniteModule, ModuleHom,
                            StructuralError, Submodule, validate_hom)
 from idealbar.enumeration import enumerate_xmods
@@ -195,6 +196,33 @@ def test_inclusion_xmod_of_nilcube_ideal():
     assert validate_hom(xm.eta).passed
     # eta is the inclusion, so its image is the ideal again
     assert {xm.eta.apply(x) for x in xm.r_alg.elements()} == set(ideal.elements)
+
+
+def test_inclusion_xmod_checks_closure_once(monkeypatch):
+    # is_ideal is the one precondition check: an ideal is closed under
+    # multiplication by absorption, so no separate closure check runs
+    calls = []
+    closed = core_mod.multiplicatively_closed
+    monkeypatch.setattr(core_mod, "multiplicatively_closed",
+                        lambda *a, **k: calls.append(a) or closed(*a, **k))
+    alg = nilcube_algebra()
+    ideal = Submodule.from_generators(alg.carrier, [(0, 1, 0), (0, 0, 1)])
+    assert validate_crossed_module(inclusion_xmod(alg, ideal)).passed
+    assert calls == []
+
+
+def test_action_torsion_failure_is_pinned():
+    # g1 of S has order 2 but acts on the order-4 generator of R by 1:
+    # the first violation is (i, j, l) = (1, 0, 0)
+    s_mod, r_mod = FiniteModule(4, [4, 2]), FiniteModule(4, [4])
+    s_alg = Algebra(s_mod, BilinearMap(s_mod, s_mod, s_mod,
+                                       [[(0, 0), (0, 0)], [(0, 0), (0, 0)]]))
+    r_alg = Algebra(r_mod, BilinearMap(r_mod, r_mod, r_mod, [[(0,)]]))
+    act = AlgebraAction(s_alg, r_alg,
+                        BilinearMap(s_mod, r_mod, r_mod, [[(0,)], [(1,)]]))
+    node = validate_algebra_action(act).find("torsion-compatibility")
+    assert (node.status, node.kind, node.witness, node.detail, node.meta) == (
+        "FAIL", "STRUCTURAL", (1, 0, 0), "", {})
 
 
 def test_inclusion_xmod_rejects_non_ideal():
