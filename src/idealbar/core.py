@@ -11,6 +11,7 @@ identities that can actually fail.
 from __future__ import annotations
 
 from itertools import product
+from math import gcd, lcm
 from operator import mod
 
 # sweep is re-exported: perfbench's tracer self-test reaches it as
@@ -142,6 +143,8 @@ class BilinearMap:
     Bilinearity over Z/m is automatic; whether the extension is well
     defined is exactly the torsion compatibility reported by the
     validators, so torsion-violating tensors are storable on purpose.
+    with_cells derives a tensor that differs in a few cells, sharing the
+    other rows, as the perturbation harness does for each mutant.
     """
 
     def __init__(self, left: FiniteModule, right: FiniteModule,
@@ -167,12 +170,33 @@ class BilinearMap:
                         f"tensor entry has length {len(vec)}, target rank is {target.rank}")
                 cells.append(tuple(map(mod, map(int, vec), orders)))
             rows.append(tuple(cells))
+        self._set(left, right, target, tuple(rows))
+
+    def _set(self, left, right, target, constants):
         self.left = left
         self.right = right
         self.target = target
-        self.constants = tuple(rows)
+        self.constants = constants
         self._nz = None
         self._well_defined = None
+
+    def with_cells(self, cells) -> "BilinearMap":
+        """This tensor with the cells (i, j) -> vec of the mapping cells
+        replaced.  Only the replaced cells are converted and reduced; the
+        rows without one are self's own row tuples."""
+        orders = self.target.orders
+        rows = list(self.constants)
+        for (i, j), vec in cells.items():
+            vec = tuple(vec)
+            if len(vec) != len(orders):
+                raise StructuralError(
+                    f"tensor entry has length {len(vec)}, target rank is {len(orders)}")
+            row = list(rows[i])
+            row[j] = tuple(map(mod, map(int, vec), orders))
+            rows[i] = tuple(row)
+        other = object.__new__(BilinearMap)
+        other._set(self.left, self.right, self.target, tuple(rows))
+        return other
 
     def _rows(self):
         # per left index i, the (j, nonzero (l, v) entries) of the cells
@@ -201,15 +225,23 @@ class BilinearMap:
 
     def torsion_violations(self):
         """Yield index triples (i, j, l) where the bilinear extension is
-        not well defined, in lexicographic order."""
+        not well defined, in lexicographic order.
+
+        Cell (i, j, l) violates when d_i * c or e_j * c is not 0 mod f_l,
+        that is when gcd(d_i, e_j) * c is not, so only a cell whose f_l
+        does not divide gcd(d_i, e_j) can violate and the others are not
+        read.  When every target order divides every left and right order
+        (every module over Z/2, say) no constant is read at all."""
         d = self.left.orders
         e = self.right.orders
         f = self.target.orders
+        if gcd(*d, *e) % lcm(*f) == 0:
+            return
         for i in range(self.left.rank):
             for j in range(self.right.rank):
-                vec = self.constants[i][j]
+                g = gcd(d[i], e[j])
                 for l in range(self.target.rank):
-                    if (d[i] * vec[l]) % f[l] or (e[j] * vec[l]) % f[l]:
+                    if g % f[l] and g * self.constants[i][j][l] % f[l]:
                         yield (i, j, l)
 
     def well_defined(self) -> bool:
@@ -294,12 +326,12 @@ class ModuleHom:
 
     def order_violations(self):
         """Indices i where d_i * images[i] != 0, i.e. the map is not well
-        defined on Z/d_i."""
-        out = []
-        for i, (d, img) in enumerate(zip(self.domain.orders, self.images)):
-            if self.codomain.scale(d, img) != self.codomain.zero:
-                out.append(i)
-        return out
+        defined on Z/d_i.  A summand whose order every codomain order
+        divides cannot violate, so its image is not read."""
+        f = self.codomain.orders
+        top = lcm(*f)
+        return [i for i, d in enumerate(self.domain.orders) if d % top
+                and any(d * v % fl for v, fl in zip(self.images[i], f))]
 
     def well_defined(self) -> bool:
         if self._well_defined is None:
@@ -508,21 +540,35 @@ def _unit_note(alg: Algebra) -> Report:
 def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
                             cod: Algebra, policy: Policy | None = None,
                             kind: str = AXIOM) -> Report:
-    """Check f(uv) = f(u)f(v).  When hom and both products are well
-    defined, both sides are bilinear in (u, v), so check decides the
-    property on generator pairs at every size, and a mismatch gives the
-    least witness.  Otherwise the element pairs are swept under policy."""
-    maps = (hom, dom.mul, cod.mul)
-    gate = all(m.well_defined() for m in maps)
-    rep = check(name, kind, [dom.carrier] * 2,
-                lambda u, v: hom.apply(dom.multiply(u, v))
-                == cod.multiply(hom.apply(u), hom.apply(v)), policy,
-                detail="f(uv) != f(u)f(v)" if gate else "f(uv) = f(u)f(v)",
-                maps=maps)
-    if gate and rep.passed:
-        rep.detail = "f(uv) = f(u)f(v), generator pairs, complete by bilinearity"
-        rep.meta["generator_pairs"] = dom.carrier.rank ** 2
-    return rep
+    """Check f(uv) = f(u)f(v).
+
+    When hom and both products are well defined, both sides are bilinear
+    in (u, v), so generator pairs decide the property at every size, and
+    they are read off the tables: f(g_i g_j) is f applied to the cell
+    c[i][j] of dom's product, and f(g_i)f(g_j) is cod's product of the
+    image rows F[i] and F[j].  The pairs are scanned e_n < .. < e_1 in
+    both arguments, as policy.check takes them, so the first mismatch is
+    the least element witness and the leaf is the one the exhaustive
+    sweep gives.  Otherwise the element pairs are swept under policy."""
+    if not all(m.well_defined() for m in (hom, dom.mul, cod.mul)):
+        return check(name, kind, [dom.carrier] * 2,
+                     lambda u, v: hom.apply(dom.multiply(u, v))
+                     == cod.multiply(hom.apply(u), hom.apply(v)), policy,
+                     detail="f(uv) = f(u)f(v)")
+    gens, images = dom.carrier.generators(), hom.images
+    consts, evaluate = dom.mul.constants, cod.mul.evaluate
+    order = range(dom.carrier.rank - 1, -1, -1)
+    bad = next(((gens[i], gens[j]) for i in order for j in order
+                if hom.apply(consts[i][j])
+                != evaluate(images[i], images[j])), None)
+    meta = {"mode": EXHAUSTIVE, "checked": dom.carrier.size ** 2}
+    if bad is not None:
+        return leaf(name, FAIL, kind, detail="f(uv) != f(u)f(v)",
+                    witness=bad, meta=meta)
+    meta["generator_pairs"] = dom.carrier.rank ** 2
+    return leaf(name, PASS, kind,
+                detail="f(uv) = f(u)f(v), generator pairs, complete by bilinearity",
+                meta=meta)
 
 
 def maps_equal_report(name: str, f: ModuleHom, g: ModuleHom,

@@ -158,22 +158,25 @@ def roundtrip_check(xm: CrossedModule, depth: int = 4,
 
 def _mutate_tensors(bar: TruncatedBarAlgebra, rng: random.Random):
     """bar's level tensors with one level mutated; the other levels are
-    bar's own tensor objects."""
+    bar's own tensor objects, and the mutant shares the rows of the
+    canonical tensor that it leaves alone."""
     tensors = bar.level_tensors()
     k = rng.randrange(1, bar.depth + 1)
     lvl = bar.levels[k]
     n = lvl.rank
-    raw = [[list(vec) for vec in row] for row in tensors[k].constants]
+    base = tensors[k].constants
+    cells = {}  # (i, j) -> the changed coefficient list of that cell
     for _ in range(rng.randrange(1, 4)):
         i = rng.randrange(n)
         j = rng.randrange(n)
         l = rng.randrange(n)
-        cur = raw[i][j][l]
+        cur = cells.setdefault((i, j), list(base[i][j]))[l]
         # always move to a different value, no-op mutants tell us nothing
         v = (cur + 1 + rng.randrange(lvl.orders[l] - 1)) % lvl.orders[l]
-        raw[i][j][l] = v
-        raw[j][i][l] = v  # keep the tensor symmetric
-    tensors[k] = BilinearMap(lvl, lvl, lvl, raw)
+        cells[i, j][l] = v
+        # keep the tensor symmetric
+        cells.setdefault((j, i), list(base[j][i]))[l] = v
+    tensors[k] = tensors[k].with_cells(cells)
     return tensors
 
 

@@ -14,11 +14,11 @@ match the exhaustive sweep.
 """
 
 import random
-import sys
 
 import pytest
 
 import idealbar.bar as bar_mod
+import idealbar.bibar as bibar_mod
 import idealbar.core as core_mod
 import idealbar.crossed_ideal as crossed_ideal_mod
 import idealbar.enumeration as enumeration_mod
@@ -39,27 +39,44 @@ from idealbar.xmod import (AlgebraAction, CrossedModule, phi_cm1_criterion,
                            phi_cm2_criterion, validate_crossed_module)
 
 CHECKERS = (bar_mod, core_mod, xmod_mod, crossed_ideal_mod, roundtrip_mod)
+MULTIPLICATIVITY_CALLERS = (bar_mod, bibar_mod, core_mod, crossed_ideal_mod,
+                            enumeration_mod, roundtrip_mod)
 LOWERED = Policy(exhaustive_bound=1)
+_shipped_multiplicativity = core_mod.multiplicativity_report
 
 
 def _without_generators(*args, maps=None, **kwargs):
-    # a PASS of multiplicativity_report stays on generator pairs: sweeping
-    # the 2048^2 pairs of nilcube level 4 takes minutes.  Its failures
-    # are swept, and the lowered-bound tests sweep its passes too
-    if sys._getframe(1).f_code.co_name == "multiplicativity_report":
-        rep = policy_mod.check(*args, maps=maps, **kwargs)
-        if rep.passed:
-            return rep
     return policy_mod.check(*args, **kwargs)
 
 
+def _multiplicativity_without_generators(name, hom, dom, cod, policy=None,
+                                         kind=AXIOM):
+    # a PASS of multiplicativity_report stays on generator pairs: sweeping
+    # the 2048^2 pairs of nilcube level 4 takes minutes.  A FAIL read off
+    # the tables is swept under the caller's policy, and the lowered-bound
+    # tests sweep its passes too.  With the gate closed the report already
+    # sweeps through the patched check
+    rep = _shipped_multiplicativity(name, hom, dom, cod, policy, kind)
+    if rep.passed or not all(m.well_defined()
+                             for m in (hom, dom.mul, cod.mul)):
+        return rep
+    return policy_mod.check(name, kind, [dom.carrier] * 2,
+                            lambda u, v: hom.apply(dom.multiply(u, v))
+                            == cod.multiply(hom.apply(u), hom.apply(v)),
+                            policy, detail="f(uv) != f(u)f(v)")
+
+
 def assert_same(monkeypatch, run):
-    """run() gives the same JSON as shipped and with every check swept
-    element by element."""
+    """run() gives the same JSON as shipped and with every check, and
+    every failing multiplicativity read off the tables, swept element by
+    element."""
     fast = run().to_json()
     with monkeypatch.context() as m:
         for mod in CHECKERS:
             m.setattr(mod, "check", _without_generators)
+        for mod in MULTIPLICATIVITY_CALLERS:
+            m.setattr(mod, "multiplicativity_report",
+                      _multiplicativity_without_generators)
         assert run().to_json() == fast
 
 
@@ -108,16 +125,34 @@ def _swept_exhaustively(name, kind, spaces, pred, policy=None, detail="",
                             detail)
 
 
+def _multiplicativity_swept(name, hom, dom, cod, policy=None, kind=AXIOM):
+    # multiplicativity_report as a predicate swept exhaustively, its
+    # generator-pair leaf fields kept: the table read it makes must match
+    gate = all(m.well_defined() for m in (hom, dom.mul, cod.mul))
+    rep = _swept_exhaustively(
+        name, kind, [dom.carrier] * 2,
+        lambda u, v: hom.apply(dom.multiply(u, v))
+        == cod.multiply(hom.apply(u), hom.apply(v)),
+        detail="f(uv) != f(u)f(v)" if gate else "f(uv) = f(u)f(v)")
+    if gate and rep.passed:
+        rep.detail = "f(uv) = f(u)f(v), generator pairs, complete by bilinearity"
+        rep.meta["generator_pairs"] = dom.carrier.rank ** 2
+    return rep
+
+
 def assert_generator_leaves_match_the_sweep(monkeypatch, xm, depth):
     """verify_bar under LOWERED, where every element sweep samples, against
-    the same report with every check swept exhaustively without maps:
-    each leaf decided on generators (mode exhaustive) must be the
-    sweep's leaf, and a sampled FAIL must be a FAIL of the sweep.
-    Returns the report under LOWERED."""
+    the same report with every check, multiplicativity included, swept
+    exhaustively without maps: each leaf decided on generators (mode
+    exhaustive) must be the sweep's leaf, and a sampled FAIL must be a
+    FAIL of the sweep.  Returns the report under LOWERED."""
     fast = verify_bar(build_bar_algebra(xm, depth), LOWERED)
     with monkeypatch.context() as m:
         for mod in CHECKERS:
             m.setattr(mod, "check", _swept_exhaustively)
+            if hasattr(mod, "multiplicativity_report"):
+                m.setattr(mod, "multiplicativity_report",
+                          _multiplicativity_swept)
         slow = verify_bar(build_bar_algebra(xm, depth), LOWERED)
     for a, b in zip(fast.walk(), slow.walk(), strict=True):
         assert a.name == b.name

@@ -5,7 +5,7 @@ Each entry records the exit code and the SHA-256 of stdout, once with
 were taken from the code before the checking logic was folded into one
 primitive, so a refactor that changes any verdict, witness, meta entry
 or rendered byte fails here, not only one that is nondeterministic.
-The last two entries were recorded later, as their comment says.
+The later entries were recorded afterwards, as their comments say.
 """
 
 import hashlib
@@ -70,6 +70,13 @@ GOLDEN = [
     (("-w", NILCUBE, "ideal-check", "bad"),
      1, "908fb5aff7ee9174352983e3dc14a98bad888ff4acdc66d82840c76731adfcba",
      "d3223996739b2dc19d70d38f9bce6386aa40d8d02d5b4645d24cf6b5b846e11c"),
+    # recorded before multiplicativity was read off the image matrix:
+    # levels of orders (2, 4, 4, 4), mutants that violate torsion, and a
+    # d0-multiplicative FAIL whose witness the generator scan decides
+    (("-w", BROKEN_Z4, "--seed", "11", "roundtrip", "main", "--depth", "2",
+      "--perturb", "--budget", "200"),
+     1, "d0193582c88c9cd25c57f609538cf9442247d7baf025fc4cc226527d9a2f0bb8",
+     "71286eb20a10704bc33f7b8b1452e9344244d398517d70ca3be75b35c82853d6"),
 ]
 
 
