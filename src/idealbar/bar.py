@@ -10,20 +10,20 @@ eta: R -> S, each level also carries a multiplication
       = (ss', ..., s.b_j + s'.a_j + (a_1+..+a_{j-1}) b_j
                    + a_j (b_1+..+b_j), ...)
 
-realised as a structure-constant tensor assembled block by block from
-the constants of S, R and the action, and as that closed formula, which
-is kept as its oracle; the two are cross-checked in the test suite.
+realised as the structure-constant tensor of S |x R^k that
+core.semidirect_power assembles block by block from the constants of S,
+R and the action.  The closed formula is its oracle in the test suite.
 """
 
 from __future__ import annotations
 
 import copy
 
-from .core import (MAX_ENUM, Algebra, AlgebraHom, BilinearMap, ModuleHom,
+from .core import (MAX_ENUM, Algebra, AlgebraHom, ModuleHom,
                    PreconditionError, Submodule, UnsupportedScaleError,
                    direct_sum, identity_hom, image, is_ideal, kernel,
                    maps_equal_report, multiplicativity_report,
-                   validate_algebra, validate_hom)
+                   semidirect_power, validate_algebra, validate_hom)
 from .policy import Policy, check
 from .report import (AXIOM, FAIL, PASS, STRUCTURAL, THEOREM, Report, group,
                      leaf, relabel)
@@ -31,6 +31,17 @@ from .xmod import (CrossedModule, ModuleAction, translation_action,
                    validate_module_action)
 
 DEFAULT_DEPTH = 4
+
+
+def level_size(x_size: int, r_size: int, n: int) -> int:
+    """|X x R^n|, refused above the enumeration bound.  The exponent is
+    capped, so a huge n costs nothing: when R has two elements or more,
+    R^n is over the bound once n passes the bound's bit length."""
+    size = x_size * r_size ** min(n, MAX_ENUM.bit_length())
+    if size > MAX_ENUM:
+        raise UnsupportedScaleError(
+            "bar levels exceed the enumeration bound at this depth")
+    return size
 
 
 class TruncatedBarModule:
@@ -44,9 +55,7 @@ class TruncatedBarModule:
         self.depth = depth
         self.x_mod = act.space
         self.r_mod = act.algebra.carrier
-        if self.x_mod.size * (self.r_mod.size ** depth) > MAX_ENUM:
-            raise UnsupportedScaleError(
-                "bar levels exceed the enumeration bound at this depth")
+        level_size(self.x_mod.size, self.r_mod.size, depth)
         self.levels = [direct_sum([self.x_mod] + [self.r_mod] * n)
                        for n in range(depth + 1)]
         self._faces = {}
@@ -120,10 +129,9 @@ def build_bar_module(act: ModuleAction,
 class TruncatedBarAlgebra:
     """Bar object of a crossed-module candidate, with level products.
 
-    Every level tensor is assembled from the structure constants of S,
-    R and the action (_level_constants), so its build costs only its
-    cells; product_formula is the closed formula it is checked against.
-    with_level_tensors gives the same bar object with other products.
+    Level n is semidirect_power(S, R, action, n) on the module's own
+    level carrier, so its build costs only its cells.  with_level_tensor
+    gives the same bar object with one other level product.
 
     tensors holds every tensor the level products and the closed product
     formulas read: each level tensor, the products of S and R and the
@@ -137,54 +145,24 @@ class TruncatedBarAlgebra:
         self.depth = depth
         self.module = TruncatedBarModule(translation_action(xm.eta), depth)
         self.levels = self.module.levels
-        self._set_products(None)
-
-    def with_level_tensors(self, level_tensors) -> "TruncatedBarAlgebra":
-        """This bar object with other level products.  The module, its
-        faces and degeneracies are shared, not rebuilt, and so is every
-        tensor object passed back in, with its torsion verdict."""
-        other = copy.copy(self)
-        other._set_products(level_tensors)
-        return other
-
-    def _set_products(self, level_tensors):
-        xm = self.xm
-        s_alg = xm.s_alg
-        self.algebras = []
-        for n in range(self.depth + 1):
-            carrier = self.levels[n]
-            if level_tensors is not None and level_tensors[n] is not None:
-                tensor = level_tensors[n]
-            else:
-                tensor = BilinearMap(carrier, carrier, carrier,
-                                     self._level_constants(n))
-            name = s_alg.name or "S"
-            self.algebras.append(Algebra(carrier, tensor, name=f"B{n}({name})"))
+        name = xm.s_alg.name or "S"
+        self.algebras = [
+            semidirect_power(xm.s_alg, xm.r_alg, xm.action.tensor, n,
+                             carrier=lvl, name=f"B{n}({name})")
+            for n, lvl in enumerate(self.levels)]
         self.tensors = tuple(self.level_tensors()) + (
-            s_alg.mul, xm.r_alg.mul, xm.action.tensor)
+            xm.s_alg.mul, xm.r_alg.mul, xm.action.tensor)
 
-    def _level_constants(self, n):
-        """Structure constants of the level-n product, block by block:
-        S x S is the product of S, S x letter q and letter q x S put the
-        action cell into letter q, and letter p x letter q puts the
-        product cell of R into letter max(p, q)."""
-        xm = self.xm
-        s_mul, r_mul = xm.s_alg.mul.constants, xm.r_alg.mul.constants
-        act = xm.action.tensor.constants
-        zs, zr = xm.s_alg.zero, xm.r_alg.zero
-
-        def letter(q, cell):
-            return zs + zr * q + cell + zr * (n - 1 - q)
-
-        rows = [[cell + zr * n for cell in s_row]
-                + [letter(q, a) for q in range(n) for a in a_row]
-                for s_row, a_row in zip(s_mul, act)]
-        for p in range(n):
-            for k, r_row in enumerate(r_mul):
-                rows.append([letter(p, a[k]) for a in act]
-                            + [letter(max(p, q), b)
-                               for q in range(n) for b in r_row])
-        return rows
+    def with_level_tensor(self, k, tensor) -> "TruncatedBarAlgebra":
+        """This bar object with the level-k product replaced by tensor.
+        The module, its faces and degeneracies and every other level
+        algebra are shared, not rebuilt."""
+        other = copy.copy(self)
+        other.algebras = list(self.algebras)
+        other.algebras[k] = Algebra(self.levels[k], tensor,
+                                    name=self.algebras[k].name)
+        other.tensors = self.tensors[:k] + (tensor,) + self.tensors[k + 1:]
+        return other
 
     def face(self, n, i):
         return self.module.face(n, i)
@@ -194,24 +172,6 @@ class TruncatedBarAlgebra:
 
     def multiply(self, n, u, v):
         return self.algebras[n].multiply(u, v)
-
-    def product_formula(self, n, u, v):
-        """Closed form of the level-n product."""
-        xm = self.xm
-        smul = xm.s_alg.multiply
-        radd, rmul = xm.r_alg.carrier.add, xm.r_alg.multiply
-        act = xm.action.apply
-        rzero = xm.r_alg.zero
-        s, a = self.module.split(u, n)
-        s2, b = self.module.split(v, n)
-        out = [smul(s, s2)]
-        pa, pb = rzero, rzero
-        for j in range(n):
-            coord = radd(radd(act(s, b[j]), act(s2, a[j])),
-                         radd(rmul(pa, b[j]), rmul(a[j], radd(pb, b[j]))))
-            out.append(coord)
-            pa, pb = radd(pa, a[j]), radd(pb, b[j])
-        return self.module.join(out[0], out[1:])
 
     def embed_s(self, n, s):
         return self.module.join(s, [self.module.r_mod.zero] * n)

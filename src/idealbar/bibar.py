@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .bar import (TruncatedBarAlgebra, TruncatedBarModule,
+from .bar import (TruncatedBarAlgebra, TruncatedBarModule, level_size,
                   verify_simplicial_identities)
 from .core import (Algebra, BilinearMap, ModuleHom, StructuralError,
                    direct_sum, identity_hom, maps_equal_report,
@@ -44,11 +44,14 @@ def phi_maps(morphism: XModMorphism, n_depth: int, drop=()) -> list[ModuleHom]:
     """The comparison maps phi_0 .. phi_N as module homs between bar
     levels.  drop is a collection of (n, j) pairs; letter j of phi_n is
     sent to zero instead of through alpha1 there, which breaks the
-    square with the face maps and serves as the negative control."""
+    square with the face maps and serves as the negative control.  Bar
+    levels beyond the enumeration bound are refused before any is built."""
     drop = set(drop)
     src, tgt = morphism.source, morphism.target
     s1m, r1m = src.s_alg.carrier, src.r_alg.carrier
     s2m, r2m = tgt.s_alg.carrier, tgt.r_alg.carrier
+    level_size(s1m.size, r1m.size, n_depth)
+    level_size(s2m.size, r2m.size, n_depth)
     a1, a2 = morphism.alpha1.apply, morphism.alpha2.apply
     out = []
     for n in range(n_depth + 1):
@@ -73,6 +76,12 @@ class BiBar:
 
     def __init__(self, morphism: XModMorphism, n_depth: int = 2,
                  m_depth: int = 2, phi: list[ModuleHom] | None = None):
+        # the top bilevel B2_N x (B1_N)^M is the largest; refuse it
+        # before any level is built
+        src, tgt = morphism.source, morphism.target
+        level_size(level_size(tgt.s_alg.size, tgt.r_alg.size, n_depth),
+                   level_size(src.s_alg.size, src.r_alg.size, n_depth),
+                   m_depth)
         self.morphism = morphism
         self.n_depth = n_depth
         self.m_depth = m_depth
@@ -110,12 +119,6 @@ class BiBar:
     def level(self, n, m):
         return self.rows[n].levels[m]
 
-    def split(self, t, n, m):
-        return self.rows[n].split(t, m)
-
-    def join(self, n, x, blocks):
-        return self.rows[n].join(x, blocks)
-
     def h_face(self, n, m, i) -> ModuleHom:
         return self.rows[n].face(m, i)
 
@@ -137,13 +140,6 @@ class BiBar:
         dom, cod = self.level(n, m), self.rows[n_out].levels[m]
         images = [fn(g) for g in dom.generators()]
         return ModuleHom(dom, cod, images, name=name)
-
-    def multiply(self, n, m, u, v):
-        xu, wu = self.split(u, n, m)
-        xv, wv = self.split(v, n, m)
-        x = self.bar2.multiply(n, xu, xv)
-        ws = [self.bar1.multiply(n, a, b) for a, b in zip(wu, wv)]
-        return self.join(n, x, ws)
 
     def algebra(self, n, m) -> Algebra:
         """Componentwise product algebra at bilevel (n, m)."""

@@ -766,27 +766,38 @@ def quotient_algebra(alg: Algebra, ideal: Submodule):
     return quot, proj
 
 
-def semidirect_product(s_alg: Algebra, r_alg: Algebra, act: BilinearMap,
-                       name: str = "") -> Algebra:
-    """S |x R with product (s,r)(s',r') = (ss', s.r' + s'.r + rr')."""
+def semidirect_power(s_alg: Algebra, r_alg: Algebra, act: BilinearMap, n: int,
+                     carrier: FiniteModule | None = None,
+                     name: str = "") -> Algebra:
+    """S |x R^n, level n of the bar object, assembled block by block: S x S
+    is the product of S, S x letter q and letter q x S put the action cell
+    into letter q, and letter p x letter q puts the product cell of R into
+    letter max(p, q).  carrier is the module S + R^n when the caller
+    holds one, so that its element caches are shared."""
     if act.left != s_alg.carrier or act.right != r_alg.carrier \
             or act.target != r_alg.carrier:
         raise StructuralError("action tensor must map S x R into R")
-    carrier = direct_sum([s_alg.carrier, r_alg.carrier])
-    ps, pr = s_alg.carrier.rank, r_alg.carrier.rank
-    zs, zr = (0,) * ps, (0,) * pr
-    constants = []
-    for i in range(ps + pr):
-        row = []
-        for j in range(ps + pr):
-            if i < ps and j < ps:
-                row.append(s_alg.mul.constants[i][j] + zr)
-            elif i < ps:
-                row.append(zs + act.constants[i][j - ps])
-            elif j < ps:
-                row.append(zs + act.constants[j][i - ps])
-            else:
-                row.append(zs + r_alg.mul.constants[i - ps][j - ps])
-        constants.append(row)
-    return Algebra(carrier, BilinearMap(carrier, carrier, carrier, constants),
-                   name=name or "semidirect")
+    if carrier is None:
+        carrier = direct_sum([s_alg.carrier] + [r_alg.carrier] * n)
+    zs, zr = s_alg.zero, r_alg.zero
+
+    def letter(q, cell):
+        return zs + zr * q + cell + zr * (n - 1 - q)
+
+    rows = [[cell + zr * n for cell in s_row]
+            + [letter(q, a) for q in range(n) for a in a_row]
+            for s_row, a_row in zip(s_alg.mul.constants, act.constants)]
+    for p in range(n):
+        for k, r_row in enumerate(r_alg.mul.constants):
+            rows.append([letter(p, a[k]) for a in act.constants]
+                        + [letter(max(p, q), b)
+                           for q in range(n) for b in r_row])
+    return Algebra(carrier, BilinearMap(carrier, carrier, carrier, rows),
+                   name=name)
+
+
+def semidirect_product(s_alg: Algebra, r_alg: Algebra, act: BilinearMap,
+                       name: str = "") -> Algebra:
+    """S |x R with product (s,r)(s',r') = (ss', s.r' + s'.r + rr'), the
+    one-letter case of semidirect_power."""
+    return semidirect_power(s_alg, r_alg, act, 1, name=name or "semidirect")

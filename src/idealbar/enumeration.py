@@ -24,7 +24,10 @@ MAX_PAIR_ENUM = 200_000
 
 
 def enumerate_order_tuples(modulus: int, rank: int) -> list[tuple]:
-    """Non-decreasing tuples of summand orders dividing the modulus."""
+    """Non-decreasing tuples of summand orders dividing the modulus.  At
+    rank 0 no divisor is listed."""
+    if rank == 0:
+        return [()]
     divisors = [d for d in range(2, modulus + 1) if modulus % d == 0]
     return [tuple(t) for t in combinations_with_replacement(divisors, rank)]
 
@@ -54,7 +57,12 @@ def _tensors(left: FiniteModule, right: FiniteModule, target: FiniteModule,
 
 def enumerate_algebras(modulus: int, rank: int) -> list[Algebra]:
     """Every commutative associative algebra structure on every module of
-    the given rank, one entry per structure-constant tensor."""
+    the given rank, one entry per structure-constant tensor.  Above rank
+    0 a modulus over MAX_PAIR_ENUM is refused before its divisors are
+    listed: the tensors on (Z/m)^rank alone are more than that."""
+    if rank and modulus > MAX_PAIR_ENUM:
+        raise UnsupportedScaleError(
+            "tensor space too large to enumerate at this rank")
     out = []
     for orders in enumerate_order_tuples(modulus, rank):
         carrier = FiniteModule(modulus, orders)

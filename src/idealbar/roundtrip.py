@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 
 from .core import (AlgebraHom, BilinearMap, ModuleHom, StructuralError,
-                   algebra_axioms, direct_sum, multiplicativity_report)
+                   algebra_axioms, direct_sum, multiplicativity_report,
+                   semidirect_power)
 from .bar import (TruncatedBarAlgebra, build_bar_algebra, verify_ideal_axiom,
                   verify_level_homomorphisms)
 from .policy import Policy, check
@@ -100,29 +101,24 @@ def verify_extracted(bar: TruncatedBarAlgebra,
     return group("verify-extracted", checks)
 
 
-def _tensors_mismatch(bar_a: TruncatedBarAlgebra, bar_b: TruncatedBarAlgebra):
-    for k, (ta, tb) in enumerate(zip(bar_a.level_tensors(),
-                                     bar_b.level_tensors())):
-        if ta.constants != tb.constants:
-            for i, (ra, rb) in enumerate(zip(ta.constants, tb.constants)):
-                for j, (va, vb) in enumerate(zip(ra, rb)):
-                    if va != vb:
-                        return (k, i, j)
-    return None
-
-
 def roundtrip_from_structure(bar: TruncatedBarAlgebra,
                              policy: Policy | None = None) -> Report:
-    """Direction from a structure: extract, rebuild, compare tensors."""
+    """Direction from a structure: extract the action, rebuild every
+    level product from it, compare tensors.  The level products do not
+    read eta, so no second bar object is built."""
     checks = []
     try:
         act = extract_action(bar)
     except MalformedStructureError as exc:
         checks.append(leaf("extraction", FAIL, STRUCTURAL, detail=str(exc)))
         return group("roundtrip-from-structure", checks)
-    ext = CrossedModule(extract_eta(bar), act, name="extracted")
-    rebuilt = build_bar_algebra(ext, bar.depth)
-    bad = _tensors_mismatch(bar, rebuilt)
+    rebuilt = (semidirect_power(act.actor, act.acted, act.tensor, k,
+                                carrier=lvl).mul
+               for k, lvl in enumerate(bar.levels))
+    bad = next(((k, i, j) for k, (ta, tb) in
+                enumerate(zip(bar.level_tensors(), rebuilt))
+                for i, (ra, rb) in enumerate(zip(ta.constants, tb.constants))
+                for j, (va, vb) in enumerate(zip(ra, rb)) if va != vb), None)
     checks.append(leaf(
         "rebuild-products-exact", PASS if bad is None else FAIL, THEOREM,
         detail="level tensors of the rebuilt bar match the input",
@@ -157,14 +153,13 @@ def roundtrip_check(xm: CrossedModule, depth: int = 4,
 
 
 def _mutate_tensors(bar: TruncatedBarAlgebra, rng: random.Random):
-    """bar's level tensors with one level mutated; the other levels are
-    bar's own tensor objects, and the mutant shares the rows of the
-    canonical tensor that it leaves alone."""
-    tensors = bar.level_tensors()
+    """A level k of bar and its tensor mutated; the mutant shares the
+    rows of the canonical tensor that it leaves alone."""
     k = rng.randrange(1, bar.depth + 1)
     lvl = bar.levels[k]
     n = lvl.rank
-    base = tensors[k].constants
+    tensor = bar.algebras[k].mul
+    base = tensor.constants
     cells = {}  # (i, j) -> the changed coefficient list of that cell
     for _ in range(rng.randrange(1, 4)):
         i = rng.randrange(n)
@@ -176,21 +171,17 @@ def _mutate_tensors(bar: TruncatedBarAlgebra, rng: random.Random):
         cells[i, j][l] = v
         # keep the tensor symmetric
         cells.setdefault((j, i), list(base[j][i]))[l] = v
-    tensors[k] = tensors[k].with_cells(cells)
-    return tensors
+    return k, tensor.with_cells(cells)
 
 
 def _passes_definition(bar: TruncatedBarAlgebra, policy: Policy | None,
-                       canonical: TruncatedBarAlgebra,
-                       canonical_ok: list) -> bool:
+                       canonical_ok: list, k: int | None = None) -> bool:
     # sequential early exit; same primitives as definition_checks, less
-    # the unit NOTE.  A level whose tensor is the canonical one has the
-    # canonical verdict
-    for alg, base, ok in zip(bar.algebras, canonical.algebras, canonical_ok):
-        if alg.mul is not base.mul:
-            ok = algebra_axioms(alg).passed
-        if not ok:
-            return False
+    # the unit NOTE.  Only level k differs from the canonical bar, so
+    # every other level has its canonical verdict canonical_ok[n]
+    if not all(algebra_axioms(bar.algebras[k]).passed if n == k else ok
+               for n, ok in enumerate(canonical_ok)):
+        return False
     if not verify_level_homomorphisms(bar, policy).passed:
         return False
     return verify_ideal_axiom(bar, policy).passed
@@ -200,20 +191,19 @@ def perturb_and_filter(xm: CrossedModule, depth: int = 2, seed: int = 0,
                        budget: int = 1000,
                        policy: Policy | None = None) -> Report:
     """Candidate 0 is the canonical structure; the rest mutate one level
-    tensor at random and share the canonical bar module.  Survivors of
-    the definition filter must round-trip exactly."""
+    tensor at random and share the canonical bar module and every other
+    level.  Survivors of the definition filter must round-trip exactly."""
     rng = random.Random(seed)
     canonical = build_bar_algebra(xm, depth)
     canonical_ok = [algebra_axioms(alg).passed for alg in canonical.algebras]
     survivors = 0
     failures = []
     for t in range(budget):
-        if t == 0:
-            cand = canonical
-        else:
-            cand = canonical.with_level_tensors(
-                _mutate_tensors(canonical, rng))
-        if not _passes_definition(cand, policy, canonical, canonical_ok):
+        cand, k = canonical, None
+        if t:
+            k, tensor = _mutate_tensors(canonical, rng)
+            cand = canonical.with_level_tensor(k, tensor)
+        if not _passes_definition(cand, policy, canonical_ok, k):
             continue
         survivors += 1
         rep = roundtrip_from_structure(cand, policy)

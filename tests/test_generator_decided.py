@@ -367,9 +367,9 @@ def test_torsion_violating_level_tensor_closes_the_gate(monkeypatch):
     lvl = canonical.levels[1]
     raw = [[list(v) for v in row] for row in canonical.level_tensors()[1].constants]
     raw[0][0] = [raw[0][0][0], 1]
-    tensors = [canonical.level_tensors()[0], BilinearMap(lvl, lvl, lvl, raw)]
-    assert next(tensors[1].torsion_violations(), None) is not None
-    mutant = canonical.with_level_tensors(tensors)
+    tensor = BilinearMap(lvl, lvl, lvl, raw)
+    assert next(tensor.torsion_violations(), None) is not None
+    mutant = canonical.with_level_tensor(1, tensor)
     assert not all(t.well_defined() for t in mutant.tensors)
     assert_same(monkeypatch, lambda: verify_bar(mutant))
 

@@ -1,10 +1,13 @@
 """Extraction from the bar structure and the round trip in both directions."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from idealbar.bar import build_bar_algebra, definition_checks, verify_bar
+from idealbar.core import algebra_axioms
+from idealbar.enumeration import all_valid_xmods
 from idealbar.fixtures import (
     broken_action_xmod,
     nilcube_inclusion_xmod,
@@ -14,6 +17,7 @@ from idealbar.fixtures import (
 from idealbar.roundtrip import (
     MalformedStructureError,
     _mutate_tensors,
+    _passes_definition,
     extract_action,
     extract_eta,
     perturb_and_filter,
@@ -21,6 +25,10 @@ from idealbar.roundtrip import (
     roundtrip_from_structure,
     verify_extracted,
 )
+from idealbar.workspace import Workspace
+
+BROKEN_Z4 = str(Path(__file__).resolve().parent.parent / "fixtures"
+                / "broken_z4.json")
 
 
 def test_extraction_recovers_the_input():
@@ -42,14 +50,13 @@ def test_extract_eta_is_first_face_on_letters():
 def test_extraction_rejects_products_leaving_the_tail():
     xm = nilsquare_xmod()
     bar = build_bar_algebra(xm, depth=1)
-    tensors = list(bar.level_tensors())
     # corrupt the level-1 tensor so (s,0)(0,r) grows a base coordinate
-    consts = [list(map(list, row)) for row in tensors[1].constants]
+    consts = [list(map(list, row)) for row in bar.level_tensors()[1].constants]
     consts[0][2] = (1, 0, 0)
     from idealbar.core import BilinearMap
     lvl = bar.levels[1]
-    tensors[1] = BilinearMap(lvl, lvl, lvl, consts)
-    crooked = build_bar_algebra(xm, depth=1).with_level_tensors(tensors)
+    crooked = build_bar_algebra(xm, depth=1).with_level_tensor(
+        1, BilinearMap(lvl, lvl, lvl, consts))
     with pytest.raises(MalformedStructureError):
         extract_action(crooked)
 
@@ -107,20 +114,79 @@ def test_perturbation_is_seed_deterministic():
 
 def test_mutants_share_the_canonical_module_and_verify_alike():
     # perturb_and_filter builds the bar module once and reuses every
-    # unmutated level tensor; a mutant so built must verify exactly like
-    # a bar built from scratch on the same tensors
+    # unmutated level; a mutant so built must verify exactly like a bar
+    # built from scratch with the same level tensor
     xm = nilcube_xmod()
     canonical = build_bar_algebra(xm, 2)
     rng = random.Random(4)
     for _ in range(12):
-        tensors = _mutate_tensors(canonical, rng)
+        k, tensor = _mutate_tensors(canonical, rng)
+        base = canonical.level_tensors()
+        shared = canonical.with_level_tensor(k, tensor)
+        fresh = build_bar_algebra(xm, 2).with_level_tensor(k, tensor)
         assert sum(t is not c for t, c in
-                   zip(tensors, canonical.level_tensors())) == 1
-        shared = canonical.with_level_tensors(tensors)
-        fresh = build_bar_algebra(xm, 2).with_level_tensors(tensors)
+                   zip(shared.level_tensors(), base)) == 1
         assert shared.module is canonical.module
-        assert shared.level_tensors() == tensors
+        assert all((a is c) == (n != k) for n, (a, c) in
+                   enumerate(zip(shared.algebras, canonical.algebras)))
+        assert shared.level_tensors() == base[:k] + [tensor] + base[k + 1:]
         assert shared.tensors == fresh.tensors
         assert definition_checks(shared).to_json() \
             == definition_checks(fresh).to_json()
         assert verify_bar(shared).to_json() == verify_bar(fresh).to_json()
+
+
+@pytest.mark.parametrize("fixture", ["nilcube", "broken_z4"])
+def test_with_level_tensor_shares_every_other_level(fixture):
+    # a mutant is the canonical bar with one level algebra replaced: the
+    # module and every other level algebra are the canonical objects, it
+    # verifies like a fresh bar with that level tensor, and the filter's
+    # canonical verdicts agree with the definition checks
+    xm = (nilcube_xmod() if fixture == "nilcube"
+          else Workspace.load(BROKEN_Z4).xmods["main"])
+    canonical = build_bar_algebra(xm, 2)
+    canonical_ok = [algebra_axioms(alg).passed for alg in canonical.algebras]
+    assert _passes_definition(canonical, None, canonical_ok) \
+        == definition_checks(canonical).passed
+    rng = random.Random(9)
+    for _ in range(8):
+        k, tensor = _mutate_tensors(canonical, rng)
+        mutant = canonical.with_level_tensor(k, tensor)
+        fresh = build_bar_algebra(xm, 2).with_level_tensor(k, tensor)
+        assert mutant.module is canonical.module
+        assert mutant.levels is canonical.levels
+        for n, (alg, base) in enumerate(zip(mutant.algebras,
+                                            canonical.algebras)):
+            assert (alg is base) == (n != k)
+        assert mutant.algebras[k].carrier is canonical.levels[k]
+        assert mutant.algebras[k].mul is tensor
+        assert mutant.algebras[k].name == canonical.algebras[k].name
+        assert canonical.algebras[k].mul is not tensor
+        assert [n for n, (t, c) in enumerate(zip(mutant.tensors,
+                                                 canonical.tensors))
+                if t is not c] == [k]
+        assert mutant.tensors == fresh.tensors
+        assert verify_bar(mutant).to_json() == verify_bar(fresh).to_json()
+        assert _passes_definition(mutant, None, canonical_ok, k) \
+            == definition_checks(fresh).passed
+
+
+def test_filter_checks_the_mutated_level_like_the_definition():
+    # over Z/4 some depth-1 mutants keep every face, degeneracy and
+    # absorption clause and fail only associativity of the changed
+    # level, so the filter must run the algebra axioms on that level
+    only_axioms = 0
+    for xm in all_valid_xmods(4, 1):
+        canonical = build_bar_algebra(xm, 1)
+        if not canonical.levels[1].rank:
+            continue
+        canonical_ok = [algebra_axioms(a).passed for a in canonical.algebras]
+        rng = random.Random(0)
+        for _ in range(20):
+            k, tensor = _mutate_tensors(canonical, rng)
+            mutant = canonical.with_level_tensor(k, tensor)
+            rep = definition_checks(mutant)
+            assert _passes_definition(mutant, None, canonical_ok, k) \
+                == rep.passed
+            only_axioms += [c.passed for c in rep.checks] == [False, True, True]
+    assert only_axioms

@@ -1,17 +1,19 @@
 """Tensors read off structure constants against the element arithmetic
 they replace.
 
-The bar level tensors are assembled block by block from the constants of
-S, R and the action, the bibar products block-diagonally from the two
-bars, and associativity is decided on sums of constants.  The slow paths
-are kept here as the oracles: the closed product formula and
-BiBar.multiply on every generator pair, and the evaluate-based
-associativity loop.  The inputs are mixed-order modules with
+The bar level tensors are the tensors of S |x R^n that
+core.semidirect_power assembles block by block from the constants of S,
+R and the action, the bibar products are assembled block-diagonally from
+the two bars, and associativity is decided on sums of constants.  The
+slow paths are kept as the oracles: the closed product formula and the
+componentwise bibar product on every generator pair (tests/oracles.py),
+and the evaluate-based associativity loop.  The inputs are mixed-order modules with
 torsion-violating tensors, where a missing reduction or a misplaced
 block shows.
 """
 
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +23,14 @@ from idealbar.bar import build_bar_algebra
 from idealbar.bibar import BiBar
 from idealbar.core import (MAX_ENUM, Algebra, AlgebraHom, BilinearMap,
                            FiniteModule, ModuleHom, StructuralError,
-                           algebra_axioms)
+                           algebra_axioms, semidirect_power,
+                           semidirect_product)
 from idealbar.crossed_ideal import XModMorphism
 from idealbar.enumeration import all_valid_xmods
 from idealbar.fixtures import broken_action_xmod, nilcube_xmod, nilsquare_xmod
+from idealbar.workspace import Workspace
 from idealbar.xmod import AlgebraAction, CrossedModule
+from oracles import bibar_multiply, product_formula
 
 # summand orders above 1 for each modulus
 ORDERS = {4: (2, 4), 6: (2, 3, 6), 8: (2, 4, 8), 9: (3, 9)}
@@ -74,7 +79,7 @@ def level_size(xm, n):
 
 def product_formula_constants(bar, n):
     gens = bar.levels[n].generators()
-    return tuple(tuple(bar.product_formula(n, gi, gj) for gj in gens)
+    return tuple(tuple(product_formula(bar, n, gi, gj) for gj in gens)
                  for gi in gens)
 
 
@@ -98,6 +103,61 @@ def test_fixture_level_constants_match_the_closed_formula(make):
     for n in range(5):
         assert bar.algebras[n].mul.constants \
             == product_formula_constants(bar, n), n
+
+
+def _torsion_violating_xmods():
+    """Candidates whose product or action tensor is not a bilinear map
+    of modules: over Z/4, R = Z/2 + Z/4 with e0^2 = e1, and S = Z/2
+    acting on R = Z/4 by s.r = r."""
+    r_mod, s_mod = FiniteModule(4, [2, 4]), FiniteModule(4, [2])
+    r_alg = Algebra(r_mod, BilinearMap(r_mod, r_mod, r_mod,
+                                       [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]))
+    s_alg = Algebra(s_mod, BilinearMap(s_mod, s_mod, s_mod, [[[0]]]))
+    first = CrossedModule(
+        AlgebraHom(r_alg, s_alg, ModuleHom(r_mod, s_mod, [[0], [0]])),
+        AlgebraAction(s_alg, r_alg, BilinearMap(s_mod, r_mod, r_mod,
+                                                [[[0, 0], [0, 0]]])))
+    z4 = FiniteModule(4, [4])
+    r4 = Algebra(z4, BilinearMap(z4, z4, z4, [[[0]]]))
+    second = CrossedModule(
+        AlgebraHom(r4, s_alg, ModuleHom(z4, s_mod, [[0]])),
+        AlgebraAction(s_alg, r4, BilinearMap(s_mod, z4, z4, [[[1]]])))
+    out = [first, second]
+    assert all(not xm.r_alg.mul.well_defined()
+               or not xm.action.tensor.well_defined() for xm in out)
+    return out
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+BUILDER_INPUTS = {
+    "fixtures": lambda: [xm for path in sorted(FIXTURES.glob("*.json"))
+                         for xm in Workspace.load(str(path)).xmods.values()],
+    "valid-rank1-m2": lambda: all_valid_xmods(2, 1),
+    "valid-rank1-m3": lambda: all_valid_xmods(3, 1),
+    "valid-rank1-m4": lambda: all_valid_xmods(4, 1),
+    "torsion-violating": _torsion_violating_xmods,
+}
+
+
+@pytest.mark.parametrize("inputs", sorted(BUILDER_INPUTS))
+def test_semidirect_power_matches_the_closed_formula(inputs):
+    # one builder for S |x R^n: every bar level wraps it on the module's
+    # own carrier, and semidirect_product is its one-letter case
+    xmods = BUILDER_INPUTS[inputs]()
+    assert xmods
+    for xm in xmods:
+        bar = build_bar_algebra(xm, 3)
+        args = (xm.s_alg, xm.r_alg, xm.action.tensor)
+        for n in range(4):
+            alg = semidirect_power(*args, n)
+            assert alg.carrier == bar.levels[n]
+            assert alg.mul.constants == product_formula_constants(bar, n), n
+            assert bar.algebras[n].carrier is bar.levels[n]
+            assert bar.algebras[n].mul.constants == alg.mul.constants
+        sd = semidirect_product(*args)
+        assert sd.carrier == bar.algebras[1].carrier
+        assert sd.mul.constants == bar.algebras[1].mul.constants
+        assert sd.name == "semidirect"
 
 
 @st.composite
@@ -125,7 +185,7 @@ def test_bibar_constants_match_the_componentwise_product(mor, n_depth,
         for m in range(m_depth + 1):
             gens = bb.level(n, m).generators()
             assert bb.algebra(n, m).mul.constants == tuple(
-                tuple(bb.multiply(n, m, gi, gj) for gj in gens)
+                tuple(bibar_multiply(bb, n, m, gi, gj) for gj in gens)
                 for gi in gens), (n, m)
 
 

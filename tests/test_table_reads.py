@@ -282,9 +282,10 @@ def test_derived_mutants_equal_the_rebuild(fixture, depth):
     base = canonical.level_tensors()
     for seed in range(200):
         rng_new, rng_old = random.Random(seed), random.Random(seed)
-        new = _mutate_tensors(canonical, rng_new)
+        k, tensor = _mutate_tensors(canonical, rng_new)
         old = rebuilt_mutants(canonical, rng_old)
         assert rng_new.getstate() == rng_old.getstate()
+        new = base[:k] + [tensor] + base[k + 1:]
         for t_new, t_old, t_base in zip(new, old, base):
             assert t_new.constants == t_old.constants
             assert t_new == t_old and hash(t_new) == hash(t_old)
