@@ -3,8 +3,14 @@
 Level k of the bar object on an action of R on X is X x R^k, stored as
 one flat coefficient tuple.  Faces act by the action (d_0), by merging
 neighbouring letters, or by dropping the last one; degeneracies insert a
-zero letter.  When the action is translation through an algebra hom
-eta: R -> S, each level also carries a multiplication
+zero letter.  Each is the block matrix (core.block_hom) of its letter
+index map.  With letters numbered from 0, d_i sends letter j to j when
+j < i and to j - 1 otherwise, and s_i sends it to j or to j + 1 the
+same way; index -1 is the base, reached through the translation, and an
+index past the last letter of the target level drops the letter.
+
+When the action is translation through an algebra hom eta: R -> S,
+each level also carries a multiplication
 
     (s, a_1..a_k)(s', b_1..b_k)
       = (ss', ..., s.b_j + s'.a_j + (a_1+..+a_{j-1}) b_j
@@ -21,8 +27,8 @@ import copy
 
 from .core import (MAX_ENUM, Algebra, AlgebraHom, ModuleHom,
                    PreconditionError, Submodule, UnsupportedScaleError,
-                   direct_sum, identity_hom, image, is_ideal, kernel,
-                   maps_equal_report, multiplicativity_report,
+                   block_hom, direct_sum, identity_hom, image, is_ideal,
+                   kernel, maps_equal_report, multiplicativity_report,
                    semidirect_power, validate_algebra, validate_hom)
 from .policy import Policy, check
 from .report import (AXIOM, FAIL, PASS, STRUCTURAL, THEOREM, Report, group,
@@ -46,7 +52,9 @@ def level_size(x_size: int, r_size: int, n: int) -> int:
 
 class TruncatedBarModule:
     """Levels 0..depth of the bar object of a module action, with every
-    face and degeneracy inside the truncation."""
+    face and degeneracy inside the truncation, each built as the block
+    matrix of its letter index map.  The rows of a bibar are built here
+    too, on the translation through phi_n."""
 
     def __init__(self, act: ModuleAction, depth: int):
         if depth < 1:
@@ -58,14 +66,15 @@ class TruncatedBarModule:
         level_size(self.x_mod.size, self.r_mod.size, depth)
         self.levels = [direct_sum([self.x_mod] + [self.r_mod] * n)
                        for n in range(depth + 1)]
-        self._faces = {}
-        self._degens = {}
-        for n in range(1, depth + 1):
+        self._faces, self._degens = {}, {}
+        for n in range(depth + 1):
             for i in range(n + 1):
-                self._faces[(n, i)] = self._build_face(n, i)
-        for n in range(depth):
-            for i in range(n + 1):
-                self._degens[(n, i)] = self._build_degen(n, i)
+                if n:
+                    self._faces[n, i] = self._operator(
+                        n, n - 1, lambda j: j if j < i else j - 1, f"d{i}@{n}")
+                if n < depth:
+                    self._degens[n, i] = self._operator(
+                        n, n + 1, lambda j: j if j < i else j + 1, f"s{i}@{n}")
 
     # flat tuple <-> (x, letter blocks)
     def split(self, t, n):
@@ -86,36 +95,18 @@ class TruncatedBarModule:
     def degen(self, n, i) -> ModuleHom:
         return self._degens[(n, i)]
 
-    def _build_face(self, n, i):
-        act, radd = self.act, self.r_mod.add
-
-        if i == 0:
-            def fn(t):
-                x, b = self.split(t, n)
-                return self.join(act.apply(x, b[0]), b[1:])
-        elif i == n:
-            def fn(t):
-                x, b = self.split(t, n)
-                return self.join(x, b[:n - 1])
-        else:
-            def fn(t):
-                x, b = self.split(t, n)
-                return self.join(x, b[:i - 1] + [radd(b[i - 1], b[i])] + b[i + 1:])
-
-        dom = self.levels[n]
-        images = [fn(g) for g in dom.generators()]
-        return ModuleHom(dom, self.levels[n - 1], images, name=f"d{i}@{n}")
-
-    def _build_degen(self, n, i):
-        zero = self.r_mod.zero
-
-        def fn(t):
-            x, b = self.split(t, n)
-            return self.join(x, b[:i] + [zero] + b[i:])
-
-        dom = self.levels[n]
-        images = [fn(g) for g in dom.generators()]
-        return ModuleHom(dom, self.levels[n + 1], images, name=f"s{i}@{n}")
+    def _operator(self, n, n_out, letter, name) -> ModuleHom:
+        """The map from level n to level n_out that keeps the base and
+        sends letter j to letter letter(j): into the base through the
+        translation when that is -1, and killed when it is n_out or
+        more."""
+        route = [(0, None)] + [
+            (0, self.act.translation) if t < 0
+            else None if t >= n_out else (t + 1, None)
+            for t in map(letter, range(n))]
+        return block_hom(self.levels[n], [self.x_mod] + [self.r_mod] * n,
+                         self.levels[n_out],
+                         [self.x_mod] + [self.r_mod] * n_out, route, name)
 
 
 def build_bar_module(act: ModuleAction,
@@ -326,17 +317,10 @@ def verify_decomposition(bar: TruncatedBarAlgebra, k: int,
     the kernel of the chain of top faces down to level 0."""
     s_alg = bar.xm.s_alg
     lvl = bar.levels[k]
-    r_tail = direct_sum([bar.module.r_mod] * k)
-    pr = bar.module.r_mod.rank
-
-    def embed_tail(tail):
-        return bar.embed_r(k, [tail[j * pr:(j + 1) * pr] for j in range(k)])
-
-    rk = Submodule.from_generators(
-        lvl, [embed_tail(g) for g in r_tail.generators()])
-    embed = ModuleHom(s_alg.carrier, lvl,
-                      [bar.embed_s(k, g) for g in s_alg.generators()],
-                      name="embed-s")
+    rk = Submodule.from_generators(lvl, lvl.generators()[s_alg.carrier.rank:])
+    embed = block_hom(s_alg.carrier, [s_alg.carrier], lvl,
+                      [s_alg.carrier] + [bar.module.r_mod] * k, [(0, None)],
+                      "embed-s")
     sk = image(embed)
 
     checks = []
@@ -415,18 +399,10 @@ def eta_k(bar: TruncatedBarAlgebra, k: int, policy: Policy | None = None):
     returned together with its validation report."""
     xm = bar.xm
     s_mod = xm.s_alg.carrier
-    lvl = bar.levels[k]
-
-    def fn(t):
-        s, blocks = bar.module.split(t, k)
-        acc = xm.r_alg.zero
-        for b in blocks:
-            acc = xm.r_alg.carrier.add(acc, b)
-        return s_mod.add(s, xm.eta.apply(acc))
-
-    images = [fn(g) for g in lvl.generators()]
     hom = AlgebraHom(bar.algebras[k], xm.s_alg,
-                     ModuleHom(lvl, s_mod, images, name=f"eta{k}"),
+                     block_hom(bar.levels[k], [s_mod] + [xm.r_alg.carrier] * k,
+                               s_mod, [s_mod],
+                               [(0, None)] + [(0, xm.eta.hom)] * k, f"eta{k}"),
                      name=f"eta{k}")
     rep = validate_hom(hom, policy)
     rep.name = f"eta-k @ {k}"

@@ -20,7 +20,7 @@ from itertools import product
 from .bar import (TruncatedBarAlgebra, TruncatedBarModule, level_size,
                   verify_simplicial_identities)
 from .core import (Algebra, BilinearMap, ModuleHom, StructuralError,
-                   direct_sum, identity_hom, maps_equal_report,
+                   block_hom, direct_sum, identity_hom, maps_equal_report,
                    multiplicativity_report)
 from .crossed_ideal import XModMorphism
 from .policy import Policy
@@ -52,21 +52,15 @@ def phi_maps(morphism: XModMorphism, n_depth: int, drop=()) -> list[ModuleHom]:
     s2m, r2m = tgt.s_alg.carrier, tgt.r_alg.carrier
     level_size(s1m.size, r1m.size, n_depth)
     level_size(s2m.size, r2m.size, n_depth)
-    a1, a2 = morphism.alpha1.apply, morphism.alpha2.apply
     out = []
     for n in range(n_depth + 1):
-        dom = direct_sum([s1m] + [r1m] * n)
-        cod = direct_sum([s2m] + [r2m] * n)
-
-        def fn(t, n=n):
-            img = list(a2(t[:s1m.rank]))
-            for j in range(n):
-                blk = t[s1m.rank + j * r1m.rank: s1m.rank + (j + 1) * r1m.rank]
-                img.extend(r2m.zero if (n, j) in drop else a1(blk))
-            return tuple(img)
-
-        images = [fn(g) for g in dom.generators()]
-        out.append(ModuleHom(dom, cod, images, name=f"phi@{n}"))
+        dom_blocks, cod_blocks = [s1m] + [r1m] * n, [s2m] + [r2m] * n
+        route = [(0, morphism.alpha2.hom)] + [
+            None if (n, j) in drop else (j + 1, morphism.alpha1.hom)
+            for j in range(n)]
+        out.append(block_hom(direct_sum(dom_blocks), dom_blocks,
+                             direct_sum(cod_blocks), cod_blocks, route,
+                             f"phi@{n}"))
     return out
 
 
@@ -107,12 +101,12 @@ class BiBar:
             for n in range(1, n_depth + 1):
                 for i in range(n + 1):
                     self._vfaces[(n, m, i)] = self._build_vertical(
-                        n, m, i, self.bar2.face(n, i), self.bar1.face(n, i),
+                        n, m, self.bar2.face(n, i), self.bar1.face(n, i),
                         n - 1, f"dv{i}@({n},{m})")
             for n in range(n_depth):
                 for i in range(n + 1):
                     self._vdegens[(n, m, i)] = self._build_vertical(
-                        n, m, i, self.bar2.degen(n, i), self.bar1.degen(n, i),
+                        n, m, self.bar2.degen(n, i), self.bar1.degen(n, i),
                         n + 1, f"sv{i}@({n},{m})")
         self._algebras = {}
 
@@ -131,15 +125,13 @@ class BiBar:
     def v_degen(self, n, m, i) -> ModuleHom:
         return self._vdegens[(n, m, i)]
 
-    def _build_vertical(self, n, m, i, base_op, letter_op, n_out, name):
-        def fn(t):
-            x, ws = self.rows[n].split(t, m)
-            return self.rows[n_out].join(base_op.apply(x),
-                                         [letter_op.apply(w) for w in ws])
-
-        dom, cod = self.level(n, m), self.rows[n_out].levels[m]
-        images = [fn(g) for g in dom.generators()]
-        return ModuleHom(dom, cod, images, name=name)
+    def _build_vertical(self, n, m, base_op, letter_op, n_out, name):
+        # base_op on the base block, letter_op on every letter block
+        return block_hom(
+            self.level(n, m), [base_op.domain] + [letter_op.domain] * m,
+            self.level(n_out, m),
+            [base_op.codomain] + [letter_op.codomain] * m,
+            [(0, base_op)] + [(j + 1, letter_op) for j in range(m)], name)
 
     def algebra(self, n, m) -> Algebra:
         """Componentwise product algebra at bilevel (n, m)."""

@@ -136,6 +136,29 @@ def direct_sum(mods) -> FiniteModule:
     return FiniteModule(mods[0].modulus, orders)
 
 
+def block_hom(dom: FiniteModule, dom_blocks, cod: FiniteModule, cod_blocks,
+              route, name: str = "") -> ModuleHom:
+    """The hom from dom, the direct sum of dom_blocks, to cod, that of
+    cod_blocks, given block by block: route[i] is (j, hom) when block i
+    goes into block j through hom, (j, None) when it goes in by the
+    identity, and None when it is killed.  Its image matrix is assembled
+    from the image matrices of the block homs, with no element
+    arithmetic."""
+    starts = [0]
+    for blk in cod_blocks:
+        starts.append(starts[-1] + blk.rank)
+    images = []
+    for blk, to in zip(dom_blocks, route):
+        if to is None:
+            images += [cod.zero] * blk.rank
+            continue
+        j, hom = to
+        pre, post = (0,) * starts[j], (0,) * (cod.rank - starts[j + 1])
+        images += [pre + img + post
+                   for img in (blk.generators() if hom is None else hom.images)]
+    return ModuleHom(dom, cod, images, name=name)
+
+
 class BilinearMap:
     """Structure-constant tensor for a k-bilinear map left x right -> target.
 

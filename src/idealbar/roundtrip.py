@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 
-from .core import (AlgebraHom, BilinearMap, ModuleHom, StructuralError,
-                   algebra_axioms, direct_sum, multiplicativity_report,
-                   semidirect_power)
+from .core import (AlgebraHom, BilinearMap, ModuleHom, PreconditionError,
+                   StructuralError, algebra_axioms, direct_sum,
+                   multiplicativity_report, semidirect_power)
 from .bar import (TruncatedBarAlgebra, build_bar_algebra, verify_ideal_axiom,
                   verify_level_homomorphisms)
 from .policy import Policy, check
@@ -193,6 +193,8 @@ def perturb_and_filter(xm: CrossedModule, depth: int = 2, seed: int = 0,
     """Candidate 0 is the canonical structure; the rest mutate one level
     tensor at random and share the canonical bar module and every other
     level.  Survivors of the definition filter must round-trip exactly."""
+    if not xm.s_alg.carrier.rank + xm.r_alg.carrier.rank:
+        raise PreconditionError("no tensor cell to perturb")
     rng = random.Random(seed)
     canonical = build_bar_algebra(xm, depth)
     canonical_ok = [algebra_axioms(alg).passed for alg in canonical.algebras]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                    ModuleHom, PreconditionError, StructuralError, Submodule,
-                   _present_subalgebra, image, is_ideal, kernel,
+                   _present_subalgebra, block_hom, image, is_ideal, kernel,
                    order_compatibility, semidirect_product,
                    torsion_compatibility, validate_algebra, validate_hom)
 from .policy import EXHAUSTIVE, Policy, check, sweep  # noqa: F401 (see core)
@@ -231,12 +231,10 @@ def consequence_checks(xm: CrossedModule, policy: Policy | None = None) -> Repor
     return group(f"consequence-checks {name}", checks)
 
 
-def _four_letter_check(name, detail, dom, cod, images, rank, policy):
-    """Multiplicativity of the hom dom -> cod with these generator images,
-    over pairs of elements of the semidirect product dom, whose first
-    factor has the given rank; the witness is split back into its four
-    letters."""
-    phi = ModuleHom(dom.carrier, cod.carrier, images)
+def _four_letter_check(name, detail, dom, cod, phi, rank, policy):
+    """Multiplicativity of the hom phi from dom to cod, over pairs of
+    elements of the semidirect product dom, whose first factor has the
+    given rank; the witness is split back into its four letters."""
     rep = check(name, AXIOM, [dom, dom],
                 lambda x, y: phi.apply(dom.multiply(x, y))
                 == cod.multiply(phi.apply(x), phi.apply(y)), policy, detail,
@@ -250,23 +248,26 @@ def _four_letter_check(name, detail, dom, cod, images, rank, policy):
 def phi_cm1_criterion(xm: CrossedModule, policy: Policy | None = None) -> Report:
     """(s, r) -> s + eta(r) from S |x R to S is multiplicative exactly
     when CM1 holds."""
-    s_alg = xm.s_alg
+    s_mod = xm.s_alg.carrier
+    dom = semidirect_product(xm.s_alg, xm.r_alg, xm.action.tensor)
     return _four_letter_check(
         "cm1-phi-criterion",
-        "s + eta(r) multiplicative on S|xR, equivalent to CM1",
-        semidirect_product(s_alg, xm.r_alg, xm.action.tensor), s_alg,
-        s_alg.generators() + list(xm.eta.images), s_alg.carrier.rank, policy)
+        "s + eta(r) multiplicative on S|xR, equivalent to CM1", dom, xm.s_alg,
+        block_hom(dom.carrier, [s_mod, xm.r_alg.carrier], s_mod, [s_mod],
+                  [(0, None), (0, xm.eta.hom)]),
+        s_mod.rank, policy)
 
 
 def phi_cm2_criterion(xm: CrossedModule, policy: Policy | None = None) -> Report:
     """(a, b) -> (eta(a), b) from R |x R (multiplication action) to S |x R
     is multiplicative exactly when CM2 holds."""
-    r_alg, s_zero = xm.r_alg, xm.s_alg.zero
-    images = [img + r_alg.zero for img in xm.eta.images] \
-        + [s_zero + g for g in r_alg.generators()]
+    r_mod = xm.r_alg.carrier
+    dom = semidirect_product(xm.r_alg, xm.r_alg, xm.r_alg.mul)
+    cod = semidirect_product(xm.s_alg, xm.r_alg, xm.action.tensor)
     return _four_letter_check(
         "cm2-phi-criterion",
         "(a, b) -> (eta(a), b) multiplicative into S|xR, equivalent to CM2",
-        semidirect_product(r_alg, r_alg, r_alg.mul),
-        semidirect_product(xm.s_alg, r_alg, xm.action.tensor), images,
-        r_alg.carrier.rank, policy)
+        dom, cod,
+        block_hom(dom.carrier, [r_mod, r_mod], cod.carrier,
+                  [xm.s_alg.carrier, r_mod], [(0, xm.eta.hom), (1, None)]),
+        r_mod.rank, policy)

@@ -1,11 +1,17 @@
-"""Element-arithmetic oracles for the products that the package reads
-off structure constants.
+"""Element-arithmetic oracles for the products and maps that the package
+assembles from structure constants and image matrices.
 
 product_formula is the closed form of the bar level product, which
 core.semidirect_power assembles as a tensor, and bibar_multiply the
 componentwise bilevel product, which BiBar.algebra assembles
-block-diagonally.  Only the differential tests call them.
+block-diagonally.  The maps between bar levels (faces, degeneracies,
+eta_k, the embedding of S, the comparison maps phi_n, the bibar
+vertical operators and the two semidirect-criterion homs) are element
+functions evaluated on every generator, which core.block_hom replaces
+by block routes.  Only the differential tests call them.
 """
+
+from idealbar.core import ModuleHom, direct_sum
 
 
 def product_formula(bar, n, u, v):
@@ -47,3 +53,114 @@ def bibar_multiply(bb, n, m, u, v):
     x = bb.bar2.multiply(n, xu, xv)
     ws = [bb.bar1.multiply(n, a, b) for a, b in zip(wu, wv)]
     return bibar_join(bb, n, x, ws)
+
+
+# ---------------------------------------------------------------------------
+# maps between bar levels, one element function each, evaluated on every
+# generator of the domain: core.block_hom assembles the same image
+# matrices block by block
+
+
+def _by_elements(dom, cod, fn, name=""):
+    return ModuleHom(dom, cod, [fn(g) for g in dom.generators()], name=name)
+
+
+def face_oracle(bm, n, i):
+    """d_i leaving level n of a TruncatedBarModule: d_0 translates the
+    base by the first letter, d_n drops the last letter, and the others
+    add letter i to letter i - 1."""
+    act, radd = bm.act, bm.r_mod.add
+
+    def fn(t):
+        x, b = bm.split(t, n)
+        if i == 0:
+            return bm.join(act.apply(x, b[0]), b[1:])
+        if i == n:
+            return bm.join(x, b[:n - 1])
+        return bm.join(x, b[:i - 1] + [radd(b[i - 1], b[i])] + b[i + 1:])
+
+    return _by_elements(bm.levels[n], bm.levels[n - 1], fn, f"d{i}@{n}")
+
+
+def degen_oracle(bm, n, i):
+    """s_i leaving level n: a zero letter inserted before letter i."""
+    def fn(t):
+        x, b = bm.split(t, n)
+        return bm.join(x, b[:i] + [bm.r_mod.zero] + b[i:])
+
+    return _by_elements(bm.levels[n], bm.levels[n + 1], fn, f"s{i}@{n}")
+
+
+def eta_k_oracle(bar, k):
+    """(s, a_1..a_k) -> s + eta(a_1 + .. + a_k)."""
+    xm = bar.xm
+    s_mod = xm.s_alg.carrier
+
+    def fn(t):
+        s, blocks = bar.module.split(t, k)
+        acc = xm.r_alg.zero
+        for b in blocks:
+            acc = xm.r_alg.carrier.add(acc, b)
+        return s_mod.add(s, xm.eta.apply(acc))
+
+    return _by_elements(bar.levels[k], s_mod, fn, f"eta{k}")
+
+
+def embed_s_oracle(bar, k):
+    s_mod = bar.xm.s_alg.carrier
+    return _by_elements(s_mod, bar.levels[k], lambda s: bar.embed_s(k, s),
+                        "embed-s")
+
+
+def tail_generators_oracle(bar, k):
+    """The generators of R_k: (0, r) for r a generator of R^k."""
+    r_tail = direct_sum([bar.module.r_mod] * k)
+    pr = bar.module.r_mod.rank
+    return [bar.embed_r(k, [g[j * pr:(j + 1) * pr] for j in range(k)])
+            for g in r_tail.generators()]
+
+
+def phi_oracle(morphism, n, drop=()):
+    """phi_n = alpha2 on the base and alpha1 on every letter, with the
+    letters j of the (n, j) in drop sent to zero."""
+    src, tgt = morphism.source, morphism.target
+    s1m, r1m = src.s_alg.carrier, src.r_alg.carrier
+    s2m, r2m = tgt.s_alg.carrier, tgt.r_alg.carrier
+    a1, a2 = morphism.alpha1.apply, morphism.alpha2.apply
+
+    def fn(t):
+        img = list(a2(t[:s1m.rank]))
+        for j in range(n):
+            blk = t[s1m.rank + j * r1m.rank: s1m.rank + (j + 1) * r1m.rank]
+            img.extend(r2m.zero if (n, j) in drop else a1(blk))
+        return tuple(img)
+
+    return _by_elements(direct_sum([s1m] + [r1m] * n),
+                        direct_sum([s2m] + [r2m] * n), fn, f"phi@{n}")
+
+
+def vertical_oracle(bb, n, m, base_op, letter_op, n_out, name):
+    """A vertical operator of a BiBar: base_op on the base block and
+    letter_op on every letter block of bilevel (n, m)."""
+    def fn(t):
+        x, ws = bb.rows[n].split(t, m)
+        return bb.rows[n_out].join(base_op.apply(x),
+                                   [letter_op.apply(w) for w in ws])
+
+    return _by_elements(bb.level(n, m), bb.rows[n_out].levels[m], fn, name)
+
+
+def cm1_criterion_oracle(xm):
+    """(s, r) -> s + eta(r) from the carrier of S |x R to that of S."""
+    s_mod, pr = xm.s_alg.carrier, xm.s_alg.carrier.rank
+    dom = direct_sum([s_mod, xm.r_alg.carrier])
+    return _by_elements(dom, s_mod,
+                        lambda t: s_mod.add(t[:pr], xm.eta.apply(t[pr:])))
+
+
+def cm2_criterion_oracle(xm):
+    """(a, b) -> (eta(a), b) from the carrier of R |x R to that of S |x R."""
+    r_mod, pr = xm.r_alg.carrier, xm.r_alg.carrier.rank
+    return _by_elements(direct_sum([r_mod, r_mod]),
+                        direct_sum([xm.s_alg.carrier, r_mod]),
+                        lambda t: xm.eta.apply(t[:pr]) + t[pr:])

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from idealbar.bar import build_bar_algebra, definition_checks, verify_bar
-from idealbar.core import algebra_axioms
+from idealbar.core import PreconditionError, algebra_axioms
 from idealbar.enumeration import all_valid_xmods
 from idealbar.fixtures import (
     broken_action_xmod,
@@ -110,6 +110,19 @@ def test_perturbation_is_seed_deterministic():
     a = perturb_and_filter(nilsquare_xmod(), depth=2, seed=3, budget=60)
     b = perturb_and_filter(nilsquare_xmod(), depth=2, seed=3, budget=60)
     assert a.to_json() == b.to_json()
+
+
+def test_perturbation_without_tensor_cells_is_refused():
+    # rank-0 S and R leave every bar level of rank 0, so no cell can be
+    # drawn; when only one of them has rank 0 the levels still have cells
+    xms = all_valid_xmods(4, 1)
+    ranks = [(xm.s_alg.carrier.rank, xm.r_alg.carrier.rank) for xm in xms]
+    with pytest.raises(PreconditionError, match="no tensor cell to perturb"):
+        perturb_and_filter(xms[ranks.index((0, 0))], 2, 1, 40)
+    for xm, pair in zip(xms, ranks):
+        if min(pair) == 0 < max(pair):
+            rep = perturb_and_filter(xm, 2, 1, 40)
+            assert rep.find("survivors-roundtrip-exact").status == "PASS"
 
 
 def test_mutants_share_the_canonical_module_and_verify_alike():
