@@ -1,7 +1,7 @@
 """Truncated bar construction Bar(S, R) and its level algebras.
 
-Level k of the bar object on an action of R on X is X x R^k, stored as
-one flat coefficient tuple.  Faces act by the action (d_0), by merging
+Level k of the bar object on an action of R on X is the direct sum of
+the base X and k letters R.  Faces act by the action (d_0), by merging
 neighbouring letters, or by dropping the last one; degeneracies insert a
 zero letter.  Each is the block matrix (core.block_hom) of its letter
 index map.  With letters numbered from 0, d_i sends letter j to j when
@@ -17,13 +17,14 @@ each level also carries a multiplication
                    + a_j (b_1+..+b_j), ...)
 
 realised as the structure-constant tensor of S |x R^k that
-core.semidirect_power assembles block by block from the constants of S,
-R and the action.  The closed formula is its oracle in the test suite.
+core.block_tensor assembles from the constants of S, R and the action.
+The closed formula is its oracle in the test suite.
 """
 
 from __future__ import annotations
 
 import copy
+from itertools import chain
 
 from .core import (MAX_ENUM, Algebra, AlgebraHom, ModuleHom,
                    PreconditionError, Submodule, UnsupportedScaleError,
@@ -76,19 +77,6 @@ class TruncatedBarModule:
                     self._degens[n, i] = self._operator(
                         n, n + 1, lambda j: j if j < i else j + 1, f"s{i}@{n}")
 
-    # flat tuple <-> (x, letter blocks)
-    def split(self, t, n):
-        px, pr = self.x_mod.rank, self.r_mod.rank
-        x = t[:px]
-        blocks = [t[px + j * pr: px + (j + 1) * pr] for j in range(n)]
-        return x, blocks
-
-    def join(self, x, blocks):
-        out = tuple(x)
-        for b in blocks:
-            out += tuple(b)
-        return out
-
     def face(self, n, i) -> ModuleHom:
         return self._faces[(n, i)]
 
@@ -104,9 +92,7 @@ class TruncatedBarModule:
             (0, self.act.translation) if t < 0
             else None if t >= n_out else (t + 1, None)
             for t in map(letter, range(n))]
-        return block_hom(self.levels[n], [self.x_mod] + [self.r_mod] * n,
-                         self.levels[n_out],
-                         [self.x_mod] + [self.r_mod] * n_out, route, name)
+        return block_hom(self.levels[n], self.levels[n_out], route, name)
 
 
 def build_bar_module(act: ModuleAction,
@@ -165,10 +151,10 @@ class TruncatedBarAlgebra:
         return self.algebras[n].multiply(u, v)
 
     def embed_s(self, n, s):
-        return self.module.join(s, [self.module.r_mod.zero] * n)
+        return self.levels[n].inject(0, s)
 
     def embed_r(self, n, blocks):
-        return self.module.join(self.module.x_mod.zero, blocks)
+        return self.module.x_mod.zero + tuple(chain.from_iterable(blocks))
 
     def level_tensors(self):
         return [alg.mul for alg in self.algebras]
@@ -274,15 +260,14 @@ def verify_ideal_axiom(bar: TruncatedBarAlgebra,
     s_alg = bar.xm.s_alg
     r_mod = bar.module.r_mod
     x_zero = bar.module.x_mod.zero
+    lvl1 = bar.levels[1]
 
-    def ell(s, b):
-        prod = bar.multiply(1, bar.embed_s(1, s), bar.embed_r(1, [b]))
-        return bar.module.split(prod, 1)[1][0]
+    def mixed(s, b):  # (s,0)(0,b) at level 1, as its base and its letter
+        return lvl1.split(
+            bar.multiply(1, lvl1.inject(0, s), lvl1.inject(1, b)))
 
     checks = [check("mixed-into-tail @ 1", AXIOM, [s_alg, r_mod],
-                    lambda s, b: bar.module.split(
-                        bar.multiply(1, bar.embed_s(1, s), bar.embed_r(1, [b])),
-                        1)[0] == x_zero, policy,
+                    lambda s, b: mixed(s, b)[0] == x_zero, policy,
                     detail="(s,0)(0,b) has base coordinate 0",
                     maps=bar.tensors)]
 
@@ -295,12 +280,10 @@ def verify_ideal_axiom(bar: TruncatedBarAlgebra,
             maps=bar.tensors))
 
         tail = direct_sum([r_mod] * n)
-        pr = r_mod.rank
 
-        def letterwise(s, t, n=n):
-            blocks = [t[j * pr:(j + 1) * pr] for j in range(n)]
-            return bar.multiply(n, bar.embed_s(n, s), bar.embed_r(n, blocks)) \
-                == bar.embed_r(n, [ell(s, b) for b in blocks])
+        def letterwise(s, t, n=n, tail=tail):
+            return bar.multiply(n, bar.embed_s(n, s), bar.embed_r(n, [t])) \
+                == bar.embed_r(n, [mixed(s, b)[1] for b in tail.split(t)])
 
         checks.append(check(
             f"mixed-letterwise @ {n}", AXIOM, [s_alg, tail],
@@ -317,10 +300,9 @@ def verify_decomposition(bar: TruncatedBarAlgebra, k: int,
     the kernel of the chain of top faces down to level 0."""
     s_alg = bar.xm.s_alg
     lvl = bar.levels[k]
-    rk = Submodule.from_generators(lvl, lvl.generators()[s_alg.carrier.rank:])
-    embed = block_hom(s_alg.carrier, [s_alg.carrier], lvl,
-                      [s_alg.carrier] + [bar.module.r_mod] * k, [(0, None)],
-                      "embed-s")
+    _, *letters = lvl.split(lvl.generators())
+    rk = Submodule.from_generators(lvl, [g for gens in letters for g in gens])
+    embed = block_hom(s_alg.carrier, lvl, [(0, None)], "embed-s")
     sk = image(embed)
 
     checks = []
@@ -359,13 +341,9 @@ def rk_closed_formulas(bar: TruncatedBarAlgebra, k: int,
     radd, rmul = xm.r_alg.carrier.add, xm.r_alg.multiply
     act = xm.action.apply
     r_tail = direct_sum([xm.r_alg.carrier] * k)
-    pr = xm.r_alg.carrier.rank
-
-    def blocks_of(tail):
-        return [tail[j * pr:(j + 1) * pr] for j in range(k)]
 
     def tail_product_ok(ta, tb):
-        a, b = blocks_of(ta), blocks_of(tb)
+        a, b = r_tail.split(ta), r_tail.split(tb)
         expect = []
         pa, pb = xm.r_alg.zero, xm.r_alg.zero
         for j in range(k):
@@ -381,9 +359,8 @@ def rk_closed_formulas(bar: TruncatedBarAlgebra, k: int,
         maps=bar.tensors)]
 
     def mixed_product_ok(ta, s):
-        a = blocks_of(ta)
-        expect = [act(s, a[j]) for j in range(k)]
-        return bar.multiply(k, bar.embed_r(k, a), bar.embed_s(k, s)) \
+        expect = [act(s, a) for a in r_tail.split(ta)]
+        return bar.multiply(k, bar.embed_r(k, [ta]), bar.embed_s(k, s)) \
             == bar.embed_r(k, expect)
 
     checks.append(check(
@@ -398,10 +375,8 @@ def eta_k(bar: TruncatedBarAlgebra, k: int, policy: Policy | None = None):
     """The level-k hom (s, a_1..a_k) -> s + eta(a_1 + .. + a_k) back to S,
     returned together with its validation report."""
     xm = bar.xm
-    s_mod = xm.s_alg.carrier
     hom = AlgebraHom(bar.algebras[k], xm.s_alg,
-                     block_hom(bar.levels[k], [s_mod] + [xm.r_alg.carrier] * k,
-                               s_mod, [s_mod],
+                     block_hom(bar.levels[k], xm.s_alg.carrier,
                                [(0, None)] + [(0, xm.eta.hom)] * k, f"eta{k}"),
                      name=f"eta{k}")
     rep = validate_hom(hom, policy)

@@ -10,7 +10,7 @@ object is the bar object of that action.  Columns are simplicial through
 the blockwise operators of the two bars.  The verifier checks simplicial
 identities in both directions, commutation of every mixed pair, and
 multiplicativity of the vertical operators for the componentwise level
-products.
+products, which core.block_tensor assembles block-diagonally.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from itertools import product
 
 from .bar import (TruncatedBarAlgebra, TruncatedBarModule, level_size,
                   verify_simplicial_identities)
-from .core import (Algebra, BilinearMap, ModuleHom, StructuralError,
-                   block_hom, direct_sum, identity_hom, maps_equal_report,
+from .core import (Algebra, ModuleHom, StructuralError, block_hom,
+                   block_tensor, direct_sum, identity_hom, maps_equal_report,
                    multiplicativity_report)
 from .crossed_ideal import XModMorphism
 from .policy import Policy
@@ -54,13 +54,11 @@ def phi_maps(morphism: XModMorphism, n_depth: int, drop=()) -> list[ModuleHom]:
     level_size(s2m.size, r2m.size, n_depth)
     out = []
     for n in range(n_depth + 1):
-        dom_blocks, cod_blocks = [s1m] + [r1m] * n, [s2m] + [r2m] * n
         route = [(0, morphism.alpha2.hom)] + [
             None if (n, j) in drop else (j + 1, morphism.alpha1.hom)
             for j in range(n)]
-        out.append(block_hom(direct_sum(dom_blocks), dom_blocks,
-                             direct_sum(cod_blocks), cod_blocks, route,
-                             f"phi@{n}"))
+        out.append(block_hom(direct_sum([s1m] + [r1m] * n),
+                             direct_sum([s2m] + [r2m] * n), route, f"phi@{n}"))
     return out
 
 
@@ -128,9 +126,7 @@ class BiBar:
     def _build_vertical(self, n, m, base_op, letter_op, n_out, name):
         # base_op on the base block, letter_op on every letter block
         return block_hom(
-            self.level(n, m), [base_op.domain] + [letter_op.domain] * m,
-            self.level(n_out, m),
-            [base_op.codomain] + [letter_op.codomain] * m,
+            self.level(n, m), self.level(n_out, m),
             [(0, base_op)] + [(j + 1, letter_op) for j in range(m)], name)
 
     def algebra(self, n, m) -> Algebra:
@@ -139,22 +135,12 @@ class BiBar:
         if key not in self._algebras:
             # block-diagonal: the base block holds the level-n product of
             # bar2 and each letter block the one of bar1
-            carrier = self.level(n, m)
             base = self.bar2.algebras[n].mul.constants
             letter = self.bar1.algebras[n].mul.constants
-            zb, zl = self.bar2.levels[n].zero, self.bar1.levels[n].zero
-            zero = zb + zl * m
-            constants = [[cell + zl * m for cell in row]
-                         + [zero] * (m * len(letter)) for row in base]
-            for p in range(m):
-                for row in letter:
-                    constants.append(
-                        [zero] * (len(base) + p * len(letter))
-                        + [zb + zl * p + cell + zl * (m - 1 - p) for cell in row]
-                        + [zero] * ((m - 1 - p) * len(letter)))
-            self._algebras[key] = Algebra(
-                carrier, BilinearMap(carrier, carrier, carrier, constants),
-                name=f"B({n},{m})")
+            self._algebras[key] = block_tensor(
+                self.level(n, m),
+                lambda p, q: None if p != q else (p, letter if p else base),
+                f"B({n},{m})")
         return self._algebras[key]
 
 

@@ -6,11 +6,15 @@ elements are plain int tuples of coefficients, reduced componentwise.
 Multiplications and actions are structure-constant tensors, so k-bilinear
 identities hold by construction and the validators only search the
 identities that can actually fail.
+
+A direct sum keeps its summands as blocks, whose place in a flat tuple
+only its split and inject know.  block_hom and block_tensor assemble the
+maps and products of the bar levels and bibar from one route per block.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 from math import gcd, lcm
 from operator import mod
 
@@ -68,6 +72,25 @@ class FiniteModule:
         self.size = size
         self._elements = None
         self._generators = None
+
+    # a module that direct_sum did not build is its own single block;
+    # direct_sum sets the blocks and the slice of a flat tuple each holds
+    _blocks, _cuts = None, (slice(0, None),)
+
+    @property
+    def blocks(self):
+        """The summands given to direct_sum, or the module itself."""
+        return self._blocks or (self,)
+
+    def split(self, x):
+        """The coordinates of x in each block; x may be any sequence
+        indexed by the generators, a row of cells say."""
+        return tuple(x[cut] for cut in self._cuts)
+
+    def inject(self, j, x):
+        """The element that is x in block j and zero elsewhere."""
+        start, x = self._cuts[j].start, tuple(x)
+        return self.zero[:start] + x + self.zero[start + len(x):]
 
     def __eq__(self, other):
         return (isinstance(other, FiniteModule)
@@ -131,32 +154,50 @@ def additive_order(x, add, zero) -> int:
 
 
 def direct_sum(mods) -> FiniteModule:
-    mods = list(mods)
-    orders = tuple(d for m in mods for d in m.orders)
-    return FiniteModule(mods[0].modulus, orders)
+    """The direct sum of mods, kept as its blocks: an element is the
+    concatenation of its block coordinates."""
+    mods = tuple(mods)
+    out = FiniteModule(mods[0].modulus, [d for m in mods for d in m.orders])
+    out._blocks = mods
+    out._cuts = [slice(end - m.rank, end)
+                 for m, end in zip(mods, accumulate(m.rank for m in mods))]
+    return out
 
 
-def block_hom(dom: FiniteModule, dom_blocks, cod: FiniteModule, cod_blocks,
-              route, name: str = "") -> ModuleHom:
-    """The hom from dom, the direct sum of dom_blocks, to cod, that of
-    cod_blocks, given block by block: route[i] is (j, hom) when block i
-    goes into block j through hom, (j, None) when it goes in by the
-    identity, and None when it is killed.  Its image matrix is assembled
-    from the image matrices of the block homs, with no element
-    arithmetic."""
-    starts = [0]
-    for blk in cod_blocks:
-        starts.append(starts[-1] + blk.rank)
+def block_hom(dom: FiniteModule, cod: FiniteModule, route,
+              name: str = "") -> ModuleHom:
+    """The hom from dom to cod given on their blocks: route[i] is (j, hom)
+    when block i of dom goes into block j of cod through hom, (j, None)
+    when it goes in by the identity, and None when it is killed.  Its
+    image matrix is assembled from the image matrices of the block homs,
+    with no element arithmetic."""
     images = []
-    for blk, to in zip(dom_blocks, route):
+    for blk, to in zip(dom.blocks, route):
         if to is None:
             images += [cod.zero] * blk.rank
             continue
         j, hom = to
-        pre, post = (0,) * starts[j], (0,) * (cod.rank - starts[j + 1])
-        images += [pre + img + post
+        images += [cod.inject(j, img)
                    for img in (blk.generators() if hom is None else hom.images)]
     return ModuleHom(dom, cod, images, name=name)
+
+
+def block_tensor(carrier: FiniteModule, route, name: str = "") -> Algebra:
+    """The algebra on carrier whose product is given on its blocks:
+    route(p, q) is (r, cells) when block p times block q lands in block
+    r, cells[i][j] being generator i of p times generator j of q there,
+    and None when it is zero.  No element arithmetic is made."""
+    blocks, rows = carrier.blocks, []
+    for p, left in enumerate(blocks):
+        routes = [route(p, q) for q in range(len(blocks))]
+        for i in range(left.rank):
+            row = []
+            for right, to in zip(blocks, routes):
+                row += ([carrier.zero] * right.rank if to is None else
+                        [carrier.inject(to[0], cell) for cell in to[1][i]])
+            rows.append(row)
+    return Algebra(carrier, BilinearMap(carrier, carrier, carrier, rows),
+                   name=name)
 
 
 class BilinearMap:
@@ -792,31 +833,26 @@ def quotient_algebra(alg: Algebra, ideal: Submodule):
 def semidirect_power(s_alg: Algebra, r_alg: Algebra, act: BilinearMap, n: int,
                      carrier: FiniteModule | None = None,
                      name: str = "") -> Algebra:
-    """S |x R^n, level n of the bar object, assembled block by block: S x S
+    """S |x R^n, level n of the bar object, assembled by block_tensor: S x S
     is the product of S, S x letter q and letter q x S put the action cell
     into letter q, and letter p x letter q puts the product cell of R into
-    letter max(p, q).  carrier is the module S + R^n when the caller
+    letter max(p, q).  carrier is the direct sum S + R^n when the caller
     holds one, so that its element caches are shared."""
     if act.left != s_alg.carrier or act.right != r_alg.carrier \
             or act.target != r_alg.carrier:
         raise StructuralError("action tensor must map S x R into R")
     if carrier is None:
         carrier = direct_sum([s_alg.carrier] + [r_alg.carrier] * n)
-    zs, zr = s_alg.zero, r_alg.zero
+    # letter x S: the action cells transposed, a row per R generator
+    acted = [[row[k] for row in act.constants]
+             for k in range(r_alg.carrier.rank)]
 
-    def letter(q, cell):
-        return zs + zr * q + cell + zr * (n - 1 - q)
+    def route(p, q):  # block 0 is S, block q > 0 is letter q
+        if not p:
+            return (q, act.constants) if q else (0, s_alg.mul.constants)
+        return (max(p, q), r_alg.mul.constants) if q else (p, acted)
 
-    rows = [[cell + zr * n for cell in s_row]
-            + [letter(q, a) for q in range(n) for a in a_row]
-            for s_row, a_row in zip(s_alg.mul.constants, act.constants)]
-    for p in range(n):
-        for k, r_row in enumerate(r_alg.mul.constants):
-            rows.append([letter(p, a[k]) for a in act.constants]
-                        + [letter(max(p, q), b)
-                           for q in range(n) for b in r_row])
-    return Algebra(carrier, BilinearMap(carrier, carrier, carrier, rows),
-                   name=name)
+    return block_tensor(carrier, route, name)
 
 
 def semidirect_product(s_alg: Algebra, r_alg: Algebra, act: BilinearMap,

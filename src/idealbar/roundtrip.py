@@ -28,29 +28,28 @@ class MalformedStructureError(StructuralError):
 
 
 def extract_action(bar: TruncatedBarAlgebra) -> AlgebraAction:
-    """Read the action tensor back out of the level-1 product."""
+    """Read the action tensor off the level-1 product cells (s,0)(0,r)."""
     xm = bar.xm
     s_alg, r_alg = xm.s_alg, xm.r_alg
+    lvl = bar.levels[1]
     constants = []
-    for gs in s_alg.generators():
-        row = []
-        for gr in r_alg.generators():
-            w = bar.multiply(1, bar.embed_s(1, gs), bar.embed_r(1, [gr]))
-            s_part, blocks = bar.module.split(w, 1)
+    for gs, row in zip(s_alg.generators(),
+                       lvl.split(bar.algebras[1].mul.constants)[0]):
+        constants.append([])
+        for gr, cell in zip(r_alg.generators(), lvl.split(row)[1]):
+            s_part, letter = lvl.split(cell)
             if s_part != s_alg.zero:
                 raise MalformedStructureError(
                     f"(s,0)(0,r) has base coordinate {s_part} at {(gs, gr)}")
-            row.append(blocks[0])
-        constants.append(row)
+            constants[-1].append(letter)
     tensor = BilinearMap(s_alg.carrier, r_alg.carrier, r_alg.carrier, constants)
     return AlgebraAction(s_alg, r_alg, tensor)
 
 
 def extract_eta(bar: TruncatedBarAlgebra) -> AlgebraHom:
-    """eta(r) = d_0(0, r) at level 1."""
+    """eta(r) = d_0(0, r) at level 1, read off the letter images."""
     xm = bar.xm
-    images = [bar.face(1, 0).apply(bar.embed_r(1, [g]))
-              for g in xm.r_alg.generators()]
+    images = bar.levels[1].split(bar.face(1, 0).images)[1]
     hom = ModuleHom(xm.r_alg.carrier, xm.s_alg.carrier, images, name="eta")
     return AlgebraHom(xm.r_alg, xm.s_alg, hom, name="eta")
 
@@ -62,7 +61,6 @@ def _tail_face_multiplicativity(bar: TruncatedBarAlgebra,
     if bar.depth < 2:
         return leaf("d0-on-tail-multiplicative @ 2", SKIP, None,
                     detail="needs depth at least 2")
-    pr = bar.xm.r_alg.carrier.rank
     d0 = bar.face(2, 0)
 
     def ok(a, b):  # the letter pairs (a1, a2) and (b1, b2)
@@ -75,7 +73,7 @@ def _tail_face_multiplicativity(bar: TruncatedBarAlgebra,
                 policy, detail="fails exactly on CM2 violations",
                 maps=(d0,) + bar.tensors)
     if rep.witness is not None:
-        rep.witness = tuple(w for t in rep.witness for w in (t[:pr], t[pr:]))
+        rep.witness = tuple(w for t in rep.witness for w in tail.split(t))
     return rep
 
 

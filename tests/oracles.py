@@ -9,9 +9,26 @@ eta_k, the embedding of S, the comparison maps phi_n, the bibar
 vertical operators and the two semidirect-criterion homs) are element
 functions evaluated on every generator, which core.block_hom replaces
 by block routes.  Only the differential tests call them.
+
+The oracles cut flat tuples into blocks with their own rank offsets
+(split and join below), never with the FiniteModule.split and inject
+whose layout they check.
 """
 
 from idealbar.core import ModuleHom, direct_sum
+
+
+def split(bm, t, n):
+    """Level-n element of a TruncatedBarModule as its base and letters."""
+    px, pr = bm.x_mod.rank, bm.r_mod.rank
+    return t[:px], [t[px + j * pr: px + (j + 1) * pr] for j in range(n)]
+
+
+def join(x, blocks):
+    out = tuple(x)
+    for b in blocks:
+        out += tuple(b)
+    return out
 
 
 def product_formula(bar, n, u, v):
@@ -23,8 +40,8 @@ def product_formula(bar, n, u, v):
     radd, rmul = xm.r_alg.carrier.add, xm.r_alg.multiply
     act = xm.action.apply
     rzero = xm.r_alg.zero
-    s, a = bar.module.split(u, n)
-    s2, b = bar.module.split(v, n)
+    s, a = split(bar.module, u, n)
+    s2, b = split(bar.module, v, n)
     out = [smul(s, s2)]
     pa, pb = rzero, rzero
     for j in range(n):
@@ -32,16 +49,12 @@ def product_formula(bar, n, u, v):
                      radd(rmul(pa, b[j]), rmul(a[j], radd(pb, b[j]))))
         out.append(coord)
         pa, pb = radd(pa, a[j]), radd(pb, b[j])
-    return bar.module.join(out[0], out[1:])
+    return join(out[0], out[1:])
 
 
 def bibar_split(bb, t, n, m):
     """Bilevel (n, m) element as its base block and m letter blocks."""
-    return bb.rows[n].split(t, m)
-
-
-def bibar_join(bb, n, x, blocks):
-    return bb.rows[n].join(x, blocks)
+    return split(bb.rows[n], t, m)
 
 
 def bibar_multiply(bb, n, m, u, v):
@@ -52,7 +65,7 @@ def bibar_multiply(bb, n, m, u, v):
     xv, wv = bibar_split(bb, v, n, m)
     x = bb.bar2.multiply(n, xu, xv)
     ws = [bb.bar1.multiply(n, a, b) for a, b in zip(wu, wv)]
-    return bibar_join(bb, n, x, ws)
+    return join(x, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +85,12 @@ def face_oracle(bm, n, i):
     act, radd = bm.act, bm.r_mod.add
 
     def fn(t):
-        x, b = bm.split(t, n)
+        x, b = split(bm, t, n)
         if i == 0:
-            return bm.join(act.apply(x, b[0]), b[1:])
+            return join(act.apply(x, b[0]), b[1:])
         if i == n:
-            return bm.join(x, b[:n - 1])
-        return bm.join(x, b[:i - 1] + [radd(b[i - 1], b[i])] + b[i + 1:])
+            return join(x, b[:n - 1])
+        return join(x, b[:i - 1] + [radd(b[i - 1], b[i])] + b[i + 1:])
 
     return _by_elements(bm.levels[n], bm.levels[n - 1], fn, f"d{i}@{n}")
 
@@ -85,8 +98,8 @@ def face_oracle(bm, n, i):
 def degen_oracle(bm, n, i):
     """s_i leaving level n: a zero letter inserted before letter i."""
     def fn(t):
-        x, b = bm.split(t, n)
-        return bm.join(x, b[:i] + [bm.r_mod.zero] + b[i:])
+        x, b = split(bm, t, n)
+        return join(x, b[:i] + [bm.r_mod.zero] + b[i:])
 
     return _by_elements(bm.levels[n], bm.levels[n + 1], fn, f"s{i}@{n}")
 
@@ -97,7 +110,7 @@ def eta_k_oracle(bar, k):
     s_mod = xm.s_alg.carrier
 
     def fn(t):
-        s, blocks = bar.module.split(t, k)
+        s, blocks = split(bar.module, t, k)
         acc = xm.r_alg.zero
         for b in blocks:
             acc = xm.r_alg.carrier.add(acc, b)
@@ -108,7 +121,8 @@ def eta_k_oracle(bar, k):
 
 def embed_s_oracle(bar, k):
     s_mod = bar.xm.s_alg.carrier
-    return _by_elements(s_mod, bar.levels[k], lambda s: bar.embed_s(k, s),
+    zeros = [bar.module.r_mod.zero] * k
+    return _by_elements(s_mod, bar.levels[k], lambda s: join(s, zeros),
                         "embed-s")
 
 
@@ -143,9 +157,8 @@ def vertical_oracle(bb, n, m, base_op, letter_op, n_out, name):
     """A vertical operator of a BiBar: base_op on the base block and
     letter_op on every letter block of bilevel (n, m)."""
     def fn(t):
-        x, ws = bb.rows[n].split(t, m)
-        return bb.rows[n_out].join(base_op.apply(x),
-                                   [letter_op.apply(w) for w in ws])
+        x, ws = split(bb.rows[n], t, m)
+        return join(base_op.apply(x), [letter_op.apply(w) for w in ws])
 
     return _by_elements(bb.level(n, m), bb.rows[n_out].levels[m], fn, name)
 

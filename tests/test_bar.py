@@ -40,10 +40,14 @@ def test_level_sizes(bar2):
 
 
 def test_split_join_roundtrip(bar2):
-    t = (1, 0, 1, 0)
-    x, blocks = bar2.module.split(t, 2)
-    assert x == (1, 0) and blocks == [(1,), (0,)]
-    assert bar2.module.join(x, blocks) == t
+    # a level splits into its base and letters, and the blocks joined
+    # back in order are the element again
+    lvl, t = bar2.levels[2], (1, 0, 1, 0)
+    assert lvl.blocks == (bar2.module.x_mod,) + (bar2.module.r_mod,) * 2
+    assert lvl.split(t) == ((1, 0), (1,), (0,))
+    assert sum(lvl.split(t), ()) == t
+    assert lvl.inject(0, (1, 0)) == (1, 0, 0, 0)
+    assert lvl.inject(2, (1,)) == (0, 0, 0, 1)
 
 
 def test_face_values_at_level_two(bar2):

@@ -5,7 +5,7 @@ import pytest
 from idealbar.bibar import BiBar, build_bibar, phi_maps, verify_bibar
 from idealbar.core import StructuralError
 from idealbar.fixtures import nilcube_morphism
-from oracles import bibar_join, bibar_multiply, bibar_split
+from oracles import bibar_multiply, bibar_split, join
 
 
 @pytest.fixture(scope="module")
@@ -28,33 +28,33 @@ def test_phi_is_the_morphism_blockwise(bb):
 
 
 def test_horizontal_face_translates_by_phi(bb):
-    t = bibar_join(bb, 1, (0, 1, 0, 1, 0), [(1, 1)])
+    t = join((0, 1, 0, 1, 0), [(1, 1)])
     assert bb.h_face(1, 1, 0).apply(t) == (0, 1, 1, 1, 1)
     # the top horizontal face just forgets the letter
     assert bb.h_face(1, 1, 1).apply(t) == (0, 1, 0, 1, 0)
 
 
 def test_vertical_face_acts_blockwise(bb):
-    t = bibar_join(bb, 1, (0, 1, 0, 1, 0), [(1, 1)])
+    t = join((0, 1, 0, 1, 0), [(1, 1)])
     # dv0 applies d0 of the target bar to the base block and d0 of the
     # source bar to the letter; eta is an inclusion here, so the base
     # (x | x) collapses to x + x = 0
     base = bb.bar2.face(1, 0).apply((0, 1, 0, 1, 0))
     letter = bb.bar1.face(1, 0).apply((1, 1))
-    assert bb.v_face(1, 1, 0).apply(t) == bibar_join(bb, 0, base, [letter])
+    assert bb.v_face(1, 1, 0).apply(t) == join(base, [letter])
     assert base == (0, 0, 0)
     assert letter == (0,)
 
 
 def test_componentwise_product(bb):
-    u = bibar_join(bb, 1, (1, 0, 0, 1, 0), [(1, 0)])
-    v = bibar_join(bb, 1, (1, 0, 0, 0, 1), [(1, 0)])
+    u = join((1, 0, 0, 1, 0), [(1, 0)])
+    v = join((1, 0, 0, 0, 1), [(1, 0)])
     xu, _ = bibar_split(bb, u, 1, 1)
     xv, _ = bibar_split(bb, v, 1, 1)
     expect_base = bb.bar2.multiply(1, xu, xv)
     expect_letter = bb.bar1.multiply(1, (1, 0), (1, 0))
     assert bibar_multiply(bb, 1, 1, u, v) \
-        == bibar_join(bb, 1, expect_base, [expect_letter])
+        == join(expect_base, [expect_letter])
 
 
 def test_full_verification_passes(bb):

@@ -2,9 +2,9 @@
 they replace.
 
 The bar level tensors are the tensors of S |x R^n that
-core.semidirect_power assembles block by block from the constants of S,
-R and the action, the bibar products are assembled block-diagonally from
-the two bars, and associativity is decided on sums of constants.  The
+core.semidirect_power assembles with core.block_tensor from the
+constants of S, R and the action, the bibar products are assembled
+block-diagonally from the two bars by the same builder, and associativity is decided on sums of constants.  The
 slow paths are kept as the oracles: the closed product formula and the
 componentwise bibar product on every generator pair (tests/oracles.py),
 and the evaluate-based associativity loop.  The inputs are mixed-order modules with
@@ -158,6 +158,15 @@ def test_semidirect_power_matches_the_closed_formula(inputs):
         assert sd.carrier == bar.algebras[1].carrier
         assert sd.mul.constants == bar.algebras[1].mul.constants
         assert sd.name == "semidirect"
+
+
+def test_the_rank1_census_over_z4_has_rank_0_factors():
+    # the letter x S block of semidirect_power reads the action cells
+    # transposed, and a rank-0 slip there shows only when the census
+    # compared above holds S or R of rank 0 beside the other of rank 1
+    ranks = {(xm.s_alg.carrier.rank, xm.r_alg.carrier.rank)
+             for xm in BUILDER_INPUTS["valid-rank1-m4"]()}
+    assert {(0, 1), (1, 0)} <= ranks
 
 
 @st.composite
