@@ -296,8 +296,8 @@ def verify_ideal_axiom(bar: TruncatedBarAlgebra,
 def verify_decomposition(bar: TruncatedBarAlgebra, k: int,
                          policy: Policy | None = None) -> Report:
     """Level k splits as the subalgebra S_k = {(s,0)}, a copy of S, plus
-    the tail ideal R_k = {(0,r)}, with trivial intersection; R_k is also
-    the kernel of the chain of top faces down to level 0."""
+    the tail ideal R_k = {(0,r)}: |S_k + R_k| = |S_k| |R_k| = |level|.
+    R_k is also the kernel of the chain of top faces down to level 0."""
     s_alg = bar.xm.s_alg
     lvl = bar.levels[k]
     _, *letters = lvl.split(lvl.generators())
@@ -321,11 +321,11 @@ def verify_decomposition(bar: TruncatedBarAlgebra, k: int,
     ker = kernel(comp)
     checks.append(leaf(
         f"rk-is-kernel-of-top-face-chain @ {k}",
-        PASS if ker.elements == rk.elements else FAIL, THEOREM,
+        PASS if ker == rk else FAIL, THEOREM,
         meta={"kernel_size": ker.size, "tail_size": rk.size}))
 
-    inter = sorted(set(sk.elements) & set(rk.elements))
-    direct = (len(inter) == 1 and sk.size * rk.size == lvl.size)
+    both = Submodule.from_generators(lvl, sk.gens + rk.gens)
+    direct = both.size == sk.size * rk.size == lvl.size
     checks.append(leaf(f"direct-sum @ {k}", PASS if direct else FAIL,
                        STRUCTURAL,
                        detail="S_k + R_k spans, S_k meet R_k = 0",

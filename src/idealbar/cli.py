@@ -233,8 +233,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = run(args)
-    except IdealbarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (IdealbarError, MemoryError) as exc:  # 1 means a failed axiom
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     try:
         if args.format == "json":

@@ -10,12 +10,16 @@ identities that can actually fail.
 A direct sum keeps its summands as blocks, whose place in a flat tuple
 only its split and inject know.  block_hom and block_tensor assemble the
 maps and products of the bar levels and bibar from one route per block.
+
+A span (an image, a kernel, an ideal) is held as its Howell form, so its
+membership, size and equality, and a kernel, need no element list.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mod
 
 # sweep is re-exported: perfbench's tracer self-test reaches it as
@@ -458,52 +462,85 @@ class AlgebraHom:
         return hash(self.hom)
 
 
+def howell_form(mod: FiniteModule, vectors):
+    """The Howell form (Howell 1986) of the span of vectors in mod, as
+    (pivot column, row) pairs, computed with Z/d as the multiples of m/d
+    in Z/m.  Two lists span one submodule exactly when their forms agree."""
+    m, width = mod.modulus, mod.rank
+    scales = [m // d for d in mod.orders]
+    work, form = [[a * s for a, s in zip(v, scales)] for v in vectors], []
+    for c in range(width):
+        piv, rest = [0] * width, []
+        for r in work:  # Euclid gathers the gcd of column c in piv
+            while r[c]:
+                q = piv[c] // r[c]
+                piv, r = r, [(a - q * b) % m for a, b in zip(piv, r)]
+            rest.append(r)
+        if piv[c]:  # a unit makes the pivot p divide m
+            g = gcd(piv[c], m)
+            u = pow(piv[c] // g, -1, m // g)
+            while gcd(u, m) > 1:
+                u += m // g
+            piv = [u * a % m for a in piv]
+            # rows below then span the elements that are zero up to c
+            rest.append([m // g * a % m for a in piv])
+            # the entries above the pivot reduced below it
+            form = [(j, [(a - row[c] // g * b) % m for a, b in zip(row, piv)])
+                    for j, row in form] + [(c, piv)]
+        work = [r for r in rest if any(r)]
+    return tuple((c, tuple(a // s for a, s in zip(row, scales)))
+                 for c, row in form)
+
+
 class Submodule:
-    """Subset of a module that is expected to be closed under addition;
-    stored sorted so every iteration over it is deterministic.  A span
-    built by from_generators keeps its reduced generator list as gens;
-    a subset given by its elements has gens None."""
+    """Subgroup of a module.  A span (from_generators, image, kernel)
+    keeps its reduced generator list as gens and is held as their Howell
+    form: membership is reduction to zero, the size the product of the
+    pivot orders, and spans are equal when their forms are.  A subset
+    given by its elements, expected to be closed under addition, has gens
+    and form None.  Iteration is over the sorted elements, which a span
+    lists on first use; a listed span looks membership up in them."""
 
     def __init__(self, ambient: FiniteModule, elements):
-        elems = sorted(set(tuple(e) for e in elements))
+        elems = sorted({tuple(e) for e in elements} | {ambient.zero})
         for e in elems:
             if not ambient.contains(e):
                 raise StructuralError(f"{e} is not an element of the ambient module")
-        if ambient.zero not in elems:
-            elems = sorted(elems + [ambient.zero])
-        self.ambient = ambient
-        self.elements = tuple(elems)
-        self._set = frozenset(elems)
-        self.gens = None
+        self.ambient, self.size = ambient, len(elems)
+        self.elements, self._set = tuple(elems), frozenset(elems)
+        self.gens = self.form = None
 
     @classmethod
     def from_generators(cls, ambient: FiniteModule, gens) -> "Submodule":
-        gens = tuple(ambient.reduce(tuple(g)) for g in gens)
-        seen = {ambient.zero}
-        seen.update(gens)
-        frontier = list(gens)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = ambient.add(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        span = cls(ambient, seen)
-        span.gens = gens
+        span = object.__new__(cls)
+        span.ambient = ambient
+        span.gens = tuple(ambient.reduce(tuple(g)) for g in gens)
+        span.form, span._set = howell_form(ambient, span.gens), None
+        span.size = prod(ambient.orders[c] // row[c] for c, row in span.form)
         return span
 
+    def least_in_coset(self, x):
+        """The least element of x + span: pivot entries reduced in order."""
+        x, orders = tuple(x), self.ambient.orders
+        for c, row in self.form:
+            q = x[c] // row[c]
+            if q:
+                x = tuple((a - q * b) % d for a, b, d in zip(x, row, orders))
+        return x
+
     def contains(self, x) -> bool:
-        return tuple(x) in self._set
+        if self._set is not None:
+            return tuple(x) in self._set
+        return self.least_in_coset(x) == self.ambient.zero
 
-    @property
-    def size(self):
-        return len(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
+    @cached_property
+    def elements(self):
+        orders, out = self.ambient.orders, [self.ambient.zero]
+        for c, row in self.form:
+            out = [tuple((a + k * b) % d for a, b, d in zip(v, row, orders))
+                   for v in out for k in range(orders[c] // row[c])]
+        self._set = frozenset(out)  # membership by lookup from now on
+        return tuple(sorted(out))
 
     def __iter__(self):
         return iter(self.elements)
@@ -520,11 +557,14 @@ class Submodule:
         return None
 
     def __eq__(self, other):
-        return (isinstance(other, Submodule) and self.ambient == other.ambient
-                and self.elements == other.elements)
+        if not isinstance(other, Submodule) or self.ambient != other.ambient:
+            return False
+        if self.form is not None and other.form is not None:
+            return self.form == other.form
+        return self.elements == other.elements
 
     def __hash__(self):
-        return hash((self.ambient, self.elements))
+        return hash((self.ambient, self.size))
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +722,16 @@ def image(f: ModuleHom) -> Submodule:
 
 
 def kernel(f: ModuleHom) -> Submodule:
-    zero = f.codomain.zero
-    return Submodule(f.domain,
-                     [x for x in f.domain.elements() if f.apply(x) == zero])
+    """The span of the Howell rows of the graph rows (f(g_i), g_i) whose
+    image part is zero; a map that is not well defined is scanned."""
+    dom, n = f.domain, f.codomain.rank
+    if not f.well_defined():
+        return Submodule(dom, [x for x in dom.elements()
+                               if f.apply(x) == f.codomain.zero])
+    graph = howell_form(direct_sum([f.codomain, dom]),
+                        map(tuple.__add__, f.images, dom.generators()))
+    return Submodule.from_generators(dom, [row[n:] for c, row in graph
+                                           if c >= n])
 
 
 def is_ideal(alg: Algebra, sub: Submodule,
@@ -810,22 +857,21 @@ def quotient_algebra(alg: Algebra, ideal: Submodule):
     if not rep_check.passed:
         raise PreconditionError("quotient requires an ideal; is_ideal failed")
     amb = alg.carrier
-    rep = {}
-    for x in amb.elements():
-        rep[x] = min(amb.add(x, i) for i in ideal.elements)
-    reps = sorted(set(rep.values()))
-    zero_rep = rep[amb.zero]
+    if ideal.form is None:
+        ideal = Submodule.from_generators(amb, ideal.elements)
+    rep = ideal.least_in_coset
+    reps = sorted({rep(x) for x in amb.elements()})
 
     def add_q(a, b):
-        return rep[amb.add(a, b)]
+        return rep(amb.add(a, b))
 
-    orders, gens = decompose_abelian(reps, add_q, zero_rep)
+    orders, gens = decompose_abelian(reps, add_q, amb.zero)
     carrier = FiniteModule(amb.modulus, orders)
-    coords = _coordinates(orders, gens, add_q, zero_rep, reps)
-    constants = [[coords[rep[alg.multiply(gi, gj)]] for gj in gens] for gi in gens]
+    coords = _coordinates(orders, gens, add_q, amb.zero, reps)
+    constants = [[coords[rep(alg.multiply(gi, gj))] for gj in gens] for gi in gens]
     quot = Algebra(carrier, BilinearMap(carrier, carrier, carrier, constants),
                    name=f"{alg.name}/I" if alg.name else "quotient")
-    images = [coords[rep[g]] for g in amb.generators()]
+    images = [coords[rep(g)] for g in amb.generators()]
     proj = AlgebraHom(alg, quot, ModuleHom(amb, carrier, images), name="projection")
     return quot, proj
 

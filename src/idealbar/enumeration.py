@@ -165,7 +165,7 @@ def _ideal_closure(alg: Algebra, gens) -> Submodule:
     bilinear = alg.mul.well_defined()
     while True:
         pairs = (product(alg.generators(), span.gens) if bilinear
-                 else product(alg.elements(), span.elements))
+                 else product(alg.elements(), span))
         escaped = next((p for p in (alg.multiply(a, x) for a, x in pairs)
                         if not span.contains(p)), None)
         if escaped is None:
@@ -180,7 +180,7 @@ def enumerate_ideals(alg: Algebra) -> list[Submodule]:
     reproducible."""
     carrier = alg.carrier
     zero_ideal = _ideal_closure(alg, [])
-    seen = {zero_ideal.elements: zero_ideal}
+    seen = {zero_ideal.form: zero_ideal}
     frontier = [zero_ideal]
     while frontier:
         base = frontier.pop()
@@ -188,8 +188,8 @@ def enumerate_ideals(alg: Algebra) -> list[Submodule]:
             if base.contains(e):
                 continue
             grown = _ideal_closure(alg, base.gens + (e,))
-            if grown.elements not in seen:
-                seen[grown.elements] = grown
+            if grown.form not in seen:
+                seen[grown.form] = grown
                 frontier.append(grown)
     return sorted(seen.values(), key=lambda s: (s.size, s.elements))
 
@@ -219,7 +219,7 @@ def fuzz_cims(modulus: int, max_rank: int, count: int, seed: int = 0):
             ideal_cache[idx] = enumerate_ideals(s_alg)
         ideals = ideal_cache[idx]
         big = ideals[rng.randrange(len(ideals))]
-        inside = [j for j in ideals if set(j.elements) <= set(big.elements)]
+        inside = [j for j in ideals if all(map(big.contains, j.gens))]
         small = inside[rng.randrange(len(inside))]
 
         ambient = inclusion_xmod(s_alg, big, name=f"fuzz{len(out)}")

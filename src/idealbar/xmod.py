@@ -204,23 +204,23 @@ def consequence_checks(xm: CrossedModule, policy: Policy | None = None) -> Repor
         rep.name = name
         checks.append(rep)
 
-    checks.append(check("kernel-annihilates", THEOREM,
-                        [ker.elements, r_alg.elements()],
+    checks.append(check("kernel-annihilates", THEOREM, [ker, r_alg],
                         lambda x, r: r_alg.multiply(x, r) == r_alg.zero,
-                        policy, detail="x r = 0 for x in ker(eta)"))
+                        policy, detail="x r = 0 for x in ker(eta)",
+                        maps=(r_alg.mul,)))
 
     checks.append(group("quotient-action-well-defined", [
-        check("kernel-closed-under-action", THEOREM,
-              [s_alg.elements(), ker.elements],
-              lambda s, x: ker.contains(xm.action.apply(s, x)), policy),
-        check("image-acts-trivially-on-kernel", THEOREM,
-              [im.elements, ker.elements],
+        check("kernel-closed-under-action", THEOREM, [s_alg, ker],
+              lambda s, x: ker.contains(xm.action.apply(s, x)), policy,
+              maps=(xm.action.tensor,)),
+        check("image-acts-trivially-on-kernel", THEOREM, [im, ker],
               lambda t, x: xm.action.apply(t, x) == r_alg.zero, policy,
-              detail="makes the action of S/im(eta) well defined"),
-        check("induced-action-composes", THEOREM,
-              [s_alg.elements(), s_alg.elements(), ker.elements],
+              detail="makes the action of S/im(eta) well defined",
+              maps=(xm.action.tensor,)),
+        check("induced-action-composes", THEOREM, [s_alg, s_alg, ker],
               lambda s1, s2, x: xm.action.apply(s_alg.multiply(s1, s2), x)
-              == xm.action.apply(s1, xm.action.apply(s2, x)), policy),
+              == xm.action.apply(s1, xm.action.apply(s2, x)), policy,
+              maps=(xm.action.tensor, s_alg.mul)),
         leaf("induced-action-reading", NOTE, None,
              detail="checked as a k-bilinear module action; translation-"
                     "style axioms are not imposed, they fail for linear "

@@ -13,9 +13,17 @@ by block routes.  Only the differential tests call them.
 The oracles cut flat tuples into blocks with their own rank offsets
 (split and join below), never with the FiniteModule.split and inject
 whose layout they check.
+
+span_oracle closes a generator list under addition breadth first and
+kernel_oracle applies a hom to every element of its domain; both return
+the subset by its elements, which core.Submodule holds as a Howell form
+instead.  quotient_oracle takes each coset representative as the least
+sum x + i over the elements i of the ideal.
 """
 
-from idealbar.core import ModuleHom, direct_sum
+from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
+                           ModuleHom, Submodule, _coordinates,
+                           decompose_abelian, direct_sum)
 
 
 def split(bm, t, n):
@@ -177,3 +185,55 @@ def cm2_criterion_oracle(xm):
     return _by_elements(direct_sum([r_mod, r_mod]),
                         direct_sum([xm.s_alg.carrier, r_mod]),
                         lambda t: xm.eta.apply(t[:pr]) + t[pr:])
+
+
+# ---------------------------------------------------------------------------
+# submodules by their elements: core.Submodule reads membership, size,
+# kernels and coset representatives off a Howell form
+
+
+def span_oracle(ambient, gens):
+    """The span of gens, closed under addition breadth first."""
+    gens = [ambient.reduce(tuple(g)) for g in gens]
+    seen = {ambient.zero, *gens}
+    frontier = list(gens)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = ambient.add(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return Submodule(ambient, seen)
+
+
+def kernel_oracle(f):
+    """The elements of the domain that f sends to zero."""
+    zero = f.codomain.zero
+    return Submodule(f.domain,
+                     [x for x in f.domain.elements() if f.apply(x) == zero])
+
+
+def quotient_oracle(alg, ideal):
+    """The quotient of alg by an ideal, each class represented by the
+    least x + i over the elements i of the ideal."""
+    amb = alg.carrier
+    rep = {x: min(amb.add(x, i) for i in ideal.elements)
+           for x in amb.elements()}
+    reps = sorted(set(rep.values()))
+
+    def add_q(a, b):
+        return rep[amb.add(a, b)]
+
+    orders, gens = decompose_abelian(reps, add_q, rep[amb.zero])
+    carrier = FiniteModule(amb.modulus, orders)
+    coords = _coordinates(orders, gens, add_q, rep[amb.zero], reps)
+    constants = [[coords[rep[alg.multiply(gi, gj)]] for gj in gens]
+                 for gi in gens]
+    quot = Algebra(carrier, BilinearMap(carrier, carrier, carrier, constants),
+                   name=f"{alg.name}/I" if alg.name else "quotient")
+    images = [coords[rep[g]] for g in amb.generators()]
+    return quot, AlgebraHom(alg, quot, ModuleHom(amb, carrier, images),
+                            name="projection")

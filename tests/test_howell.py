@@ -1,0 +1,123 @@
+"""Spans held as Howell forms, against their element lists.
+
+core.Submodule reads membership, size, equality, coset representatives
+and kernels off the Howell form of a generator list.  The oracles close
+the generator list under addition, apply a hom to every element of its
+domain and take each coset representative as a minimum over the ideal's
+elements.  Modules have mixed orders over m in {4, 6, 8, 9}; order-1
+summands are drawn too, so a module may have rank 0, and generator lists
+may be empty.
+"""
+
+from math import prod
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idealbar.core import (Algebra, BilinearMap, FiniteModule, ModuleHom,
+                           Submodule, is_ideal, kernel, quotient_algebra)
+from idealbar.enumeration import enumerate_ideals
+from oracles import kernel_oracle, quotient_oracle, span_oracle
+
+MODULI = [4, 6, 8, 9]
+CASES = settings(max_examples=200, deadline=None)
+
+
+def module(data, m, max_size=64):
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    orders = data.draw(st.lists(st.sampled_from(divisors), max_size=3)
+                       .filter(lambda o: prod(o) <= max_size))
+    return FiniteModule(m, orders)
+
+
+def gen_list(data, mod, max_size=3):
+    return data.draw(st.lists(st.sampled_from(mod.elements()),
+                              max_size=max_size))
+
+
+@given(st.data(), st.sampled_from(MODULI))
+@CASES
+def test_span_matches_its_breadth_first_closure(data, m):
+    mod = module(data, m)
+    gens = gen_list(data, mod)
+    span, oracle = Submodule.from_generators(mod, gens), span_oracle(mod, gens)
+    assert span.gens == tuple(gens)
+    assert span.size == oracle.size
+    assert span.elements == oracle.elements
+    assert [span.contains(x) for x in mod.elements()] \
+        == [oracle.contains(x) for x in mod.elements()]
+    assert span == oracle
+    assert all(span.least_in_coset(x)
+               == min(mod.add(x, i) for i in oracle.elements)
+               for x in mod.elements())
+
+
+@given(st.data(), st.sampled_from(MODULI))
+@CASES
+def test_one_span_has_one_form(data, m):
+    # a second generator list of the same span: the first one shuffled,
+    # with unit multiples and sums of its members added
+    mod = module(data, m)
+    gens = gen_list(data, mod)
+    units = [u for u in range(1, m) if all(u % p for p in (2, 3) if m % p == 0)]
+    more = [mod.scale(data.draw(st.sampled_from(units)), g) for g in gens]
+    more += [mod.add(a, b) for a, b in zip(gens, gens[1:])]
+    more = data.draw(st.permutations(more + gens))
+    span = Submodule.from_generators(mod, gens)
+    assert Submodule.from_generators(mod, more).form == span.form
+    other = gen_list(data, mod)
+    assert ((Submodule.from_generators(mod, other).form == span.form)
+            == (span_oracle(mod, other).elements == span.elements))
+
+
+@given(st.data(), st.sampled_from(MODULI))
+@CASES
+def test_kernel_matches_the_element_scan(data, m):
+    # images are drawn in the codomain whatever the orders, so homs that
+    # are not well defined are drawn too; their kernel stays a scan
+    dom, cod = module(data, m), module(data, m, 16)
+    f = ModuleHom(dom, cod, [data.draw(st.sampled_from(cod.elements()))
+                             for _ in dom.orders])
+    ker = kernel(f)
+    assert ker.elements == kernel_oracle(f).elements
+    assert ker.size == kernel_oracle(f).size
+    assert (ker.form is not None) == f.well_defined()
+
+
+@given(st.data(), st.sampled_from(MODULI))
+@settings(max_examples=60, deadline=None)
+def test_quotient_matches_the_least_sum_over_the_ideal(data, m):
+    mod = module(data, m, 16)
+    alg = Algebra(mod, BilinearMap(mod, mod, mod, [
+        [data.draw(st.sampled_from(mod.elements())) for _ in mod.orders]
+        for _ in mod.orders]))
+    ideals = [i for i in enumerate_ideals(alg) if is_ideal(alg, i).passed]
+    ideal = data.draw(st.sampled_from(ideals))
+    given_as = data.draw(st.sampled_from(["span", "elements"]))
+    if given_as == "elements":
+        ideal = Submodule(mod, ideal.elements)
+    quot, proj = quotient_algebra(alg, ideal)
+    want_quot, want_proj = quotient_oracle(alg, ideal)
+    assert quot == want_quot and quot.name == want_quot.name
+    assert proj.hom == want_proj.hom
+
+
+def test_annihilator_rows_count():
+    # over Z/12, (0, 0, 3, 1) in Z/3 + Z/2 + Z/6 + Z/3 embeds as
+    # (0, 0, 6, 4), whose pivot 6 has order 2; the annihilator row
+    # 2 (0, 0, 6, 4) = (0, 0, 0, 8) brings in the part of order 3
+    mod = FiniteModule(12, [3, 2, 6, 3])
+    span = Submodule.from_generators(mod, [(0, 0, 3, 1)])
+    assert span.size == 6 == span_oracle(mod, [(0, 0, 3, 1)]).size
+    assert span.contains((0, 0, 0, 1))
+
+
+def test_rank_zero_and_empty_spans():
+    point = FiniteModule(6, [1])
+    assert point.rank == 0
+    span = Submodule.from_generators(point, [(), ()])
+    assert span.form == () and span.size == 1 and span.elements == ((),)
+    mod = FiniteModule(4, [2, 4])
+    zero = Submodule.from_generators(mod, [])
+    assert zero.size == 1 and zero.elements == ((0, 0),)
+    assert zero == Submodule.from_generators(mod, [(0, 0), (2, 0)])

@@ -21,6 +21,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from idealbar import cli
 from idealbar.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -140,3 +141,15 @@ def test_unmutated_fixtures_run_clean():
         for command in commands:
             code, err = _run(DOCS[name], command)
             assert err == "" and code in (0, 1), (name, command)
+
+
+def test_running_out_of_memory_is_a_one_line_refusal(monkeypatch):
+    # exit 1 means a failed axiom, so an exhausted address space must not
+    # end in a MemoryError traceback
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run", exhausted)
+    code, err = _main(["-w", str(FIXTURES / "nilcube.json"), "bar-verify",
+                       "main", "--depth", "8"])
+    assert (code, err) == (3, "error: out of memory\n")
