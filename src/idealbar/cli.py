@@ -19,7 +19,7 @@ from .crossed_ideal import (image_crossed_ideal_check, validate_crossed_ideal,
                             validate_crossed_ideal_map)
 from .enumeration import enumeration_report, fuzz_report
 from .policy import Policy
-from .report import NOTE, PASS, STRUCTURAL, exit_code, group, leaf
+from .report import NOTE, PASS, SKIP, STRUCTURAL, exit_code, group, leaf
 from .roundtrip import perturb_and_filter, roundtrip_check
 from .workspace import Workspace
 from .xmod import (consequence_checks, phi_cm1_criterion, phi_cm2_criterion,
@@ -148,6 +148,16 @@ def _depth(args, ws: Workspace) -> int:
     return ws.options.get("depth", DEFAULT_DEPTH)
 
 
+def _on_valid(valid: "Report", name: str, theorems) -> "Report":
+    """THEOREM checks claim what follows from valid input, so they run
+    only when the validation report valid passed; otherwise a SKIP leaf
+    takes the name of the group theorems() would have built."""
+    if valid.passed:
+        return theorems()
+    return leaf(name, SKIP, None,
+                detail="not run: the input failed validation")
+
+
 def run(args) -> "Report":
     policy = _policy(args)
 
@@ -167,12 +177,15 @@ def run(args) -> "Report":
 
     if args.command == "check-xmod":
         xm = ws.xmod(args.name)
-        checks = [validate_crossed_module(xm, policy),
+        valid = validate_crossed_module(xm, policy)
+        checks = [valid,
                   group("semidirect-criteria",
                         [phi_cm1_criterion(xm, policy),
                          phi_cm2_criterion(xm, policy)])]
         if args.consequences:
-            checks.append(consequence_checks(xm, policy))
+            checks.append(_on_valid(
+                valid, f"consequence-checks {xm.name or 'xmod'}",
+                lambda: consequence_checks(xm, policy)))
         return group(f"check-xmod {args.name}", checks)
 
     if args.command == "bar-build":
@@ -203,10 +216,12 @@ def run(args) -> "Report":
 
     if args.command == "cim-check":
         cim = ws.cim(args.name)
+        valid = validate_crossed_ideal_map(cim, policy,
+                                           check_balance=not args.no_balance)
         return group(f"cim-check {args.name}", [
-            validate_crossed_ideal_map(cim, policy,
-                                       check_balance=not args.no_balance),
-            image_crossed_ideal_check(cim, policy)])
+            valid,
+            _on_valid(valid, f"image-crossed-ideal {cim.name or 'cim'}",
+                      lambda: image_crossed_ideal_check(cim, policy))])
 
     if args.command == "bibar-verify":
         mor = ws.morphism(args.name)

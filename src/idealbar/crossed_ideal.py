@@ -318,21 +318,36 @@ def validate_crossed_ideal_map(cim: CrossedIdealMap,
     return group(f"validate-crossed-ideal-map {name}", checks)
 
 
-def image_sub_xmod(cim: CrossedIdealMap) -> SubXMod:
+def image_sub_xmod(cim: CrossedIdealMap, sub: SubXMod | None = None) -> SubXMod:
     """The image of the morphism underlying a crossed ideal map, presented
-    as a sub crossed module of the target."""
+    as a sub crossed module of the target.
+
+    sub, when given, is a sub crossed module the caller already holds.
+    If it lies in the target and its two subsets equal the image spans
+    (spans compare by Howell form), its assembled structure is taken
+    with the image spans and name: sub_crossed_module reads only the two
+    spans, the sorted elements for the presentation and the generators
+    for closures they decide, so assembling the image would rebuild sub
+    under another name.  Otherwise the image is assembled."""
     mor = cim.morphism
-    r_img = image(mor.alpha1.hom)
-    s_img = image(mor.alpha2.hom)
-    return sub_crossed_module(mor.target, r_img, s_img,
-                              name=f"image-{cim.name or 'cim'}")
+    r_img, s_img = image(mor.alpha1.hom), image(mor.alpha2.hom)
+    name = f"image-{cim.name or 'cim'}"
+    if (sub is not None and sub.ambient is mor.target
+            and sub.r_subset == r_img and sub.s_subset == s_img):
+        return SubXMod(mor.target, sub.sub, sub.mu, sub.nu, r_img, s_img,
+                       sub.problems, name=name)
+    return sub_crossed_module(mor.target, r_img, s_img, name=name)
 
 
 def image_crossed_ideal_check(cim: CrossedIdealMap,
-                              policy: Policy | None = None) -> Report:
+                              policy: Policy | None = None,
+                              sub: SubXMod | None = None) -> Report:
     """The image of a validated crossed ideal map is a crossed ideal.
-    Any failure here on validated input is an implementation bug."""
-    rep = relabel(validate_crossed_ideal(image_sub_xmod(cim), policy), THEOREM)
+    Any failure here on validated input is an implementation bug.  A sub
+    that spans the image (see image_sub_xmod) is validated in place of
+    the image assembled anew, and the report is the same either way."""
+    rep = relabel(validate_crossed_ideal(image_sub_xmod(cim, sub), policy),
+                  THEOREM)
     push = equivariance_report(
         cim.morphism, "pushforward-action-agrees", THEOREM,
         "the induced action on the image is the restricted ambient action, "

@@ -199,14 +199,19 @@ def fuzz_cims(modulus: int, max_rank: int, count: int, seed: int = 0):
 
     Each draw picks an algebra S, an ideal I, and an ideal J inside I;
     the inclusion J -> I -> S then carries a canonical crossed ideal map.
-    The construction lands on valid instances by design.  No draw is
-    validated here: fuzz_report validates each one once, so a draw that
-    fails is reported, not drawn again.  Only a draw whose sub crossed
-    module cannot be assembled at all is redrawn."""
+    The construction lands on valid instances by design.  The ideals of
+    an algebra are listed once per run, and the ambient crossed module
+    inclusion_xmod(S, I), the ideals inside I and the coordinates of I
+    are built once per drawn (algebra, ideal) pair, so every draw on a
+    pair shares one ambient.  No draw is validated here: fuzz_report
+    validates each one once, so a draw that fails is reported, not drawn
+    again.  Only a draw whose sub crossed module cannot be assembled at
+    all is redrawn."""
     rng = random.Random(seed)
     algebras = [a for r in range(1, max_rank + 1)
                 for a in enumerate_algebras(modulus, r)]
     ideal_cache: dict[int, list[Submodule]] = {}
+    pair_cache: dict[tuple[int, int], tuple] = {}
     out = []
     attempts = 0
     while len(out) < count:
@@ -218,12 +223,16 @@ def fuzz_cims(modulus: int, max_rank: int, count: int, seed: int = 0):
         if idx not in ideal_cache:
             ideal_cache[idx] = enumerate_ideals(s_alg)
         ideals = ideal_cache[idx]
-        big = ideals[rng.randrange(len(ideals))]
-        inside = [j for j in ideals if all(map(big.contains, j.gens))]
+        jdx = rng.randrange(len(ideals))
+        if (idx, jdx) not in pair_cache:
+            big = ideals[jdx]
+            ambient = inclusion_xmod(s_alg, big)
+            pair_cache[idx, jdx] = (
+                ambient, [j for j in ideals if all(map(big.contains, j.gens))],
+                {ambient.eta.apply(x): x for x in ambient.r_alg.elements()})
+        ambient, inside, coords = pair_cache[idx, jdx]
         small = inside[rng.randrange(len(inside))]
 
-        ambient = inclusion_xmod(s_alg, big, name=f"fuzz{len(out)}")
-        coords = {ambient.eta.apply(x): x for x in ambient.r_alg.elements()}
         r_subset = Submodule.from_generators(ambient.r_alg.carrier,
                                              [coords[g] for g in small.gens])
         sx = sub_crossed_module(ambient, r_subset, small,
@@ -238,13 +247,15 @@ def fuzz_report(modulus: int, max_rank: int, count: int, seed: int = 0,
                 policy: Policy | None = None) -> Report:
     """Validate every fuzzed instance and its image construction, rolled
     up to one leaf per instance.  This is the one validation of a draw:
-    the image check validates the drawn crossed ideal itself, since the
-    image of its inclusion map spans the same two subsets."""
+    the image of its inclusion map spans the same two subsets as the
+    drawn sub crossed module, so the image check is handed that sub and,
+    once it has compared the spans, validates it instead of assembling
+    the image again."""
     rows = []
     failures = 0
     for sx, cim in fuzz_cims(modulus, max_rank, count, seed):
         ok = (validate_crossed_ideal_map(cim, policy).passed
-              and image_crossed_ideal_check(cim, policy).passed)
+              and image_crossed_ideal_check(cim, policy, sub=sx).passed)
         failures += 0 if ok else 1
         rows.append(leaf(cim.name, PASS if ok else FAIL, THEOREM,
                          meta={"r_size": cim.morphism.source.r_alg.carrier.size,

@@ -9,6 +9,8 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 NILSQUARE = str(FIXTURES / "nilsquare.json")
 NILCUBE = str(FIXTURES / "nilcube.json")
 BROKEN = str(FIXTURES / "broken_action.json")
+BROKEN_Z4 = str(FIXTURES / "broken_z4.json")
+NOT_RUN = "not run: the input failed validation"
 
 
 def cli(*args):
@@ -58,6 +60,30 @@ def test_cim_check():
     res = cli("-w", NILCUBE, "cim-check", "incl_cim")
     assert res.returncode == 0
     assert "image-crossed-ideal" in res.stdout
+
+
+def test_consequences_of_an_invalid_crossed_module_are_not_run():
+    # cm1 fails, so the THEOREM checks would only report the failed
+    # axiom again, with the exit code of an implementation bug
+    res = cli("-w", BROKEN_Z4, "check-xmod", "main", "--consequences")
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert f"SKIP consequence-checks main: {NOT_RUN}" in res.stdout
+    assert "[THEOREM]" not in res.stdout
+    res = cli("-w", NILSQUARE, "check-xmod", "main", "--consequences")
+    assert res.returncode == 0 and "[THEOREM]" in res.stdout
+
+
+def test_image_check_of_an_invalid_crossed_ideal_map_is_not_run(tmp_path):
+    # nu moved off the ideal it included: it is no longer multiplicative,
+    # so the map fails validation and its image is not checked
+    ws = json.loads(Path(NILCUBE).read_text())
+    ws["homs"]["nu"]["images"] = [[0, 1, 0]]
+    path = tmp_path / "bad_nu.json"
+    path.write_text(json.dumps(ws))
+    res = cli("-w", str(path), "cim-check", "incl_cim")
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert f"SKIP image-crossed-ideal incl_cim: {NOT_RUN}" in res.stdout
+    assert "[THEOREM]" not in res.stdout
 
 
 def test_bibar_verify_and_corruption_control():

@@ -344,6 +344,30 @@ def test_fuzz_report_validates_each_draw_once(monkeypatch):
     assert len(calls) == 20
 
 
+def test_fuzz_report_builds_each_ambient_and_sub_once(monkeypatch):
+    # one inclusion_xmod per drawn (algebra, ideal) pair, and one
+    # sub_crossed_module per draw: the image check is handed the draw's
+    # sub instead of assembling the image again
+    ambients, subs = [], []
+    include = xmod_mod.inclusion_xmod
+    assemble = crossed_ideal_mod.sub_crossed_module
+
+    def counted_include(alg, ideal, *args, **kwargs):
+        ambients.append((id(alg), ideal.form))
+        return include(alg, ideal, *args, **kwargs)
+
+    def counted_assemble(*args, **kwargs):
+        subs.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration_mod, "inclusion_xmod", counted_include)
+    for mod in (crossed_ideal_mod, enumeration_mod):
+        monkeypatch.setattr(mod, "sub_crossed_module", counted_assemble)
+    assert fuzz_report(2, 2, 100).passed
+    assert len(subs) == 100
+    assert len(ambients) == len(set(ambients)) < 100
+
+
 def test_enumeration_report_counts():
     rep = enumeration_report(2, 1)
     assert rep.find("algebras @ rank 0").meta == {"count": 1}

@@ -10,7 +10,9 @@ generator path, and the JSON reports must be identical, verdicts,
 witnesses and meta alike.  Under the default policy that compares the
 clauses within the exhaustive bound; with the bound lowered to 1 every
 element sweep samples, and each leaf decided on generators must still
-match the exhaustive sweep.
+match the exhaustive sweep.  The image check handed a fuzz draw's sub
+crossed module is held to the same standard against the image it would
+otherwise assemble.
 """
 
 import random
@@ -26,17 +28,20 @@ import idealbar.policy as policy_mod
 import idealbar.roundtrip as roundtrip_mod
 import idealbar.xmod as xmod_mod
 from idealbar.bar import build_bar_algebra, verify_bar
-from idealbar.core import Algebra, AlgebraHom, BilinearMap, FiniteModule, ModuleHom
+from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
+                           ModuleHom, image)
 from idealbar.crossed_ideal import (CrossedIdealMap, image_crossed_ideal_check,
+                                    sub_crossed_module,
                                     validate_crossed_ideal_map)
 from idealbar.enumeration import (all_valid_xmods, enumerate_algebras,
                                   enumerate_xmods, fuzz_cims, fuzz_report)
 from idealbar.fixtures import broken_action_xmod, nilcube_xmod, nilsquare_xmod
-from idealbar.policy import EXHAUSTIVE, Policy
+from idealbar.policy import EXHAUSTIVE, SAMPLE, Policy
 from idealbar.report import AXIOM, FAIL
 from idealbar.roundtrip import perturb_and_filter, verify_extracted
-from idealbar.xmod import (AlgebraAction, CrossedModule, phi_cm1_criterion,
-                           phi_cm2_criterion, validate_crossed_module)
+from idealbar.xmod import (AlgebraAction, CrossedModule, inclusion_xmod,
+                           phi_cm1_criterion, phi_cm2_criterion,
+                           validate_crossed_module)
 
 CHECKERS = (bar_mod, core_mod, xmod_mod, crossed_ideal_mod, roundtrip_mod)
 MULTIPLICATIVITY_CALLERS = (bar_mod, bibar_mod, core_mod, crossed_ideal_mod,
@@ -305,6 +310,67 @@ def test_fuzzed_and_twisted_crossed_ideal_maps_mod_4(monkeypatch):
                         lambda: image_crossed_ideal_check(case))
             statuses.add(validate_crossed_ideal_map(case).passed)
     assert statuses == {True, False}
+
+
+def _count_sub_assembly(monkeypatch):
+    calls = []
+    assemble = crossed_ideal_mod.sub_crossed_module
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(crossed_ideal_mod, "sub_crossed_module", counted)
+    return calls
+
+
+@pytest.mark.parametrize("args", [(2, 2, 200, 0), (4, 2, 25, 7),
+                                  (6, 1, 50, 2)])
+def test_image_check_handed_the_drawn_sub_matches_the_assembled_image(
+        monkeypatch, args):
+    # the draw's sub spans the image, so it stands in for the assembled
+    # image without a sub_crossed_module call, on the drawn cim and on
+    # one with h twisted, under the default and a sampling policy; equal
+    # JSON means every leaf agrees in status, kind, witness and meta
+    rng = random.Random(11)
+    policies = (None, Policy(mode=SAMPLE, sample_count=2, seed=3))
+    draws = fuzz_cims(*args)
+    calls = _count_sub_assembly(monkeypatch)
+    for sx, cim in draws:
+        cases = [cim]
+        if cim.h.left.rank and cim.h.right.rank and cim.h.target.rank:
+            cases.append(_twisted(cim, rng))
+        for case in cases:
+            for policy in policies:
+                handed = image_crossed_ideal_check(case, policy, sub=sx)
+                assert not calls
+                assembled = image_crossed_ideal_check(case, policy)
+                assert calls
+                calls.clear()
+                assert handed.to_json() == assembled.to_json()
+
+
+def test_image_check_assembles_the_image_for_a_sub_that_does_not_span_it(
+        monkeypatch):
+    # draws on one (algebra, ideal) pair share their ambient: take two of
+    # them whose spans differ, and a sub on the same spans as the first
+    # over an equal ambient built anew
+    draws = fuzz_cims(2, 2, 40, 0)
+    (sx, cim), (other, _) = next(
+        (a, b) for a in draws for b in draws
+        if b[0].ambient is a[0].ambient
+        and (b[0].r_subset, b[0].s_subset) != (a[0].r_subset, a[0].s_subset))
+    ambient = cim.morphism.target
+    twin = sub_crossed_module(
+        inclusion_xmod(ambient.s_alg, image(ambient.eta.hom)),
+        sx.r_subset, sx.s_subset)
+    assert twin.ambient is not ambient and twin.sub is not None
+    calls = _count_sub_assembly(monkeypatch)
+    expected = image_crossed_ideal_check(cim).to_json()
+    assert len(calls) == 1
+    for sub in (other, twin):
+        assert image_crossed_ideal_check(cim, sub=sub).to_json() == expected
+    assert len(calls) == 3
 
 
 def test_rank_one_candidates_never_sweep(monkeypatch):
