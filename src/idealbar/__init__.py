@@ -10,11 +10,10 @@ from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                    direct_sum, image, is_ideal, kernel, quotient_algebra,
                    semidirect_product, subalgebra_presentation,
                    validate_algebra, validate_hom)
-from .xmod import (AlgebraAction, CrossedModule, ModuleAction,
-                   consequence_checks, inclusion_xmod, phi_cm1_criterion,
-                   phi_cm2_criterion, translation_action,
-                   validate_algebra_action, validate_crossed_module,
-                   validate_module_action)
+from .xmod import (AlgebraAction, CrossedModule, consequence_checks,
+                   inclusion_xmod, phi_cm1_criterion, phi_cm2_criterion,
+                   translation_action, validate_algebra_action,
+                   validate_crossed_module, validate_module_action)
 from .bar import (TruncatedBarAlgebra, TruncatedBarModule, build_bar_algebra,
                   build_bar_module, definition_checks, eta_k, verify_bar,
                   verify_decomposition, verify_ideal_axiom,

@@ -1,9 +1,10 @@
 """Truncated bar construction Bar(S, R) and its level algebras.
 
 Level k of the bar object on an action of R on X is the direct sum of
-the base X and k letters R.  Faces act by the action (d_0), by merging
-neighbouring letters, or by dropping the last one; degeneracies insert a
-zero letter.  Each is the block matrix (core.block_hom) of its letter
+the base X and k letters R.  The action is a translation, held as its
+hom t: R -> X.  Faces act by the action (d_0), by merging neighbouring
+letters, or by dropping the last one; degeneracies insert a zero
+letter.  Each is the block matrix (core.block_hom) of its letter
 index map.  With letters numbered from 0, d_i sends letter j to j when
 j < i and to j - 1 otherwise, and s_i sends it to j or to j + 1 the
 same way; index -1 is the base, reached through the translation, and an
@@ -18,7 +19,9 @@ each level also carries a multiplication
 
 realised as the structure-constant tensor of S |x R^k that
 core.block_tensor assembles from the constants of S, R and the action.
-The closed formula is its oracle in the test suite.
+The closed formula is its oracle in the test suite.  A
+TruncatedBarAlgebra is the bar module of that translation together with
+these level products.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from .core import (MAX_ENUM, Algebra, AlgebraHom, ModuleHom,
 from .policy import Policy, check
 from .report import (AXIOM, FAIL, PASS, STRUCTURAL, THEOREM, Report, group,
                      leaf, relabel)
-from .xmod import (CrossedModule, ModuleAction, translation_action,
-                   validate_module_action)
+from .xmod import CrossedModule, translation_action, validate_module_action
 
 DEFAULT_DEPTH = 4
 
@@ -52,18 +54,19 @@ def level_size(x_size: int, r_size: int, n: int) -> int:
 
 
 class TruncatedBarModule:
-    """Levels 0..depth of the bar object of a module action, with every
+    """Levels 0..depth of the bar object of the action of R on X by
+    translation through the module hom translation: R -> X, with every
     face and degeneracy inside the truncation, each built as the block
     matrix of its letter index map.  The rows of a bibar are built here
-    too, on the translation through phi_n."""
+    too, on the translation phi_n."""
 
-    def __init__(self, act: ModuleAction, depth: int):
+    def __init__(self, translation: ModuleHom, depth: int):
         if depth < 1:
             raise PreconditionError("bar truncation depth must be at least 1")
-        self.act = act
+        self.translation = translation
         self.depth = depth
-        self.x_mod = act.space
-        self.r_mod = act.algebra.carrier
+        self.x_mod = translation.codomain
+        self.r_mod = translation.domain
         level_size(self.x_mod.size, self.r_mod.size, depth)
         self.levels = [direct_sum([self.x_mod] + [self.r_mod] * n)
                        for n in range(depth + 1)]
@@ -89,25 +92,26 @@ class TruncatedBarModule:
         translation when that is -1, and killed when it is n_out or
         more."""
         route = [(0, None)] + [
-            (0, self.act.translation) if t < 0
+            (0, self.translation) if t < 0
             else None if t >= n_out else (t + 1, None)
             for t in map(letter, range(n))]
         return block_hom(self.levels[n], self.levels[n_out], route, name)
 
 
-def build_bar_module(act: ModuleAction,
+def build_bar_module(translation: ModuleHom,
                      depth: int = DEFAULT_DEPTH) -> TruncatedBarModule:
-    """Bar object of a validated module action."""
-    if not validate_module_action(act).passed:
+    """Bar object of a validated module action, given as its translation."""
+    if not validate_module_action(translation).passed:
         raise PreconditionError("build_bar_module needs a valid module action")
-    return TruncatedBarModule(act, depth)
+    return TruncatedBarModule(translation, depth)
 
 
-class TruncatedBarAlgebra:
-    """Bar object of a crossed-module candidate, with level products.
+class TruncatedBarAlgebra(TruncatedBarModule):
+    """Bar module of the translation through eta of a crossed-module
+    candidate, with level products.
 
-    Level n is semidirect_power(S, R, action, n) on the module's own
-    level carrier, so its build costs only its cells.  with_level_tensor
+    Level n is semidirect_power(S, R, action, n) on the level carrier of
+    the bar module, so its build costs only its cells.  with_level_tensor
     gives the same bar object with one other level product.
 
     tensors holds every tensor the level products and the closed product
@@ -118,10 +122,8 @@ class TruncatedBarAlgebra:
     """
 
     def __init__(self, xm: CrossedModule, depth: int):
+        super().__init__(translation_action(xm.eta), depth)
         self.xm = xm
-        self.depth = depth
-        self.module = TruncatedBarModule(translation_action(xm.eta), depth)
-        self.levels = self.module.levels
         name = xm.s_alg.name or "S"
         self.algebras = [
             semidirect_power(xm.s_alg, xm.r_alg, xm.action.tensor, n,
@@ -132,20 +134,14 @@ class TruncatedBarAlgebra:
 
     def with_level_tensor(self, k, tensor) -> "TruncatedBarAlgebra":
         """This bar object with the level-k product replaced by tensor.
-        The module, its faces and degeneracies and every other level
-        algebra are shared, not rebuilt."""
+        The levels, faces and degeneracies and every other level algebra
+        are shared, not rebuilt."""
         other = copy.copy(self)
         other.algebras = list(self.algebras)
         other.algebras[k] = Algebra(self.levels[k], tensor,
                                     name=self.algebras[k].name)
         other.tensors = self.tensors[:k] + (tensor,) + self.tensors[k + 1:]
         return other
-
-    def face(self, n, i):
-        return self.module.face(n, i)
-
-    def degen(self, n, i):
-        return self.module.degen(n, i)
 
     def multiply(self, n, u, v):
         return self.algebras[n].multiply(u, v)
@@ -154,7 +150,7 @@ class TruncatedBarAlgebra:
         return self.levels[n].inject(0, s)
 
     def embed_r(self, n, blocks):
-        return self.module.x_mod.zero + tuple(chain.from_iterable(blocks))
+        return self.x_mod.zero + tuple(chain.from_iterable(blocks))
 
     def level_tensors(self):
         return [alg.mul for alg in self.algebras]
@@ -167,10 +163,6 @@ def build_bar_algebra(xm: CrossedModule,
     return TruncatedBarAlgebra(xm, depth)
 
 
-def _bar_module_of(obj) -> TruncatedBarModule:
-    return obj.module if isinstance(obj, TruncatedBarAlgebra) else obj
-
-
 def verify_simplicial_identities(bar, face=None, degen=None, identity=None,
                                  names=("d", "s", "{}")) -> Report:
     """Face-face, degeneracy-degeneracy and face-degeneracy identities of
@@ -180,11 +172,10 @@ def verify_simplicial_identities(bar, face=None, degen=None, identity=None,
     identity(n) is the identity of level n; they default to those of bar.
     names holds the face letter, the degeneracy letter and the format of
     the level in the leaf names."""
-    bm = _bar_module_of(bar)
-    n_max = bm.depth
-    face = face or bm.face
-    degen = degen or bm.degen
-    identity = identity or (lambda n: identity_hom(bm.levels[n]))
+    n_max = bar.depth
+    face = face or bar.face
+    degen = degen or bar.degen
+    identity = identity or (lambda n: identity_hom(bar.levels[n]))
     d, s, level = names
 
     ff = []
@@ -258,8 +249,8 @@ def verify_ideal_axiom(bar: TruncatedBarAlgebra,
     The letterwise clause ties every level of the tensor family to the
     single bilinear map read off at level 1."""
     s_alg = bar.xm.s_alg
-    r_mod = bar.module.r_mod
-    x_zero = bar.module.x_mod.zero
+    r_mod = bar.r_mod
+    x_zero = bar.x_mod.zero
     lvl1 = bar.levels[1]
 
     def mixed(s, b):  # (s,0)(0,b) at level 1, as its base and its letter

@@ -1,10 +1,11 @@
 """Actions and crossed modules of commutative Z/m-algebras.
 
-Two kinds of action live here.  A ModuleAction is a translation through
-a module hom t: R -> X, x^r = x + t(r); these are exactly the actions
-the bar construction is built from, and the action is stored as t
-alone.  An AlgebraAction is a bilinear tensor S x R -> R; together with
-an algebra hom eta: R -> S and the two crossed-module axioms
+Two kinds of action live here.  A module action of R on X is a
+translation x^r = x + t(r) through a module hom t: R -> X and is held
+as that ModuleHom alone; these are exactly the actions the bar
+construction is built from.  An AlgebraAction is a bilinear tensor
+S x R -> R; together with an algebra hom eta: R -> S and the two
+crossed-module axioms
 
     CM1:  eta(s.r)    = s * eta(r)
     CM2:  eta(r).r'   = r * r'
@@ -14,8 +15,8 @@ it forms a crossed module.
 
 from __future__ import annotations
 
-from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
-                   ModuleHom, PreconditionError, StructuralError, Submodule,
+from .core import (Algebra, AlgebraHom, BilinearMap, ModuleHom,
+                   PreconditionError, StructuralError, Submodule,
                    _present_subalgebra, block_hom, image, is_ideal, kernel,
                    order_compatibility, semidirect_product,
                    torsion_compatibility, validate_algebra, validate_hom)
@@ -24,38 +25,18 @@ from .report import (AXIOM, NOTE, PASS, STRUCTURAL, THEOREM, Report,
                      group, leaf, relabel)
 
 
-class ModuleAction:
-    """Right action of an algebra R on a module X by translation through
-    a module hom from the carrier of R to X: x^r = x + translation(r)."""
-
-    def __init__(self, algebra: Algebra, space: FiniteModule,
-                 translation: ModuleHom):
-        if not isinstance(translation, ModuleHom) \
-                or translation.domain != algebra.carrier \
-                or translation.codomain != space:
-            raise StructuralError(
-                "a module action needs a translation hom from the algebra "
-                "carrier to the acted-on module")
-        self.algebra = algebra
-        self.space = space
-        self.translation = translation
-
-    def apply(self, x, r):
-        return self.space.add(x, self.translation.apply(r))
+def translation_action(eta: AlgebraHom) -> ModuleHom:
+    """Action of R on the module of S by x^r = x + eta(r), held as its
+    translation hom eta from the carrier of R to that of S."""
+    return eta.hom
 
 
-def translation_action(eta: AlgebraHom) -> ModuleAction:
-    """Action of R on the module of S by x^r = x + eta(r)."""
-    return ModuleAction(eta.dom, eta.cod.carrier, eta.hom)
-
-
-def validate_module_action(act: ModuleAction) -> Report:
+def validate_module_action(translation: ModuleHom) -> Report:
     """The translation axioms x^(r1+r2) = (x^r1)^r2, x^0 = x,
     (x1+x2)^(r1+r2) = x1^r1 + x2^r2 and k(x^r) = (kx)^(kr) all hold
     exactly when the translation hom is well defined, d_i * t(g_i) = 0,
     so that is the one thing checked."""
-    return group("validate-module-action",
-                 [order_compatibility(act.translation)])
+    return group("validate-module-action", [order_compatibility(translation)])
 
 
 class AlgebraAction:

@@ -48,8 +48,8 @@ def product_formula(bar, n, u, v):
     radd, rmul = xm.r_alg.carrier.add, xm.r_alg.multiply
     act = xm.action.apply
     rzero = xm.r_alg.zero
-    s, a = split(bar.module, u, n)
-    s2, b = split(bar.module, v, n)
+    s, a = split(bar, u, n)
+    s2, b = split(bar, v, n)
     out = [smul(s, s2)]
     pa, pb = rzero, rzero
     for j in range(n):
@@ -90,12 +90,12 @@ def face_oracle(bm, n, i):
     """d_i leaving level n of a TruncatedBarModule: d_0 translates the
     base by the first letter, d_n drops the last letter, and the others
     add letter i to letter i - 1."""
-    act, radd = bm.act, bm.r_mod.add
+    radd = bm.r_mod.add
 
     def fn(t):
         x, b = split(bm, t, n)
         if i == 0:
-            return join(act.apply(x, b[0]), b[1:])
+            return join(bm.x_mod.add(x, bm.translation.apply(b[0])), b[1:])
         if i == n:
             return join(x, b[:n - 1])
         return join(x, b[:i - 1] + [radd(b[i - 1], b[i])] + b[i + 1:])
@@ -118,7 +118,7 @@ def eta_k_oracle(bar, k):
     s_mod = xm.s_alg.carrier
 
     def fn(t):
-        s, blocks = split(bar.module, t, k)
+        s, blocks = split(bar, t, k)
         acc = xm.r_alg.zero
         for b in blocks:
             acc = xm.r_alg.carrier.add(acc, b)
@@ -129,15 +129,15 @@ def eta_k_oracle(bar, k):
 
 def embed_s_oracle(bar, k):
     s_mod = bar.xm.s_alg.carrier
-    zeros = [bar.module.r_mod.zero] * k
+    zeros = [bar.r_mod.zero] * k
     return _by_elements(s_mod, bar.levels[k], lambda s: join(s, zeros),
                         "embed-s")
 
 
 def tail_generators_oracle(bar, k):
     """The generators of R_k: (0, r) for r a generator of R^k."""
-    r_tail = direct_sum([bar.module.r_mod] * k)
-    pr = bar.module.r_mod.rank
+    r_tail = direct_sum([bar.r_mod] * k)
+    pr = bar.r_mod.rank
     return [bar.embed_r(k, [g[j * pr:(j + 1) * pr] for j in range(k)])
             for g in r_tail.generators()]
 

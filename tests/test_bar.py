@@ -17,10 +17,9 @@ from idealbar.bar import (
     verify_level_homomorphisms,
     verify_simplicial_identities,
 )
-from idealbar.core import (Algebra, BilinearMap, FiniteModule, ModuleHom,
-                           PreconditionError)
+from idealbar.core import FiniteModule, ModuleHom, PreconditionError
 from idealbar.fixtures import broken_action_xmod, nilcube_xmod, nilsquare_xmod
-from idealbar.xmod import ModuleAction, translation_action
+from idealbar.xmod import translation_action
 from oracles import product_formula
 
 
@@ -43,7 +42,7 @@ def test_split_join_roundtrip(bar2):
     # a level splits into its base and letters, and the blocks joined
     # back in order are the element again
     lvl, t = bar2.levels[2], (1, 0, 1, 0)
-    assert lvl.blocks == (bar2.module.x_mod,) + (bar2.module.r_mod,) * 2
+    assert lvl.blocks == (bar2.x_mod,) + (bar2.r_mod,) * 2
     assert lvl.split(t) == ((1, 0), (1,), (0,))
     assert sum(lvl.split(t), ()) == t
     assert lvl.inject(0, (1, 0)) == (1, 0, 0, 0)
@@ -191,11 +190,9 @@ def test_build_bar_module_gates_on_action_validity():
     # R on Z/2 translating Z/4 through g -> 1: 2 * t(g) = 2 != 0, so
     # x^(g+g) = x differs from (x^g)^g = x + 2
     r_mod = FiniteModule(4, [2])
-    r_alg = Algebra(r_mod, BilinearMap(r_mod, r_mod, r_mod, [[(0,)]]))
     x_mod = FiniteModule(4, [4])
-    crooked = ModuleAction(r_alg, x_mod, ModuleHom(r_mod, x_mod, [(1,)]))
     with pytest.raises(PreconditionError):
-        build_bar_module(crooked, 2)
+        build_bar_module(ModuleHom(r_mod, x_mod, [(1,)]), 2)
 
 
 def test_bar_module_rejects_depth_zero():

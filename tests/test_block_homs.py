@@ -67,7 +67,7 @@ def assert_operators_match(bm):
 @pytest.mark.parametrize("name,xm,depth", CASES, ids=IDS)
 def test_bar_maps_match_oracles(name, xm, depth, monkeypatch):
     bar = build_bar_algebra(xm, depth)
-    assert_operators_match(bar.module)
+    assert_operators_match(bar)
 
     # verify_decomposition hands the embedding of S to image and R_k to
     # is_ideal
@@ -111,11 +111,11 @@ def test_phi_maps_match_oracles_under_each_single_drop(name, mor, depth):
 def test_bibar_operators_match_oracles(drop):
     mor = Workspace.load(str(FIXTURES / "nilcube.json")).morphism("incl")
     bb = BiBar(mor, 3, 2, phi=phi_maps(mor, 3, drop=drop))
-    for bm in [bb.bar1.module, bb.bar2.module] + bb.rows:
+    for bm in [bb.bar1, bb.bar2] + bb.rows:
         assert_operators_match(bm)
 
     def base_and_letter(oracle, n, i):
-        return oracle(bb.bar2.module, n, i), oracle(bb.bar1.module, n, i)
+        return oracle(bb.bar2, n, i), oracle(bb.bar1, n, i)
 
     for m in range(bb.m_depth + 1):
         for n in range(1, bb.n_depth + 1):

@@ -95,6 +95,24 @@ def test_bibar_verify_and_corruption_control():
     assert "dv0 dh0 = dh0 dv0 @ (1,1)" in res.stdout
 
 
+def test_bibar_of_an_invalid_crossed_module_fails_as_an_axiom(tmp_path):
+    # x acts as the identity, so the target fails validation; the vertical
+    # operators that then fail to be multiplicative blame the input, not
+    # the implementation
+    ws = json.loads(Path(NILCUBE).read_text())
+    ws["actions"]["act"]["tensor"][1] = [[1, 0], [0, 1]]
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps(ws))
+    res = cli("-w", str(path), "check-xmod", "main")
+    assert res.returncode == 1, res.stdout + res.stderr
+    for name in ("actor-composition", "cm1", "cm2"):
+        assert f"FAIL [AXIOM] {name}:" in res.stdout
+    res = cli("-w", str(path), "bibar-verify", "incl")
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert "FAIL [AXIOM] dv0@(1,0) multiplicative" in res.stdout
+    assert "FAIL [THEOREM]" not in res.stdout
+
+
 def test_dangling_name_is_a_structural_error():
     res = cli("-w", NILCUBE, "ideal-check", "nope")
     assert res.returncode == 3

@@ -25,6 +25,7 @@ from idealbar.roundtrip import (
     roundtrip_from_structure,
     verify_extracted,
 )
+from idealbar.report import FAIL, STRUCTURAL, exit_code
 from idealbar.workspace import Workspace
 
 BROKEN_Z4 = str(Path(__file__).resolve().parent.parent / "fixtures"
@@ -59,6 +60,21 @@ def test_extraction_rejects_products_leaving_the_tail():
         1, BilinearMap(lvl, lvl, lvl, consts))
     with pytest.raises(MalformedStructureError):
         extract_action(crooked)
+
+
+def test_unreadable_structure_is_one_structural_leaf_in_each_direction():
+    # a base coordinate planted in the level-1 cell (s,0)(0,r): both
+    # directions turn the failed extraction into their one leaf
+    xm = nilsquare_xmod()
+    bar = build_bar_algebra(xm, depth=2)
+    s_gen, lvl = xm.s_alg.generators()[0], bar.levels[1]
+    cell = {(0, xm.s_alg.carrier.rank): lvl.inject(0, s_gen)}
+    crooked = bar.with_level_tensor(1, bar.level_tensors()[1].with_cells(cell))
+    for rep in (verify_extracted(crooked), roundtrip_from_structure(crooked)):
+        assert [(c.name, c.status, c.kind) for c in rep.checks] \
+            == [("extraction", FAIL, STRUCTURAL)]
+        assert "base coordinate" in rep.checks[0].detail
+        assert exit_code(rep) == 3
 
 
 def test_roundtrip_exact_on_fixtures():
@@ -125,6 +141,11 @@ def test_perturbation_without_tensor_cells_is_refused():
             assert rep.find("survivors-roundtrip-exact").status == "PASS"
 
 
+def shares_levels_and_operators(bar, other):
+    return (bar.levels is other.levels and bar._faces is other._faces
+            and bar._degens is other._degens)
+
+
 def test_mutants_share_the_canonical_module_and_verify_alike():
     # perturb_and_filter builds the bar module once and reuses every
     # unmutated level; a mutant so built must verify exactly like a bar
@@ -139,7 +160,7 @@ def test_mutants_share_the_canonical_module_and_verify_alike():
         fresh = build_bar_algebra(xm, 2).with_level_tensor(k, tensor)
         assert sum(t is not c for t, c in
                    zip(shared.level_tensors(), base)) == 1
-        assert shared.module is canonical.module
+        assert shares_levels_and_operators(shared, canonical)
         assert all((a is c) == (n != k) for n, (a, c) in
                    enumerate(zip(shared.algebras, canonical.algebras)))
         assert shared.level_tensors() == base[:k] + [tensor] + base[k + 1:]
@@ -152,7 +173,8 @@ def test_mutants_share_the_canonical_module_and_verify_alike():
 @pytest.mark.parametrize("fixture", ["nilcube", "broken_z4"])
 def test_with_level_tensor_shares_every_other_level(fixture):
     # a mutant is the canonical bar with one level algebra replaced: the
-    # module and every other level algebra are the canonical objects, it
+    # levels, faces, degeneracies and every other level algebra are the
+    # canonical objects, it
     # verifies like a fresh bar with that level tensor, and the filter's
     # canonical verdicts agree with the definition checks
     xm = (nilcube_xmod() if fixture == "nilcube"
@@ -166,8 +188,7 @@ def test_with_level_tensor_shares_every_other_level(fixture):
         k, tensor = _mutate_tensors(canonical, rng)
         mutant = canonical.with_level_tensor(k, tensor)
         fresh = build_bar_algebra(xm, 2).with_level_tensor(k, tensor)
-        assert mutant.module is canonical.module
-        assert mutant.levels is canonical.levels
+        assert shares_levels_and_operators(mutant, canonical)
         for n, (alg, base) in enumerate(zip(mutant.algebras,
                                             canonical.algebras)):
             assert (alg is base) == (n != k)
