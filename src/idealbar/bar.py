@@ -27,6 +27,7 @@ these level products.
 from __future__ import annotations
 
 import copy
+from functools import partial
 from itertools import chain
 
 from .core import (MAX_ENUM, Algebra, AlgebraHom, ModuleHom,
@@ -221,20 +222,67 @@ def verify_simplicial_identities(bar, face=None, degen=None, identity=None,
     ])
 
 
-def verify_level_homomorphisms(bar: TruncatedBarAlgebra,
-                               policy: Policy | None = None) -> Report:
-    checks = []
+def level_homomorphism_clauses(bar: TruncatedBarAlgebra,
+                               policy: Policy | None = None):
+    """Multiplicativity of every face and degeneracy, in report order,
+    each as the levels of its domain and codomain and a callable that
+    checks it."""
+    algs = bar.algebras
     for n in range(1, bar.depth + 1):
         for i in range(n + 1):
-            checks.append(multiplicativity_report(
-                f"d{i}@{n} multiplicative", bar.face(n, i),
-                bar.algebras[n], bar.algebras[n - 1], policy))
+            yield (n, n - 1), partial(
+                multiplicativity_report, f"d{i}@{n} multiplicative",
+                bar.face(n, i), algs[n], algs[n - 1], policy)
     for n in range(bar.depth):
         for i in range(n + 1):
-            checks.append(multiplicativity_report(
-                f"s{i}@{n} multiplicative", bar.degen(n, i),
-                bar.algebras[n], bar.algebras[n + 1], policy))
-    return group("level-homomorphisms", checks)
+            yield (n, n + 1), partial(
+                multiplicativity_report, f"s{i}@{n} multiplicative",
+                bar.degen(n, i), algs[n], algs[n + 1], policy)
+
+
+def verify_level_homomorphisms(bar: TruncatedBarAlgebra,
+                               policy: Policy | None = None) -> Report:
+    return group("level-homomorphisms", [
+        run() for _, run in level_homomorphism_clauses(bar, policy)])
+
+
+def tail_absorption_clauses(bar: TruncatedBarAlgebra,
+                            policy: Policy | None = None):
+    """The clauses of verify_ideal_axiom in report order, each as the
+    levels whose products it reads and a callable that checks it."""
+    s_alg = bar.xm.s_alg
+    r_mod = bar.r_mod
+    x_zero = bar.x_mod.zero
+    lvl1 = bar.levels[1]
+
+    def mixed(s, b):  # (s,0)(0,b) at level 1, as its base and its letter
+        return lvl1.split(
+            bar.multiply(1, lvl1.inject(0, s), lvl1.inject(1, b)))
+
+    yield (1,), partial(check, "mixed-into-tail @ 1", AXIOM, [s_alg, r_mod],
+                        lambda s, b: mixed(s, b)[0] == x_zero, policy,
+                        detail="(s,0)(0,b) has base coordinate 0",
+                        maps=bar.tensors)
+
+    for n in range(1, bar.depth + 1):
+        yield (n,), partial(
+            check, f"base-subalgebra @ {n}", AXIOM, [s_alg, s_alg],
+            lambda a, b, n=n:
+            bar.multiply(n, bar.embed_s(n, a), bar.embed_s(n, b))
+            == bar.embed_s(n, s_alg.multiply(a, b)), policy,
+            maps=bar.tensors)
+
+        tail = direct_sum([r_mod] * n)
+
+        def letterwise(s, t, n=n, tail=tail):
+            return bar.multiply(n, bar.embed_s(n, s), bar.embed_r(n, [t])) \
+                == bar.embed_r(n, [mixed(s, b)[1] for b in tail.split(t)])
+
+        yield (1, n), partial(
+            check, f"mixed-letterwise @ {n}", AXIOM, [s_alg, tail],
+            letterwise, policy,
+            detail="base times tail is the level-1 letter rule in every letter",
+            maps=bar.tensors)
 
 
 def verify_ideal_axiom(bar: TruncatedBarAlgebra,
@@ -248,40 +296,8 @@ def verify_ideal_axiom(bar: TruncatedBarAlgebra,
 
     The letterwise clause ties every level of the tensor family to the
     single bilinear map read off at level 1."""
-    s_alg = bar.xm.s_alg
-    r_mod = bar.r_mod
-    x_zero = bar.x_mod.zero
-    lvl1 = bar.levels[1]
-
-    def mixed(s, b):  # (s,0)(0,b) at level 1, as its base and its letter
-        return lvl1.split(
-            bar.multiply(1, lvl1.inject(0, s), lvl1.inject(1, b)))
-
-    checks = [check("mixed-into-tail @ 1", AXIOM, [s_alg, r_mod],
-                    lambda s, b: mixed(s, b)[0] == x_zero, policy,
-                    detail="(s,0)(0,b) has base coordinate 0",
-                    maps=bar.tensors)]
-
-    for n in range(1, bar.depth + 1):
-        checks.append(check(
-            f"base-subalgebra @ {n}", AXIOM, [s_alg, s_alg],
-            lambda a, b, n=n:
-            bar.multiply(n, bar.embed_s(n, a), bar.embed_s(n, b))
-            == bar.embed_s(n, s_alg.multiply(a, b)), policy,
-            maps=bar.tensors))
-
-        tail = direct_sum([r_mod] * n)
-
-        def letterwise(s, t, n=n, tail=tail):
-            return bar.multiply(n, bar.embed_s(n, s), bar.embed_r(n, [t])) \
-                == bar.embed_r(n, [mixed(s, b)[1] for b in tail.split(t)])
-
-        checks.append(check(
-            f"mixed-letterwise @ {n}", AXIOM, [s_alg, tail],
-            letterwise, policy,
-            detail="base times tail is the level-1 letter rule in every letter",
-            maps=bar.tensors))
-    return group("tail-absorption", checks)
+    return group("tail-absorption", [
+        run() for _, run in tail_absorption_clauses(bar, policy)])
 
 
 def verify_decomposition(bar: TruncatedBarAlgebra, k: int,
@@ -380,8 +396,9 @@ def definition_checks(bar: TruncatedBarAlgebra,
     """The clauses that make a level-product family an ideal simplicial
     structure: valid level algebras, faces and degeneracies that are
     algebra maps, and the absorption axiom.  The perturbation harness
-    filters through roundtrip._passes_definition, which runs the same
-    clauses with an early exit and without the unit NOTE."""
+    filters through roundtrip._definition_filter, which runs the same
+    clauses with an early exit and without the unit NOTE, and runs on a
+    mutant only those that read the cells it changes."""
     algs = [validate_algebra(alg) for alg in bar.algebras]
     for n, rep in enumerate(algs):
         rep.name = f"level-{n}-algebra"

@@ -599,12 +599,28 @@ def algebra_axioms(alg: Algebra) -> Report:
                        detail="c[i][j] = c[j][i] on generator pairs",
                        witness=comm, meta={"pairs": n * n}))
 
-    # (g_i g_j) g_k = sum_l c[i][j][l] c[l][k] and g_i (g_j g_k) =
-    # sum_l c[j][k][l] c[i][l], read off the nonzero constants
-    orders = alg.carrier.orders
-    nz = [[tuple((l, v) for l, v in enumerate(cell) if v) for cell in row]
-          for row in alg.mul.constants]
-    cols = list(zip(*nz))
+    nz = _cell_terms(alg.mul)
+    assoc = _nonassociative_triple(nz, list(zip(*nz)), alg.carrier.orders,
+                                   product(range(n), repeat=3))
+    checks.append(leaf(
+        "associativity", FAIL if assoc else PASS, AXIOM,
+        detail="(g_i g_j) g_k = g_i (g_j g_k), complete by trilinearity",
+        witness=assoc, meta={"triples": n ** 3}))
+    return group(f"validate-algebra {alg.name or 'algebra'}", checks)
+
+
+def _cell_terms(mul: BilinearMap):
+    """Per cell (i, j) of the tensor, the nonzero (l, v) terms of c[i][j]."""
+    return [[tuple((l, v) for l, v in enumerate(cell) if v) for cell in row]
+            for row in mul.constants]
+
+
+def _nonassociative_triple(nz, cols, orders, triples):
+    """The first (i, j, k) of triples with (g_i g_j) g_k != g_i (g_j g_k),
+    or None.  nz[i][j] holds the nonzero terms of cell (i, j) and
+    cols[k][l] is nz[l][k]; the sides are read off them as
+    sum_l c[i][j][l] c[l][k] and sum_l c[j][k][l] c[i][l]."""
+    n = len(orders)
 
     def combine(terms, cells):
         out = [0] * n
@@ -613,15 +629,55 @@ def algebra_axioms(alg: Algebra) -> Report:
                 out[m] += v * w
         return list(map(mod, out, orders))
 
-    assoc = next(((i, j, k) for i, j, k in product(range(n), repeat=3)
-                  if (nz[i][j] or nz[j][k])
-                  and combine(nz[i][j], cols[k]) != combine(nz[j][k], nz[i])),
-                 None)
-    checks.append(leaf(
-        "associativity", FAIL if assoc else PASS, AXIOM,
-        detail="(g_i g_j) g_k = g_i (g_j g_k), complete by trilinearity",
-        witness=assoc, meta={"triples": n ** 3}))
-    return group(f"validate-algebra {alg.name or 'algebra'}", checks)
+    return next(((i, j, k) for i, j, k in triples
+                 if (nz[i][j] or nz[j][k])
+                 and combine(nz[i][j], cols[k]) != combine(nz[j][k], nz[i])),
+                None)
+
+
+def cellwise_axioms(alg: Algebra):
+    """For an algebra that passes algebra_axioms, a function of a tensor
+    on its carrier and the cells (i, j) where that tensor may differ
+    from alg.mul, telling whether the tensor passes algebra_axioms too.
+
+    A check that reads no changed cell keeps alg's verdict, so torsion
+    and commutativity are checked at the changed cells only.  Once the
+    tensor commutes there, the cells that really changed come in pairs
+    (i, j), (j, i), and its rows serve as its columns.  Associativity
+    is then checked at the triples whose sides read a changed (i, j):
+    (i, j, .) and (., i, j), and (a, b, j) and (j, a, b) for each cell
+    (a, b) of alg nonzero at coordinate i.  Those cells are indexed
+    once, here."""
+    n = alg.carrier.rank
+    orders = alg.carrier.orders
+    base = _cell_terms(alg.mul)
+    at = [[] for _ in range(n)]  # at[l]: the cells (a, b) nonzero at l
+    for a, row in enumerate(base):
+        for b, terms in enumerate(row):
+            for l, _ in terms:
+                at[l].append((a, b))
+
+    def passes(mul: BilinearMap, cells) -> bool:
+        c = mul.constants
+        nz = list(base)
+        triples = []
+        for i, j in cells:
+            # gcd(d_i, d_j) * c[i][j] vanishing mod f_l is torsion
+            # compatibility at the cell
+            g = gcd(orders[i], orders[j])
+            if c[i][j] != c[j][i] or any(g * v % f
+                                         for v, f in zip(c[i][j], orders)):
+                return False
+            if nz[i] is base[i]:
+                nz[i] = list(base[i])
+            nz[i][j] = tuple((l, v) for l, v in enumerate(c[i][j]) if v)
+            triples += [(i, j, x) for x in range(n)]
+            triples += [(x, i, j) for x in range(n)]
+            triples += [(a, b, j) for a, b in at[i]]
+            triples += [(j, a, b) for a, b in at[i]]
+        return _nonassociative_triple(nz, nz, orders, triples) is None
+
+    return passes
 
 
 def _unit_note(alg: Algebra) -> Report:

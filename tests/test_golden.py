@@ -76,11 +76,14 @@ GOLDEN = [
      "d3223996739b2dc19d70d38f9bce6386aa40d8d02d5b4645d24cf6b5b846e11c"),
     # recorded before multiplicativity was read off the image matrix:
     # levels of orders (2, 4, 4, 4), mutants that violate torsion, and a
-    # d0-multiplicative FAIL whose witness the generator scan decides
+    # d0-multiplicative FAIL whose witness the generator scan decides;
+    # re-pinned when a perturbation run in which no candidate survives
+    # the definition filter reported its round-trip leaf as a SKIP in
+    # place of a PASS over no survivor, the only bytes that changed
     (("-w", BROKEN_Z4, "--seed", "11", "roundtrip", "main", "--depth", "2",
       "--perturb", "--budget", "200"),
-     1, "d0193582c88c9cd25c57f609538cf9442247d7baf025fc4cc226527d9a2f0bb8",
-     "71286eb20a10704bc33f7b8b1452e9344244d398517d70ca3be75b35c82853d6"),
+     1, "8cb038078f167dfa19c16a9a790b2cbfa43a53dd4413b705613df7812fd4a895",
+     "99302f0c22a1bfabb58456b563e05f6089e07afc243aa3f3519041e011016b74"),
     # recorded before the fuzzer built one ambient crossed module per
     # (algebra, ideal) pair: draws over Z/4 with summands of orders 2 and 4
     (("--seed", "7", "fuzz", "--modulus", "4", "--max-rank", "2",

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from idealbar.bar import build_bar_algebra, definition_checks, verify_bar
-from idealbar.core import PreconditionError, algebra_axioms
+from idealbar.core import PreconditionError
 from idealbar.enumeration import all_valid_xmods
 from idealbar.fixtures import (
     broken_action_xmod,
@@ -16,8 +16,8 @@ from idealbar.fixtures import (
 )
 from idealbar.roundtrip import (
     MalformedStructureError,
+    _definition_filter,
     _mutate_tensors,
-    _passes_definition,
     extract_action,
     extract_eta,
     perturb_and_filter,
@@ -141,9 +141,30 @@ def test_perturbation_without_tensor_cells_is_refused():
             assert rep.find("survivors-roundtrip-exact").status == "PASS"
 
 
+def test_perturbation_budget_below_one_is_refused():
+    for budget in (0, -3):
+        with pytest.raises(PreconditionError, match="budget"):
+            perturb_and_filter(nilsquare_xmod(), 2, 0, budget)
+
+
+def test_no_survivor_is_a_skip_not_a_pass():
+    # broken_z4 fails the definition, and so does every mutant of it
+    xm = Workspace.load(BROKEN_Z4).xmods["main"]
+    rep = perturb_and_filter(xm, depth=2, seed=11, budget=200)
+    assert rep.find("survivors").meta["count"] == 0
+    exact = rep.find("survivors-roundtrip-exact")
+    assert (exact.status, exact.kind) == ("SKIP", None)
+    assert exact.detail == "no candidate survived the definition filter"
+    assert rep.status == "PASS" and exit_code(rep) == 0
+
+
 def shares_levels_and_operators(bar, other):
     return (bar.levels is other.levels and bar._faces is other._faces
             and bar._degens is other._degens)
+
+
+def mutant_tensor(canonical, k, cells):
+    return canonical.level_tensors()[k].with_cells(cells)
 
 
 def test_mutants_share_the_canonical_module_and_verify_alike():
@@ -154,7 +175,8 @@ def test_mutants_share_the_canonical_module_and_verify_alike():
     canonical = build_bar_algebra(xm, 2)
     rng = random.Random(4)
     for _ in range(12):
-        k, tensor = _mutate_tensors(canonical, rng)
+        k, cells = _mutate_tensors(canonical, rng)
+        tensor = mutant_tensor(canonical, k, cells)
         base = canonical.level_tensors()
         shared = canonical.with_level_tensor(k, tensor)
         fresh = build_bar_algebra(xm, 2).with_level_tensor(k, tensor)
@@ -174,26 +196,27 @@ def test_mutants_share_the_canonical_module_and_verify_alike():
 def test_with_level_tensor_shares_every_other_level(fixture):
     # a mutant is the canonical bar with one level algebra replaced: the
     # levels, faces, degeneracies and every other level algebra are the
-    # canonical objects, it
-    # verifies like a fresh bar with that level tensor, and the filter's
-    # canonical verdicts agree with the definition checks
+    # canonical objects, it verifies like a fresh bar with that level
+    # tensor, and the filter's verdicts agree with the definition checks
+    # on the cellwise path (nilcube) and the whole one (broken_z4)
     xm = (nilcube_xmod() if fixture == "nilcube"
           else Workspace.load(BROKEN_Z4).xmods["main"])
     canonical = build_bar_algebra(xm, 2)
-    canonical_ok = [algebra_axioms(alg).passed for alg in canonical.algebras]
-    assert _passes_definition(canonical, None, canonical_ok) \
-        == definition_checks(canonical).passed
+    passed, decide = _definition_filter(canonical, None)
+    assert passed == definition_checks(canonical).passed \
+        == (fixture == "nilcube")
     rng = random.Random(9)
     for _ in range(8):
-        k, tensor = _mutate_tensors(canonical, rng)
-        mutant = canonical.with_level_tensor(k, tensor)
+        k, cells = _mutate_tensors(canonical, rng)
+        mutant, ok = decide(k, cells)
+        tensor = mutant.algebras[k].mul
         fresh = build_bar_algebra(xm, 2).with_level_tensor(k, tensor)
+        assert tensor == mutant_tensor(canonical, k, cells)
         assert shares_levels_and_operators(mutant, canonical)
         for n, (alg, base) in enumerate(zip(mutant.algebras,
                                             canonical.algebras)):
             assert (alg is base) == (n != k)
         assert mutant.algebras[k].carrier is canonical.levels[k]
-        assert mutant.algebras[k].mul is tensor
         assert mutant.algebras[k].name == canonical.algebras[k].name
         assert canonical.algebras[k].mul is not tensor
         assert [n for n, (t, c) in enumerate(zip(mutant.tensors,
@@ -201,8 +224,7 @@ def test_with_level_tensor_shares_every_other_level(fixture):
                 if t is not c] == [k]
         assert mutant.tensors == fresh.tensors
         assert verify_bar(mutant).to_json() == verify_bar(fresh).to_json()
-        assert _passes_definition(mutant, None, canonical_ok, k) \
-            == definition_checks(fresh).passed
+        assert ok == definition_checks(fresh).passed
 
 
 def test_filter_checks_the_mutated_level_like_the_definition():
@@ -214,13 +236,91 @@ def test_filter_checks_the_mutated_level_like_the_definition():
         canonical = build_bar_algebra(xm, 1)
         if not canonical.levels[1].rank:
             continue
-        canonical_ok = [algebra_axioms(a).passed for a in canonical.algebras]
+        _, decide = _definition_filter(canonical, None)
         rng = random.Random(0)
         for _ in range(20):
-            k, tensor = _mutate_tensors(canonical, rng)
-            mutant = canonical.with_level_tensor(k, tensor)
+            mutant, ok = decide(*_mutate_tensors(canonical, rng))
             rep = definition_checks(mutant)
-            assert _passes_definition(mutant, None, canonical_ok, k) \
-                == rep.passed
+            assert ok == rep.passed
             only_axioms += [c.passed for c in rep.checks] == [False, True, True]
     assert only_axioms
+
+
+def mixed_order_z4_xmods():
+    """The valid rank-1 crossed modules over Z/4 whose bar level 1 has
+    summands of different orders."""
+    return [xm for xm in all_valid_xmods(4, 1)
+            if len(set(build_bar_algebra(xm, 1).levels[1].orders)) > 1]
+
+
+def filter_cases():
+    # (name, crossed module, depth, seeds, mutants per seed)
+    ws = Workspace.load(BROKEN_Z4)
+    yield from (("nilcube", nilcube_xmod(), depth, range(3), 40)
+                for depth in (1, 2, 3))
+    yield "nilsquare", nilsquare_xmod(), 2, range(3), 40
+    yield "broken_z4", ws.xmods["main"], 2, range(2), 40
+    for n, xm in enumerate(mixed_order_z4_xmods()):
+        yield f"z4-{n}", xm, 2, range(2), 20
+
+
+def test_filter_decides_every_mutant_like_the_definition_checks():
+    # the cellwise filter against the whole definition on every mutant
+    # of a few seeds; broken_z4 fails the definition, so its mutants take
+    # the whole path; at least one mutant per path is let through
+    survivors = {True: 0, False: 0}
+    for name, xm, depth, seeds, count in filter_cases():
+        canonical = build_bar_algebra(xm, depth)
+        passed, decide = _definition_filter(canonical, None)
+        assert passed == definition_checks(canonical).passed \
+            == (name != "broken_z4"), name
+        for seed in seeds:
+            rng = random.Random(seed)
+            for _ in range(count):
+                mutant, ok = decide(*_mutate_tensors(canonical, rng))
+                assert ok == definition_checks(mutant).passed, (name, seed)
+                survivors[passed] += ok
+    assert survivors[True]
+    assert len(mixed_order_z4_xmods()) == 15
+
+
+def test_cellwise_filter_runs_only_the_clauses_of_the_changed_level(
+        monkeypatch):
+    # a mutant of a canonical bar that passes is decided on the faces and
+    # degeneracies into and out of level k and the absorption clauses
+    # that read level k; every other clause keeps the canonical verdict.
+    # A mutant that changes no cell passes all of them, and every other
+    # mutant stops at its first failure
+    import idealbar.bar as bar_mod
+    names = []
+    for fn in ("multiplicativity_report", "check"):
+        def spy(name, *args, fn=getattr(bar_mod, fn), **kwargs):
+            names.append(name)
+            return fn(name, *args, **kwargs)
+        monkeypatch.setattr(bar_mod, fn, spy)
+    depth = 3
+    canonical = build_bar_algebra(nilcube_xmod(), depth)
+    _, decide = _definition_filter(canonical, None)
+
+    def clauses(k):
+        maps = [(f"d{i}@{n}", n) for n in (k, k + 1) for i in range(n + 1)]
+        maps += [(f"s{i}@{n}", n + 1) for n in (k - 1, k) for i in range(n + 1)]
+        out = [f"{m} multiplicative" for m, top in maps if top <= depth]
+        out += [f"base-subalgebra @ {k}", f"mixed-letterwise @ {k}"]
+        if k == 1:
+            out += ["mixed-into-tail @ 1"] + [
+                f"mixed-letterwise @ {n}" for n in range(2, depth + 1)]
+        return sorted(out)
+
+    for k in range(1, depth + 1):
+        names.clear()
+        assert decide(k, {})[1]
+        assert sorted(names) == clauses(k), k
+    rng = random.Random(2)
+    for _ in range(100):
+        names.clear()
+        k, cells = _mutate_tensors(canonical, rng)
+        ok = decide(k, cells)[1]
+        assert set(names) <= set(clauses(k)), (k, names)
+        if ok:
+            assert sorted(names) == clauses(k), k

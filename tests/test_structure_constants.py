@@ -4,12 +4,14 @@ they replace.
 The bar level tensors are the tensors of S |x R^n that
 core.semidirect_power assembles with core.block_tensor from the
 constants of S, R and the action, the bibar products are assembled
-block-diagonally from the two bars by the same builder, and associativity is decided on sums of constants.  The
-slow paths are kept as the oracles: the closed product formula and the
-componentwise bibar product on every generator pair (tests/oracles.py),
-and the evaluate-based associativity loop.  The inputs are mixed-order modules with
-torsion-violating tensors, where a missing reduction or a misplaced
-block shows.
+block-diagonally from the two bars by the same builder, and
+associativity is decided on sums of constants.  The slow paths are kept
+as the oracles: the closed product formula and the componentwise bibar
+product on every generator pair (tests/oracles.py), and the
+evaluate-based associativity loop; the changed-cell decision of
+core.cellwise_axioms has the whole algebra_axioms as its oracle.  The
+inputs are mixed-order modules with torsion-violating tensors, where a
+missing reduction or a misplaced block shows.
 """
 
 from itertools import product
@@ -23,8 +25,8 @@ from idealbar.bar import build_bar_algebra
 from idealbar.bibar import BiBar
 from idealbar.core import (MAX_ENUM, Algebra, AlgebraHom, BilinearMap,
                            FiniteModule, ModuleHom, StructuralError,
-                           algebra_axioms, semidirect_power,
-                           semidirect_product)
+                           algebra_axioms, cellwise_axioms,
+                           semidirect_power, semidirect_product)
 from idealbar.crossed_ideal import XModMorphism
 from idealbar.enumeration import all_valid_xmods
 from idealbar.fixtures import broken_action_xmod, nilcube_xmod, nilsquare_xmod
@@ -223,17 +225,27 @@ BAR_LEVELS = _bar_level_algebras()
 
 
 @st.composite
-def mutated_bar_levels(draw):
-    """A bar level algebra with up to three symmetric entry changes, as
-    the perturbation harness makes them: mostly associative before the
-    change, with late witnesses after it."""
-    alg = draw(st.sampled_from(BAR_LEVELS))
-    mod = alg.carrier
-    raw = [[list(vec) for vec in row] for row in alg.mul.constants]
+def bar_level_changes(draw, levels=BAR_LEVELS):
+    """A bar level algebra and up to three symmetric entry changes, as
+    the perturbation harness makes them, as the changed cells
+    (i, j) -> coefficient list."""
+    alg = draw(st.sampled_from(levels))
+    mod, c = alg.carrier, alg.mul.constants
+    cells = {}
     for _ in range(draw(st.integers(0, 3))):
         i, j, l = (draw(st.integers(0, mod.rank - 1)) for _ in range(3))
-        raw[i][j][l] = raw[j][i][l] = draw(st.integers(0, mod.orders[l] - 1))
-    return Algebra(mod, BilinearMap(mod, mod, mod, raw))
+        v = draw(st.integers(0, mod.orders[l] - 1))
+        cells.setdefault((i, j), list(c[i][j]))[l] = v
+        cells.setdefault((j, i), list(c[j][i]))[l] = v
+    return alg, cells
+
+
+def mutated_bar_levels():
+    """The changed bar level: mostly associative before the change, with
+    late witnesses after it."""
+    return bar_level_changes().map(
+        lambda change: Algebra(change[0].carrier,
+                               change[0].mul.with_cells(change[1])))
 
 
 @st.composite
@@ -247,6 +259,52 @@ def random_algebras(draw):
 def test_associativity_witness_matches_the_evaluate_loop(alg):
     assert algebra_axioms(alg).find("associativity").witness \
         == associativity_by_evaluate(alg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bar_level_changes([alg for alg in BAR_LEVELS
+                          if algebra_axioms(alg).passed]))
+def test_cellwise_axioms_match_the_whole_check(change):
+    # an algebra that passes, changed in a few cells, is decided on the
+    # changed cells and the triples that read them
+    alg, cells = change
+    mul = alg.mul.with_cells(cells)
+    assert cellwise_axioms(alg)(mul, cells) \
+        == algebra_axioms(Algebra(alg.carrier, mul)).passed
+
+
+def test_cellwise_axioms_match_the_whole_check_on_every_flip():
+    # each coefficient of each bar level moved to each other value, in
+    # one cell and in a symmetric pair of cells.  Some flips of nilcube
+    # break associativity only at triples reached through a nonzero
+    # coordinate: zeroing the g_2 coordinate of g_0 g_2 at level 0 leaves
+    # every triple that starts or ends in the changed cells associative,
+    # but (g_1 g_1) g_0 = 0 while g_1 (g_1 g_0) = g_2
+    levels = [alg for make, depth in ((nilcube_xmod, 2), (nilsquare_xmod, 2))
+              for alg in build_bar_algebra(make(), depth).algebras]
+    levels += [alg for xm in all_valid_xmods(4, 1)
+               for alg in build_bar_algebra(xm, 1).algebras
+               if alg.carrier.rank]
+    flips = 0
+    for alg in levels:
+        assert algebra_axioms(alg).passed, alg.name
+        mod, c = alg.carrier, alg.mul.constants
+        passes = cellwise_axioms(alg)
+        for i, j, l in product(range(mod.rank), repeat=3):
+            for v in range(mod.orders[l]):
+                if i > j or v == c[i][j][l]:
+                    continue
+                cells = {(i, j): list(c[i][j])}
+                cells[i, j][l] = v
+                # the flip alone, then with its mirror cell
+                for mirror in (False, True):
+                    if mirror:
+                        cells.setdefault((j, i), list(c[j][i]))[l] = v
+                    mul = alg.mul.with_cells(cells)
+                    whole = algebra_axioms(Algebra(mod, mul)).passed
+                    assert passes(mul, cells) == whole, (alg.name, cells)
+                    flips += 1
+    assert flips > 2000
 
 
 def test_associativity_makes_no_evaluate_call(monkeypatch):

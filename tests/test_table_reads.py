@@ -282,7 +282,8 @@ def test_derived_mutants_equal_the_rebuild(fixture, depth):
     base = canonical.level_tensors()
     for seed in range(200):
         rng_new, rng_old = random.Random(seed), random.Random(seed)
-        k, tensor = _mutate_tensors(canonical, rng_new)
+        k, cells = _mutate_tensors(canonical, rng_new)
+        tensor = base[k].with_cells(cells)
         old = rebuilt_mutants(canonical, rng_old)
         assert rng_new.getstate() == rng_old.getstate()
         new = base[:k] + [tensor] + base[k + 1:]
