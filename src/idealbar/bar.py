@@ -397,8 +397,8 @@ def definition_checks(bar: TruncatedBarAlgebra,
     structure: valid level algebras, faces and degeneracies that are
     algebra maps, and the absorption axiom.  The perturbation harness
     filters through roundtrip._definition_filter, which runs the same
-    clauses with an early exit and without the unit NOTE, and runs on a
-    mutant only those that read the cells it changes."""
+    clauses, without the unit NOTE, once on the canonical bar and on a
+    mutant only those that read the level it changes."""
     algs = [validate_algebra(alg) for alg in bar.algebras]
     for n, rep in enumerate(algs):
         rep.name = f"level-{n}-algebra"

@@ -16,8 +16,7 @@ from .core import (AlgebraHom, BilinearMap, ModuleHom, PreconditionError,
                    StructuralError, algebra_axioms, cellwise_axioms,
                    direct_sum, multiplicativity_report, semidirect_power)
 from .bar import (TruncatedBarAlgebra, build_bar_algebra,
-                  level_homomorphism_clauses, tail_absorption_clauses,
-                  verify_ideal_axiom, verify_level_homomorphisms)
+                  level_homomorphism_clauses, tail_absorption_clauses)
 from .policy import Policy, check
 from .report import (AXIOM, FAIL, NOTE, PASS, SKIP, STRUCTURAL, THEOREM,
                      Report, group, leaf)
@@ -173,55 +172,45 @@ def _mutate_tensors(bar: TruncatedBarAlgebra, rng: random.Random):
     return k, cells
 
 
-def _passes_definition(bar: TruncatedBarAlgebra, policy: Policy | None,
-                       canonical_ok: list, k: int | None = None) -> bool:
-    # sequential early exit; same primitives as definition_checks, less
-    # the unit NOTE.  Only level k differs from the canonical bar, so
-    # every other level has its canonical verdict canonical_ok[n]
-    if not all(algebra_axioms(bar.algebras[k]).passed if n == k else ok
-               for n, ok in enumerate(canonical_ok)):
-        return False
-    if not verify_level_homomorphisms(bar, policy).passed:
-        return False
-    return verify_ideal_axiom(bar, policy).passed
-
-
 def _definition_filter(canonical: TruncatedBarAlgebra,
                        policy: Policy | None):
     """Whether the canonical bar passes the definition filter, and a
     function of a level k and the cells that a mutant changes in its
     tensor, giving the mutant bar and whether it passes.
 
-    When the canonical bar passes, a clause that reads no changed cell
-    has the canonical verdict, so a mutant is decided on the clauses
-    that read one: the level-k algebra axioms at the changed cells
-    (core.cellwise_axioms), multiplicativity of the faces and
-    degeneracies into and out of level k, and the absorption clauses
-    that read level k.  Once the level-k axioms pass, the mutant tensor
-    is torsion-compatible like the canonical one, so every clause is
-    decided on generators exactly when it was for the canonical bar,
-    and each sweep draws from its own Random(policy.seed), so a skipped
-    clause shifts no other clause's sample.  When the canonical bar
-    fails, each mutant runs the whole filter, with the canonical
-    verdicts of the other level algebras."""
-    canonical_ok = [algebra_axioms(alg).passed for alg in canonical.algebras]
-    passed = _passes_definition(canonical, policy, canonical_ok)
-    axioms = [cellwise_axioms(alg) for alg in canonical.algebras] \
-        if passed else None
+    Each clause runs once on the canonical bar, with the levels it
+    reads.  A clause that skips level k keeps its canonical verdict on
+    a mutant of level k, so the mutant fails when such a clause failed,
+    and is otherwise decided on the clauses that read k: the level-k
+    axioms (core.cellwise_axioms when the canonical level passed them),
+    then the faces, degeneracies and absorption clauses whose levels
+    include k.  The kept verdict is the one the mutant would compute.  A
+    mutant that passes its level axioms is torsion-compatible, and a
+    level tensor of build_bar_algebra is torsion-compatible exactly when
+    S, R and the action are, so the mutant's tensors are all
+    torsion-compatible exactly when the canonical ones are: no clause
+    that skips k switches between the generator decision and the element
+    sweep, and each sweep draws from its own Random(policy.seed)."""
+    axioms = [cellwise_axioms(alg) if algebra_axioms(alg).passed else None
+              for alg in canonical.algebras]
+    failed = [(n,) for n, passes in enumerate(axioms) if passes is None]
+    failed += [levels for levels, run in chain(
+        level_homomorphism_clauses(canonical, policy),
+        tail_absorption_clauses(canonical, policy)) if not run().passed]
 
     def decide(k, cells):
         tensor = canonical.algebras[k].mul.with_cells(cells)
         mutant = canonical.with_level_tensor(k, tensor)
-        if axioms is None:
-            return mutant, _passes_definition(mutant, policy, canonical_ok, k)
-        if not axioms[k](tensor, cells):
+        if any(k not in levels for levels in failed) or not (
+                axioms[k](tensor, cells) if axioms[k]
+                else algebra_axioms(mutant.algebras[k]).passed):
             return mutant, False
         clauses = chain(level_homomorphism_clauses(mutant, policy),
                         tail_absorption_clauses(mutant, policy))
         return mutant, all(run().passed for levels, run in clauses
                            if k in levels)
 
-    return passed, decide
+    return not failed, decide
 
 
 def perturb_and_filter(xm: CrossedModule, depth: int = 2, seed: int = 0,
@@ -229,8 +218,10 @@ def perturb_and_filter(xm: CrossedModule, depth: int = 2, seed: int = 0,
                        policy: Policy | None = None) -> Report:
     """Candidate 0 is the canonical structure; the rest mutate one level
     tensor at random and share the canonical bar module and every other
-    level.  Survivors of the definition filter must round-trip exactly;
-    when none survives, that leaf is a SKIP."""
+    level.  The definition filter runs each clause once on the canonical
+    bar and decides a mutant on the clauses that read its level (see
+    _definition_filter).  Survivors must round-trip exactly; when none
+    survives, that leaf is a SKIP."""
     if budget < 1:
         raise PreconditionError(f"budget must be at least 1, got {budget}")
     if not xm.s_alg.carrier.rank + xm.r_alg.carrier.rank:

@@ -1,6 +1,7 @@
 """Extraction from the bar structure and the round trip in both directions."""
 
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from idealbar.roundtrip import (
     roundtrip_from_structure,
     verify_extracted,
 )
+from idealbar.policy import Policy
 from idealbar.report import FAIL, STRUCTURAL, exit_code
 from idealbar.workspace import Workspace
 
@@ -198,7 +200,8 @@ def test_with_level_tensor_shares_every_other_level(fixture):
     # levels, faces, degeneracies and every other level algebra are the
     # canonical objects, it verifies like a fresh bar with that level
     # tensor, and the filter's verdicts agree with the definition checks
-    # on the cellwise path (nilcube) and the whole one (broken_z4)
+    # for a canonical bar that passes (nilcube) and one that fails
+    # (broken_z4)
     xm = (nilcube_xmod() if fixture == "nilcube"
           else Workspace.load(BROKEN_Z4).xmods["main"])
     canonical = build_bar_algebra(xm, 2)
@@ -227,11 +230,10 @@ def test_with_level_tensor_shares_every_other_level(fixture):
         assert ok == definition_checks(fresh).passed
 
 
-def test_filter_checks_the_mutated_level_like_the_definition():
-    # over Z/4 some depth-1 mutants keep every face, degeneracy and
-    # absorption clause and fail only associativity of the changed
-    # level, so the filter must run the algebra axioms on that level
-    only_axioms = 0
+def z4_depth1_mutants():
+    """Each depth-1 mutant of the Z/4 rank-1 crossed modules (seed 0,
+    20 per module), with the filter's verdict and the definition
+    report."""
     for xm in all_valid_xmods(4, 1):
         canonical = build_bar_algebra(xm, 1)
         if not canonical.levels[1].rank:
@@ -240,10 +242,70 @@ def test_filter_checks_the_mutated_level_like_the_definition():
         rng = random.Random(0)
         for _ in range(20):
             mutant, ok = decide(*_mutate_tensors(canonical, rng))
-            rep = definition_checks(mutant)
-            assert ok == rep.passed
-            only_axioms += [c.passed for c in rep.checks] == [False, True, True]
-    assert only_axioms
+            yield mutant, ok, definition_checks(mutant)
+
+
+def fails_only_the_level_axioms(rep):
+    return [c.passed for c in rep.checks] == [False, True, True]
+
+
+def test_filter_checks_the_mutated_level_like_the_definition():
+    # over Z/4 some depth-1 mutants keep every face, degeneracy and
+    # absorption clause and fail only associativity of the changed
+    # level, so the filter must run the algebra axioms on that level
+    only_axioms = 0
+    for _, ok, rep in z4_depth1_mutants():
+        assert ok == rep.passed
+        only_axioms += fails_only_the_level_axioms(rep)
+    assert only_axioms == 33
+
+
+def test_filter_decides_no_op_mutants_of_a_bar_failing_its_level_axioms():
+    # each Z/4 mutant above that fails only its level-1 axioms, taken as
+    # the canonical bar: a mutant rewriting a symmetric cell pair of
+    # level 1 to its own value is that bar again and fails, so the level
+    # axioms of a level that failed them are decided on the whole level,
+    # not on the changed cells
+    bars = [mutant for mutant, _, rep in z4_depth1_mutants()
+            if fails_only_the_level_axioms(rep)]
+    cases = 0
+    for bar in bars:
+        passed, decide = _definition_filter(bar, None)
+        assert not passed
+        c, n = bar.algebras[1].mul.constants, bar.levels[1].rank
+        for i, j in product(range(n), repeat=2):
+            mutant, ok = decide(1, {(i, j): list(c[i][j]),
+                                    (j, i): list(c[j][i])})
+            assert ok == definition_checks(mutant).passed, (i, j)
+            cases += 1
+    assert len(bars) == 33 and cases == 132
+
+
+def test_filter_decides_mutants_of_a_bar_with_one_broken_level():
+    # nilcube at depth 3 with level n broken by a flip of coordinate l of
+    # g_0 g_0: l = 0 breaks the level-n axioms and other clauses that
+    # read level n, l = 2 only the latter.  Some broken clause skips
+    # every other level, so each mutant of another level fails, a no-op
+    # one included, while the mutant that flips the cell back passes
+    canonical = build_bar_algebra(nilcube_xmod(), 3)
+    cases = repaired = 0
+    for n, l in product(range(1, 4), (0, 2)):
+        mul = canonical.algebras[n].mul
+        cell = list(mul.constants[0][0])
+        cell[l] ^= 1
+        broken = canonical.with_level_tensor(n, mul.with_cells({(0, 0): cell}))
+        passed, decide = _definition_filter(broken, None)
+        assert not passed and not definition_checks(broken).passed
+        rng = random.Random(n)
+        mutants = [(k, {}) for k in range(1, 4)]
+        mutants.append((n, {(0, 0): list(mul.constants[0][0])}))
+        mutants += [_mutate_tensors(broken, rng) for _ in range(20)]
+        for k, cells in mutants:
+            mutant, ok = decide(k, cells)
+            assert ok == definition_checks(mutant).passed, (n, l, k, cells)
+            cases += 1
+            repaired += ok
+    assert cases == 144 and repaired >= 6
 
 
 def mixed_order_z4_xmods():
@@ -254,34 +316,57 @@ def mixed_order_z4_xmods():
 
 
 def filter_cases():
-    # (name, crossed module, depth, seeds, mutants per seed)
+    # (name, crossed module, depth, seeds, mutants per seed, policy).
+    # Mutants of broken_z4 at depth 3 that break torsion leave the
+    # definition checks to sweep up to a million element pairs, so that
+    # case samples sweeps above 4,096 tuples
     ws = Workspace.load(BROKEN_Z4)
-    yield from (("nilcube", nilcube_xmod(), depth, range(3), 40)
+    yield from (("nilcube", nilcube_xmod(), depth, range(3), 40, None)
                 for depth in (1, 2, 3))
-    yield "nilsquare", nilsquare_xmod(), 2, range(3), 40
-    yield "broken_z4", ws.xmods["main"], 2, range(2), 40
+    yield "nilsquare", nilsquare_xmod(), 2, range(3), 40, None
+    yield from (("broken_action", broken_action_xmod(), depth, range(2), 40,
+                 None) for depth in (1, 2, 3))
+    yield from (("broken_z4", ws.xmods["main"], depth, range(2), 40, None)
+                for depth in (1, 2))
+    yield ("broken_z4", ws.xmods["main"], 3, range(2), 40,
+           Policy(exhaustive_bound=4096, sample_count=100))
     for n, xm in enumerate(mixed_order_z4_xmods()):
-        yield f"z4-{n}", xm, 2, range(2), 20
+        yield f"z4-{n}", xm, 2, range(2), 20, None
 
 
 def test_filter_decides_every_mutant_like_the_definition_checks():
-    # the cellwise filter against the whole definition on every mutant
-    # of a few seeds; broken_z4 fails the definition, so its mutants take
-    # the whole path; at least one mutant per path is let through
+    # the filter against the whole definition on every mutant of a few
+    # seeds; broken_action and broken_z4 fail the definition, and some
+    # mutant is let through both when the canonical bar passes and when
+    # it fails
     survivors = {True: 0, False: 0}
-    for name, xm, depth, seeds, count in filter_cases():
+    for name, xm, depth, seeds, count, policy in filter_cases():
         canonical = build_bar_algebra(xm, depth)
-        passed, decide = _definition_filter(canonical, None)
-        assert passed == definition_checks(canonical).passed \
-            == (name != "broken_z4"), name
+        passed, decide = _definition_filter(canonical, policy)
+        assert passed == definition_checks(canonical, policy).passed \
+            == (not name.startswith("broken")), (name, depth)
         for seed in seeds:
             rng = random.Random(seed)
             for _ in range(count):
                 mutant, ok = decide(*_mutate_tensors(canonical, rng))
-                assert ok == definition_checks(mutant).passed, (name, seed)
+                assert ok == definition_checks(mutant, policy).passed, \
+                    (name, depth, seed)
                 survivors[passed] += ok
-    assert survivors[True]
+    assert survivors[True] and survivors[False]
     assert len(mixed_order_z4_xmods()) == 15
+
+
+def spy_on_clauses(monkeypatch):
+    """The names of the face, degeneracy and absorption clauses run from
+    now on, in the order they run."""
+    import idealbar.bar as bar_mod
+    names = []
+    for fn in ("multiplicativity_report", "check"):
+        def spy(name, *args, fn=getattr(bar_mod, fn), **kwargs):
+            names.append(name)
+            return fn(name, *args, **kwargs)
+        monkeypatch.setattr(bar_mod, fn, spy)
+    return names
 
 
 def test_cellwise_filter_runs_only_the_clauses_of_the_changed_level(
@@ -291,13 +376,7 @@ def test_cellwise_filter_runs_only_the_clauses_of_the_changed_level(
     # that read level k; every other clause keeps the canonical verdict.
     # A mutant that changes no cell passes all of them, and every other
     # mutant stops at its first failure
-    import idealbar.bar as bar_mod
-    names = []
-    for fn in ("multiplicativity_report", "check"):
-        def spy(name, *args, fn=getattr(bar_mod, fn), **kwargs):
-            names.append(name)
-            return fn(name, *args, **kwargs)
-        monkeypatch.setattr(bar_mod, fn, spy)
+    names = spy_on_clauses(monkeypatch)
     depth = 3
     canonical = build_bar_algebra(nilcube_xmod(), depth)
     _, decide = _definition_filter(canonical, None)
@@ -324,3 +403,23 @@ def test_cellwise_filter_runs_only_the_clauses_of_the_changed_level(
         assert set(names) <= set(clauses(k)), (k, names)
         if ok:
             assert sorted(names) == clauses(k), k
+
+
+def test_filter_rejects_on_failed_clauses_that_skip_the_level(monkeypatch):
+    # on broken_z4 at depth 3, d0@1, d0@2 and d0@3 fail on the canonical
+    # bar and between them skip every level, so once the canonical bar is
+    # decided each mutant is rejected without running a clause
+    canonical = build_bar_algebra(Workspace.load(BROKEN_Z4).xmods["main"], 3)
+    rep = definition_checks(canonical)
+    assert [c.name for group in rep.checks for c in group.checks
+            if not c.passed] == [f"d0@{n} multiplicative" for n in (1, 2, 3)]
+    names = spy_on_clauses(monkeypatch)
+    passed, decide = _definition_filter(canonical, None)
+    assert not passed and names
+    names.clear()
+    mutants = [(k, {}) for k in range(1, 4)]
+    rng = random.Random(0)
+    mutants += [_mutate_tensors(canonical, rng) for _ in range(100)]
+    for k, cells in mutants:
+        assert not decide(k, cells)[1]
+    assert names == []

@@ -279,7 +279,9 @@ def test_cellwise_axioms_match_the_whole_check_on_every_flip():
     # break associativity only at triples reached through a nonzero
     # coordinate: zeroing the g_2 coordinate of g_0 g_2 at level 0 leaves
     # every triple that starts or ends in the changed cells associative,
-    # but (g_1 g_1) g_0 = 0 while g_1 (g_1 g_0) = g_2
+    # but (g_1 g_1) g_0 = 0 while g_1 (g_1 g_0) = g_2.  The triples
+    # (., i, j) and (j, a, b) are not scanned: in a commutative tensor
+    # each has minus the associator of its reverse, which is scanned
     levels = [alg for make, depth in ((nilcube_xmod, 2), (nilsquare_xmod, 2))
               for alg in build_bar_algebra(make(), depth).algebras]
     levels += [alg for xm in all_valid_xmods(4, 1)
