@@ -13,7 +13,8 @@ from itertools import combinations_with_replacement, product
 from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule, ModuleHom,
                    Submodule, UnsupportedScaleError, algebra_axioms,
                    multiplicativity_report, validate_algebra, validate_hom)
-from .crossed_ideal import (image_crossed_ideal_check, inclusion_cim,
+from .crossed_ideal import (CrossedIdealMap, SubXMod, XModMorphism,
+                            image_crossed_ideal_check, inclusion_cim,
                             sub_crossed_module, validate_crossed_ideal_map)
 from .policy import EXHAUSTIVE, Policy
 from .report import FAIL, NOTE, PASS, THEOREM, Report, group, leaf
@@ -194,26 +195,24 @@ def enumerate_ideals(alg: Algebra) -> list[Submodule]:
     return sorted(seen.values(), key=lambda s: (s.size, s.elements))
 
 
-def fuzz_cims(modulus: int, max_rank: int, count: int, seed: int = 0):
-    """Seeded stream of crossed ideals and their inclusion maps.
+def _fuzz_chains(modulus: int, max_rank: int, count: int, seed: int):
+    """The draws of fuzz_cims, each as (key, sx, cim), where key is the
+    drawn index triple of the chain J <= I <= S.
 
-    Each draw picks an algebra S, an ideal I, and an ideal J inside I;
-    the inclusion J -> I -> S then carries a canonical crossed ideal map.
-    The construction lands on valid instances by design.  The ideals of
-    an algebra are listed once per run, and the ambient crossed module
+    The ideals of an algebra are listed once per call; the ambient
     inclusion_xmod(S, I), the ideals inside I and the coordinates of I
-    are built once per drawn (algebra, ideal) pair, so every draw on a
-    pair shares one ambient.  No draw is validated here: fuzz_report
-    validates each one once, so a draw that fails is reported, not drawn
-    again.  J is an ideal of S inside I, so every closure that
-    sub_crossed_module checks holds and each drawn sub assembles; one
-    that did not would reach inclusion_cim and be refused there."""
+    once per drawn (algebra, ideal) pair; and sub_crossed_module and
+    inclusion_cim once per drawn chain.  Every cache is keyed on draw
+    indices.  A draw gets its own sx and cim named fuzz{n} and
+    incl-fuzz{n}, thin shells over the parts of its chain: eta, the
+    action, mu, nu and the spans of the sub, and act1, act2 and h of the
+    map."""
     rng = random.Random(seed)
     algebras = [a for r in range(1, max_rank + 1)
                 for a in enumerate_algebras(modulus, r)]
     ideal_cache: dict[int, list[Submodule]] = {}
     pair_cache: dict[tuple[int, int], tuple] = {}
-    out = []
+    chain_cache: dict[tuple[int, int, int], tuple] = {}
     for n in range(count):
         idx = rng.randrange(len(algebras))
         s_alg = algebras[idx]
@@ -228,28 +227,64 @@ def fuzz_cims(modulus: int, max_rank: int, count: int, seed: int = 0):
                 ambient, [j for j in ideals if all(map(big.contains, j.gens))],
                 {ambient.eta.apply(x): x for x in ambient.r_alg.elements()})
         ambient, inside, coords = pair_cache[idx, jdx]
-        small = inside[rng.randrange(len(inside))]
+        key = (idx, jdx, rng.randrange(len(inside)))
+        if key not in chain_cache:
+            small = inside[key[2]]
+            r_subset = Submodule.from_generators(
+                ambient.r_alg.carrier, [coords[g] for g in small.gens])
+            base = sub_crossed_module(ambient, r_subset, small)
+            chain_cache[key] = base, inclusion_cim(base)
+        base, incl = chain_cache[key]
 
-        r_subset = Submodule.from_generators(ambient.r_alg.carrier,
-                                             [coords[g] for g in small.gens])
-        sx = sub_crossed_module(ambient, r_subset, small, name=f"fuzz{n}")
-        out.append((sx, inclusion_cim(sx)))
-    return out
+        name = f"fuzz{n}"
+        sub = CrossedModule(base.sub.eta, base.sub.action, name=name)
+        sx = SubXMod(ambient, sub, base.mu, base.nu, base.r_subset,
+                     base.s_subset, name=name)
+        mor = XModMorphism(sub, ambient, base.mu, base.nu, name=f"incl-{name}")
+        yield key, sx, CrossedIdealMap(mor, incl.act1, incl.act2, incl.h,
+                                       name=f"incl-{name}")
+
+
+def fuzz_cims(modulus: int, max_rank: int, count: int, seed: int = 0):
+    """Seeded stream of crossed ideals and their inclusion maps, as a
+    list of (sx, cim) pairs.
+
+    Each draw picks an algebra S, an ideal I, and an ideal J inside I;
+    the inclusion J -> I -> S then carries a canonical crossed ideal map.
+    The construction lands on valid instances by design.  Draws of one
+    chain share its ambient crossed module, its assembled sub and its
+    inclusion map, each under the draw's own names (see _fuzz_chains).
+    No draw is validated here: fuzz_report validates each chain once, so
+    a draw that fails is reported, not drawn again.  J is an ideal of S
+    inside I, so every closure that sub_crossed_module checks holds and
+    each drawn sub assembles; one that did not would reach inclusion_cim
+    and be refused there."""
+    return [(sx, cim) for _, sx, cim in
+            _fuzz_chains(modulus, max_rank, count, seed)]
 
 
 def fuzz_report(modulus: int, max_rank: int, count: int, seed: int = 0,
                 policy: Policy | None = None) -> Report:
     """Validate every fuzzed instance and its image construction, rolled
-    up to one leaf per instance.  This is the one validation of a draw:
-    the image of its inclusion map spans the same two subsets as the
-    drawn sub crossed module, so the image check is handed that sub and,
-    once it has compared the spans, validates it instead of assembling
-    the image again."""
+    up to one leaf per instance.
+
+    Each distinct drawn chain is decided once, on its first draw: every
+    check is deterministic for a fixed input and policy, each sampled
+    sweep seeding its own Random(policy.seed), and names only label the
+    nodes of a report, so a later draw of the chain takes the verdict
+    under its own name.  The image of an inclusion map spans the same
+    two subsets as the drawn sub crossed module, so the image check is
+    handed that sub and, once it has compared the spans, validates it
+    instead of assembling the image again."""
     rows = []
     failures = 0
-    for sx, cim in fuzz_cims(modulus, max_rank, count, seed):
-        ok = (validate_crossed_ideal_map(cim, policy).passed
-              and image_crossed_ideal_check(cim, policy, sub=sx).passed)
+    verdicts: dict[tuple[int, int, int], bool] = {}
+    for key, sx, cim in _fuzz_chains(modulus, max_rank, count, seed):
+        if key not in verdicts:
+            verdicts[key] = (
+                validate_crossed_ideal_map(cim, policy).passed
+                and image_crossed_ideal_check(cim, policy, sub=sx).passed)
+        ok = verdicts[key]
         failures += 0 if ok else 1
         rows.append(leaf(cim.name, PASS if ok else FAIL, THEOREM,
                          meta={"r_size": cim.morphism.source.r_alg.carrier.size,

@@ -1,7 +1,8 @@
 """Round trip between crossed modules and ideal structures on the bar.
 
-The level-1 product stores the action: (s,0)(0,r) = (0, s.r).  Reading
-it off and rebuilding must reproduce every level tensor exactly, in both
+The level-1 product stores the action and the product of R:
+(s,0)(0,r) = (0, s.r) and (0,a)(0,b) = (0, ab).  Reading them off and
+rebuilding must reproduce every level tensor exactly, in both
 directions.  A seeded perturbation harness mutates the canonical level
 tensors, filters candidates through the ideal-structure definition, and
 round-trips every survivor.
@@ -12,9 +13,10 @@ from __future__ import annotations
 import random
 from itertools import chain
 
-from .core import (AlgebraHom, BilinearMap, ModuleHom, PreconditionError,
-                   StructuralError, algebra_axioms, cellwise_axioms,
-                   direct_sum, multiplicativity_report, semidirect_power)
+from .core import (Algebra, AlgebraHom, BilinearMap, ModuleHom,
+                   PreconditionError, StructuralError, algebra_axioms,
+                   cellwise_axioms, direct_sum, multiplicativity_report,
+                   semidirect_power)
 from .bar import (TruncatedBarAlgebra, build_bar_algebra,
                   level_homomorphism_clauses, tail_absorption_clauses)
 from .policy import Policy, check
@@ -25,25 +27,35 @@ from .xmod import (AlgebraAction, CrossedModule, cm1_report, cm2_report,
 
 
 class MalformedStructureError(StructuralError):
-    """A product of (s,0) with (0,r) left the tail ideal."""
+    """A level-1 product of (s,0) or (0,a) with (0,r) left the tail
+    ideal."""
+
+
+def _letter_cells(bar: TruncatedBarAlgebra, p: int, label: str) -> list:
+    """The letter coordinates of the level-1 product cells of block p
+    (0 the base S, 1 the letter R) times the letter, one row per
+    generator of block p.  A cell with a base coordinate raises, naming
+    the cell by label and its generator pair."""
+    xm = bar.xm
+    lvl = bar.levels[1]
+    constants = []
+    for gp, row in zip((xm.s_alg, xm.r_alg)[p].generators(),
+                       lvl.split(bar.algebras[1].mul.constants)[p]):
+        constants.append([])
+        for gr, cell in zip(xm.r_alg.generators(), lvl.split(row)[1]):
+            s_part, letter = lvl.split(cell)
+            if s_part != xm.s_alg.zero:
+                raise MalformedStructureError(
+                    f"{label} has base coordinate {s_part} at {(gp, gr)}")
+            constants[-1].append(letter)
+    return constants
 
 
 def extract_action(bar: TruncatedBarAlgebra) -> AlgebraAction:
     """Read the action tensor off the level-1 product cells (s,0)(0,r)."""
-    xm = bar.xm
-    s_alg, r_alg = xm.s_alg, xm.r_alg
-    lvl = bar.levels[1]
-    constants = []
-    for gs, row in zip(s_alg.generators(),
-                       lvl.split(bar.algebras[1].mul.constants)[0]):
-        constants.append([])
-        for gr, cell in zip(r_alg.generators(), lvl.split(row)[1]):
-            s_part, letter = lvl.split(cell)
-            if s_part != s_alg.zero:
-                raise MalformedStructureError(
-                    f"(s,0)(0,r) has base coordinate {s_part} at {(gs, gr)}")
-            constants[-1].append(letter)
-    tensor = BilinearMap(s_alg.carrier, r_alg.carrier, r_alg.carrier, constants)
+    s_alg, r_alg = bar.xm.s_alg, bar.xm.r_alg
+    tensor = BilinearMap(s_alg.carrier, r_alg.carrier, r_alg.carrier,
+                         _letter_cells(bar, 0, "(s,0)(0,r)"))
     return AlgebraAction(s_alg, r_alg, tensor)
 
 
@@ -102,16 +114,22 @@ def verify_extracted(bar: TruncatedBarAlgebra,
 
 def roundtrip_from_structure(bar: TruncatedBarAlgebra,
                              policy: Policy | None = None) -> Report:
-    """Direction from a structure: extract the action, rebuild every
-    level product from it, compare tensors.  The level products do not
-    read eta, so no second bar object is built."""
+    """Direction from a structure: read the crossed module's products off
+    it (S off level 0, the action and R off the level-1 cells of S times
+    the letter and of the letter times itself), rebuild every level
+    product from them, compare tensors.  No product is taken from
+    bar.xm, whose products a structure need not share.  The level
+    products do not read eta, so no second bar object is built."""
     checks = []
     try:
         act = extract_action(bar)
+        r_mul = _letter_cells(bar, 1, "(0,a)(0,b)")
     except MalformedStructureError as exc:
         checks.append(leaf("extraction", FAIL, STRUCTURAL, detail=str(exc)))
         return group("roundtrip-from-structure", checks)
-    rebuilt = (semidirect_power(act.actor, act.acted, act.tensor, k,
+    r_mod = act.acted.carrier
+    r_alg = Algebra(r_mod, BilinearMap(r_mod, r_mod, r_mod, r_mul))
+    rebuilt = (semidirect_power(bar.algebras[0], r_alg, act.tensor, k,
                                 carrier=lvl).mul
                for k, lvl in enumerate(bar.levels))
     bad = next(((k, i, j) for k, (ta, tb) in

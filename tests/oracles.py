@@ -19,11 +19,21 @@ kernel_oracle applies a hom to every element of its domain; both return
 the subset by its elements, which core.Submodule holds as a Howell form
 instead.  quotient_oracle takes each coset representative as the least
 sum x + i over the elements i of the ideal.
+
+fuzz_report_oracle decides every draw of the fuzzer on its own, each
+draw built anew, where enumeration.fuzz_report decides each distinct
+ideal chain once.
 """
 
+import random
+
+import idealbar.crossed_ideal as crossed_ideal
 from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                            ModuleHom, Submodule, _coordinates,
-                           decompose_abelian, direct_sum)
+                           decompose_abelian, direct_sum, image)
+from idealbar.enumeration import enumerate_algebras, enumerate_ideals
+from idealbar.report import FAIL, PASS, THEOREM, group, leaf
+from idealbar.xmod import inclusion_xmod
 
 
 def split(bm, t, n):
@@ -237,3 +247,62 @@ def quotient_oracle(alg, ideal):
     images = [coords[rep[g]] for g in amb.generators()]
     return quot, AlgebraHom(alg, quot, ModuleHom(amb, carrier, images),
                             name="projection")
+
+
+# ---------------------------------------------------------------------------
+# the fuzzer draw by draw: enumeration.fuzz_cims shares the parts of each
+# drawn ideal chain between its draws, and fuzz_report decides each chain
+# once
+
+
+def fuzz_cims_oracle(modulus, max_rank, count, seed=0):
+    """The draws of enumeration.fuzz_cims, with the fuzzer's random calls
+    in its order, each built anew: the ideals of S listed, the ambient
+    inclusion_xmod(S, I), the sub spanned by J and its inclusion map."""
+    rng = random.Random(seed)
+    algebras = [a for r in range(1, max_rank + 1)
+                for a in enumerate_algebras(modulus, r)]
+    out = []
+    for n in range(count):
+        s_alg = algebras[rng.randrange(len(algebras))]
+        ideals = enumerate_ideals(s_alg)
+        big = ideals[rng.randrange(len(ideals))]
+        inside = [j for j in ideals if all(map(big.contains, j.gens))]
+        small = inside[rng.randrange(len(inside))]
+        ambient = inclusion_xmod(s_alg, big)
+        coords = {ambient.eta.apply(x): x for x in ambient.r_alg.elements()}
+        r_subset = Submodule.from_generators(
+            ambient.r_alg.carrier, [coords[g] for g in small.gens])
+        sx = crossed_ideal.sub_crossed_module(ambient, r_subset, small,
+                                              name=f"fuzz{n}")
+        out.append((sx, crossed_ideal.inclusion_cim(sx)))
+    return out
+
+
+def fuzz_chain(cim):
+    """The ideal chain J <= I <= S a fuzzed inclusion map comes from, by
+    content: the name of S and the Howell forms of I and J in it."""
+    mor = cim.morphism
+    return (mor.target.s_alg.name, image(mor.target.eta.hom).form,
+            image(mor.alpha2.hom).form)
+
+
+def fuzz_report_oracle(modulus, max_rank, count, seed=0, policy=None):
+    """enumeration.fuzz_report validating every draw of fuzz_cims_oracle
+    on its own, through the attributes of idealbar.crossed_ideal."""
+    rows = []
+    failures = 0
+    for sx, cim in fuzz_cims_oracle(modulus, max_rank, count, seed):
+        ok = (crossed_ideal.validate_crossed_ideal_map(cim, policy).passed
+              and crossed_ideal.image_crossed_ideal_check(
+                  cim, policy, sub=sx).passed)
+        failures += 0 if ok else 1
+        rows.append(leaf(cim.name, PASS if ok else FAIL, THEOREM,
+                         meta={"r_size": cim.morphism.source.r_alg.carrier.size,
+                               "s_size": cim.morphism.target.s_alg.carrier.size}))
+    summary = leaf("fuzz-summary", PASS if failures == 0 else FAIL, THEOREM,
+                   detail="inclusion maps of fuzzed ideal chains, validated "
+                          "and pushed through the image construction",
+                   meta={"modulus": modulus, "max_rank": max_rank,
+                         "count": count, "seed": seed, "failures": failures})
+    return group(f"cim-fuzz m={modulus} rank<={max_rank}", [summary] + rows)

@@ -36,8 +36,10 @@ from idealbar.fixtures import (
     nilsquare_ideal_algebra,
 )
 from idealbar.policy import Policy
+from idealbar.report import AXIOM, FAIL, leaf
 from idealbar.xmod import (cm1_report, cm2_report, validate_algebra_action,
                            validate_crossed_module)
+from oracles import fuzz_chain, fuzz_cims_oracle, fuzz_report_oracle
 
 
 def test_order_tuples():
@@ -327,9 +329,17 @@ def test_fuzz_report_rolls_up():
     assert len(rep.checks) == 9
 
 
+def fuzz_chain_count(*args):
+    """The number of distinct ideal chains among the draws, read off the
+    draws built one by one."""
+    return len({fuzz_chain(cim) for _, cim in fuzz_cims_oracle(*args)})
+
+
 def test_fuzz_report_validates_each_draw_once(monkeypatch):
     # fuzz_cims validates nothing; the image check of fuzz_report is the
-    # one validate_crossed_ideal call per draw
+    # one validate_crossed_ideal call per distinct drawn chain, whose
+    # verdict the later draws of the chain take
+    chains = fuzz_chain_count(2, 2, 20)
     calls = []
     validate = crossed_ideal_mod.validate_crossed_ideal
 
@@ -341,13 +351,14 @@ def test_fuzz_report_validates_each_draw_once(monkeypatch):
     monkeypatch.setattr(enumeration_mod, "validate_crossed_ideal", counted,
                         raising=False)
     assert fuzz_report(2, 2, 20).passed
-    assert len(calls) == 20
+    assert len(calls) == chains < 20
 
 
 def test_fuzz_report_builds_each_ambient_and_sub_once(monkeypatch):
     # one inclusion_xmod per drawn (algebra, ideal) pair, and one
-    # sub_crossed_module per draw: the image check is handed the draw's
-    # sub instead of assembling the image again
+    # sub_crossed_module per drawn chain: the image check is handed the
+    # draw's sub instead of assembling the image again
+    chains = fuzz_chain_count(2, 2, 100)
     ambients, subs = [], []
     include = xmod_mod.inclusion_xmod
     assemble = crossed_ideal_mod.sub_crossed_module
@@ -364,8 +375,59 @@ def test_fuzz_report_builds_each_ambient_and_sub_once(monkeypatch):
     for mod in (crossed_ideal_mod, enumeration_mod):
         monkeypatch.setattr(mod, "sub_crossed_module", counted_assemble)
     assert fuzz_report(2, 2, 100).passed
-    assert len(subs) == 100
-    assert len(ambients) == len(set(ambients)) < 100
+    assert len(subs) == chains < 100
+    assert len(ambients) == len(set(ambients)) < chains
+
+
+FUZZ_RUNS = [(2, 2, 300, 0), (3, 2, 50, 1), (4, 2, 25, 7), (6, 1, 50, 2)]
+
+
+@pytest.mark.parametrize("args", FUZZ_RUNS)
+def test_fuzz_report_matches_the_draw_by_draw_oracle(args):
+    # each draw is the one built anew, under its own names, and the
+    # report deciding each chain once is the one deciding every draw
+    draws = fuzz_cims(*args)
+    built = fuzz_cims_oracle(*args)
+    assert len(draws) == len(built) == args[2]
+    for (sx, cim), (bsx, bcim) in zip(draws, built):
+        assert (sx.name, sx.sub.name, cim.name, cim.morphism.name) \
+            == (bsx.name, bsx.sub.name, bcim.name, bcim.morphism.name)
+        assert sx == bsx
+        assert (sx.r_subset, sx.s_subset) == (bsx.r_subset, bsx.s_subset)
+        assert (cim.act1, cim.act2, cim.h) == (bcim.act1, bcim.act2, bcim.h)
+    assert fuzz_chain_count(*args) < args[2]
+    assert fuzz_report(*args).to_json() == fuzz_report_oracle(*args).to_json()
+
+
+def test_fuzz_report_fails_exactly_the_draws_of_a_failing_chain(monkeypatch):
+    # validate_crossed_ideal_map is made to fail on one chain J <= I <= S
+    # drawn at both seeds, after a sibling chain on the same (S, I) was
+    # drawn at seed 1: a verdict shared across sub-ideals of a pair, or
+    # kept from the seed-0 run, gives rows other than the oracle's
+    args0, args1 = (2, 2, 300, 0), (2, 2, 300, 1)
+    before = {fuzz_chain(cim) for _, cim in fuzz_cims_oracle(*args0)}
+    drawn = [fuzz_chain(cim) for _, cim in fuzz_cims_oracle(*args1)]
+    target = next(c for n, c in enumerate(drawn) if c in before and any(
+        d[:2] == c[:2] and d != c for d in drawn[:n]))
+    assert fuzz_report(*args0).passed
+
+    validate = crossed_ideal_mod.validate_crossed_ideal_map
+
+    def failing(cim, *args, **kwargs):
+        if fuzz_chain(cim) == target:
+            return leaf("planted", FAIL, AXIOM)
+        return validate(cim, *args, **kwargs)
+
+    for mod in (crossed_ideal_mod, enumeration_mod):
+        monkeypatch.setattr(mod, "validate_crossed_ideal_map", failing)
+    rep = fuzz_report(*args1)
+    oracle = fuzz_report_oracle(*args1)
+    assert rep.find("fuzz-summary").meta["failures"] \
+        == oracle.find("fuzz-summary").meta["failures"] \
+        == drawn.count(target) > 0
+    assert [(c.name, c.status) for c in rep.checks] \
+        == [(c.name, c.status) for c in oracle.checks]
+    assert rep.to_json() == oracle.to_json()
 
 
 def test_enumeration_report_counts():

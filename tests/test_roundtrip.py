@@ -1,6 +1,9 @@
 """Extraction from the bar structure and the round trip in both directions."""
 
+import json
 import random
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -77,6 +80,82 @@ def test_unreadable_structure_is_one_structural_leaf_in_each_direction():
             == [("extraction", FAIL, STRUCTURAL)]
         assert "base coordinate" in rep.checks[0].detail
         assert exit_code(rep) == 3
+
+
+def test_letter_cell_with_a_base_coordinate_is_the_structural_leaf():
+    # the letter product (0,a)(0,b) is read off level 1 like the action,
+    # so a base coordinate there is the same one structural leaf
+    xm = nilsquare_xmod()
+    bar = build_bar_algebra(xm, depth=2)
+    s_gen, lvl = xm.s_alg.generators()[1], bar.levels[1]
+    letter = xm.s_alg.carrier.rank
+    cell = {(letter, letter): lvl.inject(0, s_gen)}
+    crooked = bar.with_level_tensor(1, bar.level_tensors()[1].with_cells(cell))
+    rep = roundtrip_from_structure(crooked)
+    assert [(c.name, c.status, c.kind) for c in rep.checks] \
+        == [("extraction", FAIL, STRUCTURAL)]
+    assert rep.checks[0].detail \
+        == "(0,a)(0,b) has base coordinate (0, 1) at ((1,), (1,))"
+    assert exit_code(rep) == 3
+
+
+def xmod_workspace(path, xm):
+    """A workspace holding xm as main, written from its structure
+    constants."""
+    path.write_text(json.dumps({
+        "modulus": xm.s_alg.modulus,
+        "algebras": {
+            "S": {"orders": xm.s_alg.orders, "mul": xm.s_alg.mul.constants},
+            "R": {"orders": xm.r_alg.orders, "mul": xm.r_alg.mul.constants}},
+        "homs": {"eta": {"dom": "R", "cod": "S",
+                         "images": xm.eta.hom.images}},
+        "actions": {"act": {"actor": "S", "acted": "R",
+                            "tensor": xm.action.tensor.constants}},
+        "xmods": {"main": {"eta": "eta", "action": "act"}},
+    }))
+    return str(path)
+
+
+def test_depth_one_survivors_are_rebuilt_from_their_own_letter_product(
+        tmp_path):
+    # S = 0 and R = Z/2 with zero product over Z/4: no clause of the
+    # depth-1 definition ties the letter product to the product of R, so
+    # every mutant survives, candidate 3 with g g = g, and each must be
+    # rebuilt from the product it carries, not from the one of bar.xm
+    xm = all_valid_xmods(4, 1)[7]
+    assert (xm.s_alg.orders, xm.r_alg.orders) == ((), (2,))
+    assert xm.r_alg.mul.constants == (((0,),),)
+    rep = perturb_and_filter(xm, depth=1, seed=0, budget=60)
+    assert rep.find("survivors").meta["count"] == 60
+    exact = rep.find("survivors-roundtrip-exact")
+    assert (exact.status, exact.witness) == ("PASS", None)
+
+    # a workspace holds no rank-0 algebra, so the command line runs the
+    # first rank-1 pair that failed the same way: S = Z/4 and R = Z/2,
+    # both products, eta and the action zero
+    xm = next(x for x in all_valid_xmods(4, 1)
+              if (x.s_alg.orders, x.r_alg.orders) == ((4,), (2,)))
+    assert {xm.s_alg.mul.constants, xm.r_alg.mul.constants,
+            xm.action.tensor.constants} == {(((0,),),)}
+    assert xm.eta.hom.images == ((0,),)
+    res = subprocess.run(
+        [sys.executable, "-m", "idealbar", "-w",
+         xmod_workspace(tmp_path / "zero.json", xm), "--seed", "0",
+         "roundtrip", "main", "--depth", "1", "--perturb", "--budget", "60"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "survivors (count=10)" in res.stdout
+    assert "PASS [THEOREM] survivors-roundtrip-exact" in res.stdout
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_no_perturbation_of_the_rank_one_census_fails_the_roundtrip(depth):
+    for xm in all_valid_xmods(4, 1):
+        if xm.s_alg.carrier.rank + xm.r_alg.carrier.rank:
+            for seed in range(3):
+                rep = perturb_and_filter(xm, depth, seed, 60)
+                assert rep.find("survivors-roundtrip-exact").status \
+                    == "PASS", (xm.name, seed)
 
 
 def test_roundtrip_exact_on_fixtures():
