@@ -18,7 +18,7 @@ from .bar import (TruncatedBarAlgebra, TruncatedBarModule, build_bar_algebra,
                   build_bar_module, definition_checks, eta_k, verify_bar,
                   verify_decomposition, verify_ideal_axiom,
                   verify_level_homomorphisms, verify_simplicial_identities)
-from .roundtrip import (extract_action, extract_eta, perturb_and_filter,
+from .roundtrip import (extract_crossed_module, perturb_and_filter,
                         roundtrip_check, roundtrip_from_structure,
                         verify_extracted)
 from .crossed_ideal import (CrossedIdealMap, SubXMod, XModMorphism,
@@ -26,7 +26,7 @@ from .crossed_ideal import (CrossedIdealMap, SubXMod, XModMorphism,
                             inclusion_cim, sub_crossed_module,
                             validate_crossed_ideal,
                             validate_crossed_ideal_map, validate_morphism)
-from .bibar import BiBar, build_bibar, phi_maps, verify_bibar
+from .bibar import BiBar, build_bibar, verify_bibar
 from .enumeration import (all_valid_xmods, classify_xmods, enumerate_algebras,
                           enumerate_homs, enumerate_ideals, enumerate_xmods,
                           fuzz_cims)

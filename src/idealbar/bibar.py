@@ -5,8 +5,9 @@ of the source and target crossed modules.  The comparison maps
 
     phi_n(s1, r_1 .. r_n) = (alpha2 s1, alpha1 r_1, .., alpha1 r_n)
 
-let B1_n act on B2_n by translation, and row n of the bisimplicial
-object is the bar module of that action, built on phi_n itself.
+are block matrices between the levels of the two bars.  They let B1_n
+act on B2_n by translation, and row n of the bisimplicial object is the
+bar module of that action, built on phi_n itself.
 Columns are simplicial through the blockwise operators of the two bars.
 The verifier checks simplicial identities in both directions,
 commutation of every mixed pair, and multiplicativity of the vertical
@@ -22,9 +23,8 @@ from itertools import product
 
 from .bar import (TruncatedBarAlgebra, TruncatedBarModule, level_size,
                   verify_simplicial_identities)
-from .core import (Algebra, ModuleHom, StructuralError, block_hom,
-                   block_tensor, direct_sum, identity_hom, maps_equal_report,
-                   multiplicativity_report)
+from .core import (Algebra, ModuleHom, block_hom, block_tensor, identity_hom,
+                   maps_equal_report, multiplicativity_report)
 from .crossed_ideal import XModMorphism
 from .policy import Policy
 from .report import AXIOM, NOTE, THEOREM, Report, group, leaf
@@ -43,34 +43,15 @@ CONVENTIONS = (
 )
 
 
-def phi_maps(morphism: XModMorphism, n_depth: int, drop=()) -> list[ModuleHom]:
-    """The comparison maps phi_0 .. phi_N as module homs between bar
-    levels.  drop is a collection of (n, j) pairs; letter j of phi_n is
-    sent to zero instead of through alpha1 there, which breaks the
-    square with the face maps and serves as the negative control.  Bar
-    levels beyond the enumeration bound are refused before any is built."""
-    drop = set(drop)
-    src, tgt = morphism.source, morphism.target
-    s1m, r1m = src.s_alg.carrier, src.r_alg.carrier
-    s2m, r2m = tgt.s_alg.carrier, tgt.r_alg.carrier
-    level_size(s1m.size, r1m.size, n_depth)
-    level_size(s2m.size, r2m.size, n_depth)
-    out = []
-    for n in range(n_depth + 1):
-        route = [(0, morphism.alpha2.hom)] + [
-            None if (n, j) in drop else (j + 1, morphism.alpha1.hom)
-            for j in range(n)]
-        out.append(block_hom(direct_sum([s1m] + [r1m] * n),
-                             direct_sum([s2m] + [r2m] * n), route, f"phi@{n}"))
-    return out
-
-
 class BiBar:
     """Truncated bisimplicial module of a crossed module morphism, with
-    componentwise products at every bilevel."""
+    componentwise products at every bilevel.  drop is a collection of
+    (n, j) pairs: letter j of phi_n is sent to zero there instead of
+    through alpha1, which breaks the square with the face maps and
+    serves as the negative control."""
 
     def __init__(self, morphism: XModMorphism, n_depth: int = 2,
-                 m_depth: int = 2, phi: list[ModuleHom] | None = None):
+                 m_depth: int = 2, drop=()):
         # the top bilevel B2_N x (B1_N)^M is the largest; refuse it
         # before any level is built
         src, tgt = morphism.source, morphism.target
@@ -82,12 +63,13 @@ class BiBar:
         self.m_depth = m_depth
         self.bar1 = TruncatedBarAlgebra(morphism.source, n_depth)
         self.bar2 = TruncatedBarAlgebra(morphism.target, n_depth)
-        self.phi = phi if phi is not None else phi_maps(morphism, n_depth)
-        if len(self.phi) != n_depth + 1:
-            raise StructuralError("one phi per row is required")
-        for n, p in enumerate(self.phi):
-            if p.domain != self.bar1.levels[n] or p.codomain != self.bar2.levels[n]:
-                raise StructuralError(f"phi@{n} must map B1_{n} to B2_{n}")
+        self.phi = []
+        for n in range(n_depth + 1):
+            route = [(0, morphism.alpha2.hom)] + [
+                None if (n, j) in drop else (j + 1, morphism.alpha1.hom)
+                for j in range(n)]
+            self.phi.append(block_hom(self.bar1.levels[n],
+                                      self.bar2.levels[n], route, f"phi@{n}"))
         self.notes = CONVENTIONS
         self.rows = [TruncatedBarModule(p, m_depth) for p in self.phi]
 
@@ -143,8 +125,8 @@ class BiBar:
 
 
 def build_bibar(morphism: XModMorphism, n_depth: int = 2, m_depth: int = 2,
-                phi: list[ModuleHom] | None = None) -> BiBar:
-    return BiBar(morphism, n_depth, m_depth, phi=phi)
+                drop=()) -> BiBar:
+    return BiBar(morphism, n_depth, m_depth, drop)
 
 
 def verify_bibar(bb: BiBar, policy: Policy | None = None) -> Report:

@@ -13,7 +13,7 @@ import os
 import sys
 
 from .bar import DEFAULT_DEPTH, build_bar_algebra, verify_bar
-from .bibar import build_bibar, phi_maps, verify_bibar
+from .bibar import build_bibar, verify_bibar
 from .core import IdealbarError, validate_algebra
 from .crossed_ideal import (image_crossed_ideal_check, validate_crossed_ideal,
                             validate_crossed_ideal_map)
@@ -225,7 +225,7 @@ def run(args) -> "Report":
 
     if args.command == "bibar-verify":
         mor = ws.morphism(args.name)
-        phi = None
+        drop = ()
         if args.corrupt_phi is not None:
             n, _, j = args.corrupt_phi.partition(":")
             try:
@@ -237,8 +237,8 @@ def run(args) -> "Report":
                 raise IdealbarError(
                     f"--corrupt-phi {n}:{j} names no built letter: "
                     f"need 0 <= J < N <= --rows ({args.rows})")
-            phi = phi_maps(mor, args.rows, drop={(n, j)})
-        bb = build_bibar(mor, args.rows, args.cols, phi=phi)
+            drop = {(n, j)}
+        bb = build_bibar(mor, args.rows, args.cols, drop)
         return verify_bibar(bb, policy)
 
     raise IdealbarError(f"unknown command {args.command}")

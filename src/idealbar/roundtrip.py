@@ -1,11 +1,13 @@
 """Round trip between crossed modules and ideal structures on the bar.
 
-The level-1 product stores the action and the product of R:
-(s,0)(0,r) = (0, s.r) and (0,a)(0,b) = (0, ab).  Reading them off and
-rebuilding must reproduce every level tensor exactly, in both
-directions.  A seeded perturbation harness mutates the canonical level
-tensors, filters candidates through the ideal-structure definition, and
-round-trips every survivor.
+A structure stores its whole crossed module: S at level 0, the action
+and the product of R in the level-1 cells (s,0)(0,r) = (0, s.r) and
+(0,a)(0,b) = (0, ab), and eta in d_0.  extract_crossed_module reads it
+off the structure's own levels, and both directions work on what it
+reads: rebuilding must reproduce every level tensor exactly.  A seeded
+perturbation harness mutates the canonical level tensors, filters
+candidates through the ideal-structure definition, and round-trips
+every survivor.
 """
 
 from __future__ import annotations
@@ -31,40 +33,34 @@ class MalformedStructureError(StructuralError):
     ideal."""
 
 
-def _letter_cells(bar: TruncatedBarAlgebra, p: int, label: str) -> list:
-    """The letter coordinates of the level-1 product cells of block p
-    (0 the base S, 1 the letter R) times the letter, one row per
-    generator of block p.  A cell with a base coordinate raises, naming
+def extract_crossed_module(bar: TruncatedBarAlgebra) -> CrossedModule:
+    """The crossed module a bar structure stores, read off its own
+    levels: S is level 0, the action and the product of R are the letter
+    coordinates of the level-1 cells (s,0)(0,r) = (0, s.r) and
+    (0,a)(0,b) = (0, ab), and eta(r) = d_0(0, r) at level 1.  The action
+    cells are read first; a cell with a base coordinate raises, naming
     the cell by label and its generator pair."""
-    xm = bar.xm
     lvl = bar.levels[1]
-    constants = []
-    for gp, row in zip((xm.s_alg, xm.r_alg)[p].generators(),
-                       lvl.split(bar.algebras[1].mul.constants)[p]):
-        constants.append([])
-        for gr, cell in zip(xm.r_alg.generators(), lvl.split(row)[1]):
-            s_part, letter = lvl.split(cell)
-            if s_part != xm.s_alg.zero:
-                raise MalformedStructureError(
-                    f"{label} has base coordinate {s_part} at {(gp, gr)}")
-            constants[-1].append(letter)
-    return constants
-
-
-def extract_action(bar: TruncatedBarAlgebra) -> AlgebraAction:
-    """Read the action tensor off the level-1 product cells (s,0)(0,r)."""
-    s_alg, r_alg = bar.xm.s_alg, bar.xm.r_alg
-    tensor = BilinearMap(s_alg.carrier, r_alg.carrier, r_alg.carrier,
-                         _letter_cells(bar, 0, "(s,0)(0,r)"))
-    return AlgebraAction(s_alg, r_alg, tensor)
-
-
-def extract_eta(bar: TruncatedBarAlgebra) -> AlgebraHom:
-    """eta(r) = d_0(0, r) at level 1, read off the letter images."""
-    xm = bar.xm
-    images = bar.levels[1].split(bar.face(1, 0).images)[1]
-    hom = ModuleHom(xm.r_alg.carrier, xm.s_alg.carrier, images, name="eta")
-    return AlgebraHom(xm.r_alg, xm.s_alg, hom, name="eta")
+    x_mod, r_mod = lvl.blocks
+    tensors = []
+    for label, blk, rows in zip(("(s,0)(0,r)", "(0,a)(0,b)"), lvl.blocks,
+                                lvl.split(bar.algebras[1].mul.constants)):
+        constants = []
+        for gp, row in zip(blk.generators(), rows):
+            constants.append([])
+            for gr, cell in zip(r_mod.generators(), lvl.split(row)[1]):
+                s_part, letter = lvl.split(cell)
+                if s_part != x_mod.zero:
+                    raise MalformedStructureError(
+                        f"{label} has base coordinate {s_part} at {(gp, gr)}")
+                constants[-1].append(letter)
+        tensors.append(BilinearMap(blk, r_mod, r_mod, constants))
+    act, r_mul = tensors
+    s_alg, r_alg = bar.algebras[0], Algebra(r_mod, r_mul)
+    eta = ModuleHom(r_mod, s_alg.carrier,
+                    lvl.split(bar.face(1, 0).images)[1], name="eta")
+    return CrossedModule(AlgebraHom(r_alg, s_alg, eta, name="eta"),
+                         AlgebraAction(s_alg, r_alg, act), name="extracted")
 
 
 def _tail_face_multiplicativity(bar: TruncatedBarAlgebra,
@@ -81,7 +77,7 @@ def _tail_face_multiplicativity(bar: TruncatedBarAlgebra,
         return d0.apply(bar.multiply(2, u, v)) \
             == bar.multiply(1, d0.apply(u), d0.apply(v))
 
-    tail = direct_sum([bar.xm.r_alg.carrier] * 2)
+    tail = direct_sum([bar.r_mod] * 2)
     rep = check("d0-on-tail-multiplicative @ 2", AXIOM, [tail, tail], ok,
                 policy, detail="fails exactly on CM2 violations",
                 maps=(d0,) + bar.tensors)
@@ -92,75 +88,65 @@ def _tail_face_multiplicativity(bar: TruncatedBarAlgebra,
 
 def verify_extracted(bar: TruncatedBarAlgebra,
                      policy: Policy | None = None) -> Report:
-    """Validate the crossed module read off a bar structure, routing the
-    CM axioms through the face maps that detect them."""
-    checks = []
+    """Validate the crossed module read off a bar structure, its own S
+    and R included, routing the CM axioms through the face maps that
+    detect them."""
     try:
-        act = extract_action(bar)
+        xm = extract_crossed_module(bar)
     except MalformedStructureError as exc:
-        checks.append(leaf("extraction", FAIL, STRUCTURAL, detail=str(exc)))
-        return group("verify-extracted", checks)
-    eta = extract_eta(bar)
-    ext = CrossedModule(eta, act, name="extracted")
-    checks.append(validate_algebra_action(act, policy))
-    checks.append(cm1_report(ext, policy))
-    checks.append(cm2_report(ext, policy))
-    checks.append(multiplicativity_report(
-        "d0-multiplicative @ 1", bar.face(1, 0), bar.algebras[1],
-        bar.algebras[0], policy))
-    checks.append(_tail_face_multiplicativity(bar, policy))
-    return group("verify-extracted", checks)
+        return group("verify-extracted", [leaf(
+            "extraction", FAIL, STRUCTURAL, detail=str(exc))])
+    return group("verify-extracted", [
+        validate_algebra_action(xm.action, policy),
+        cm1_report(xm, policy),
+        cm2_report(xm, policy),
+        multiplicativity_report(
+            "d0-multiplicative @ 1", bar.face(1, 0), bar.algebras[1],
+            bar.algebras[0], policy),
+        _tail_face_multiplicativity(bar, policy)])
 
 
 def roundtrip_from_structure(bar: TruncatedBarAlgebra,
                              policy: Policy | None = None) -> Report:
-    """Direction from a structure: read the crossed module's products off
-    it (S off level 0, the action and R off the level-1 cells of S times
-    the letter and of the letter times itself), rebuild every level
-    product from them, compare tensors.  No product is taken from
-    bar.xm, whose products a structure need not share.  The level
-    products do not read eta, so no second bar object is built."""
-    checks = []
+    """Direction from a structure: rebuild every level product from the
+    S, R and action of extract_crossed_module, compare tensors.  No
+    product is taken from bar.xm, whose products a structure need not
+    share.  The level products do not read eta, so no second bar object
+    is built."""
     try:
-        act = extract_action(bar)
-        r_mul = _letter_cells(bar, 1, "(0,a)(0,b)")
+        xm = extract_crossed_module(bar)
     except MalformedStructureError as exc:
-        checks.append(leaf("extraction", FAIL, STRUCTURAL, detail=str(exc)))
-        return group("roundtrip-from-structure", checks)
-    r_mod = act.acted.carrier
-    r_alg = Algebra(r_mod, BilinearMap(r_mod, r_mod, r_mod, r_mul))
-    rebuilt = (semidirect_power(bar.algebras[0], r_alg, act.tensor, k,
+        return group("roundtrip-from-structure", [leaf(
+            "extraction", FAIL, STRUCTURAL, detail=str(exc))])
+    rebuilt = (semidirect_power(xm.s_alg, xm.r_alg, xm.action.tensor, k,
                                 carrier=lvl).mul
                for k, lvl in enumerate(bar.levels))
     bad = next(((k, i, j) for k, (ta, tb) in
                 enumerate(zip(bar.level_tensors(), rebuilt))
                 for i, (ra, rb) in enumerate(zip(ta.constants, tb.constants))
                 for j, (va, vb) in enumerate(zip(ra, rb)) if va != vb), None)
-    checks.append(leaf(
+    return group("roundtrip-from-structure", [leaf(
         "rebuild-products-exact", PASS if bad is None else FAIL, THEOREM,
         detail="level tensors of the rebuilt bar match the input",
-        witness=bad, meta={"levels": bar.depth}))
-    return group("roundtrip-from-structure", checks)
+        witness=bad, meta={"levels": bar.depth})])
 
 
 def roundtrip_check(xm: CrossedModule, depth: int = 4,
                     policy: Policy | None = None) -> Report:
-    checks = [validate_crossed_module(xm, policy)]
     bar = build_bar_algebra(xm, depth)
-
-    act = extract_action(bar)
-    checks.append(leaf(
-        "action-extraction-exact",
-        PASS if act.tensor.constants == xm.action.tensor.constants else FAIL,
-        THEOREM, detail="(s,0)(0,r) = (0, s.r) recovers the action tensor"))
-    eta = extract_eta(bar)
-    checks.append(leaf(
-        "eta-readback-exact",
-        PASS if eta.hom == xm.eta.hom else FAIL, THEOREM,
-        detail="d_0 at level 1 recovers eta"))
-
-    checks.append(roundtrip_from_structure(bar, policy))
-    checks.append(verify_extracted(bar, policy))
+    ext = extract_crossed_module(bar)
+    checks = [
+        validate_crossed_module(xm, policy),
+        leaf("action-extraction-exact",
+             PASS if ext.action.tensor.constants
+             == xm.action.tensor.constants else FAIL, THEOREM,
+             detail="(s,0)(0,r) = (0, s.r) recovers the action tensor"),
+        leaf("eta-readback-exact",
+             PASS if ext.eta.hom == xm.eta.hom else FAIL, THEOREM,
+             detail="d_0 at level 1 recovers eta"),
+        roundtrip_from_structure(bar, policy),
+        verify_extracted(bar, policy),
+    ]
     name = xm.name or "xmod"
     return group(f"roundtrip {name} depth {depth}", checks)
 

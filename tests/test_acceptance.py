@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from idealbar.bar import build_bar_algebra, verify_bar
-from idealbar.bibar import build_bibar, phi_maps, verify_bibar
+from idealbar.bibar import build_bibar, verify_bibar
 from idealbar.crossed_ideal import (
     image_crossed_ideal_check,
     validate_crossed_ideal,
@@ -170,8 +170,7 @@ def test_criterion_6_bisimplicial_suite(announce):
             (1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0),
             (0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1, 0)))
 
-    corrupted = build_bibar(mor, n_depth=2, m_depth=2,
-                            phi=phi_maps(mor, 2, drop={(1, 0)}))
+    corrupted = build_bibar(mor, n_depth=2, m_depth=2, drop={(1, 0)})
     bad_rep = verify_bibar(corrupted)
     broken_at = bad_rep.find("dv0 dh0 = dh0 dv0 @ (1,1)")
 

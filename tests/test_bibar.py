@@ -2,8 +2,7 @@
 
 import pytest
 
-from idealbar.bibar import BiBar, build_bibar, phi_maps, verify_bibar
-from idealbar.core import StructuralError
+from idealbar.bibar import build_bibar, verify_bibar
 from idealbar.fixtures import nilcube_morphism
 from oracles import bibar_multiply, bibar_split, join
 
@@ -75,8 +74,7 @@ def test_conventions_are_notes_not_checks(bb):
 
 def test_corrupted_phi_breaks_commutation():
     mor = nilcube_morphism()
-    phi = phi_maps(mor, 2, drop={(1, 0)})
-    bb = build_bibar(mor, n_depth=2, m_depth=2, phi=phi)
+    bb = build_bibar(mor, n_depth=2, m_depth=2, drop={(1, 0)})
     rep = verify_bibar(bb)
     assert not rep.passed
     # the damage shows up exactly where horizontal meets vertical
@@ -87,10 +85,3 @@ def test_corrupted_phi_breaks_commutation():
     first = next(n for n in comm.walk()
                  if n.status == "FAIL" and not n.checks)
     assert first.name == "dv0 dh0 = dh0 dv0 @ (1,1)"
-
-
-def test_phi_shape_is_validated():
-    mor = nilcube_morphism()
-    short = phi_maps(mor, 1)
-    with pytest.raises(StructuralError):
-        BiBar(mor, n_depth=2, m_depth=2, phi=short)

@@ -17,7 +17,7 @@ import pytest
 import idealbar.bar
 import idealbar.xmod
 from idealbar.bar import build_bar_algebra, eta_k, verify_decomposition
-from idealbar.bibar import BiBar, phi_maps
+from idealbar.bibar import BiBar
 from idealbar.core import AlgebraHom, identity_hom
 from idealbar.crossed_ideal import XModMorphism
 from idealbar.enumeration import all_valid_xmods
@@ -98,19 +98,30 @@ def morphism_cases():
         str(FIXTURES / "nilcube.json")).morphism("incl"), 3
 
 
+# the deepest bibar of the identity morphism that builds with one
+# column, where it is shallower than the case: the bibar gate refuses
+# |B2_n| |B1_n| above the enumeration bound
+PHI_DEPTH = {"nilcube": 3, "broken_z4": 3}
+
+
 @pytest.mark.parametrize("name,mor,depth", list(morphism_cases()),
                          ids=IDS + ["nilcube-incl"])
 def test_phi_maps_match_oracles_under_each_single_drop(name, mor, depth):
+    depth = PHI_DEPTH.get(name, depth)
     drops = [()] + [((n, j),) for n in range(1, depth + 1) for j in range(n)]
     for drop in drops:
-        for n, phi in enumerate(phi_maps(mor, depth, drop=drop)):
+        bb = BiBar(mor, depth, 1, drop=drop)
+        for n, phi in enumerate(bb.phi):
             assert_same_hom(phi, phi_oracle(mor, n, drop), shared=False)
+            # built on the bars' own levels
+            assert phi.domain is bb.bar1.levels[n]
+            assert phi.codomain is bb.bar2.levels[n]
 
 
 @pytest.mark.parametrize("drop", [(), ((1, 0),), ((3, 2),)])
 def test_bibar_operators_match_oracles(drop):
     mor = Workspace.load(str(FIXTURES / "nilcube.json")).morphism("incl")
-    bb = BiBar(mor, 3, 2, phi=phi_maps(mor, 3, drop=drop))
+    bb = BiBar(mor, 3, 2, drop=drop)
     for bm in [bb.bar1, bb.bar2] + bb.rows:
         assert_operators_match(bm)
 

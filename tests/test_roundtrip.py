@@ -22,8 +22,7 @@ from idealbar.roundtrip import (
     MalformedStructureError,
     _definition_filter,
     _mutate_tensors,
-    extract_action,
-    extract_eta,
+    extract_crossed_module,
     perturb_and_filter,
     roundtrip_check,
     roundtrip_from_structure,
@@ -39,15 +38,35 @@ BROKEN_Z4 = str(Path(__file__).resolve().parent.parent / "fixtures"
 
 def test_extraction_recovers_the_input():
     xm = nilsquare_xmod()
-    bar = build_bar_algebra(xm, depth=2)
-    assert extract_action(bar) == xm.action
-    assert extract_eta(bar) == xm.eta
+    ext = extract_crossed_module(build_bar_algebra(xm, depth=2))
+    assert ext.action == xm.action
+    assert ext.eta == xm.eta
+    assert (ext.s_alg, ext.r_alg) == (xm.s_alg, xm.r_alg)
+
+
+def extraction_cases():
+    yield from (nilsquare_xmod(), nilcube_xmod(), nilcube_inclusion_xmod(),
+                broken_action_xmod())
+    yield from all_valid_xmods(4, 1)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_extract_crossed_module_gives_back_the_built_crossed_module(depth):
+    # what the bar was built from, read back off its own levels
+    for xm in extraction_cases():
+        ext = extract_crossed_module(build_bar_algebra(xm, depth))
+        assert ext.action.tensor.constants == xm.action.tensor.constants
+        assert ext.eta.hom.images == xm.eta.hom.images
+        assert ext.r_alg.mul.constants == xm.r_alg.mul.constants
+        assert ext.s_alg.mul.constants == xm.s_alg.mul.constants
+        assert (ext.s_alg.orders, ext.r_alg.orders) \
+            == (xm.s_alg.orders, xm.r_alg.orders)
 
 
 def test_extract_eta_is_first_face_on_letters():
     xm = nilsquare_xmod()
     bar = build_bar_algebra(xm, depth=1)
-    eta = extract_eta(bar)
+    eta = extract_crossed_module(bar).eta
     for r in xm.r_alg.elements():
         d0 = bar.face(1, 0).apply(bar.embed_r(1, [r]))
         assert d0 == eta.apply(r)
@@ -64,7 +83,7 @@ def test_extraction_rejects_products_leaving_the_tail():
     crooked = build_bar_algebra(xm, depth=1).with_level_tensor(
         1, BilinearMap(lvl, lvl, lvl, consts))
     with pytest.raises(MalformedStructureError):
-        extract_action(crooked)
+        extract_crossed_module(crooked)
 
 
 def test_unreadable_structure_is_one_structural_leaf_in_each_direction():
@@ -91,12 +110,43 @@ def test_letter_cell_with_a_base_coordinate_is_the_structural_leaf():
     letter = xm.s_alg.carrier.rank
     cell = {(letter, letter): lvl.inject(0, s_gen)}
     crooked = bar.with_level_tensor(1, bar.level_tensors()[1].with_cells(cell))
-    rep = roundtrip_from_structure(crooked)
-    assert [(c.name, c.status, c.kind) for c in rep.checks] \
-        == [("extraction", FAIL, STRUCTURAL)]
-    assert rep.checks[0].detail \
-        == "(0,a)(0,b) has base coordinate (0, 1) at ((1,), (1,))"
-    assert exit_code(rep) == 3
+    for rep in (verify_extracted(crooked), roundtrip_from_structure(crooked)):
+        assert [(c.name, c.status, c.kind) for c in rep.checks] \
+            == [("extraction", FAIL, STRUCTURAL)]
+        assert rep.checks[0].detail \
+            == "(0,a)(0,b) has base coordinate (0, 1) at ((1,), (1,))"
+        assert exit_code(rep) == 3
+
+
+def test_action_cells_are_read_before_the_letter_cells():
+    # a structure broken in both kinds of cell names (s,0)(0,r)
+    xm = nilsquare_xmod()
+    bar = build_bar_algebra(xm, depth=1)
+    lvl, letter = bar.levels[1], xm.s_alg.carrier.rank
+    cells = {(0, letter): lvl.inject(0, xm.s_alg.generators()[0]),
+             (letter, letter): lvl.inject(0, xm.s_alg.generators()[1])}
+    crooked = bar.with_level_tensor(1, bar.level_tensors()[1].with_cells(cells))
+    with pytest.raises(MalformedStructureError, match=r"^\(s,0\)\(0,r\) "):
+        extract_crossed_module(crooked)
+
+
+def test_verify_extracted_checks_the_letter_product_the_structure_carries():
+    # S = 0 and R = Z/2 with zero product, at depth 1, with the letter
+    # cell (0,g)(0,g) set to (0,g): the definition holds, but the
+    # structure's own crossed module, R' with g g = g and eta = 0, fails
+    # CM2 at (g, g), which the product of bar.xm's R would hide
+    xm = all_valid_xmods(4, 1)[7]
+    assert (xm.s_alg.orders, xm.r_alg.orders) == ((), (2,))
+    assert xm.r_alg.mul.constants == (((0,),),)
+    bar = build_bar_algebra(xm, depth=1)
+    crooked = bar.with_level_tensor(
+        1, bar.level_tensors()[1].with_cells({(0, 0): (1,)}))
+    assert definition_checks(crooked).passed
+    assert extract_crossed_module(crooked).r_alg.mul.constants == (((1,),),)
+    rep = verify_extracted(crooked)
+    cm2 = rep.find("cm2")
+    assert (cm2.status, cm2.witness) == (FAIL, ((1,), (1,)))
+    assert not rep.passed and exit_code(rep) == 1
 
 
 def xmod_workspace(path, xm):
