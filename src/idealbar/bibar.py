@@ -23,8 +23,9 @@ from itertools import product
 
 from .bar import (TruncatedBarAlgebra, TruncatedBarModule, level_size,
                   verify_simplicial_identities)
-from .core import (Algebra, ModuleHom, block_hom, block_tensor, identity_hom,
-                   maps_equal_report, multiplicativity_report)
+from .core import (Algebra, ModuleHom, StructuralError, block_hom,
+                   block_tensor, identity_hom, maps_equal_report,
+                   multiplicativity_report)
 from .crossed_ideal import XModMorphism
 from .policy import Policy
 from .report import AXIOM, NOTE, THEOREM, Report, group, leaf
@@ -48,7 +49,8 @@ class BiBar:
     componentwise products at every bilevel.  drop is a collection of
     (n, j) pairs: letter j of phi_n is sent to zero there instead of
     through alpha1, which breaks the square with the face maps and
-    serves as the negative control."""
+    serves as the negative control.  A pair that names no letter of a
+    built phi_n is refused, so the control cannot corrupt nothing."""
 
     def __init__(self, morphism: XModMorphism, n_depth: int = 2,
                  m_depth: int = 2, drop=()):
@@ -58,6 +60,13 @@ class BiBar:
         level_size(level_size(tgt.s_alg.size, tgt.r_alg.size, n_depth),
                    level_size(src.s_alg.size, src.r_alg.size, n_depth),
                    m_depth)
+        # phi_n has letters 0..n-1, and phi_0..phi_N are built
+        stray = [(n, j) for n, j in drop if not 0 <= j < n <= n_depth]
+        if stray:
+            n, j = min(stray)
+            raise StructuralError(
+                f"drop ({n}, {j}) names no built letter of phi: "
+                f"need 0 <= j < n <= {n_depth}")
         self.morphism = morphism
         self.n_depth = n_depth
         self.m_depth = m_depth

@@ -229,15 +229,9 @@ def run(args) -> "Report":
         if args.corrupt_phi is not None:
             n, _, j = args.corrupt_phi.partition(":")
             try:
-                n, j = int(n), int(j)
+                drop = {(int(n), int(j))}
             except ValueError:
                 raise IdealbarError("--corrupt-phi expects N:J with integers")
-            # phi_N has letters 0..N-1, and rows 0..--rows are built
-            if not 0 <= j < n <= args.rows:
-                raise IdealbarError(
-                    f"--corrupt-phi {n}:{j} names no built letter: "
-                    f"need 0 <= J < N <= --rows ({args.rows})")
-            drop = {(n, j)}
         bb = build_bibar(mor, args.rows, args.cols, drop)
         return verify_bibar(bb, policy)
 

@@ -97,6 +97,8 @@ class FiniteModule:
         return self.zero[:start] + x + self.zero[start + len(x):]
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, FiniteModule)
                 and self.modulus == other.modulus
                 and self.orders == other.orders)
@@ -319,6 +321,8 @@ class BilinearMap:
         return self._well_defined
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, BilinearMap)
                 and self.left == other.left and self.right == other.right
                 and self.target == other.target
@@ -365,6 +369,8 @@ class Algebra:
 
     def __eq__(self, other):
         # name is presentation only
+        if self is other:
+            return True
         return (isinstance(other, Algebra) and self.carrier == other.carrier
                 and self.mul == other.mul)
 
@@ -423,6 +429,8 @@ class ModuleHom:
                          name=f"{self.name}.{inner.name}" if self.name or inner.name else "")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, ModuleHom)
                 and self.domain == other.domain
                 and self.codomain == other.codomain

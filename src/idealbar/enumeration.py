@@ -18,8 +18,9 @@ from .crossed_ideal import (CrossedIdealMap, SubXMod, XModMorphism,
                             sub_crossed_module, validate_crossed_ideal_map)
 from .policy import EXHAUSTIVE, Policy
 from .report import FAIL, NOTE, PASS, THEOREM, Report, group, leaf
-from .xmod import (AlgebraAction, CrossedModule, crossed_module_report,
-                   inclusion_xmod, validate_algebra_action)
+from .xmod import (AlgebraAction, CrossedModule, algebra_action_validator,
+                   crossed_module_clauses, crossed_module_report,
+                   inclusion_xmod)
 
 MAX_PAIR_ENUM = 200_000
 
@@ -118,23 +119,28 @@ def classify_xmods(r_alg: Algebra, s_alg: Algebra,
     with the report validate_crossed_module gives it.
 
     Each factor of a candidate is validated once: validate_algebra of R
-    and of S once per call, validate_hom once per hom eta and
-    validate_algebra_action once per action tensor.  Only CM1 and CM2
-    run per candidate.  The rejects share those factor reports as nodes
-    of their trees, so every returned report is read-only."""
+    and of S once per call, validate_hom once per hom eta and the action
+    validator once per action tensor, all through the same clauses as
+    validate_crossed_module.  The action clauses are built once per call
+    and CM1 and CM2 once per eta, so what an eta fixes, such as the
+    right sides of CM1, is read once for all its tensors; only CM1 and
+    CM2 then run per candidate, each read off the tensor's constants
+    where the maps are well defined.  The rejects share the factor
+    reports as nodes of their trees, so every returned report is
+    read-only."""
     algebra_reps = [validate_algebra(r_alg), validate_algebra(s_alg)]
-    actions = []
-    for tensor in enumerate_action_tensors(s_alg, r_alg):
-        act = AlgebraAction(s_alg, r_alg, tensor)
-        actions.append((act, validate_algebra_action(act, policy)))
+    validate_action = algebra_action_validator(s_alg, r_alg, policy)
+    actions = [(AlgebraAction(s_alg, r_alg, tensor), validate_action(tensor))
+               for tensor in enumerate_action_tensors(s_alg, r_alg)]
     valid, invalid = [], []
     for eta in enumerate_homs(r_alg, s_alg):
         hom_rep = validate_hom(eta, policy)
+        cm = crossed_module_clauses(eta, policy)
         for act, act_rep in actions:
             xm = CrossedModule(eta, act,
                                name=f"cand{len(valid) + len(invalid)}")
             rep = crossed_module_report(
-                xm, [*algebra_reps, hom_rep, act_rep], policy)
+                xm, [*algebra_reps, hom_rep, act_rep, *cm(act.tensor)])
             if rep.passed:
                 valid.append(xm)
             else:

@@ -11,9 +11,24 @@ crossed-module axioms
     CM2:  eta(r).r'   = r * r'
 
 it forms a crossed module.
+
+An action is validated on two trilinear clauses, product compatibility
+and actor composition, and a crossed module adds CM1 and CM2, which are
+bilinear.  Each clause is written once, as a function of the action
+tensor built for fixed algebras (and, for CM1 and CM2, a fixed eta):
+what those fix is read once, and where every map the clause reads is
+well defined the clause is read off the structure constants and the
+image matrix of eta on generator tuples, with the leaf policy.check
+gives.  Where a map is not well defined, the clause's element predicate
+goes to check and is swept.  classify_xmods builds these functions once
+per pair of algebras and once per eta.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from math import prod
+from operator import mod
 
 from .core import (Algebra, AlgebraHom, BilinearMap, ModuleHom,
                    PreconditionError, StructuralError, Submodule,
@@ -21,7 +36,7 @@ from .core import (Algebra, AlgebraHom, BilinearMap, ModuleHom,
                    order_compatibility, semidirect_product,
                    torsion_compatibility, validate_algebra, validate_hom)
 from .policy import EXHAUSTIVE, Policy, check, sweep  # noqa: F401 (see core)
-from .report import (AXIOM, NOTE, PASS, STRUCTURAL, THEOREM, Report,
+from .report import (AXIOM, FAIL, NOTE, PASS, STRUCTURAL, THEOREM, Report,
                      group, leaf, relabel)
 
 
@@ -61,30 +76,130 @@ class AlgebraAction:
         return hash((self.actor, self.acted, self.tensor))
 
 
-def validate_algebra_action(act: AlgebraAction, policy: Policy | None = None) -> Report:
-    """k-bilinearity is carried by the tensor encoding; what can fail is
+def _combine(coeffs, rows, orders):
+    """sum_l coeffs[l] rows[l], reduced mod orders: the linear combination
+    every clause below reads off a table.  Each row is a reduced
+    coefficient tuple, so a single term with coefficient 1 is its row."""
+    out = None
+    for v, row in zip(coeffs, rows):
+        if v:
+            if out is None:
+                out, reduced = ((row, True) if v == 1
+                                else ([v * w for w in row], False))
+            else:
+                out, reduced = [a + v * w for a, w in zip(out, row)], False
+    if out is None:
+        return (0,) * len(orders)
+    return out if reduced else tuple(map(mod, out, orders))
+
+
+def _scan(alg: Algebra):
+    """The generators of alg with their indices, in element order
+    e_n < .. < e_1, which is the order policy.check scans them in."""
+    return list(enumerate(alg.generators()))[::-1]
+
+
+def _clause(name, detail, spaces, maps, first_bad, pred, policy):
+    """One clause of an action tensor, as a function of the tensor.
+
+    maps are the fixed maps the clause reads besides the tensor.  When
+    they and the tensor are well defined, first_bad reads the tensor's
+    constants on generator tuples, scanned as policy.check scans them,
+    and gives the first failing tuple or None; the leaf is then the one
+    check gives.  Otherwise pred, the element predicate with the tensor
+    as its first argument, is handed to check and swept under policy."""
+    fixed = all(m.well_defined() for m in maps)
+    meta = {"mode": EXHAUSTIVE, "checked": prod(s.size for s in spaces)}
+
+    def decide(tensor: BilinearMap) -> Report:
+        if not (fixed and tensor.well_defined()):
+            return check(name, AXIOM, spaces, partial(pred, tensor), policy,
+                         detail)
+        bad = first_bad(tensor.constants)
+        return leaf(name, PASS if bad is None else FAIL, AXIOM,
+                    detail=detail, witness=bad, meta=meta)
+    return decide
+
+
+def _product_compatibility(s_alg: Algebra, r_alg: Algebra, policy):
+    # at (s_i, r_j, r_k): sum_l rc[j][k]_l c[i][l] against c[i][j] r_k
+    # and r_j c[i][k], with r_k read as column k of R's product
+    rc, orders = r_alg.mul.constants, r_alg.orders
+    cols = [[row[k] for row in rc] for k in range(len(rc))]
+    s_scan, r_scan = _scan(s_alg), _scan(r_alg)
+
+    def first_bad(c):
+        for i, s in s_scan:
+            ci = c[i]
+            for j, r1 in r_scan:
+                for k, r2 in r_scan:
+                    lhs = _combine(rc[j][k], ci, orders)
+                    if (lhs != _combine(ci[j], cols[k], orders)
+                            or lhs != _combine(ci[k], rc[j], orders)):
+                        return s, r1, r2
+        return None
+
+    def pred(tensor, s, r1, r2):
+        lhs = tensor.evaluate(s, r_alg.multiply(r1, r2))
+        return (lhs == r_alg.multiply(tensor.evaluate(s, r1), r2)
+                and lhs == r_alg.multiply(r1, tensor.evaluate(s, r2)))
+
+    return _clause("product-compatibility",
+                   "s.(r1 r2) = (s.r1) r2 = r1 (s.r2)", [s_alg, r_alg, r_alg],
+                   (r_alg.mul,), first_bad, pred, policy)
+
+
+def _actor_composition(s_alg: Algebra, r_alg: Algebra, policy):
+    # at (s_i, s_j, r_k): sum_l sc[i][j]_l c[l][k], column k of the
+    # tensor, against sum_l c[j][k]_l c[i][l]
+    sc, orders = s_alg.mul.constants, r_alg.orders
+    s_scan, r_scan = _scan(s_alg), _scan(r_alg)
+
+    def first_bad(c):
+        for i, s1 in s_scan:
+            for j, s2 in s_scan:
+                for k, r in r_scan:
+                    if (_combine(sc[i][j], [row[k] for row in c], orders)
+                            != _combine(c[j][k], c[i], orders)):
+                        return s1, s2, r
+        return None
+
+    def pred(tensor, s1, s2, r):
+        return (tensor.evaluate(s_alg.multiply(s1, s2), r)
+                == tensor.evaluate(s1, tensor.evaluate(s2, r)))
+
+    return _clause("actor-composition", "(s1 s2).r = s1.(s2.r)",
+                   [s_alg, s_alg, r_alg], (s_alg.mul,), first_bad, pred,
+                   policy)
+
+
+def algebra_action_validator(s_alg: Algebra, r_alg: Algebra,
+                             policy: Policy | None = None):
+    """validate_algebra_action of every action of s_alg on r_alg, as a
+    function of its tensor; what the algebras alone fix is read once,
+    here.
+
+    k-bilinearity is carried by the tensor encoding; what can fail is
     torsion, compatibility with the product of R, and composition of
-    actors."""
-    s_alg, r_alg = act.actor, act.acted
-    checks = [torsion_compatibility(act.tensor),
-              leaf("k-bilinearity", PASS, STRUCTURAL,
-                   detail="holds by the tensor encoding")]
+    actors.  Both of these are trilinear, so where the tensor and the
+    product they read are well defined they are read off the constants
+    on generator triples (see _clause)."""
+    compat = _product_compatibility(s_alg, r_alg, policy)
+    compose = _actor_composition(s_alg, r_alg, policy)
 
-    def compat(s, r1, r2):
-        lhs = act.apply(s, r_alg.multiply(r1, r2))
-        return (lhs == r_alg.multiply(act.apply(s, r1), r2)
-                and lhs == r_alg.multiply(r1, act.apply(s, r2)))
+    def validate(tensor: BilinearMap) -> Report:
+        return group("validate-algebra-action", [
+            torsion_compatibility(tensor),
+            leaf("k-bilinearity", PASS, STRUCTURAL,
+                 detail="holds by the tensor encoding"),
+            compat(tensor), compose(tensor)])
+    return validate
 
-    checks.append(check("product-compatibility", AXIOM, [s_alg, r_alg, r_alg],
-                        compat, policy,
-                        detail="s.(r1 r2) = (s.r1) r2 = r1 (s.r2)",
-                        maps=(act.tensor, r_alg.mul)))
-    checks.append(check("actor-composition", AXIOM, [s_alg, s_alg, r_alg],
-                        lambda s1, s2, r: act.apply(s_alg.multiply(s1, s2), r)
-                        == act.apply(s1, act.apply(s2, r)), policy,
-                        detail="(s1 s2).r = s1.(s2.r)",
-                        maps=(act.tensor, s_alg.mul)))
-    return group("validate-algebra-action", checks)
+
+def validate_algebra_action(act: AlgebraAction, policy: Policy | None = None) -> Report:
+    """Torsion, product compatibility and actor composition of the
+    action (see algebra_action_validator)."""
+    return algebra_action_validator(act.actor, act.acted, policy)(act.tensor)
 
 
 class CrossedModule:
@@ -114,22 +229,70 @@ class CrossedModule:
         return f"CrossedModule({self.name or 'unnamed'})"
 
 
+def _cm1(eta: AlgebraHom, policy):
+    # at (s_i, r_j): eta(c[i][j]) against s_i eta(r_j), the latter
+    # sum_l E[j]_l sc[i][l] read once per eta
+    s_alg, images, orders = eta.cod, eta.images, eta.cod.orders
+    rhs = [[_combine(img, row, orders) for img in images]
+           for row in s_alg.mul.constants]
+    s_scan, r_scan = _scan(s_alg), _scan(eta.dom)
+
+    def first_bad(c):
+        for i, s in s_scan:
+            for j, r in r_scan:
+                if _combine(c[i][j], images, orders) != rhs[i][j]:
+                    return s, r
+        return None
+
+    def pred(tensor, s, r):
+        return (eta.apply(tensor.evaluate(s, r))
+                == s_alg.multiply(s, eta.apply(r)))
+
+    return _clause("cm1", "eta(s.r) = s eta(r)", [s_alg, eta.dom],
+                   (eta.hom, s_alg.mul), first_bad, pred, policy)
+
+
+def _cm2(eta: AlgebraHom, policy):
+    # at (r_i, r_j): sum_k E[i]_k c[k][j], column j of the tensor,
+    # against rc[i][j]
+    r_alg, images, orders = eta.dom, eta.images, eta.dom.orders
+    rc = r_alg.mul.constants
+    r_scan = _scan(r_alg)
+
+    def first_bad(c):
+        for i, r1 in r_scan:
+            for j, r2 in r_scan:
+                col = [row[j] for row in c]
+                if _combine(images[i], col, orders) != rc[i][j]:
+                    return r1, r2
+        return None
+
+    def pred(tensor, r1, r2):
+        return tensor.evaluate(eta.apply(r1), r2) == r_alg.multiply(r1, r2)
+
+    return _clause("cm2", "eta(r1).r2 = r1 r2", [r_alg, r_alg],
+                   (eta.hom, r_alg.mul), first_bad, pred, policy)
+
+
+def crossed_module_clauses(eta: AlgebraHom, policy: Policy | None = None):
+    """CM1 and CM2 of every crossed module on eta, as a function of its
+    action tensor giving the cm1 and cm2 leaves; what eta fixes, the
+    right sides s_i eta(r_j) of CM1 among it, is read once, here.
+
+    Both clauses are bilinear, so where eta, the tensor and the product
+    each reads are well defined they are read off the image matrix and
+    the constants on generator pairs (see _clause); otherwise the
+    elements are swept under policy."""
+    cm1, cm2 = _cm1(eta, policy), _cm2(eta, policy)
+    return lambda tensor: [cm1(tensor), cm2(tensor)]
+
+
 def cm1_report(xm: CrossedModule, policy: Policy | None = None) -> Report:
-    s_alg = xm.s_alg
-    return check("cm1", AXIOM, [s_alg, xm.r_alg],
-                 lambda s, r: xm.eta.apply(xm.action.apply(s, r))
-                 == s_alg.multiply(s, xm.eta.apply(r)), policy,
-                 detail="eta(s.r) = s eta(r)",
-                 maps=(xm.eta.hom, xm.action.tensor, s_alg.mul))
+    return _cm1(xm.eta, policy)(xm.action.tensor)
 
 
 def cm2_report(xm: CrossedModule, policy: Policy | None = None) -> Report:
-    r_alg = xm.r_alg
-    return check("cm2", AXIOM, [r_alg, r_alg],
-                 lambda r1, r2: xm.action.apply(xm.eta.apply(r1), r2)
-                 == r_alg.multiply(r1, r2), policy,
-                 detail="eta(r1).r2 = r1 r2",
-                 maps=(xm.eta.hom, xm.action.tensor, r_alg.mul))
+    return _cm2(xm.eta, policy)(xm.action.tensor)
 
 
 def validate_crossed_module(xm: CrossedModule, policy: Policy | None = None) -> Report:
@@ -140,19 +303,17 @@ def validate_crossed_module(xm: CrossedModule, policy: Policy | None = None) -> 
         validate_algebra(xm.s_alg),
         validate_hom(xm.eta, policy),
         validate_algebra_action(xm.action, policy),
-    ], policy)
+        cm1_report(xm, policy),
+        cm2_report(xm, policy),
+    ])
 
 
-def crossed_module_report(xm: CrossedModule, factors: list[Report],
-                          policy: Policy | None = None) -> Report:
-    """The report of validate_crossed_module from the reports of its
-    factors, which depend on less than the whole candidate: validate_algebra
-    of R and of S, validate_hom of eta and validate_algebra_action, in that
-    order.  CM1 and CM2 read all of it and are run here.  The factor
-    reports become nodes of the returned tree."""
-    name = xm.name or "xmod"
-    return group(f"validate-crossed-module {name}",
-                 factors + [cm1_report(xm, policy), cm2_report(xm, policy)])
+def crossed_module_report(xm: CrossedModule, checks: list[Report]) -> Report:
+    """The report of validate_crossed_module from its six parts:
+    validate_algebra of R and of S, validate_hom of eta,
+    validate_algebra_action, cm1 and cm2, in that order.  The parts
+    become nodes of the returned tree, so a caller may share them."""
+    return group(f"validate-crossed-module {xm.name or 'xmod'}", checks)
 
 
 def inclusion_xmod(alg: Algebra, ideal: Submodule, name: str = "") -> CrossedModule:

@@ -3,6 +3,7 @@
 import pytest
 
 from idealbar.bibar import build_bibar, verify_bibar
+from idealbar.core import StructuralError, UnsupportedScaleError
 from idealbar.fixtures import nilcube_morphism
 from oracles import bibar_multiply, bibar_split, join
 
@@ -85,3 +86,16 @@ def test_corrupted_phi_breaks_commutation():
     first = next(n for n in comm.walk()
                  if n.status == "FAIL" and not n.checks)
     assert first.name == "dv0 dh0 = dh0 dv0 @ (1,1)"
+
+
+@pytest.mark.parametrize("drop", [{(9, 0)}, {(1, 5)}, {(3, 0)}, {(2, 2)},
+                                  {(0, 0)}, {(1, -1)}, {(1, 0), (2, 7)}])
+def test_a_drop_naming_no_built_letter_is_refused(drop):
+    # such a pair used to corrupt nothing, so the negative control passed
+    with pytest.raises(StructuralError, match="names no built letter"):
+        build_bibar(nilcube_morphism(), n_depth=2, m_depth=2, drop=drop)
+
+
+def test_the_scale_gate_refuses_before_the_drop_is_read():
+    with pytest.raises(UnsupportedScaleError):
+        build_bibar(nilcube_morphism(), n_depth=40, m_depth=2, drop={(99, 0)})

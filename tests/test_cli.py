@@ -245,10 +245,12 @@ def test_enumerate_beyond_the_tensor_bound_is_refused():
 
 def test_corrupt_phi_outside_the_built_letters_is_refused():
     # 9:0 names a row beyond --rows and used to corrupt nothing, so the
-    # negative control passed with exit 0
+    # negative control passed with exit 0; BiBar refuses such a pair
     for spec in ("9:0", "3:0", "1:1", "2:2", "-1:0", "1:-1"):
         _one_line_error(cli("-w", NILCUBE, "bibar-verify", "incl",
-                            f"--corrupt-phi={spec}"), "--corrupt-phi")
+                            f"--corrupt-phi={spec}"), "names no built letter")
+    _one_line_error(cli("-w", NILCUBE, "bibar-verify", "incl",
+                        "--corrupt-phi=1:x"), "--corrupt-phi")
     res = cli("-w", NILCUBE, "bibar-verify", "incl", "--rows", "3",
               "--corrupt-phi", "3:2")
     assert res.returncode == 1

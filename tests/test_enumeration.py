@@ -143,6 +143,23 @@ def test_classification_matches_the_oracle_under_sampling():
                                policy)
 
 
+@pytest.mark.parametrize("policy", [None, Policy(mode="sample",
+                                                 sample_count=3, seed=5)])
+def test_classification_matches_the_oracle_off_torsion(policy):
+    # over Z/4 + Z/2, g_2 g_2 = g_1 is not torsion-compatible (2 g_1 !=
+    # 0), so every clause that reads this product is swept, on either
+    # side of the pair
+    mod = FiniteModule(4, [4, 2])
+    broken = Algebra(mod, BilinearMap(mod, mod, mod, [[(0, 0), (0, 0)],
+                                                      [(0, 0), (1, 0)]]))
+    assert not broken.mul.well_defined()
+    for other in enumerate_algebras(4, 1)[:3]:
+        assert_same_classification(other, broken, policy)
+        assert_same_classification(broken, other, policy)
+    valid, invalid = classify_xmods(enumerate_algebras(4, 1)[0], broken)
+    assert not valid and invalid
+
+
 def test_each_factor_is_validated_once(monkeypatch):
     r, s = nilsquare_ideal_algebra(), nilsquare_algebra()
     calls = Counter()
@@ -153,15 +170,30 @@ def test_each_factor_is_validated_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("validate_algebra", "validate_hom", "validate_algebra_action"):
+    def built(name, builder):
+        # the function a builder returns decides one tensor per call
+        def wrapper(*args, **kwargs):
+            calls[f"{name} built"] += 1
+            return counted(name, builder(*args, **kwargs))
+        return wrapper
+
+    for name in ("validate_algebra", "validate_hom"):
         for mod in (core_mod, xmod_mod, enumeration_mod):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    for name, builder in (
+            ("validate_algebra_action", "algebra_action_validator"),
+            ("cm1 and cm2", "crossed_module_clauses")):
+        monkeypatch.setattr(enumeration_mod, builder,
+                            built(name, getattr(xmod_mod, builder)))
     valid, invalid = classify_xmods(r, s)
     homs, tensors = enumerate_homs(r, s), enumerate_action_tensors(s, r)
     assert len(valid) + len(invalid) == len(homs) * len(tensors) == 8
     assert calls == {"validate_algebra": 2, "validate_hom": len(homs),
-                     "validate_algebra_action": len(tensors)}
+                     "validate_algebra_action built": 1,
+                     "validate_algebra_action": len(tensors),
+                     "cm1 and cm2 built": len(homs),
+                     "cm1 and cm2": len(homs) * len(tensors)}
 
 
 def test_rejects_share_their_factor_reports():

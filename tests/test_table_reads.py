@@ -1,12 +1,14 @@
 """Checks read off tables, against the walks they replace.
 
 multiplicativity_report compares the image matrix and the structure
-constants instead of evaluating a predicate on generator pairs,
-torsion_violations and order_violations read only the cells whose orders
-allow a violation, and the perturbation harness derives each mutant from
-the canonical tensor's changed cells.  The slow forms are kept here as
-oracles: the generator-pair predicate through policy.check, the full
-(i, j, l) walk, and the rebuild of a mutant from raw lists.
+constants instead of evaluating a predicate on generator pairs, and so
+do the four clauses of a crossed module (product compatibility, actor
+composition, CM1 and CM2); torsion_violations and order_violations read
+only the cells whose orders allow a violation, and the perturbation
+harness derives each mutant from the canonical tensor's changed cells.
+The slow forms are kept here as oracles: the generator-tuple predicate
+through policy.check, the full (i, j, l) walk, and the rebuild of a
+mutant from raw lists.
 """
 
 import random
@@ -19,13 +21,18 @@ from hypothesis import strategies as st
 
 import idealbar.core as core_mod
 from idealbar.bar import build_bar_algebra
-from idealbar.core import (Algebra, BilinearMap, FiniteModule, ModuleHom,
-                           identity_hom, multiplicativity_report)
+from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
+                           ModuleHom, identity_hom, multiplicativity_report)
+from idealbar.enumeration import (enumerate_action_tensors, enumerate_algebras,
+                                  enumerate_homs)
 from idealbar.fixtures import nilcube_xmod
 from idealbar.policy import EXHAUSTIVE, Policy, check
 from idealbar.report import AXIOM
 from idealbar.roundtrip import _mutate_tensors
 from idealbar.workspace import Workspace
+from idealbar.xmod import (AlgebraAction, CrossedModule,
+                           algebra_action_validator, cm1_report, cm2_report,
+                           crossed_module_clauses, validate_algebra_action)
 
 MODULI = [4, 6, 8, 9]
 CASES = settings(max_examples=150, deadline=None)
@@ -52,6 +59,35 @@ def predicate_multiplicativity(name, hom, dom, cod, policy=None, kind=AXIOM):
         rep.detail = "f(uv) = f(u)f(v), generator pairs, complete by bilinearity"
         rep.meta["generator_pairs"] = dom.carrier.rank ** 2
     return rep
+
+
+def predicate_clauses(eta, tensor, policy=None):
+    """The four clauses of the crossed module (eta, tensor) as they were:
+    product compatibility, actor composition, cm1 and cm2, each the
+    predicate handed to check with the maps it reads."""
+    s_alg, r_alg = eta.cod, eta.dom
+    act, smul, rmul = tensor.evaluate, s_alg.multiply, r_alg.multiply
+
+    def compat(s, r1, r2):
+        lhs = act(s, rmul(r1, r2))
+        return lhs == rmul(act(s, r1), r2) and lhs == rmul(r1, act(s, r2))
+
+    return [
+        check("product-compatibility", AXIOM, [s_alg, r_alg, r_alg], compat,
+              policy, detail="s.(r1 r2) = (s.r1) r2 = r1 (s.r2)",
+              maps=(tensor, r_alg.mul)),
+        check("actor-composition", AXIOM, [s_alg, s_alg, r_alg],
+              lambda s1, s2, r: act(smul(s1, s2), r) == act(s1, act(s2, r)),
+              policy, detail="(s1 s2).r = s1.(s2.r)",
+              maps=(tensor, s_alg.mul)),
+        check("cm1", AXIOM, [s_alg, r_alg],
+              lambda s, r: eta.apply(act(s, r)) == smul(s, eta.apply(r)),
+              policy, detail="eta(s.r) = s eta(r)",
+              maps=(eta.hom, tensor, s_alg.mul)),
+        check("cm2", AXIOM, [r_alg, r_alg],
+              lambda r1, r2: act(eta.apply(r1), r2) == rmul(r1, r2), policy,
+              detail="eta(r1).r2 = r1 r2", maps=(eta.hom, tensor, r_alg.mul)),
+    ]
 
 
 def walked_torsion_violations(tensor):
@@ -193,6 +229,141 @@ def test_a_passing_hom_costs_one_apply_and_one_evaluate_per_pair(monkeypatch):
     assert rep.passed
     rank = dom.carrier.rank
     assert (len(applies), len(evaluates)) == (rank ** 2, rank ** 2)
+
+
+# ---------------------------------------------------------------------------
+# crossed-module clauses
+
+
+def json_leaves(reports):
+    return [rep.to_json() for rep in reports]
+
+
+def assert_clauses_match(eta, tensors, policy=None):
+    """Every route to the four clauses of (eta, tensor) gives the leaves
+    of the predicate path: validate_algebra_action with cm1_report and
+    cm2_report, and the functions classify_xmods builds once per pair of
+    algebras and once per eta."""
+    s_alg, r_alg = eta.cod, eta.dom
+    validate = algebra_action_validator(s_alg, r_alg, policy)
+    cm = crossed_module_clauses(eta, policy)
+    for tensor in tensors:
+        oracle = json_leaves(predicate_clauses(eta, tensor, policy))
+        xm = CrossedModule(eta, AlgebraAction(s_alg, r_alg, tensor))
+        act = validate_algebra_action(xm.action, policy)
+        assert json_leaves(act.checks[2:] + [cm1_report(xm, policy),
+                                             cm2_report(xm, policy)]) == oracle
+        assert json_leaves(validate(tensor).checks[2:] + cm(tensor)) == oracle
+
+
+def assert_candidates_match(r_alg, s_alg):
+    tensors = enumerate_action_tensors(s_alg, r_alg)
+    for eta in enumerate_homs(r_alg, s_alg):
+        assert_clauses_match(eta, tensors)
+
+
+@pytest.mark.parametrize("modulus", [3, 4, 6, 8, 9])
+def test_clauses_match_on_every_candidate_of_rank_at_most_one(modulus):
+    # rank-0 factors included: their clauses pass with checked the
+    # product of the sizes
+    algs = [a for rank in (0, 1) for a in enumerate_algebras(modulus, rank)]
+    for r_alg in algs:
+        for s_alg in algs:
+            assert_candidates_match(r_alg, s_alg)
+
+
+RANK_TWO = enumerate_algebras(2, 2)
+
+
+@pytest.mark.parametrize("pair", random.Random(23).sample(
+    [(r, s) for r in range(len(RANK_TWO)) for s in range(len(RANK_TWO))], 12),
+    ids=str)
+def test_clauses_match_on_the_candidates_of_rank_two_pairs(pair):
+    assert_candidates_match(RANK_TWO[pair[0]], RANK_TWO[pair[1]])
+
+
+def zero_tensor(left, right, target):
+    return BilinearMap(left, right, target,
+                       [[target.zero] * right.rank] * left.rank)
+
+
+def drawn_algebra(data, mod, compatible):
+    mul = (product_tensor(data, mod, compatible) if data.draw(st.booleans())
+           else zero_tensor(mod, mod, mod))
+    return Algebra(mod, mul)
+
+
+def redrawn_tensor(data, base, compatible):
+    """base with up to two cell coefficients redrawn."""
+    rows = [[list(cell) for cell in row] for row in base.constants]
+    left, right, target = base.left, base.right, base.target
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, left.rank - 1))
+        j = data.draw(st.integers(0, right.rank - 1))
+        l = data.draw(st.integers(0, target.rank - 1))
+        rows[i][j][l] = coefficient(data, target.orders[l], left.orders[i],
+                                    right.orders[j], compatible=compatible)
+    return BilinearMap(left, right, target, rows)
+
+
+@given(st.data(), st.sampled_from(MODULI), st.booleans(), st.booleans(),
+       st.booleans(), st.booleans(), st.booleans())
+@CASES
+def test_crossed_module_clauses_match_the_predicate_path(
+        data, m, endo, mul_ok, eta_ok, act_ok, sampled):
+    # the identity crossed module of an algebra, acting on itself by its
+    # product, passes every clause when the product is a zero or a
+    # commutative associative one, and fails a few generator tuples once
+    # eta or the tensor is redrawn; otherwise S, R, eta and the tensor
+    # are drawn outright.  A product, hom or tensor that is not well
+    # defined closes the gate, and the sampled policy then shows in the
+    # swept leaf
+    s_mod = module(data, m, 12)
+    s_alg = drawn_algebra(data, s_mod, mul_ok)
+    if endo:
+        r_alg, base_eta, base_act = s_alg, identity_hom(s_mod), s_alg.mul
+    else:
+        r_mod = module(data, m, 12)
+        r_alg = drawn_algebra(data, r_mod, mul_ok)
+        base_eta = ModuleHom(r_mod, s_mod, [s_mod.zero] * r_mod.rank)
+        base_act = zero_tensor(s_mod, r_mod, r_mod)
+    eta = AlgebraHom(r_alg, s_alg, redrawn_hom(data, base_eta, eta_ok))
+    tensor = redrawn_tensor(data, base_act, act_ok)
+    policy = Policy(mode="sample", sample_count=40, seed=7) if sampled \
+        else None
+    assert_clauses_match(eta, [tensor], policy)
+
+
+def test_a_failing_clause_takes_the_least_element_witness():
+    # S = R = Z/2 + Z/2 with the zero product and eta the identity: the
+    # tensor with c[0][1] = e_1 and c[1][0] = e_2 fails cm1 at (s_1, r_2)
+    # and at (s_2, r_1), and e_2 < e_1, so the witness is (e_2, e_1)
+    mod = FiniteModule(2, [2, 2])
+    alg = Algebra(mod, zero_tensor(mod, mod, mod))
+    eta = AlgebraHom(alg, alg, identity_hom(mod))
+    tensor = BilinearMap(mod, mod, mod, [[(0, 0), (1, 0)], [(0, 1), (0, 0)]])
+    cm1, cm2 = crossed_module_clauses(eta)(tensor)
+    assert (cm1.status, cm1.witness) == ("FAIL", ((0, 1), (1, 0)))
+    assert cm1.meta == {"mode": EXHAUSTIVE, "checked": 16}
+    assert json_leaves([cm1, cm2]) == json_leaves(
+        predicate_clauses(eta, tensor)[2:])
+
+
+def test_a_candidate_decided_on_tables_makes_no_element_call(monkeypatch):
+    # with every map well defined, the clauses read cells and make no
+    # evaluate or apply call, whatever the verdicts
+    r_alg, s_alg = RANK_TWO[3], RANK_TWO[5]
+    etas = enumerate_homs(r_alg, s_alg)
+    tensors = enumerate_action_tensors(s_alg, r_alg)
+    validate = algebra_action_validator(s_alg, r_alg)
+    clauses = [crossed_module_clauses(eta) for eta in etas]
+    applies = counting(monkeypatch, core_mod.ModuleHom, "apply")
+    evaluates = counting(monkeypatch, core_mod.BilinearMap, "evaluate")
+    verdicts = {rep.status for tensor in tensors
+                for rep in [*validate(tensor).checks,
+                            *(leaf for cm in clauses for leaf in cm(tensor))]}
+    assert verdicts == {"PASS", "FAIL"}
+    assert (applies, evaluates) == ([], [])
 
 
 # ---------------------------------------------------------------------------
