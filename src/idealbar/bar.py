@@ -127,11 +127,11 @@ class TruncatedBarAlgebra(TruncatedBarModule):
         self.xm = xm
         name = xm.s_alg.name or "S"
         self.algebras = [
-            semidirect_power(xm.s_alg, xm.r_alg, xm.action.tensor, n,
+            semidirect_power(xm.s_alg, xm.r_alg, xm.action, n,
                              carrier=lvl, name=f"B{n}({name})")
             for n, lvl in enumerate(self.levels)]
         self.tensors = tuple(self.level_tensors()) + (
-            xm.s_alg.mul, xm.r_alg.mul, xm.action.tensor)
+            xm.s_alg.mul, xm.r_alg.mul, xm.action)
 
     def with_level_tensor(self, k, tensor) -> "TruncatedBarAlgebra":
         """This bar object with the level-k product replaced by tensor.
@@ -346,7 +346,7 @@ def rk_closed_formulas(bar: TruncatedBarAlgebra, k: int,
     with the generic level product."""
     xm = bar.xm
     radd, rmul = xm.r_alg.carrier.add, xm.r_alg.multiply
-    act = xm.action.apply
+    act = xm.action.evaluate
     r_tail = direct_sum([xm.r_alg.carrier] * k)
 
     def tail_product_ok(ta, tb):

@@ -464,7 +464,10 @@ class AlgebraHom:
         return self.hom.apply(x)
 
     def __eq__(self, other):
-        return (isinstance(other, AlgebraHom) and self.hom == other.hom)
+        if self is other:
+            return True
+        return (isinstance(other, AlgebraHom) and self.dom == other.dom
+                and self.cod == other.cod and self.hom == other.hom)
 
     def __hash__(self):
         return hash(self.hom)

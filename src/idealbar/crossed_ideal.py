@@ -26,8 +26,7 @@ from .core import (AlgebraHom, BilinearMap, ModuleHom, PreconditionError,
 from .policy import EXHAUSTIVE, Policy, check
 from .report import (AXIOM, FAIL, PASS, SKIP, STRUCTURAL, THEOREM,
                      Report, group, leaf, relabel)
-from .xmod import (AlgebraAction, CrossedModule, validate_crossed_module,
-                   validate_hom)
+from .xmod import CrossedModule, validate_crossed_module, validate_hom
 
 
 class XModMorphism:
@@ -71,11 +70,11 @@ def equivariance_report(mor: XModMorphism, name: str, kind: str, detail: str,
     """alpha1(s1.r1) = alpha2(s1).alpha1(r1) over S1 x R1."""
     src, tgt = mor.source, mor.target
     return check(name, kind, [src.s_alg, src.r_alg],
-                 lambda s1, r1: mor.alpha1.apply(src.action.apply(s1, r1))
-                 == tgt.action.apply(mor.alpha2.apply(s1),
-                                     mor.alpha1.apply(r1)), policy, detail,
-                 maps=(mor.alpha1.hom, mor.alpha2.hom, src.action.tensor,
-                       tgt.action.tensor))
+                 lambda s1, r1: mor.alpha1.apply(src.action.evaluate(s1, r1))
+                 == tgt.action.evaluate(mor.alpha2.apply(s1),
+                                        mor.alpha1.apply(r1)), policy, detail,
+                 maps=(mor.alpha1.hom, mor.alpha2.hom, src.action,
+                       tgt.action))
 
 
 def square_report(mor: XModMorphism, name: str, detail: str) -> Report:
@@ -122,8 +121,7 @@ class SubXMod:
     def __eq__(self, other):
         return (isinstance(other, SubXMod)
                 and self.ambient == other.ambient and self.sub == other.sub
-                and (self.mu.hom if self.mu else None) == (other.mu.hom if other.mu else None)
-                and (self.nu.hom if self.nu else None) == (other.nu.hom if other.nu else None))
+                and self.mu == other.mu and self.nu == other.nu)
 
 
 def sub_crossed_module(ambient: CrossedModule, r_subset: Submodule,
@@ -149,8 +147,8 @@ def sub_crossed_module(ambient: CrossedModule, r_subset: Submodule,
         maps=(ambient.eta.hom,) if s_subset.gens is not None else None))
     checks.append(check(
         "induced-action-closed", AXIOM, [s_subset, r_subset],
-        lambda s, x: r_subset.contains(ambient.action.apply(s, x)),
-        Policy(mode=EXHAUSTIVE), maps=(ambient.action.tensor,)))
+        lambda s, x: r_subset.contains(ambient.action.evaluate(s, x)),
+        Policy(mode=EXHAUSTIVE), maps=(ambient.action,)))
     problems = [rep for rep in checks if not rep.passed]
     if problems:
         return SubXMod(ambient, None, None, None, r_subset, s_subset,
@@ -162,11 +160,9 @@ def sub_crossed_module(ambient: CrossedModule, r_subset: Submodule,
     eta = AlgebraHom(r_alg, s_alg,
                      ModuleHom(r_alg.carrier, s_alg.carrier, eta_images),
                      name="eta-sub")
-    constants = [[r_coords[ambient.action.apply(si, rj)]
+    constants = [[r_coords[ambient.action.evaluate(si, rj)]
                   for rj in mu.images] for si in nu.images]
-    act = AlgebraAction(s_alg, r_alg,
-                        BilinearMap(s_alg.carrier, r_alg.carrier,
-                                    r_alg.carrier, constants))
+    act = BilinearMap(s_alg.carrier, r_alg.carrier, r_alg.carrier, constants)
     sub = CrossedModule(eta, act, name=name or "sub")
     mu = AlgebraHom(r_alg, r_amb, mu.hom, name="mu")
     nu = AlgebraHom(s_alg, s_amb, nu.hom, name="nu")
@@ -218,44 +214,33 @@ def validate_crossed_ideal(sx: SubXMod, policy: Policy | None = None) -> Report:
     ]))
     checks.append(check(
         "ci3-sub-base-acts-into-sub", AXIOM, [sx.s_subset, r_amb],
-        lambda s, r: sx.r_subset.contains(amb.action.apply(s, r)), policy,
-        detail="S'.R lands in R'",
-        maps=(amb.action.tensor,) if r_span else None))
+        lambda s, r: sx.r_subset.contains(amb.action.evaluate(s, r)), policy,
+        detail="S'.R lands in R'", maps=(amb.action,) if r_span else None))
     checks.append(check(
         "ci4-base-acts-into-sub", AXIOM, [s_amb, sx.r_subset],
-        lambda s, x: sx.r_subset.contains(amb.action.apply(s, x)), policy,
-        detail="S.R' lands in R'", maps=(amb.action.tensor,)))
+        lambda s, x: sx.r_subset.contains(amb.action.evaluate(s, x)), policy,
+        detail="S.R' lands in R'", maps=(amb.action,)))
     name = sx.name or "sub"
     return group(f"validate-crossed-ideal {name}", checks)
 
 
 class CrossedIdealMap:
     """A morphism, crossed module structures on both legs, and the mixed
-    bilinear map h: R2 x S1 -> R1."""
+    bilinear map h: R2 x S1 -> R1.  The legs alpha1_xmod and alpha2_xmod
+    are built once, here, from the action tensors act1: R2 x R1 -> R1
+    and act2: S2 x S1 -> S1."""
 
-    def __init__(self, morphism: XModMorphism, act1: AlgebraAction,
-                 act2: AlgebraAction, h: BilinearMap, name: str = ""):
+    def __init__(self, morphism: XModMorphism, act1: BilinearMap,
+                 act2: BilinearMap, h: BilinearMap, name: str = ""):
         src, tgt = morphism.source, morphism.target
-        if act1.actor != tgt.r_alg or act1.acted != src.r_alg:
-            raise StructuralError("act1 must let R2 act on R1")
-        if act2.actor != tgt.s_alg or act2.acted != src.s_alg:
-            raise StructuralError("act2 must let S2 act on S1")
+        self.alpha1_xmod = CrossedModule(morphism.alpha1, act1, name="alpha1")
+        self.alpha2_xmod = CrossedModule(morphism.alpha2, act2, name="alpha2")
         if h.left != tgt.r_alg.carrier or h.right != src.s_alg.carrier \
                 or h.target != src.r_alg.carrier:
             raise StructuralError("h must map R2 x S1 into R1")
         self.morphism = morphism
-        self.act1 = act1
-        self.act2 = act2
         self.h = h
         self.name = name
-
-    @property
-    def alpha1_xmod(self) -> CrossedModule:
-        return CrossedModule(self.morphism.alpha1, self.act1, name="alpha1")
-
-    @property
-    def alpha2_xmod(self) -> CrossedModule:
-        return CrossedModule(self.morphism.alpha2, self.act2, name="alpha2")
 
 
 def validate_crossed_ideal_map(cim: CrossedIdealMap,
@@ -265,6 +250,7 @@ def validate_crossed_ideal_map(cim: CrossedIdealMap,
     src, tgt = mor.source, mor.target
     r1, s1 = src.r_alg, src.s_alg
     r2, s2 = tgt.r_alg, tgt.s_alg
+    act1, act2 = cim.alpha1_xmod.action, cim.alpha2_xmod.action
 
     rep1 = validate_crossed_module(cim.alpha1_xmod, policy)
     rep1.name = "alpha1-crossed-module"
@@ -284,33 +270,33 @@ def validate_crossed_ideal_map(cim: CrossedIdealMap,
 
     checks.append(h_check("alpha1-of-h", [r2, s1],
                           lambda x, s: mor.alpha1.apply(cim.h.evaluate(x, s))
-                          == tgt.action.apply(mor.alpha2.apply(s), x),
+                          == tgt.action.evaluate(mor.alpha2.apply(s), x),
                           "alpha1 h(r2, s1) = alpha2(s1).r2",
-                          mor.alpha1.hom, mor.alpha2.hom, tgt.action.tensor))
+                          mor.alpha1.hom, mor.alpha2.hom, tgt.action))
     checks.append(h_check("eta1-of-h", [r2, s1],
                           lambda x, s: src.eta.apply(cim.h.evaluate(x, s))
-                          == cim.act2.apply(tgt.eta.apply(x), s),
+                          == act2.evaluate(tgt.eta.apply(x), s),
                           "eta1 h(r2, s1) = eta2(r2).s1",
-                          src.eta.hom, tgt.eta.hom, cim.act2.tensor))
+                          src.eta.hom, tgt.eta.hom, act2))
     checks.append(h_check("h-on-alpha1-image", [r1, s1],
                           lambda r, s: cim.h.evaluate(mor.alpha1.apply(r), s)
-                          == src.action.apply(s, r),
+                          == src.action.evaluate(s, r),
                           "h(alpha1 r1, s1) = s1.r1",
-                          mor.alpha1.hom, src.action.tensor))
+                          mor.alpha1.hom, src.action))
     checks.append(h_check("h-on-eta1-image", [r2, r1],
                           lambda x, r: cim.h.evaluate(x, src.eta.apply(r))
-                          == cim.act1.apply(x, r),
+                          == act1.evaluate(x, r),
                           "h(r2, eta1 r1) = r2.r1",
-                          src.eta.hom, cim.act1.tensor))
+                          src.eta.hom, act1))
 
     if check_balance:
         checks.append(h_check(
             "h-base-balance", [s2, r2, s1],
-            lambda t, x, s: cim.h.evaluate(tgt.action.apply(t, x), s)
-            == cim.h.evaluate(x, cim.act2.apply(t, s)),
+            lambda t, x, s: cim.h.evaluate(tgt.action.evaluate(t, x), s)
+            == cim.h.evaluate(x, act2.evaluate(t, s)),
             "h(s2.r2, s1) = h(r2, s2.s1); interpreted reading, no "
             "action of S2 on R1 is given",
-            tgt.action.tensor, cim.act2.tensor))
+            tgt.action, act2))
     else:
         checks.append(leaf("h-base-balance", SKIP, None,
                            detail="disabled by flag"))
@@ -371,18 +357,16 @@ def inclusion_cim(sx: SubXMod, name: str = "") -> CrossedIdealMap:
               for g in r_amb.generators()]
         c2 = [[s_coords[s_amb.multiply(g, img)] for img in sx.nu.images]
               for g in s_amb.generators()]
-        ch = [[r_coords[amb.action.apply(nimg, g)] for nimg in sx.nu.images]
+        ch = [[r_coords[amb.action.evaluate(nimg, g)] for nimg in sx.nu.images]
               for g in r_amb.generators()]
     except KeyError as exc:
         raise PreconditionError(
             f"subsets are not closed the way CI2/CI3 require: {exc}") from exc
 
-    act1 = AlgebraAction(r_amb, sx.sub.r_alg,
-                         BilinearMap(r_amb.carrier, sx.sub.r_alg.carrier,
-                                     sx.sub.r_alg.carrier, c1))
-    act2 = AlgebraAction(s_amb, sx.sub.s_alg,
-                         BilinearMap(s_amb.carrier, sx.sub.s_alg.carrier,
-                                     sx.sub.s_alg.carrier, c2))
+    act1 = BilinearMap(r_amb.carrier, sx.sub.r_alg.carrier,
+                       sx.sub.r_alg.carrier, c1)
+    act2 = BilinearMap(s_amb.carrier, sx.sub.s_alg.carrier,
+                       sx.sub.s_alg.carrier, c2)
     h = BilinearMap(r_amb.carrier, sx.sub.s_alg.carrier,
                     sx.sub.r_alg.carrier, ch)
     return CrossedIdealMap(mor, act1, act2, h,

@@ -18,7 +18,7 @@ from .crossed_ideal import (CrossedIdealMap, SubXMod, XModMorphism,
                             sub_crossed_module, validate_crossed_ideal_map)
 from .policy import EXHAUSTIVE, Policy
 from .report import FAIL, NOTE, PASS, THEOREM, Report, group, leaf
-from .xmod import (AlgebraAction, CrossedModule, algebra_action_validator,
+from .xmod import (CrossedModule, algebra_action_validator,
                    crossed_module_clauses, crossed_module_report,
                    inclusion_xmod)
 
@@ -106,9 +106,7 @@ def enumerate_xmods(r_alg: Algebra, s_alg: Algebra) -> list[CrossedModule]:
     out = []
     for eta in enumerate_homs(r_alg, s_alg):
         for tensor in tensors:
-            out.append(CrossedModule(
-                eta, AlgebraAction(s_alg, r_alg, tensor),
-                name=f"cand{len(out)}"))
+            out.append(CrossedModule(eta, tensor, name=f"cand{len(out)}"))
     return out
 
 
@@ -130,7 +128,7 @@ def classify_xmods(r_alg: Algebra, s_alg: Algebra,
     read-only."""
     algebra_reps = [validate_algebra(r_alg), validate_algebra(s_alg)]
     validate_action = algebra_action_validator(s_alg, r_alg, policy)
-    actions = [(AlgebraAction(s_alg, r_alg, tensor), validate_action(tensor))
+    actions = [(tensor, validate_action(tensor))
                for tensor in enumerate_action_tensors(s_alg, r_alg)]
     valid, invalid = [], []
     for eta in enumerate_homs(r_alg, s_alg):
@@ -140,7 +138,7 @@ def classify_xmods(r_alg: Algebra, s_alg: Algebra,
             xm = CrossedModule(eta, act,
                                name=f"cand{len(valid) + len(invalid)}")
             rep = crossed_module_report(
-                xm, [*algebra_reps, hom_rep, act_rep, *cm(act.tensor)])
+                xm, [*algebra_reps, hom_rep, act_rep, *cm(act)])
             if rep.passed:
                 valid.append(xm)
             else:
@@ -211,8 +209,8 @@ def _fuzz_chains(modulus: int, max_rank: int, count: int, seed: int):
     inclusion_cim once per drawn chain.  Every cache is keyed on draw
     indices.  A draw gets its own sx and cim named fuzz{n} and
     incl-fuzz{n}, thin shells over the parts of its chain: eta, the
-    action, mu, nu and the spans of the sub, and act1, act2 and h of the
-    map."""
+    action, mu, nu and the spans of the sub, and the two action tensors
+    and h of the map."""
     rng = random.Random(seed)
     algebras = [a for r in range(1, max_rank + 1)
                 for a in enumerate_algebras(modulus, r)]
@@ -247,8 +245,9 @@ def _fuzz_chains(modulus: int, max_rank: int, count: int, seed: int):
         sx = SubXMod(ambient, sub, base.mu, base.nu, base.r_subset,
                      base.s_subset, name=name)
         mor = XModMorphism(sub, ambient, base.mu, base.nu, name=f"incl-{name}")
-        yield key, sx, CrossedIdealMap(mor, incl.act1, incl.act2, incl.h,
-                                       name=f"incl-{name}")
+        yield key, sx, CrossedIdealMap(
+            mor, incl.alpha1_xmod.action, incl.alpha2_xmod.action, incl.h,
+            name=f"incl-{name}")
 
 
 def fuzz_cims(modulus: int, max_rank: int, count: int, seed: int = 0):

@@ -13,7 +13,7 @@ from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule, ModuleHom,
                    Submodule)
 from .crossed_ideal import (CrossedIdealMap, SubXMod, XModMorphism,
                             inclusion_cim, sub_crossed_module)
-from .xmod import AlgebraAction, CrossedModule, inclusion_xmod
+from .xmod import CrossedModule, inclusion_xmod
 
 
 def nilsquare_algebra() -> Algebra:
@@ -36,9 +36,8 @@ def nilsquare_xmod() -> CrossedModule:
     eta = AlgebraHom(r_alg, s_alg,
                      ModuleHom(r_alg.carrier, s_alg.carrier, [(0, 1)]),
                      name="eta")
-    act = AlgebraAction(s_alg, r_alg,
-                        BilinearMap(s_alg.carrier, r_alg.carrier,
-                                    r_alg.carrier, [[(1,)], [(0,)]]))
+    act = BilinearMap(s_alg.carrier, r_alg.carrier, r_alg.carrier,
+                      [[(1,)], [(0,)]])
     return CrossedModule(eta, act, name="nilsquare")
 
 
@@ -49,9 +48,8 @@ def broken_action_xmod() -> CrossedModule:
     eta = AlgebraHom(r_alg, s_alg,
                      ModuleHom(r_alg.carrier, s_alg.carrier, [(0, 1)]),
                      name="eta")
-    act = AlgebraAction(s_alg, r_alg,
-                        BilinearMap(s_alg.carrier, r_alg.carrier,
-                                    r_alg.carrier, [[(1,)], [(1,)]]))
+    act = BilinearMap(s_alg.carrier, r_alg.carrier, r_alg.carrier,
+                      [[(1,)], [(1,)]])
     return CrossedModule(eta, act, name="broken-action")
 
 
@@ -79,11 +77,10 @@ def nilcube_xmod() -> CrossedModule:
                      ModuleHom(r_alg.carrier, s_alg.carrier,
                                [(0, 1, 0), (0, 0, 1)]),
                      name="eta")
-    act = AlgebraAction(s_alg, r_alg,
-                        BilinearMap(s_alg.carrier, r_alg.carrier, r_alg.carrier,
-                                    [[(1, 0), (0, 1)],
-                                     [(0, 1), (0, 0)],
-                                     [(0, 0), (0, 0)]]))
+    act = BilinearMap(s_alg.carrier, r_alg.carrier, r_alg.carrier,
+                      [[(1, 0), (0, 1)],
+                       [(0, 1), (0, 0)],
+                       [(0, 0), (0, 0)]])
     return CrossedModule(eta, act, name="nilcube")
 
 

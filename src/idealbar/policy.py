@@ -7,8 +7,10 @@ walks it in lexicographic order, so the reported witness of a failure is
 the lexicographically least violating tuple.  Above the bound it draws
 `sample_count` uniform tuples from a seeded generator; the seed is echoed
 in the result so runs are reproducible.  A policy refuses a sample count
-below 1, so a sampled PASS always rests on at least one draw.  The bound,
-the mode and the sample count govern element sweeps only.
+below 1, so a sampled PASS always rests on at least one draw, and a mode
+other than auto, exhaustive and sample, so a misspelt mode cannot run
+as auto.  The bound, the mode and the sample count govern element
+sweeps only.
 
 `check` is the one way element identities become report leaves: it
 returns a PASS or FAIL leaf of the given class carrying the witness and
@@ -74,6 +76,8 @@ class Policy:
     exhaustive_bound: int = EXHAUSTIVE_BOUND
 
     def __post_init__(self):
+        if self.mode not in (AUTO, EXHAUSTIVE, SAMPLE):
+            raise ValueError(f"unknown policy mode {self.mode!r}")
         if self.sample_count < 1:
             raise ValueError(
                 f"sample count must be at least 1, got {self.sample_count}")

@@ -24,7 +24,7 @@ from .bar import (TruncatedBarAlgebra, build_bar_algebra,
 from .policy import Policy, check
 from .report import (AXIOM, FAIL, NOTE, PASS, SKIP, STRUCTURAL, THEOREM,
                      Report, group, leaf)
-from .xmod import (AlgebraAction, CrossedModule, cm1_report, cm2_report,
+from .xmod import (CrossedModule, cm1_report, cm2_report,
                    validate_algebra_action, validate_crossed_module)
 
 
@@ -59,8 +59,8 @@ def extract_crossed_module(bar: TruncatedBarAlgebra) -> CrossedModule:
     s_alg, r_alg = bar.algebras[0], Algebra(r_mod, r_mul)
     eta = ModuleHom(r_mod, s_alg.carrier,
                     lvl.split(bar.face(1, 0).images)[1], name="eta")
-    return CrossedModule(AlgebraHom(r_alg, s_alg, eta, name="eta"),
-                         AlgebraAction(s_alg, r_alg, act), name="extracted")
+    return CrossedModule(AlgebraHom(r_alg, s_alg, eta, name="eta"), act,
+                         name="extracted")
 
 
 def _tail_face_multiplicativity(bar: TruncatedBarAlgebra,
@@ -97,7 +97,7 @@ def verify_extracted(bar: TruncatedBarAlgebra,
         return group("verify-extracted", [leaf(
             "extraction", FAIL, STRUCTURAL, detail=str(exc))])
     return group("verify-extracted", [
-        validate_algebra_action(xm.action, policy),
+        validate_algebra_action(xm, policy),
         cm1_report(xm, policy),
         cm2_report(xm, policy),
         multiplicativity_report(
@@ -118,7 +118,7 @@ def roundtrip_from_structure(bar: TruncatedBarAlgebra,
     except MalformedStructureError as exc:
         return group("roundtrip-from-structure", [leaf(
             "extraction", FAIL, STRUCTURAL, detail=str(exc))])
-    rebuilt = (semidirect_power(xm.s_alg, xm.r_alg, xm.action.tensor, k,
+    rebuilt = (semidirect_power(xm.s_alg, xm.r_alg, xm.action, k,
                                 carrier=lvl).mul
                for k, lvl in enumerate(bar.levels))
     bad = next(((k, i, j) for k, (ta, tb) in
@@ -138,8 +138,7 @@ def roundtrip_check(xm: CrossedModule, depth: int = 4,
     checks = [
         validate_crossed_module(xm, policy),
         leaf("action-extraction-exact",
-             PASS if ext.action.tensor.constants
-             == xm.action.tensor.constants else FAIL, THEOREM,
+             PASS if ext.action == xm.action else FAIL, THEOREM,
              detail="(s,0)(0,r) = (0, s.r) recovers the action tensor"),
         leaf("eta-readback-exact",
              PASS if ext.eta.hom == xm.eta.hom else FAIL, THEOREM,

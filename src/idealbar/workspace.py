@@ -35,7 +35,7 @@ from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                    IdealbarError, ModuleHom, Submodule)
 from .crossed_ideal import (CrossedIdealMap, SubXMod, XModMorphism,
                             sub_crossed_module)
-from .xmod import AlgebraAction, CrossedModule
+from .xmod import CrossedModule
 
 
 class WorkspaceError(IdealbarError):
@@ -94,7 +94,7 @@ class Workspace:
 
         self.algebras: dict[str, Algebra] = {}
         self.homs: dict[str, AlgebraHom] = {}
-        self.actions: dict[str, AlgebraAction] = {}
+        self.actions: dict[str, tuple[Algebra, Algebra, BilinearMap]] = {}
         self.xmods: dict[str, CrossedModule] = {}
         self.subsets: dict[str, Submodule] = {}
         self.morphisms: dict[str, XModMorphism] = {}
@@ -183,7 +183,7 @@ class Workspace:
         return AlgebraHom(dom, cod, ModuleHom(dom.carrier, cod.carrier, images),
                           name=name)
 
-    def _parse_action(self, name: str, spec) -> AlgebraAction:
+    def _parse_action(self, name: str, spec):
         where = f"actions.{name}"
         _expect(isinstance(spec, dict), where, "must be an object")
         actor = self._get(self.algebras, "algebras", spec.get("actor"),
@@ -192,15 +192,15 @@ class Workspace:
                           f"{where}.acted")
         tensor = _tensor(actor.carrier, acted.carrier, acted.carrier,
                          spec.get("tensor"), f"{where}.tensor")
-        return AlgebraAction(actor, acted, tensor)
+        return actor, acted, tensor
 
     def _parse_xmod(self, name: str, spec) -> CrossedModule:
         where = f"xmods.{name}"
         _expect(isinstance(spec, dict), where, "must be an object")
         eta = self._get(self.homs, "homs", spec.get("eta"), f"{where}.eta")
-        action = self._get(self.actions, "actions", spec.get("action"),
-                           f"{where}.action")
-        _expect(action.actor == eta.cod and action.acted == eta.dom, where,
+        actor, acted, action = self._get(self.actions, "actions",
+                                         spec.get("action"), f"{where}.action")
+        _expect(actor == eta.cod and acted == eta.dom, where,
                 "action does not match eta: the actor must be the codomain "
                 "and the acted algebra the domain")
         return CrossedModule(eta, action, name=name)
@@ -261,16 +261,14 @@ class Workspace:
         _expect(isinstance(spec, dict), where, "must be an object")
         mor = self._get(self.morphisms, "morphisms", spec.get("morphism"),
                         f"{where}.morphism")
-        act1 = self._get(self.actions, "actions", spec.get("act1"),
-                         f"{where}.act1")
-        act2 = self._get(self.actions, "actions", spec.get("act2"),
-                         f"{where}.act2")
+        actor1, acted1, act1 = self._get(self.actions, "actions",
+                                         spec.get("act1"), f"{where}.act1")
+        actor2, acted2, act2 = self._get(self.actions, "actions",
+                                         spec.get("act2"), f"{where}.act2")
         h = _tensor(mor.target.r_alg.carrier, mor.source.s_alg.carrier,
                     mor.source.r_alg.carrier, spec.get("h"), f"{where}.h")
-        _expect(act1.actor == mor.target.r_alg
-                and act1.acted == mor.source.r_alg, f"{where}.act1",
-                "must let the target R act on the source R")
-        _expect(act2.actor == mor.target.s_alg
-                and act2.acted == mor.source.s_alg, f"{where}.act2",
-                "must let the target S act on the source S")
+        _expect(actor1 == mor.target.r_alg and acted1 == mor.source.r_alg,
+                f"{where}.act1", "must let the target R act on the source R")
+        _expect(actor2 == mor.target.s_alg and acted2 == mor.source.s_alg,
+                f"{where}.act2", "must let the target S act on the source S")
         return CrossedIdealMap(mor, act1, act2, h, name=name)

@@ -1,11 +1,11 @@
 """Actions and crossed modules of commutative Z/m-algebras.
 
-Two kinds of action live here.  A module action of R on X is a
+Each action is held as one map.  A module action of R on X is a
 translation x^r = x + t(r) through a module hom t: R -> X and is held
 as that ModuleHom alone; these are exactly the actions the bar
-construction is built from.  An AlgebraAction is a bilinear tensor
-S x R -> R; together with an algebra hom eta: R -> S and the two
-crossed-module axioms
+construction is built from.  An algebra action of S on R is held as its
+bilinear tensor S x R -> R, a BilinearMap; together with an algebra hom
+eta: R -> S, which supplies R and S, and the two crossed-module axioms
 
     CM1:  eta(s.r)    = s * eta(r)
     CM2:  eta(r).r'   = r * r'
@@ -52,28 +52,6 @@ def validate_module_action(translation: ModuleHom) -> Report:
     exactly when the translation hom is well defined, d_i * t(g_i) = 0,
     so that is the one thing checked."""
     return group("validate-module-action", [order_compatibility(translation)])
-
-
-class AlgebraAction:
-    """Bilinear action tensor of an algebra S on an algebra R."""
-
-    def __init__(self, actor: Algebra, acted: Algebra, tensor: BilinearMap):
-        if tensor.left != actor.carrier or tensor.right != acted.carrier \
-                or tensor.target != acted.carrier:
-            raise StructuralError("action tensor must map S x R into R")
-        self.actor = actor
-        self.acted = acted
-        self.tensor = tensor
-
-    def apply(self, s, r):
-        return self.tensor.evaluate(s, r)
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraAction) and self.actor == other.actor
-                and self.acted == other.acted and self.tensor == other.tensor)
-
-    def __hash__(self):
-        return hash((self.actor, self.acted, self.tensor))
 
 
 def _combine(coeffs, rows, orders):
@@ -196,16 +174,23 @@ def algebra_action_validator(s_alg: Algebra, r_alg: Algebra,
     return validate
 
 
-def validate_algebra_action(act: AlgebraAction, policy: Policy | None = None) -> Report:
+def validate_algebra_action(xm: CrossedModule, policy: Policy | None = None) -> Report:
     """Torsion, product compatibility and actor composition of the
-    action (see algebra_action_validator)."""
-    return algebra_action_validator(act.actor, act.acted, policy)(act.tensor)
+    action of S on R in xm (see algebra_action_validator)."""
+    return algebra_action_validator(xm.s_alg, xm.r_alg, policy)(xm.action)
 
 
 class CrossedModule:
-    def __init__(self, eta: AlgebraHom, action: AlgebraAction, name: str = ""):
-        if action.actor != eta.cod or action.acted != eta.dom:
-            raise StructuralError("action does not match the hom eta: R -> S")
+    """An algebra hom eta: R -> S and the action of S on R, held as its
+    tensor S x R -> R.  R and S are eta's domain and codomain, so the
+    shape of the tensor is the one thing the constructor checks; the
+    axioms are validate_crossed_module's."""
+
+    def __init__(self, eta: AlgebraHom, action: BilinearMap, name: str = ""):
+        r_mod = eta.dom.carrier
+        if action.left != eta.cod.carrier or action.right != r_mod \
+                or action.target != r_mod:
+            raise StructuralError("action tensor must map S x R into R")
         self.eta = eta
         self.action = action
         self.name = name
@@ -288,11 +273,11 @@ def crossed_module_clauses(eta: AlgebraHom, policy: Policy | None = None):
 
 
 def cm1_report(xm: CrossedModule, policy: Policy | None = None) -> Report:
-    return _cm1(xm.eta, policy)(xm.action.tensor)
+    return _cm1(xm.eta, policy)(xm.action)
 
 
 def cm2_report(xm: CrossedModule, policy: Policy | None = None) -> Report:
-    return _cm2(xm.eta, policy)(xm.action.tensor)
+    return _cm2(xm.eta, policy)(xm.action)
 
 
 def validate_crossed_module(xm: CrossedModule, policy: Policy | None = None) -> Report:
@@ -302,7 +287,7 @@ def validate_crossed_module(xm: CrossedModule, policy: Policy | None = None) -> 
         validate_algebra(xm.r_alg),
         validate_algebra(xm.s_alg),
         validate_hom(xm.eta, policy),
-        validate_algebra_action(xm.action, policy),
+        validate_algebra_action(xm, policy),
         cm1_report(xm, policy),
         cm2_report(xm, policy),
     ])
@@ -328,14 +313,14 @@ def inclusion_xmod(alg: Algebra, ideal: Submodule, name: str = "") -> CrossedMod
     constants = [[coords[alg.multiply(sg, emb)] for emb in embed.images]
                  for sg in s_gens]
     tensor = BilinearMap(alg.carrier, sub_alg.carrier, sub_alg.carrier, constants)
-    return CrossedModule(embed, AlgebraAction(alg, sub_alg, tensor),
+    return CrossedModule(embed, tensor,
                          name=name or f"incl-{alg.name or 'ideal'}")
 
 
 def consequence_checks(xm: CrossedModule, policy: Policy | None = None) -> Report:
     """Statements that follow from CM1/CM2; a failure on a validated
     crossed module is an implementation bug, so these are THEOREM class."""
-    s_alg, r_alg = xm.s_alg, xm.r_alg
+    s_alg, r_alg, act = xm.s_alg, xm.r_alg, xm.action
     im = image(xm.eta.hom)
     ker = kernel(xm.eta.hom)
     checks = []
@@ -353,16 +338,16 @@ def consequence_checks(xm: CrossedModule, policy: Policy | None = None) -> Repor
 
     checks.append(group("quotient-action-well-defined", [
         check("kernel-closed-under-action", THEOREM, [s_alg, ker],
-              lambda s, x: ker.contains(xm.action.apply(s, x)), policy,
-              maps=(xm.action.tensor,)),
+              lambda s, x: ker.contains(act.evaluate(s, x)), policy,
+              maps=(act,)),
         check("image-acts-trivially-on-kernel", THEOREM, [im, ker],
-              lambda t, x: xm.action.apply(t, x) == r_alg.zero, policy,
+              lambda t, x: act.evaluate(t, x) == r_alg.zero, policy,
               detail="makes the action of S/im(eta) well defined",
-              maps=(xm.action.tensor,)),
+              maps=(act,)),
         check("induced-action-composes", THEOREM, [s_alg, s_alg, ker],
-              lambda s1, s2, x: xm.action.apply(s_alg.multiply(s1, s2), x)
-              == xm.action.apply(s1, xm.action.apply(s2, x)), policy,
-              maps=(xm.action.tensor, s_alg.mul)),
+              lambda s1, s2, x: act.evaluate(s_alg.multiply(s1, s2), x)
+              == act.evaluate(s1, act.evaluate(s2, x)), policy,
+              maps=(act, s_alg.mul)),
         leaf("induced-action-reading", NOTE, None,
              detail="checked as a k-bilinear module action; translation-"
                     "style axioms are not imposed, they fail for linear "
@@ -390,7 +375,7 @@ def _four_letter_check(name, detail, dom, cod, phi, policy):
 def phi_cm1_criterion(xm: CrossedModule, policy: Policy | None = None) -> Report:
     """(s, r) -> s + eta(r) from S |x R to S is multiplicative exactly
     when CM1 holds."""
-    dom = semidirect_product(xm.s_alg, xm.r_alg, xm.action.tensor)
+    dom = semidirect_product(xm.s_alg, xm.r_alg, xm.action)
     return _four_letter_check(
         "cm1-phi-criterion",
         "s + eta(r) multiplicative on S|xR, equivalent to CM1", dom, xm.s_alg,
@@ -402,7 +387,7 @@ def phi_cm2_criterion(xm: CrossedModule, policy: Policy | None = None) -> Report
     """(a, b) -> (eta(a), b) from R |x R (multiplication action) to S |x R
     is multiplicative exactly when CM2 holds."""
     dom = semidirect_product(xm.r_alg, xm.r_alg, xm.r_alg.mul)
-    cod = semidirect_product(xm.s_alg, xm.r_alg, xm.action.tensor)
+    cod = semidirect_product(xm.s_alg, xm.r_alg, xm.action)
     return _four_letter_check(
         "cm2-phi-criterion",
         "(a, b) -> (eta(a), b) multiplicative into S|xR, equivalent to CM2",

@@ -56,7 +56,7 @@ def product_formula(bar, n, u, v):
     xm = bar.xm
     smul = xm.s_alg.multiply
     radd, rmul = xm.r_alg.carrier.add, xm.r_alg.multiply
-    act = xm.action.apply
+    act = xm.action.evaluate
     rzero = xm.r_alg.zero
     s, a = split(bar, u, n)
     s2, b = split(bar, v, n)

@@ -91,7 +91,7 @@ def test_criterion_3_negative_controls_are_localized(announce):
 
     cm1_only = [xm for xm in enumerate_xmods(nilsquare_ideal_algebra(),
                                              nilsquare_algebra())
-                if validate_algebra_action(xm.action).passed
+                if validate_algebra_action(xm).passed
                 and not cm1_report(xm).passed and cm2_report(xm).passed]
     localized = []
     for xm in cm1_only:

@@ -29,7 +29,7 @@ from idealbar.fixtures import (
     nilcube_sub,
     nilcube_xmod,
 )
-from idealbar.xmod import AlgebraAction, CrossedModule
+from idealbar.xmod import CrossedModule
 
 
 def test_fixture_morphism_validates():
@@ -115,7 +115,7 @@ def test_inclusion_cim_tensors():
     # x^2 annihilates R, so h is identically zero here
     assert cim.h.constants == (((0,),), ((0,),))
     # S acts on the span of x^2 through its constant term
-    assert cim.act2.tensor.constants == (((1,),), ((0,),), ((0,),))
+    assert cim.alpha2_xmod.action.constants == (((1,),), ((0,),), ((0,),))
 
 
 def test_inclusion_cim_validates():
@@ -135,8 +135,8 @@ def test_mutated_h_is_caught():
     cim = nilcube_cim()
     bad_h = BilinearMap(cim.h.left, cim.h.right, cim.h.target,
                         [[(1,)], [(0,)]])
-    mutated = CrossedIdealMap(cim.morphism, cim.act1, cim.act2, bad_h,
-                              name="mutated")
+    mutated = CrossedIdealMap(cim.morphism, cim.alpha1_xmod.action,
+                              cim.alpha2_xmod.action, bad_h, name="mutated")
     rep = validate_crossed_ideal_map(mutated)
     assert not rep.passed
     node = rep.find("alpha1-of-h")
@@ -147,7 +147,8 @@ def test_mutated_h_is_caught():
 def test_cim_shape_errors():
     cim = nilcube_cim()
     with pytest.raises(StructuralError):
-        CrossedIdealMap(cim.morphism, cim.act2, cim.act2, cim.h)
+        CrossedIdealMap(cim.morphism, cim.alpha2_xmod.action,
+                        cim.alpha2_xmod.action, cim.h)
 
 
 def test_image_is_a_crossed_ideal():
@@ -230,9 +231,8 @@ def test_inclusion_square_failure_is_pinned():
 def test_action_is_induced_failure_is_pinned():
     mor = nilcube_morphism()
     sub = mor.source
-    loud = AlgebraAction(sub.s_alg, sub.r_alg,
-                         BilinearMap(sub.s_alg.carrier, sub.r_alg.carrier,
-                                     sub.r_alg.carrier, [[(1,)]]))
+    loud = BilinearMap(sub.s_alg.carrier, sub.r_alg.carrier,
+                       sub.r_alg.carrier, [[(1,)]])
     sx = SubXMod.from_inclusions(
         mor.target, CrossedModule(sub.eta, loud, name="loud"),
         mor.alpha1, mor.alpha2, name="loud-action")
@@ -257,6 +257,7 @@ def test_cim_square_failure_is_pinned():
     mor = cim.morphism
     wrong = XModMorphism(mor.source, mor.target, mor.alpha1, _wrong_nu())
     rep = validate_crossed_ideal_map(
-        CrossedIdealMap(wrong, cim.act1, cim.act2, cim.h, name="wrong-nu"))
+        CrossedIdealMap(wrong, cim.alpha1_xmod.action, cim.alpha2_xmod.action,
+                        cim.h, name="wrong-nu"))
     assert _leaf(rep.find("square-commutes")) == (
         *SQUARE_FAIL, "eta2 alpha1 = alpha2 eta1", SWEPT_2)

@@ -271,7 +271,7 @@ def test_a_cm1_only_candidate_exists():
     hits = [xm
             for r_alg in algs for s_alg in algs
             for xm in enumerate_xmods(r_alg, s_alg)
-            if validate_algebra_action(xm.action).passed
+            if validate_algebra_action(xm).passed
             and cm1_report(xm).passed and not cm2_report(xm).passed]
     assert hits
     for xm in hits:
@@ -426,7 +426,8 @@ def test_fuzz_report_matches_the_draw_by_draw_oracle(args):
             == (bsx.name, bsx.sub.name, bcim.name, bcim.morphism.name)
         assert sx == bsx
         assert (sx.r_subset, sx.s_subset) == (bsx.r_subset, bsx.s_subset)
-        assert (cim.act1, cim.act2, cim.h) == (bcim.act1, bcim.act2, bcim.h)
+        assert (cim.alpha1_xmod, cim.alpha2_xmod, cim.h) \
+            == (bcim.alpha1_xmod, bcim.alpha2_xmod, bcim.h)
     assert fuzz_chain_count(*args) < args[2]
     assert fuzz_report(*args).to_json() == fuzz_report_oracle(*args).to_json()
 

@@ -39,9 +39,8 @@ from idealbar.fixtures import broken_action_xmod, nilcube_xmod, nilsquare_xmod
 from idealbar.policy import EXHAUSTIVE, SAMPLE, Policy
 from idealbar.report import AXIOM, FAIL
 from idealbar.roundtrip import perturb_and_filter, verify_extracted
-from idealbar.xmod import (AlgebraAction, CrossedModule, inclusion_xmod,
-                           phi_cm1_criterion, phi_cm2_criterion,
-                           validate_crossed_module)
+from idealbar.xmod import (CrossedModule, inclusion_xmod, phi_cm1_criterion,
+                           phi_cm2_criterion, validate_crossed_module)
 
 CHECKERS = (bar_mod, core_mod, xmod_mod, crossed_ideal_mod, roundtrip_mod)
 MULTIPLICATIVITY_CALLERS = (bar_mod, bibar_mod, core_mod, crossed_ideal_mod,
@@ -227,7 +226,7 @@ def _by_letters(xm):
     four letters, with the product formulas written out."""
     s_alg, r_alg = xm.s_alg, xm.r_alg
     sadd, radd, rmul = s_alg.carrier.add, r_alg.carrier.add, r_alg.multiply
-    eta, act = xm.eta.apply, xm.action.apply
+    eta, act = xm.eta.apply, xm.action.evaluate
     s_el, r_el = s_alg.elements(), r_alg.elements()
 
     def cm1(s, r, s2, r2):
@@ -293,7 +292,8 @@ def _twisted(cim, rng):
     vec[l] = (vec[l] + 1 + rng.randrange(cim.h.target.orders[l] - 1)) \
         % cim.h.target.orders[l]
     h = BilinearMap(cim.h.left, cim.h.right, cim.h.target, raw)
-    return CrossedIdealMap(cim.morphism, cim.act1, cim.act2, h, name="twisted")
+    return CrossedIdealMap(cim.morphism, cim.alpha1_xmod.action,
+                           cim.alpha2_xmod.action, h, name="twisted")
 
 
 def test_fuzzed_and_twisted_crossed_ideal_maps_mod_4(monkeypatch):
@@ -403,8 +403,7 @@ def _torsion_violating_xmod():
     s_alg = Algebra(s_mod, BilinearMap(s_mod, s_mod, s_mod, [[[0]]]),
                     name="S")
     eta = AlgebraHom(r_alg, s_alg, ModuleHom(r_mod, s_mod, [[0], [0]]))
-    act = AlgebraAction(s_alg, r_alg, BilinearMap(s_mod, r_mod, r_mod,
-                                                  [[[0, 0], [0, 0]]]))
+    act = BilinearMap(s_mod, r_mod, r_mod, [[[0, 0], [0, 0]]])
     return CrossedModule(eta, act, name="torsion")
 
 

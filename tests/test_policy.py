@@ -65,3 +65,10 @@ def test_policy_refuses_a_sample_count_below_one():
     for count in (0, -1):
         with pytest.raises(ValueError):
             Policy(mode=SAMPLE, sample_count=count)
+
+
+def test_policy_refuses_an_unknown_mode():
+    # a misspelt mode would otherwise run as auto, sampling over the bound
+    for mode in ("exhuastive", "sampled", ""):
+        with pytest.raises(ValueError, match="unknown policy mode"):
+            Policy(mode=mode, exhaustive_bound=1)

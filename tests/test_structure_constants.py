@@ -31,7 +31,7 @@ from idealbar.crossed_ideal import XModMorphism
 from idealbar.enumeration import all_valid_xmods
 from idealbar.fixtures import broken_action_xmod, nilcube_xmod, nilsquare_xmod
 from idealbar.workspace import Workspace
-from idealbar.xmod import AlgebraAction, CrossedModule
+from idealbar.xmod import CrossedModule
 from oracles import bibar_multiply, product_formula
 
 # summand orders above 1 for each modulus
@@ -71,8 +71,8 @@ def xmods(draw, m, max_rank=2):
     r_mod = draw(modules(m, max_rank))
     s_alg = Algebra(s_mod, tensor(draw, s_mod, s_mod, s_mod))
     r_alg = Algebra(r_mod, tensor(draw, r_mod, r_mod, r_mod))
-    return CrossedModule(hom(draw, r_alg, s_alg), AlgebraAction(
-        s_alg, r_alg, tensor(draw, s_mod, r_mod, r_mod)))
+    return CrossedModule(hom(draw, r_alg, s_alg),
+                         tensor(draw, s_mod, r_mod, r_mod))
 
 
 def level_size(xm, n):
@@ -117,16 +117,15 @@ def _torsion_violating_xmods():
     s_alg = Algebra(s_mod, BilinearMap(s_mod, s_mod, s_mod, [[[0]]]))
     first = CrossedModule(
         AlgebraHom(r_alg, s_alg, ModuleHom(r_mod, s_mod, [[0], [0]])),
-        AlgebraAction(s_alg, r_alg, BilinearMap(s_mod, r_mod, r_mod,
-                                                [[[0, 0], [0, 0]]])))
+        BilinearMap(s_mod, r_mod, r_mod, [[[0, 0], [0, 0]]]))
     z4 = FiniteModule(4, [4])
     r4 = Algebra(z4, BilinearMap(z4, z4, z4, [[[0]]]))
     second = CrossedModule(
         AlgebraHom(r4, s_alg, ModuleHom(z4, s_mod, [[0]])),
-        AlgebraAction(s_alg, r4, BilinearMap(s_mod, z4, z4, [[[1]]])))
+        BilinearMap(s_mod, z4, z4, [[[1]]]))
     out = [first, second]
     assert all(not xm.r_alg.mul.well_defined()
-               or not xm.action.tensor.well_defined() for xm in out)
+               or not xm.action.well_defined() for xm in out)
     return out
 
 
@@ -149,7 +148,7 @@ def test_semidirect_power_matches_the_closed_formula(inputs):
     assert xmods
     for xm in xmods:
         bar = build_bar_algebra(xm, 3)
-        args = (xm.s_alg, xm.r_alg, xm.action.tensor)
+        args = (xm.s_alg, xm.r_alg, xm.action)
         for n in range(4):
             alg = semidirect_power(*args, n)
             assert alg.carrier == bar.levels[n]

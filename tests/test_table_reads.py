@@ -30,9 +30,9 @@ from idealbar.policy import EXHAUSTIVE, Policy, check
 from idealbar.report import AXIOM
 from idealbar.roundtrip import _mutate_tensors
 from idealbar.workspace import Workspace
-from idealbar.xmod import (AlgebraAction, CrossedModule,
-                           algebra_action_validator, cm1_report, cm2_report,
-                           crossed_module_clauses, validate_algebra_action)
+from idealbar.xmod import (CrossedModule, algebra_action_validator,
+                           cm1_report, cm2_report, crossed_module_clauses,
+                           validate_algebra_action)
 
 MODULI = [4, 6, 8, 9]
 CASES = settings(max_examples=150, deadline=None)
@@ -249,8 +249,8 @@ def assert_clauses_match(eta, tensors, policy=None):
     cm = crossed_module_clauses(eta, policy)
     for tensor in tensors:
         oracle = json_leaves(predicate_clauses(eta, tensor, policy))
-        xm = CrossedModule(eta, AlgebraAction(s_alg, r_alg, tensor))
-        act = validate_algebra_action(xm.action, policy)
+        xm = CrossedModule(eta, tensor)
+        act = validate_algebra_action(xm, policy)
         assert json_leaves(act.checks[2:] + [cm1_report(xm, policy),
                                              cm2_report(xm, policy)]) == oracle
         assert json_leaves(validate(tensor).checks[2:] + cm(tensor)) == oracle

@@ -162,6 +162,20 @@ def test_xmod_shape_mismatch_is_reported():
         Workspace(ws_doc)
 
 
+@pytest.mark.parametrize("act1, act2, message", [
+    ("act2", "act2", "cims.incl_cim.act1: must let the target R act on the "
+                     "source R"),
+    ("act1", "act1", "cims.incl_cim.act2: must let the target S act on the "
+                     "source S")])
+def test_cim_action_mismatch_is_reported_with_its_path(act1, act2, message):
+    with open(NILCUBE) as fh:
+        doc = json.load(fh)
+    doc["cims"]["incl_cim"].update(act1=act1, act2=act2)
+    with pytest.raises(WorkspaceError) as exc:
+        Workspace(doc)
+    assert str(exc.value) == message
+
+
 def test_fixture_files_are_valid_json_documents():
     for path in (NILSQUARE, NILCUBE, BROKEN):
         with open(path) as fh:

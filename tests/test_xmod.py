@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import idealbar.core as core_mod
-from idealbar.core import (Algebra, BilinearMap, FiniteModule, ModuleHom,
-                           StructuralError, Submodule, validate_hom)
+from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
+                           ModuleHom, StructuralError, Submodule,
+                           validate_hom)
 from idealbar.enumeration import enumerate_xmods
 from idealbar.fixtures import (
     broken_action_xmod,
@@ -23,7 +24,6 @@ from idealbar.fixtures import (
 from idealbar.policy import check
 from idealbar.report import AXIOM, group
 from idealbar.xmod import (
-    AlgebraAction,
     CrossedModule,
     cm1_report,
     cm2_report,
@@ -66,8 +66,8 @@ def test_broken_action_unit_clause_is_the_culprit():
     # x.r = r is fine additively; it is the composite (x*x).r = x.(x.r)
     # that breaks, since x*x = 0 must act as zero
     xm = broken_action_xmod()
-    assert xm.action.apply((0, 1), (1,)) == (1,)
-    assert xm.action.apply(xm.s_alg.multiply((0, 1), (0, 1)), (1,)) == (0,)
+    assert xm.action.evaluate((0, 1), (1,)) == (1,)
+    assert xm.action.evaluate(xm.s_alg.multiply((0, 1), (0, 1)), (1,)) == (0,)
 
 
 def test_validate_checks_are_layered_not_gated():
@@ -78,12 +78,13 @@ def test_validate_checks_are_layered_not_gated():
 
 
 def test_action_tensor_shape_enforced():
-    s = nilsquare_algebra()
-    r = nilsquare_ideal_algebra()
+    xm = nilsquare_xmod()
+    s = xm.s_alg
     wrong = BilinearMap(s.carrier, s.carrier, s.carrier,
                         [[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
-    with pytest.raises(StructuralError):
-        AlgebraAction(s, r, wrong)
+    with pytest.raises(StructuralError,
+                       match="action tensor must map S x R into R"):
+        CrossedModule(xm.eta, wrong)
 
 
 def test_crossed_module_requires_matching_shapes():
@@ -91,6 +92,41 @@ def test_crossed_module_requires_matching_shapes():
     other = nilcube_xmod()
     with pytest.raises(StructuralError):
         CrossedModule(xm.eta, other.action)
+
+
+def _idempotent(alg):
+    """alg's module with g_i g_i = g_i and g_i g_j = 0 for i != j; on the
+    nilsquare algebras this differs from alg's product at g g = g for R
+    and at x x = x for S."""
+    mod, gens = alg.carrier, alg.generators()
+    return Algebra(mod, BilinearMap(mod, mod, mod, [
+        [g if i == j else mod.zero for j in range(mod.rank)]
+        for i, g in enumerate(gens)]))
+
+
+def test_algebra_homs_on_different_products_differ():
+    # one image matrix from R and from R' = R's module with g g = g:
+    # eta is multiplicative on the first only, so the two must not be equal
+    xm = nilsquare_xmod()
+    other = AlgebraHom(_idempotent(xm.r_alg), xm.s_alg, xm.eta.hom)
+    assert other.hom == xm.eta.hom
+    assert validate_hom(xm.eta).passed and not validate_hom(other).passed
+    assert other != xm.eta and xm.eta == AlgebraHom(xm.r_alg, xm.s_alg,
+                                                    xm.eta.hom)
+
+
+def test_crossed_modules_on_different_products_differ():
+    # eta's matrix and the action tensor are shared; only R's or S's
+    # product changes, and that alone tells the crossed modules apart
+    xm = nilsquare_xmod()
+    for r_alg, s_alg in ((_idempotent(xm.r_alg), xm.s_alg),
+                         (xm.r_alg, _idempotent(xm.s_alg))):
+        other = CrossedModule(AlgebraHom(r_alg, s_alg, xm.eta.hom),
+                              xm.action)
+        assert other.action == xm.action and other.eta.hom == xm.eta.hom
+        assert other != xm
+    assert xm == CrossedModule(AlgebraHom(xm.r_alg, xm.s_alg, xm.eta.hom),
+                               xm.action)
 
 
 def test_translation_action_is_valid_module_action():
@@ -159,7 +195,7 @@ def test_nilsquare_action_is_scalar_restriction(s, r):
     """S = k[x]/(x^2) acts on (x) through the quotient to k: the x part
     of s cannot see r because x * x = 0."""
     xm = nilsquare_xmod()
-    assert xm.action.apply(s, r) == ((s[0] * r[0]) % 2,)
+    assert xm.action.evaluate(s, r) == ((s[0] * r[0]) % 2,)
 
 
 def test_phi_criteria_match_cm_reports_on_every_candidate():
@@ -172,7 +208,7 @@ def test_phi_criteria_match_cm_reports_on_every_candidate():
     assert len(cands) == 8
     seen_fail = 0
     for xm in cands:
-        if not validate_algebra_action(xm.action).passed:
+        if not validate_algebra_action(xm).passed:
             continue
         direct1 = cm1_report(xm).passed
         direct2 = cm2_report(xm).passed
@@ -214,9 +250,10 @@ def test_action_torsion_failure_is_pinned():
     s_alg = Algebra(s_mod, BilinearMap(s_mod, s_mod, s_mod,
                                        [[(0, 0), (0, 0)], [(0, 0), (0, 0)]]))
     r_alg = Algebra(r_mod, BilinearMap(r_mod, r_mod, r_mod, [[(0,)]]))
-    act = AlgebraAction(s_alg, r_alg,
-                        BilinearMap(s_mod, r_mod, r_mod, [[(0,)], [(1,)]]))
-    node = validate_algebra_action(act).find("torsion-compatibility")
+    eta = AlgebraHom(r_alg, s_alg, ModuleHom(r_mod, s_mod, [(0, 0)]))
+    act = BilinearMap(s_mod, r_mod, r_mod, [[(0,)], [(1,)]])
+    node = validate_algebra_action(CrossedModule(eta, act)).find(
+        "torsion-compatibility")
     assert (node.status, node.kind, node.witness, node.detail, node.meta) == (
         "FAIL", "STRUCTURAL", (1, 0, 0), "", {})
 
