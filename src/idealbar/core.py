@@ -215,6 +215,7 @@ class BilinearMap:
     validators, so torsion-violating tensors are storable on purpose.
     with_cells derives a tensor that differs in a few cells, sharing the
     other rows, as the perturbation harness does for each mutant.
+    columns() is the transpose, built on first use.
     """
 
     def __init__(self, left: FiniteModule, right: FiniteModule,
@@ -248,6 +249,7 @@ class BilinearMap:
         self.target = target
         self.constants = constants
         self._nz = None
+        self._cols = None
         self._well_defined = None
 
     def with_cells(self, cells) -> "BilinearMap":
@@ -279,6 +281,13 @@ class BilinearMap:
                       for j, vec in enumerate(row) if vec != zero)
                 for row in self.constants)
         return self._nz
+
+    def columns(self):
+        """Column j of the tensor, the cells (i, j) over i, for each j."""
+        if self._cols is None:
+            self._cols = tuple(tuple(row[j] for row in self.constants)
+                               for j in range(self.right.rank))
+        return self._cols
 
     def evaluate(self, x, y):
         if len(x) != self.left.rank or len(y) != self.right.rank:

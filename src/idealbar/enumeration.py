@@ -122,10 +122,12 @@ def classify_xmods(r_alg: Algebra, s_alg: Algebra,
     validate_crossed_module.  The action clauses are built once per call
     and CM1 and CM2 once per eta, so what an eta fixes, such as the
     right sides of CM1, is read once for all its tensors; only CM1 and
-    CM2 then run per candidate, each read off the tensor's constants
-    where the maps are well defined.  The rejects share the factor
-    reports as nodes of their trees, so every returned report is
-    read-only."""
+    CM2 are then decided per candidate, by reading the tables that their
+    eta fills on first use where the maps are well defined.  The rejects
+    share the factor reports as nodes of their trees, and, per eta, the
+    cm1 and cm2 leaves of one witness, so every returned report is
+    read-only; only its root, and a leaf swept because a map is not
+    well defined, are the candidate's own."""
     algebra_reps = [validate_algebra(r_alg), validate_algebra(s_alg)]
     validate_action = algebra_action_validator(s_alg, r_alg, policy)
     actions = [(tensor, validate_action(tensor))

@@ -93,11 +93,9 @@ def leaf(name, status, kind, detail="", witness=None, meta=None) -> Report:
 
 def group(name: str, checks: list[Report], detail: str = "", meta=None) -> Report:
     """Internal node; its status is FAIL iff any descendant failed."""
-    status = PASS
-    if any(c.status == FAIL for c in checks):
-        status = FAIL
-    elif checks and all(c.status == SKIP for c in checks):
-        status = SKIP
+    statuses = {c.status for c in checks}
+    status = (FAIL if FAIL in statuses else SKIP if statuses == {SKIP}
+              else PASS)
     return Report(name=name, status=status, detail=detail,
                   meta=dict(meta or {}), checks=list(checks))
 

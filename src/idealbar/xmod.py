@@ -19,9 +19,13 @@ tensor built for fixed algebras (and, for CM1 and CM2, a fixed eta):
 what those fix is read once, and where every map the clause reads is
 well defined the clause is read off the structure constants and the
 image matrix of eta on generator tuples, with the leaf policy.check
-gives.  Where a map is not well defined, the clause's element predicate
-goes to check and is swept.  classify_xmods builds these functions once
-per pair of algebras and once per eta.
+gives.  What a clause computes from one cell, column or row of a tensor
+is kept in a table filled on first use, and one leaf is kept per
+witness, so tensors that share parts share that work and their leaves.
+Where a map is not well defined, the clause's element predicate goes to
+check and is swept.  classify_xmods builds these functions once per
+pair of algebras and once per eta; the tables live as long as the
+function.
 """
 
 from __future__ import annotations
@@ -71,6 +75,19 @@ def _combine(coeffs, rows, orders):
     return out if reduced else tuple(map(mod, out, orders))
 
 
+class _Table(dict):
+    """A table filled on first use: the value of a missing key is
+    computed by fn and kept."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def _scan(alg: Algebra):
     """The generators of alg with their indices, in element order
     e_n < .. < e_1, which is the order policy.check scans them in."""
@@ -84,37 +101,49 @@ def _clause(name, detail, spaces, maps, first_bad, pred, policy):
     they and the tensor are well defined, first_bad reads the tensor's
     constants on generator tuples, scanned as policy.check scans them,
     and gives the first failing tuple or None; the leaf is then the one
-    check gives.  Otherwise pred, the element predicate with the tensor
-    as its first argument, is handed to check and swept under policy."""
+    check gives.  That leaf depends on the witness alone, so one is kept
+    per witness, None included, and every tensor with that witness gets
+    the same node: the leaves are read-only.  Otherwise pred, the
+    element predicate with the tensor as its first argument, is handed
+    to check and swept under policy, and the leaf is the tensor's own."""
     fixed = all(m.well_defined() for m in maps)
     meta = {"mode": EXHAUSTIVE, "checked": prod(s.size for s in spaces)}
+    leaves = _Table(lambda bad: leaf(name, PASS if bad is None else FAIL,
+                                     AXIOM, detail=detail, witness=bad,
+                                     meta=meta))
 
     def decide(tensor: BilinearMap) -> Report:
         if not (fixed and tensor.well_defined()):
             return check(name, AXIOM, spaces, partial(pred, tensor), policy,
                          detail)
-        bad = first_bad(tensor.constants)
-        return leaf(name, PASS if bad is None else FAIL, AXIOM,
-                    detail=detail, witness=bad, meta=meta)
+        return leaves[first_bad(tensor)]
     return decide
 
 
 def _product_compatibility(s_alg: Algebra, r_alg: Algebra, policy):
     # at (s_i, r_j, r_k): sum_l rc[j][k]_l c[i][l] against c[i][j] r_k
-    # and r_j c[i][k], with r_k read as column k of R's product
+    # and r_j c[i][k], with r_k read as column k of R's product.  Only
+    # row c[i] is read, so a row's first failing (r_j, r_k) is tabled
     rc, orders = r_alg.mul.constants, r_alg.orders
-    cols = [[row[k] for row in rc] for k in range(len(rc))]
+    cols = r_alg.mul.columns()
     s_scan, r_scan = _scan(s_alg), _scan(r_alg)
 
-    def first_bad(c):
+    def row_bad(ci):
+        for j, r1 in r_scan:
+            for k, r2 in r_scan:
+                lhs = _combine(rc[j][k], ci, orders)
+                if (lhs != _combine(ci[j], cols[k], orders)
+                        or lhs != _combine(ci[k], rc[j], orders)):
+                    return r1, r2
+        return None
+    bad_pairs = _Table(row_bad)
+
+    def first_bad(tensor):
+        c = tensor.constants
         for i, s in s_scan:
-            ci = c[i]
-            for j, r1 in r_scan:
-                for k, r2 in r_scan:
-                    lhs = _combine(rc[j][k], ci, orders)
-                    if (lhs != _combine(ci[j], cols[k], orders)
-                            or lhs != _combine(ci[k], rc[j], orders)):
-                        return s, r1, r2
+            bad = bad_pairs[c[i]]
+            if bad is not None:
+                return (s, *bad)
         return None
 
     def pred(tensor, s, r1, r2):
@@ -133,11 +162,12 @@ def _actor_composition(s_alg: Algebra, r_alg: Algebra, policy):
     sc, orders = s_alg.mul.constants, r_alg.orders
     s_scan, r_scan = _scan(s_alg), _scan(r_alg)
 
-    def first_bad(c):
+    def first_bad(tensor):
+        c, cols = tensor.constants, tensor.columns()
         for i, s1 in s_scan:
             for j, s2 in s_scan:
                 for k, r in r_scan:
-                    if (_combine(sc[i][j], [row[k] for row in c], orders)
+                    if (_combine(sc[i][j], cols[k], orders)
                             != _combine(c[j][k], c[i], orders)):
                         return s1, s2, r
         return None
@@ -216,16 +246,20 @@ class CrossedModule:
 
 def _cm1(eta: AlgebraHom, policy):
     # at (s_i, r_j): eta(c[i][j]) against s_i eta(r_j), the latter
-    # sum_l E[j]_l sc[i][l] read once per eta
+    # sum_l E[j]_l sc[i][l] read once per eta and the former tabled per
+    # cell value
     s_alg, images, orders = eta.cod, eta.images, eta.cod.orders
     rhs = [[_combine(img, row, orders) for img in images]
            for row in s_alg.mul.constants]
     s_scan, r_scan = _scan(s_alg), _scan(eta.dom)
+    eta_of = _Table(lambda v: _combine(v, images, orders))
 
-    def first_bad(c):
+    def first_bad(tensor):
+        c = tensor.constants
         for i, s in s_scan:
+            ci, rhs_i = c[i], rhs[i]
             for j, r in r_scan:
-                if _combine(c[i][j], images, orders) != rhs[i][j]:
+                if eta_of[ci[j]] != rhs_i[j]:
                     return s, r
         return None
 
@@ -239,16 +273,19 @@ def _cm1(eta: AlgebraHom, policy):
 
 def _cm2(eta: AlgebraHom, policy):
     # at (r_i, r_j): sum_k E[i]_k c[k][j], column j of the tensor,
-    # against rc[i][j]
+    # against rc[i][j]; those sums over i are tabled per column
     r_alg, images, orders = eta.dom, eta.images, eta.dom.orders
     rc = r_alg.mul.constants
     r_scan = _scan(r_alg)
+    sums_of = _Table(lambda col: [_combine(img, col, orders)
+                                  for img in images])
 
-    def first_bad(c):
+    def first_bad(tensor):
+        sums = [sums_of[col] for col in tensor.columns()]
         for i, r1 in r_scan:
+            rci = rc[i]
             for j, r2 in r_scan:
-                col = [row[j] for row in c]
-                if _combine(images[i], col, orders) != rc[i][j]:
+                if sums[j][i] != rci[j]:
                     return r1, r2
         return None
 
@@ -266,8 +303,11 @@ def crossed_module_clauses(eta: AlgebraHom, policy: Policy | None = None):
 
     Both clauses are bilinear, so where eta, the tensor and the product
     each reads are well defined they are read off the image matrix and
-    the constants on generator pairs (see _clause); otherwise the
-    elements are swept under policy."""
+    the constants on generator pairs (see _clause): CM1 from a table of
+    eta on cell values and CM2 from a table of the sums eta(r_i).r_j of
+    each tensor column, both filled on first use, and tensors with one
+    witness get one leaf.  Otherwise the elements are swept under
+    policy, and the leaf is the tensor's own."""
     cm1, cm2 = _cm1(eta, policy), _cm2(eta, policy)
     return lambda tensor: [cm1(tensor), cm2(tensor)]
 

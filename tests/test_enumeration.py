@@ -3,6 +3,7 @@
 import json
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -198,7 +199,8 @@ def test_each_factor_is_validated_once(monkeypatch):
 
 def test_rejects_share_their_factor_reports():
     # each factor is validated once per call, and its report is a node of
-    # every reject built on it; only the root, cm1 and cm2 are per reject
+    # every reject built on it; a cm1 or cm2 leaf read off the tables is
+    # kept once per eta and witness, and only the root is per reject
     r, s = nilsquare_ideal_algebra(), nilsquare_algebra()
     _, invalid = classify_xmods(r, s)
     assert len(invalid) == 5
@@ -213,8 +215,14 @@ def test_rejects_share_their_factor_reports():
 
     assert all([c.name for c in rep.checks[4:]] == ["cm1", "cm2"]
                for _, rep in invalid)
-    own = [node for _, rep in invalid for node in [rep] + rep.checks[4:]]
-    assert len({id(node) for node in own}) == len(own) == 3 * len(invalid)
+    shared = 0
+    for (xm, rep), (other, other_rep) in product(invalid, repeat=2):
+        for mine, theirs in zip(rep.checks[4:], other_rep.checks[4:]):
+            same = xm.eta == other.eta and mine.witness == theirs.witness
+            assert (mine is theirs) == same
+            shared += same and xm is not other
+    assert shared
+    assert len({id(rep) for _, rep in invalid}) == len(invalid)
 
 
 def test_enumerated_homs_are_multiplicative_over_torsion_violating_products():

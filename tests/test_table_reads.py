@@ -3,9 +3,11 @@
 multiplicativity_report compares the image matrix and the structure
 constants instead of evaluating a predicate on generator pairs, and so
 do the four clauses of a crossed module (product compatibility, actor
-composition, CM1 and CM2); torsion_violations and order_violations read
-only the cells whose orders allow a violation, and the perturbation
-harness derives each mutant from the canonical tensor's changed cells.
+composition, CM1 and CM2), which also table what they compute from a
+cell, column or row and keep one leaf per witness; torsion_violations
+and order_violations read only the cells whose orders allow a
+violation, and the perturbation harness derives each mutant from the
+canonical tensor's changed cells.
 The slow forms are kept here as oracles: the generator-tuple predicate
 through policy.check, the full (i, j, l) walk, and the rebuild of a
 mutant from raw lists.
@@ -366,6 +368,63 @@ def test_a_candidate_decided_on_tables_makes_no_element_call(monkeypatch):
     assert (applies, evaluates) == ([], [])
 
 
+@pytest.mark.parametrize("r_rank,s_rank", [(0, 0), (0, 1), (1, 0), (0, 2),
+                                           (2, 0)])
+def test_clauses_match_on_rank_zero_factors(r_rank, s_rank):
+    # a rank-0 S gives a tensor with no rows, yet one empty column per
+    # generator of R; a rank-0 R gives no column and no generator pair
+    r_algs, s_algs = (enumerate_algebras(4, rank) for rank in (r_rank, s_rank))
+    for r_alg in r_algs:
+        for s_alg in s_algs:
+            tensors = enumerate_action_tensors(s_alg, r_alg)
+            for tensor in tensors:
+                assert len(tensor.columns()) == r_rank
+                assert all(len(col) == s_rank for col in tensor.columns())
+            for eta in enumerate_homs(r_alg, s_alg):
+                assert_clauses_match(eta, tensors)
+
+
+def test_clause_tables_are_kept_per_eta():
+    # S = R = Z/2 + Z/2 with the zero product, so every module hom is an
+    # algebra hom; the identity, the swap of the generators and the
+    # projection onto e_1 read the same cells and columns of one tensor
+    # list, yet give other cm1 and cm2 witnesses
+    mod = FiniteModule(2, [2, 2])
+    alg = Algebra(mod, zero_tensor(mod, mod, mod))
+    etas = [AlgebraHom(alg, alg, ModuleHom(mod, mod, images))
+            for images in ([(1, 0), (0, 1)], [(0, 1), (1, 0)],
+                           [(1, 0), (0, 0)])]
+    tensors = enumerate_action_tensors(alg, alg)
+    for eta in etas:
+        assert_clauses_match(eta, tensors)
+    witnesses = [[[leaf.witness for leaf in crossed_module_clauses(eta)(t)]
+                  for t in tensors] for eta in etas]
+    for clause in (0, 1):
+        assert any(len({w[clause] for w in per_eta}) > 1
+                   for per_eta in zip(*witnesses))
+
+
+def test_torsion_breaking_tensors_sweep_and_share_no_leaf():
+    # over Z/4 + Z/2, a cell of order 4 in a Z/2 row breaks torsion, so
+    # each clause sweeps the elements; a swept leaf is the tensor's own,
+    # while a table-decided leaf is kept once per witness
+    mod = FiniteModule(4, [4, 2])
+    alg = Algebra(mod, zero_tensor(mod, mod, mod))
+    eta = AlgebraHom(alg, alg, identity_hom(mod))
+    broken = BilinearMap(mod, mod, mod, [[(0, 0), (0, 0)], [(1, 0), (0, 0)]])
+    sound = BilinearMap(mod, mod, mod, [[(0, 0), (0, 0)], [(2, 0), (0, 0)]])
+    assert sound.well_defined() and not broken.well_defined()
+    assert_clauses_match(eta, [broken, sound, broken, sound])
+    validate = algebra_action_validator(alg, alg)
+    cm = crossed_module_clauses(eta)
+    for tensor in (broken, sound):
+        first = validate(tensor).checks[2:] + cm(tensor)
+        again = validate(tensor).checks[2:] + cm(tensor)
+        assert json_leaves(first) == json_leaves(again)
+        shared = [a is b for a, b in zip(first, again)]
+        assert shared == [tensor is sound] * 4
+
+
 # ---------------------------------------------------------------------------
 # torsion and order compatibility
 
@@ -465,6 +524,18 @@ def test_derived_mutants_equal_the_rebuild(fixture, depth):
                 assert sum(r is not b for r, b in zip(
                     t_new.constants, t_base.constants)) <= 6
         assert sum(t is not b for t, b in zip(new, base)) == 1
+
+
+def test_a_mutant_reads_its_own_columns():
+    # the transpose is built on first use and with_cells starts a mutant
+    # without one, so a mutant of a tensor whose columns were read shows
+    # its changed cell in its columns
+    mod = FiniteModule(4, [4, 2])
+    tensor = BilinearMap(mod, mod, mod, [[(1, 1), (2, 0)], [(3, 1), (0, 0)]])
+    assert tensor.columns() == (((1, 1), (3, 1)), ((2, 0), (0, 0)))
+    mutant = tensor.with_cells({(1, 0): (6, 1)})
+    assert mutant.columns() == (((1, 1), (2, 1)), ((2, 0), (0, 0)))
+    assert tensor.columns() == (((1, 1), (3, 1)), ((2, 0), (0, 0)))
 
 
 def test_with_cells_reduces_only_the_changed_cells():
