@@ -170,9 +170,9 @@ def verify_simplicial_identities(bar, face=None, degen=None, identity=None,
     a truncated simplicial module of depth bar.depth.
 
     face(n, i) and degen(n, i) are the operators leaving level n and
-    identity(n) is the identity of level n; they default to those of bar.
-    names holds the face letter, the degeneracy letter and the format of
-    the level in the leaf names."""
+    identity(n), called once per level, is the identity of level n; they
+    default to those of bar.  names holds the face letter, the degeneracy
+    letter and the format of the level in the leaf names."""
     n_max = bar.depth
     face = face or bar.face
     degen = degen or bar.degen
@@ -199,13 +199,13 @@ def verify_simplicial_identities(bar, face=None, degen=None, identity=None,
 
     ds = []
     for n in range(n_max):
-        at = level.format(n)
+        at, ident = level.format(n), identity(n)
         for j in range(n + 1):
             for i in range(n + 2):
                 lhs = face(n + 1, i).compose(degen(n, j))
                 if i in (j, j + 1):
                     ds.append(maps_equal_report(
-                        f"{d}{i} {s}{j} = id @ {at}", lhs, identity(n)))
+                        f"{d}{i} {s}{j} = id @ {at}", lhs, ident))
                 elif i < j:
                     ds.append(maps_equal_report(
                         f"{d}{i} {s}{j} = {s}{j - 1} {d}{i} @ {at}", lhs,

@@ -159,6 +159,24 @@ def additive_order(x, add, zero) -> int:
     return t
 
 
+def combine(coeffs, rows, orders):
+    """sum_l coeffs[l] rows[l], reduced mod orders: the one linear
+    combination, of a hom's image rows or of rows and columns of
+    structure constants.  Each row is a reduced coefficient tuple, so a
+    single coefficient 1 gives its stored row, and none the zero tuple."""
+    out = None
+    for v, row in zip(coeffs, rows):
+        if v:
+            if out is None:
+                out, reduced = ((row, True) if v == 1
+                                else ([v * w for w in row], False))
+            else:
+                out, reduced = [a + v * w for a, w in zip(out, row)], False
+    if out is None:
+        return (0,) * len(orders)
+    return out if reduced else tuple(map(mod, out, orders))
+
+
 def direct_sum(mods) -> FiniteModule:
     """The direct sum of mods, kept as its blocks: an element is the
     concatenation of its block coordinates."""
@@ -401,6 +419,9 @@ class ModuleHom:
         if len(images) != domain.rank:
             raise StructuralError(
                 f"{len(images)} images for a domain of rank {domain.rank}")
+        self._set(domain, codomain, images, name)
+
+    def _set(self, domain, codomain, images, name):
         self.domain = domain
         self.codomain = codomain
         self.images = images
@@ -422,20 +443,18 @@ class ModuleHom:
         return self._well_defined
 
     def apply(self, x):
-        out = [0] * self.codomain.rank
-        for c, img in zip(x, self.images):
-            if c:
-                for l, v in enumerate(img):
-                    out[l] += c * v
-        return tuple(map(mod, out, self.codomain.orders))
+        """The image rows combined by the coordinates of x."""
+        return combine(x, self.images, self.codomain.orders)
 
     def compose(self, inner: "ModuleHom") -> "ModuleHom":
-        """self after inner."""
+        """self after inner, whose images apply gives already reduced."""
         if inner.codomain != self.domain:
             raise StructuralError("composite maps do not chain")
-        return ModuleHom(inner.domain, self.codomain,
-                         [self.apply(img) for img in inner.images],
-                         name=f"{self.name}.{inner.name}" if self.name or inner.name else "")
+        out = object.__new__(ModuleHom)
+        out._set(inner.domain, self.codomain,
+                 tuple(map(self.apply, inner.images)),
+                 f"{self.name}.{inner.name}" if self.name or inner.name else "")
+        return out
 
     def __eq__(self, other):
         if self is other:
@@ -642,7 +661,7 @@ def _nonassociative_triple(nz, cols, orders, triples):
     sum_l c[i][j][l] c[l][k] and sum_l c[j][k][l] c[i][l]."""
     n = len(orders)
 
-    def combine(terms, cells):
+    def side(terms, cells):
         out = [0] * n
         for l, v in terms:
             for m, w in cells[l]:
@@ -651,7 +670,7 @@ def _nonassociative_triple(nz, cols, orders, triples):
 
     return next(((i, j, k) for i, j, k in triples
                  if (nz[i][j] or nz[j][k])
-                 and combine(nz[i][j], cols[k]) != combine(nz[j][k], nz[i])),
+                 and side(nz[i][j], cols[k]) != side(nz[j][k], nz[i])),
                 None)
 
 
@@ -723,23 +742,28 @@ def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
 
     When hom and both products are well defined, both sides are bilinear
     in (u, v), so generator pairs decide the property at every size, and
-    they are read off the tables: f(g_i g_j) is f applied to the cell
-    c[i][j] of dom's product, and f(g_i)f(g_j) is cod's product of the
-    image rows F[i] and F[j].  The pairs are scanned e_n < .. < e_1 in
-    both arguments, as policy.check takes them, so the first mismatch is
-    the least element witness and the leaf is the one the exhaustive
-    sweep gives.  Otherwise the element pairs are swept under policy."""
+    they are read off tables built for this call: f(g_i g_j) is f of the
+    cell c[i][j] of dom's product, applied once per distinct cell, and
+    f(g_i)f(g_j) is combine(F[j], P_i) for the image matrix F, where
+    P_i[b] = f(g_i) g_b combines F[i] with column b of cod's product.
+    The pairs are scanned e_n < .. < e_1 in both arguments, as
+    policy.check takes them, so the first mismatch is the least element
+    witness and the leaf is the one the exhaustive sweep gives.
+    Otherwise the element pairs are swept under policy."""
     if not all(m.well_defined() for m in (hom, dom.mul, cod.mul)):
         return check(name, kind, [dom.carrier] * 2,
                      lambda u, v: hom.apply(dom.multiply(u, v))
                      == cod.multiply(hom.apply(u), hom.apply(v)), policy,
                      detail="f(uv) = f(u)f(v)")
-    gens, images = dom.carrier.generators(), hom.images
-    consts, evaluate = dom.mul.constants, cod.mul.evaluate
+    gens, images, orders = dom.carrier.generators(), hom.images, cod.orders
+    consts, cols = dom.mul.constants, cod.mul.columns()
+    f_cell = {cell: hom.apply(cell) for cell in set().union(*consts)}
     order = range(dom.carrier.rank - 1, -1, -1)
-    bad = next(((gens[i], gens[j]) for i in order for j in order
-                if hom.apply(consts[i][j])
-                != evaluate(images[i], images[j])), None)
+    bad = next(((gens[i], gens[j]) for i in order
+                for p_i in [[combine(images[i], col, orders) for col in cols]]
+                for j in order
+                if f_cell[consts[i][j]] != combine(images[j], p_i, orders)),
+               None)
     meta = {"mode": EXHAUSTIVE, "checked": dom.carrier.size ** 2}
     if bad is not None:
         return leaf(name, FAIL, kind, detail="f(uv) != f(u)f(v)",

@@ -19,25 +19,25 @@ tensor built for fixed algebras (and, for CM1 and CM2, a fixed eta):
 what those fix is read once, and where every map the clause reads is
 well defined the clause is read off the structure constants and the
 image matrix of eta on generator tuples, with the leaf policy.check
-gives.  What a clause computes from one cell, column or row of a tensor
-is kept in a table filled on first use, and one leaf is kept per
-witness, so tensors that share parts share that work and their leaves.
-Where a map is not well defined, the clause's element predicate goes to
-check and is swept.  classify_xmods builds these functions once per
-pair of algebras and once per eta; the tables live as long as the
-function.
+gives.  Each read is core.combine, the linear combination that a hom's
+apply and multiplicativity_report make too.  What a clause computes
+from one cell, column or row of a tensor is kept in a table filled on
+first use, and one leaf is kept per witness, so tensors that share
+parts share that work and their leaves.  Where a map is not well
+defined, the clause's element predicate goes to check and is swept.
+classify_xmods builds these functions once per pair of algebras and
+once per eta; the tables live as long as the function.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from math import prod
-from operator import mod
 
 from .core import (Algebra, AlgebraHom, BilinearMap, ModuleHom,
                    PreconditionError, StructuralError, Submodule,
-                   _present_subalgebra, block_hom, image, is_ideal, kernel,
-                   order_compatibility, semidirect_product,
+                   _present_subalgebra, block_hom, combine, image, is_ideal,
+                   kernel, order_compatibility, semidirect_product,
                    torsion_compatibility, validate_algebra, validate_hom)
 from .policy import EXHAUSTIVE, Policy, check, sweep  # noqa: F401 (see core)
 from .report import (AXIOM, FAIL, NOTE, PASS, STRUCTURAL, THEOREM, Report,
@@ -56,23 +56,6 @@ def validate_module_action(translation: ModuleHom) -> Report:
     exactly when the translation hom is well defined, d_i * t(g_i) = 0,
     so that is the one thing checked."""
     return group("validate-module-action", [order_compatibility(translation)])
-
-
-def _combine(coeffs, rows, orders):
-    """sum_l coeffs[l] rows[l], reduced mod orders: the linear combination
-    every clause below reads off a table.  Each row is a reduced
-    coefficient tuple, so a single term with coefficient 1 is its row."""
-    out = None
-    for v, row in zip(coeffs, rows):
-        if v:
-            if out is None:
-                out, reduced = ((row, True) if v == 1
-                                else ([v * w for w in row], False))
-            else:
-                out, reduced = [a + v * w for a, w in zip(out, row)], False
-    if out is None:
-        return (0,) * len(orders)
-    return out if reduced else tuple(map(mod, out, orders))
 
 
 class _Table(dict):
@@ -131,9 +114,9 @@ def _product_compatibility(s_alg: Algebra, r_alg: Algebra, policy):
     def row_bad(ci):
         for j, r1 in r_scan:
             for k, r2 in r_scan:
-                lhs = _combine(rc[j][k], ci, orders)
-                if (lhs != _combine(ci[j], cols[k], orders)
-                        or lhs != _combine(ci[k], rc[j], orders)):
+                lhs = combine(rc[j][k], ci, orders)
+                if (lhs != combine(ci[j], cols[k], orders)
+                        or lhs != combine(ci[k], rc[j], orders)):
                     return r1, r2
         return None
     bad_pairs = _Table(row_bad)
@@ -167,8 +150,8 @@ def _actor_composition(s_alg: Algebra, r_alg: Algebra, policy):
         for i, s1 in s_scan:
             for j, s2 in s_scan:
                 for k, r in r_scan:
-                    if (_combine(sc[i][j], cols[k], orders)
-                            != _combine(c[j][k], c[i], orders)):
+                    if (combine(sc[i][j], cols[k], orders)
+                            != combine(c[j][k], c[i], orders)):
                         return s1, s2, r
         return None
 
@@ -249,10 +232,10 @@ def _cm1(eta: AlgebraHom, policy):
     # sum_l E[j]_l sc[i][l] read once per eta and the former tabled per
     # cell value
     s_alg, images, orders = eta.cod, eta.images, eta.cod.orders
-    rhs = [[_combine(img, row, orders) for img in images]
+    rhs = [[combine(img, row, orders) for img in images]
            for row in s_alg.mul.constants]
     s_scan, r_scan = _scan(s_alg), _scan(eta.dom)
-    eta_of = _Table(lambda v: _combine(v, images, orders))
+    eta_of = _Table(lambda v: combine(v, images, orders))
 
     def first_bad(tensor):
         c = tensor.constants
@@ -277,7 +260,7 @@ def _cm2(eta: AlgebraHom, policy):
     r_alg, images, orders = eta.dom, eta.images, eta.dom.orders
     rc = r_alg.mul.constants
     r_scan = _scan(r_alg)
-    sums_of = _Table(lambda col: [_combine(img, col, orders)
+    sums_of = _Table(lambda col: [combine(img, col, orders)
                                   for img in images])
 
     def first_bad(tensor):

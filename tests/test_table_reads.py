@@ -1,16 +1,21 @@
 """Checks read off tables, against the walks they replace.
 
-multiplicativity_report compares the image matrix and the structure
-constants instead of evaluating a predicate on generator pairs, and so
-do the four clauses of a crossed module (product compatibility, actor
-composition, CM1 and CM2), which also table what they compute from a
-cell, column or row and keep one leaf per witness; torsion_violations
-and order_violations read only the cells whose orders allow a
-violation, and the perturbation harness derives each mutant from the
-canonical tensor's changed cells.
-The slow forms are kept here as oracles: the generator-tuple predicate
-through policy.check, the full (i, j, l) walk, and the rebuild of a
-mutant from raw lists.
+core.combine is the one linear combination: a hom's apply is the
+combination of its image rows, and compose keeps the images apply
+gives.  multiplicativity_report reads f(c[i][j]) once per distinct cell
+value and f(g_i)f(g_j) as combinations of image rows with the columns of
+the codomain's product, instead of evaluating a predicate on generator
+pairs; so do the four clauses of a crossed module (product
+compatibility, actor composition, CM1 and CM2), which also table what
+they compute from a cell, column or row and keep one leaf per witness.
+torsion_violations and order_violations read only the cells whose
+orders allow a violation, and the perturbation harness derives each
+mutant from the canonical tensor's changed cells.
+The slow forms are kept here as oracles: the coordinate double sum, the
+generator-tuple predicate through policy.check, the full (i, j, l) walk,
+and the rebuild of a mutant from raw lists.  multiplicativity_report is
+compared with its oracle on the operators the bar and bibar verifiers
+check, on the mutants of the perturbation harness and on drawn algebras.
 """
 
 import random
@@ -22,12 +27,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idealbar.core as core_mod
-from idealbar.bar import build_bar_algebra
+from idealbar.bar import build_bar_algebra, level_homomorphism_clauses
+from idealbar.bibar import build_bibar
 from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                            ModuleHom, identity_hom, multiplicativity_report)
 from idealbar.enumeration import (enumerate_action_tensors, enumerate_algebras,
                                   enumerate_homs)
-from idealbar.fixtures import nilcube_xmod
+from idealbar.fixtures import nilcube_morphism, nilcube_xmod
 from idealbar.policy import EXHAUSTIVE, Policy, check
 from idealbar.report import AXIOM
 from idealbar.roundtrip import _mutate_tensors
@@ -38,23 +44,35 @@ from idealbar.xmod import (CrossedModule, algebra_action_validator,
 
 MODULI = [4, 6, 8, 9]
 CASES = settings(max_examples=150, deadline=None)
-BROKEN_Z4 = str(Path(__file__).resolve().parent.parent / "fixtures"
-                / "broken_z4.json")
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+BROKEN_Z4 = str(FIXTURES / "broken_z4.json")
 
 
 # ---------------------------------------------------------------------------
 # oracles
 
 
+def double_sum(x, images, cod):
+    """sum_i x[i] images[i], coordinate by coordinate, reduced once."""
+    return tuple(sum(c * img[l] for c, img in zip(x, images)) % f
+                 for l, f in enumerate(cod.orders))
+
+
 def predicate_multiplicativity(name, hom, dom, cod, policy=None, kind=AXIOM):
     """multiplicativity_report as it was: the predicate f(uv) = f(u)f(v)
     handed to check with the three maps, so a closed gate sweeps the
-    elements and an open one takes the generator pairs."""
+    elements and an open one takes the generator pairs.  f is applied
+    as the coordinate double sum, so that no combine is shared with the
+    path under test."""
     maps = (hom, dom.mul, cod.mul)
     gate = all(m.well_defined() for m in maps)
+
+    def f(x):
+        return double_sum(x, hom.images, hom.codomain)
+
     rep = check(name, kind, [dom.carrier] * 2,
-                lambda u, v: hom.apply(dom.multiply(u, v))
-                == cod.multiply(hom.apply(u), hom.apply(v)), policy,
+                lambda u, v: f(dom.multiply(u, v))
+                == cod.multiply(f(u), f(v)), policy,
                 detail="f(uv) != f(u)f(v)" if gate else "f(uv) = f(u)f(v)",
                 maps=maps)
     if gate and rep.passed:
@@ -131,9 +149,9 @@ def rebuilt_mutants(bar, rng):
 # strategies
 
 
-def module(data, m, max_size):
+def module(data, m, max_size, min_rank=1):
     divisors = [d for d in range(2, m + 1) if m % d == 0]
-    orders = data.draw(st.lists(st.sampled_from(divisors), min_size=1,
+    orders = data.draw(st.lists(st.sampled_from(divisors), min_size=min_rank,
                                 max_size=3)
                        .filter(lambda o: prod(o) <= max_size))
     return FiniteModule(m, orders)
@@ -219,7 +237,11 @@ def counting(monkeypatch, cls, attr):
     return calls
 
 
-def test_a_passing_hom_costs_one_apply_and_one_evaluate_per_pair(monkeypatch):
+def test_a_passing_hom_costs_one_apply_per_cell_value_and_no_evaluate(
+        monkeypatch):
+    # f(c[i][j]) is tabled per distinct cell value of dom's product, and
+    # f(g_i)f(g_j) is combined from image rows and the columns of cod's
+    # product, so no product of elements is evaluated
     bar = build_bar_algebra(nilcube_xmod(), 2)
     face = bar.face(2, 1)
     dom, cod = bar.algebras[2], bar.algebras[1]
@@ -229,8 +251,135 @@ def test_a_passing_hom_costs_one_apply_and_one_evaluate_per_pair(monkeypatch):
     evaluates = counting(monkeypatch, core_mod.BilinearMap, "evaluate")
     rep = multiplicativity_report("d1@2", face, dom, cod)
     assert rep.passed
-    rank = dom.carrier.rank
-    assert (len(applies), len(evaluates)) == (rank ** 2, rank ** 2)
+    values = set().union(*dom.mul.constants)
+    assert len(values) < dom.carrier.rank ** 2
+    assert sorted(args[0] for args in applies) == sorted(values)
+    assert evaluates == []
+
+
+def bar_operators(bar, algebras):
+    """The faces and degeneracies whose multiplicativity the bar verifier
+    checks, as (name, hom, domain algebra, codomain algebra), the levels'
+    algebras taken from algebras."""
+    for (n, m), clause in level_homomorphism_clauses(bar):
+        name, hom = clause.args[:2]
+        yield name, hom, algebras[n], algebras[m]
+
+
+def assert_multiplicativity_matches(operators):
+    """multiplicativity_report equals the predicate path on every
+    operator; the statuses seen are returned."""
+    statuses = set()
+    for name, hom, dom, cod in operators:
+        rep = multiplicativity_report(name, hom, dom, cod)
+        assert rep.to_json() == predicate_multiplicativity(
+            name, hom, dom, cod).to_json()
+        statuses.add(rep.status)
+    return statuses
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_multiplicativity_matches_on_every_bar_operator(path, depth):
+    bar = build_bar_algebra(Workspace.load(str(path)).xmods["main"], depth)
+    assert assert_multiplicativity_matches(
+        bar_operators(bar, bar.algebras))
+
+
+def test_multiplicativity_matches_on_every_vertical_bibar_operator():
+    bb = build_bibar(nilcube_morphism(), 3, 2)
+    operators = []
+    for m in range(bb.m_depth + 1):
+        for n in range(1, bb.n_depth + 1):
+            operators += [(f"dv{i}@({n},{m})", bb.v_face(n, m, i),
+                           bb.algebra(n, m), bb.algebra(n - 1, m))
+                          for i in range(n + 1)]
+        for n in range(bb.n_depth):
+            operators += [(f"sv{i}@({n},{m})", bb.v_degen(n, m, i),
+                           bb.algebra(n, m), bb.algebra(n + 1, m))
+                          for i in range(n + 1)]
+    assert len(operators) == 3 * (9 + 6)
+    assert assert_multiplicativity_matches(operators) == {"PASS"}
+
+
+@pytest.mark.parametrize("fixture,depth", [("nilcube", 3), ("broken_z4", 2)])
+def test_multiplicativity_matches_on_mutated_levels(fixture, depth):
+    # each mutant replaces one level's product, so the operators into
+    # and out of that level read it; mutants over Z/4 may break torsion,
+    # and then both paths sweep the elements
+    bar = build_bar_algebra(
+        Workspace.load(str(FIXTURES / f"{fixture}.json")).xmods["main"],
+        depth)
+    statuses = set()
+    for seed in range(20):
+        k, cells = _mutate_tensors(bar, random.Random(seed))
+        algebras = list(bar.algebras)
+        algebras[k] = Algebra(bar.levels[k],
+                              algebras[k].mul.with_cells(cells))
+        statuses |= assert_multiplicativity_matches(
+            op for op in bar_operators(bar, algebras)
+            if algebras[k] in (op[2], op[3]))
+    assert statuses == {"PASS", "FAIL"}
+
+
+def test_a_noncommutative_codomain_is_multiplied_in_order():
+    # in the codomain g_1 g_2 = g_1 while g_2 g_1 = 0, so the identity
+    # from the zero product fails at (g_1, g_2) alone, whose element
+    # witness is (e_1, e_2); multiplying in the other order would fail
+    # at (e_2, e_1)
+    mod = FiniteModule(2, [2, 2])
+    dom = Algebra(mod, zero_tensor(mod, mod, mod))
+    cod = Algebra(mod, BilinearMap(mod, mod, mod, [[(0, 0), (1, 0)],
+                                                   [(0, 0), (0, 0)]]))
+    f = identity_hom(mod)
+    rep = multiplicativity_report("mult", f, dom, cod)
+    assert rep.witness == ((1, 0), (0, 1))
+    assert rep.to_json() == predicate_multiplicativity(
+        "mult", f, dom, cod).to_json()
+
+
+# ---------------------------------------------------------------------------
+# apply and compose
+
+
+def coefficients(data, m, count):
+    """count integers, drawn also outside [0, m) and below zero."""
+    return [data.draw(st.integers(-2 * m, 2 * m)) for _ in range(count)]
+
+
+@given(st.data(), st.sampled_from(MODULI))
+@CASES
+def test_apply_is_the_coordinate_double_sum(data, m):
+    dom, cod = module(data, m, 72, 0), module(data, m, 72, 0)
+    hom = ModuleHom(dom, cod, [coefficients(data, m, cod.rank)
+                               for _ in dom.orders])
+    x = coefficients(data, m, dom.rank)
+    out = hom.apply(x)
+    assert type(out) is tuple and cod.contains(out)
+    assert out == double_sum(x, hom.images, cod)
+    if not dom.rank or not cod.rank:
+        assert out == cod.zero
+
+
+@given(st.data(), st.sampled_from(MODULI))
+@CASES
+def test_compose_equals_the_reducing_constructor(data, m):
+    dom, mid, cod = (module(data, m, 72, 0) for _ in range(3))
+    inner = ModuleHom(dom, mid, [coefficients(data, m, mid.rank)
+                                 for _ in dom.orders])
+    outer = ModuleHom(mid, cod, [coefficients(data, m, cod.rank)
+                                 for _ in mid.orders])
+    composite = outer.compose(inner)
+    rebuilt = ModuleHom(dom, cod, [
+        [sum(c * img[l] for c, img in zip(x, outer.images))
+         for l in range(cod.rank)] for x in inner.images])
+    assert composite.images == rebuilt.images
+    assert composite == rebuilt and hash(composite) == hash(rebuilt)
+    assert all(type(img) is tuple for img in composite.images)
+    if outer.well_defined():  # then reducing inner's image first is free
+        x = coefficients(data, m, dom.rank)
+        assert composite.apply(x) == outer.apply(inner.apply(x))
 
 
 # ---------------------------------------------------------------------------
