@@ -40,7 +40,9 @@ def _tensors(left: FiniteModule, right: FiniteModule, target: FiniteModule,
     lexicographic order of their cells (i, j) taken row by row.  A
     symmetric tensor on a carrier fills the cells with i <= j and
     mirrors them.  A space of more than MAX_PAIR_ENUM tensors is refused
-    before any is built."""
+    before any is built.  The cells are elements of target, already
+    reduced, so each tensor is set from them without the conversion of
+    BilinearMap's constructor."""
     cells = [(i, j) for i in range(left.rank)
              for j in range(i if symmetric else 0, right.rank)]
     if target.size ** len(cells) > MAX_PAIR_ENUM:
@@ -52,7 +54,8 @@ def _tensors(left: FiniteModule, right: FiniteModule, target: FiniteModule,
             constants[i][j] = val
             if symmetric:
                 constants[j][i] = val
-        tensor = BilinearMap(left, right, target, constants)
+        tensor = object.__new__(BilinearMap)
+        tensor._set(left, right, target, tuple(map(tuple, constants)))
         if tensor.well_defined():
             yield tensor
 
@@ -203,23 +206,22 @@ def enumerate_ideals(alg: Algebra) -> list[Submodule]:
 
 def _fuzz_chains(modulus: int, max_rank: int, count: int, seed: int):
     """The draws of fuzz_cims, each as (key, sx, cim), where key is the
-    drawn index triple of the chain J <= I <= S.
+    drawn index triple of the chain J <= I <= S and sx and cim are the
+    chain's own sub crossed module and inclusion map, the same objects
+    for every draw of the chain.
 
     The ideals of an algebra are listed once per call; the ambient
     inclusion_xmod(S, I), the ideals inside I and the coordinates of I
     once per drawn (algebra, ideal) pair; and sub_crossed_module and
     inclusion_cim once per drawn chain.  Every cache is keyed on draw
-    indices.  A draw gets its own sx and cim named fuzz{n} and
-    incl-fuzz{n}, thin shells over the parts of its chain: eta, the
-    action, mu, nu and the spans of the sub, and the two action tensors
-    and h of the map."""
+    indices."""
     rng = random.Random(seed)
     algebras = [a for r in range(1, max_rank + 1)
                 for a in enumerate_algebras(modulus, r)]
     ideal_cache: dict[int, list[Submodule]] = {}
     pair_cache: dict[tuple[int, int], tuple] = {}
     chain_cache: dict[tuple[int, int, int], tuple] = {}
-    for n in range(count):
+    for _ in range(count):
         idx = rng.randrange(len(algebras))
         s_alg = algebras[idx]
         if idx not in ideal_cache:
@@ -240,16 +242,7 @@ def _fuzz_chains(modulus: int, max_rank: int, count: int, seed: int):
                 ambient.r_alg.carrier, [coords[g] for g in small.gens])
             base = sub_crossed_module(ambient, r_subset, small)
             chain_cache[key] = base, inclusion_cim(base)
-        base, incl = chain_cache[key]
-
-        name = f"fuzz{n}"
-        sub = CrossedModule(base.sub.eta, base.sub.action, name=name)
-        sx = SubXMod(ambient, sub, base.mu, base.nu, base.r_subset,
-                     base.s_subset, name=name)
-        mor = XModMorphism(sub, ambient, base.mu, base.nu, name=f"incl-{name}")
-        yield key, sx, CrossedIdealMap(
-            mor, incl.alpha1_xmod.action, incl.alpha2_xmod.action, incl.h,
-            name=f"incl-{name}")
+        yield key, *chain_cache[key]
 
 
 def fuzz_cims(modulus: int, max_rank: int, count: int, seed: int = 0):
@@ -260,14 +253,28 @@ def fuzz_cims(modulus: int, max_rank: int, count: int, seed: int = 0):
     the inclusion J -> I -> S then carries a canonical crossed ideal map.
     The construction lands on valid instances by design.  Draws of one
     chain share its ambient crossed module, its assembled sub and its
-    inclusion map, each under the draw's own names (see _fuzz_chains).
-    No draw is validated here: fuzz_report validates each chain once, so
-    a draw that fails is reported, not drawn again.  J is an ideal of S
-    inside I, so every closure that sub_crossed_module checks holds and
-    each drawn sub assembles; one that did not would reach inclusion_cim
-    and be refused there."""
-    return [(sx, cim) for _, sx, cim in
-            _fuzz_chains(modulus, max_rank, count, seed)]
+    inclusion map (see _fuzz_chains); draw n gets its own sx and cim
+    named fuzz{n} and incl-fuzz{n}, thin shells over the parts of its
+    chain: eta, the action, mu, nu and the spans of the sub, and the two
+    action tensors and h of the map.  No draw is validated here:
+    fuzz_report validates each chain once, so a draw that fails is
+    reported, not drawn again.  J is an ideal of S inside I, so every
+    closure that sub_crossed_module checks holds and each drawn sub
+    assembles; one that did not would reach inclusion_cim and be refused
+    there."""
+    out = []
+    for n, (_, base, incl) in enumerate(
+            _fuzz_chains(modulus, max_rank, count, seed)):
+        name = f"fuzz{n}"
+        sub = CrossedModule(base.sub.eta, base.sub.action, name=name)
+        sx = SubXMod(base.ambient, sub, base.mu, base.nu, base.r_subset,
+                     base.s_subset, name=name)
+        mor = XModMorphism(sub, base.ambient, base.mu, base.nu,
+                           name=f"incl-{name}")
+        out.append((sx, CrossedIdealMap(
+            mor, incl.alpha1_xmod.action, incl.alpha2_xmod.action, incl.h,
+            name=f"incl-{name}")))
+    return out
 
 
 def fuzz_report(modulus: int, max_rank: int, count: int, seed: int = 0,
@@ -275,25 +282,28 @@ def fuzz_report(modulus: int, max_rank: int, count: int, seed: int = 0,
     """Validate every fuzzed instance and its image construction, rolled
     up to one leaf per instance.
 
-    Each distinct drawn chain is decided once, on its first draw: every
-    check is deterministic for a fixed input and policy, each sampled
-    sweep seeding its own Random(policy.seed), and names only label the
-    nodes of a report, so a later draw of the chain takes the verdict
-    under its own name.  The image of an inclusion map spans the same
-    two subsets as the drawn sub crossed module, so the image check is
-    handed that sub and, once it has compared the spans, validates it
-    instead of assembling the image again."""
+    Each distinct drawn chain is decided once, on its first draw, on the
+    chain's own sub and inclusion map: every check is deterministic for
+    a fixed input and policy, each sampled sweep seeding its own
+    Random(policy.seed), and names only label the nodes of a report, so
+    every draw n of the chain takes the verdict in its row
+    incl-fuzz{n}, the name fuzz_cims gives its map.  The image of an
+    inclusion map spans the same two subsets as the drawn sub crossed
+    module, so the image check is handed that sub and, once it has
+    compared the spans, validates it instead of assembling the image
+    again."""
     rows = []
     failures = 0
     verdicts: dict[tuple[int, int, int], bool] = {}
-    for key, sx, cim in _fuzz_chains(modulus, max_rank, count, seed):
+    for n, (key, sx, cim) in enumerate(
+            _fuzz_chains(modulus, max_rank, count, seed)):
         if key not in verdicts:
             verdicts[key] = (
                 validate_crossed_ideal_map(cim, policy).passed
                 and image_crossed_ideal_check(cim, policy, sub=sx).passed)
         ok = verdicts[key]
         failures += 0 if ok else 1
-        rows.append(leaf(cim.name, PASS if ok else FAIL, THEOREM,
+        rows.append(leaf(f"incl-fuzz{n}", PASS if ok else FAIL, THEOREM,
                          meta={"r_size": cim.morphism.source.r_alg.carrier.size,
                                "s_size": cim.morphism.target.s_alg.carrier.size}))
     summary = leaf("fuzz-summary", PASS if failures == 0 else FAIL, THEOREM,

@@ -6,12 +6,18 @@ carries a status, a class (axiom / theorem / structural), an optional
 witness, and bookkeeping about how far the sweep went.  Reports render to
 a stable JSON document and to indented text; both renderings are
 byte-deterministic for a fixed input and seed.
+
+The JSON document is written directly, node by node, as the bytes that
+json.dumps(report.to_dict(), indent=2, sort_keys=True) gives.  That call
+is the oracle of the differential tests, not the writer: indent turns
+off CPython's C encoder, so it spends a Python call on every token.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -63,7 +69,12 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """to_dict() as json.dumps(..., indent=2, sort_keys=True) writes
+        it, byte for byte, without building the dicts.  Each node is one
+        template over its seven keys in sorted order; strings go through
+        the stdlib's C escaper, and containers follow its indent rules
+        (see _json_value)."""
+        return _json_node(self, "\n")
 
     def render(self) -> str:
         lines: list[str] = []
@@ -119,6 +130,61 @@ def _witness_json(witness):
     if witness is None:
         return None
     return [list(w) if isinstance(w, tuple) else w for w in witness]
+
+
+def _json_node(node: Report, nl: str) -> str:
+    # nl is the newline and indentation of the line the node closes on
+    inner = nl + "  "
+    if node.checks:
+        item = inner + "  "
+        checks = ("[" + item
+                  + ("," + item).join([_json_node(c, item) for c in node.checks])
+                  + inner + "]")
+    else:
+        checks = "[]"
+    return (f'{{{inner}"checks": {checks},'
+            f'{inner}"detail": {_json_value(node.detail, inner)},'
+            f'{inner}"kind": {_json_value(node.kind, inner)},'
+            f'{inner}"meta": {_json_value(node.meta, inner)},'
+            f'{inner}"name": {_json_value(node.name, inner)},'
+            f'{inner}"status": {_json_value(node.status, inner)},'
+            f'{inner}"witness": {_json_value(_witness_json(node.witness), inner)}'
+            f'{nl}}}')
+
+
+def _json_value(value, nl: str) -> str:
+    """value as the stdlib's indent=2, sort_keys encoder writes it at the
+    nesting whose closing line starts with nl.  bool is tested before
+    int, as there; a float, a dict with a key that is not a str, and
+    anything unserializable go to json.dumps itself, reindented."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = nl + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return ("[" + inner
+                + ("," + inner).join([_json_value(v, inner) for v in value])
+                + nl + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        try:  # _encode_str refuses a key that is not a str
+            return ("{" + inner
+                    + ("," + inner).join([f"{_encode_str(k)}: {_json_value(v, inner)}"
+                                          for k, v in sorted(value.items())])
+                    + nl + "}")
+        except TypeError:
+            pass
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def worst_failure_kind(report: Report) -> str | None:

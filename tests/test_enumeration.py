@@ -261,14 +261,31 @@ def test_action_tensors_beyond_the_bound_are_refused_before_any_is_built(
     built = Counter()
 
     class CountedBilinearMap(BilinearMap):
-        def __init__(self, *args):
+        # the constructor and the enumeration both set a tensor here
+        def _set(self, *args):
             built["tensors"] += 1
-            super().__init__(*args)
+            super()._set(*args)
 
     monkeypatch.setattr(enumeration_mod, "BilinearMap", CountedBilinearMap)
     with pytest.raises(UnsupportedScaleError, match="tensor space too large"):
         enumerate_action_tensors(s_alg, r_alg)
     assert built["tensors"] == 0
+    # the counter sees the tensors of a space within the bound
+    assert len(enumerate_action_tensors(s_alg, s_alg)) == built["tensors"] == 256
+
+
+def test_enumerated_tensors_are_the_constructed_ones():
+    # the enumeration sets its cells, elements of the target, without
+    # the constructor's conversion; mixed orders make the reduction matter
+    mod = FiniteModule(4, [2, 4])
+    alg = Algebra(mod, BilinearMap(mod, mod, mod, [[mod.zero] * 2] * 2))
+    tensors = enumerate_action_tensors(alg, alg)
+    assert len(tensors) == len(set(tensors)) == 512
+    for t in tensors:
+        assert t.well_defined()
+        assert t == BilinearMap(mod, mod, mod, t.constants)
+        assert all(type(v) is int for row in t.constants
+                   for vec in row for v in vec)
 
 
 def test_a_cm1_only_candidate_exists():

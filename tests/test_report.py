@@ -1,5 +1,14 @@
 """Report tree behaviour: grouping, exit codes, rendering, JSON stability."""
 
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idealbar.cli import build_parser, run
+from idealbar.enumeration import classify_xmods, fuzz_report
+from idealbar.fixtures import nilsquare_algebra, nilsquare_ideal_algebra
 from idealbar.report import (
     AXIOM,
     FAIL,
@@ -14,6 +23,7 @@ from idealbar.report import (
     leaf,
     worst_failure_kind,
 )
+from test_golden import GOLDEN, _ident
 
 
 def test_group_status_follows_children():
@@ -109,3 +119,94 @@ def test_report_passed_property():
     assert Report(name="n", status=NOTE).passed
     assert Report(name="n", status=SKIP).passed
     assert not Report(name="n", status=FAIL).passed
+
+
+# ---------------------------------------------------------------------------
+# to_json writes the document itself; the stdlib's indent=2, sort_keys
+# encoding of to_dict is its oracle, byte for byte
+
+
+def stdlib_json(rep):
+    return json.dumps(rep.to_dict(), indent=2, sort_keys=True)
+
+
+# quotes, backslashes and control characters, escaped by name or as \u00XX;
+# non-ASCII, escaped as \uXXXX or as a surrogate pair; and lone surrogates
+texts = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028'),
+    st.characters(),
+    st.integers(0x80, 0x10FFFF).map(chr),
+    st.integers(0xD800, 0xDFFF).map(chr)), max_size=8)
+ints = st.one_of(st.integers(), st.integers(2 ** 64, 2 ** 200),
+                 st.integers(-2 ** 200, -2 ** 64))
+scalars = st.one_of(st.none(), st.booleans(), ints, texts,
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+# nested lists, tuples and dicts; a dict keyed by ints takes the stdlib's
+# own path, which sorts the keys as ints before writing them as strings
+values = st.recursive(scalars, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(texts, kids, max_size=4),
+    st.dictionaries(ints, kids, max_size=4)), max_leaves=12)
+metas = st.one_of(st.dictionaries(texts, values, max_size=5),
+                  st.dictionaries(ints, values, max_size=3))
+witnesses = st.one_of(
+    st.none(), st.just(()),
+    st.lists(st.one_of(ints, st.recursive(
+        st.lists(ints, max_size=3).map(tuple),
+        lambda kids: st.lists(kids, max_size=3).map(tuple), max_leaves=6)),
+        max_size=4).map(tuple))
+nodes = st.builds(
+    Report, name=texts,
+    status=st.one_of(st.sampled_from([PASS, FAIL, NOTE, SKIP]), texts),
+    kind=st.one_of(st.none(), st.sampled_from([AXIOM, THEOREM, STRUCTURAL]),
+                   texts),
+    detail=texts, witness=witnesses, meta=metas, checks=st.builds(list))
+trees = st.recursive(nodes, lambda kids: st.builds(
+    lambda node, checks: Report(node.name, node.status, node.kind,
+                                node.detail, node.witness, node.meta, checks),
+    nodes, st.lists(kids, max_size=4)), max_leaves=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees)
+def test_to_json_matches_the_stdlib_encoder(rep):
+    assert rep.to_json() == stdlib_json(rep)
+
+
+def test_to_json_matches_the_stdlib_encoder_on_edge_values():
+    tree = group("ro\"ot\\", [
+        leaf("\x00\u00e9\U0001f600\ud800", FAIL, AXIOM, detail="\n\t",
+             witness=((0, 1), 3, ()),
+             meta={"z": [], "a": {}, "m": (True, False, None, 2 ** 70),
+                   "f": [1.5, float("nan"), float("inf"), -float("inf")],
+                   "k": {3: "x", 10: ["y"]}}),
+        leaf("empty", SKIP, None, witness=()),
+        group("no-checks", []),
+    ])
+    assert tree.to_json() == stdlib_json(tree)
+
+
+@pytest.mark.parametrize("value", [{1}, {1: 0, "a": 0}], ids=["set", "mixed-keys"])
+def test_to_json_refuses_what_the_stdlib_refuses(value):
+    rep = leaf("x", PASS, AXIOM, meta={"value": value})
+    for write in (Report.to_json, stdlib_json):
+        with pytest.raises(TypeError):
+            write(rep)
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=[_ident(e) for e in GOLDEN])
+def test_to_json_matches_the_stdlib_encoder_on_golden_reports(entry):
+    rep = run(build_parser().parse_args(["--format", "json", *entry[0]]))
+    assert rep.to_json() == stdlib_json(rep)
+
+
+def test_to_json_matches_the_stdlib_encoder_on_fuzz_and_reject_reports():
+    rep = fuzz_report(3, 2, 50, 1)
+    assert rep.to_json() == stdlib_json(rep)
+    _, invalid = classify_xmods(nilsquare_ideal_algebra(), nilsquare_algebra())
+    assert len(invalid) == 5
+    for _, rej in invalid:
+        assert any(node.witness is not None for node in rej.walk())
+        assert rej.to_json() == stdlib_json(rej)
