@@ -301,10 +301,11 @@ class BilinearMap:
         return self._nz
 
     def columns(self):
-        """Column j of the tensor, the cells (i, j) over i, for each j."""
+        """Column j of the tensor, the cells (i, j) over i, for each j.
+        With no row there is still one empty column per right generator."""
         if self._cols is None:
-            self._cols = tuple(tuple(row[j] for row in self.constants)
-                               for j in range(self.right.rank))
+            self._cols = (tuple(zip(*self.constants)) if self.constants
+                          else ((),) * self.right.rank)
         return self._cols
 
     def evaluate(self, x, y):
@@ -675,9 +676,11 @@ def _nonassociative_triple(nz, cols, orders, triples):
 
 
 def cellwise_axioms(alg: Algebra):
-    """For an algebra that passes algebra_axioms, a function of a tensor
-    on its carrier and the cells (i, j) where that tensor may differ
-    from alg.mul, telling whether the tensor passes algebra_axioms too.
+    """For an algebra that passes algebra_axioms, a function of a
+    mapping of cells (i, j) to coefficient lists, telling whether
+    alg.mul with those cells replaced passes algebra_axioms too.  The
+    changed cells are read against alg's constants, so no tensor is
+    built for a change that fails.
 
     A check that reads no changed cell keeps alg's verdict, so torsion
     and commutativity are checked at the changed cells only.  Once the
@@ -697,20 +700,21 @@ def cellwise_axioms(alg: Algebra):
             for l, _ in terms:
                 at[l].append((a, b))
 
-    def passes(mul: BilinearMap, cells) -> bool:
-        c = mul.constants
+    def passes(cells) -> bool:
+        c = alg.mul.constants
+        new = {ij: tuple(map(mod, vec, orders)) for ij, vec in cells.items()}
         nz = list(base)
         triples = []
-        for i, j in cells:
+        for (i, j), cell in new.items():
             # gcd(d_i, d_j) * c[i][j] vanishing mod f_l is torsion
             # compatibility at the cell
             g = gcd(orders[i], orders[j])
-            if c[i][j] != c[j][i] or any(g * v % f
-                                         for v, f in zip(c[i][j], orders)):
+            if cell != new.get((j, i), c[j][i]) or any(
+                    g * v % f for v, f in zip(cell, orders)):
                 return False
             if nz[i] is base[i]:
                 nz[i] = list(base[i])
-            nz[i][j] = tuple((l, v) for l, v in enumerate(c[i][j]) if v)
+            nz[i][j] = tuple((l, v) for l, v in enumerate(cell) if v)
             triples += [(i, j, x) for x in range(n)]
             triples += [(a, b, j) for a, b in at[i]]
         return _nonassociative_triple(nz, nz, orders, triples) is None
@@ -803,7 +807,17 @@ def order_compatibility(hom: ModuleHom) -> Report:
 def torsion_compatibility(tensor: BilinearMap, detail: str = "") -> Report:
     """Whether the tensor is a bilinear map of modules: the first
     torsion violation (i, j, l) is the witness."""
-    bad = None if tensor.well_defined() else next(tensor.torsion_violations())
+    return torsion_leaf(torsion_witness(tensor), detail)
+
+
+def torsion_witness(tensor: BilinearMap):
+    """The first torsion violation (i, j, l) of the tensor, or None."""
+    return None if tensor.well_defined() else next(tensor.torsion_violations())
+
+
+def torsion_leaf(bad, detail: str = "") -> Report:
+    """The torsion-compatibility leaf of a tensor whose first violation
+    is bad, None when there is none."""
     return leaf("torsion-compatibility", FAIL if bad else PASS, STRUCTURAL,
                 detail=detail, witness=bad)
 

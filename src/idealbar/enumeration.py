@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations_with_replacement, product
+from math import gcd, prod
 
 from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule, ModuleHom,
                    Submodule, UnsupportedScaleError, algebra_axioms,
@@ -23,6 +24,10 @@ from .xmod import (CrossedModule, algebra_action_validator,
                    inclusion_xmod)
 
 MAX_PAIR_ENUM = 200_000
+# the crossed module candidates of one pair of algebras: 3^12 = 531,441
+# on (Z/3)^2 with itself fits, while the 16.8 M of (Z/4)^2 with itself
+# would keep tens of GB of reports
+MAX_PAIR_CANDIDATES = 1 << 20
 
 
 def enumerate_order_tuples(modulus: int, rank: int) -> list[tuple]:
@@ -113,11 +118,25 @@ def enumerate_xmods(r_alg: Algebra, s_alg: Algebra) -> list[CrossedModule]:
     return out
 
 
+def _check_pair_scale(r_mod: FiniteModule, s_mod: FiniteModule) -> None:
+    """Refuse a pair of carriers with more than MAX_PAIR_CANDIDATES
+    candidates, bounded with nothing listed: prod gcd(d_i, f_l) module
+    homs R -> S, over the orders d_i of R and f_l of S, times
+    |R|^(rank S * rank R) tensors S x R -> R."""
+    homs = prod(gcd(d, f) for d in r_mod.orders for f in s_mod.orders)
+    if homs * r_mod.size ** (s_mod.rank * r_mod.rank) > MAX_PAIR_CANDIDATES:
+        raise UnsupportedScaleError(
+            "crossed module candidates of a pair exceed the enumeration "
+            f"bound of {MAX_PAIR_CANDIDATES}")
+
+
 def classify_xmods(r_alg: Algebra, s_alg: Algebra,
                    policy: Policy | None = None):
     """Split the candidates of enumerate_xmods, in its order and with its
     names, into valid crossed modules and rejects, each reject paired
-    with the report validate_crossed_module gives it.
+    with the report validate_crossed_module gives it.  A pair whose
+    carriers allow more than MAX_PAIR_CANDIDATES candidates is refused
+    before anything is listed (see _check_pair_scale).
 
     Each factor of a candidate is validated once: validate_algebra of R
     and of S once per call, validate_hom once per hom eta and the action
@@ -131,10 +150,17 @@ def classify_xmods(r_alg: Algebra, s_alg: Algebra,
     cm1 and cm2 leaves of one witness, so every returned report is
     read-only; only its root, and a leaf swept because a map is not
     well defined, are the candidate's own."""
+    _check_pair_scale(r_alg.carrier, s_alg.carrier)
+    return _classify(r_alg, s_alg, enumerate_action_tensors(s_alg, r_alg),
+                     policy)
+
+
+def _classify(r_alg: Algebra, s_alg: Algebra, tensors, policy):
+    """classify_xmods on the action tensors of the pair, listed by the
+    caller, so that pairs over the same carriers share one list."""
     algebra_reps = [validate_algebra(r_alg), validate_algebra(s_alg)]
     validate_action = algebra_action_validator(s_alg, r_alg, policy)
-    actions = [(tensor, validate_action(tensor))
-               for tensor in enumerate_action_tensors(s_alg, r_alg)]
+    actions = [(tensor, validate_action(tensor)) for tensor in tensors]
     valid, invalid = [], []
     for eta in enumerate_homs(r_alg, s_alg):
         hom_rep = validate_hom(eta, policy)
@@ -317,18 +343,26 @@ def fuzz_report(modulus: int, max_rank: int, count: int, seed: int = 0,
 def enumeration_report(modulus: int, max_rank: int,
                        policy: Policy | None = None) -> Report:
     """Counting report: algebras per rank, then crossed module candidates
-    over every algebra pair, split into valid and invalid."""
+    over every algebra pair, split into valid and invalid.  Every pair
+    of carriers is checked against MAX_PAIR_CANDIDATES before the first
+    pair is classified, and the action tensors are listed once per pair
+    of carriers."""
     checks = []
-    per_rank = {}
+    by_carrier: dict[FiniteModule, list[Algebra]] = {}
     for r in range(max_rank + 1):
         algs = enumerate_algebras(modulus, r)
-        per_rank[r] = algs
+        for alg in algs:
+            by_carrier.setdefault(alg.carrier, []).append(alg)
         checks.append(leaf(f"algebras @ rank {r}", NOTE, None,
                            meta={"count": len(algs)}))
+    for r_mod, s_mod in product(by_carrier, repeat=2):
+        _check_pair_scale(r_mod, s_mod)
     total = valid_count = 0
-    for r_alg in (a for algs in per_rank.values() for a in algs):
-        for s_alg in (a for algs in per_rank.values() for a in algs):
-            valid, invalid = classify_xmods(r_alg, s_alg, policy)
+    for (r_mod, r_algs), (s_mod, s_algs) in product(by_carrier.items(),
+                                                    repeat=2):
+        tensors = enumerate_action_tensors(s_algs[0], r_algs[0])
+        for r_alg, s_alg in product(r_algs, s_algs):
+            valid, invalid = _classify(r_alg, s_alg, tensors, policy)
             total += len(valid) + len(invalid)
             valid_count += len(valid)
     checks.append(leaf("xmod-candidates", NOTE, None,

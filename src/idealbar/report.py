@@ -29,7 +29,7 @@ THEOREM = "THEOREM"
 STRUCTURAL = "STRUCTURAL"
 
 
-@dataclass
+@dataclass(slots=True)
 class Report:
     name: str
     status: str = PASS
@@ -97,9 +97,11 @@ class Report:
             child._render_into(lines, depth + 1)
 
 
+# leaf and group pass the fields in order: keyword construction of the
+# dataclass costs about twice as much, and the census builds a node per
+# candidate
 def leaf(name, status, kind, detail="", witness=None, meta=None) -> Report:
-    return Report(name=name, status=status, kind=kind, detail=detail,
-                  witness=witness, meta=dict(meta or {}))
+    return Report(name, status, kind, detail, witness, dict(meta or {}), [])
 
 
 def group(name: str, checks: list[Report], detail: str = "", meta=None) -> Report:
@@ -107,8 +109,8 @@ def group(name: str, checks: list[Report], detail: str = "", meta=None) -> Repor
     statuses = {c.status for c in checks}
     status = (FAIL if FAIL in statuses else SKIP if statuses == {SKIP}
               else PASS)
-    return Report(name=name, status=status, detail=detail,
-                  meta=dict(meta or {}), checks=list(checks))
+    return Report(name, status, None, detail, None, dict(meta or {}),
+                  list(checks))
 
 
 def relabel(report: Report, kind: str) -> Report:

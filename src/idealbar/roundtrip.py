@@ -179,7 +179,9 @@ def _definition_filter(canonical: TruncatedBarAlgebra,
                        policy: Policy | None):
     """Whether the canonical bar passes the definition filter, and a
     function of a level k and the cells that a mutant changes in its
-    tensor, giving the mutant bar and whether it passes.
+    tensor, giving the mutant bar and whether it passes.  A mutant
+    rejected before its level axioms pass is not built, and the bar
+    given is None.
 
     Each clause runs once on the canonical bar, with the levels it
     reads.  A clause that skips level k keeps its canonical verdict on
@@ -202,12 +204,14 @@ def _definition_filter(canonical: TruncatedBarAlgebra,
         tail_absorption_clauses(canonical, policy)) if not run().passed]
 
     def decide(k, cells):
-        tensor = canonical.algebras[k].mul.with_cells(cells)
-        mutant = canonical.with_level_tensor(k, tensor)
         if any(k not in levels for levels in failed) or not (
-                axioms[k](tensor, cells) if axioms[k]
-                else algebra_axioms(mutant.algebras[k]).passed):
-            return mutant, False
+                axioms[k] is None or axioms[k](cells)):
+            return None, False
+        tensor = canonical.algebras[k].mul.with_cells(cells)
+        if axioms[k] is None and not algebra_axioms(
+                Algebra(canonical.levels[k], tensor)).passed:
+            return None, False
+        mutant = canonical.with_level_tensor(k, tensor)
         clauses = chain(level_homomorphism_clauses(mutant, policy),
                         tail_absorption_clauses(mutant, policy))
         return mutant, all(run().passed for levels, run in clauses

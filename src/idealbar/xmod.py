@@ -22,8 +22,11 @@ image matrix of eta on generator tuples, with the leaf policy.check
 gives.  Each read is core.combine, the linear combination that a hom's
 apply and multiplicativity_report make too.  What a clause computes
 from one cell, column or row of a tensor is kept in a table filled on
-first use, and one leaf is kept per witness, so tensors that share
-parts share that work and their leaves.  Where a map is not well
+first use, actor composition's left sides per column and its right
+sides per row and cell among them, and one leaf is kept per witness,
+so tensors that share parts share that work and their leaves; the
+action validator keeps its torsion-compatibility leaf per witness and
+its k-bilinearity leaf once in the same way.  Where a map is not well
 defined, the clause's element predicate goes to check and is swept.
 classify_xmods builds these functions once per pair of algebras and
 once per eta; the tables live as long as the function.
@@ -38,7 +41,8 @@ from .core import (Algebra, AlgebraHom, BilinearMap, ModuleHom,
                    PreconditionError, StructuralError, Submodule,
                    _present_subalgebra, block_hom, combine, image, is_ideal,
                    kernel, order_compatibility, semidirect_product,
-                   torsion_compatibility, validate_algebra, validate_hom)
+                   torsion_leaf, torsion_witness, validate_algebra,
+                   validate_hom)
 from .policy import EXHAUSTIVE, Policy, check, sweep  # noqa: F401 (see core)
 from .report import (AXIOM, FAIL, NOTE, PASS, STRUCTURAL, THEOREM, Report,
                      group, leaf, relabel)
@@ -141,17 +145,25 @@ def _product_compatibility(s_alg: Algebra, r_alg: Algebra, policy):
 
 def _actor_composition(s_alg: Algebra, r_alg: Algebra, policy):
     # at (s_i, s_j, r_k): sum_l sc[i][j]_l c[l][k], column k of the
-    # tensor, against sum_l c[j][k]_l c[i][l]
+    # tensor, against sum_l c[j][k]_l c[i][l].  The left sides over
+    # (i, j) are tabled per column; the right sides per row c[i], in a
+    # table of its own from cell to combination, so a row is hashed once
+    # per i
     sc, orders = s_alg.mul.constants, r_alg.orders
     s_scan, r_scan = _scan(s_alg), _scan(r_alg)
+    lefts_of = _Table(lambda col: [[combine(v, col, orders) for v in row]
+                                   for row in sc])
+    rights_of = _Table(lambda ci: _Table(lambda v: combine(v, ci, orders)))
 
     def first_bad(tensor):
-        c, cols = tensor.constants, tensor.columns()
+        c = tensor.constants
+        lefts = [lefts_of[col] for col in tensor.columns()]
         for i, s1 in s_scan:
+            rights = rights_of[c[i]]
             for j, s2 in s_scan:
+                cj = c[j]
                 for k, r in r_scan:
-                    if (combine(sc[i][j], cols[k], orders)
-                            != combine(c[j][k], c[i], orders)):
+                    if lefts[k][i][j] != rights[cj[k]]:
                         return s1, s2, r
         return None
 
@@ -174,16 +186,23 @@ def algebra_action_validator(s_alg: Algebra, r_alg: Algebra,
     torsion, compatibility with the product of R, and composition of
     actors.  Both of these are trilinear, so where the tensor and the
     product they read are well defined they are read off the constants
-    on generator triples (see _clause)."""
+    on generator triples (see _clause): product compatibility from a
+    table of each row's first failing pair, and actor composition from
+    a table of the left sides sum_l sc[i][j]_l c[l][k] per column and,
+    per row c[i], one of the right sides sum_l v_l c[i][l] per cell v.
+    The validator keeps one torsion-compatibility leaf per witness and
+    one k-bilinearity leaf, as the clauses keep theirs, so the returned
+    reports are read-only."""
     compat = _product_compatibility(s_alg, r_alg, policy)
     compose = _actor_composition(s_alg, r_alg, policy)
+    torsion = _Table(torsion_leaf)
+    bilinear = leaf("k-bilinearity", PASS, STRUCTURAL,
+                    detail="holds by the tensor encoding")
 
     def validate(tensor: BilinearMap) -> Report:
         return group("validate-algebra-action", [
-            torsion_compatibility(tensor),
-            leaf("k-bilinearity", PASS, STRUCTURAL,
-                 detail="holds by the tensor encoding"),
-            compat(tensor), compose(tensor)])
+            torsion[torsion_witness(tensor)], bilinear, compat(tensor),
+            compose(tensor)])
     return validate
 
 

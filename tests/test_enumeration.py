@@ -488,6 +488,23 @@ def test_fuzz_report_fails_exactly_the_draws_of_a_failing_chain(monkeypatch):
     assert rep.to_json() == oracle.to_json()
 
 
+def test_census_lists_the_action_tensors_once_per_pair_of_carriers(
+        monkeypatch):
+    # over Z/2 up to rank 1 the three algebras lie on two carriers, so
+    # the nine pairs of algebras share four tensor lists
+    calls = Counter()
+    tensors = enumeration_mod._tensors
+
+    def counted(left, right, target, symmetric):
+        if not symmetric:
+            calls[left, right] += 1
+        return tensors(left, right, target, symmetric)
+    monkeypatch.setattr(enumeration_mod, "_tensors", counted)
+    assert enumeration_report(2, 1).find("xmod-candidates").meta["total"] \
+        == 17
+    assert list(calls.values()) == [1] * 4
+
+
 def test_enumeration_report_counts():
     rep = enumeration_report(2, 1)
     assert rep.find("algebras @ rank 0").meta == {"count": 1}

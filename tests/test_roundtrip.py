@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from idealbar.bar import build_bar_algebra, definition_checks, verify_bar
-from idealbar.core import PreconditionError
+from idealbar.core import (Algebra, BilinearMap, PreconditionError,
+                           algebra_axioms)
 from idealbar.enumeration import all_valid_xmods
 from idealbar.fixtures import (
     broken_action_xmod,
@@ -298,6 +299,18 @@ def mutant_tensor(canonical, k, cells):
     return canonical.level_tensors()[k].with_cells(cells)
 
 
+def decided(decide, canonical, k, cells):
+    """The mutant bar and decide's verdict on it.  decide builds no bar
+    for a mutant it rejects before its level axioms pass, so that one
+    is built here."""
+    mutant, ok = decide(k, cells)
+    if mutant is None:
+        assert not ok
+        mutant = canonical.with_level_tensor(
+            k, mutant_tensor(canonical, k, cells))
+    return mutant, ok
+
+
 def test_mutants_share_the_canonical_module_and_verify_alike():
     # perturb_and_filter builds the bar module once and reuses every
     # unmutated level; a mutant so built must verify exactly like a bar
@@ -340,7 +353,7 @@ def test_with_level_tensor_shares_every_other_level(fixture):
     rng = random.Random(9)
     for _ in range(8):
         k, cells = _mutate_tensors(canonical, rng)
-        mutant, ok = decide(k, cells)
+        mutant, ok = decided(decide, canonical, k, cells)
         tensor = mutant.algebras[k].mul
         fresh = build_bar_algebra(xm, 2).with_level_tensor(k, tensor)
         assert tensor == mutant_tensor(canonical, k, cells)
@@ -359,6 +372,29 @@ def test_with_level_tensor_shares_every_other_level(fixture):
         assert ok == definition_checks(fresh).passed
 
 
+def test_a_mutant_failing_its_level_axioms_is_not_built(monkeypatch):
+    # the changed cells are read against the canonical constants, so a
+    # mutant that fails its level axioms gets no tensor and no bar, and
+    # one that passes them gets one tensor
+    canonical = build_bar_algebra(nilcube_xmod(), 2)
+    _, decide = _definition_filter(canonical, None)
+    built = []
+    with_cells = BilinearMap.with_cells
+    monkeypatch.setattr(BilinearMap, "with_cells", lambda self, cells: (
+        built.append(cells), with_cells(self, cells))[1])
+    rng = random.Random(0)
+    rejected = 0
+    for _ in range(100):
+        k, cells = _mutate_tensors(canonical, rng)
+        level_ok = algebra_axioms(Algebra(
+            canonical.levels[k], mutant_tensor(canonical, k, cells))).passed
+        built.clear()
+        mutant, ok = decide(k, cells)
+        assert (mutant is not None) == level_ok and len(built) == level_ok
+        rejected += not level_ok
+    assert rejected > 50
+
+
 def z4_depth1_mutants():
     """Each depth-1 mutant of the Z/4 rank-1 crossed modules (seed 0,
     20 per module), with the filter's verdict and the definition
@@ -370,7 +406,8 @@ def z4_depth1_mutants():
         _, decide = _definition_filter(canonical, None)
         rng = random.Random(0)
         for _ in range(20):
-            mutant, ok = decide(*_mutate_tensors(canonical, rng))
+            mutant, ok = decided(decide, canonical,
+                                 *_mutate_tensors(canonical, rng))
             yield mutant, ok, definition_checks(mutant)
 
 
@@ -403,8 +440,8 @@ def test_filter_decides_no_op_mutants_of_a_bar_failing_its_level_axioms():
         assert not passed
         c, n = bar.algebras[1].mul.constants, bar.levels[1].rank
         for i, j in product(range(n), repeat=2):
-            mutant, ok = decide(1, {(i, j): list(c[i][j]),
-                                    (j, i): list(c[j][i])})
+            mutant, ok = decided(decide, bar, 1, {(i, j): list(c[i][j]),
+                                                  (j, i): list(c[j][i])})
             assert ok == definition_checks(mutant).passed, (i, j)
             cases += 1
     assert len(bars) == 33 and cases == 132
@@ -430,7 +467,7 @@ def test_filter_decides_mutants_of_a_bar_with_one_broken_level():
         mutants.append((n, {(0, 0): list(mul.constants[0][0])}))
         mutants += [_mutate_tensors(broken, rng) for _ in range(20)]
         for k, cells in mutants:
-            mutant, ok = decide(k, cells)
+            mutant, ok = decided(decide, broken, k, cells)
             assert ok == definition_checks(mutant).passed, (n, l, k, cells)
             cases += 1
             repaired += ok
@@ -477,7 +514,8 @@ def test_filter_decides_every_mutant_like_the_definition_checks():
         for seed in seeds:
             rng = random.Random(seed)
             for _ in range(count):
-                mutant, ok = decide(*_mutate_tensors(canonical, rng))
+                mutant, ok = decided(decide, canonical,
+                                     *_mutate_tensors(canonical, rng))
                 assert ok == definition_checks(mutant, policy).passed, \
                     (name, depth, seed)
                 survivors[passed] += ok

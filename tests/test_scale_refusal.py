@@ -92,3 +92,51 @@ def test_huge_census_modulus_is_refused_before_its_divisors():
         assert res.stderr == \
             "error: tensor space too large to enumerate at this rank\n"
         assert res.stdout == ""
+
+
+def test_oversized_census_pair_is_refused_before_any_pair_is_classified():
+    # (Z/4)^2 with itself has 4^4 module homs and 4^8 action tensors,
+    # 16.8 M candidates: the census lists the algebras, bounds every pair
+    # of carriers and exits before classifying the first pair
+    res = run_capped(["enumerate", "--modulus", "4", "--max-rank", "2"],
+                     timeout=30)
+    assert res.returncode == 3, res.stderr
+    assert res.stderr == ("error: crossed module candidates of a pair "
+                          "exceed the enumeration bound of 1048576\n")
+    assert res.stdout == ""
+
+
+def test_census_pair_bound_is_arithmetic(monkeypatch):
+    from idealbar import enumeration
+    from idealbar.core import FiniteModule, UnsupportedScaleError
+    # 3^4 homs times 3^8 tensors on (Z/3)^2 is 531,441 and is kept; the
+    # same shape over Z/4 is refused.  Nothing is listed for the bound
+    z3, z4 = FiniteModule(3, [3, 3]), FiniteModule(4, [4, 4])
+    enumeration._check_pair_scale(z3, z3)
+    enumeration._check_pair_scale(FiniteModule(4, [2, 4]),
+                                  FiniteModule(4, [2, 4]))
+    with pytest.raises(UnsupportedScaleError):
+        enumeration._check_pair_scale(z4, z4)
+
+    def listed(*args):
+        raise AssertionError("listed before the bound was checked")
+    z4_alg = enumeration.enumerate_algebras(4, 2)[-1]
+    assert z4_alg.carrier == z4
+    for name in ("enumerate_action_tensors", "enumerate_homs",
+                 "validate_algebra"):
+        monkeypatch.setattr(enumeration, name, listed)
+    with pytest.raises(UnsupportedScaleError):
+        enumeration.classify_xmods(z4_alg, z4_alg)
+
+
+def test_census_at_modulus_3_and_rank_2_is_not_refused(monkeypatch):
+    # every pair of carriers passes the bound, so each pair is handed on
+    # to be classified; the classification itself is stubbed out here
+    from idealbar import enumeration
+    pairs = []
+    monkeypatch.setattr(enumeration, "_classify",
+                        lambda r, s, tensors, policy: (pairs.append(
+                            (r, s)), ([], []))[1])
+    rep = enumeration.enumeration_report(3, 2)
+    algebras = sum(c.meta["count"] for c in rep.checks[:3])
+    assert len(pairs) == algebras ** 2

@@ -553,6 +553,106 @@ def test_clause_tables_are_kept_per_eta():
                    for per_eta in zip(*witnesses))
 
 
+def swept_action_leaves(s_alg, r_alg, tensor):
+    """The torsion, product-compatibility and actor-composition leaves
+    of an action as the full walk and an exhaustive element sweep of
+    each predicate give them, with no generator decision."""
+    exact = Policy(mode=EXHAUSTIVE)
+    act, smul, rmul = tensor.evaluate, s_alg.multiply, r_alg.multiply
+
+    def compat(s, r1, r2):
+        lhs = act(s, rmul(r1, r2))
+        return lhs == rmul(act(s, r1), r2) and lhs == rmul(r1, act(s, r2))
+
+    walked = walked_torsion_violations(tensor)
+    return [
+        ("torsion-compatibility", "FAIL" if walked else "PASS",
+         walked[0] if walked else None, {}),
+        *((rep.name, rep.status, rep.witness, rep.meta) for rep in (
+            check("product-compatibility", AXIOM, [s_alg, r_alg, r_alg],
+                  compat, exact),
+            check("actor-composition", AXIOM, [s_alg, s_alg, r_alg],
+                  lambda s1, s2, r: act(smul(s1, s2), r)
+                  == act(s1, act(s2, r)), exact)))]
+
+
+def drawn_action(data, m, mul_ok):
+    """S and R, drawn outright or R = S, and a tensor S x R -> R to
+    redraw: the zero tensor, or the product of S when R = S, which is an
+    action whenever that product is commutative and associative."""
+    s_alg = drawn_algebra(data, module(data, m, 12), mul_ok)
+    if data.draw(st.booleans()):
+        return s_alg, s_alg, s_alg.mul
+    r_alg = drawn_algebra(data, module(data, m, 12), mul_ok)
+    return s_alg, r_alg, zero_tensor(s_alg.carrier, r_alg.carrier,
+                                     r_alg.carrier)
+
+
+@given(st.data(), st.sampled_from(MODULI), st.booleans(), st.booleans())
+@CASES
+def test_tabled_action_leaves_match_the_exhaustive_element_sweep(
+        data, m, mul_ok, act_ok):
+    # one validator over a few redrawn tensors, some breaking torsion
+    # when act_ok is false: the shared torsion leaf and the tabled
+    # product-compatibility and actor-composition leaves carry the
+    # status, witness and meta of the full walk and of the exhaustive
+    # sweep of the element predicates
+    s_alg, r_alg, base = drawn_action(data, m, mul_ok)
+    validate = algebra_action_validator(s_alg, r_alg,
+                                        Policy(mode=EXHAUSTIVE))
+    for _ in range(3):
+        tensor = redrawn_tensor(data, base, act_ok)
+        got = validate(tensor).checks
+        assert got[1].name == "k-bilinearity"
+        assert [(c.name, c.status, c.witness, c.meta)
+                for c in got[:1] + got[2:]] \
+            == swept_action_leaves(s_alg, r_alg, tensor)
+
+
+@given(st.data(), st.sampled_from(MODULI), st.booleans(), st.booleans())
+@CASES
+def test_one_validator_agrees_with_a_fresh_one_per_tensor(data, m, mul_ok,
+                                                          act_ok):
+    # a validator fed a stream of tensors, repeats included, keeps its
+    # tables and leaves across them, yet reports each tensor as a
+    # validator built for it alone does
+    s_alg, r_alg, base = drawn_action(data, m, mul_ok)
+    pool = [redrawn_tensor(data, base, act_ok) for _ in range(3)]
+    stream = [pool[i] for i in data.draw(
+        st.lists(st.integers(0, 2), min_size=1, max_size=8))]
+    shared = algebra_action_validator(s_alg, r_alg)
+    assert [shared(t).to_json() for t in stream] == [
+        algebra_action_validator(s_alg, r_alg)(t).to_json() for t in stream]
+
+
+def transpose(tensor):
+    return tuple(tuple(row[j] for row in tensor.constants)
+                 for j in range(tensor.right.rank))
+
+
+@given(st.data(), st.sampled_from(MODULI))
+@CASES
+def test_columns_are_the_nested_transpose(data, m):
+    # either side may have rank 0: no row still gives one empty column
+    # per right generator, and no right generator gives no column.  A
+    # mutant starts from its own cells, not from its parent's columns
+    left, right, target = (module(data, m, 72, min_rank=0)
+                           for _ in range(3))
+    tensor = BilinearMap(left, right, target, [
+        [[coefficient(data, f, compatible=False) for f in target.orders]
+         for _ in right.orders] for _ in left.orders])
+    assert tensor.columns() == transpose(tensor)
+    assert len(tensor.columns()) == right.rank
+    if not (left.rank and right.rank):
+        return
+    cells = {(data.draw(st.integers(0, left.rank - 1)),
+              data.draw(st.integers(0, right.rank - 1))):
+             [coefficient(data, f, compatible=False) for f in target.orders]}
+    mutant = tensor.with_cells(cells)
+    assert mutant.columns() == transpose(mutant)
+    assert tensor.columns() == transpose(tensor)
+
+
 def test_torsion_breaking_tensors_sweep_and_share_no_leaf():
     # over Z/4 + Z/2, a cell of order 4 in a Z/2 row breaks torsion, so
     # each clause sweeps the elements; a swept leaf is the tensor's own,
