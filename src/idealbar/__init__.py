@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                    IdealbarError, ModuleHom, PreconditionError,
                    StructuralError, Submodule, UnsupportedScaleError,
-                   direct_sum, image, is_ideal, kernel, quotient_algebra,
-                   semidirect_product, subalgebra_presentation,
-                   validate_algebra, validate_hom)
+                   direct_sum, image, is_ideal, kernel, semidirect_product,
+                   solve, validate_algebra, validate_hom)
 from .xmod import (CrossedModule, consequence_checks, inclusion_xmod,
                    phi_cm1_criterion, phi_cm2_criterion, translation_action,
                    validate_algebra_action, validate_crossed_module,

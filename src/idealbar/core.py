@@ -12,7 +12,8 @@ only its split and inject know.  block_hom and block_tensor assemble the
 maps and products of the bar levels and bibar from one route per block.
 
 A span (an image, a kernel, an ideal) is held as its Howell form, so its
-membership, size and equality, and a kernel, need no element list.
+membership, size and equality need no element list.  A hom's graph
+span, built once, gives both its kernel and the preimages solve finds.
 """
 
 from __future__ import annotations
@@ -428,6 +429,7 @@ class ModuleHom:
         self.images = images
         self.name = name
         self._well_defined = None
+        self._graph = None
 
     def order_violations(self):
         """Indices i where d_i * images[i] != 0, i.e. the map is not well
@@ -442,6 +444,15 @@ class ModuleHom:
         if self._well_defined is None:
             self._well_defined = not self.order_violations()
         return self._well_defined
+
+    def graph(self) -> "Submodule":
+        """The span of the graph rows (f(g_i), g_i) in codomain + domain,
+        built on first use: kernel and solve read its Howell form."""
+        if self._graph is None:
+            self._graph = Submodule.from_generators(
+                direct_sum([self.codomain, self.domain]),
+                map(tuple.__add__, self.images, self.domain.generators()))
+        return self._graph
 
     def apply(self, x):
         """The image rows combined by the coordinates of x."""
@@ -835,16 +846,34 @@ def image(f: ModuleHom) -> Submodule:
 
 
 def kernel(f: ModuleHom) -> Submodule:
-    """The span of the Howell rows of the graph rows (f(g_i), g_i) whose
-    image part is zero; a map that is not well defined is scanned."""
+    """The span of the Howell rows of f's graph whose image part is zero;
+    a map that is not well defined is scanned."""
     dom, n = f.domain, f.codomain.rank
     if not f.well_defined():
         return Submodule(dom, [x for x in dom.elements()
                                if f.apply(x) == f.codomain.zero])
-    graph = howell_form(direct_sum([f.codomain, dom]),
-                        map(tuple.__add__, f.images, dom.generators()))
-    return Submodule.from_generators(dom, [row[n:] for c, row in graph
+    return Submodule.from_generators(dom, [row[n:] for c, row in f.graph().form
                                            if c >= n])
+
+
+def solve(f: ModuleHom, y):
+    """Some x with f(x) = y, or None when y is not in the image.  (y, 0)
+    reduced by the Howell form of f's graph is (0, -x) exactly then, by
+    the Howell property; a map that is not well defined is refused, as
+    its graph span is not a graph."""
+    if not f.well_defined():
+        raise PreconditionError("solve needs a well-defined map")
+    n = f.codomain.rank
+    rest = f.graph().least_in_coset(tuple(y) + f.domain.zero)
+    return None if any(rest[:n]) else f.domain.neg(rest[n:])
+
+
+def injective(f: ModuleHom) -> bool:
+    """No pivot of the graph form past the codomain: the kernel is zero.
+    A map that is not well defined has its elements' images compared."""
+    if f.well_defined():
+        return all(c < f.codomain.rank for c, _ in f.graph().form)
+    return len(set(map(f.apply, f.domain.elements()))) == f.domain.size
 
 
 def is_ideal(alg: Algebra, sub: Submodule,
@@ -865,7 +894,7 @@ def is_ideal(alg: Algebra, sub: Submodule,
 
 
 # ---------------------------------------------------------------------------
-# presentations of subgroups and quotients
+# presentations of subalgebras
 
 
 def decompose_abelian(elements, add, zero):
@@ -909,21 +938,6 @@ def decompose_abelian(elements, add, zero):
     return (d,) + tuple(sub_orders), [g] + lifted
 
 
-def _coordinates(orders, gens, add, zero, elements):
-    coords = {}
-    for tup in product(*(range(d) for d in orders)):
-        v = zero
-        for c, gen in zip(tup, gens):
-            for _ in range(c):
-                v = add(v, gen)
-        if v in coords:
-            raise IdealbarError("decomposition is not direct")
-        coords[v] = tup
-    if len(coords) != len(set(elements)):
-        raise IdealbarError("decomposition does not span")
-    return coords
-
-
 def multiplicatively_closed(alg: Algebra, sub: Submodule,
                             name: str = "multiplicatively-closed") -> Report:
     """Whether x*y stays in the subset for x, y in it, swept for the least
@@ -933,60 +947,22 @@ def multiplicatively_closed(alg: Algebra, sub: Submodule,
                  Policy(mode=EXHAUSTIVE), maps=(alg.mul,))
 
 
-def subalgebra_presentation(alg: Algebra, sub: Submodule):
-    """Present a multiplicatively closed submodule as an algebra of its
-    own.  Returns (sub_algebra, embedding AlgebraHom, coords) where coords
-    maps ambient tuples of the subset to coordinates in the presentation.
-    """
-    if sub.ambient != alg.carrier:
-        raise StructuralError("submodule does not live in the algebra carrier")
-    if sub.addition_violation() is not None:
-        raise PreconditionError("subset is not closed under addition")
-    closed = multiplicatively_closed(alg, sub)
-    if not closed.passed:
-        raise PreconditionError(
-            f"subset is not closed under multiplication at {closed.witness}")
-    return _present_subalgebra(alg, sub)
-
-
 def _present_subalgebra(alg: Algebra, sub: Submodule):
-    """subalgebra_presentation without its precondition checks, for a
-    caller that has already found the subset closed under addition and
-    multiplication."""
+    """(sub_algebra, embedding AlgebraHom) for a subset that the caller
+    found closed under addition and multiplication: the embedding sends
+    the carrier's generators to the cyclic ones decompose_abelian picks,
+    and the product constants are solved through it."""
     amb = alg.carrier
     orders, gens = decompose_abelian(list(sub.elements), amb.add, amb.zero)
     carrier = FiniteModule(amb.modulus, orders)
-    coords = _coordinates(orders, gens, amb.add, amb.zero, sub.elements)
-    constants = [[coords[alg.multiply(gi, gj)] for gj in gens] for gi in gens]
+    embed = ModuleHom(carrier, amb, gens)
+    if not injective(embed) or carrier.size != sub.size:
+        raise IdealbarError("decomposition is not direct or does not span")
+    constants = [[solve(embed, alg.multiply(gi, gj)) for gj in gens]
+                 for gi in gens]
     sub_alg = Algebra(carrier, BilinearMap(carrier, carrier, carrier, constants),
                       name=f"{alg.name}-sub" if alg.name else "sub")
-    embed = AlgebraHom(sub_alg, alg, ModuleHom(carrier, amb, gens), name="embed")
-    return sub_alg, embed, coords
-
-
-def quotient_algebra(alg: Algebra, ideal: Submodule):
-    """Quotient by a two-sided ideal.  Returns (quotient, projection)."""
-    rep_check = is_ideal(alg, ideal)
-    if not rep_check.passed:
-        raise PreconditionError("quotient requires an ideal; is_ideal failed")
-    amb = alg.carrier
-    if ideal.form is None:
-        ideal = Submodule.from_generators(amb, ideal.elements)
-    rep = ideal.least_in_coset
-    reps = sorted({rep(x) for x in amb.elements()})
-
-    def add_q(a, b):
-        return rep(amb.add(a, b))
-
-    orders, gens = decompose_abelian(reps, add_q, amb.zero)
-    carrier = FiniteModule(amb.modulus, orders)
-    coords = _coordinates(orders, gens, add_q, amb.zero, reps)
-    constants = [[coords[rep(alg.multiply(gi, gj))] for gj in gens] for gi in gens]
-    quot = Algebra(carrier, BilinearMap(carrier, carrier, carrier, constants),
-                   name=f"{alg.name}/I" if alg.name else "quotient")
-    images = [coords[rep(g)] for g in amb.generators()]
-    proj = AlgebraHom(alg, quot, ModuleHom(amb, carrier, images), name="projection")
-    return quot, proj
+    return sub_alg, AlgebraHom(sub_alg, alg, embed, name="embed")
 
 
 def semidirect_power(s_alg: Algebra, r_alg: Algebra, act: BilinearMap, n: int,

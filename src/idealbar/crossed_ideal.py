@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from .core import (AlgebraHom, BilinearMap, ModuleHom, PreconditionError,
                    StructuralError, Submodule, _present_subalgebra, image,
-                   maps_equal_report, multiplicatively_closed,
-                   multiplicativity_report)
+                   injective, maps_equal_report, multiplicatively_closed,
+                   multiplicativity_report, solve)
 from .policy import EXHAUSTIVE, Policy, check
 from .report import (AXIOM, FAIL, PASS, SKIP, STRUCTURAL, THEOREM,
                      Report, group, leaf, relabel)
@@ -88,7 +88,9 @@ class SubXMod:
     """Sub crossed module candidate, kept together with the subsets it
     spans inside the ambient carriers.  sub may be None when the subsets
     do not support a crossed module at all; the obstructions found during
-    construction are kept in problems and surface in the CI1 report."""
+    construction are kept in problems and surface in the CI1 report.
+    The coordinates of an ambient element in sub are solved through mu
+    or nu (core.solve); no table of them is kept."""
 
     def __init__(self, ambient: CrossedModule, sub: CrossedModule | None,
                  mu: AlgebraHom | None, nu: AlgebraHom | None,
@@ -111,12 +113,6 @@ class SubXMod:
         if nu.dom != sub.s_alg or nu.cod != ambient.s_alg:
             raise StructuralError("nu must map the sub S into the ambient S")
         return cls(ambient, sub, mu, nu, image(mu.hom), image(nu.hom), name=name)
-
-    def r_coords(self) -> dict:
-        return {self.mu.apply(x): x for x in self.sub.r_alg.elements()}
-
-    def s_coords(self) -> dict:
-        return {self.nu.apply(x): x for x in self.sub.s_alg.elements()}
 
     def __eq__(self, other):
         return (isinstance(other, SubXMod)
@@ -154,13 +150,13 @@ def sub_crossed_module(ambient: CrossedModule, r_subset: Submodule,
         return SubXMod(ambient, None, None, None, r_subset, s_subset,
                        problems, name=name)
 
-    r_alg, mu, r_coords = _present_subalgebra(r_amb, r_subset)
-    s_alg, nu, s_coords = _present_subalgebra(s_amb, s_subset)
-    eta_images = [s_coords[ambient.eta.apply(img)] for img in mu.images]
+    r_alg, mu = _present_subalgebra(r_amb, r_subset)
+    s_alg, nu = _present_subalgebra(s_amb, s_subset)
+    eta_images = [solve(nu.hom, ambient.eta.apply(img)) for img in mu.images]
     eta = AlgebraHom(r_alg, s_alg,
                      ModuleHom(r_alg.carrier, s_alg.carrier, eta_images),
                      name="eta-sub")
-    constants = [[r_coords[ambient.action.evaluate(si, rj)]
+    constants = [[solve(mu.hom, ambient.action.evaluate(si, rj))
                   for rj in mu.images] for si in nu.images]
     act = BilinearMap(s_alg.carrier, r_alg.carrier, r_alg.carrier, constants)
     sub = CrossedModule(eta, act, name=name or "sub")
@@ -176,8 +172,7 @@ def validate_crossed_ideal(sx: SubXMod, policy: Policy | None = None) -> Report:
 
     if sx.sub is not None:
         incl = XModMorphism(sx.sub, amb, sx.mu, sx.nu)
-        inj = (len(sx.r_coords()) == sx.sub.r_alg.carrier.size
-               and len(sx.s_coords()) == sx.sub.s_alg.carrier.size)
+        inj = injective(sx.mu.hom) and injective(sx.nu.hom)
         ci1.append(leaf("inclusions-injective", PASS if inj else FAIL,
                         STRUCTURAL))
         ci1.append(multiplicativity_report(
@@ -343,25 +338,28 @@ def image_crossed_ideal_check(cim: CrossedIdealMap,
 
 def inclusion_cim(sx: SubXMod, name: str = "") -> CrossedIdealMap:
     """The canonical crossed ideal map carried by a crossed ideal
-    inclusion: both legs act by multiplication, h(r, s') = s'.r."""
+    inclusion: both legs act by multiplication, h(r, s') = s'.r, each
+    product solved back through mu or nu, which must be well defined and
+    injective so that the preimage is the only one."""
     if sx.sub is None:
         raise PreconditionError("inclusion_cim needs an assembled sub")
+    if not all(leg.hom.well_defined() and injective(leg.hom)
+               for leg in (sx.mu, sx.nu)):
+        raise PreconditionError(
+            "inclusion_cim needs mu and nu to be well-defined injective maps")
     amb = sx.ambient
     r_amb, s_amb = amb.r_alg, amb.s_alg
-    r_coords, s_coords = sx.r_coords(), sx.s_coords()
     mor = XModMorphism(sx.sub, amb, sx.mu, sx.nu,
                        name=name or f"incl-{sx.name or 'sub'}")
-
-    try:
-        c1 = [[r_coords[r_amb.multiply(g, img)] for img in sx.mu.images]
-              for g in r_amb.generators()]
-        c2 = [[s_coords[s_amb.multiply(g, img)] for img in sx.nu.images]
-              for g in s_amb.generators()]
-        ch = [[r_coords[amb.action.evaluate(nimg, g)] for nimg in sx.nu.images]
-              for g in r_amb.generators()]
-    except KeyError as exc:
+    c1 = [[solve(sx.mu.hom, r_amb.multiply(g, img)) for img in sx.mu.images]
+          for g in r_amb.generators()]
+    c2 = [[solve(sx.nu.hom, s_amb.multiply(g, img)) for img in sx.nu.images]
+          for g in s_amb.generators()]
+    ch = [[solve(sx.mu.hom, amb.action.evaluate(nimg, g))
+           for nimg in sx.nu.images] for g in r_amb.generators()]
+    if any(None in row for rows in (c1, c2, ch) for row in rows):
         raise PreconditionError(
-            f"subsets are not closed the way CI2/CI3 require: {exc}") from exc
+            "subsets are not closed the way CI2/CI3 require")
 
     act1 = BilinearMap(r_amb.carrier, sx.sub.r_alg.carrier,
                        sx.sub.r_alg.carrier, c1)

@@ -13,7 +13,8 @@ from math import gcd, prod
 
 from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule, ModuleHom,
                    Submodule, UnsupportedScaleError, algebra_axioms,
-                   multiplicativity_report, validate_algebra, validate_hom)
+                   multiplicativity_report, solve, validate_algebra,
+                   validate_hom)
 from .crossed_ideal import (CrossedIdealMap, SubXMod, XModMorphism,
                             image_crossed_ideal_check, inclusion_cim,
                             sub_crossed_module, validate_crossed_ideal_map)
@@ -237,10 +238,10 @@ def _fuzz_chains(modulus: int, max_rank: int, count: int, seed: int):
     for every draw of the chain.
 
     The ideals of an algebra are listed once per call; the ambient
-    inclusion_xmod(S, I), the ideals inside I and the coordinates of I
-    once per drawn (algebra, ideal) pair; and sub_crossed_module and
-    inclusion_cim once per drawn chain.  Every cache is keyed on draw
-    indices."""
+    inclusion_xmod(S, I) and the ideals inside I once per drawn
+    (algebra, ideal) pair; and sub_crossed_module and inclusion_cim once
+    per drawn chain, J's generators solved through the embedding of I.
+    Every cache is keyed on draw indices."""
     rng = random.Random(seed)
     algebras = [a for r in range(1, max_rank + 1)
                 for a in enumerate_algebras(modulus, r)]
@@ -258,14 +259,14 @@ def _fuzz_chains(modulus: int, max_rank: int, count: int, seed: int):
             big = ideals[jdx]
             ambient = inclusion_xmod(s_alg, big)
             pair_cache[idx, jdx] = (
-                ambient, [j for j in ideals if all(map(big.contains, j.gens))],
-                {ambient.eta.apply(x): x for x in ambient.r_alg.elements()})
-        ambient, inside, coords = pair_cache[idx, jdx]
+                ambient, [j for j in ideals if all(map(big.contains, j.gens))])
+        ambient, inside = pair_cache[idx, jdx]
         key = (idx, jdx, rng.randrange(len(inside)))
         if key not in chain_cache:
             small = inside[key[2]]
             r_subset = Submodule.from_generators(
-                ambient.r_alg.carrier, [coords[g] for g in small.gens])
+                ambient.r_alg.carrier,
+                [solve(ambient.eta.hom, g) for g in small.gens])
             base = sub_crossed_module(ambient, r_subset, small)
             chain_cache[key] = base, inclusion_cim(base)
         yield key, *chain_cache[key]

@@ -40,7 +40,7 @@ from math import prod
 from .core import (Algebra, AlgebraHom, BilinearMap, ModuleHom,
                    PreconditionError, StructuralError, Submodule,
                    _present_subalgebra, block_hom, combine, image, is_ideal,
-                   kernel, order_compatibility, semidirect_product,
+                   kernel, order_compatibility, semidirect_product, solve,
                    torsion_leaf, torsion_witness, validate_algebra,
                    validate_hom)
 from .policy import EXHAUSTIVE, Policy, check, sweep  # noqa: F401 (see core)
@@ -350,10 +350,9 @@ def inclusion_xmod(alg: Algebra, ideal: Submodule, name: str = "") -> CrossedMod
     exhaustive, so no sample can stand in for the closure."""
     if not is_ideal(alg, ideal, Policy(mode=EXHAUSTIVE)).passed:
         raise PreconditionError("inclusion_xmod requires an ideal")
-    sub_alg, embed, coords = _present_subalgebra(alg, ideal)
-    s_gens = alg.generators()
-    constants = [[coords[alg.multiply(sg, emb)] for emb in embed.images]
-                 for sg in s_gens]
+    sub_alg, embed = _present_subalgebra(alg, ideal)
+    constants = [[solve(embed.hom, alg.multiply(sg, emb))
+                  for emb in embed.images] for sg in alg.generators()]
     tensor = BilinearMap(alg.carrier, sub_alg.carrier, sub_alg.carrier, constants)
     return CrossedModule(embed, tensor,
                          name=name or f"incl-{alg.name or 'ideal'}")

@@ -17,8 +17,9 @@ whose layout they check.
 span_oracle closes a generator list under addition breadth first and
 kernel_oracle applies a hom to every element of its domain; both return
 the subset by its elements, which core.Submodule holds as a Howell form
-instead.  quotient_oracle takes each coset representative as the least
-sum x + i over the elements i of the ideal.
+instead.  coordinates_oracle lists the coordinates of a subgroup in
+cyclic generators, which core.solve finds through the embedding, and
+presentation_oracle presents a subalgebra by that table.
 
 fuzz_report_oracle decides every draw of the fuzzer on its own, each
 draw built anew, where enumeration.fuzz_report decides each distinct
@@ -26,11 +27,12 @@ ideal chain once.
 """
 
 import random
+from itertools import product
 
 import idealbar.crossed_ideal as crossed_ideal
 from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
-                           ModuleHom, Submodule, _coordinates,
-                           decompose_abelian, direct_sum, image)
+                           ModuleHom, Submodule, decompose_abelian,
+                           direct_sum, image)
 from idealbar.enumeration import enumerate_algebras, enumerate_ideals
 from idealbar.report import FAIL, PASS, THEOREM, group, leaf
 from idealbar.xmod import inclusion_xmod
@@ -226,27 +228,37 @@ def kernel_oracle(f):
                      [x for x in f.domain.elements() if f.apply(x) == zero])
 
 
-def quotient_oracle(alg, ideal):
-    """The quotient of alg by an ideal, each class represented by the
-    least x + i over the elements i of the ideal."""
+def coordinates_oracle(orders, gens, add, zero, elements):
+    """The coordinates of every element of a subgroup in the cyclic
+    generators gens of the given orders, by listing every combination;
+    core.solve finds them through the embedding instead."""
+    coords = {}
+    for tup in product(*(range(d) for d in orders)):
+        v = zero
+        for c, gen in zip(tup, gens):
+            for _ in range(c):
+                v = add(v, gen)
+        if v in coords:
+            raise AssertionError("decomposition is not direct")
+        coords[v] = tup
+    if len(coords) != len(set(elements)):
+        raise AssertionError("decomposition does not span")
+    return coords
+
+
+def presentation_oracle(alg, sub):
+    """sub as an algebra of its own, by decompose_abelian and the
+    coordinates table: (sub_algebra, embedding, coords)."""
     amb = alg.carrier
-    rep = {x: min(amb.add(x, i) for i in ideal.elements)
-           for x in amb.elements()}
-    reps = sorted(set(rep.values()))
-
-    def add_q(a, b):
-        return rep[amb.add(a, b)]
-
-    orders, gens = decompose_abelian(reps, add_q, rep[amb.zero])
+    orders, gens = decompose_abelian(list(sub.elements), amb.add, amb.zero)
     carrier = FiniteModule(amb.modulus, orders)
-    coords = _coordinates(orders, gens, add_q, rep[amb.zero], reps)
-    constants = [[coords[rep[alg.multiply(gi, gj)]] for gj in gens]
-                 for gi in gens]
-    quot = Algebra(carrier, BilinearMap(carrier, carrier, carrier, constants),
-                   name=f"{alg.name}/I" if alg.name else "quotient")
-    images = [coords[rep[g]] for g in amb.generators()]
-    return quot, AlgebraHom(alg, quot, ModuleHom(amb, carrier, images),
-                            name="projection")
+    coords = coordinates_oracle(orders, gens, amb.add, amb.zero, sub.elements)
+    constants = [[coords[alg.multiply(gi, gj)] for gj in gens] for gi in gens]
+    sub_alg = Algebra(carrier, BilinearMap(carrier, carrier, carrier, constants),
+                      name=f"{alg.name}-sub" if alg.name else "sub")
+    embed = AlgebraHom(sub_alg, alg, ModuleHom(carrier, amb, gens),
+                       name="embed")
+    return sub_alg, embed, coords
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """Sub crossed modules, crossed ideals and crossed ideal maps."""
 
+from pathlib import Path
+
 import pytest
 
 from idealbar.core import (
+    Algebra,
     AlgebraHom,
     BilinearMap,
+    FiniteModule,
     ModuleHom,
     PreconditionError,
     StructuralError,
     Submodule,
+    identity_hom,
 )
 from idealbar.crossed_ideal import (
     CrossedIdealMap,
@@ -29,7 +34,11 @@ from idealbar.fixtures import (
     nilcube_sub,
     nilcube_xmod,
 )
-from idealbar.xmod import CrossedModule
+from idealbar.workspace import Workspace
+from idealbar.xmod import CrossedModule, inclusion_xmod
+
+NILCUBE = str(Path(__file__).resolve().parent.parent / "fixtures"
+              / "nilcube.json")
 
 
 def test_fixture_morphism_validates():
@@ -261,3 +270,72 @@ def test_cim_square_failure_is_pinned():
                         cim.h, name="wrong-nu"))
     assert _leaf(rep.find("square-commutes")) == (
         *SQUARE_FAIL, "eta2 alpha1 = alpha2 eta1", SWEPT_2)
+
+
+# inclusions-injective, pinned on the declared path: the fixture's own
+# inclusions, a zero nu, and an alpha1 that is not well defined.  The
+# last is a map Z/2 + Z/2 -> Z/4 + Z/2 sending both generators to the
+# same element of order 4: it kills no nonzero representative, yet two
+# of them share an image, so the leaf fails.
+
+def _zero_nu():
+    nu = nilcube_morphism().alpha2
+    return AlgebraHom(nu.dom, nu.cod,
+                      ModuleHom(nu.dom.carrier, nu.cod.carrier, [(0, 0, 0)]),
+                      name="nu")
+
+
+def _zero_algebra(mod):
+    return Algebra(mod, BilinearMap(mod, mod, mod,
+                                    [[mod.zero] * mod.rank] * mod.rank))
+
+
+def _ill_defined_mu_sub():
+    s = _zero_algebra(FiniteModule(4, [4, 2]))
+    ambient = inclusion_xmod(s, Submodule.from_generators(s.carrier,
+                                                          s.generators()))
+    small = _zero_algebra(FiniteModule(4, [2, 2]))
+    sub = CrossedModule(AlgebraHom(small, small, identity_hom(small.carrier)),
+                        small.mul)
+    mu = AlgebraHom(small, ambient.r_alg,
+                    ModuleHom(small.carrier, ambient.r_alg.carrier,
+                              [(1, 0), (1, 0)]), name="mu")
+    nu = AlgebraHom(small, s, ModuleHom(small.carrier, s.carrier,
+                                        [(2, 0), (0, 1)]), name="nu")
+    assert not mu.hom.well_defined() and nu.hom.well_defined()
+    return SubXMod.from_inclusions(ambient, sub, mu, nu, name="ill-mu")
+
+
+INJECTIVE_PASS = ("PASS", "STRUCTURAL", None, "", {})
+INJECTIVE_FAIL = ("FAIL", "STRUCTURAL", None, "", {})
+
+
+@pytest.mark.parametrize("build,want", [
+    (lambda: Workspace.load(NILCUBE).subxmod("good_decl"), INJECTIVE_PASS),
+    (lambda: SubXMod.from_inclusions(
+        nilcube_xmod(), nilcube_morphism().source, nilcube_morphism().alpha1,
+        _zero_nu(), name="zero-nu"), INJECTIVE_FAIL),
+    (_ill_defined_mu_sub, INJECTIVE_FAIL),
+], ids=["good_decl", "zero-nu", "ill-defined-mu"])
+def test_inclusions_injective_is_pinned(build, want):
+    rep = validate_crossed_ideal(build())
+    assert _leaf(rep.find("inclusions-injective")) == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SubXMod.from_inclusions(
+        nilcube_xmod(), nilcube_morphism().source, nilcube_morphism().alpha1,
+        _zero_nu()),
+    _ill_defined_mu_sub,
+], ids=["zero-nu", "ill-defined-mu"])
+def test_inclusion_cim_refuses_inclusions_that_are_not_injective(build):
+    # a preimage through such a map is not the only one, or not defined
+    with pytest.raises(PreconditionError, match="well-defined injective"):
+        inclusion_cim(build())
+
+
+def test_inclusion_cim_on_the_declared_sub_matches_the_assembled_one():
+    declared = Workspace.load(NILCUBE).subxmod("good_decl")
+    cim, want = inclusion_cim(declared), nilcube_cim()
+    assert (cim.alpha1_xmod.action, cim.alpha2_xmod.action, cim.h) \
+        == (want.alpha1_xmod.action, want.alpha2_xmod.action, want.h)

@@ -90,6 +90,25 @@ GOLDEN = [
       "--count", "25"),
      0, "5daa9177159d55ef6d3ac35f8640eb3cc1d06ec1ea9d75b6852965e68d763126",
      "b69add5813bc34120307d37aa414001a6424799e6bcc9f5a429dc5dc5801982f"),
+    # recorded before the coordinates of a span element were solved off
+    # the Howell form of the embedding's graph in place of a table: draws
+    # over two primes and over prime powers, and a crossed ideal declared
+    # by its inclusions
+    (("fuzz", "--modulus", "6", "--max-rank", "2", "--count", "50",
+      "--seed", "3"),
+     0, "93bc868290ed790b2bb57f2af7f16dce9471572ff13ab2c6a087f50ba09d6fa3",
+     "c2ccdb439ec6832e4ff0e93066dd724c246bbe960e0ddd141c531f189b0231a7"),
+    (("fuzz", "--modulus", "9", "--max-rank", "1", "--count", "50",
+      "--seed", "5"),
+     0, "98d50f8504af40ac328f619175e5470353095de1d4c6761b0e0a5c806c4f5454",
+     "26768380ead4fefd1f0d529bb27cad843e94077c93b93ff4a982f0fcb282fb0c"),
+    (("fuzz", "--modulus", "12", "--max-rank", "1", "--count", "50",
+      "--seed", "4"),
+     0, "a20b62f4a79b8f6788875f24998fa27188c4a2d0055d55029f9cee165a65c3ff",
+     "fea7cc62a3859e0cfe4f46496c2371d13df6a8a5067a9bc3fec48ec15d1c717c"),
+    (("-w", NILCUBE, "ideal-check", "good_decl"),
+     0, "ddc41132faa03e57dd22d13ad5c16365d525ee679dc9b0ecd6e520d5e2ab7312",
+     "2b1b5987d63e8321e4ba5192e8e5cd9d2313ca63fe6443cd6aff4a0e1cf30b83"),
 ]
 
 
