@@ -870,10 +870,10 @@ def solve(f: ModuleHom, y):
 
 def injective(f: ModuleHom) -> bool:
     """No pivot of the graph form past the codomain: the kernel is zero.
-    A map that is not well defined has its elements' images compared."""
-    if f.well_defined():
-        return all(c < f.codomain.rank for c, _ in f.graph().form)
-    return len(set(map(f.apply, f.domain.elements()))) == f.domain.size
+    A map that is not well defined is refused, as solve refuses it."""
+    if not f.well_defined():
+        raise PreconditionError("injective needs a well-defined map")
+    return all(c < f.codomain.rank for c, _ in f.graph().form)
 
 
 def is_ideal(alg: Algebra, sub: Submodule,

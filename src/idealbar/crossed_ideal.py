@@ -22,7 +22,7 @@ from __future__ import annotations
 from .core import (AlgebraHom, BilinearMap, ModuleHom, PreconditionError,
                    StructuralError, Submodule, _present_subalgebra, image,
                    injective, maps_equal_report, multiplicatively_closed,
-                   multiplicativity_report, solve)
+                   multiplicativity_report, solve, torsion_witness)
 from .policy import EXHAUSTIVE, Policy, check
 from .report import (AXIOM, FAIL, PASS, SKIP, STRUCTURAL, THEOREM,
                      Report, group, leaf, relabel)
@@ -165,6 +165,12 @@ def sub_crossed_module(ambient: CrossedModule, r_subset: Submodule,
     return SubXMod(ambient, sub, mu, nu, r_subset, s_subset, name=name)
 
 
+def _embeds(*legs: AlgebraHom) -> bool:
+    """Whether every leg is a well-defined injective map: a leg that is
+    not well defined is no map, whatever its representatives do."""
+    return all(leg.hom.well_defined() and injective(leg.hom) for leg in legs)
+
+
 def validate_crossed_ideal(sx: SubXMod, policy: Policy | None = None) -> Report:
     amb = sx.ambient
     r_amb, s_amb = amb.r_alg, amb.s_alg
@@ -172,9 +178,8 @@ def validate_crossed_ideal(sx: SubXMod, policy: Policy | None = None) -> Report:
 
     if sx.sub is not None:
         incl = XModMorphism(sx.sub, amb, sx.mu, sx.nu)
-        inj = injective(sx.mu.hom) and injective(sx.nu.hom)
-        ci1.append(leaf("inclusions-injective", PASS if inj else FAIL,
-                        STRUCTURAL))
+        ci1.append(leaf("inclusions-injective",
+                        PASS if _embeds(sx.mu, sx.nu) else FAIL, STRUCTURAL))
         ci1.append(multiplicativity_report(
             "mu-multiplicative", sx.mu.hom, sx.sub.r_alg, r_amb, policy))
         ci1.append(multiplicativity_report(
@@ -256,8 +261,11 @@ def validate_crossed_ideal_map(cim: CrossedIdealMap,
     checks.append(square_report(mor, "square-commutes",
                                 "eta2 alpha1 = alpha2 eta1"))
 
-    checks.append(leaf("h-bilinearity", PASS, STRUCTURAL,
-                       detail="holds by the tensor encoding"))
+    # a tensor is bilinear exactly when it is torsion-compatible
+    bad = torsion_witness(cim.h)
+    checks.append(leaf("h-bilinearity", FAIL if bad else PASS, STRUCTURAL,
+                       detail="not torsion-compatible" if bad
+                       else "holds by the tensor encoding", witness=bad))
 
     def h_check(name, spaces, pred, detail, *maps):
         return check(name, AXIOM, spaces, pred, policy, detail,
@@ -343,8 +351,7 @@ def inclusion_cim(sx: SubXMod, name: str = "") -> CrossedIdealMap:
     injective so that the preimage is the only one."""
     if sx.sub is None:
         raise PreconditionError("inclusion_cim needs an assembled sub")
-    if not all(leg.hom.well_defined() and injective(leg.hom)
-               for leg in (sx.mu, sx.nu)):
+    if not _embeds(sx.mu, sx.nu):
         raise PreconditionError(
             "inclusion_cim needs mu and nu to be well-defined injective maps")
     amb = sx.ambient

@@ -24,10 +24,15 @@ presentation_oracle presents a subalgebra by that table.
 fuzz_report_oracle decides every draw of the fuzzer on its own, each
 draw built anew, where enumeration.fuzz_report decides each distinct
 ideal chain once.
+
+workspace loads a shipped file under fixtures/, the one definition of
+the worked examples that the command line reads too, and fixture_xmods
+lists the valid crossed modules among them.
 """
 
 import random
 from itertools import product
+from pathlib import Path
 
 import idealbar.crossed_ideal as crossed_ideal
 from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
@@ -35,7 +40,25 @@ from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                            direct_sum, image)
 from idealbar.enumeration import enumerate_algebras, enumerate_ideals
 from idealbar.report import FAIL, PASS, THEOREM, group, leaf
+from idealbar.workspace import Workspace
 from idealbar.xmod import inclusion_xmod
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def workspace(name):
+    """fixtures/<name>.json parsed anew on every call, so that no two
+    tests share the lazily cached forms and verdicts of its objects."""
+    return Workspace.load(str(FIXTURES / f"{name}.json"))
+
+
+def fixture_xmods():
+    """nilsquare and nilcube, and nilcube again as the inclusion crossed
+    module of its ideal (x), built by the generic constructor."""
+    nilcube = workspace("nilcube")
+    return [workspace("nilsquare").xmod("main"), nilcube.xmod("main"),
+            inclusion_xmod(nilcube.algebra("S"),
+                           image(nilcube.xmod("main").eta.hom))]
 
 
 def split(bm, t, n):

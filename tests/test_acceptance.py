@@ -14,29 +14,23 @@ import pytest
 
 from idealbar.bar import build_bar_algebra, verify_bar
 from idealbar.bibar import build_bibar, verify_bibar
+from idealbar.core import image
 from idealbar.crossed_ideal import (
     image_crossed_ideal_check,
+    inclusion_cim,
     validate_crossed_ideal,
     validate_crossed_ideal_map,
 )
 from idealbar.enumeration import all_valid_xmods, enumerate_xmods, fuzz_report
-from idealbar.fixtures import (
-    broken_action_xmod,
-    nilcube_cim,
-    nilcube_inclusion_xmod,
-    nilcube_morphism,
-    nilcube_sub,
-    nilsquare_algebra,
-    nilsquare_ideal_algebra,
-    nilsquare_xmod,
-)
 from idealbar.roundtrip import roundtrip_check, verify_extracted
 from idealbar.xmod import (
     cm1_report,
     cm2_report,
+    inclusion_xmod,
     validate_algebra_action,
     validate_crossed_module,
 )
+from oracles import workspace
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -54,7 +48,7 @@ def test_criterion_1_fixture_verifies_fast(announce):
     """Nilsquare crossed module checks exhaustively and its depth-4 bar
     passes every verifier in under a second."""
     start = time.perf_counter()
-    xm = nilsquare_xmod()
+    xm = workspace("nilsquare").xmod("main")
     xm_rep = validate_crossed_module(xm)
     cm1, cm2 = xm_rep.find("cm1"), xm_rep.find("cm2")
     bar_rep = verify_bar(build_bar_algebra(xm, depth=4))
@@ -72,7 +66,10 @@ def test_criterion_2_roundtrip_exact_over_enumeration(announce):
     and 3 up to rank 1 and for both shipped fixtures.  Exact equality,
     no tolerance."""
     population = all_valid_xmods(2, 1) + all_valid_xmods(3, 1)
-    population += [nilsquare_xmod(), nilcube_inclusion_xmod()]
+    nilcube = workspace("nilcube")
+    population += [workspace("nilsquare").xmod("main"),
+                   inclusion_xmod(nilcube.algebra("S"),
+                                  image(nilcube.xmod("main").eta.hom))]
     failures = [xm.name for xm in population
                 if not roundtrip_check(xm, depth=4).passed]
     announce(not failures,
@@ -84,13 +81,14 @@ def test_criterion_3_negative_controls_are_localized(announce):
     """The broken action fails exactly where predicted: CM2 at (g, g) and
     the first face on the level-2 tail; a CM1-only violator from the
     enumeration fails the level-1 first face instead."""
-    bad = broken_action_xmod()
+    bad = workspace("broken_action").xmod("main")
     cm2 = cm2_report(bad)
     bad_bar = verify_extracted(build_bar_algebra(bad, depth=2))
     tail = bad_bar.find("d0-on-tail-multiplicative @ 2")
 
-    cm1_only = [xm for xm in enumerate_xmods(nilsquare_ideal_algebra(),
-                                             nilsquare_algebra())
+    nilsquare = workspace("nilsquare")
+    cm1_only = [xm for xm in enumerate_xmods(nilsquare.algebra("R"),
+                                             nilsquare.algebra("S"))
                 if validate_algebra_action(xm).passed
                 and not cm1_report(xm).passed and cm2_report(xm).passed]
     localized = []
@@ -126,9 +124,10 @@ def test_criterion_5_crossed_ideal_suite(announce):
     passes the h-conditions, and the image construction holds on it and
     on 100 fuzzed validated maps, all within ten seconds."""
     start = time.perf_counter()
-    ci = validate_crossed_ideal(nilcube_sub())
-    cim_rep = validate_crossed_ideal_map(nilcube_cim())
-    img = image_crossed_ideal_check(nilcube_cim())
+    good = workspace("nilcube").subxmod("good")
+    ci = validate_crossed_ideal(good)
+    cim_rep = validate_crossed_ideal_map(inclusion_cim(good))
+    img = image_crossed_ideal_check(inclusion_cim(good))
     fuzz = fuzz_report(2, 2, 100, seed=0)
     elapsed = time.perf_counter() - start
     count = fuzz.find("fuzz-summary").meta["count"]
@@ -143,7 +142,7 @@ def test_criterion_6_bisimplicial_suite(announce):
     commutation check, the low-bidegree operator tables are bit-exact,
     and dropping one letter from the comparison map breaks commutation
     at bidegree (1,1)."""
-    mor = nilcube_morphism()
+    mor = workspace("nilcube").morphism("incl")
     bb = build_bibar(mor, n_depth=2, m_depth=2)
     rep = verify_bibar(bb)
 

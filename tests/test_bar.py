@@ -18,19 +18,18 @@ from idealbar.bar import (
     verify_simplicial_identities,
 )
 from idealbar.core import FiniteModule, ModuleHom, PreconditionError
-from idealbar.fixtures import broken_action_xmod, nilcube_xmod, nilsquare_xmod
 from idealbar.xmod import translation_action
-from oracles import product_formula
+from oracles import product_formula, workspace
 
 
 @pytest.fixture(scope="module")
 def bar2():
-    return build_bar_algebra(nilsquare_xmod(), depth=2)
+    return build_bar_algebra(workspace("nilsquare").xmod("main"), depth=2)
 
 
 @pytest.fixture(scope="module")
 def bar3():
-    return build_bar_algebra(nilsquare_xmod(), depth=3)
+    return build_bar_algebra(workspace("nilsquare").xmod("main"), depth=3)
 
 
 def test_level_sizes(bar2):
@@ -89,12 +88,13 @@ def test_closed_formula_matches_tensor_route(bar2):
                 assert bar2.multiply(n, u, v) == product_formula(bar2, n, u, v)
 
 
-@given(st.sampled_from(build_bar_algebra(nilcube_xmod(), depth=2)
-                       .levels[2].elements()),
-       st.sampled_from(build_bar_algebra(nilcube_xmod(), depth=2)
-                       .levels[2].elements()))
+NILCUBE_LEVEL_2 = build_bar_algebra(workspace("nilcube").xmod("main"),
+                                    depth=2).levels[2].elements()
+
+
+@given(st.sampled_from(NILCUBE_LEVEL_2), st.sampled_from(NILCUBE_LEVEL_2))
 def test_level_products_commute(u, v):
-    bar = build_bar_algebra(nilcube_xmod(), depth=2)
+    bar = build_bar_algebra(workspace("nilcube").xmod("main"), depth=2)
     assert bar.multiply(2, u, v) == bar.multiply(2, v, u)
 
 
@@ -117,7 +117,8 @@ def test_simplicial_identities_hold(bar3):
 
 
 def test_simplicial_checker_catches_a_corrupted_operator():
-    bm = TruncatedBarModule(translation_action(nilsquare_xmod().eta), 2)
+    eta = workspace("nilsquare").xmod("main").eta
+    bm = TruncatedBarModule(translation_action(eta), 2)
     good = bm.face(2, 1)
     # swap in the top face where the middle one should be
     bm._faces[(2, 1)] = ModuleHom(good.domain, good.codomain,
@@ -143,7 +144,7 @@ def test_tail_absorption(bar2):
 
 
 def test_broken_candidate_fails_the_definition_filter():
-    bar = build_bar_algebra(broken_action_xmod(), depth=2)
+    bar = build_bar_algebra(workspace("broken_action").xmod("main"), depth=2)
     rep = definition_checks(bar)
     assert not rep.passed
     # the level algebras themselves stop being associative
@@ -196,12 +197,12 @@ def test_build_bar_module_gates_on_action_validity():
 
 
 def test_bar_module_rejects_depth_zero():
-    xm = nilsquare_xmod()
+    xm = workspace("nilsquare").xmod("main")
     with pytest.raises(PreconditionError):
         TruncatedBarModule(translation_action(xm.eta), 0)
 
 
 def test_bar_algebra_builds_for_broken_input():
     # no gate here on purpose: verifiers need the object to exist
-    bar = build_bar_algebra(broken_action_xmod(), depth=2)
+    bar = build_bar_algebra(workspace("broken_action").xmod("main"), depth=2)
     assert len(bar.algebras) == 3

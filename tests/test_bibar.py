@@ -4,13 +4,13 @@ import pytest
 
 from idealbar.bibar import build_bibar, verify_bibar
 from idealbar.core import StructuralError, UnsupportedScaleError
-from idealbar.fixtures import nilcube_morphism
-from oracles import bibar_multiply, bibar_split, join
+from oracles import bibar_multiply, bibar_split, join, workspace
 
 
 @pytest.fixture(scope="module")
 def bb():
-    return build_bibar(nilcube_morphism(), n_depth=2, m_depth=2)
+    return build_bibar(workspace("nilcube").morphism("incl"), n_depth=2,
+                       m_depth=2)
 
 
 def test_bilevel_sizes(bb):
@@ -74,7 +74,7 @@ def test_conventions_are_notes_not_checks(bb):
 
 
 def test_corrupted_phi_breaks_commutation():
-    mor = nilcube_morphism()
+    mor = workspace("nilcube").morphism("incl")
     bb = build_bibar(mor, n_depth=2, m_depth=2, drop={(1, 0)})
     rep = verify_bibar(bb)
     assert not rep.passed
@@ -93,9 +93,11 @@ def test_corrupted_phi_breaks_commutation():
 def test_a_drop_naming_no_built_letter_is_refused(drop):
     # such a pair used to corrupt nothing, so the negative control passed
     with pytest.raises(StructuralError, match="names no built letter"):
-        build_bibar(nilcube_morphism(), n_depth=2, m_depth=2, drop=drop)
+        build_bibar(workspace("nilcube").morphism("incl"), n_depth=2,
+                    m_depth=2, drop=drop)
 
 
 def test_the_scale_gate_refuses_before_the_drop_is_read():
     with pytest.raises(UnsupportedScaleError):
-        build_bibar(nilcube_morphism(), n_depth=40, m_depth=2, drop={(99, 0)})
+        build_bibar(workspace("nilcube").morphism("incl"), n_depth=40,
+                    m_depth=2, drop={(99, 0)})

@@ -86,6 +86,71 @@ def test_image_check_of_an_invalid_crossed_ideal_map_is_not_run(tmp_path):
     assert "[THEOREM]" not in res.stdout
 
 
+def zero_algebra(order):
+    return {"orders": [order], "mul": [[[0]]]}
+
+
+def rank_one_hom(dom, cod, image):
+    return {"dom": dom, "cod": cod, "images": [[image]]}
+
+
+def zero_action(actor, acted):
+    return {"actor": actor, "acted": acted, "tensor": [[[0]]]}
+
+
+def test_inclusions_that_are_not_maps_fail_the_crossed_ideal(tmp_path):
+    # over Z/4, a sub Z/2 -> Z/2 of S = Z/4 -> Z/4 whose mu and nu send
+    # the generator of Z/2 to 1: no map, though 0 and 1 have the distinct
+    # images 0 and 1 and every clause holds on representatives
+    path = tmp_path / "decl.json"
+    path.write_text(json.dumps({
+        "modulus": 4,
+        "algebras": {"S": zero_algebra(4), "T": zero_algebra(2)},
+        "homs": {"id": rank_one_hom("S", "S", 1),
+                 "idT": rank_one_hom("T", "T", 1),
+                 "mu": rank_one_hom("T", "S", 1),
+                 "nu": rank_one_hom("T", "S", 1)},
+        "actions": {"act": zero_action("S", "S"),
+                    "actT": zero_action("T", "T")},
+        "xmods": {"main": {"eta": "id", "action": "act"},
+                  "sub": {"eta": "idT", "action": "actT"}},
+        "morphisms": {"incl": {"source": "sub", "target": "main",
+                               "alpha1": "mu", "alpha2": "nu"}},
+        "subxmods": {"decl": {"morphism": "incl"}}}))
+    res = cli("-w", str(path), "ideal-check", "decl")
+    assert res.returncode == 3, res.stdout + res.stderr
+    assert "FAIL [STRUCTURAL] inclusions-injective" in res.stdout
+
+
+def test_h_that_is_not_bilinear_fails_the_crossed_ideal_map(tmp_path):
+    # over Z/4, R1 = Z/4, S1 = Z/2, R2 = Z/2 and S2 = Z/4 with every map
+    # zero: h(g, g) = 1 is no bilinear map, as 2 h(g, g) = 2 != 0 in R1,
+    # though every h identity reads 0 = 0 on representatives
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({
+        "modulus": 4,
+        "algebras": {"R1": zero_algebra(4), "S1": zero_algebra(2),
+                     "R2": zero_algebra(2), "S2": zero_algebra(4)},
+        "homs": {"eta1": rank_one_hom("R1", "S1", 0),
+                 "eta2": rank_one_hom("R2", "S2", 0),
+                 "alpha1": rank_one_hom("R1", "R2", 0),
+                 "alpha2": rank_one_hom("S1", "S2", 0)},
+        "actions": {"act": zero_action("S1", "R1"),
+                    "actp": zero_action("S2", "R2"),
+                    "act1": zero_action("R2", "R1"),
+                    "act2": zero_action("S2", "S1")},
+        "xmods": {"src": {"eta": "eta1", "action": "act"},
+                  "tgt": {"eta": "eta2", "action": "actp"}},
+        "morphisms": {"f": {"source": "src", "target": "tgt",
+                            "alpha1": "alpha1", "alpha2": "alpha2"}},
+        "cims": {"c": {"morphism": "f", "act1": "act1", "act2": "act2",
+                       "h": [[[1]]]}}}))
+    res = cli("-w", str(path), "cim-check", "c")
+    assert res.returncode == 3, res.stdout + res.stderr
+    assert ("FAIL [STRUCTURAL] h-bilinearity: not torsion-compatible\n"
+            "      witness: (0, 0, 0)\n") in res.stdout
+
+
 def test_bibar_verify_and_corruption_control():
     res = cli("-w", NILCUBE, "bibar-verify", "incl", "--rows", "2",
               "--cols", "2")

@@ -24,7 +24,7 @@ from idealbar.core import (
     validate_algebra,
     validate_hom,
 )
-from idealbar.fixtures import nilcube_algebra, nilsquare_algebra
+from oracles import workspace
 
 M24 = FiniteModule(4, [2, 4])
 elements_24 = st.sampled_from(M24.elements())
@@ -76,7 +76,7 @@ def test_direct_sum_concatenates():
 
 
 def test_bilinear_evaluate_matches_expansion():
-    alg = nilsquare_algebra()
+    alg = workspace("nilsquare").algebra("S")
     # basis is (unit, x) with x^2 = 0, so (1 + x)^2 = 1
     assert alg.multiply((1, 1), (1, 1)) == (1, 0)
     assert alg.multiply((1, 1), (0, 1)) == (0, 1)
@@ -153,7 +153,8 @@ def test_algebra_torsion_failure_is_pinned():
 
 
 def test_validate_algebra_passes_fixtures():
-    for alg in (nilsquare_algebra(), nilcube_algebra()):
+    for name in ("nilsquare", "nilcube"):
+        alg = workspace(name).algebra("S")
         rep = validate_algebra(alg)
         assert rep.passed, rep.render()
 
@@ -237,7 +238,7 @@ def test_hom_compose_and_identity():
 
 
 def test_validate_hom_multiplicative_and_unital():
-    alg = nilsquare_algebra()
+    alg = workspace("nilsquare").algebra("S")
     sq = AlgebraHom(alg, alg, ModuleHom(alg.carrier, alg.carrier,
                                         [(1, 0), (0, 0)]), name="kill-x")
     rep = validate_hom(sq)
@@ -245,7 +246,7 @@ def test_validate_hom_multiplicative_and_unital():
 
 
 def test_multiplicativity_report_witness():
-    alg = nilsquare_algebra()
+    alg = workspace("nilsquare").algebra("S")
     # sends x to 1, clearly not multiplicative: x*x = 0 but 1*1 = 1
     f = ModuleHom(alg.carrier, alg.carrier, [(1, 0), (1, 0)])
     rep = multiplicativity_report("f-mult", f, alg, alg)
@@ -254,7 +255,7 @@ def test_multiplicativity_report_witness():
 
 
 def test_image_and_kernel():
-    alg = nilcube_algebra()
+    alg = workspace("nilcube").algebra("S")
     # projection onto the unit axis kills x and x^2
     f = ModuleHom(alg.carrier, alg.carrier,
                   [(1, 0, 0), (0, 0, 0), (0, 0, 0)])
@@ -307,7 +308,7 @@ def test_addition_violation_does_not_depend_on_gens(sub):
 
 
 def test_is_ideal_does_not_trust_generators_that_do_not_span():
-    alg = nilcube_algebra()
+    alg = workspace("nilcube").algebra("S")
     # span{1, x^2} is closed under addition but x * 1 = x escapes it; its
     # generators refute absorption, and the witness comes from the sweep
     sub = Submodule.from_generators(alg.carrier, [(1, 0, 0), (0, 0, 1)])
@@ -318,7 +319,7 @@ def test_is_ideal_does_not_trust_generators_that_do_not_span():
 
 
 def test_is_ideal_accepts_and_rejects():
-    alg = nilcube_algebra()
+    alg = workspace("nilcube").algebra("S")
     xs = Submodule.from_generators(alg.carrier, [(0, 1, 0), (0, 0, 1)])
     rep = is_ideal(alg, xs)
     assert rep.passed, rep.render()
@@ -348,7 +349,7 @@ def test_decompose_abelian_recovers_orders():
 
 
 def test_subalgebra_presentation_roundtrips_products():
-    alg = nilcube_algebra()
+    alg = workspace("nilcube").algebra("S")
     sub = Submodule.from_generators(alg.carrier, [(0, 1, 0), (0, 0, 1)])
     sub_alg, embed = _present_subalgebra(alg, sub)
     assert sorted(sub_alg.carrier.orders) == [2, 2]
@@ -359,10 +360,8 @@ def test_subalgebra_presentation_roundtrips_products():
 
 
 def test_semidirect_product_formula():
-    alg = nilsquare_algebra()
-    r = FiniteModule(2, [2])
-    act = BilinearMap(alg.carrier, r, r, [[(1,)], [(0,)]])
-    sd = semidirect_product(alg, Algebra(r, BilinearMap(r, r, r, [[(0,)]])), act)
+    xm = workspace("nilsquare").xmod("main")
+    sd = semidirect_product(xm.s_alg, xm.r_alg, xm.action)
     assert sd.carrier.orders == (2, 2, 2)
     # (1, 0 | 0)(0, 0 | 1) = (0, 0 | 1): unit of S acts as identity on R
     assert sd.multiply((1, 0, 0), (0, 0, 1)) == (0, 0, 1)
@@ -372,8 +371,8 @@ def test_semidirect_product_formula():
 
 
 def test_algebra_equality_ignores_name():
-    a = nilsquare_algebra()
-    b = nilsquare_algebra()
+    a = workspace("nilsquare").algebra("S")
+    b = workspace("nilsquare").algebra("S")
     b.name = "renamed"
     assert a == b
     assert hash(a) == hash(b)

@@ -1,7 +1,5 @@
 """Sub crossed modules, crossed ideals and crossed ideal maps."""
 
-from pathlib import Path
-
 import pytest
 
 from idealbar.core import (
@@ -27,27 +25,17 @@ from idealbar.crossed_ideal import (
     validate_crossed_ideal_map,
     validate_morphism,
 )
-from idealbar.fixtures import (
-    nilcube_bad_sub,
-    nilcube_cim,
-    nilcube_morphism,
-    nilcube_sub,
-    nilcube_xmod,
-)
-from idealbar.workspace import Workspace
 from idealbar.xmod import CrossedModule, inclusion_xmod
-
-NILCUBE = str(Path(__file__).resolve().parent.parent / "fixtures"
-              / "nilcube.json")
+from oracles import workspace
 
 
 def test_fixture_morphism_validates():
-    rep = validate_morphism(nilcube_morphism())
+    rep = validate_morphism(workspace("nilcube").morphism("incl"))
     assert rep.passed, rep.render()
 
 
 def test_morphism_square_detects_wrong_base_leg():
-    mor = nilcube_morphism()
+    mor = workspace("nilcube").morphism("incl")
     # send the sub generator x^2 to x instead
     wrong_nu = type(mor.alpha2)(
         mor.alpha2.dom, mor.alpha2.cod,
@@ -59,13 +47,13 @@ def test_morphism_square_detects_wrong_base_leg():
 
 
 def test_morphism_shape_errors():
-    mor = nilcube_morphism()
+    mor = workspace("nilcube").morphism("incl")
     with pytest.raises(StructuralError):
         XModMorphism(mor.source, mor.target, mor.alpha2, mor.alpha2)
 
 
 def test_sub_assembles_from_subsets():
-    sx = nilcube_sub()
+    sx = workspace("nilcube").subxmod("good")
     assert sx.sub is not None
     assert sx.problems == ()
     assert sx.sub.r_alg.carrier.orders == (2,)
@@ -76,8 +64,8 @@ def test_sub_assembles_from_subsets():
 
 
 def test_two_construction_paths_agree():
-    sx = nilcube_sub()
-    mor = nilcube_morphism()
+    ws = workspace("nilcube")
+    sx, mor = ws.subxmod("good"), ws.morphism("incl")
     declared = SubXMod.from_inclusions(mor.target, mor.source,
                                        mor.alpha1, mor.alpha2,
                                        name="declared")
@@ -85,7 +73,7 @@ def test_two_construction_paths_agree():
 
 
 def test_crossed_ideal_passes_on_the_good_sub():
-    rep = validate_crossed_ideal(nilcube_sub())
+    rep = validate_crossed_ideal(workspace("nilcube").subxmod("good"))
     assert rep.passed, rep.render()
     names = {n.name for n in rep.walk()}
     assert {"ci1-sub-crossed-module", "ci2-ideals",
@@ -93,7 +81,7 @@ def test_crossed_ideal_passes_on_the_good_sub():
 
 
 def test_bad_sub_fails_eta_containment():
-    sx = nilcube_bad_sub()
+    sx = workspace("nilcube").subxmod("bad")
     assert sx.sub is None
     rep = validate_crossed_ideal(sx)
     assert not rep.passed
@@ -106,7 +94,7 @@ def test_bad_sub_fails_eta_containment():
 
 
 def test_non_ideal_base_subset_fails_ci2():
-    xm = nilcube_xmod()
+    xm = workspace("nilcube").xmod("main")
     zero_r = Submodule(xm.r_alg.carrier, [(0, 0)])
     span_one = Submodule.from_generators(xm.s_alg.carrier, [(1, 0, 0)])
     sx = sub_crossed_module(xm, zero_r, span_one, name="unit-span")
@@ -120,7 +108,7 @@ def test_non_ideal_base_subset_fails_ci2():
 
 
 def test_inclusion_cim_tensors():
-    cim = nilcube_cim()
+    cim = inclusion_cim(workspace("nilcube").subxmod("good"))
     # x^2 annihilates R, so h is identically zero here
     assert cim.h.constants == (((0,),), ((0,),))
     # S acts on the span of x^2 through its constant term
@@ -128,20 +116,23 @@ def test_inclusion_cim_tensors():
 
 
 def test_inclusion_cim_validates():
-    rep = validate_crossed_ideal_map(nilcube_cim())
+    rep = validate_crossed_ideal_map(
+        inclusion_cim(workspace("nilcube").subxmod("good")))
     assert rep.passed, rep.render()
     assert rep.find("h-base-balance").status == "PASS"
 
 
 def test_balance_flag_skips_the_interpreted_clause():
-    rep = validate_crossed_ideal_map(nilcube_cim(), check_balance=False)
+    rep = validate_crossed_ideal_map(
+        inclusion_cim(workspace("nilcube").subxmod("good")),
+        check_balance=False)
     node = rep.find("h-base-balance")
     assert node.status == "SKIP"
     assert rep.passed
 
 
 def test_mutated_h_is_caught():
-    cim = nilcube_cim()
+    cim = inclusion_cim(workspace("nilcube").subxmod("good"))
     bad_h = BilinearMap(cim.h.left, cim.h.right, cim.h.target,
                         [[(1,)], [(0,)]])
     mutated = CrossedIdealMap(cim.morphism, cim.alpha1_xmod.action,
@@ -154,14 +145,14 @@ def test_mutated_h_is_caught():
 
 
 def test_cim_shape_errors():
-    cim = nilcube_cim()
+    cim = inclusion_cim(workspace("nilcube").subxmod("good"))
     with pytest.raises(StructuralError):
         CrossedIdealMap(cim.morphism, cim.alpha2_xmod.action,
                         cim.alpha2_xmod.action, cim.h)
 
 
 def test_image_is_a_crossed_ideal():
-    cim = nilcube_cim()
+    cim = inclusion_cim(workspace("nilcube").subxmod("good"))
     sx = image_sub_xmod(cim)
     assert sx.sub is not None
     rep = image_crossed_ideal_check(cim)
@@ -172,7 +163,7 @@ def test_image_is_a_crossed_ideal():
 
 
 def test_image_of_inclusion_recovers_the_subsets():
-    cim = nilcube_cim()
+    cim = inclusion_cim(workspace("nilcube").subxmod("good"))
     sx = image_sub_xmod(cim)
     assert set(sx.r_subset.elements) == {(0, 0), (0, 1)}
     assert set(sx.s_subset.elements) == {(0, 0, 0), (0, 0, 1)}
@@ -182,7 +173,7 @@ def test_ci3_is_swept_when_the_subset_landed_in_is_not_a_span():
     # S' is the span of the unit, R' = {0, (0,1), (1,0)} is not closed
     # under addition: the unit sends both generators of R into R', but
     # (1,1) = (1,0) + (0,1) lands outside it
-    xm = nilcube_xmod()
+    xm = workspace("nilcube").xmod("main")
     s_sub = Submodule.from_generators(xm.s_alg.carrier, [(1, 0, 0)])
     r_sub = Submodule(xm.r_alg.carrier, [(0, 0), (0, 1), (1, 0)])
     rep = validate_crossed_ideal(sub_crossed_module(xm, r_sub, s_sub))
@@ -195,7 +186,7 @@ def test_eta_closure_is_swept_when_the_subset_landed_in_is_not_a_span():
     # R' is all of R, built as a span; S' = {0, x, x^2} is not closed
     # under addition: eta sends both generators of R into S', but (1,1)
     # to x + x^2
-    xm = nilcube_xmod()
+    xm = workspace("nilcube").xmod("main")
     r_sub = Submodule.from_generators(xm.r_alg.carrier, [(1, 0), (0, 1)])
     s_sub = Submodule(xm.s_alg.carrier, [(0, 0, 0), (0, 1, 0), (0, 0, 1)])
     sx = sub_crossed_module(xm, r_sub, s_sub)
@@ -212,7 +203,7 @@ def test_eta_closure_is_swept_when_the_subset_landed_in_is_not_a_span():
 
 def _wrong_nu():
     # send the sub generator x^2 to x instead
-    nu = nilcube_morphism().alpha2
+    nu = workspace("nilcube").morphism("incl").alpha2
     return AlgebraHom(nu.dom, nu.cod,
                       ModuleHom(nu.dom.carrier, nu.cod.carrier, [(0, 1, 0)]),
                       name="nu")
@@ -227,7 +218,7 @@ SWEPT_2 = {"mode": "exhaustive", "checked": 2}
 
 
 def test_inclusion_square_failure_is_pinned():
-    mor = nilcube_morphism()
+    mor = workspace("nilcube").morphism("incl")
     sx = SubXMod.from_inclusions(mor.target, mor.source, mor.alpha1,
                                  _wrong_nu(), name="wrong-nu")
     rep = validate_crossed_ideal(sx)
@@ -238,7 +229,7 @@ def test_inclusion_square_failure_is_pinned():
 
 
 def test_action_is_induced_failure_is_pinned():
-    mor = nilcube_morphism()
+    mor = workspace("nilcube").morphism("incl")
     sub = mor.source
     loud = BilinearMap(sub.s_alg.carrier, sub.r_alg.carrier,
                        sub.r_alg.carrier, [[(1,)]])
@@ -254,7 +245,7 @@ def test_action_is_induced_failure_is_pinned():
 
 
 def test_morphism_square_failure_is_pinned():
-    mor = nilcube_morphism()
+    mor = workspace("nilcube").morphism("incl")
     rep = validate_morphism(XModMorphism(mor.source, mor.target,
                                          mor.alpha1, _wrong_nu()))
     assert _leaf(rep.find("square-commutes")) == (
@@ -262,7 +253,7 @@ def test_morphism_square_failure_is_pinned():
 
 
 def test_cim_square_failure_is_pinned():
-    cim = nilcube_cim()
+    cim = inclusion_cim(workspace("nilcube").subxmod("good"))
     mor = cim.morphism
     wrong = XModMorphism(mor.source, mor.target, mor.alpha1, _wrong_nu())
     rep = validate_crossed_ideal_map(
@@ -279,10 +270,16 @@ def test_cim_square_failure_is_pinned():
 # of them share an image, so the leaf fails.
 
 def _zero_nu():
-    nu = nilcube_morphism().alpha2
+    nu = workspace("nilcube").morphism("incl").alpha2
     return AlgebraHom(nu.dom, nu.cod,
                       ModuleHom(nu.dom.carrier, nu.cod.carrier, [(0, 0, 0)]),
                       name="nu")
+
+
+def _zero_nu_sub(name=""):
+    mor = workspace("nilcube").morphism("incl")
+    return SubXMod.from_inclusions(mor.target, mor.source, mor.alpha1,
+                                   _zero_nu(), name=name)
 
 
 def _zero_algebra(mod):
@@ -311,10 +308,8 @@ INJECTIVE_FAIL = ("FAIL", "STRUCTURAL", None, "", {})
 
 
 @pytest.mark.parametrize("build,want", [
-    (lambda: Workspace.load(NILCUBE).subxmod("good_decl"), INJECTIVE_PASS),
-    (lambda: SubXMod.from_inclusions(
-        nilcube_xmod(), nilcube_morphism().source, nilcube_morphism().alpha1,
-        _zero_nu(), name="zero-nu"), INJECTIVE_FAIL),
+    (lambda: workspace("nilcube").subxmod("good_decl"), INJECTIVE_PASS),
+    (lambda: _zero_nu_sub(name="zero-nu"), INJECTIVE_FAIL),
     (_ill_defined_mu_sub, INJECTIVE_FAIL),
 ], ids=["good_decl", "zero-nu", "ill-defined-mu"])
 def test_inclusions_injective_is_pinned(build, want):
@@ -322,12 +317,8 @@ def test_inclusions_injective_is_pinned(build, want):
     assert _leaf(rep.find("inclusions-injective")) == want
 
 
-@pytest.mark.parametrize("build", [
-    lambda: SubXMod.from_inclusions(
-        nilcube_xmod(), nilcube_morphism().source, nilcube_morphism().alpha1,
-        _zero_nu()),
-    _ill_defined_mu_sub,
-], ids=["zero-nu", "ill-defined-mu"])
+@pytest.mark.parametrize("build", [_zero_nu_sub, _ill_defined_mu_sub],
+                         ids=["zero-nu", "ill-defined-mu"])
 def test_inclusion_cim_refuses_inclusions_that_are_not_injective(build):
     # a preimage through such a map is not the only one, or not defined
     with pytest.raises(PreconditionError, match="well-defined injective"):
@@ -335,7 +326,8 @@ def test_inclusion_cim_refuses_inclusions_that_are_not_injective(build):
 
 
 def test_inclusion_cim_on_the_declared_sub_matches_the_assembled_one():
-    declared = Workspace.load(NILCUBE).subxmod("good_decl")
-    cim, want = inclusion_cim(declared), nilcube_cim()
+    ws = workspace("nilcube")
+    cim = inclusion_cim(ws.subxmod("good_decl"))
+    want = inclusion_cim(ws.subxmod("good"))
     assert (cim.alpha1_xmod.action, cim.alpha2_xmod.action, cim.h) \
         == (want.alpha1_xmod.action, want.alpha2_xmod.action, want.h)

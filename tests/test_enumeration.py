@@ -31,16 +31,18 @@ from idealbar.enumeration import (
     fuzz_cims,
     fuzz_report,
 )
-from idealbar.fixtures import (
-    nilcube_algebra,
-    nilsquare_algebra,
-    nilsquare_ideal_algebra,
-)
 from idealbar.policy import Policy
 from idealbar.report import AXIOM, FAIL, leaf
 from idealbar.xmod import (cm1_report, cm2_report, validate_algebra_action,
                            validate_crossed_module)
-from oracles import fuzz_chain, fuzz_cims_oracle, fuzz_report_oracle
+from oracles import (fuzz_chain, fuzz_cims_oracle, fuzz_report_oracle,
+                     workspace)
+
+
+def nilsquare_pair():
+    """The ideal (x) and k[x]/(x^2) of the nilsquare workspace."""
+    ws = workspace("nilsquare")
+    return ws.algebra("R"), ws.algebra("S")
 
 
 def test_order_tuples():
@@ -67,13 +69,13 @@ def test_rank_zero_is_the_zero_algebra():
 
 
 def test_hom_candidates_for_the_nilsquare_pair():
-    r, s = nilsquare_ideal_algebra(), nilsquare_algebra()
+    r, s = nilsquare_pair()
     homs = enumerate_homs(r, s)
     assert [h.images for h in homs] == [((0, 0),), ((0, 1),)]
 
 
 def test_action_tensor_and_candidate_counts():
-    r, s = nilsquare_ideal_algebra(), nilsquare_algebra()
+    r, s = nilsquare_pair()
     assert len(enumerate_action_tensors(s, r)) == 4
     cands = enumerate_xmods(r, s)
     assert len(cands) == 8
@@ -81,7 +83,7 @@ def test_action_tensor_and_candidate_counts():
 
 
 def test_classification_of_the_nilsquare_pair():
-    r, s = nilsquare_ideal_algebra(), nilsquare_algebra()
+    r, s = nilsquare_pair()
     valid, invalid = classify_xmods(r, s)
     assert len(valid) == 3
     assert len(invalid) == 5
@@ -140,8 +142,7 @@ def test_classification_matches_the_oracle_under_sampling():
     policy = Policy(mode="sample", sample_count=3, seed=5)
     r, s = RANK_TWO_PAIRS[0]
     assert_same_classification(RANK_TWO[r], RANK_TWO[s], policy)
-    assert_same_classification(nilsquare_ideal_algebra(), nilsquare_algebra(),
-                               policy)
+    assert_same_classification(*nilsquare_pair(), policy)
 
 
 @pytest.mark.parametrize("policy", [None, Policy(mode="sample",
@@ -162,7 +163,7 @@ def test_classification_matches_the_oracle_off_torsion(policy):
 
 
 def test_each_factor_is_validated_once(monkeypatch):
-    r, s = nilsquare_ideal_algebra(), nilsquare_algebra()
+    r, s = nilsquare_pair()
     calls = Counter()
 
     def counted(name, fn):
@@ -201,7 +202,7 @@ def test_rejects_share_their_factor_reports():
     # each factor is validated once per call, and its report is a node of
     # every reject built on it; a cm1 or cm2 leaf read off the tables is
     # kept once per eta and witness, and only the root is per reject
-    r, s = nilsquare_ideal_algebra(), nilsquare_algebra()
+    r, s = nilsquare_pair()
     _, invalid = classify_xmods(r, s)
     assert len(invalid) == 5
     factors = [rep.checks[:4] for _, rep in invalid]
@@ -310,7 +311,8 @@ def test_all_valid_xmods_total():
 
 
 def test_ideal_lattice_of_the_nilcube():
-    sizes = [i.size for i in enumerate_ideals(nilcube_algebra())]
+    sizes = [i.size
+             for i in enumerate_ideals(workspace("nilcube").algebra("S"))]
     assert sizes == [1, 2, 4, 8]
 
 
@@ -352,8 +354,8 @@ def test_ideals_match_the_subgroups_that_are_ideals():
 
 
 def test_ideals_are_sorted_and_reproducible():
-    a = enumerate_ideals(nilcube_algebra())
-    b = enumerate_ideals(nilcube_algebra())
+    a = enumerate_ideals(workspace("nilcube").algebra("S"))
+    b = enumerate_ideals(workspace("nilcube").algebra("S"))
     assert [i.elements for i in a] == [i.elements for i in b]
 
 

@@ -35,12 +35,12 @@ from idealbar.crossed_ideal import (CrossedIdealMap, image_crossed_ideal_check,
                                     validate_crossed_ideal_map)
 from idealbar.enumeration import (all_valid_xmods, enumerate_algebras,
                                   enumerate_xmods, fuzz_cims, fuzz_report)
-from idealbar.fixtures import broken_action_xmod, nilcube_xmod, nilsquare_xmod
 from idealbar.policy import EXHAUSTIVE, SAMPLE, Policy
 from idealbar.report import AXIOM, FAIL
 from idealbar.roundtrip import perturb_and_filter, verify_extracted
 from idealbar.xmod import (CrossedModule, inclusion_xmod, phi_cm1_criterion,
                            phi_cm2_criterion, validate_crossed_module)
+from oracles import workspace
 
 CHECKERS = (bar_mod, core_mod, xmod_mod, crossed_ideal_mod, roundtrip_mod)
 MULTIPLICATIVITY_CALLERS = (bar_mod, bibar_mod, core_mod, crossed_ideal_mod,
@@ -115,11 +115,10 @@ def test_first_candidates_of_every_rank_one_pair_mod_4(monkeypatch):
                             lambda: verify_bar(build_bar_algebra(xm, 2)))
 
 
-@pytest.mark.parametrize("make", [nilsquare_xmod, nilcube_xmod,
-                                  broken_action_xmod],
-                         ids=lambda make: f"default-{make.__name__}")
-def test_fixtures_at_depth_four(monkeypatch, make):
-    xm = make()
+@pytest.mark.parametrize("name", ["nilsquare", "nilcube", "broken_action"],
+                         ids=lambda name: f"default-{name}_xmod")
+def test_fixtures_at_depth_four(monkeypatch, name):
+    xm = workspace(name).xmod("main")
     assert_same(monkeypatch, lambda: verify_bar(build_bar_algebra(xm, 4)))
 
 
@@ -174,14 +173,16 @@ def _sampled(rep):
             if node.meta.get("mode") == "sampled"]
 
 
-@pytest.mark.parametrize("make,depth", [(nilsquare_xmod, 3), (nilcube_xmod, 2),
-                                        (broken_action_xmod, 3)],
-                         ids=lambda p: getattr(p, "__name__", str(p)))
-def test_lowered_bound_matches_the_exhaustive_sweep(monkeypatch, make, depth):
+@pytest.mark.parametrize("name,depth", [("nilsquare", 3), ("nilcube", 2),
+                                        ("broken_action", 3)],
+                         ids=["nilsquare_xmod-3", "nilcube_xmod-2",
+                              "broken_action_xmod-3"])
+def test_lowered_bound_matches_the_exhaustive_sweep(monkeypatch, name, depth):
     # nilcube stops at depth 2: the exhaustive sweep of its level-3
     # multiplicativity pairs alone takes about 40 s
-    rep = assert_generator_leaves_match_the_sweep(monkeypatch, make(), depth)
-    assert rep.passed == (make is not broken_action_xmod)
+    rep = assert_generator_leaves_match_the_sweep(
+        monkeypatch, workspace(name).xmod("main"), depth)
+    assert rep.passed == (name != "broken_action")
     if rep.passed:
         assert not _sampled(rep)
 
@@ -197,12 +198,12 @@ def test_lowered_bound_on_every_valid_rank_one_xmod_mod_4(monkeypatch):
 
 
 def test_nilcube_depth_six_samples_nothing():
-    rep = verify_bar(build_bar_algebra(nilcube_xmod(), 6))
+    rep = verify_bar(build_bar_algebra(workspace("nilcube").xmod("main"), 6))
     assert rep.passed and not _sampled(rep)
 
 
 def test_perturbation_harness_on_nilcube(monkeypatch):
-    xm = nilcube_xmod()
+    xm = workspace("nilcube").xmod("main")
     for seed in range(10):
         assert_same(monkeypatch, lambda: perturb_and_filter(
             xm, depth=2, seed=seed, budget=30))
@@ -265,7 +266,9 @@ def test_semidirect_criteria_and_the_tail_face(monkeypatch):
     algebras = enumerate_algebras(4, 1)
     cases = [xm for r_alg in algebras for s_alg in algebras
              for xm in enumerate_xmods(r_alg, s_alg)[::7]]
-    cases += [nilcube_xmod(), broken_action_xmod(), _torsion_violating_xmod()]
+    cases += [workspace(name).xmod("main")
+              for name in ("nilcube", "broken_action")]
+    cases.append(_torsion_violating_xmod())
     statuses = set()
     for xm in cases:
         runs = [lambda: phi_cm1_criterion(xm), lambda: phi_cm2_criterion(xm),
@@ -385,8 +388,9 @@ def test_rank_one_candidates_never_sweep(monkeypatch):
 def test_nilcube_depth_four_never_sweeps(monkeypatch):
     # the differential tests above would pass vacuously if the fast path
     # were never taken
+    xm = workspace("nilcube").xmod("main")
     calls = count_sweeps(monkeypatch)
-    rep = verify_bar(build_bar_algebra(nilcube_xmod(), 4))
+    rep = verify_bar(build_bar_algebra(xm, 4))
     assert rep.passed
     assert calls == []
 

@@ -1,9 +1,12 @@
-"""No module of the package imports a name that it never uses.
+"""No module of the package imports a name that it never uses, and no
+module of it goes unimported.
 
 The package __init__ re-exports by importing, so it is not scanned, and
 a name imported on a line marked "# noqa: F401" is an intended
 re-export.  A name counts as used when it is read anywhere in the
-module, annotations included.
+module, annotations included.  For the same reason a module that only
+__init__ imports counts as unimported: a module the package never calls
+belongs with the tests that use it, or nowhere.
 """
 
 import ast
@@ -44,3 +47,22 @@ def test_an_unused_import_is_found():
               "import json\n"
               "exit(argv)\n")
     assert unused_imports(source) == [(3, "json")]
+
+
+def imported_modules(source):
+    """The package modules a module imports: from .x import and
+    from . import x."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module.split(".")[0]] if node.module
+                       else (alias.name for alias in node.names))
+    return out
+
+
+def test_every_module_is_imported_by_another():
+    imports = {p.stem: imported_modules(p.read_text()) for p in MODULES}
+    unimported = [name for name in imports if name != "__main__"
+                  and not any(name in used for other, used in imports.items()
+                              if other != name)]
+    assert unimported == []

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from idealbar.cli import build_parser, run
 from idealbar.enumeration import classify_xmods, fuzz_report
-from idealbar.fixtures import nilsquare_algebra, nilsquare_ideal_algebra
 from idealbar.report import (
     AXIOM,
     FAIL,
@@ -23,6 +22,7 @@ from idealbar.report import (
     leaf,
     worst_failure_kind,
 )
+from oracles import workspace
 from test_golden import GOLDEN, _ident
 
 
@@ -205,7 +205,8 @@ def test_to_json_matches_the_stdlib_encoder_on_golden_reports(entry):
 def test_to_json_matches_the_stdlib_encoder_on_fuzz_and_reject_reports():
     rep = fuzz_report(3, 2, 50, 1)
     assert rep.to_json() == stdlib_json(rep)
-    _, invalid = classify_xmods(nilsquare_ideal_algebra(), nilsquare_algebra())
+    ws = workspace("nilsquare")
+    _, invalid = classify_xmods(ws.algebra("R"), ws.algebra("S"))
     assert len(invalid) == 5
     for _, rej in invalid:
         assert any(node.witness is not None for node in rej.walk())

@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 from itertools import product
-from pathlib import Path
 
 import pytest
 
@@ -13,12 +12,6 @@ from idealbar.bar import build_bar_algebra, definition_checks, verify_bar
 from idealbar.core import (Algebra, BilinearMap, PreconditionError,
                            algebra_axioms)
 from idealbar.enumeration import all_valid_xmods
-from idealbar.fixtures import (
-    broken_action_xmod,
-    nilcube_inclusion_xmod,
-    nilcube_xmod,
-    nilsquare_xmod,
-)
 from idealbar.roundtrip import (
     MalformedStructureError,
     _definition_filter,
@@ -31,14 +24,11 @@ from idealbar.roundtrip import (
 )
 from idealbar.policy import Policy
 from idealbar.report import FAIL, STRUCTURAL, exit_code
-from idealbar.workspace import Workspace
-
-BROKEN_Z4 = str(Path(__file__).resolve().parent.parent / "fixtures"
-                / "broken_z4.json")
+from oracles import fixture_xmods, workspace
 
 
 def test_extraction_recovers_the_input():
-    xm = nilsquare_xmod()
+    xm = workspace("nilsquare").xmod("main")
     ext = extract_crossed_module(build_bar_algebra(xm, depth=2))
     assert ext == xm
     assert ext.eta == xm.eta
@@ -46,8 +36,8 @@ def test_extraction_recovers_the_input():
 
 
 def extraction_cases():
-    yield from (nilsquare_xmod(), nilcube_xmod(), nilcube_inclusion_xmod(),
-                broken_action_xmod())
+    yield from fixture_xmods()
+    yield workspace("broken_action").xmod("main")
     yield from all_valid_xmods(4, 1)
 
 
@@ -65,7 +55,7 @@ def test_extract_crossed_module_gives_back_the_built_crossed_module(depth):
 
 
 def test_extract_eta_is_first_face_on_letters():
-    xm = nilsquare_xmod()
+    xm = workspace("nilsquare").xmod("main")
     bar = build_bar_algebra(xm, depth=1)
     eta = extract_crossed_module(bar).eta
     for r in xm.r_alg.elements():
@@ -74,7 +64,7 @@ def test_extract_eta_is_first_face_on_letters():
 
 
 def test_extraction_rejects_products_leaving_the_tail():
-    xm = nilsquare_xmod()
+    xm = workspace("nilsquare").xmod("main")
     bar = build_bar_algebra(xm, depth=1)
     # corrupt the level-1 tensor so (s,0)(0,r) grows a base coordinate
     consts = [list(map(list, row)) for row in bar.level_tensors()[1].constants]
@@ -90,7 +80,7 @@ def test_extraction_rejects_products_leaving_the_tail():
 def test_unreadable_structure_is_one_structural_leaf_in_each_direction():
     # a base coordinate planted in the level-1 cell (s,0)(0,r): both
     # directions turn the failed extraction into their one leaf
-    xm = nilsquare_xmod()
+    xm = workspace("nilsquare").xmod("main")
     bar = build_bar_algebra(xm, depth=2)
     s_gen, lvl = xm.s_alg.generators()[0], bar.levels[1]
     cell = {(0, xm.s_alg.carrier.rank): lvl.inject(0, s_gen)}
@@ -105,7 +95,7 @@ def test_unreadable_structure_is_one_structural_leaf_in_each_direction():
 def test_letter_cell_with_a_base_coordinate_is_the_structural_leaf():
     # the letter product (0,a)(0,b) is read off level 1 like the action,
     # so a base coordinate there is the same one structural leaf
-    xm = nilsquare_xmod()
+    xm = workspace("nilsquare").xmod("main")
     bar = build_bar_algebra(xm, depth=2)
     s_gen, lvl = xm.s_alg.generators()[1], bar.levels[1]
     letter = xm.s_alg.carrier.rank
@@ -121,7 +111,7 @@ def test_letter_cell_with_a_base_coordinate_is_the_structural_leaf():
 
 def test_action_cells_are_read_before_the_letter_cells():
     # a structure broken in both kinds of cell names (s,0)(0,r)
-    xm = nilsquare_xmod()
+    xm = workspace("nilsquare").xmod("main")
     bar = build_bar_algebra(xm, depth=1)
     lvl, letter = bar.levels[1], xm.s_alg.carrier.rank
     cells = {(0, letter): lvl.inject(0, xm.s_alg.generators()[0]),
@@ -210,7 +200,7 @@ def test_no_perturbation_of_the_rank_one_census_fails_the_roundtrip(depth):
 
 
 def test_roundtrip_exact_on_fixtures():
-    for xm in (nilsquare_xmod(), nilcube_xmod(), nilcube_inclusion_xmod()):
+    for xm in fixture_xmods():
         rep = roundtrip_check(xm, depth=3)
         assert rep.passed, rep.render()
         assert rep.find("action-extraction-exact").status == "PASS"
@@ -219,13 +209,13 @@ def test_roundtrip_exact_on_fixtures():
 
 
 def test_roundtrip_from_structure_direction():
-    bar = build_bar_algebra(nilcube_xmod(), depth=2)
+    bar = build_bar_algebra(workspace("nilcube").xmod("main"), depth=2)
     rep = roundtrip_from_structure(bar)
     assert rep.passed, rep.render()
 
 
 def test_broken_action_fails_at_the_detecting_faces():
-    bar = build_bar_algebra(broken_action_xmod(), depth=2)
+    bar = build_bar_algebra(workspace("broken_action").xmod("main"), depth=2)
     rep = verify_extracted(bar)
     assert not rep.passed
 
@@ -239,14 +229,15 @@ def test_broken_action_fails_at_the_detecting_faces():
 
 
 def test_tail_face_check_skips_below_depth_two():
-    bar = build_bar_algebra(nilsquare_xmod(), depth=1)
+    bar = build_bar_algebra(workspace("nilsquare").xmod("main"), depth=1)
     rep = verify_extracted(bar)
     node = rep.find("d0-on-tail-multiplicative @ 2")
     assert node.status == "SKIP"
 
 
 def test_perturbation_survivors_all_roundtrip():
-    rep = perturb_and_filter(nilsquare_xmod(), depth=2, seed=0, budget=200)
+    rep = perturb_and_filter(workspace("nilsquare").xmod("main"), depth=2,
+                             seed=0, budget=200)
     assert rep.passed, rep.render()
     # candidate 0 is canonical; mutants only survive by undoing themselves
     count = rep.find("survivors").meta["count"]
@@ -255,8 +246,8 @@ def test_perturbation_survivors_all_roundtrip():
 
 
 def test_perturbation_is_seed_deterministic():
-    a = perturb_and_filter(nilsquare_xmod(), depth=2, seed=3, budget=60)
-    b = perturb_and_filter(nilsquare_xmod(), depth=2, seed=3, budget=60)
+    a, b = (perturb_and_filter(workspace("nilsquare").xmod("main"), depth=2,
+                               seed=3, budget=60) for _ in range(2))
     assert a.to_json() == b.to_json()
 
 
@@ -276,12 +267,13 @@ def test_perturbation_without_tensor_cells_is_refused():
 def test_perturbation_budget_below_one_is_refused():
     for budget in (0, -3):
         with pytest.raises(PreconditionError, match="budget"):
-            perturb_and_filter(nilsquare_xmod(), 2, 0, budget)
+            perturb_and_filter(workspace("nilsquare").xmod("main"), 2, 0,
+                               budget)
 
 
 def test_no_survivor_is_a_skip_not_a_pass():
     # broken_z4 fails the definition, and so does every mutant of it
-    xm = Workspace.load(BROKEN_Z4).xmods["main"]
+    xm = workspace("broken_z4").xmod("main")
     rep = perturb_and_filter(xm, depth=2, seed=11, budget=200)
     assert rep.find("survivors").meta["count"] == 0
     exact = rep.find("survivors-roundtrip-exact")
@@ -315,7 +307,7 @@ def test_mutants_share_the_canonical_module_and_verify_alike():
     # perturb_and_filter builds the bar module once and reuses every
     # unmutated level; a mutant so built must verify exactly like a bar
     # built from scratch with the same level tensor
-    xm = nilcube_xmod()
+    xm = workspace("nilcube").xmod("main")
     canonical = build_bar_algebra(xm, 2)
     rng = random.Random(4)
     for _ in range(12):
@@ -344,8 +336,7 @@ def test_with_level_tensor_shares_every_other_level(fixture):
     # tensor, and the filter's verdicts agree with the definition checks
     # for a canonical bar that passes (nilcube) and one that fails
     # (broken_z4)
-    xm = (nilcube_xmod() if fixture == "nilcube"
-          else Workspace.load(BROKEN_Z4).xmods["main"])
+    xm = workspace(fixture).xmod("main")
     canonical = build_bar_algebra(xm, 2)
     passed, decide = _definition_filter(canonical, None)
     assert passed == definition_checks(canonical).passed \
@@ -376,7 +367,7 @@ def test_a_mutant_failing_its_level_axioms_is_not_built(monkeypatch):
     # the changed cells are read against the canonical constants, so a
     # mutant that fails its level axioms gets no tensor and no bar, and
     # one that passes them gets one tensor
-    canonical = build_bar_algebra(nilcube_xmod(), 2)
+    canonical = build_bar_algebra(workspace("nilcube").xmod("main"), 2)
     _, decide = _definition_filter(canonical, None)
     built = []
     with_cells = BilinearMap.with_cells
@@ -453,7 +444,7 @@ def test_filter_decides_mutants_of_a_bar_with_one_broken_level():
     # read level n, l = 2 only the latter.  Some broken clause skips
     # every other level, so each mutant of another level fails, a no-op
     # one included, while the mutant that flips the cell back passes
-    canonical = build_bar_algebra(nilcube_xmod(), 3)
+    canonical = build_bar_algebra(workspace("nilcube").xmod("main"), 3)
     cases = repaired = 0
     for n, l in product(range(1, 4), (0, 2)):
         mul = canonical.algebras[n].mul
@@ -486,15 +477,15 @@ def filter_cases():
     # Mutants of broken_z4 at depth 3 that break torsion leave the
     # definition checks to sweep up to a million element pairs, so that
     # case samples sweeps above 4,096 tuples
-    ws = Workspace.load(BROKEN_Z4)
-    yield from (("nilcube", nilcube_xmod(), depth, range(3), 40, None)
-                for depth in (1, 2, 3))
-    yield "nilsquare", nilsquare_xmod(), 2, range(3), 40, None
-    yield from (("broken_action", broken_action_xmod(), depth, range(2), 40,
-                 None) for depth in (1, 2, 3))
-    yield from (("broken_z4", ws.xmods["main"], depth, range(2), 40, None)
-                for depth in (1, 2))
-    yield ("broken_z4", ws.xmods["main"], 3, range(2), 40,
+    yield from (("nilcube", workspace("nilcube").xmod("main"), depth,
+                 range(3), 40, None) for depth in (1, 2, 3))
+    yield ("nilsquare", workspace("nilsquare").xmod("main"), 2, range(3), 40,
+           None)
+    yield from (("broken_action", workspace("broken_action").xmod("main"),
+                 depth, range(2), 40, None) for depth in (1, 2, 3))
+    yield from (("broken_z4", workspace("broken_z4").xmod("main"), depth,
+                 range(2), 40, None) for depth in (1, 2))
+    yield ("broken_z4", workspace("broken_z4").xmod("main"), 3, range(2), 40,
            Policy(exhaustive_bound=4096, sample_count=100))
     for n, xm in enumerate(mixed_order_z4_xmods()):
         yield f"z4-{n}", xm, 2, range(2), 20, None
@@ -545,7 +536,7 @@ def test_cellwise_filter_runs_only_the_clauses_of_the_changed_level(
     # mutant stops at its first failure
     names = spy_on_clauses(monkeypatch)
     depth = 3
-    canonical = build_bar_algebra(nilcube_xmod(), depth)
+    canonical = build_bar_algebra(workspace("nilcube").xmod("main"), depth)
     _, decide = _definition_filter(canonical, None)
 
     def clauses(k):
@@ -576,7 +567,7 @@ def test_filter_rejects_on_failed_clauses_that_skip_the_level(monkeypatch):
     # on broken_z4 at depth 3, d0@1, d0@2 and d0@3 fail on the canonical
     # bar and between them skip every level, so once the canonical bar is
     # decided each mutant is rejected without running a clause
-    canonical = build_bar_algebra(Workspace.load(BROKEN_Z4).xmods["main"], 3)
+    canonical = build_bar_algebra(workspace("broken_z4").xmod("main"), 3)
     rep = definition_checks(canonical)
     assert [c.name for group in rep.checks for c in group.checks
             if not c.passed] == [f"d0@{n} multiplicative" for n in (1, 2, 3)]

@@ -1,5 +1,5 @@
-"""Oversized bar, bibar and census requests are refused before anything
-is built.
+"""Oversized bar, bibar, census and fuzz requests are refused before
+anything is built.
 
 Each command runs in a subprocess whose address space is capped at
 1 GiB.  A request over the enumeration bound must end with the one-line
@@ -92,6 +92,26 @@ def test_huge_census_modulus_is_refused_before_its_divisors():
         assert res.stderr == \
             "error: tensor space too large to enumerate at this rank\n"
         assert res.stdout == ""
+
+
+def test_huge_fuzz_count_is_refused_before_the_first_draw(monkeypatch):
+    # a report of 10^10 rows used to grow until the cap ended it in a
+    # MemoryError traceback
+    res = run_capped(["fuzz", "--count", HUGE], timeout=10)
+    assert res.returncode == 3, res.stderr
+    assert res.stderr == ("error: fuzz count 10000000000 exceeds the row "
+                          "bound of 200000\n")
+    assert res.stdout == ""
+    from idealbar import enumeration
+    from idealbar.core import UnsupportedScaleError
+
+    def drawn(*args):
+        raise AssertionError("drawn before the bound was checked")
+    monkeypatch.setattr(enumeration, "_fuzz_chains", drawn)
+    with pytest.raises(UnsupportedScaleError):
+        enumeration.fuzz_report(2, 2, enumeration.MAX_PAIR_ENUM + 1)
+    with pytest.raises(AssertionError, match="drawn"):
+        enumeration.fuzz_report(2, 2, enumeration.MAX_PAIR_ENUM)
 
 
 def test_oversized_census_pair_is_refused_before_any_pair_is_classified():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import idealbar.core as core_mod
 from idealbar.core import (Algebra, BilinearMap, FiniteModule, ModuleHom,
                            PreconditionError, Submodule, _present_subalgebra,
-                           is_ideal, kernel, solve)
+                           injective, is_ideal, kernel, solve)
 from idealbar.crossed_ideal import sub_crossed_module
 from idealbar.enumeration import enumerate_ideals
 from idealbar.xmod import inclusion_xmod
@@ -82,6 +82,15 @@ def test_solve_refuses_a_map_that_is_not_well_defined():
     f = ModuleHom(FiniteModule(4, [2]), FiniteModule(4, [4]), [(1,)])
     with pytest.raises(PreconditionError):
         solve(f, (1,))
+
+
+def test_injective_refuses_a_map_that_is_not_well_defined():
+    # Z/2 -> Z/4 by 1 -> 1: the representatives 0 and 1 have distinct
+    # images, but 2 * 1 != 0, so there is no map to be injective
+    f = ModuleHom(FiniteModule(4, [2]), FiniteModule(4, [4]), [(1,)])
+    with pytest.raises(PreconditionError, match="well-defined"):
+        injective(f)
+    assert injective(ModuleHom(f.domain, f.codomain, [(2,)]))
 
 
 def test_kernel_and_solve_read_one_graph_form(monkeypatch):

@@ -29,10 +29,9 @@ from idealbar.core import (MAX_ENUM, Algebra, AlgebraHom, BilinearMap,
                            semidirect_power, semidirect_product)
 from idealbar.crossed_ideal import XModMorphism
 from idealbar.enumeration import all_valid_xmods
-from idealbar.fixtures import broken_action_xmod, nilcube_xmod, nilsquare_xmod
 from idealbar.workspace import Workspace
 from idealbar.xmod import CrossedModule
-from oracles import bibar_multiply, product_formula
+from oracles import bibar_multiply, product_formula, workspace
 
 # summand orders above 1 for each modulus
 ORDERS = {4: (2, 4), 6: (2, 3, 6), 8: (2, 4, 8), 9: (3, 9)}
@@ -98,10 +97,10 @@ def test_level_constants_match_the_closed_formula(data):
             == product_formula_constants(bar, n), n
 
 
-@pytest.mark.parametrize("make", [nilsquare_xmod, nilcube_xmod,
-                                  broken_action_xmod])
-def test_fixture_level_constants_match_the_closed_formula(make):
-    bar = build_bar_algebra(make(), 4)
+@pytest.mark.parametrize("name", ["nilsquare", "nilcube", "broken_action"],
+                         ids=lambda name: f"{name}_xmod")
+def test_fixture_level_constants_match_the_closed_formula(name):
+    bar = build_bar_algebra(workspace(name).xmod("main"), 4)
     for n in range(5):
         assert bar.algebras[n].mul.constants \
             == product_formula_constants(bar, n), n
@@ -212,9 +211,10 @@ def associativity_by_evaluate(alg):
 
 
 def _bar_level_algebras():
-    out = [alg for make, depth in ((nilsquare_xmod, 3), (nilcube_xmod, 2),
-                                   (broken_action_xmod, 2))
-           for alg in build_bar_algebra(make(), depth).algebras]
+    out = [alg for name, depth in (("nilsquare", 3), ("nilcube", 2),
+                                   ("broken_action", 2))
+           for alg in build_bar_algebra(workspace(name).xmod("main"),
+                                        depth).algebras]
     for xm in all_valid_xmods(4, 1):
         out.extend(build_bar_algebra(xm, 2).algebras)
     return [alg for alg in out if alg.carrier.rank]
@@ -281,8 +281,9 @@ def test_cellwise_axioms_match_the_whole_check_on_every_flip():
     # but (g_1 g_1) g_0 = 0 while g_1 (g_1 g_0) = g_2.  The triples
     # (., i, j) and (j, a, b) are not scanned: in a commutative tensor
     # each has minus the associator of its reverse, which is scanned
-    levels = [alg for make, depth in ((nilcube_xmod, 2), (nilsquare_xmod, 2))
-              for alg in build_bar_algebra(make(), depth).algebras]
+    levels = [alg for name in ("nilcube", "nilsquare")
+              for alg in build_bar_algebra(workspace(name).xmod("main"),
+                                           2).algebras]
     levels += [alg for xm in all_valid_xmods(4, 1)
                for alg in build_bar_algebra(xm, 1).algebras
                if alg.carrier.rank]

@@ -20,7 +20,6 @@ check, on the mutants of the perturbation harness and on drawn algebras.
 
 import random
 from math import gcd, prod
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,19 +32,16 @@ from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                            ModuleHom, identity_hom, multiplicativity_report)
 from idealbar.enumeration import (enumerate_action_tensors, enumerate_algebras,
                                   enumerate_homs)
-from idealbar.fixtures import nilcube_morphism, nilcube_xmod
 from idealbar.policy import EXHAUSTIVE, Policy, check
 from idealbar.report import AXIOM
 from idealbar.roundtrip import _mutate_tensors
-from idealbar.workspace import Workspace
 from idealbar.xmod import (CrossedModule, algebra_action_validator,
                            cm1_report, cm2_report, crossed_module_clauses,
                            validate_algebra_action)
+from oracles import FIXTURES, workspace
 
 MODULI = [4, 6, 8, 9]
 CASES = settings(max_examples=150, deadline=None)
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-BROKEN_Z4 = str(FIXTURES / "broken_z4.json")
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +238,7 @@ def test_a_passing_hom_costs_one_apply_per_cell_value_and_no_evaluate(
     # f(c[i][j]) is tabled per distinct cell value of dom's product, and
     # f(g_i)f(g_j) is combined from image rows and the columns of cod's
     # product, so no product of elements is evaluated
-    bar = build_bar_algebra(nilcube_xmod(), 2)
+    bar = build_bar_algebra(workspace("nilcube").xmod("main"), 2)
     face = bar.face(2, 1)
     dom, cod = bar.algebras[2], bar.algebras[1]
     for m in (face, dom.mul, cod.mul):
@@ -282,13 +278,13 @@ def assert_multiplicativity_matches(operators):
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")),
                          ids=lambda path: path.stem)
 def test_multiplicativity_matches_on_every_bar_operator(path, depth):
-    bar = build_bar_algebra(Workspace.load(str(path)).xmods["main"], depth)
+    bar = build_bar_algebra(workspace(path.stem).xmod("main"), depth)
     assert assert_multiplicativity_matches(
         bar_operators(bar, bar.algebras))
 
 
 def test_multiplicativity_matches_on_every_vertical_bibar_operator():
-    bb = build_bibar(nilcube_morphism(), 3, 2)
+    bb = build_bibar(workspace("nilcube").morphism("incl"), 3, 2)
     operators = []
     for m in range(bb.m_depth + 1):
         for n in range(1, bb.n_depth + 1):
@@ -308,9 +304,7 @@ def test_multiplicativity_matches_on_mutated_levels(fixture, depth):
     # each mutant replaces one level's product, so the operators into
     # and out of that level read it; mutants over Z/4 may break torsion,
     # and then both paths sweep the elements
-    bar = build_bar_algebra(
-        Workspace.load(str(FIXTURES / f"{fixture}.json")).xmods["main"],
-        depth)
+    bar = build_bar_algebra(workspace(fixture).xmod("main"), depth)
     statuses = set()
     for seed in range(20):
         k, cells = _mutate_tensors(bar, random.Random(seed))
@@ -755,8 +749,7 @@ def test_only_the_cells_an_order_allows_are_read():
 @pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("fixture", ["nilcube", "broken_z4"])
 def test_derived_mutants_equal_the_rebuild(fixture, depth):
-    xm = (nilcube_xmod() if fixture == "nilcube"
-          else Workspace.load(BROKEN_Z4).xmods["main"])
+    xm = workspace(fixture).xmod("main")
     canonical = build_bar_algebra(xm, depth)
     base = canonical.level_tensors()
     for seed in range(200):

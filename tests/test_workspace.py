@@ -9,7 +9,7 @@ import pytest
 
 import idealbar.core as core_mod
 import idealbar.crossed_ideal as crossed_ideal_mod
-from idealbar import fixtures
+from idealbar.crossed_ideal import inclusion_cim
 from idealbar.workspace import Workspace, WorkspaceError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -29,26 +29,61 @@ def small_doc(**overrides):
     return doc
 
 
-def test_nilsquare_file_matches_the_programmatic_fixture():
+def xmod_constants(xm):
+    """A crossed module as the numbers its file writes down: the orders
+    and product constants of R and of S, eta's generator images and the
+    action tensor."""
+    return (xm.r_alg.orders, xm.r_alg.mul.constants,
+            xm.s_alg.orders, xm.s_alg.mul.constants,
+            xm.eta.images, xm.action.constants)
+
+
+# k[x]/(x^2) on the basis (1, x) and its ideal (x) on the basis (x)
+NILSQUARE_ALGEBRAS = ((2,), (((0,),),),
+                      (2, 2), (((1, 0), (0, 1)), ((0, 1), (0, 0))))
+
+
+def test_nilsquare_file_parses_to_its_structure_constants():
     ws = Workspace.load(NILSQUARE)
-    assert ws.xmod("main") == fixtures.nilsquare_xmod()
-    assert ws.algebra("S") == fixtures.nilsquare_algebra()
-    assert ws.algebra("R") == fixtures.nilsquare_ideal_algebra()
+    # eta(x) = x, and x acts as zero on (x)
+    assert xmod_constants(ws.xmod("main")) \
+        == NILSQUARE_ALGEBRAS + (((0, 1),), (((1,),), ((0,),)))
     assert ws.options.get("depth") == 4
 
 
-def test_broken_file_matches_the_programmatic_fixture():
+def test_broken_file_parses_to_its_structure_constants():
     ws = Workspace.load(BROKEN)
-    assert ws.xmod("main") == fixtures.broken_action_xmod()
+    # the nilsquare data with x acting as the identity on (x)
+    assert xmod_constants(ws.xmod("main")) \
+        == NILSQUARE_ALGEBRAS + (((0, 1),), (((1,),), ((1,),)))
 
 
-def test_nilcube_file_matches_the_programmatic_fixtures():
+def test_nilcube_file_parses_to_its_structure_constants():
     ws = Workspace.load(NILCUBE)
-    assert ws.xmod("main") == fixtures.nilcube_xmod()
-    assert ws.subxmod("good") == fixtures.nilcube_sub()
+    # k[x]/(x^3) on (1, x, x^2) and its ideal (x) on (x, x^2), with
+    # eta the inclusion and S acting by multiplication
+    assert xmod_constants(ws.xmod("main")) == (
+        (2, 2), (((0, 1), (0, 0)), ((0, 0), (0, 0))),
+        (2, 2, 2), (((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                    ((0, 1, 0), (0, 0, 1), (0, 0, 0)),
+                    ((0, 0, 1), (0, 0, 0), (0, 0, 0))),
+        ((0, 1, 0), (0, 0, 1)),
+        (((1, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 0), (0, 0))))
+    # (x^2) in both layers: Z/2 with the zero product, eta' the
+    # identity, x^2 acting as zero, mu and nu sending the generator to x^2
+    good = ws.subxmod("good")
+    assert xmod_constants(good.sub) \
+        == ((2,), (((0,),),), (2,), (((0,),),), ((1,),), (((0,),),))
+    assert (good.mu.images, good.nu.images) == (((0, 1),), ((0, 0, 1),))
     assert ws.subxmod("bad").sub is None
-    cim = ws.cim("incl_cim")
-    assert cim.h.constants == fixtures.nilcube_cim().h.constants
+
+
+def test_declared_inclusion_map_is_the_canonical_one():
+    ws = Workspace.load(NILCUBE)
+    cim, want = ws.cim("incl_cim"), inclusion_cim(ws.subxmod("good"))
+    assert (cim.alpha1_xmod.action, cim.alpha2_xmod.action, cim.h) \
+        == (want.alpha1_xmod.action, want.alpha2_xmod.action, want.h)
+    assert cim.h.constants == (((0,),), ((0,),))
 
 
 def test_subxmod_morphism_form_equals_subset_form():

@@ -12,15 +12,6 @@ from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                            ModuleHom, StructuralError, Submodule,
                            validate_hom)
 from idealbar.enumeration import enumerate_xmods
-from idealbar.fixtures import (
-    broken_action_xmod,
-    nilcube_algebra,
-    nilcube_inclusion_xmod,
-    nilcube_xmod,
-    nilsquare_algebra,
-    nilsquare_ideal_algebra,
-    nilsquare_xmod,
-)
 from idealbar.policy import check
 from idealbar.report import AXIOM, group
 from idealbar.xmod import (
@@ -36,16 +27,17 @@ from idealbar.xmod import (
     validate_crossed_module,
     validate_module_action,
 )
+from oracles import fixture_xmods, workspace
 
 
 def test_fixture_crossed_modules_validate():
-    for xm in (nilsquare_xmod(), nilcube_xmod(), nilcube_inclusion_xmod()):
+    for xm in fixture_xmods():
         rep = validate_crossed_module(xm)
         assert rep.passed, rep.render()
 
 
 def test_broken_action_fails_where_expected():
-    xm = broken_action_xmod()
+    xm = workspace("broken_action").xmod("main")
     rep = validate_crossed_module(xm)
     assert not rep.passed
 
@@ -65,20 +57,20 @@ def test_broken_action_fails_where_expected():
 def test_broken_action_unit_clause_is_the_culprit():
     # x.r = r is fine additively; it is the composite (x*x).r = x.(x.r)
     # that breaks, since x*x = 0 must act as zero
-    xm = broken_action_xmod()
+    xm = workspace("broken_action").xmod("main")
     assert xm.action.evaluate((0, 1), (1,)) == (1,)
     assert xm.action.evaluate(xm.s_alg.multiply((0, 1), (0, 1)), (1,)) == (0,)
 
 
 def test_validate_checks_are_layered_not_gated():
     """Even with a broken action the CM1/CM2 leaves still get verdicts."""
-    rep = validate_crossed_module(broken_action_xmod())
+    rep = validate_crossed_module(workspace("broken_action").xmod("main"))
     names = {n.name for n in rep.walk()}
     assert {"actor-composition", "cm1", "cm2"} <= names
 
 
 def test_action_tensor_shape_enforced():
-    xm = nilsquare_xmod()
+    xm = workspace("nilsquare").xmod("main")
     s = xm.s_alg
     wrong = BilinearMap(s.carrier, s.carrier, s.carrier,
                         [[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
@@ -88,8 +80,8 @@ def test_action_tensor_shape_enforced():
 
 
 def test_crossed_module_requires_matching_shapes():
-    xm = nilsquare_xmod()
-    other = nilcube_xmod()
+    xm = workspace("nilsquare").xmod("main")
+    other = workspace("nilcube").xmod("main")
     with pytest.raises(StructuralError):
         CrossedModule(xm.eta, other.action)
 
@@ -107,7 +99,7 @@ def _idempotent(alg):
 def test_algebra_homs_on_different_products_differ():
     # one image matrix from R and from R' = R's module with g g = g:
     # eta is multiplicative on the first only, so the two must not be equal
-    xm = nilsquare_xmod()
+    xm = workspace("nilsquare").xmod("main")
     other = AlgebraHom(_idempotent(xm.r_alg), xm.s_alg, xm.eta.hom)
     assert other.hom == xm.eta.hom
     assert validate_hom(xm.eta).passed and not validate_hom(other).passed
@@ -118,7 +110,7 @@ def test_algebra_homs_on_different_products_differ():
 def test_crossed_modules_on_different_products_differ():
     # eta's matrix and the action tensor are shared; only R's or S's
     # product changes, and that alone tells the crossed modules apart
-    xm = nilsquare_xmod()
+    xm = workspace("nilsquare").xmod("main")
     for r_alg, s_alg in ((_idempotent(xm.r_alg), xm.s_alg),
                          (xm.r_alg, _idempotent(xm.s_alg))):
         other = CrossedModule(AlgebraHom(r_alg, s_alg, xm.eta.hom),
@@ -130,7 +122,7 @@ def test_crossed_modules_on_different_products_differ():
 
 
 def test_translation_action_is_valid_module_action():
-    xm = nilsquare_xmod()
+    xm = workspace("nilsquare").xmod("main")
     t = translation_action(xm.eta)
     assert t is xm.eta.hom
     rep = validate_module_action(t)
@@ -189,12 +181,12 @@ def test_module_action_verdict_matches_the_axiom_sweep(modulus):
     assert verdicts == ({True} if modulus in (2, 3) else {True, False})
 
 
-@given(st.sampled_from(nilsquare_algebra().elements()),
-       st.sampled_from(nilsquare_ideal_algebra().elements()))
+@given(st.sampled_from(workspace("nilsquare").algebra("S").elements()),
+       st.sampled_from(workspace("nilsquare").algebra("R").elements()))
 def test_nilsquare_action_is_scalar_restriction(s, r):
     """S = k[x]/(x^2) acts on (x) through the quotient to k: the x part
     of s cannot see r because x * x = 0."""
-    xm = nilsquare_xmod()
+    xm = workspace("nilsquare").xmod("main")
     assert xm.action.evaluate(s, r) == ((s[0] * r[0]) % 2,)
 
 
@@ -202,8 +194,8 @@ def test_phi_criteria_match_cm_reports_on_every_candidate():
     """The semidirect reformulations agree with the direct axiom sweeps
     across the full candidate family for the nilsquare pair, broken
     inputs included."""
-    s = nilsquare_algebra()
-    r = nilsquare_ideal_algebra()
+    ws = workspace("nilsquare")
+    s, r = ws.algebra("S"), ws.algebra("R")
     cands = enumerate_xmods(r, s)
     assert len(cands) == 8
     seen_fail = 0
@@ -220,7 +212,7 @@ def test_phi_criteria_match_cm_reports_on_every_candidate():
 
 
 def test_inclusion_xmod_of_nilcube_ideal():
-    alg = nilcube_algebra()
+    alg = workspace("nilcube").algebra("S")
     ideal = Submodule.from_generators(alg.carrier, [(0, 1, 0), (0, 0, 1)])
     xm = inclusion_xmod(alg, ideal)
     rep = validate_crossed_module(xm)
@@ -237,7 +229,7 @@ def test_inclusion_xmod_checks_closure_once(monkeypatch):
     closed = core_mod.multiplicatively_closed
     monkeypatch.setattr(core_mod, "multiplicatively_closed",
                         lambda *a, **k: calls.append(a) or closed(*a, **k))
-    alg = nilcube_algebra()
+    alg = workspace("nilcube").algebra("S")
     ideal = Submodule.from_generators(alg.carrier, [(0, 1, 0), (0, 0, 1)])
     assert validate_crossed_module(inclusion_xmod(alg, ideal)).passed
     assert calls == []
@@ -259,7 +251,7 @@ def test_action_torsion_failure_is_pinned():
 
 
 def test_inclusion_xmod_rejects_non_ideal():
-    alg = nilcube_algebra()
+    alg = workspace("nilcube").algebra("S")
     units = Submodule.from_generators(alg.carrier, [(1, 0, 0)])
     from idealbar.core import PreconditionError
     with pytest.raises(PreconditionError):
@@ -267,13 +259,13 @@ def test_inclusion_xmod_rejects_non_ideal():
 
 
 def test_consequence_checks_pass_on_fixtures():
-    for xm in (nilsquare_xmod(), nilcube_xmod(), nilcube_inclusion_xmod()):
+    for xm in fixture_xmods():
         rep = consequence_checks(xm)
         assert rep.passed, rep.render()
 
 
 def test_consequence_checks_cover_kernel_and_image():
-    rep = consequence_checks(nilcube_xmod())
+    rep = consequence_checks(workspace("nilcube").xmod("main"))
     names = {n.name for n in rep.walk()}
     assert {"image-is-ideal", "kernel-is-ideal", "kernel-annihilates",
             "quotient-action-well-defined"} <= names
@@ -284,6 +276,6 @@ def test_consequence_checks_cover_kernel_and_image():
 
 
 def test_nilcube_eta_kernel_is_trivial():
-    xm = nilcube_xmod()
+    xm = workspace("nilcube").xmod("main")
     from idealbar.core import kernel
     assert kernel(xm.eta.hom).size == 1
