@@ -362,7 +362,9 @@ class BilinearMap:
 
 
 class Algebra:
-    """Commutative, not necessarily unital, finite Z/m-algebra."""
+    """Commutative, not necessarily unital, finite Z/m-algebra.  What
+    its product alone decides, the witnesses of algebra_axioms and the
+    unit note, is kept on first use; reports are built from it fresh."""
 
     def __init__(self, carrier: FiniteModule, mul: BilinearMap, name: str = ""):
         if mul.left != carrier or mul.right != carrier or mul.target != carrier:
@@ -370,6 +372,7 @@ class Algebra:
         self.carrier = carrier
         self.mul = mul
         self.name = name
+        self._witnesses = self._unit = None
 
     @property
     def modulus(self):
@@ -516,29 +519,45 @@ class AlgebraHom:
 def howell_form(mod: FiniteModule, vectors):
     """The Howell form (Howell 1986) of the span of vectors in mod, as
     (pivot column, row) pairs, computed with Z/d as the multiples of m/d
-    in Z/m.  Two lists span one submodule exactly when their forms agree."""
+    in Z/m.  Two lists span one submodule exactly when their forms agree.
+    Only work that changes a row is done: a row already zero in the
+    column is passed over, a zero row is dropped, and a form row is
+    reduced by a new pivot only when the pivot's multiple in it is not
+    zero."""
     m, width = mod.modulus, mod.rank
     scales = [m // d for d in mod.orders]
-    work, form = [[a * s for a, s in zip(v, scales)] for v in vectors], []
+    work = [[a * s for a, s in zip(v, scales)] for v in vectors if any(v)]
+    form = []
     for c in range(width):
-        piv, rest = [0] * width, []
+        piv, rest = None, []
         for r in work:  # Euclid gathers the gcd of column c in piv
-            while r[c]:
-                q = piv[c] // r[c]
-                piv, r = r, [(a - q * b) % m for a, b in zip(piv, r)]
-            rest.append(r)
-        if piv[c]:  # a unit makes the pivot p divide m
+            if not r[c]:
+                rest.append(r)
+            elif piv is None:
+                piv = r
+            else:
+                while r[c]:
+                    q = piv[c] // r[c]
+                    piv, r = r, [(a - q * b) % m for a, b in zip(piv, r)]
+                if any(r):
+                    rest.append(r)
+        if piv is not None:  # a unit makes the pivot p divide m
             g = gcd(piv[c], m)
             u = pow(piv[c] // g, -1, m // g)
             while gcd(u, m) > 1:
                 u += m // g
             piv = [u * a % m for a in piv]
             # rows below then span the elements that are zero up to c
-            rest.append([m // g * a % m for a in piv])
+            ann = [m // g * a % m for a in piv]
+            if any(ann):
+                rest.append(ann)
             # the entries above the pivot reduced below it
-            form = [(j, [(a - row[c] // g * b) % m for a, b in zip(row, piv)])
-                    for j, row in form] + [(c, piv)]
-        work = [r for r in rest if any(r)]
+            for k, (j, row) in enumerate(form):
+                q = row[c] // g
+                if q:
+                    form[k] = j, [(a - q * b) % m for a, b in zip(row, piv)]
+            form.append((c, piv))
+        work = rest
     return tuple((c, tuple(a // s for a, s in zip(row, scales)))
                  for c, row in form)
 
@@ -551,6 +570,9 @@ class Submodule:
     given by its elements, expected to be closed under addition, has gens
     and form None.  Iteration is over the sorted elements, which a span
     lists on first use; a listed span looks membership up in them."""
+
+    # (algebra, presentation) once _present_subalgebra has presented it
+    _presented = None
 
     def __init__(self, ambient: FiniteModule, elements):
         elems = sorted({tuple(e) for e in elements} | {ambient.zero})
@@ -633,31 +655,27 @@ def validate_algebra(alg: Algebra) -> Report:
 def algebra_axioms(alg: Algebra) -> Report:
     """validate_algebra without the unit search, for callers that read
     only the verdict.  Generator checks are complete here because every
-    side of every identity is multilinear."""
-    checks = [torsion_compatibility(
-        alg.mul, "d_i*c[i][j] and d_j*c[i][j] vanish mod target orders")]
-
+    side of every identity is multilinear.  The three witnesses are
+    found once per algebra; the leaves are new on every call."""
     n = alg.carrier.rank
-    comm = None
-    for i in range(n):
-        for j in range(n):
-            if alg.mul.constants[i][j] != alg.mul.constants[j][i]:
-                comm = (i, j)
-                break
-        if comm:
-            break
-    checks.append(leaf("commutativity", FAIL if comm else PASS, AXIOM,
-                       detail="c[i][j] = c[j][i] on generator pairs",
-                       witness=comm, meta={"pairs": n * n}))
-
-    nz = _cell_terms(alg.mul)
-    assoc = _nonassociative_triple(nz, list(zip(*nz)), alg.carrier.orders,
-                                   product(range(n), repeat=3))
-    checks.append(leaf(
-        "associativity", FAIL if assoc else PASS, AXIOM,
-        detail="(g_i g_j) g_k = g_i (g_j g_k), complete by trilinearity",
-        witness=assoc, meta={"triples": n ** 3}))
-    return group(f"validate-algebra {alg.name or 'algebra'}", checks)
+    if alg._witnesses is None:
+        c, nz = alg.mul.constants, _cell_terms(alg.mul)
+        alg._witnesses = (
+            torsion_witness(alg.mul),
+            next(((i, j) for i in range(n) for j in range(n)
+                  if c[i][j] != c[j][i]), None),
+            _nonassociative_triple(nz, list(zip(*nz)), alg.carrier.orders,
+                                   product(range(n), repeat=3)))
+    torsion, comm, assoc = alg._witnesses
+    return group(f"validate-algebra {alg.name or 'algebra'}", [
+        torsion_leaf(torsion,
+                     "d_i*c[i][j] and d_j*c[i][j] vanish mod target orders"),
+        leaf("commutativity", FAIL if comm else PASS, AXIOM,
+             detail="c[i][j] = c[j][i] on generator pairs",
+             witness=comm, meta={"pairs": n * n}),
+        leaf("associativity", FAIL if assoc else PASS, AXIOM,
+             detail="(g_i g_j) g_k = g_i (g_j g_k), complete by trilinearity",
+             witness=assoc, meta={"triples": n ** 3})])
 
 
 def _cell_terms(mul: BilinearMap):
@@ -736,18 +754,17 @@ def cellwise_axioms(alg: Algebra):
 def _unit_note(alg: Algebra) -> Report:
     # informational only, a unit is never required.  e*x is linear in x
     # on canonical representatives whatever the tensor, so e*g = g on
-    # the generators decides e*x = x on every element
-    if alg.carrier.size > 4096:
-        return leaf("unital", NOTE, None, detail="unit detection skipped, carrier too large")
-    gens = alg.generators()
-    unit = None
-    for e in alg.elements():
-        if all(alg.multiply(e, g) == g for g in gens):
-            unit = e
-            break
-    if unit is not None:
-        return leaf("unital", NOTE, None, detail=f"unit {unit}")
-    return leaf("unital", NOTE, None, detail="no unit")
+    # the generators decides e*x = x on every element; the detail is
+    # found once per algebra
+    if alg._unit is None:
+        if alg.carrier.size > 4096:
+            alg._unit = "unit detection skipped, carrier too large"
+        else:
+            gens = alg.generators()
+            unit = next((e for e in alg.elements()
+                         if all(alg.multiply(e, g) == g for g in gens)), None)
+            alg._unit = "no unit" if unit is None else f"unit {unit}"
+    return leaf("unital", NOTE, None, detail=alg._unit)
 
 
 def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
@@ -813,12 +830,6 @@ def order_compatibility(hom: ModuleHom) -> Report:
     return leaf("order-compatibility", FAIL if bad else PASS, STRUCTURAL,
                 detail="d_i * f(g_i) = 0 in the codomain",
                 witness=(bad[0],) if bad else None)
-
-
-def torsion_compatibility(tensor: BilinearMap, detail: str = "") -> Report:
-    """Whether the tensor is a bilinear map of modules: the first
-    torsion violation (i, j, l) is the witness."""
-    return torsion_leaf(torsion_witness(tensor), detail)
 
 
 def torsion_witness(tensor: BilinearMap):
@@ -951,7 +962,11 @@ def _present_subalgebra(alg: Algebra, sub: Submodule):
     """(sub_algebra, embedding AlgebraHom) for a subset that the caller
     found closed under addition and multiplication: the embedding sends
     the carrier's generators to the cyclic ones decompose_abelian picks,
-    and the product constants are solved through it."""
+    and the product constants are solved through it.  The pair is kept
+    on sub for the algebra object it was presented in, so presenting a
+    span again in that algebra returns the same two objects."""
+    if sub._presented is not None and sub._presented[0] is alg:
+        return sub._presented[1]
     amb = alg.carrier
     orders, gens = decompose_abelian(list(sub.elements), amb.add, amb.zero)
     carrier = FiniteModule(amb.modulus, orders)
@@ -962,7 +977,8 @@ def _present_subalgebra(alg: Algebra, sub: Submodule):
                  for gi in gens]
     sub_alg = Algebra(carrier, BilinearMap(carrier, carrier, carrier, constants),
                       name=f"{alg.name}-sub" if alg.name else "sub")
-    return sub_alg, AlgebraHom(sub_alg, alg, embed, name="embed")
+    sub._presented = alg, (sub_alg, AlgebraHom(sub_alg, alg, embed, name="embed"))
+    return sub._presented[1]
 
 
 def semidirect_power(s_alg: Algebra, r_alg: Algebra, act: BilinearMap, n: int,

@@ -17,7 +17,9 @@ whose layout they check.
 span_oracle closes a generator list under addition breadth first and
 kernel_oracle applies a hom to every element of its domain; both return
 the subset by its elements, which core.Submodule holds as a Howell form
-instead.  coordinates_oracle lists the coordinates of a subgroup in
+instead.  howell_oracle computes that form rewriting every earlier row
+at each new pivot, where core.howell_form skips the rows a pivot leaves
+unchanged.  coordinates_oracle lists the coordinates of a subgroup in
 cyclic generators, which core.solve finds through the embedding, and
 presentation_oracle presents a subalgebra by that table.
 
@@ -32,6 +34,7 @@ lists the valid crossed modules among them.
 
 import random
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import idealbar.crossed_ideal as crossed_ideal
@@ -242,6 +245,35 @@ def span_oracle(ambient, gens):
                     nxt.append(y)
         frontier = nxt
     return Submodule(ambient, seen)
+
+
+def howell_oracle(mod, vectors):
+    """core.howell_form by rewriting every form row at each new pivot
+    and carrying zero rows to the end of the column."""
+    m, width = mod.modulus, mod.rank
+    scales = [m // d for d in mod.orders]
+    work, form = [[a * s for a, s in zip(v, scales)] for v in vectors], []
+    for c in range(width):
+        piv, rest = [0] * width, []
+        for r in work:  # Euclid gathers the gcd of column c in piv
+            while r[c]:
+                q = piv[c] // r[c]
+                piv, r = r, [(a - q * b) % m for a, b in zip(piv, r)]
+            rest.append(r)
+        if piv[c]:  # a unit makes the pivot p divide m
+            g = gcd(piv[c], m)
+            u = pow(piv[c] // g, -1, m // g)
+            while gcd(u, m) > 1:
+                u += m // g
+            piv = [u * a % m for a in piv]
+            # rows below then span the elements that are zero up to c
+            rest.append([m // g * a % m for a in piv])
+            # the entries above the pivot reduced below it
+            form = [(j, [(a - row[c] // g * b) % m for a, b in zip(row, piv)])
+                    for j, row in form] + [(c, piv)]
+        work = [r for r in rest if any(r)]
+    return tuple((c, tuple(a // s for a, s in zip(row, scales)))
+                 for c, row in form)
 
 
 def kernel_oracle(f):

@@ -13,6 +13,7 @@ from idealbar.core import (
     StructuralError,
     Submodule,
     _present_subalgebra,
+    algebra_axioms,
     decompose_abelian,
     direct_sum,
     identity_hom,
@@ -24,7 +25,8 @@ from idealbar.core import (
     validate_algebra,
     validate_hom,
 )
-from oracles import workspace
+from idealbar.report import AXIOM, FAIL, THEOREM, leaf, relabel
+from oracles import presentation_oracle, workspace
 
 M24 = FiniteModule(4, [2, 4])
 elements_24 = st.sampled_from(M24.elements())
@@ -213,6 +215,73 @@ def test_unit_note_and_associativity_match_the_element_forms(alg):
     rep = validate_algebra(alg)
     assert rep.find("unital").detail == _unit_by_element_scan(alg)
     assert rep.find("associativity").witness == _associativity_by_products(alg)
+
+
+def _twin(alg):
+    """A new Algebra with alg's constants and name, which keeps nothing."""
+    mod = alg.carrier
+    return Algebra(mod, BilinearMap(mod, mod, mod, alg.mul.constants),
+                   name=alg.name)
+
+
+@pytest.mark.parametrize("validate", [validate_algebra, algebra_axioms])
+def test_algebra_reports_are_new_on_every_call(validate):
+    # what an algebra keeps are witnesses, not report nodes: a report a
+    # caller renamed, relabelled and appended to changes no later one
+    nilcube = workspace("nilcube").algebra("S")
+    m = FiniteModule(2, [2, 2])
+    broken = Algebra(m, BilinearMap(m, m, m, [[(0, 1), (1, 0)],
+                                              [(1, 0), (0, 0)]]), name="bad")
+    for alg in (nilcube, broken):
+        rep = validate(alg)
+        rep.name = "renamed"
+        relabel(rep, THEOREM)
+        rep.checks.append(leaf("appended", FAIL, AXIOM))
+        for node in rep.checks:
+            node.checks.append(leaf("appended", FAIL, AXIOM))
+            node.meta["appended"] = 1
+        assert validate(alg).to_json() == validate(_twin(alg)).to_json()
+
+
+def test_a_mutant_product_gets_its_own_verdict():
+    # the mutant shares the carrier and every row but one with the base:
+    # 1 * x = 0 breaks associativity at (1, x, x)
+    base = workspace("nilcube").algebra("S")
+    assert validate_algebra(base).passed
+    mutant = Algebra(base.carrier, base.mul.with_cells(
+        {(0, 1): (0, 0, 0), (1, 0): (0, 0, 0)}), name=base.name)
+    node = validate_algebra(mutant).find("associativity")
+    assert (node.status, node.witness) == ("FAIL", (0, 1, 1))
+    assert validate_algebra(mutant).to_json() \
+        == validate_algebra(_twin(mutant)).to_json()
+    assert validate_algebra(base).passed
+    assert validate_algebra(base).to_json() \
+        == validate_algebra(_twin(base)).to_json()
+
+
+def test_a_span_is_presented_in_each_algebra_object_on_its_own():
+    # <e0, e1> is a subalgebra of both products on (Z/2)^3, where it is
+    # e0^2 = e1 in one and zero in the other; a third algebra equal to
+    # the first under another name is another object and gets its own
+    mod = FiniteModule(2, [2, 2, 2])
+    zero = [[(0, 0, 0)] * 3 for _ in range(3)]
+    square = [list(row) for row in zero]
+    square[0][0] = (0, 1, 0)
+    a = Algebra(mod, BilinearMap(mod, mod, mod, square), name="A")
+    b = Algebra(mod, BilinearMap(mod, mod, mod, zero), name="B")
+    twin = Algebra(mod, a.mul, name="A2")
+    span = Submodule.from_generators(mod, [(1, 0, 0), (0, 1, 0)])
+    for alg in (a, twin, b):
+        sub_alg, embed = _present_subalgebra(alg, span)
+        want, want_embed, _ = presentation_oracle(alg, span)
+        assert sub_alg.name == want.name == f"{alg.name}-sub"
+        assert sub_alg.carrier == want.carrier
+        assert sub_alg.mul.constants == want.mul.constants
+        assert embed.images == want_embed.images and embed.cod is alg
+        again = _present_subalgebra(alg, span)
+        assert again[0] is sub_alg and again[1] is embed
+    assert _present_subalgebra(a, span)[0].mul.constants \
+        != _present_subalgebra(b, span)[0].mul.constants
 
 
 def test_validate_algebra_catches_noncommutative_tensor():

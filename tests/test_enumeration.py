@@ -1,5 +1,6 @@
 """Exhaustive enumeration at desk scale and the seeded fuzzer."""
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -457,6 +458,26 @@ def test_fuzz_report_matches_the_draw_by_draw_oracle(args):
             == (bcim.alpha1_xmod, bcim.alpha2_xmod, bcim.h)
     assert fuzz_chain_count(*args) < args[2]
     assert fuzz_report(*args).to_json() == fuzz_report_oracle(*args).to_json()
+
+
+# (modulus, max_rank, count, seed) of the 29 runs whose JSON, written one
+# after the other, is pinned by its SHA-256
+PINNED_FUZZ_RUNS = (
+    [(2, 2, 300, seed) for seed in range(12)]
+    + [(2, 2, 1000, 3), (2, 2, 1000, 11)]
+    + [(3, 2, 50, seed) for seed in range(4)]
+    + [(4, 2, 25, seed) for seed in range(4)]
+    + [(6, 1, 50, seed) for seed in range(4)]
+    + [(8, 1, 50, seed) for seed in range(3)])
+PINNED_FUZZ_SHA256 = \
+    "c8c40b91cb954a520317acadca2c98cb9d615dc0b708c48763a2d9bcb2677f60"
+
+
+def test_fuzz_reports_of_the_pinned_runs_are_byte_identical():
+    digest = hashlib.sha256()
+    for args in PINNED_FUZZ_RUNS:
+        digest.update(fuzz_report(*args).to_json().encode())
+    assert digest.hexdigest() == PINNED_FUZZ_SHA256
 
 
 def test_fuzz_report_fails_exactly_the_draws_of_a_failing_chain(monkeypatch):

@@ -5,7 +5,9 @@ and kernels off the Howell form of a generator list.  The oracles close
 the generator list under addition and apply a hom to every element of
 its domain.  Modules have mixed orders over m in {4, 6, 8, 9}; order-1
 summands are drawn too, so a module may have rank 0, and generator lists
-may be empty.
+may be empty.  core.howell_form is compared with howell_oracle, the form
+computed by rewriting every earlier row at each pivot, also at m = 12
+and on generator lists with repeats.
 """
 
 from math import prod
@@ -13,8 +15,9 @@ from math import prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealbar.core import FiniteModule, ModuleHom, Submodule, kernel
-from oracles import kernel_oracle, span_oracle
+from idealbar.core import (FiniteModule, ModuleHom, Submodule, howell_form,
+                           kernel)
+from oracles import howell_oracle, kernel_oracle, span_oracle
 
 MODULI = [4, 6, 8, 9]
 CASES = settings(max_examples=200, deadline=None)
@@ -79,6 +82,21 @@ def test_kernel_matches_the_element_scan(data, m):
     assert ker.elements == kernel_oracle(f).elements
     assert ker.size == kernel_oracle(f).size
     assert (ker.form is not None) == f.well_defined()
+
+
+@given(st.data(), st.sampled_from([4, 6, 8, 9, 12]))
+@CASES
+def test_howell_form_matches_the_oracle(data, m):
+    # no element is listed, so modules reach rank 4 and lists take
+    # repeats of their own members
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    mod = FiniteModule(m, data.draw(st.lists(st.sampled_from(divisors),
+                                             max_size=4)))
+    vector = st.tuples(*(st.integers(0, d - 1) for d in mod.orders))
+    gens = data.draw(st.lists(vector, max_size=5))
+    if gens:
+        gens += data.draw(st.lists(st.sampled_from(gens), max_size=3))
+    assert howell_form(mod, gens) == howell_oracle(mod, gens)
 
 
 def test_annihilator_rows_count():
