@@ -19,7 +19,7 @@ span, built once, gives both its kernel and the preimages solve finds.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from math import gcd, lcm, prod
 from operator import mod
 
@@ -652,21 +652,36 @@ def validate_algebra(alg: Algebra) -> Report:
     return rep
 
 
+def axiom_witnesses(alg: Algebra):
+    """The torsion, commutativity and associativity witnesses of
+    algebra_axioms, None where an axiom holds, found once per algebra.
+    A commuting product is read on the (n^3 - n)/3 triples with i < k
+    and j >= i, in lexicographic order, and its first failure is the
+    least of all.  Over Z, with c[i][j] = c[j][i], the associator a has
+    a(i, j, k) = -a(k, j, i), a(i, j, i) = 0 and cyclic sum 0, so the
+    least failing (i, j, k) has i < k, or (k, j, i) fails earlier, and
+    j >= i, or a(i, j, k) = a(j, i, k) - a(j, k, i) fails earlier."""
+    if alg._witnesses is None:
+        n, c, nz = alg.carrier.rank, alg.mul.constants, _cell_terms(alg.mul)
+        comm = next(((i, j) for i in range(n) for j in range(n)
+                     if c[i][j] != c[j][i]), None)
+        triples = (product(range(n), repeat=3) if comm else
+                   ((i, j, k) for i in range(n) for j in range(i, n)
+                    for k in range(i + 1, n)))
+        alg._witnesses = (
+            torsion_witness(alg.mul), comm,
+            _nonassociative_triple(nz, list(zip(*nz)) if comm else nz,
+                                   alg.carrier.orders, triples))
+    return alg._witnesses
+
+
 def algebra_axioms(alg: Algebra) -> Report:
     """validate_algebra without the unit search, for callers that read
     only the verdict.  Generator checks are complete here because every
-    side of every identity is multilinear.  The three witnesses are
-    found once per algebra; the leaves are new on every call."""
+    side of every identity is multilinear.  The leaves are new on every
+    call; every triple is decided, if not read."""
     n = alg.carrier.rank
-    if alg._witnesses is None:
-        c, nz = alg.mul.constants, _cell_terms(alg.mul)
-        alg._witnesses = (
-            torsion_witness(alg.mul),
-            next(((i, j) for i in range(n) for j in range(n)
-                  if c[i][j] != c[j][i]), None),
-            _nonassociative_triple(nz, list(zip(*nz)), alg.carrier.orders,
-                                   product(range(n), repeat=3)))
-    torsion, comm, assoc = alg._witnesses
+    torsion, comm, assoc = axiom_witnesses(alg)
     return group(f"validate-algebra {alg.name or 'algebra'}", [
         torsion_leaf(torsion,
                      "d_i*c[i][j] and d_j*c[i][j] vanish mod target orders"),
@@ -687,21 +702,22 @@ def _cell_terms(mul: BilinearMap):
 def _nonassociative_triple(nz, cols, orders, triples):
     """The first (i, j, k) of triples with (g_i g_j) g_k != g_i (g_j g_k),
     or None.  nz[i][j] holds the nonzero terms of cell (i, j) and
-    cols[k][l] is nz[l][k]; the sides are read off them as
-    sum_l c[i][j][l] c[l][k] and sum_l c[j][k][l] c[i][l]."""
+    cols[k][l] is nz[l][k]; the associator is read off them as
+    sum_l c[i][j][l] c[l][k] - sum_l c[j][k][l] c[i][l]."""
     n = len(orders)
 
-    def side(terms, cells):
+    def fails(i, j, k):
         out = [0] * n
-        for l, v in terms:
-            for m, w in cells[l]:
+        for l, v in nz[i][j]:
+            for m, w in cols[k][l]:
                 out[m] += v * w
-        return list(map(mod, out, orders))
+        for l, v in nz[j][k]:
+            for m, w in nz[i][l]:
+                out[m] -= v * w
+        return any(map(mod, out, orders))
 
     return next(((i, j, k) for i, j, k in triples
-                 if (nz[i][j] or nz[j][k])
-                 and side(nz[i][j], cols[k]) != side(nz[j][k], nz[i])),
-                None)
+                 if (nz[i][j] or nz[j][k]) and fails(i, j, k)), None)
 
 
 def cellwise_axioms(alg: Algebra):
@@ -719,7 +735,8 @@ def cellwise_axioms(alg: Algebra):
     changed (i, j) is (i, j, .), or (a, b, j) for a cell (a, b) of alg
     nonzero at coordinate i, or the reverse of one of these for the
     mirror cell (j, i), so associativity is checked at the first two
-    only.  Those cells are indexed once, here."""
+    only.  Those cells are indexed once, here, as are the coordinates
+    where torsion can fail for each pair of orders."""
     n = alg.carrier.rank
     orders = alg.carrier.orders
     base = _cell_terms(alg.mul)
@@ -728,25 +745,27 @@ def cellwise_axioms(alg: Algebra):
         for b, terms in enumerate(row):
             for l, _ in terms:
                 at[l].append((a, b))
+    loose = {(d, e): [(l, f) for l, f in enumerate(orders) if gcd(d, e) % f]
+             for d in set(orders) for e in set(orders)}
 
     def passes(cells) -> bool:
         c = alg.mul.constants
         new = {ij: tuple(map(mod, vec, orders)) for ij, vec in cells.items()}
         nz = list(base)
-        triples = []
         for (i, j), cell in new.items():
             # gcd(d_i, d_j) * c[i][j] vanishing mod f_l is torsion
-            # compatibility at the cell
+            # compatibility at the cell, sure where f_l divides the gcd
             g = gcd(orders[i], orders[j])
             if cell != new.get((j, i), c[j][i]) or any(
-                    g * v % f for v, f in zip(cell, orders)):
+                    g * cell[l] % f for l, f in loose[orders[i], orders[j]]):
                 return False
             if nz[i] is base[i]:
                 nz[i] = list(base[i])
             nz[i][j] = tuple((l, v) for l, v in enumerate(cell) if v)
-            triples += [(i, j, x) for x in range(n)]
-            triples += [(a, b, j) for a, b in at[i]]
-        return _nonassociative_triple(nz, nz, orders, triples) is None
+        return _nonassociative_triple(nz, nz, orders, (
+            t for i, j in new for t in chain(
+                ((i, j, x) for x in range(n)),
+                ((a, b, j) for a, b in at[i])))) is None
 
     return passes
 

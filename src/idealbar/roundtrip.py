@@ -16,7 +16,7 @@ import random
 from itertools import chain
 
 from .core import (Algebra, AlgebraHom, BilinearMap, ModuleHom,
-                   PreconditionError, StructuralError, algebra_axioms,
+                   PreconditionError, StructuralError, axiom_witnesses,
                    cellwise_axioms, direct_sum, multiplicativity_report,
                    semidirect_power)
 from .bar import (TruncatedBarAlgebra, build_bar_algebra,
@@ -196,7 +196,7 @@ def _definition_filter(canonical: TruncatedBarAlgebra,
     torsion-compatible exactly when the canonical ones are: no clause
     that skips k switches between the generator decision and the element
     sweep, and each sweep draws from its own Random(policy.seed)."""
-    axioms = [cellwise_axioms(alg) if algebra_axioms(alg).passed else None
+    axioms = [None if any(axiom_witnesses(alg)) else cellwise_axioms(alg)
               for alg in canonical.algebras]
     failed = [(n,) for n, passes in enumerate(axioms) if passes is None]
     failed += [levels for levels, run in chain(
@@ -208,8 +208,8 @@ def _definition_filter(canonical: TruncatedBarAlgebra,
                 axioms[k] is None or axioms[k](cells)):
             return None, False
         tensor = canonical.algebras[k].mul.with_cells(cells)
-        if axioms[k] is None and not algebra_axioms(
-                Algebra(canonical.levels[k], tensor)).passed:
+        if axioms[k] is None and any(axiom_witnesses(
+                Algebra(canonical.levels[k], tensor))):
             return None, False
         mutant = canonical.with_level_tensor(k, tensor)
         clauses = chain(level_homomorphism_clauses(mutant, policy),

@@ -23,6 +23,10 @@ unchanged.  coordinates_oracle lists the coordinates of a subgroup in
 cyclic generators, which core.solve finds through the embedding, and
 presentation_oracle presents a subalgebra by that table.
 
+ideals_oracle lists the ideals of an algebra closing base + e for every
+e outside each ideal found, where enumeration.enumerate_ideals closes
+one e per coset.
+
 fuzz_report_oracle decides every draw of the fuzzer on its own, each
 draw built anew, where enumeration.fuzz_report decides each distinct
 ideal chain once.
@@ -41,7 +45,8 @@ import idealbar.crossed_ideal as crossed_ideal
 from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                            ModuleHom, Submodule, decompose_abelian,
                            direct_sum, image)
-from idealbar.enumeration import enumerate_algebras, enumerate_ideals
+from idealbar.enumeration import (_ideal_closure, enumerate_algebras,
+                                  enumerate_ideals)
 from idealbar.report import FAIL, PASS, THEOREM, group, leaf
 from idealbar.workspace import Workspace
 from idealbar.xmod import inclusion_xmod
@@ -228,6 +233,25 @@ def cm2_criterion_oracle(xm):
 # ---------------------------------------------------------------------------
 # submodules by their elements: core.Submodule reads membership, size,
 # kernels and coset representatives off a Howell form
+
+
+def ideals_oracle(alg):
+    """enumeration.enumerate_ideals closing base + e for every element e
+    outside each ideal found."""
+    carrier = alg.carrier
+    zero_ideal = _ideal_closure(alg, [])
+    seen = {zero_ideal.form: zero_ideal}
+    frontier = [zero_ideal]
+    while frontier:
+        base = frontier.pop()
+        for e in carrier.elements():
+            if base.contains(e):
+                continue
+            grown = _ideal_closure(alg, base.gens + (e,))
+            if grown.form not in seen:
+                seen[grown.form] = grown
+                frontier.append(grown)
+    return sorted(seen.values(), key=lambda s: (s.size, s.elements))
 
 
 def span_oracle(ambient, gens):

@@ -37,7 +37,7 @@ from idealbar.report import AXIOM, FAIL, leaf
 from idealbar.xmod import (cm1_report, cm2_report, validate_algebra_action,
                            validate_crossed_module)
 from oracles import (fuzz_chain, fuzz_cims_oracle, fuzz_report_oracle,
-                     workspace)
+                     ideals_oracle, workspace)
 
 
 def nilsquare_pair():
@@ -352,6 +352,17 @@ def test_ideals_match_the_subgroups_that_are_ideals():
     for alg in algs + [_torsion_violating_algebra()]:
         assert [i.elements for i in enumerate_ideals(alg)] \
             == [s.elements for s in ideals_by_subgroups(alg)]
+
+
+def test_ideals_match_the_oracle_that_closes_every_element():
+    # one closure per coset keeps every ideal and the generators it was
+    # first found with, over mixed orders and a torsion-violating product
+    algs = [a for modulus in (4, 6, 8, 9, 12) for rank in (0, 1)
+            for a in enumerate_algebras(modulus, rank)]
+    algs += enumerate_algebras(2, 2) + enumerate_algebras(3, 2)
+    for alg in algs + [_torsion_violating_algebra()]:
+        assert [(i.form, i.gens) for i in enumerate_ideals(alg)] \
+            == [(i.form, i.gens) for i in ideals_oracle(alg)], alg.name
 
 
 def test_ideals_are_sorted_and_reproducible():

@@ -8,10 +8,12 @@ block-diagonally from the two bars by the same builder, and
 associativity is decided on sums of constants.  The slow paths are kept
 as the oracles: the closed product formula and the componentwise bibar
 product on every generator pair (tests/oracles.py), and the
-evaluate-based associativity loop; the changed-cell decision of
-core.cellwise_axioms has the whole algebra_axioms as its oracle.  The
-inputs are mixed-order modules with torsion-violating tensors, where a
-missing reduction or a misplaced block shows.
+evaluate-based associativity loop, which also checks that the third of
+the triples a commutative product is read on still gives the least
+witness; the changed-cell decision of core.cellwise_axioms has the whole
+algebra_axioms as its oracle.  The inputs are mixed-order modules with
+torsion-violating tensors, where a missing reduction or a misplaced
+block shows.
 """
 
 from itertools import product
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import idealbar.core as core
 from idealbar.bar import build_bar_algebra
 from idealbar.bibar import BiBar
 from idealbar.core import (MAX_ENUM, Algebra, AlgebraHom, BilinearMap,
@@ -260,6 +263,77 @@ def test_associativity_witness_matches_the_evaluate_loop(alg):
         == associativity_by_evaluate(alg)
 
 
+# summand orders above 1, with m = 12 beside the moduli of ORDERS
+SYMMETRIC_ORDERS = {**ORDERS, 12: (2, 3, 4, 6, 12)}
+
+
+@st.composite
+def symmetric_algebras(draw):
+    """Commutative products on mixed-order modules, sparse or dense,
+    with no torsion condition, as algebra_axioms reads them on a third
+    of the triples."""
+    m = draw(st.sampled_from(sorted(SYMMETRIC_ORDERS)))
+    mod = FiniteModule(m, draw(st.lists(st.sampled_from(SYMMETRIC_ORDERS[m]),
+                                        min_size=1, max_size=4)))
+    sparse = draw(st.booleans())
+    c = [[None] * mod.rank for _ in range(mod.rank)]
+    for i, j in product(range(mod.rank), repeat=2):
+        if i <= j:
+            c[i][j] = c[j][i] = (
+                mod.zero if sparse and draw(st.integers(0, 3))
+                else elements(draw, mod))
+    return Algebra(mod, BilinearMap(mod, mod, mod, c))
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_algebras())
+def test_commutative_associativity_witness_matches_the_evaluate_loop(alg):
+    rep = algebra_axioms(alg)
+    assert rep.find("commutativity").witness is None
+    assert rep.find("associativity").witness \
+        == associativity_by_evaluate(alg)
+
+
+def _triples_handed(monkeypatch, alg):
+    # the number of triples algebra_axioms hands the associativity scan
+    handed = []
+    scan = core._nonassociative_triple
+
+    def counted(nz, cols, orders, triples):
+        triples = list(triples)
+        handed.append(len(triples))
+        return scan(nz, cols, orders, triples)
+
+    monkeypatch.setattr(core, "_nonassociative_triple", counted)
+    rep = algebra_axioms(alg)
+    monkeypatch.undo()
+    assert len(handed) == 1
+    return rep, handed[0]
+
+
+def test_a_commutative_product_is_read_on_a_third_of_the_triples(
+        monkeypatch):
+    levels = build_bar_algebra(workspace("nilcube").xmod("main"),
+                               4).algebras
+    assert levels[4].carrier.rank == 11
+    for alg in levels:
+        n = alg.carrier.rank
+        rep, handed = _triples_handed(monkeypatch, alg)
+        assert rep.passed
+        assert handed == (n ** 3 - n) // 3
+        assert rep.find("associativity").meta == {"triples": n ** 3}
+    assert handed == 440
+    # one cell off the diagonal changed alone: no longer commutative,
+    # and every triple is handed
+    c = levels[4].mul.constants
+    cells = {(0, 1): [(v + 1) % d for v, d in zip(c[0][1],
+                                                  levels[4].orders)]}
+    mutant = Algebra(levels[4].carrier, levels[4].mul.with_cells(cells))
+    rep, handed = _triples_handed(monkeypatch, mutant)
+    assert rep.find("commutativity").witness == (0, 1)
+    assert handed == 11 ** 3
+
+
 @settings(max_examples=300, deadline=None)
 @given(bar_level_changes([alg for alg in BAR_LEVELS
                           if algebra_axioms(alg).passed]))
@@ -272,21 +346,10 @@ def test_cellwise_axioms_match_the_whole_check(change):
         == algebra_axioms(Algebra(alg.carrier, mul)).passed
 
 
-def test_cellwise_axioms_match_the_whole_check_on_every_flip():
-    # each coefficient of each bar level moved to each other value, in
-    # one cell and in a symmetric pair of cells.  Some flips of nilcube
-    # break associativity only at triples reached through a nonzero
-    # coordinate: zeroing the g_2 coordinate of g_0 g_2 at level 0 leaves
-    # every triple that starts or ends in the changed cells associative,
-    # but (g_1 g_1) g_0 = 0 while g_1 (g_1 g_0) = g_2.  The triples
-    # (., i, j) and (j, a, b) are not scanned: in a commutative tensor
-    # each has minus the associator of its reverse, which is scanned
-    levels = [alg for name in ("nilcube", "nilsquare")
-              for alg in build_bar_algebra(workspace(name).xmod("main"),
-                                           2).algebras]
-    levels += [alg for xm in all_valid_xmods(4, 1)
-               for alg in build_bar_algebra(xm, 1).algebras
-               if alg.carrier.rank]
+def _check_every_flip(levels):
+    """Move each coefficient of each level to each other value, in one
+    cell and in a symmetric pair of cells, and compare cellwise_axioms
+    with the whole check.  Returns the number of flips."""
     flips = 0
     for alg in levels:
         assert algebra_axioms(alg).passed, alg.name
@@ -306,7 +369,40 @@ def test_cellwise_axioms_match_the_whole_check_on_every_flip():
                     whole = algebra_axioms(Algebra(mod, mul)).passed
                     assert passes(cells) == whole, (alg.name, cells)
                     flips += 1
-    assert flips > 2000
+    return flips
+
+
+def test_cellwise_axioms_match_the_whole_check_on_every_flip():
+    # some flips of nilcube break associativity only at triples reached
+    # through a nonzero coordinate: zeroing the g_2 coordinate of g_0 g_2
+    # at level 0 leaves every triple that starts or ends in the changed
+    # cells associative, but (g_1 g_1) g_0 = 0 while g_1 (g_1 g_0) = g_2.
+    # The triples (., i, j) and (j, a, b) are not scanned: in a
+    # commutative tensor each has minus the associator of its reverse,
+    # which is scanned
+    levels = [alg for name in ("nilcube", "nilsquare")
+              for alg in build_bar_algebra(workspace(name).xmod("main"),
+                                           2).algebras]
+    levels += [alg for xm in all_valid_xmods(4, 1)
+               for alg in build_bar_algebra(xm, 1).algebras
+               if alg.carrier.rank]
+    assert _check_every_flip(levels) > 2000
+
+
+def test_cellwise_axioms_match_the_whole_check_on_every_flip_over_z12():
+    # bar levels over Z/12 pair summands of different orders, so a
+    # changed cell (i, j) can break torsion only at the coordinates l
+    # whose f_l does not divide gcd(d_i, d_j), the ones read there: the
+    # first census crossed module on each pair of distinct orders
+    firsts = {}
+    for xm in all_valid_xmods(12, 1):
+        key = (xm.s_alg.carrier.orders, xm.r_alg.carrier.orders)
+        if len(set(key[0] + key[1])) == 2:
+            firsts.setdefault(key, xm)
+    levels = [alg for xm in firsts.values()
+              for alg in build_bar_algebra(xm, 2).algebras]
+    assert len(firsts) == 20
+    assert _check_every_flip(levels) > 2000
 
 
 def test_associativity_makes_no_evaluate_call(monkeypatch):
