@@ -11,12 +11,11 @@ from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                    solve, validate_algebra, validate_hom)
 from .xmod import (CrossedModule, consequence_checks, inclusion_xmod,
                    phi_cm1_criterion, phi_cm2_criterion, translation_action,
-                   validate_algebra_action, validate_crossed_module,
-                   validate_module_action)
+                   validate_algebra_action, validate_crossed_module)
 from .bar import (TruncatedBarAlgebra, TruncatedBarModule, build_bar_algebra,
-                  build_bar_module, definition_checks, eta_k, verify_bar,
-                  verify_decomposition, verify_ideal_axiom,
-                  verify_level_homomorphisms, verify_simplicial_identities)
+                  definition_checks, eta_k, verify_bar, verify_decomposition,
+                  verify_ideal_axiom, verify_level_homomorphisms,
+                  verify_simplicial_identities)
 from .roundtrip import (extract_crossed_module, perturb_and_filter,
                         roundtrip_check, roundtrip_from_structure,
                         verify_extracted)

@@ -21,7 +21,9 @@ realised as the structure-constant tensor of S |x R^k that
 core.block_tensor assembles from the constants of S, R and the action.
 The closed formula is its oracle in the test suite.  A
 TruncatedBarAlgebra is the bar module of that translation together with
-these level products.
+these level products.  The simplicial identities and the level
+homomorphism clauses read only depth, levels, the operators and the
+level algebras, so they also check the columns of a bibar.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .core import (MAX_ENUM, Algebra, AlgebraHom, ModuleHom,
 from .policy import Policy, check
 from .report import (AXIOM, FAIL, PASS, STRUCTURAL, THEOREM, Report, group,
                      leaf, relabel)
-from .xmod import CrossedModule, translation_action, validate_module_action
+from .xmod import CrossedModule, translation_action
 
 DEFAULT_DEPTH = 4
 
@@ -99,14 +101,6 @@ class TruncatedBarModule:
         return block_hom(self.levels[n], self.levels[n_out], route, name)
 
 
-def build_bar_module(translation: ModuleHom,
-                     depth: int = DEFAULT_DEPTH) -> TruncatedBarModule:
-    """Bar object of a validated module action, given as its translation."""
-    if not validate_module_action(translation).passed:
-        raise PreconditionError("build_bar_module needs a valid module action")
-    return TruncatedBarModule(translation, depth)
-
-
 class TruncatedBarAlgebra(TruncatedBarModule):
     """Bar module of the translation through eta of a crossed-module
     candidate, with level products.
@@ -164,19 +158,14 @@ def build_bar_algebra(xm: CrossedModule,
     return TruncatedBarAlgebra(xm, depth)
 
 
-def verify_simplicial_identities(bar, face=None, degen=None, identity=None,
-                                 names=("d", "s", "{}")) -> Report:
+def verify_simplicial_identities(bar, names=("d", "s", "{}")) -> Report:
     """Face-face, degeneracy-degeneracy and face-degeneracy identities of
-    a truncated simplicial module of depth bar.depth.
-
-    face(n, i) and degen(n, i) are the operators leaving level n and
-    identity(n), called once per level, is the identity of level n; they
-    default to those of bar.  names holds the face letter, the degeneracy
-    letter and the format of the level in the leaf names."""
+    a truncated simplicial module: anything with depth, levels and the
+    operators face(n, i) and degen(n, i) leaving level n, such as a bar
+    or a bibar row or column.  names holds the face letter, the
+    degeneracy letter and the format of the level in the leaf names."""
     n_max = bar.depth
-    face = face or bar.face
-    degen = degen or bar.degen
-    identity = identity or (lambda n: identity_hom(bar.levels[n]))
+    face, degen = bar.face, bar.degen
     d, s, level = names
 
     ff = []
@@ -199,7 +188,7 @@ def verify_simplicial_identities(bar, face=None, degen=None, identity=None,
 
     ds = []
     for n in range(n_max):
-        at, ident = level.format(n), identity(n)
+        at, ident = level.format(n), identity_hom(bar.levels[n])
         for j in range(n + 1):
             for i in range(n + 2):
                 lhs = face(n + 1, i).compose(degen(n, j))
@@ -222,22 +211,20 @@ def verify_simplicial_identities(bar, face=None, degen=None, identity=None,
     ])
 
 
-def level_homomorphism_clauses(bar: TruncatedBarAlgebra,
-                               policy: Policy | None = None):
-    """Multiplicativity of every face and degeneracy, in report order,
-    each as the levels of its domain and codomain and a callable that
-    checks it."""
+def level_homomorphism_clauses(bar, policy: Policy | None = None):
+    """Multiplicativity of every face and degeneracy of a truncated
+    simplicial algebra (a bar, or a bibar column), in report order, each
+    as the levels of its domain and codomain and a callable that checks
+    it.  A leaf is named after its operator."""
     algs = bar.algebras
-    for n in range(1, bar.depth + 1):
-        for i in range(n + 1):
-            yield (n, n - 1), partial(
-                multiplicativity_report, f"d{i}@{n} multiplicative",
-                bar.face(n, i), algs[n], algs[n - 1], policy)
-    for n in range(bar.depth):
-        for i in range(n + 1):
-            yield (n, n + 1), partial(
-                multiplicativity_report, f"s{i}@{n} multiplicative",
-                bar.degen(n, i), algs[n], algs[n + 1], policy)
+    ops = [(bar.face(n, i), n, n - 1) for n in range(1, bar.depth + 1)
+           for i in range(n + 1)]
+    ops += [(bar.degen(n, i), n, n + 1) for n in range(bar.depth)
+            for i in range(n + 1)]
+    for op, n, out in ops:
+        yield (n, out), partial(
+            multiplicativity_report, f"{op.name} multiplicative", op,
+            algs[n], algs[out], policy)
 
 
 def verify_level_homomorphisms(bar: TruncatedBarAlgebra,
@@ -313,9 +300,9 @@ def verify_decomposition(bar: TruncatedBarAlgebra, k: int,
     sk = image(embed)
 
     checks = []
-    checks.append(multiplicativity_report(
+    checks.append(relabel(multiplicativity_report(
         f"sk-subalgebra-isomorphic-to-s @ {k}", embed, s_alg,
-        bar.algebras[k], policy, kind=THEOREM))
+        bar.algebras[k], policy), THEOREM))
 
     rep = relabel(is_ideal(bar.algebras[k], rk, policy), THEOREM)
     rep.name = f"rk-is-ideal @ {k}"

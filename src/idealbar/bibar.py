@@ -7,28 +7,28 @@ of the source and target crossed modules.  The comparison maps
 
 are block matrices between the levels of the two bars.  They let B1_n
 act on B2_n by translation, and row n of the bisimplicial object is the
-bar module of that action, built on phi_n itself.
-Columns are simplicial through the blockwise operators of the two bars.
-The verifier checks simplicial identities in both directions,
-commutation of every mixed pair, and multiplicativity of the vertical
-operators for the componentwise level products, which core.block_tensor
-assembles block-diagonally.  That multiplicativity is THEOREM class
-when the source and target both pass validate_crossed_module, and AXIOM
-class otherwise.
+bar module of that action, built on phi_n itself.  Column m is a
+truncated simplicial algebra as a bar is, with the blockwise operators
+of the two bars and the componentwise products, which core.block_tensor
+assembles block-diagonally, so the bar's own verifiers check rows and
+columns alike; the commutation of every mixed pair is the bibar's own
+check.  Vertical multiplicativity is THEOREM class when the source and
+target both pass validate_crossed_module, and AXIOM class otherwise.
+A morphism that carries a map that is not well defined is refused.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 
 from .bar import (TruncatedBarAlgebra, TruncatedBarModule, level_size,
-                  verify_simplicial_identities)
+                  level_homomorphism_clauses, verify_simplicial_identities)
 from .core import (Algebra, ModuleHom, StructuralError, block_hom,
-                   block_tensor, identity_hom, maps_equal_report,
-                   multiplicativity_report)
+                   block_tensor, maps_equal_report)
 from .crossed_ideal import XModMorphism
 from .policy import Policy
-from .report import AXIOM, NOTE, THEOREM, Report, group, leaf
+from .report import NOTE, THEOREM, Report, group, leaf, relabel
 from .xmod import validate_crossed_module
 
 CONVENTIONS = (
@@ -44,13 +44,54 @@ CONVENTIONS = (
 )
 
 
+class _Column:
+    """Column m of a bibar as a truncated simplicial algebra: level n is
+    bilevel (n, m), each operator applies the level-n operator of bar2
+    to the base block and the one of bar1 to every letter block, and
+    level n carries the componentwise product, assembled on first use."""
+
+    def __init__(self, bb: "BiBar", m: int):
+        self.depth, self._m = bb.n_depth, m
+        self.levels = [row.levels[m] for row in bb.rows]
+        self._bars = (bb.bar2, bb.bar1)
+
+        def vertical(op, n, i, n_out, name):
+            base, letter = (getattr(bar, op)(n, i) for bar in self._bars)
+            return block_hom(
+                self.levels[n], self.levels[n_out],
+                [(0, base)] + [(j + 1, letter) for j in range(m)],
+                f"{name}{i}@({n},{m})")
+        self._faces = {(n, i): vertical("face", n, i, n - 1, "dv")
+                       for n in range(1, self.depth + 1)
+                       for i in range(n + 1)}
+        self._degens = {(n, i): vertical("degen", n, i, n + 1, "sv")
+                        for n in range(self.depth) for i in range(n + 1)}
+
+    def face(self, n, i) -> ModuleHom:
+        return self._faces[(n, i)]
+
+    def degen(self, n, i) -> ModuleHom:
+        return self._degens[(n, i)]
+
+    @cached_property
+    def algebras(self) -> list[Algebra]:
+        # block-diagonal: the base block holds the level-n product of
+        # bar2 and each letter block the one of bar1
+        bar2, bar1 = self._bars
+        return [block_tensor(
+            lvl, lambda p, q, n=n: None if p != q else
+            (p, (bar1 if p else bar2).algebras[n].mul.constants),
+            f"B({n},{self._m})") for n, lvl in enumerate(self.levels)]
+
+
 class BiBar:
     """Truncated bisimplicial module of a crossed module morphism, with
     componentwise products at every bilevel.  drop is a collection of
     (n, j) pairs: letter j of phi_n is sent to zero there instead of
     through alpha1, which breaks the square with the face maps and
     serves as the negative control.  A pair that names no letter of a
-    built phi_n is refused, so the control cannot corrupt nothing."""
+    built phi_n is refused, so the control cannot corrupt nothing, and
+    so is a morphism that carries a map that is not well defined."""
 
     def __init__(self, morphism: XModMorphism, n_depth: int = 2,
                  m_depth: int = 2, drop=()):
@@ -67,6 +108,18 @@ class BiBar:
             raise StructuralError(
                 f"drop ({n}, {j}) names no built letter of phi: "
                 f"need 0 <= j < n <= {n_depth}")
+        # operators and products are read off generators, so a map that
+        # is not well defined would pass on its representatives
+        maps = {"alpha1": morphism.alpha1.hom, "alpha2": morphism.alpha2.hom}
+        for side, xm in (("source", src), ("target", tgt)):
+            maps.update({f"{side} eta": xm.eta.hom,
+                         f"{side} action": xm.action,
+                         f"{side} R product": xm.r_alg.mul,
+                         f"{side} S product": xm.s_alg.mul})
+        bad = next((name for name, f in maps.items()
+                    if not f.well_defined()), None)
+        if bad:
+            raise StructuralError(f"the {bad} is not a well-defined map")
         self.morphism = morphism
         self.n_depth = n_depth
         self.m_depth = m_depth
@@ -79,23 +132,8 @@ class BiBar:
                 for j in range(n)]
             self.phi.append(block_hom(self.bar1.levels[n],
                                       self.bar2.levels[n], route, f"phi@{n}"))
-        self.notes = CONVENTIONS
         self.rows = [TruncatedBarModule(p, m_depth) for p in self.phi]
-
-        self._vfaces = {}
-        self._vdegens = {}
-        for m in range(m_depth + 1):
-            for n in range(1, n_depth + 1):
-                for i in range(n + 1):
-                    self._vfaces[(n, m, i)] = self._build_vertical(
-                        n, m, self.bar2.face(n, i), self.bar1.face(n, i),
-                        n - 1, f"dv{i}@({n},{m})")
-            for n in range(n_depth):
-                for i in range(n + 1):
-                    self._vdegens[(n, m, i)] = self._build_vertical(
-                        n, m, self.bar2.degen(n, i), self.bar1.degen(n, i),
-                        n + 1, f"sv{i}@({n},{m})")
-        self._algebras = {}
+        self.columns = [_Column(self, m) for m in range(m_depth + 1)]
 
     def level(self, n, m):
         return self.rows[n].levels[m]
@@ -107,30 +145,14 @@ class BiBar:
         return self.rows[n].degen(m, i)
 
     def v_face(self, n, m, i) -> ModuleHom:
-        return self._vfaces[(n, m, i)]
+        return self.columns[m].face(n, i)
 
     def v_degen(self, n, m, i) -> ModuleHom:
-        return self._vdegens[(n, m, i)]
-
-    def _build_vertical(self, n, m, base_op, letter_op, n_out, name):
-        # base_op on the base block, letter_op on every letter block
-        return block_hom(
-            self.level(n, m), self.level(n_out, m),
-            [(0, base_op)] + [(j + 1, letter_op) for j in range(m)], name)
+        return self.columns[m].degen(n, i)
 
     def algebra(self, n, m) -> Algebra:
         """Componentwise product algebra at bilevel (n, m)."""
-        key = (n, m)
-        if key not in self._algebras:
-            # block-diagonal: the base block holds the level-n product of
-            # bar2 and each letter block the one of bar1
-            base = self.bar2.algebras[n].mul.constants
-            letter = self.bar1.algebras[n].mul.constants
-            self._algebras[key] = block_tensor(
-                self.level(n, m),
-                lambda p, q: None if p != q else (p, letter if p else base),
-                f"B({n},{m})")
-        return self._algebras[key]
+        return self.columns[m].algebras[n]
 
 
 def build_bibar(morphism: XModMorphism, n_depth: int = 2, m_depth: int = 2,
@@ -140,24 +162,19 @@ def build_bibar(morphism: XModMorphism, n_depth: int = 2, m_depth: int = 2,
 
 def verify_bibar(bb: BiBar, policy: Policy | None = None) -> Report:
     checks = [group("conventions", [
-        leaf(name, NOTE, None, detail=detail) for name, detail in bb.notes])]
+        leaf(name, NOTE, None, detail=detail)
+        for name, detail in CONVENTIONS])]
 
     rows = []
-    for n in range(bb.n_depth + 1):
-        rep = verify_simplicial_identities(bb.rows[n])
+    for n, row in enumerate(bb.rows):
+        rep = verify_simplicial_identities(row)
         rep.name = f"horizontal-simplicial @ row {n}"
         rows.append(rep)
     checks.append(group("horizontal-identities", rows))
 
     cols = []
-    for m in range(bb.m_depth + 1):
-        # bar2 only sets the depth; the operators are those of column m
-        rep = verify_simplicial_identities(
-            bb.bar2,
-            face=lambda n, i, m=m: bb.v_face(n, m, i),
-            degen=lambda n, i, m=m: bb.v_degen(n, m, i),
-            identity=lambda n, m=m: identity_hom(bb.level(n, m)),
-            names=("dv", "sv", f"({{}},{m})"))
+    for m, col in enumerate(bb.columns):
+        rep = verify_simplicial_identities(col, ("dv", "sv", f"({{}},{m})"))
         rep.name = f"vertical-simplicial @ column {m}"
         cols.append(rep)
     checks.append(group("vertical-identities", cols))
@@ -180,26 +197,16 @@ def verify_bibar(bb: BiBar, policy: Policy | None = None) -> Report:
                             h_op(n + dn, m, j).compose(v_op(n, m, i))))
     checks.append(group("horizontal-vertical-commutation", comm))
 
+    mult = group("vertical-multiplicativity", [
+        run() for col in bb.columns
+        for _, run in level_homomorphism_clauses(col, policy)])
     # a vertical operator is a bar operator on every block, so it is
     # multiplicative whenever both crossed modules are valid; otherwise a
     # failure belongs to the input, not to the implementation
-    kind = THEOREM if all(validate_crossed_module(bar.xm, policy).passed
-                          for bar in (bb.bar1, bb.bar2)) else AXIOM
-    mult = []
-    for m in range(bb.m_depth + 1):
-        for n in range(1, bb.n_depth + 1):
-            for i in range(n + 1):
-                mult.append(multiplicativity_report(
-                    f"dv{i}@({n},{m}) multiplicative", bb.v_face(n, m, i),
-                    bb.algebra(n, m), bb.algebra(n - 1, m), policy,
-                    kind=kind))
-        for n in range(bb.n_depth):
-            for i in range(n + 1):
-                mult.append(multiplicativity_report(
-                    f"sv{i}@({n},{m}) multiplicative", bb.v_degen(n, m, i),
-                    bb.algebra(n, m), bb.algebra(n + 1, m), policy,
-                    kind=kind))
-    checks.append(group("vertical-multiplicativity", mult))
+    if all(validate_crossed_module(bar.xm, policy).passed
+           for bar in (bb.bar1, bb.bar2)):
+        relabel(mult, THEOREM)
+    checks.append(mult)
 
     name = bb.morphism.name or "morphism"
     return group(f"bibar-verify {name} ({bb.n_depth},{bb.m_depth})", checks)

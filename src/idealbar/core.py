@@ -787,8 +787,8 @@ def _unit_note(alg: Algebra) -> Report:
 
 
 def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
-                            cod: Algebra, policy: Policy | None = None,
-                            kind: str = AXIOM) -> Report:
+                            cod: Algebra,
+                            policy: Policy | None = None) -> Report:
     """Check f(uv) = f(u)f(v).
 
     When hom and both products are well defined, both sides are bilinear
@@ -802,7 +802,7 @@ def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
     witness and the leaf is the one the exhaustive sweep gives.
     Otherwise the element pairs are swept under policy."""
     if not all(m.well_defined() for m in (hom, dom.mul, cod.mul)):
-        return check(name, kind, [dom.carrier] * 2,
+        return check(name, AXIOM, [dom.carrier] * 2,
                      lambda u, v: hom.apply(dom.multiply(u, v))
                      == cod.multiply(hom.apply(u), hom.apply(v)), policy,
                      detail="f(uv) = f(u)f(v)")
@@ -817,10 +817,10 @@ def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
                None)
     meta = {"mode": EXHAUSTIVE, "checked": dom.carrier.size ** 2}
     if bad is not None:
-        return leaf(name, FAIL, kind, detail="f(uv) != f(u)f(v)",
+        return leaf(name, FAIL, AXIOM, detail="f(uv) != f(u)f(v)",
                     witness=bad, meta=meta)
     meta["generator_pairs"] = dom.carrier.rank ** 2
-    return leaf(name, PASS, kind,
+    return leaf(name, PASS, AXIOM,
                 detail="f(uv) = f(u)f(v), generator pairs, complete by bilinearity",
                 meta=meta)
 

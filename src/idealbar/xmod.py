@@ -40,9 +40,8 @@ from math import prod
 from .core import (Algebra, AlgebraHom, BilinearMap, ModuleHom,
                    PreconditionError, StructuralError, Submodule,
                    _present_subalgebra, block_hom, combine, image, is_ideal,
-                   kernel, order_compatibility, semidirect_product, solve,
-                   torsion_leaf, torsion_witness, validate_algebra,
-                   validate_hom)
+                   kernel, semidirect_product, solve, torsion_leaf,
+                   torsion_witness, validate_algebra, validate_hom)
 from .policy import EXHAUSTIVE, Policy, check, sweep  # noqa: F401 (see core)
 from .report import (AXIOM, FAIL, NOTE, PASS, STRUCTURAL, THEOREM, Report,
                      group, leaf, relabel)
@@ -52,14 +51,6 @@ def translation_action(eta: AlgebraHom) -> ModuleHom:
     """Action of R on the module of S by x^r = x + eta(r), held as its
     translation hom eta from the carrier of R to that of S."""
     return eta.hom
-
-
-def validate_module_action(translation: ModuleHom) -> Report:
-    """The translation axioms x^(r1+r2) = (x^r1)^r2, x^0 = x,
-    (x1+x2)^(r1+r2) = x1^r1 + x2^r2 and k(x^r) = (kx)^(kr) all hold
-    exactly when the translation hom is well defined, d_i * t(g_i) = 0,
-    so that is the one thing checked."""
-    return group("validate-module-action", [order_compatibility(translation)])
 
 
 class _Table(dict):

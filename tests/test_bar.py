@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from idealbar.bar import (
     TruncatedBarModule,
     build_bar_algebra,
-    build_bar_module,
     definition_checks,
     eta_k,
+    level_homomorphism_clauses,
     rk_closed_formulas,
     verify_bar,
     verify_decomposition,
@@ -17,7 +17,7 @@ from idealbar.bar import (
     verify_level_homomorphisms,
     verify_simplicial_identities,
 )
-from idealbar.core import FiniteModule, ModuleHom, PreconditionError
+from idealbar.core import ModuleHom, PreconditionError
 from idealbar.xmod import translation_action
 from oracles import product_formula, workspace
 
@@ -134,6 +134,15 @@ def test_faces_and_degens_are_algebra_maps(bar3):
     assert rep.passed, rep.render()
 
 
+def test_level_homomorphism_leaves_are_named_after_their_operators(bar3):
+    # every face, then every degeneracy, each leaf called after its map
+    ops = [bar3.face(n, i) for n in range(1, 4) for i in range(n + 1)]
+    ops += [bar3.degen(n, i) for n in range(3) for i in range(n + 1)]
+    assert [run().name for _, run in level_homomorphism_clauses(bar3)] \
+        == [f"{op.name} multiplicative" for op in ops]
+    assert ops[0].name == "d0@1" and ops[-1].name == "s2@2"
+
+
 def test_tail_absorption(bar2):
     rep = verify_ideal_axiom(bar2)
     assert rep.passed, rep.render()
@@ -185,15 +194,6 @@ def test_eta_k_collapses_letters(bar2):
 def test_verify_bar_full_pass(bar3):
     rep = verify_bar(bar3)
     assert rep.passed, rep.render()
-
-
-def test_build_bar_module_gates_on_action_validity():
-    # R on Z/2 translating Z/4 through g -> 1: 2 * t(g) = 2 != 0, so
-    # x^(g+g) = x differs from (x^g)^g = x + 2
-    r_mod = FiniteModule(4, [2])
-    x_mod = FiniteModule(4, [4])
-    with pytest.raises(PreconditionError):
-        build_bar_module(ModuleHom(r_mod, x_mod, [(1,)]), 2)
 
 
 def test_bar_module_rejects_depth_zero():

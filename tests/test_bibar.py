@@ -2,6 +2,7 @@
 
 import pytest
 
+from idealbar.bar import level_homomorphism_clauses
 from idealbar.bibar import build_bibar, verify_bibar
 from idealbar.core import StructuralError, UnsupportedScaleError
 from oracles import bibar_multiply, bibar_split, join, workspace
@@ -44,6 +45,18 @@ def test_vertical_face_acts_blockwise(bb):
     assert bb.v_face(1, 1, 0).apply(t) == join(base, [letter])
     assert base == (0, 0, 0)
     assert letter == (0,)
+
+
+def test_column_leaves_are_named_after_their_operators(bb):
+    # column 1 is read by the bar's own clauses: every vertical face,
+    # then every vertical degeneracy, each leaf called after its map
+    col = bb.columns[1]
+    ops = [bb.v_face(n, 1, i) for n in (1, 2) for i in range(n + 1)]
+    ops += [bb.v_degen(n, 1, i) for n in (0, 1) for i in range(n + 1)]
+    assert [run().name for _, run in level_homomorphism_clauses(col)] \
+        == [f"{op.name} multiplicative" for op in ops]
+    assert ops[0].name == "dv0@(1,1)" and ops[-1].name == "sv1@(1,1)"
+    assert all(col.algebras[n] is bb.algebra(n, 1) for n in range(3))
 
 
 def test_componentwise_product(bb):

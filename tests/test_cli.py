@@ -163,7 +163,8 @@ def test_bibar_verify_and_corruption_control():
 def test_bibar_of_an_invalid_crossed_module_fails_as_an_axiom(tmp_path):
     # x acts as the identity, so the target fails validation; the vertical
     # operators that then fail to be multiplicative blame the input, not
-    # the implementation
+    # the implementation.  Every map is still well defined, so the bibar
+    # is built, not refused
     ws = json.loads(Path(NILCUBE).read_text())
     ws["actions"]["act"]["tensor"][1] = [[1, 0], [0, 1]]
     path = tmp_path / "twisted.json"
@@ -176,6 +177,68 @@ def test_bibar_of_an_invalid_crossed_module_fails_as_an_axiom(tmp_path):
     assert res.returncode == 1, res.stdout + res.stderr
     assert "FAIL [AXIOM] dv0@(1,0) multiplicative" in res.stdout
     assert "FAIL [THEOREM]" not in res.stdout
+
+
+def bibar_workspace(source, target, alpha1, alpha2, algebras=None,
+                    homs=None, actions=None):
+    """A workspace over Z/4 with the morphism f from the crossed module
+    source to target, each given as (eta, action); by default the
+    algebras are S = Z/4 and T = Z/2 with zero products, and every
+    action is zero."""
+    return {
+        "modulus": 4,
+        "algebras": algebras or {"S": zero_algebra(4), "T": zero_algebra(2)},
+        "homs": homs,
+        "actions": actions or {"actS": zero_action("S", "S"),
+                               "actT": zero_action("T", "T"),
+                               "actST": zero_action("S", "T")},
+        "xmods": {"src": dict(zip(("eta", "action"), source)),
+                  "tgt": dict(zip(("eta", "action"), target))},
+        "morphisms": {"f": {"source": "src", "target": "tgt",
+                            "alpha1": alpha1, "alpha2": alpha2}}}
+
+
+# each names the first map the bibar finds not well defined, and every
+# one of them used to print PASS on every leaf, or exit 1 on swept
+# representatives, for a bibar that does not exist
+NOT_MAPS = {
+    # alpha1 and alpha2 send the generator of Z/2 to 1 in Z/4, between
+    # the identities of Z/2 and of Z/4
+    "alpha1": bibar_workspace(
+        ("idT", "actT"), ("idS", "actS"), "legT", "legT",
+        homs={"idT": rank_one_hom("T", "T", 1),
+              "idS": rank_one_hom("S", "S", 1),
+              "legT": rank_one_hom("T", "S", 1)}),
+    # the source eta sends the generator of Z/2 to 1 in Z/4; the legs
+    # send generators to 2
+    "source eta": bibar_workspace(
+        ("eta1", "actST"), ("idS", "actS"), "alpha1", "alpha2",
+        homs={"eta1": rank_one_hom("T", "S", 1),
+              "idS": rank_one_hom("S", "S", 1),
+              "alpha1": rank_one_hom("T", "S", 2),
+              "alpha2": rank_one_hom("S", "S", 2)}),
+    # R of orders (2, 4) with e0 e0 = e1, whose product breaks torsion,
+    # under the identity morphism
+    "source R product": bibar_workspace(
+        ("eta", "act"), ("eta", "act"), "idR", "idS",
+        algebras={"R": {"orders": [2, 4],
+                        "mul": [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]},
+                  "S": zero_algebra(4)},
+        homs={"eta": {"dom": "R", "cod": "S", "images": [[0], [0]]},
+              "idR": {"dom": "R", "cod": "R", "images": [[1, 0], [0, 1]]},
+              "idS": rank_one_hom("S", "S", 1)},
+        actions={"act": {"actor": "S", "acted": "R",
+                         "tensor": [[[0, 0], [0, 0]]]}}),
+}
+
+
+def test_a_bibar_of_maps_that_are_not_maps_is_refused(tmp_path):
+    for bad, ws in NOT_MAPS.items():
+        path = tmp_path / "not_map.json"
+        path.write_text(json.dumps(ws))
+        _one_line_error(cli("-w", str(path), "bibar-verify", "f", "--rows",
+                            "2", "--cols", "1"),
+                        f"the {bad} is not a well-defined map")
 
 
 def test_dangling_name_is_a_structural_error():

@@ -9,6 +9,7 @@ The later entries were recorded afterwards, as their comments say.
 """
 
 import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,21 @@ GOLDEN = [
     (("-w", NILCUBE, "ideal-check", "good_decl"),
      0, "ddc41132faa03e57dd22d13ad5c16365d525ee679dc9b0ecd6e520d5e2ab7312",
      "2b1b5987d63e8321e4ba5192e8e5cd9d2313ca63fe6443cd6aff4a0e1cf30b83"),
+    # recorded before each bibar column was checked by the bar's own
+    # verifiers: more columns than rows
+    (("-w", NILCUBE, "bibar-verify", "incl", "--rows", "2", "--cols", "3"),
+     0, "e1272f1622035b26168c00eccdd480ff0128d47868f87dd10dad6ff774cdfc18",
+     "8952f1c9fc6f6c03a5617fd755b1de2b4434b6d955dc096d58059aa03212471f"),
+]
+
+# nilcube with x acting as the identity, so that the target fails
+# validation and vertical multiplicativity is AXIOM class, the one such
+# bibar path; recorded at the same time: (columns, json, text)
+TWISTED = [
+    (2, "9a5cec8182e70b5b03835a9bdec72f5b59029d3df8e1355ef5312f8cc6c1853a",
+     "1ce014f2707eeb2e98ee560101eccb5c332cdfa3e97a8048e41b31cd128b1add"),
+    (3, "bd0f19d1a462fcd63f08c53b24c3d9917398b696e0250ba4150bc63b98474554",
+     "f0e962c3536340e14aa9bfa38cc9c56bdbbbce65fe405f1449f621b2ea7f8c3b"),
 ]
 
 
@@ -117,12 +133,28 @@ def _ident(entry):
     return " ".join(args)
 
 
-@pytest.mark.parametrize("args,code,json_digest,text_digest", GOLDEN,
-                         ids=[_ident(e) for e in GOLDEN])
-def test_output_matches_golden_digest(args, code, json_digest, text_digest):
+def assert_digests(args, code, json_digest, text_digest):
     for fmt, digest in (("json", json_digest), ("text", text_digest)):
         res = subprocess.run(
             [sys.executable, "-m", "idealbar", "--format", fmt, *args],
             capture_output=True)
         assert res.returncode == code, (fmt, res.stderr.decode())
         assert hashlib.sha256(res.stdout).hexdigest() == digest, fmt
+
+
+@pytest.mark.parametrize("args,code,json_digest,text_digest", GOLDEN,
+                         ids=[_ident(e) for e in GOLDEN])
+def test_output_matches_golden_digest(args, code, json_digest, text_digest):
+    assert_digests(args, code, json_digest, text_digest)
+
+
+@pytest.mark.parametrize("cols,json_digest,text_digest", TWISTED,
+                         ids=[f"cols-{e[0]}" for e in TWISTED])
+def test_twisted_bibar_matches_golden_digest(tmp_path, cols, json_digest,
+                                             text_digest):
+    ws = json.loads(Path(NILCUBE).read_text())
+    ws["actions"]["act"]["tensor"][1] = [[1, 0], [0, 1]]
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps(ws))
+    assert_digests(("-w", str(path), "bibar-verify", "incl", "--rows", "2",
+                    "--cols", str(cols)), 1, json_digest, text_digest)

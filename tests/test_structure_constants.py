@@ -13,14 +13,18 @@ the triples a commutative product is read on still gives the least
 witness; the changed-cell decision of core.cellwise_axioms has the whole
 algebra_axioms as its oracle.  The inputs are mixed-order modules with
 torsion-violating tensors, where a missing reduction or a misplaced
-block shows.
+block shows.  A bibar refuses a morphism that carries a map that is not
+well defined, so its constants are compared on maps drawn well defined,
+and arbitrary draws are checked to be refused exactly when a map is
+not.
 """
 
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import idealbar.core as core
@@ -47,34 +51,39 @@ def modules(draw, m, max_rank=2):
                                          min_size=1, max_size=max_rank)))
 
 
-def elements(draw, mod):
-    return tuple(draw(st.integers(0, d - 1)) for d in mod.orders)
+def elements(draw, mod, killed_by=0):
+    # coordinate l is scaled by f_l / gcd(killed_by, f_l), so that
+    # killed_by times the element is 0; killed_by 0 scales nothing
+    return tuple(draw(st.integers(0, f - 1)) * (f // gcd(killed_by, f)) % f
+                 for f in mod.orders)
 
 
-def tensor(draw, left, right, target, sparse=False):
-    # canonical coordinates, but no torsion condition, so torsion
-    # violations are common; sparse tensors are mostly zero cells and
-    # reach late associativity witnesses
+def tensor(draw, left, right, target, sparse=False, defined=False):
+    # canonical coordinates, but no torsion condition unless defined, so
+    # torsion violations are common; sparse tensors are mostly zero cells
+    # and reach late associativity witnesses
     return BilinearMap(left, right, target, [
         [target.zero if sparse and draw(st.integers(0, 3))
-         else elements(draw, target) for _ in range(right.rank)]
-        for _ in range(left.rank)])
+         else elements(draw, target, gcd(d, e) if defined else 0)
+         for e in right.orders]
+        for d in left.orders])
 
 
-def hom(draw, dom, cod):
+def hom(draw, dom, cod, defined=False):
     return AlgebraHom(dom, cod, ModuleHom(
         dom.carrier, cod.carrier,
-        [elements(draw, cod.carrier) for _ in range(dom.carrier.rank)]))
+        [elements(draw, cod.carrier, d if defined else 0)
+         for d in dom.carrier.orders]))
 
 
 @st.composite
-def xmods(draw, m, max_rank=2):
+def xmods(draw, m, max_rank=2, defined=False):
     s_mod = draw(modules(m, max_rank))
     r_mod = draw(modules(m, max_rank))
-    s_alg = Algebra(s_mod, tensor(draw, s_mod, s_mod, s_mod))
-    r_alg = Algebra(r_mod, tensor(draw, r_mod, r_mod, r_mod))
-    return CrossedModule(hom(draw, r_alg, s_alg),
-                         tensor(draw, s_mod, r_mod, r_mod))
+    s_alg = Algebra(s_mod, tensor(draw, s_mod, s_mod, s_mod, defined=defined))
+    r_alg = Algebra(r_mod, tensor(draw, r_mod, r_mod, r_mod, defined=defined))
+    return CrossedModule(hom(draw, r_alg, s_alg, defined),
+                         tensor(draw, s_mod, r_mod, r_mod, defined=defined))
 
 
 def level_size(xm, n):
@@ -173,17 +182,61 @@ def test_the_rank1_census_over_z4_has_rank_0_factors():
 
 
 @st.composite
-def morphisms(draw):
+def morphisms(draw, defined=False, max_rank=1):
     m = draw(moduli)
-    source, target = draw(xmods(m, 1)), draw(xmods(m, 1))
-    return XModMorphism(source, target, hom(draw, source.r_alg, target.r_alg),
-                        hom(draw, source.s_alg, target.s_alg))
+    source = draw(xmods(m, max_rank, defined))
+    target = draw(xmods(m, max_rank, defined))
+    return XModMorphism(
+        source, target, hom(draw, source.r_alg, target.r_alg, defined),
+        hom(draw, source.s_alg, target.s_alg, defined))
+
+
+def _hom_defined(f):
+    return all(d * v % e == 0 for d, image in zip(f.domain.orders, f.images)
+               for v, e in zip(image, f.codomain.orders))
+
+
+def _tensor_defined(t):
+    return all(gcd(d, e) * v % f == 0
+               for d, row in zip(t.left.orders, t.constants)
+               for e, cell in zip(t.right.orders, row)
+               for v, f in zip(cell, t.target.orders))
+
+
+def first_undefined_map(mor):
+    """The first map of mor, in the order a bibar reads them, that is not
+    well defined, read off the orders directly."""
+    maps = [("alpha1", _hom_defined(mor.alpha1.hom)),
+            ("alpha2", _hom_defined(mor.alpha2.hom))]
+    for side, xm in (("source", mor.source), ("target", mor.target)):
+        maps += [(f"{side} eta", _hom_defined(xm.eta.hom)),
+                 (f"{side} action", _tensor_defined(xm.action)),
+                 (f"{side} R product", _tensor_defined(xm.r_alg.mul)),
+                 (f"{side} S product", _tensor_defined(xm.s_alg.mul))]
+    return next((name for name, ok in maps if not ok), None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(morphisms(max_rank=2))
+def test_a_bibar_is_refused_exactly_when_a_map_is_not_well_defined(mor):
+    # rank 2, where a product can break torsion, within the scale bound
+    assume(level_size(mor.source, 1) * level_size(mor.target, 1) <= MAX_ENUM)
+    bad = first_undefined_map(mor)
+    if bad is None:
+        BiBar(mor, 1, 1)
+        return
+    with pytest.raises(StructuralError) as exc:
+        BiBar(mor, 1, 1)
+    assert str(exc.value) == f"the {bad} is not a well-defined map"
 
 
 @settings(max_examples=60, deadline=None)
-@given(morphisms(), st.integers(1, 2), st.integers(1, 2))
+@given(morphisms(defined=True), st.integers(1, 2), st.integers(1, 2))
 def test_bibar_constants_match_the_componentwise_product(mor, n_depth,
                                                          m_depth):
+    # each map's images and cells are scaled so that the orders kill them
+    assert first_undefined_map(mor) is None
+
     def row_size(m):
         return level_size(mor.target, n_depth) \
             * level_size(mor.source, n_depth) ** m

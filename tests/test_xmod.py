@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import idealbar.core as core_mod
 from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                            ModuleHom, StructuralError, Submodule,
-                           validate_hom)
+                           order_compatibility, validate_hom)
 from idealbar.enumeration import enumerate_xmods
 from idealbar.policy import check
 from idealbar.report import AXIOM, group
@@ -25,7 +25,6 @@ from idealbar.xmod import (
     translation_action,
     validate_algebra_action,
     validate_crossed_module,
-    validate_module_action,
 )
 from oracles import fixture_xmods, workspace
 
@@ -125,7 +124,7 @@ def test_translation_action_is_valid_module_action():
     xm = workspace("nilsquare").xmod("main")
     t = translation_action(xm.eta)
     assert t is xm.eta.hom
-    rep = validate_module_action(t)
+    rep = order_compatibility(t)
     assert rep.passed, rep.render()
     # x^r = x + eta(r)
     assert xm.s_alg.carrier.add((1, 0), t.apply((1,))) == (1, 1)
@@ -133,15 +132,15 @@ def test_translation_action_is_valid_module_action():
 
 def swept_module_action(t):
     """The four translation axioms of x^r = x + t(r) swept element by
-    element: the check validate_module_action replaced, kept as its
-    oracle."""
+    element.  They hold exactly when t is a well-defined map, so this is
+    the oracle of order_compatibility on a translation."""
     r_mod, sp = t.domain, t.codomain
     xs, rs = sp.elements(), r_mod.elements()
 
     def act(x, r):
         return sp.add(x, t.apply(r))
 
-    return group("validate-module-action", [
+    return group("module-action-axioms", [
         check("actor-sum-composes", AXIOM, [xs, rs, rs],
               lambda x, r1, r2: act(x, r_mod.add(r1, r2))
               == act(act(x, r1), r2)),
@@ -173,7 +172,7 @@ def test_module_action_verdict_matches_the_axiom_sweep(modulus):
         for x_mod in small_modules(modulus, 8):
             for images in product(x_mod.elements(), repeat=r_mod.rank):
                 t = ModuleHom(r_mod, x_mod, images)
-                passed = validate_module_action(t).passed
+                passed = order_compatibility(t).passed
                 assert passed == swept_module_action(t).passed, (
                     r_mod, x_mod, images)
                 verdicts.add(passed)
