@@ -25,7 +25,7 @@ from itertools import product
 from .bar import (TruncatedBarAlgebra, TruncatedBarModule, level_size,
                   level_homomorphism_clauses, verify_simplicial_identities)
 from .core import (Algebra, ModuleHom, StructuralError, block_hom,
-                   block_tensor, maps_equal_report)
+                   block_tensor, maps_equal_report, refuse_non_maps)
 from .crossed_ideal import XModMorphism
 from .policy import Policy
 from .report import NOTE, THEOREM, Report, group, leaf, relabel
@@ -108,18 +108,9 @@ class BiBar:
             raise StructuralError(
                 f"drop ({n}, {j}) names no built letter of phi: "
                 f"need 0 <= j < n <= {n_depth}")
-        # operators and products are read off generators, so a map that
-        # is not well defined would pass on its representatives
-        maps = {"alpha1": morphism.alpha1.hom, "alpha2": morphism.alpha2.hom}
-        for side, xm in (("source", src), ("target", tgt)):
-            maps.update({f"{side} eta": xm.eta.hom,
-                         f"{side} action": xm.action,
-                         f"{side} R product": xm.r_alg.mul,
-                         f"{side} S product": xm.s_alg.mul})
-        bad = next((name for name, f in maps.items()
-                    if not f.well_defined()), None)
-        if bad:
-            raise StructuralError(f"the {bad} is not a well-defined map")
+        refuse_non_maps((("alpha1", morphism.alpha1.hom),
+                         ("alpha2", morphism.alpha2.hom),
+                         *src.maps("source"), *tgt.maps("target")))
         self.morphism = morphism
         self.n_depth = n_depth
         self.m_depth = m_depth

@@ -22,7 +22,8 @@ from __future__ import annotations
 from .core import (AlgebraHom, BilinearMap, ModuleHom, PreconditionError,
                    StructuralError, Submodule, _present_subalgebra, image,
                    injective, maps_equal_report, multiplicatively_closed,
-                   multiplicativity_report, solve, torsion_witness)
+                   multiplicativity_report, refuse_non_maps, solve,
+                   torsion_witness)
 from .policy import EXHAUSTIVE, Policy, check
 from .report import (AXIOM, FAIL, PASS, SKIP, STRUCTURAL, THEOREM,
                      Report, group, leaf, relabel)
@@ -124,23 +125,18 @@ def sub_crossed_module(ambient: CrossedModule, r_subset: Submodule,
                        s_subset: Submodule, name: str = "") -> SubXMod:
     """Assemble the sub crossed module spanned by two subsets, inducing
     eta and the action from the ambient structure.  Obstructions are
-    recorded instead of raised so the CI report can show them.  The
-    closures are check calls swept exhaustively for the least witness;
-    one that lands in a span decides a PASS on generators."""
+    recorded instead of raised so the CI report can show them.  Each
+    closure lands in a span, so its generators decide a PASS; a failure
+    is swept exhaustively for the least witness."""
     r_amb, s_amb = ambient.r_alg, ambient.s_alg
-    checks = []
-    for tag, alg, sub in (("r-subset", r_amb, r_subset),
-                          ("s-subset", s_amb, s_subset)):
-        bad = sub.addition_violation()
-        checks.append(
-            leaf(f"{tag}-additively-closed", FAIL, STRUCTURAL, witness=bad)
-            if bad is not None else
-            multiplicatively_closed(alg, sub, f"{tag}-multiplicatively-closed"))
+    checks = [multiplicatively_closed(alg, sub, f"{tag}-multiplicatively-closed")
+              for tag, alg, sub in (("r-subset", r_amb, r_subset),
+                                    ("s-subset", s_amb, s_subset))]
     checks.append(check(
         "eta-maps-sub-into-sub", AXIOM, [r_subset],
         lambda x: s_subset.contains(ambient.eta.apply(x)),
         Policy(mode=EXHAUSTIVE), detail="eta(R') must land in S'",
-        maps=(ambient.eta.hom,) if s_subset.gens is not None else None))
+        maps=(ambient.eta.hom,)))
     checks.append(check(
         "induced-action-closed", AXIOM, [s_subset, r_subset],
         lambda s, x: r_subset.contains(ambient.action.evaluate(s, x)),
@@ -172,7 +168,10 @@ def _embeds(*legs: AlgebraHom) -> bool:
 
 
 def validate_crossed_ideal(sx: SubXMod, policy: Policy | None = None) -> Report:
+    """The CI1-CI4 report of sx.  An ambient map that is not well
+    defined is refused before any clause reads it."""
     amb = sx.ambient
+    refuse_non_maps(amb.maps("ambient"))
     r_amb, s_amb = amb.r_alg, amb.s_alg
     ci1 = list(sx.problems)
 
@@ -201,9 +200,6 @@ def validate_crossed_ideal(sx: SubXMod, policy: Policy | None = None) -> Report:
 
     checks = [group("ci1-sub-crossed-module", ci1)]
 
-    # each closure asks a bilinear map to land in a subset; spans decide
-    # a PASS on generators, as long as the subset landed in is a span too
-    r_span = sx.r_subset.gens is not None
     checks.append(group("ci2-ideals", [
         check("r-sub-is-ideal", AXIOM, [sx.r_subset, r_amb],
               lambda x, r: sx.r_subset.contains(r_amb.multiply(x, r)), policy,
@@ -215,7 +211,7 @@ def validate_crossed_ideal(sx: SubXMod, policy: Policy | None = None) -> Report:
     checks.append(check(
         "ci3-sub-base-acts-into-sub", AXIOM, [sx.s_subset, r_amb],
         lambda s, r: sx.r_subset.contains(amb.action.evaluate(s, r)), policy,
-        detail="S'.R lands in R'", maps=(amb.action,) if r_span else None))
+        detail="S'.R lands in R'", maps=(amb.action,)))
     checks.append(check(
         "ci4-base-acts-into-sub", AXIOM, [s_amb, sx.r_subset],
         lambda s, x: sx.r_subset.contains(amb.action.evaluate(s, x)), policy,
@@ -246,8 +242,11 @@ class CrossedIdealMap:
 def validate_crossed_ideal_map(cim: CrossedIdealMap,
                                policy: Policy | None = None,
                                check_balance: bool = True) -> Report:
+    """The report of cim.  An eta or action of the source or target that
+    is not well defined is refused first; the leg reports cover the rest."""
     mor = cim.morphism
     src, tgt = mor.source, mor.target
+    refuse_non_maps(src.maps("source")[:2] + tgt.maps("target")[:2])
     r1, s1 = src.r_alg, src.s_alg
     r2, s2 = tgt.r_alg, tgt.s_alg
     act1, act2 = cim.alpha1_xmod.action, cim.alpha2_xmod.action

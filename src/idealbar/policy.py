@@ -20,9 +20,9 @@ is one of three kinds:
 
 - a module (anything with `size`, `elements()` and `generators()`),
   standing for all its elements in lexicographic order;
-- a span (a Submodule built from generators, whose `gens` is not None),
-  standing for its sorted elements;
-- a list of elements, or a Submodule given by its elements.
+- a span (a Submodule, which keeps its generators as `gens`), standing
+  for its sorted elements;
+- a list of elements.
 
 A multilinear clause is decided on generator tuples at every size and
 under every policy.  A caller passes `maps`, the tensors and homs the

@@ -23,13 +23,17 @@ A workspace file names every object the command line can check:
 Every section must be a JSON object, coordinates must be canonical
 (0 <= c < order of the summand), every summand order must be at least 2
 and options.depth, when given, an integer of at least 1; true and false
-are not integers anywhere.  Anything else is rejected with the key path
-in the message, as is any reference to a name that does not exist.
+are not integers anywhere.  A subset lists zero and is closed under
+addition (the least listed pair whose sum is not listed is named); it
+is held as the span of its elements.  Anything else is rejected with
+the key path in the message, as is any reference to a name that does
+not exist.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import product
 
 from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                    IdealbarError, ModuleHom, Submodule)
@@ -217,7 +221,14 @@ class Workspace:
                  for i, e in enumerate(raw)]
         _expect(amb.carrier.zero in elems, f"{where}.elements",
                 "the zero element must be listed")
-        return Submodule(amb.carrier, elems)
+        span, listed = Submodule.from_generators(amb.carrier, elems), set(elems)
+        if span.size > len(listed):
+            x, y = next(p for p in product(sorted(listed), repeat=2)
+                        if amb.carrier.add(*p) not in listed)
+            raise WorkspaceError(
+                f"{where}.elements: not closed under addition, "
+                f"{list(x)} + {list(y)} is not listed")
+        return span
 
     def _parse_morphism(self, name: str, spec) -> XModMorphism:
         where = f"morphisms.{name}"

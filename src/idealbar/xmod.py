@@ -226,6 +226,12 @@ class CrossedModule:
     def s_alg(self) -> Algebra:
         return self.eta.cod
 
+    def maps(self, side: str):
+        """Its homs and tensors, each named as a slot of side."""
+        return ((f"{side} eta", self.eta.hom), (f"{side} action", self.action),
+                (f"{side} R product", self.r_alg.mul),
+                (f"{side} S product", self.s_alg.mul))
+
     def __eq__(self, other):
         return (isinstance(other, CrossedModule) and self.eta == other.eta
                 and self.action == other.action)

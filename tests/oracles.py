@@ -16,8 +16,12 @@ whose layout they check.
 
 span_oracle closes a generator list under addition breadth first and
 kernel_oracle applies a hom to every element of its domain; both return
-the subset by its elements, which core.Submodule holds as a Howell form
-instead.  howell_oracle computes that form rewriting every earlier row
+the sorted elements of a subgroup that core.Submodule holds as a Howell
+form instead.  absorption_oracle sweeps the absorption clause of
+core.is_ideal over those elements as a plain list, which gives no
+generators to decide on, and addition_violation_oracle scans the pairs
+of a listed subset for the least one whose sum is not listed, where a
+workspace compares the size of the span with the listing.  howell_oracle computes that form rewriting every earlier row
 at each new pivot, where core.howell_form skips the rows a pivot leaves
 unchanged.  coordinates_oracle lists the coordinates of a subgroup in
 cyclic generators, which core.solve finds through the embedding, and
@@ -45,9 +49,10 @@ import idealbar.crossed_ideal as crossed_ideal
 from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                            ModuleHom, Submodule, decompose_abelian,
                            direct_sum, image)
+from idealbar.policy import check
 from idealbar.enumeration import (_ideal_closure, enumerate_algebras,
                                   enumerate_ideals)
-from idealbar.report import FAIL, PASS, THEOREM, group, leaf
+from idealbar.report import AXIOM, FAIL, PASS, THEOREM, group, leaf
 from idealbar.workspace import Workspace
 from idealbar.xmod import inclusion_xmod
 
@@ -268,7 +273,7 @@ def span_oracle(ambient, gens):
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return Submodule(ambient, seen)
+    return tuple(sorted(seen))
 
 
 def howell_oracle(mod, vectors):
@@ -303,8 +308,25 @@ def howell_oracle(mod, vectors):
 def kernel_oracle(f):
     """The elements of the domain that f sends to zero."""
     zero = f.codomain.zero
-    return Submodule(f.domain,
-                     [x for x in f.domain.elements() if f.apply(x) == zero])
+    return tuple(x for x in f.domain.elements() if f.apply(x) == zero)
+
+
+def absorption_oracle(alg, elements, policy=None):
+    """The absorption leaf of core.is_ideal, swept over the elements of
+    the subset as a plain list."""
+    members = set(elements)
+    return check("absorption", AXIOM, [alg, list(elements)],
+                 lambda a, x: alg.multiply(a, x) in members, policy,
+                 detail="a*x stays in the subset for a in the algebra")
+
+
+def addition_violation_oracle(mod, elements):
+    """The least pair (x, y) of the listed elements, both in sorted
+    order, whose sum is not listed, or None when the listing is closed
+    under addition."""
+    listed = sorted(set(elements))
+    return next(((x, y) for x in listed for y in listed
+                 if mod.add(x, y) not in listed), None)
 
 
 def coordinates_oracle(orders, gens, add, zero, elements):

@@ -1,9 +1,18 @@
-"""Command line interface, exercised through real subprocesses."""
+"""Command line interface, exercised through real subprocesses, and
+in process where hypothesis draws the workspaces."""
 
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idealbar.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 NILSQUARE = str(FIXTURES / "nilsquare.json")
@@ -239,6 +248,155 @@ def test_a_bibar_of_maps_that_are_not_maps_is_refused(tmp_path):
         _one_line_error(cli("-w", str(path), "bibar-verify", "f", "--rows",
                             "2", "--cols", "1"),
                         f"the {bad} is not a well-defined map")
+
+
+# over Z/4, S = Z/2 and R = Z/4 with zero products, eta sends g to 1 and
+# the action cell is 1, no map as 2 * 1 != 0 in Z/4: the crossed ideal
+# on {0, 2} and {0} printed PASS on every leaf, while check-xmod main
+# failed torsion compatibility
+IDEAL_ACTION = {
+    "modulus": 4,
+    "algebras": {"S": zero_algebra(2), "R": zero_algebra(4)},
+    "homs": {"eta": rank_one_hom("R", "S", 1)},
+    "actions": {"act": {"actor": "S", "acted": "R", "tensor": [[[1]]]}},
+    "xmods": {"main": {"eta": "eta", "action": "act"}},
+    "subsets": {"rp": {"ambient": "R", "elements": [[0], [2]]},
+                "sp": {"ambient": "S", "elements": [[0]]}},
+    "subxmods": {"ci": {"ambient": "main", "r_subset": "rp",
+                        "s_subset": "sp"}}}
+
+# over Z/4, R1 = S1 = R2 = Z/2 and S2 = Z/4 with zero products, eta2
+# sends g to 3, no map as 2 * 3 != 0 in Z/4, and alpha2 sends g to 2:
+# the crossed ideal map printed 80 PASS leaves and exited 0
+CIM_ETA = {
+    "modulus": 4,
+    "algebras": {"R1": zero_algebra(2), "S1": zero_algebra(2),
+                 "R2": zero_algebra(2), "S2": zero_algebra(4)},
+    "homs": {"eta1": rank_one_hom("R1", "S1", 0),
+             "eta2": rank_one_hom("R2", "S2", 3),
+             "alpha1": rank_one_hom("R1", "R2", 0),
+             "alpha2": rank_one_hom("S1", "S2", 2)},
+    "actions": {"act": zero_action("S1", "R1"),
+                "actp": zero_action("S2", "R2"),
+                "act1": zero_action("R2", "R1"),
+                "act2": zero_action("S2", "S1")},
+    "xmods": {"src": {"eta": "eta1", "action": "act"},
+              "tgt": {"eta": "eta2", "action": "actp"}},
+    "morphisms": {"f": {"source": "src", "target": "tgt",
+                        "alpha1": "alpha1", "alpha2": "alpha2"}},
+    "cims": {"c": {"morphism": "f", "act1": "act1", "act2": "act2",
+                   "h": [[[0]]]}}}
+
+
+def nilcube_not_closed():
+    # R' = {0, (0,1), (1,0)} lacks (1,1); ideal-check printed a
+    # STRUCTURAL FAIL, and check-xmod on the same file exited 0
+    ws = json.loads(Path(NILCUBE).read_text())
+    ws["subsets"]["rp"]["elements"] = [[0, 0], [0, 1], [1, 0]]
+    return ws
+
+
+def test_maps_that_are_not_maps_and_subsets_not_closed_are_refused(tmp_path):
+    not_closed = ("subsets.rp.elements: not closed under addition, "
+                  "[0, 1] + [1, 0] is not listed")
+    for ws, args, needle in (
+            (IDEAL_ACTION, ("ideal-check", "ci"),
+             "the ambient action is not a well-defined map"),
+            (CIM_ETA, ("cim-check", "c"),
+             "the target eta is not a well-defined map"),
+            (nilcube_not_closed(), ("ideal-check", "good"), not_closed),
+            (nilcube_not_closed(), ("check-xmod", "main"), not_closed)):
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(ws))
+        _one_line_error(cli("-w", str(path), *args), needle)
+
+
+def slot_workspace(m, lo, hi, slot=None, v=0):
+    """Over Z/m, crossed modules src and tgt on algebras of orders
+    (lo, hi) with every map zero, the crossed ideal ci of the zero
+    subsets of src and the crossed ideal map c from src to tgt.  slot,
+    when given, is then the one map with (0, v) at generator 0, no map
+    when lo * v != 0 mod hi; an ambient slot is one of src."""
+    def zero():
+        return [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+    ws = {"modulus": m,
+          "algebras": {n: {"orders": [lo, hi], "mul": zero()}
+                       for n in ("R1", "S1", "R2", "S2")},
+          "homs": {n: {"dom": d, "cod": c, "images": zero()[0]}
+                   for n, d, c in (("eta1", "R1", "S1"), ("eta2", "R2", "S2"),
+                                   ("alpha1", "R1", "R2"),
+                                   ("alpha2", "S1", "S2"))},
+          "actions": {n: {"actor": a, "acted": b, "tensor": zero()}
+                      for n, a, b in (("act_1", "S1", "R1"),
+                                      ("act_2", "S2", "R2"),
+                                      ("act1", "R2", "R1"),
+                                      ("act2", "S2", "S1"))},
+          "xmods": {"src": {"eta": "eta1", "action": "act_1"},
+                    "tgt": {"eta": "eta2", "action": "act_2"}},
+          "subsets": {"r0": {"ambient": "R1", "elements": [[0, 0]]},
+                      "s0": {"ambient": "S1", "elements": [[0, 0]]}},
+          "subxmods": {"ci": {"ambient": "src", "r_subset": "r0",
+                              "s_subset": "s0"}},
+          "morphisms": {"f": {"source": "src", "target": "tgt",
+                              "alpha1": "alpha1", "alpha2": "alpha2"}},
+          "cims": {"c": {"morphism": "f", "act1": "act1", "act2": "act2",
+                         "h": zero()}}}
+    if slot is not None:
+        side, piece = slot.split(" ", 1)
+        k = "2" if side == "target" else "1"
+        row = {"eta": ws["homs"][f"eta{k}"]["images"],
+               "action": ws["actions"][f"act_{k}"]["tensor"][0],
+               "R product": ws["algebras"][f"R{k}"]["mul"][0],
+               "S product": ws["algebras"][f"S{k}"]["mul"][0]}[piece]
+        row[0] = [0, v]
+    return ws
+
+
+def run_in_process(ws, *args):
+    """(exit code, stdout, stderr) of the command line on the workspace ws."""
+    out, err = StringIO(), StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ws.json"
+        path.write_text(json.dumps(ws))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["-w", str(path), *args])
+    return code, out.getvalue(), err.getvalue()
+
+
+SLOTS = {"ambient": ("ideal-check", "ci"), "source": ("cim-check", "c"),
+         "target": ("cim-check", "c")}
+PIECES = {"ambient": ("eta", "action", "R product", "S product"),
+          "source": ("eta", "action"), "target": ("eta", "action")}
+
+
+def test_the_slot_workspace_passes_with_every_map_zero():
+    for args in set(SLOTS.values()):
+        assert run_in_process(slot_workspace(4, 2, 4), *args)[0] == 0
+
+
+@st.composite
+def broken_slots(draw):
+    """m, the orders (lo, hi) with hi not dividing lo, a slot, and a v
+    with lo * v != 0 mod hi."""
+    m = draw(st.sampled_from([4, 8, 12]))
+    divisors = [d for d in range(2, m + 1) if m % d == 0]
+    lo, hi = draw(st.sampled_from([(a, b) for a in divisors
+                                   for b in divisors if a % b]))
+    side = draw(st.sampled_from(sorted(SLOTS)))
+    slot = f"{side} {draw(st.sampled_from(PIECES[side]))}"
+    v = draw(st.sampled_from([v for v in range(1, hi) if lo * v % hi]))
+    return m, lo, hi, slot, v
+
+
+@given(broken_slots())
+@settings(max_examples=64, deadline=None)
+def test_a_crossed_ideal_or_map_of_a_map_that_is_not_a_map_is_refused(case):
+    m, lo, hi, slot, v = case
+    code, out, err = run_in_process(slot_workspace(m, lo, hi, slot, v),
+                                    *SLOTS[slot.split(" ")[0]])
+    assert (code, out) == (3, "")
+    assert err == f"error: the {slot} is not a well-defined map\n"
 
 
 def test_dangling_name_is_a_structural_error():

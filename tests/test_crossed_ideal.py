@@ -95,7 +95,7 @@ def test_bad_sub_fails_eta_containment():
 
 def test_non_ideal_base_subset_fails_ci2():
     xm = workspace("nilcube").xmod("main")
-    zero_r = Submodule(xm.r_alg.carrier, [(0, 0)])
+    zero_r = Submodule.from_generators(xm.r_alg.carrier, [])
     span_one = Submodule.from_generators(xm.s_alg.carrier, [(1, 0, 0)])
     sx = sub_crossed_module(xm, zero_r, span_one, name="unit-span")
     # the sub assembles fine; what breaks is the ideal clause
@@ -167,33 +167,6 @@ def test_image_of_inclusion_recovers_the_subsets():
     sx = image_sub_xmod(cim)
     assert set(sx.r_subset.elements) == {(0, 0), (0, 1)}
     assert set(sx.s_subset.elements) == {(0, 0, 0), (0, 0, 1)}
-
-
-def test_ci3_is_swept_when_the_subset_landed_in_is_not_a_span():
-    # S' is the span of the unit, R' = {0, (0,1), (1,0)} is not closed
-    # under addition: the unit sends both generators of R into R', but
-    # (1,1) = (1,0) + (0,1) lands outside it
-    xm = workspace("nilcube").xmod("main")
-    s_sub = Submodule.from_generators(xm.s_alg.carrier, [(1, 0, 0)])
-    r_sub = Submodule(xm.r_alg.carrier, [(0, 0), (0, 1), (1, 0)])
-    rep = validate_crossed_ideal(sub_crossed_module(xm, r_sub, s_sub))
-    node = rep.find("ci3-sub-base-acts-into-sub")
-    assert node.status == "FAIL"
-    assert node.witness == ((1, 0, 0), (1, 1))
-
-
-def test_eta_closure_is_swept_when_the_subset_landed_in_is_not_a_span():
-    # R' is all of R, built as a span; S' = {0, x, x^2} is not closed
-    # under addition: eta sends both generators of R into S', but (1,1)
-    # to x + x^2
-    xm = workspace("nilcube").xmod("main")
-    r_sub = Submodule.from_generators(xm.r_alg.carrier, [(1, 0), (0, 1)])
-    s_sub = Submodule(xm.s_alg.carrier, [(0, 0, 0), (0, 1, 0), (0, 0, 1)])
-    sx = sub_crossed_module(xm, r_sub, s_sub)
-    assert sx.sub is None
-    node = next(p for p in sx.problems if p.name == "eta-maps-sub-into-sub")
-    assert node.witness == ((1, 1),)
-    assert node.meta == {"mode": "exhaustive", "checked": 4}
 
 
 # The failing leaves below are pinned whole: status, kind, witness,

@@ -2,8 +2,8 @@
 
 core.Submodule reads membership, size, equality, coset representatives
 and kernels off the Howell form of a generator list.  The oracles close
-the generator list under addition and apply a hom to every element of
-its domain.  Modules have mixed orders over m in {4, 6, 8, 9}; order-1
+the generator list under addition and apply a well-defined hom to every
+element of its domain; kernel refuses a hom that is not well defined.  Modules have mixed orders over m in {4, 6, 8, 9}; order-1
 summands are drawn too, so a module may have rank 0, and generator lists
 may be empty.  core.howell_form is compared with howell_oracle, the form
 computed by rewriting every earlier row at each pivot, also at m = 12
@@ -12,11 +12,12 @@ and on generator lists with repeats.
 
 from math import prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealbar.core import (FiniteModule, ModuleHom, Submodule, howell_form,
-                           kernel)
+from idealbar.core import (FiniteModule, ModuleHom, PreconditionError,
+                           Submodule, howell_form, kernel)
 from oracles import howell_oracle, kernel_oracle, span_oracle
 
 MODULI = [4, 6, 8, 9]
@@ -42,13 +43,12 @@ def test_span_matches_its_breadth_first_closure(data, m):
     gens = gen_list(data, mod)
     span, oracle = Submodule.from_generators(mod, gens), span_oracle(mod, gens)
     assert span.gens == tuple(gens)
-    assert span.size == oracle.size
-    assert span.elements == oracle.elements
+    assert span.size == len(oracle)
+    assert span.elements == oracle
     assert [span.contains(x) for x in mod.elements()] \
-        == [oracle.contains(x) for x in mod.elements()]
-    assert span == oracle
-    assert all(span.least_in_coset(x)
-               == min(mod.add(x, i) for i in oracle.elements)
+        == [x in oracle for x in mod.elements()]
+    assert span == Submodule.from_generators(mod, oracle)
+    assert all(span.least_in_coset(x) == min(mod.add(x, i) for i in oracle)
                for x in mod.elements())
 
 
@@ -67,21 +67,38 @@ def test_one_span_has_one_form(data, m):
     assert Submodule.from_generators(mod, more).form == span.form
     other = gen_list(data, mod)
     assert ((Submodule.from_generators(mod, other).form == span.form)
-            == (span_oracle(mod, other).elements == span.elements))
+            == (span_oracle(mod, other) == span.elements))
 
 
 @given(st.data(), st.sampled_from(MODULI))
 @CASES
 def test_kernel_matches_the_element_scan(data, m):
-    # images are drawn in the codomain whatever the orders, so homs that
-    # are not well defined are drawn too; their kernel stays a scan
+    # the image of a generator of order d is drawn among the elements
+    # that d kills, so the hom is well defined
     dom, cod = module(data, m), module(data, m, 16)
-    f = ModuleHom(dom, cod, [data.draw(st.sampled_from(cod.elements()))
-                             for _ in dom.orders])
+    f = ModuleHom(dom, cod, [
+        data.draw(st.sampled_from([y for y in cod.elements()
+                                   if cod.scale(d, y) == cod.zero]))
+        for d in dom.orders])
+    assert f.well_defined()
     ker = kernel(f)
-    assert ker.elements == kernel_oracle(f).elements
-    assert ker.size == kernel_oracle(f).size
-    assert (ker.form is not None) == f.well_defined()
+    assert ker.elements == kernel_oracle(f)
+    assert ker.size == len(kernel_oracle(f))
+
+
+@pytest.mark.parametrize("m, dom, cod, images", [
+    (4, [2], [4], [(1,)]),          # 2 * 1 != 0 in Z/4
+    (6, [2], [3], [(1,)]),          # 2 * 1 != 0 in Z/3
+    (12, [2, 3], [12], [(6,), (1,)]),  # 3 * 1 != 0 in Z/12
+    (8, [4, 8], [8, 2], [(1, 1), (0, 0)]),  # 4 * 1 != 0 in Z/8
+])
+def test_kernel_refuses_a_map_that_is_not_well_defined(m, dom, cod, images):
+    # its graph span is no graph, so kernel refuses it as solve and
+    # injective do
+    f = ModuleHom(FiniteModule(m, dom), FiniteModule(m, cod), images)
+    assert not f.well_defined()
+    with pytest.raises(PreconditionError, match="kernel needs a well-defined"):
+        kernel(f)
 
 
 @given(st.data(), st.sampled_from([4, 6, 8, 9, 12]))
@@ -105,7 +122,7 @@ def test_annihilator_rows_count():
     # 2 (0, 0, 6, 4) = (0, 0, 0, 8) brings in the part of order 3
     mod = FiniteModule(12, [3, 2, 6, 3])
     span = Submodule.from_generators(mod, [(0, 0, 3, 1)])
-    assert span.size == 6 == span_oracle(mod, [(0, 0, 3, 1)]).size
+    assert span.size == 6 == len(span_oracle(mod, [(0, 0, 3, 1)]))
     assert span.contains((0, 0, 0, 1))
 
 

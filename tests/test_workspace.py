@@ -6,11 +6,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import idealbar.core as core_mod
 import idealbar.crossed_ideal as crossed_ideal_mod
+from idealbar.core import FiniteModule, Submodule
 from idealbar.crossed_ideal import inclusion_cim
 from idealbar.workspace import Workspace, WorkspaceError
+from oracles import addition_violation_oracle
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 NILSQUARE = str(FIXTURES / "nilsquare.json")
@@ -179,6 +183,69 @@ def test_subsets_must_contain_zero():
     doc = small_doc(subsets={"s": {"ambient": "A", "elements": [[1]]}})
     with pytest.raises(WorkspaceError, match="zero element must be listed"):
         Workspace(doc)
+
+
+# nilcube subsets listed without the sum of two of their elements: R' is
+# missing (1,1) = (0,1) + (1,0), and S' = {0, x, x^2} is missing x + x^2.
+# Each used to load, and the sweep over its elements found the hole
+NOT_CLOSED = {
+    "r-two-generators": ("rp", [[0, 0], [0, 1], [1, 0]], "[0, 1] + [1, 0]"),
+    "s-two-generators": ("sp", [[0, 0, 0], [0, 1, 0], [0, 0, 1]],
+                         "[0, 0, 1] + [0, 1, 0]"),
+    "r-listed-out-of-order": ("r_all", [[0, 0], [1, 0], [0, 1]],
+                              "[0, 1] + [1, 0]"),
+}
+
+
+@pytest.mark.parametrize("name, elements, pair", NOT_CLOSED.values(),
+                         ids=NOT_CLOSED)
+def test_a_subset_not_closed_under_addition_is_refused(name, elements, pair):
+    doc = json.loads(Path(NILCUBE).read_text())
+    doc["subsets"][name]["elements"] = elements
+    message = (f"subsets.{name}.elements: not closed under addition, "
+               f"{pair} is not listed")
+    with pytest.raises(WorkspaceError) as info:
+        Workspace(doc)
+    assert str(info.value) == message
+
+
+MIXED = [FiniteModule(4, [2, 4]), FiniteModule(6, [2, 3]),
+         FiniteModule(6, [6, 2]), FiniteModule(12, [2, 3, 4])]
+
+
+@st.composite
+def listings(draw):
+    """A module and a shuffled listing of elements with zero among them:
+    a span's elements, a span's elements with strays added, or any set."""
+    mod = draw(st.sampled_from(MIXED))
+    elems = st.sampled_from(mod.elements())
+    span = set(Submodule.from_generators(
+        mod, draw(st.lists(elems, max_size=3))).elements)
+    listed = draw(st.sampled_from([
+        span, span | draw(st.sets(elems, max_size=2)),
+        draw(st.sets(elems, max_size=12))])) | {mod.zero}
+    return mod, draw(st.permutations(sorted(listed)))
+
+
+@given(listings())
+def test_loading_refuses_exactly_the_subsets_not_closed(case):
+    # the span of a listing is compared with it by size; a larger span is
+    # refused with the least pair the scan of every listed pair finds
+    mod, listed = case
+    doc = {"modulus": mod.modulus,
+           "algebras": {"A": {"orders": list(mod.orders),
+                              "mul": [[[0] * mod.rank] * mod.rank] * mod.rank}},
+           "subsets": {"s": {"ambient": "A",
+                             "elements": [list(x) for x in listed]}}}
+    bad = addition_violation_oracle(mod, listed)
+    if bad is None:
+        assert Workspace(doc).subsets["s"].elements == tuple(sorted(listed))
+        return
+    x, y = bad
+    with pytest.raises(WorkspaceError) as info:
+        Workspace(doc)
+    assert str(info.value) == (f"subsets.s.elements: not closed under "
+                               f"addition, {list(x)} + {list(y)} is not listed")
 
 
 def test_xmod_shape_mismatch_is_reported():
