@@ -112,8 +112,8 @@ class TruncatedBarAlgebra(TruncatedBarModule):
     tensors holds every tensor the level products and the closed product
     formulas read: each level tensor, the products of S and R and the
     action tensor.  The bar's product identities hand it to policy.check
-    as their maps, so they are decided on generator tuples exactly when
-    all of these are torsion-compatible.
+    as their maps, so they are decided on generator tuples when all of
+    these are torsion-compatible, and fail STRUCTURAL otherwise.
     """
 
     def __init__(self, xm: CrossedModule, depth: int):
@@ -211,7 +211,7 @@ def verify_simplicial_identities(bar, names=("d", "s", "{}")) -> Report:
     ])
 
 
-def level_homomorphism_clauses(bar, policy: Policy | None = None):
+def level_homomorphism_clauses(bar):
     """Multiplicativity of every face and degeneracy of a truncated
     simplicial algebra (a bar, or a bibar column), in report order, each
     as the levels of its domain and codomain and a callable that checks
@@ -224,17 +224,15 @@ def level_homomorphism_clauses(bar, policy: Policy | None = None):
     for op, n, out in ops:
         yield (n, out), partial(
             multiplicativity_report, f"{op.name} multiplicative", op,
-            algs[n], algs[out], policy)
+            algs[n], algs[out])
 
 
-def verify_level_homomorphisms(bar: TruncatedBarAlgebra,
-                               policy: Policy | None = None) -> Report:
+def verify_level_homomorphisms(bar: TruncatedBarAlgebra) -> Report:
     return group("level-homomorphisms", [
-        run() for _, run in level_homomorphism_clauses(bar, policy)])
+        run() for _, run in level_homomorphism_clauses(bar)])
 
 
-def tail_absorption_clauses(bar: TruncatedBarAlgebra,
-                            policy: Policy | None = None):
+def tail_absorption_clauses(bar: TruncatedBarAlgebra):
     """The clauses of verify_ideal_axiom in report order, each as the
     levels whose products it reads and a callable that checks it."""
     s_alg = bar.xm.s_alg
@@ -247,17 +245,15 @@ def tail_absorption_clauses(bar: TruncatedBarAlgebra,
             bar.multiply(1, lvl1.inject(0, s), lvl1.inject(1, b)))
 
     yield (1,), partial(check, "mixed-into-tail @ 1", AXIOM, [s_alg, r_mod],
-                        lambda s, b: mixed(s, b)[0] == x_zero, policy,
-                        detail="(s,0)(0,b) has base coordinate 0",
-                        maps=bar.tensors)
+                        lambda s, b: mixed(s, b)[0] == x_zero, bar.tensors,
+                        detail="(s,0)(0,b) has base coordinate 0")
 
     for n in range(1, bar.depth + 1):
         yield (n,), partial(
             check, f"base-subalgebra @ {n}", AXIOM, [s_alg, s_alg],
             lambda a, b, n=n:
             bar.multiply(n, bar.embed_s(n, a), bar.embed_s(n, b))
-            == bar.embed_s(n, s_alg.multiply(a, b)), policy,
-            maps=bar.tensors)
+            == bar.embed_s(n, s_alg.multiply(a, b)), bar.tensors)
 
         tail = direct_sum([r_mod] * n)
 
@@ -267,13 +263,11 @@ def tail_absorption_clauses(bar: TruncatedBarAlgebra,
 
         yield (1, n), partial(
             check, f"mixed-letterwise @ {n}", AXIOM, [s_alg, tail],
-            letterwise, policy,
-            detail="base times tail is the level-1 letter rule in every letter",
-            maps=bar.tensors)
+            letterwise, bar.tensors,
+            detail="base times tail is the level-1 letter rule in every letter")
 
 
-def verify_ideal_axiom(bar: TruncatedBarAlgebra,
-                       policy: Policy | None = None) -> Report:
+def verify_ideal_axiom(bar: TruncatedBarAlgebra) -> Report:
     """The clauses that exhibit the tail as an ideal acted on by the base:
 
     base-subalgebra   (s,0)(s',0) = (ss',0)
@@ -284,7 +278,7 @@ def verify_ideal_axiom(bar: TruncatedBarAlgebra,
     The letterwise clause ties every level of the tensor family to the
     single bilinear map read off at level 1."""
     return group("tail-absorption", [
-        run() for _, run in tail_absorption_clauses(bar, policy)])
+        run() for _, run in tail_absorption_clauses(bar)])
 
 
 def verify_decomposition(bar: TruncatedBarAlgebra, k: int,
@@ -302,7 +296,7 @@ def verify_decomposition(bar: TruncatedBarAlgebra, k: int,
     checks = []
     checks.append(relabel(multiplicativity_report(
         f"sk-subalgebra-isomorphic-to-s @ {k}", embed, s_alg,
-        bar.algebras[k], policy), THEOREM))
+        bar.algebras[k]), THEOREM))
 
     rep = relabel(is_ideal(bar.algebras[k], rk, policy), THEOREM)
     rep.name = f"rk-is-ideal @ {k}"
@@ -327,8 +321,7 @@ def verify_decomposition(bar: TruncatedBarAlgebra, k: int,
     return group(f"decomposition @ {k}", checks)
 
 
-def rk_closed_formulas(bar: TruncatedBarAlgebra, k: int,
-                       policy: Policy | None = None) -> Report:
+def rk_closed_formulas(bar: TruncatedBarAlgebra, k: int) -> Report:
     """Products touching the tail ideal have closed forms; compare them
     with the generic level product."""
     xm = bar.xm
@@ -348,9 +341,8 @@ def rk_closed_formulas(bar: TruncatedBarAlgebra, k: int,
 
     checks = [check(
         f"tail-tail-product @ {k}", THEOREM,
-        [r_tail, r_tail], tail_product_ok, policy,
-        detail="(0,a)(0,b) has j-th letter (a_1+..+a_{j-1})b_j + a_j(b_1+..+b_j)",
-        maps=bar.tensors)]
+        [r_tail, r_tail], tail_product_ok, bar.tensors,
+        detail="(0,a)(0,b) has j-th letter (a_1+..+a_{j-1})b_j + a_j(b_1+..+b_j)")]
 
     def mixed_product_ok(ta, s):
         expect = [act(s, a) for a in r_tail.split(ta)]
@@ -359,13 +351,12 @@ def rk_closed_formulas(bar: TruncatedBarAlgebra, k: int,
 
     checks.append(check(
         f"tail-base-product @ {k}", THEOREM,
-        [r_tail, xm.s_alg], mixed_product_ok, policy,
-        detail="(0,a)(s,0) = (0, s.a_1, .., s.a_k)",
-        maps=bar.tensors))
+        [r_tail, xm.s_alg], mixed_product_ok, bar.tensors,
+        detail="(0,a)(s,0) = (0, s.a_1, .., s.a_k)"))
     return group(f"tail-ideal-products @ {k}", checks)
 
 
-def eta_k(bar: TruncatedBarAlgebra, k: int, policy: Policy | None = None):
+def eta_k(bar: TruncatedBarAlgebra, k: int):
     """The level-k hom (s, a_1..a_k) -> s + eta(a_1 + .. + a_k) back to S,
     returned together with its validation report."""
     xm = bar.xm
@@ -373,13 +364,12 @@ def eta_k(bar: TruncatedBarAlgebra, k: int, policy: Policy | None = None):
                      block_hom(bar.levels[k], xm.s_alg.carrier,
                                [(0, None)] + [(0, xm.eta.hom)] * k, f"eta{k}"),
                      name=f"eta{k}")
-    rep = validate_hom(hom, policy)
+    rep = validate_hom(hom)
     rep.name = f"eta-k @ {k}"
     return hom, rep
 
 
-def definition_checks(bar: TruncatedBarAlgebra,
-                      policy: Policy | None = None) -> Report:
+def definition_checks(bar: TruncatedBarAlgebra) -> Report:
     """The clauses that make a level-product family an ideal simplicial
     structure: valid level algebras, faces and degeneracies that are
     algebra maps, and the absorption axiom.  The perturbation harness
@@ -391,23 +381,23 @@ def definition_checks(bar: TruncatedBarAlgebra,
         rep.name = f"level-{n}-algebra"
     return group("ideal-structure-definition", [
         group("level-algebras", algs),
-        verify_level_homomorphisms(bar, policy),
-        verify_ideal_axiom(bar, policy),
+        verify_level_homomorphisms(bar),
+        verify_ideal_axiom(bar),
     ])
 
 
 def verify_bar(bar: TruncatedBarAlgebra, policy: Policy | None = None) -> Report:
     checks = [
         verify_simplicial_identities(bar),
-        definition_checks(bar, policy),
+        definition_checks(bar),
     ]
     for k in range(1, bar.depth + 1):
         checks.append(verify_decomposition(bar, k, policy))
     for k in range(1, bar.depth + 1):
-        checks.append(rk_closed_formulas(bar, k, policy))
+        checks.append(rk_closed_formulas(bar, k))
     eta_reps = []
     for k in range(1, bar.depth + 1):
-        _, rep = eta_k(bar, k, policy)
+        _, rep = eta_k(bar, k)
         eta_reps.append(rep)
     checks.append(group("eta-k-family", eta_reps))
     name = bar.xm.name or "xmod"

@@ -152,6 +152,9 @@ def build_bibar(morphism: XModMorphism, n_depth: int = 2, m_depth: int = 2,
 
 
 def verify_bibar(bb: BiBar, policy: Policy | None = None) -> Report:
+    """Every identity of the bibar, rows, columns and their commutation.
+    No clause here sweeps elements, so policy is not read; it stays for
+    the benchmark workloads (perfbench/workloads.py), which pass one."""
     checks = [group("conventions", [
         leaf(name, NOTE, None, detail=detail)
         for name, detail in CONVENTIONS])]
@@ -190,11 +193,11 @@ def verify_bibar(bb: BiBar, policy: Policy | None = None) -> Report:
 
     mult = group("vertical-multiplicativity", [
         run() for col in bb.columns
-        for _, run in level_homomorphism_clauses(col, policy)])
+        for _, run in level_homomorphism_clauses(col)])
     # a vertical operator is a bar operator on every block, so it is
     # multiplicative whenever both crossed modules are valid; otherwise a
     # failure belongs to the input, not to the implementation
-    if all(validate_crossed_module(bar.xm, policy).passed
+    if all(validate_crossed_module(bar.xm).passed
            for bar in (bb.bar1, bb.bar2)):
         relabel(mult, THEOREM)
     checks.append(mult)

@@ -37,8 +37,9 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="path to a workspace JSON file")
     parser.add_argument("--policy", choices=["auto", "exhaustive", "sample"],
                         default=default("auto"),
-                        help="policy for element sweeps; clauses that "
-                        "generator tuples decide are exact under every policy")
+                        help="policy for the element sweep that finds the "
+                        "least witness of a clause failing on a subset; "
+                        "every verdict is exact under every policy")
     parser.add_argument("--seed", type=int, default=default(0),
                         help="seed for sampled sweeps and the fuzzer")
     parser.add_argument("--samples", type=int, default=default(None),
@@ -163,8 +164,7 @@ def run(args) -> "Report":
 
     if args.command == "enumerate":
         return enumeration_report(_at_least(args.modulus, "--modulus", 2),
-                                  _at_least(args.max_rank, "--max-rank", 0),
-                                  policy)
+                                  _at_least(args.max_rank, "--max-rank", 0))
     if args.command == "fuzz":
         return fuzz_report(_at_least(args.modulus, "--modulus", 2),
                            _at_least(args.max_rank, "--max-rank"),
@@ -177,11 +177,10 @@ def run(args) -> "Report":
 
     if args.command == "check-xmod":
         xm = ws.xmod(args.name)
-        valid = validate_crossed_module(xm, policy)
+        valid = validate_crossed_module(xm)
         checks = [valid,
                   group("semidirect-criteria",
-                        [phi_cm1_criterion(xm, policy),
-                         phi_cm2_criterion(xm, policy)])]
+                        [phi_cm1_criterion(xm), phi_cm2_criterion(xm)])]
         if args.consequences:
             checks.append(_on_valid(
                 valid, f"consequence-checks {xm.name or 'xmod'}",
@@ -203,12 +202,11 @@ def run(args) -> "Report":
 
     if args.command == "roundtrip":
         xm = ws.xmod(args.name)
-        checks = [roundtrip_check(xm, _depth(args, ws), policy)]
+        checks = [roundtrip_check(xm, _depth(args, ws))]
         if args.perturb:
             checks.append(perturb_and_filter(
                 xm, depth=2 if args.depth is None else args.depth,
-                seed=args.seed, budget=_at_least(args.budget, "--budget"),
-                policy=policy))
+                seed=args.seed, budget=_at_least(args.budget, "--budget")))
         return group(f"roundtrip {args.name}", checks)
 
     if args.command == "ideal-check":
@@ -216,7 +214,7 @@ def run(args) -> "Report":
 
     if args.command == "cim-check":
         cim = ws.cim(args.name)
-        valid = validate_crossed_ideal_map(cim, policy,
+        valid = validate_crossed_ideal_map(cim,
                                            check_balance=not args.no_balance)
         return group(f"cim-check {args.name}", [
             valid,
@@ -233,7 +231,7 @@ def run(args) -> "Report":
             except ValueError:
                 raise IdealbarError("--corrupt-phi expects N:J with integers")
         bb = build_bibar(mor, args.rows, args.cols, drop)
-        return verify_bibar(bb, policy)
+        return verify_bibar(bb)
 
     raise IdealbarError(f"unknown command {args.command}")
 

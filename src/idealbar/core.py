@@ -24,9 +24,10 @@ from itertools import accumulate, chain, product
 from math import gcd, lcm, prod
 from operator import mod
 
+from .policy import EXHAUSTIVE, Policy, check, non_map_leaf
 # sweep is re-exported: perfbench's tracer self-test reaches it as
 # idealbar.core.sweep and idealbar.xmod.sweep
-from .policy import EXHAUSTIVE, Policy, check, sweep  # noqa: F401
+from .policy import sweep  # noqa: F401
 from .report import (AXIOM, FAIL, NOTE, PASS, STRUCTURAL, Report, group,
                      leaf)
 
@@ -51,7 +52,9 @@ class UnsupportedScaleError(IdealbarError):
 
 def refuse_non_maps(maps) -> None:
     """Refuse the first (name, hom or tensor) of maps that is not well
-    defined, which a check read off generators would pass."""
+    defined, with one error that names it, before any clause runs: each
+    clause that reads it would fail STRUCTURAL (policy.non_map_leaf)
+    without saying which input slot is at fault."""
     bad = next((name for name, f in maps if not f.well_defined()), None)
     if bad:
         raise StructuralError(f"the {bad} is not a well-defined map")
@@ -771,8 +774,7 @@ def _unit_note(alg: Algebra) -> Report:
 
 
 def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
-                            cod: Algebra,
-                            policy: Policy | None = None) -> Report:
+                            cod: Algebra) -> Report:
     """Check f(uv) = f(u)f(v).
 
     When hom and both products are well defined, both sides are bilinear
@@ -784,12 +786,10 @@ def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
     The pairs are scanned e_n < .. < e_1 in both arguments, as
     policy.check takes them, so the first mismatch is the least element
     witness and the leaf is the one the exhaustive sweep gives.
-    Otherwise the element pairs are swept under policy."""
+    Otherwise the leaf is policy.non_map_leaf: nothing is multiplicative
+    that is not a map between algebras."""
     if not all(m.well_defined() for m in (hom, dom.mul, cod.mul)):
-        return check(name, AXIOM, [dom.carrier] * 2,
-                     lambda u, v: hom.apply(dom.multiply(u, v))
-                     == cod.multiply(hom.apply(u), hom.apply(v)), policy,
-                     detail="f(uv) = f(u)f(v)")
+        return non_map_leaf(name)
     gens, images, orders = dom.carrier.generators(), hom.images, cod.orders
     consts, cols = dom.mul.constants, cod.mul.columns()
     f_cell = {cell: hom.apply(cell) for cell in set().union(*consts)}
@@ -811,19 +811,18 @@ def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
 
 def maps_equal_report(name: str, f: ModuleHom, g: ModuleHom,
                       detail: str = "") -> Report:
-    """Equality of two linear maps.  Equal image matrices decide a PASS;
-    otherwise check decides on generators when both maps are well
-    defined, and a difference it cannot read off generators is swept
-    exhaustively, so no sample can miss it."""
+    """Equality of two linear maps.  Equal image matrices of a
+    well-defined map decide a PASS; otherwise check decides on
+    generators, and a map that is not well defined fails STRUCTURAL
+    (policy.non_map_leaf), whatever its image matrix."""
     if f.domain != g.domain or f.codomain != g.codomain:
         return leaf(name, FAIL, STRUCTURAL,
                     detail="maps do not share domain and codomain")
-    if f.images == g.images:
+    if f.images == g.images and f.well_defined():
         return leaf(name, PASS, AXIOM, detail=detail,
-                    meta={"mode": "exhaustive", "checked": f.domain.size})
+                    meta={"mode": EXHAUSTIVE, "checked": f.domain.size})
     return check(name, AXIOM, [f.domain], lambda x: f.apply(x) == g.apply(x),
-                 Policy(mode=EXHAUSTIVE), detail or "maps differ",
-                 maps=(f, g))
+                 (f, g), detail=detail or "maps differ")
 
 
 def order_compatibility(hom: ModuleHom) -> Report:
@@ -847,12 +846,11 @@ def torsion_leaf(bad, detail: str = "") -> Report:
                 detail=detail, witness=bad)
 
 
-def validate_hom(f: AlgebraHom, policy: Policy | None = None) -> Report:
+def validate_hom(f: AlgebraHom) -> Report:
     name = f.name or "hom"
     return group(f"validate-hom {name}", [
         order_compatibility(f.hom),
-        multiplicativity_report("multiplicativity", f.hom, f.dom, f.cod,
-                                policy)])
+        multiplicativity_report("multiplicativity", f.hom, f.dom, f.cod)])
 
 
 def image(f: ModuleHom) -> Submodule:
@@ -892,17 +890,19 @@ def injective(f: ModuleHom) -> bool:
 def is_ideal(alg: Algebra, sub: Submodule,
              policy: Policy | None = None) -> Report:
     """Additive closure and absorption of a span.  The closure leaf
-    passes by construction, and when alg.mul is torsion-compatible
-    absorption is decided on pairs of algebra and span generators."""
+    passes by construction, and absorption is decided on pairs of
+    algebra and span generators, or fails STRUCTURAL when alg.mul is
+    not torsion-compatible; only a failure is swept, under policy, for
+    its least witness."""
     if sub.ambient != alg.carrier:
         raise StructuralError("submodule does not live in the algebra carrier")
     return group("is-ideal", [
         leaf("additive-closure", PASS, STRUCTURAL,
              detail="contains 0 and is closed under addition"),
         check("absorption", AXIOM, [alg, sub],
-              lambda a, x: sub.contains(alg.multiply(a, x)), policy,
+              lambda a, x: sub.contains(alg.multiply(a, x)), (alg.mul,),
               detail="a*x stays in the subset for a in the algebra",
-              maps=(alg.mul,))])
+              policy=policy)])
 
 
 # ---------------------------------------------------------------------------
@@ -955,8 +955,8 @@ def multiplicatively_closed(alg: Algebra, sub: Submodule,
     """Whether x*y stays in the subset for x, y in it, swept for the least
     witness.  A span decides a PASS on pairs of its generators."""
     return check(name, AXIOM, [sub, sub],
-                 lambda x, y: sub.contains(alg.multiply(x, y)),
-                 Policy(mode=EXHAUSTIVE), maps=(alg.mul,))
+                 lambda x, y: sub.contains(alg.multiply(x, y)), (alg.mul,),
+                 policy=Policy(mode=EXHAUSTIVE))
 
 
 def _present_subalgebra(alg: Algebra, sub: Submodule):

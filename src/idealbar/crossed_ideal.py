@@ -47,12 +47,12 @@ class XModMorphism:
         self.name = name
 
 
-def validate_morphism(mor: XModMorphism, policy: Policy | None = None) -> Report:
+def validate_morphism(mor: XModMorphism) -> Report:
     checks = []
-    rep = validate_hom(mor.alpha1, policy)
+    rep = validate_hom(mor.alpha1)
     rep.name = "alpha1-hom"
     checks.append(rep)
-    rep = validate_hom(mor.alpha2, policy)
+    rep = validate_hom(mor.alpha2)
     rep.name = "alpha2-hom"
     checks.append(rep)
 
@@ -60,22 +60,21 @@ def validate_morphism(mor: XModMorphism, policy: Policy | None = None) -> Report
                                 "alpha2 eta1 = eta2 alpha1"))
 
     checks.append(equivariance_report(
-        mor, "equivariance", AXIOM, "alpha1(s1.r1) = alpha2(s1).alpha1(r1)",
-        policy))
+        mor, "equivariance", AXIOM, "alpha1(s1.r1) = alpha2(s1).alpha1(r1)"))
     name = mor.name or "morphism"
     return group(f"validate-morphism {name}", checks)
 
 
-def equivariance_report(mor: XModMorphism, name: str, kind: str, detail: str,
-                        policy: Policy | None = None) -> Report:
+def equivariance_report(mor: XModMorphism, name: str, kind: str,
+                        detail: str) -> Report:
     """alpha1(s1.r1) = alpha2(s1).alpha1(r1) over S1 x R1."""
     src, tgt = mor.source, mor.target
     return check(name, kind, [src.s_alg, src.r_alg],
                  lambda s1, r1: mor.alpha1.apply(src.action.evaluate(s1, r1))
                  == tgt.action.evaluate(mor.alpha2.apply(s1),
-                                        mor.alpha1.apply(r1)), policy, detail,
-                 maps=(mor.alpha1.hom, mor.alpha2.hom, src.action,
-                       tgt.action))
+                                        mor.alpha1.apply(r1)),
+                 (mor.alpha1.hom, mor.alpha2.hom, src.action, tgt.action),
+                 detail=detail)
 
 
 def square_report(mor: XModMorphism, name: str, detail: str) -> Report:
@@ -135,12 +134,12 @@ def sub_crossed_module(ambient: CrossedModule, r_subset: Submodule,
     checks.append(check(
         "eta-maps-sub-into-sub", AXIOM, [r_subset],
         lambda x: s_subset.contains(ambient.eta.apply(x)),
-        Policy(mode=EXHAUSTIVE), detail="eta(R') must land in S'",
-        maps=(ambient.eta.hom,)))
+        (ambient.eta.hom,), detail="eta(R') must land in S'",
+        policy=Policy(mode=EXHAUSTIVE)))
     checks.append(check(
         "induced-action-closed", AXIOM, [s_subset, r_subset],
         lambda s, x: r_subset.contains(ambient.action.evaluate(s, x)),
-        Policy(mode=EXHAUSTIVE), maps=(ambient.action,)))
+        (ambient.action,), policy=Policy(mode=EXHAUSTIVE)))
     problems = [rep for rep in checks if not rep.passed]
     if problems:
         return SubXMod(ambient, None, None, None, r_subset, s_subset,
@@ -180,15 +179,14 @@ def validate_crossed_ideal(sx: SubXMod, policy: Policy | None = None) -> Report:
         ci1.append(leaf("inclusions-injective",
                         PASS if _embeds(sx.mu, sx.nu) else FAIL, STRUCTURAL))
         ci1.append(multiplicativity_report(
-            "mu-multiplicative", sx.mu.hom, sx.sub.r_alg, r_amb, policy))
+            "mu-multiplicative", sx.mu.hom, sx.sub.r_alg, r_amb))
         ci1.append(multiplicativity_report(
-            "nu-multiplicative", sx.nu.hom, sx.sub.s_alg, s_amb, policy))
+            "nu-multiplicative", sx.nu.hom, sx.sub.s_alg, s_amb))
 
         ci1.append(equivariance_report(
-            incl, "action-is-induced", AXIOM, "mu(s'.r') = nu(s').mu(r')",
-            policy))
+            incl, "action-is-induced", AXIOM, "mu(s'.r') = nu(s').mu(r')"))
 
-        sub_rep = validate_crossed_module(sx.sub, policy)
+        sub_rep = validate_crossed_module(sx.sub)
         sub_rep.name = "sub-is-crossed-module"
         ci1.append(sub_rep)
 
@@ -202,20 +200,20 @@ def validate_crossed_ideal(sx: SubXMod, policy: Policy | None = None) -> Report:
 
     checks.append(group("ci2-ideals", [
         check("r-sub-is-ideal", AXIOM, [sx.r_subset, r_amb],
-              lambda x, r: sx.r_subset.contains(r_amb.multiply(x, r)), policy,
-              maps=(r_amb.mul,)),
+              lambda x, r: sx.r_subset.contains(r_amb.multiply(x, r)),
+              (r_amb.mul,), policy=policy),
         check("s-sub-is-ideal", AXIOM, [sx.s_subset, s_amb],
-              lambda x, s: sx.s_subset.contains(s_amb.multiply(x, s)), policy,
-              maps=(s_amb.mul,)),
+              lambda x, s: sx.s_subset.contains(s_amb.multiply(x, s)),
+              (s_amb.mul,), policy=policy),
     ]))
     checks.append(check(
         "ci3-sub-base-acts-into-sub", AXIOM, [sx.s_subset, r_amb],
-        lambda s, r: sx.r_subset.contains(amb.action.evaluate(s, r)), policy,
-        detail="S'.R lands in R'", maps=(amb.action,)))
+        lambda s, r: sx.r_subset.contains(amb.action.evaluate(s, r)),
+        (amb.action,), detail="S'.R lands in R'", policy=policy))
     checks.append(check(
         "ci4-base-acts-into-sub", AXIOM, [s_amb, sx.r_subset],
-        lambda s, x: sx.r_subset.contains(amb.action.evaluate(s, x)), policy,
-        detail="S.R' lands in R'", maps=(amb.action,)))
+        lambda s, x: sx.r_subset.contains(amb.action.evaluate(s, x)),
+        (amb.action,), detail="S.R' lands in R'", policy=policy))
     name = sx.name or "sub"
     return group(f"validate-crossed-ideal {name}", checks)
 
@@ -240,7 +238,6 @@ class CrossedIdealMap:
 
 
 def validate_crossed_ideal_map(cim: CrossedIdealMap,
-                               policy: Policy | None = None,
                                check_balance: bool = True) -> Report:
     """The report of cim.  An eta or action of the source or target that
     is not well defined is refused first; the leg reports cover the rest."""
@@ -251,9 +248,9 @@ def validate_crossed_ideal_map(cim: CrossedIdealMap,
     r2, s2 = tgt.r_alg, tgt.s_alg
     act1, act2 = cim.alpha1_xmod.action, cim.alpha2_xmod.action
 
-    rep1 = validate_crossed_module(cim.alpha1_xmod, policy)
+    rep1 = validate_crossed_module(cim.alpha1_xmod)
     rep1.name = "alpha1-crossed-module"
-    rep2 = validate_crossed_module(cim.alpha2_xmod, policy)
+    rep2 = validate_crossed_module(cim.alpha2_xmod)
     rep2.name = "alpha2-crossed-module"
     checks = [rep1, rep2]
 
@@ -267,8 +264,8 @@ def validate_crossed_ideal_map(cim: CrossedIdealMap,
                        else "holds by the tensor encoding", witness=bad))
 
     def h_check(name, spaces, pred, detail, *maps):
-        return check(name, AXIOM, spaces, pred, policy, detail,
-                     maps=(cim.h,) + maps)
+        return check(name, AXIOM, spaces, pred, (cim.h,) + maps,
+                     detail=detail)
 
     checks.append(h_check("alpha1-of-h", [r2, s1],
                           lambda x, s: mor.alpha1.apply(cim.h.evaluate(x, s))
@@ -339,7 +336,7 @@ def image_crossed_ideal_check(cim: CrossedIdealMap,
     push = equivariance_report(
         cim.morphism, "pushforward-action-agrees", THEOREM,
         "the induced action on the image is the restricted ambient action, "
-        "independent of preimage choices", policy)
+        "independent of preimage choices")
     return group(f"image-crossed-ideal {cim.name or 'cim'}", [rep, push])
 
 

@@ -12,13 +12,13 @@ from itertools import combinations_with_replacement, product
 from math import gcd, prod
 
 from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule, ModuleHom,
-                   Submodule, UnsupportedScaleError, axiom_witnesses,
-                   multiplicativity_report, solve, validate_algebra,
-                   validate_hom)
+                   PreconditionError, Submodule, UnsupportedScaleError,
+                   axiom_witnesses, multiplicativity_report, solve,
+                   validate_algebra, validate_hom)
 from .crossed_ideal import (CrossedIdealMap, SubXMod, XModMorphism,
                             image_crossed_ideal_check, inclusion_cim,
                             sub_crossed_module, validate_crossed_ideal_map)
-from .policy import EXHAUSTIVE, Policy
+from .policy import Policy
 from .report import FAIL, NOTE, PASS, THEOREM, Report, group, leaf
 from .xmod import (CrossedModule, algebra_action_validator,
                    crossed_module_clauses, crossed_module_report,
@@ -88,9 +88,10 @@ def enumerate_algebras(modulus: int, rank: int) -> list[Algebra]:
 
 
 def enumerate_homs(dom: Algebra, cod: Algebra) -> list[AlgebraHom]:
-    """All multiplicative module homs between two algebras.
-    multiplicativity_report decides each candidate, so the list is exact
-    also when a product is not torsion-compatible."""
+    """All multiplicative module homs between two algebras, each
+    candidate decided by multiplicativity_report.  A product that is not
+    torsion-compatible is no bilinear map, so no hom is multiplicative
+    for it, and the list is empty."""
     choices = []
     for d in dom.carrier.orders:
         choices.append([y for y in cod.carrier.elements()
@@ -98,8 +99,7 @@ def enumerate_homs(dom: Algebra, cod: Algebra) -> list[AlgebraHom]:
     out = []
     for images in product(*choices):
         f = ModuleHom(dom.carrier, cod.carrier, list(images))
-        if multiplicativity_report("multiplicativity", f, dom, cod,
-                                   Policy(mode=EXHAUSTIVE)).passed:
+        if multiplicativity_report("multiplicativity", f, dom, cod).passed:
             out.append(AlgebraHom(dom, cod, f))
     return out
 
@@ -151,23 +151,23 @@ def classify_xmods(r_alg: Algebra, s_alg: Algebra,
     eta fills on first use where the maps are well defined.  The rejects
     share the factor reports as nodes of their trees, and, per eta, the
     cm1 and cm2 leaves of one witness, so every returned report is
-    read-only; only its root, and a leaf swept because a map is not
-    well defined, are the candidate's own."""
+    read-only; only its root is the candidate's own.  No clause here
+    sweeps elements, so policy is not read; it stays for the benchmark
+    workloads (perfbench/workloads.py), which pass one."""
     _check_pair_scale(r_alg.carrier, s_alg.carrier)
-    return _classify(r_alg, s_alg, enumerate_action_tensors(s_alg, r_alg),
-                     policy)
+    return _classify(r_alg, s_alg, enumerate_action_tensors(s_alg, r_alg))
 
 
-def _classify(r_alg: Algebra, s_alg: Algebra, tensors, policy):
+def _classify(r_alg: Algebra, s_alg: Algebra, tensors):
     """classify_xmods on the action tensors of the pair, listed by the
     caller, so that pairs over the same carriers share one list."""
     algebra_reps = [validate_algebra(r_alg), validate_algebra(s_alg)]
-    validate_action = algebra_action_validator(s_alg, r_alg, policy)
+    validate_action = algebra_action_validator(s_alg, r_alg)
     actions = [(tensor, validate_action(tensor)) for tensor in tensors]
     valid, invalid = [], []
     for eta in enumerate_homs(r_alg, s_alg):
-        hom_rep = validate_hom(eta, policy)
-        cm = crossed_module_clauses(eta, policy)
+        hom_rep = validate_hom(eta)
+        cm = crossed_module_clauses(eta)
         for act, act_rep in actions:
             xm = CrossedModule(eta, act,
                                name=f"cand{len(valid) + len(invalid)}")
@@ -180,8 +180,7 @@ def _classify(r_alg: Algebra, s_alg: Algebra, tensors, policy):
     return valid, invalid
 
 
-def all_valid_xmods(modulus: int, max_rank: int,
-                    policy: Policy | None = None) -> list[CrossedModule]:
+def all_valid_xmods(modulus: int, max_rank: int) -> list[CrossedModule]:
     """Valid crossed modules over every pair of algebras of rank at most
     max_rank."""
     algebras = [a for r in range(max_rank + 1)
@@ -189,22 +188,20 @@ def all_valid_xmods(modulus: int, max_rank: int,
     out = []
     for r_alg in algebras:
         for s_alg in algebras:
-            valid, _ = classify_xmods(r_alg, s_alg, policy)
+            valid, _ = classify_xmods(r_alg, s_alg)
             out.extend(valid)
     return out
 
 
 def _ideal_closure(alg: Algebra, gens) -> Submodule:
     """The least ideal holding gens: their span, grown by each product
-    a*x that escapes it.  When alg.mul is torsion-compatible, absorption
+    a*x that escapes it.  alg.mul is torsion-compatible, so absorption
     is bilinear and the products of algebra and span generators decide
-    it; otherwise every pair of elements is tried."""
+    it."""
     carrier = alg.carrier
     span = Submodule.from_generators(carrier, gens)
-    bilinear = alg.mul.well_defined()
     while True:
-        pairs = (product(alg.generators(), span.gens) if bilinear
-                 else product(alg.elements(), span))
+        pairs = product(alg.generators(), span.gens)
         escaped = next((p for p in (alg.multiply(a, x) for a, x in pairs)
                         if not span.contains(p)), None)
         if escaped is None:
@@ -217,7 +214,12 @@ def enumerate_ideals(alg: Algebra) -> list[Submodule]:
     ideal is reached from the zero ideal by adding its elements one by
     one.  The closure of base + e depends only on the coset of e, so it
     is taken once per nonzero coset, at its least element.  Sorted by
-    size then by element list, so the order is reproducible."""
+    size then by element list, so the order is reproducible.  A product
+    that is not torsion-compatible is refused, as kernel refuses a map
+    that is not well defined."""
+    if not alg.mul.well_defined():
+        raise PreconditionError(
+            "enumerate_ideals needs a well-defined product")
     carrier = alg.carrier
     zero_ideal = _ideal_closure(alg, [])
     seen = {zero_ideal.form: zero_ideal}
@@ -333,7 +335,7 @@ def fuzz_report(modulus: int, max_rank: int, count: int, seed: int = 0,
             _fuzz_chains(modulus, max_rank, count, seed)):
         if key not in verdicts:
             verdicts[key] = (
-                validate_crossed_ideal_map(cim, policy).passed
+                validate_crossed_ideal_map(cim).passed
                 and image_crossed_ideal_check(cim, policy, sub=sx).passed)
         ok = verdicts[key]
         failures += 0 if ok else 1
@@ -348,8 +350,7 @@ def fuzz_report(modulus: int, max_rank: int, count: int, seed: int = 0,
     return group(f"cim-fuzz m={modulus} rank<={max_rank}", [summary] + rows)
 
 
-def enumeration_report(modulus: int, max_rank: int,
-                       policy: Policy | None = None) -> Report:
+def enumeration_report(modulus: int, max_rank: int) -> Report:
     """Counting report: algebras per rank, then crossed module candidates
     over every algebra pair, split into valid and invalid.  Every pair
     of carriers is checked against MAX_PAIR_CANDIDATES before the first
@@ -370,7 +371,7 @@ def enumeration_report(modulus: int, max_rank: int,
                                                     repeat=2):
         tensors = enumerate_action_tensors(s_algs[0], r_algs[0])
         for r_alg, s_alg in product(r_algs, s_algs):
-            valid, invalid = _classify(r_alg, s_alg, tensors, policy)
+            valid, invalid = _classify(r_alg, s_alg, tensors)
             total += len(valid) + len(invalid)
             valid_count += len(valid)
     checks.append(leaf("xmod-candidates", NOTE, None,

@@ -1,5 +1,6 @@
-"""Verification policy: generator tuples where they decide, element sweeps
-elsewhere, exhaustive at desk scale and seeded sampling above.
+"""Verification policy: generator tuples decide every clause, and an
+element sweep, exhaustive at desk scale and seeded sampling above, finds
+the least witness of a failure on a span.
 
 A sweep runs a predicate over the cartesian product of finite element
 lists.  When the product has at most `exhaustive_bound` tuples the sweep
@@ -16,26 +17,26 @@ sweeps only.
 returns a PASS or FAIL leaf of the given class carrying the witness and
 the coverage (mode, tuples checked and, when sampled, the seed) in its
 meta.  `checked` counts the element tuples the verdict covers.  A space
-is one of three kinds:
+is one of two kinds:
 
 - a module (anything with `size`, `elements()` and `generators()`),
   standing for all its elements in lexicographic order;
 - a span (a Submodule, which keeps its generators as `gens`), standing
-  for its sorted elements;
-- a list of elements.
+  for its sorted elements.
 
-A multilinear clause is decided on generator tuples at every size and
-under every policy.  A caller passes `maps`, the tensors and homs the
-predicate reads, and so vouches that the predicate compares two maps
-built from them that are additive in every argument, or asks such a map
-to land in a span being swept.  When every map is well defined (tensors
-torsion-compatible, homs order-compatible) and every space is a module
-or a span, `check` takes the generator tuples: a module gives its
-standard generators, a span its generating list.  When every generator
-tuple passes so does every element tuple, so the leaf is the one the
-full sweep would give: mode exhaustive, every element tuple counted.  A
-map that is not well defined is not additive, and an element list has
-no generators; either way the elements are swept.
+Every clause is multilinear and is decided on generator tuples at every
+size and under every policy.  A caller passes `maps`, the tensors and
+homs the predicate reads, and so vouches that the predicate compares
+two maps built from them that are additive in every argument, or asks
+such a map to land in a span being swept.  When every map is well
+defined (tensors torsion-compatible, homs order-compatible) `check`
+takes the generator tuples: a module gives its standard generators, a
+span its generating list.  When every generator tuple passes so does
+every element tuple, so the leaf is the one the full sweep would give:
+mode exhaustive, every element tuple counted.  A map that is not well
+defined is no map, and a verdict read off its representatives would be
+about no structure, so the clause is not run: its leaf is
+`non_map_leaf`, a FAIL of class STRUCTURAL with no witness.
 
 When a generator tuple fails, the least witness comes from generators
 too if every space is a module.  For each argument the values that
@@ -46,9 +47,10 @@ i with e_i outside it.  Taking the generators in element order
 lexicographically least failing element tuple, by induction on the
 arity, and the FAIL leaf is the sweep's: that witness, mode exhaustive,
 every tuple counted.  A span gives no such witness, and a failure there
-falls back to the sweep.  A failing generator tuple is an element tuple,
-so when a sampled sweep misses every failure the leaf still fails, with
-that tuple as its witness.
+is swept for it; that sweep is the only one the policy governs.  A
+failing generator tuple is an element tuple, so when a sampled sweep
+misses every failure the leaf still fails, with that tuple as its
+witness.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .report import FAIL, PASS, Report, leaf
+from .report import FAIL, PASS, STRUCTURAL, Report, leaf
 
 EXHAUSTIVE_BOUND = 1_000_000
 SAMPLE_COUNT = 10_000
@@ -133,32 +135,35 @@ def _is_module(space) -> bool:
     return callable(getattr(space, "generators", None))
 
 
-def _generator_entry(space):
-    """Generators standing for space, or None for an element list."""
+def _generators(space):
+    """The generators standing for a module or a span."""
     if _is_module(space):
         # sorted standard generators are always e_n < .. < e_1
         return space.generators()[::-1]
-    return getattr(space, "gens", None)
+    return space.gens
 
 
-def check(name, kind, spaces, pred, policy: Policy | None = None,
-          detail: str = "", maps=None) -> Report:
-    """Sweep pred over the product of spaces and report it as one leaf.
+def non_map_leaf(name) -> Report:
+    """The leaf of a clause that reads a map that is not well defined."""
+    return leaf(name, FAIL, STRUCTURAL,
+                detail="not run: a map it reads is not well defined")
 
-    maps, when given, holds the tensors and homs pred reads and vouches
-    that generator tuples decide pred (see the module docstring)."""
-    bad = None
-    if maps is not None and all(m.well_defined() for m in maps):
-        entries = [_generator_entry(s) for s in spaces]
-        if all(e is not None for e in entries):
-            bad = next((tup for tup in product(*entries) if not pred(*tup)),
-                       None)
-            if bad is None or all(_is_module(s) for s in spaces):
-                total = prod(s.size for s in spaces)
-                return leaf(name, PASS if bad is None else FAIL, kind,
-                            detail=detail, witness=bad,
-                            meta={"mode": EXHAUSTIVE, "checked": total})
+
+def check(name, kind, spaces, pred, maps, detail: str = "",
+          policy: Policy | None = None) -> Report:
+    """pred over the product of spaces, modules or spans, as one leaf.
+
+    maps holds the tensors and homs pred reads and vouches that
+    generator tuples decide pred (see the module docstring)."""
+    if not all(m.well_defined() for m in maps):
+        return non_map_leaf(name)
+    bad = next((tup for tup in product(*map(_generators, spaces))
+                if not pred(*tup)), None)
+    if bad is None or all(_is_module(s) for s in spaces):
+        total = prod(s.size for s in spaces)
+        return leaf(name, PASS if bad is None else FAIL, kind, detail=detail,
+                    witness=bad, meta={"mode": EXHAUSTIVE, "checked": total})
     res = sweep([s.elements() if _is_module(s) else s for s in spaces],
                 pred, policy)
-    return leaf(name, PASS if res.ok and bad is None else FAIL, kind,
-                detail=detail, witness=res.witness or bad, meta=res.meta())
+    return leaf(name, FAIL, kind, detail=detail, witness=res.witness or bad,
+                meta=res.meta())

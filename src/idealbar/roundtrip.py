@@ -63,8 +63,7 @@ def extract_crossed_module(bar: TruncatedBarAlgebra) -> CrossedModule:
                          name="extracted")
 
 
-def _tail_face_multiplicativity(bar: TruncatedBarAlgebra,
-                                policy: Policy | None) -> Report:
+def _tail_face_multiplicativity(bar: TruncatedBarAlgebra) -> Report:
     """d_0 restricted to the level-2 tail ideal (0,a,b) -> (eta(a), b);
     multiplicative exactly when CM2 holds."""
     if bar.depth < 2:
@@ -79,15 +78,13 @@ def _tail_face_multiplicativity(bar: TruncatedBarAlgebra,
 
     tail = direct_sum([bar.r_mod] * 2)
     rep = check("d0-on-tail-multiplicative @ 2", AXIOM, [tail, tail], ok,
-                policy, detail="fails exactly on CM2 violations",
-                maps=(d0,) + bar.tensors)
+                (d0,) + bar.tensors, detail="fails exactly on CM2 violations")
     if rep.witness is not None:
         rep.witness = tuple(w for t in rep.witness for w in tail.split(t))
     return rep
 
 
-def verify_extracted(bar: TruncatedBarAlgebra,
-                     policy: Policy | None = None) -> Report:
+def verify_extracted(bar: TruncatedBarAlgebra) -> Report:
     """Validate the crossed module read off a bar structure, its own S
     and R included, routing the CM axioms through the face maps that
     detect them."""
@@ -97,17 +94,16 @@ def verify_extracted(bar: TruncatedBarAlgebra,
         return group("verify-extracted", [leaf(
             "extraction", FAIL, STRUCTURAL, detail=str(exc))])
     return group("verify-extracted", [
-        validate_algebra_action(xm, policy),
-        cm1_report(xm, policy),
-        cm2_report(xm, policy),
+        validate_algebra_action(xm),
+        cm1_report(xm),
+        cm2_report(xm),
         multiplicativity_report(
             "d0-multiplicative @ 1", bar.face(1, 0), bar.algebras[1],
-            bar.algebras[0], policy),
-        _tail_face_multiplicativity(bar, policy)])
+            bar.algebras[0]),
+        _tail_face_multiplicativity(bar)])
 
 
-def roundtrip_from_structure(bar: TruncatedBarAlgebra,
-                             policy: Policy | None = None) -> Report:
+def roundtrip_from_structure(bar: TruncatedBarAlgebra) -> Report:
     """Direction from a structure: rebuild every level product from the
     S, R and action of extract_crossed_module, compare tensors.  No
     product is taken from bar.xm, whose products a structure need not
@@ -131,20 +127,19 @@ def roundtrip_from_structure(bar: TruncatedBarAlgebra,
         witness=bad, meta={"levels": bar.depth})])
 
 
-def roundtrip_check(xm: CrossedModule, depth: int = 4,
-                    policy: Policy | None = None) -> Report:
+def roundtrip_check(xm: CrossedModule, depth: int = 4) -> Report:
     bar = build_bar_algebra(xm, depth)
     ext = extract_crossed_module(bar)
     checks = [
-        validate_crossed_module(xm, policy),
+        validate_crossed_module(xm),
         leaf("action-extraction-exact",
              PASS if ext.action == xm.action else FAIL, THEOREM,
              detail="(s,0)(0,r) = (0, s.r) recovers the action tensor"),
         leaf("eta-readback-exact",
              PASS if ext.eta.hom == xm.eta.hom else FAIL, THEOREM,
              detail="d_0 at level 1 recovers eta"),
-        roundtrip_from_structure(bar, policy),
-        verify_extracted(bar, policy),
+        roundtrip_from_structure(bar),
+        verify_extracted(bar),
     ]
     name = xm.name or "xmod"
     return group(f"roundtrip {name} depth {depth}", checks)
@@ -175,8 +170,7 @@ def _mutate_tensors(bar: TruncatedBarAlgebra, rng: random.Random):
     return k, cells
 
 
-def _definition_filter(canonical: TruncatedBarAlgebra,
-                       policy: Policy | None):
+def _definition_filter(canonical: TruncatedBarAlgebra):
     """Whether the canonical bar passes the definition filter, and a
     function of a level k and the cells that a mutant changes in its
     tensor, giving the mutant bar and whether it passes.  A mutant
@@ -194,14 +188,14 @@ def _definition_filter(canonical: TruncatedBarAlgebra,
     level tensor of build_bar_algebra is torsion-compatible exactly when
     S, R and the action are, so the mutant's tensors are all
     torsion-compatible exactly when the canonical ones are: no clause
-    that skips k switches between the generator decision and the element
-    sweep, and each sweep draws from its own Random(policy.seed)."""
+    that skips k switches between the generator decision and the
+    STRUCTURAL leaf of a map that is not well defined."""
     axioms = [None if any(axiom_witnesses(alg)) else cellwise_axioms(alg)
               for alg in canonical.algebras]
     failed = [(n,) for n, passes in enumerate(axioms) if passes is None]
     failed += [levels for levels, run in chain(
-        level_homomorphism_clauses(canonical, policy),
-        tail_absorption_clauses(canonical, policy)) if not run().passed]
+        level_homomorphism_clauses(canonical),
+        tail_absorption_clauses(canonical)) if not run().passed]
 
     def decide(k, cells):
         if any(k not in levels for levels in failed) or not (
@@ -212,8 +206,8 @@ def _definition_filter(canonical: TruncatedBarAlgebra,
                 Algebra(canonical.levels[k], tensor))):
             return None, False
         mutant = canonical.with_level_tensor(k, tensor)
-        clauses = chain(level_homomorphism_clauses(mutant, policy),
-                        tail_absorption_clauses(mutant, policy))
+        clauses = chain(level_homomorphism_clauses(mutant),
+                        tail_absorption_clauses(mutant))
         return mutant, all(run().passed for levels, run in clauses
                            if k in levels)
 
@@ -228,14 +222,16 @@ def perturb_and_filter(xm: CrossedModule, depth: int = 2, seed: int = 0,
     level.  The definition filter runs each clause once on the canonical
     bar and decides a mutant on the clauses that read its level (see
     _definition_filter).  Survivors must round-trip exactly; when none
-    survives, that leaf is a SKIP."""
+    survives, that leaf is a SKIP.  No clause here sweeps elements, so
+    policy is not read; it stays for the benchmark workloads
+    (perfbench/workloads.py), which pass one."""
     if budget < 1:
         raise PreconditionError(f"budget must be at least 1, got {budget}")
     if not xm.s_alg.carrier.rank + xm.r_alg.carrier.rank:
         raise PreconditionError("no tensor cell to perturb")
     rng = random.Random(seed)
     canonical = build_bar_algebra(xm, depth)
-    passed, decide = _definition_filter(canonical, policy)
+    passed, decide = _definition_filter(canonical)
     survivors = 0
     failures = []
     for t in range(budget):
@@ -245,7 +241,7 @@ def perturb_and_filter(xm: CrossedModule, depth: int = 2, seed: int = 0,
         if not passed:
             continue
         survivors += 1
-        rep = roundtrip_from_structure(cand, policy)
+        rep = roundtrip_from_structure(cand)
         if not rep.passed:
             failures.append(t)
     if survivors:

@@ -26,15 +26,15 @@ first use, actor composition's left sides per column and its right
 sides per row and cell among them, and one leaf is kept per witness,
 so tensors that share parts share that work and their leaves; the
 action validator keeps its torsion-compatibility leaf per witness and
-its k-bilinearity leaf once in the same way.  Where a map is not well
-defined, the clause's element predicate goes to check and is swept.
+its k-bilinearity leaf once in the same way.  Where a map the clause
+reads is not well defined, the clause is not run, and its leaf is
+policy.non_map_leaf, a FAIL of class STRUCTURAL, kept once per clause.
 classify_xmods builds these functions once per pair of algebras and
 once per eta; the tables live as long as the function.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from math import prod
 
 from .core import (Algebra, AlgebraHom, BilinearMap, ModuleHom,
@@ -42,7 +42,8 @@ from .core import (Algebra, AlgebraHom, BilinearMap, ModuleHom,
                    _present_subalgebra, block_hom, combine, image, is_ideal,
                    kernel, semidirect_product, solve, torsion_leaf,
                    torsion_witness, validate_algebra, validate_hom)
-from .policy import EXHAUSTIVE, Policy, check, sweep  # noqa: F401 (see core)
+from .policy import EXHAUSTIVE, Policy, check, non_map_leaf
+from .policy import sweep  # noqa: F401 (see core)
 from .report import (AXIOM, FAIL, NOTE, PASS, STRUCTURAL, THEOREM, Report,
                      group, leaf, relabel)
 
@@ -72,7 +73,7 @@ def _scan(alg: Algebra):
     return list(enumerate(alg.generators()))[::-1]
 
 
-def _clause(name, detail, spaces, maps, first_bad, pred, policy):
+def _clause(name, detail, spaces, maps, first_bad):
     """One clause of an action tensor, as a function of the tensor.
 
     maps are the fixed maps the clause reads besides the tensor.  When
@@ -81,24 +82,23 @@ def _clause(name, detail, spaces, maps, first_bad, pred, policy):
     and gives the first failing tuple or None; the leaf is then the one
     check gives.  That leaf depends on the witness alone, so one is kept
     per witness, None included, and every tensor with that witness gets
-    the same node: the leaves are read-only.  Otherwise pred, the
-    element predicate with the tensor as its first argument, is handed
-    to check and swept under policy, and the leaf is the tensor's own."""
+    the same node: the leaves are read-only.  Otherwise the leaf is the
+    clause's one policy.non_map_leaf, as check gives it."""
     fixed = all(m.well_defined() for m in maps)
     meta = {"mode": EXHAUSTIVE, "checked": prod(s.size for s in spaces)}
     leaves = _Table(lambda bad: leaf(name, PASS if bad is None else FAIL,
                                      AXIOM, detail=detail, witness=bad,
                                      meta=meta))
+    unmapped = non_map_leaf(name)
 
     def decide(tensor: BilinearMap) -> Report:
         if not (fixed and tensor.well_defined()):
-            return check(name, AXIOM, spaces, partial(pred, tensor), policy,
-                         detail)
+            return unmapped
         return leaves[first_bad(tensor)]
     return decide
 
 
-def _product_compatibility(s_alg: Algebra, r_alg: Algebra, policy):
+def _product_compatibility(s_alg: Algebra, r_alg: Algebra):
     # at (s_i, r_j, r_k): sum_l rc[j][k]_l c[i][l] against c[i][j] r_k
     # and r_j c[i][k], with r_k read as column k of R's product.  Only
     # row c[i] is read, so a row's first failing (r_j, r_k) is tabled
@@ -124,17 +124,12 @@ def _product_compatibility(s_alg: Algebra, r_alg: Algebra, policy):
                 return (s, *bad)
         return None
 
-    def pred(tensor, s, r1, r2):
-        lhs = tensor.evaluate(s, r_alg.multiply(r1, r2))
-        return (lhs == r_alg.multiply(tensor.evaluate(s, r1), r2)
-                and lhs == r_alg.multiply(r1, tensor.evaluate(s, r2)))
-
     return _clause("product-compatibility",
                    "s.(r1 r2) = (s.r1) r2 = r1 (s.r2)", [s_alg, r_alg, r_alg],
-                   (r_alg.mul,), first_bad, pred, policy)
+                   (r_alg.mul,), first_bad)
 
 
-def _actor_composition(s_alg: Algebra, r_alg: Algebra, policy):
+def _actor_composition(s_alg: Algebra, r_alg: Algebra):
     # at (s_i, s_j, r_k): sum_l sc[i][j]_l c[l][k], column k of the
     # tensor, against sum_l c[j][k]_l c[i][l].  The left sides over
     # (i, j) are tabled per column; the right sides per row c[i], in a
@@ -158,17 +153,11 @@ def _actor_composition(s_alg: Algebra, r_alg: Algebra, policy):
                         return s1, s2, r
         return None
 
-    def pred(tensor, s1, s2, r):
-        return (tensor.evaluate(s_alg.multiply(s1, s2), r)
-                == tensor.evaluate(s1, tensor.evaluate(s2, r)))
-
     return _clause("actor-composition", "(s1 s2).r = s1.(s2.r)",
-                   [s_alg, s_alg, r_alg], (s_alg.mul,), first_bad, pred,
-                   policy)
+                   [s_alg, s_alg, r_alg], (s_alg.mul,), first_bad)
 
 
-def algebra_action_validator(s_alg: Algebra, r_alg: Algebra,
-                             policy: Policy | None = None):
+def algebra_action_validator(s_alg: Algebra, r_alg: Algebra):
     """validate_algebra_action of every action of s_alg on r_alg, as a
     function of its tensor; what the algebras alone fix is read once,
     here.
@@ -177,15 +166,16 @@ def algebra_action_validator(s_alg: Algebra, r_alg: Algebra,
     torsion, compatibility with the product of R, and composition of
     actors.  Both of these are trilinear, so where the tensor and the
     product they read are well defined they are read off the constants
-    on generator triples (see _clause): product compatibility from a
-    table of each row's first failing pair, and actor composition from
-    a table of the left sides sum_l sc[i][j]_l c[l][k] per column and,
-    per row c[i], one of the right sides sum_l v_l c[i][l] per cell v.
+    on generator triples, and otherwise fail STRUCTURAL (see _clause):
+    product compatibility from a table of each row's first failing pair,
+    and actor composition from a table of the left sides
+    sum_l sc[i][j]_l c[l][k] per column and, per row c[i], one of the
+    right sides sum_l v_l c[i][l] per cell v.
     The validator keeps one torsion-compatibility leaf per witness and
     one k-bilinearity leaf, as the clauses keep theirs, so the returned
     reports are read-only."""
-    compat = _product_compatibility(s_alg, r_alg, policy)
-    compose = _actor_composition(s_alg, r_alg, policy)
+    compat = _product_compatibility(s_alg, r_alg)
+    compose = _actor_composition(s_alg, r_alg)
     torsion = _Table(torsion_leaf)
     bilinear = leaf("k-bilinearity", PASS, STRUCTURAL,
                     detail="holds by the tensor encoding")
@@ -197,10 +187,10 @@ def algebra_action_validator(s_alg: Algebra, r_alg: Algebra,
     return validate
 
 
-def validate_algebra_action(xm: CrossedModule, policy: Policy | None = None) -> Report:
+def validate_algebra_action(xm: CrossedModule) -> Report:
     """Torsion, product compatibility and actor composition of the
     action of S on R in xm (see algebra_action_validator)."""
-    return algebra_action_validator(xm.s_alg, xm.r_alg, policy)(xm.action)
+    return algebra_action_validator(xm.s_alg, xm.r_alg)(xm.action)
 
 
 class CrossedModule:
@@ -243,7 +233,7 @@ class CrossedModule:
         return f"CrossedModule({self.name or 'unnamed'})"
 
 
-def _cm1(eta: AlgebraHom, policy):
+def _cm1(eta: AlgebraHom):
     # at (s_i, r_j): eta(c[i][j]) against s_i eta(r_j), the latter
     # sum_l E[j]_l sc[i][l] read once per eta and the former tabled per
     # cell value
@@ -262,15 +252,11 @@ def _cm1(eta: AlgebraHom, policy):
                     return s, r
         return None
 
-    def pred(tensor, s, r):
-        return (eta.apply(tensor.evaluate(s, r))
-                == s_alg.multiply(s, eta.apply(r)))
-
     return _clause("cm1", "eta(s.r) = s eta(r)", [s_alg, eta.dom],
-                   (eta.hom, s_alg.mul), first_bad, pred, policy)
+                   (eta.hom, s_alg.mul), first_bad)
 
 
-def _cm2(eta: AlgebraHom, policy):
+def _cm2(eta: AlgebraHom):
     # at (r_i, r_j): sum_k E[i]_k c[k][j], column j of the tensor,
     # against rc[i][j]; those sums over i are tabled per column
     r_alg, images, orders = eta.dom, eta.images, eta.dom.orders
@@ -288,14 +274,11 @@ def _cm2(eta: AlgebraHom, policy):
                     return r1, r2
         return None
 
-    def pred(tensor, r1, r2):
-        return tensor.evaluate(eta.apply(r1), r2) == r_alg.multiply(r1, r2)
-
     return _clause("cm2", "eta(r1).r2 = r1 r2", [r_alg, r_alg],
-                   (eta.hom, r_alg.mul), first_bad, pred, policy)
+                   (eta.hom, r_alg.mul), first_bad)
 
 
-def crossed_module_clauses(eta: AlgebraHom, policy: Policy | None = None):
+def crossed_module_clauses(eta: AlgebraHom):
     """CM1 and CM2 of every crossed module on eta, as a function of its
     action tensor giving the cm1 and cm2 leaves; what eta fixes, the
     right sides s_i eta(r_j) of CM1 among it, is read once, here.
@@ -305,30 +288,30 @@ def crossed_module_clauses(eta: AlgebraHom, policy: Policy | None = None):
     the constants on generator pairs (see _clause): CM1 from a table of
     eta on cell values and CM2 from a table of the sums eta(r_i).r_j of
     each tensor column, both filled on first use, and tensors with one
-    witness get one leaf.  Otherwise the elements are swept under
-    policy, and the leaf is the tensor's own."""
-    cm1, cm2 = _cm1(eta, policy), _cm2(eta, policy)
+    witness get one leaf.  Otherwise each clause gives its one
+    STRUCTURAL leaf, policy.non_map_leaf."""
+    cm1, cm2 = _cm1(eta), _cm2(eta)
     return lambda tensor: [cm1(tensor), cm2(tensor)]
 
 
-def cm1_report(xm: CrossedModule, policy: Policy | None = None) -> Report:
-    return _cm1(xm.eta, policy)(xm.action)
+def cm1_report(xm: CrossedModule) -> Report:
+    return _cm1(xm.eta)(xm.action)
 
 
-def cm2_report(xm: CrossedModule, policy: Policy | None = None) -> Report:
-    return _cm2(xm.eta, policy)(xm.action)
+def cm2_report(xm: CrossedModule) -> Report:
+    return _cm2(xm.eta)(xm.action)
 
 
-def validate_crossed_module(xm: CrossedModule, policy: Policy | None = None) -> Report:
+def validate_crossed_module(xm: CrossedModule) -> Report:
     """Full stack of checks.  Reported in layers rather than gated, so an
     input that is not even an action still gets CM1/CM2 verdicts."""
     return crossed_module_report(xm, [
         validate_algebra(xm.r_alg),
         validate_algebra(xm.s_alg),
-        validate_hom(xm.eta, policy),
-        validate_algebra_action(xm, policy),
-        cm1_report(xm, policy),
-        cm2_report(xm, policy),
+        validate_hom(xm.eta),
+        validate_algebra_action(xm),
+        cm1_report(xm),
+        cm2_report(xm),
     ])
 
 
@@ -371,21 +354,21 @@ def consequence_checks(xm: CrossedModule, policy: Policy | None = None) -> Repor
 
     checks.append(check("kernel-annihilates", THEOREM, [ker, r_alg],
                         lambda x, r: r_alg.multiply(x, r) == r_alg.zero,
-                        policy, detail="x r = 0 for x in ker(eta)",
-                        maps=(r_alg.mul,)))
+                        (r_alg.mul,), detail="x r = 0 for x in ker(eta)",
+                        policy=policy))
 
     checks.append(group("quotient-action-well-defined", [
         check("kernel-closed-under-action", THEOREM, [s_alg, ker],
-              lambda s, x: ker.contains(act.evaluate(s, x)), policy,
-              maps=(act,)),
+              lambda s, x: ker.contains(act.evaluate(s, x)), (act,),
+              policy=policy),
         check("image-acts-trivially-on-kernel", THEOREM, [im, ker],
-              lambda t, x: act.evaluate(t, x) == r_alg.zero, policy,
+              lambda t, x: act.evaluate(t, x) == r_alg.zero, (act,),
               detail="makes the action of S/im(eta) well defined",
-              maps=(act,)),
+              policy=policy),
         check("induced-action-composes", THEOREM, [s_alg, s_alg, ker],
               lambda s1, s2, x: act.evaluate(s_alg.multiply(s1, s2), x)
-              == act.evaluate(s1, act.evaluate(s2, x)), policy,
-              maps=(act, s_alg.mul)),
+              == act.evaluate(s1, act.evaluate(s2, x)), (act, s_alg.mul),
+              policy=policy),
         leaf("induced-action-reading", NOTE, None,
              detail="checked as a k-bilinear module action; translation-"
                     "style axioms are not imposed, they fail for linear "
@@ -396,32 +379,31 @@ def consequence_checks(xm: CrossedModule, policy: Policy | None = None) -> Repor
     return group(f"consequence-checks {name}", checks)
 
 
-def _four_letter_check(name, detail, dom, cod, phi, policy):
+def _four_letter_check(name, detail, dom, cod, phi):
     """Multiplicativity of the hom phi from dom to cod, over pairs of
     elements of the semidirect product dom; the witness is split back
     into its four letters."""
     rep = check(name, AXIOM, [dom, dom],
                 lambda x, y: phi.apply(dom.multiply(x, y))
-                == cod.multiply(phi.apply(x), phi.apply(y)), policy, detail,
-                maps=(phi, dom.mul, cod.mul))
+                == cod.multiply(phi.apply(x), phi.apply(y)),
+                (phi, dom.mul, cod.mul), detail=detail)
     if rep.witness is not None:
         rep.witness = tuple(half for x in rep.witness
                             for half in dom.carrier.split(x))
     return rep
 
 
-def phi_cm1_criterion(xm: CrossedModule, policy: Policy | None = None) -> Report:
+def phi_cm1_criterion(xm: CrossedModule) -> Report:
     """(s, r) -> s + eta(r) from S |x R to S is multiplicative exactly
     when CM1 holds."""
     dom = semidirect_product(xm.s_alg, xm.r_alg, xm.action)
     return _four_letter_check(
         "cm1-phi-criterion",
         "s + eta(r) multiplicative on S|xR, equivalent to CM1", dom, xm.s_alg,
-        block_hom(dom.carrier, xm.s_alg.carrier, [(0, None), (0, xm.eta.hom)]),
-        policy)
+        block_hom(dom.carrier, xm.s_alg.carrier, [(0, None), (0, xm.eta.hom)]))
 
 
-def phi_cm2_criterion(xm: CrossedModule, policy: Policy | None = None) -> Report:
+def phi_cm2_criterion(xm: CrossedModule) -> Report:
     """(a, b) -> (eta(a), b) from R |x R (multiplication action) to S |x R
     is multiplicative exactly when CM2 holds."""
     dom = semidirect_product(xm.r_alg, xm.r_alg, xm.r_alg.mul)
@@ -430,5 +412,4 @@ def phi_cm2_criterion(xm: CrossedModule, policy: Policy | None = None) -> Report
         "cm2-phi-criterion",
         "(a, b) -> (eta(a), b) multiplicative into S|xR, equivalent to CM2",
         dom, cod,
-        block_hom(dom.carrier, cod.carrier, [(0, xm.eta.hom), (1, None)]),
-        policy)
+        block_hom(dom.carrier, cod.carrier, [(0, xm.eta.hom), (1, None)]))

@@ -17,9 +17,13 @@ whose layout they check.
 span_oracle closes a generator list under addition breadth first and
 kernel_oracle applies a hom to every element of its domain; both return
 the sorted elements of a subgroup that core.Submodule holds as a Howell
-form instead.  absorption_oracle sweeps the absorption clause of
-core.is_ideal over those elements as a plain list, which gives no
-generators to decide on, and addition_violation_oracle scans the pairs
+form instead.  swept_leaf is the element sweep that policy.check decides
+on generator tuples, and the oracle of every clause it decides on maps:
+the leaf of policy.sweep over every element tuple.  counted_sweeps
+records the sweeps the package makes, so that a test can show that a
+clause on a map that is not well defined sweeps nothing.  absorption_oracle
+sweeps the absorption clause of core.is_ideal over the elements of a
+subset, and addition_violation_oracle scans the pairs
 of a listed subset for the least one whose sum is not listed, where a
 workspace compares the size of the span with the listing.  howell_oracle computes that form rewriting every earlier row
 at each new pivot, where core.howell_form skips the rows a pivot leaves
@@ -41,15 +45,18 @@ lists the valid crossed modules among them.
 """
 
 import random
+from contextlib import contextmanager
 from itertools import product
+from unittest import mock
 from math import gcd
 from pathlib import Path
 
 import idealbar.crossed_ideal as crossed_ideal
+import idealbar.policy as policy_mod
 from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                            ModuleHom, Submodule, decompose_abelian,
                            direct_sum, image)
-from idealbar.policy import check
+from idealbar.policy import sweep
 from idealbar.enumeration import (_ideal_closure, enumerate_algebras,
                                   enumerate_ideals)
 from idealbar.report import AXIOM, FAIL, PASS, THEOREM, group, leaf
@@ -311,13 +318,38 @@ def kernel_oracle(f):
     return tuple(x for x in f.domain.elements() if f.apply(x) == zero)
 
 
+def swept_leaf(name, kind, spaces, pred, policy=None, detail=""):
+    """The leaf of policy.sweep of pred over the element tuples of
+    spaces: a module stands for its elements, a span or a list for the
+    elements it lists."""
+    res = sweep([s.elements() if callable(getattr(s, "generators", None))
+                 else list(s) for s in spaces], pred, policy)
+    return leaf(name, PASS if res.ok else FAIL, kind, detail=detail,
+                witness=res.witness, meta=res.meta())
+
+
+@contextmanager
+def counted_sweeps():
+    """policy.sweep wrapped for the block, which gets the list of the
+    spaces of every sweep the package makes; swept_leaf's are not
+    counted."""
+    calls = []
+
+    def counting(spaces, *args, **kwargs):
+        calls.append(spaces)
+        return sweep(spaces, *args, **kwargs)
+
+    with mock.patch.object(policy_mod, "sweep", counting):
+        yield calls
+
+
 def absorption_oracle(alg, elements, policy=None):
     """The absorption leaf of core.is_ideal, swept over the elements of
     the subset as a plain list."""
     members = set(elements)
-    return check("absorption", AXIOM, [alg, list(elements)],
-                 lambda a, x: alg.multiply(a, x) in members, policy,
-                 detail="a*x stays in the subset for a in the algebra")
+    return swept_leaf("absorption", AXIOM, [alg, list(elements)],
+                      lambda a, x: alg.multiply(a, x) in members, policy,
+                      detail="a*x stays in the subset for a in the algebra")
 
 
 def addition_violation_oracle(mod, elements):
@@ -406,7 +438,7 @@ def fuzz_report_oracle(modulus, max_rank, count, seed=0, policy=None):
     rows = []
     failures = 0
     for sx, cim in fuzz_cims_oracle(modulus, max_rank, count, seed):
-        ok = (crossed_ideal.validate_crossed_ideal_map(cim, policy).passed
+        ok = (crossed_ideal.validate_crossed_ideal_map(cim).passed
               and crossed_ideal.image_crossed_ideal_check(
                   cim, policy, sub=sx).passed)
         failures += 0 if ok else 1

@@ -146,9 +146,9 @@ def test_semidirect_criterion_homs_match_oracles(name, xm, depth, monkeypatch):
     homs = []
     check = idealbar.xmod._four_letter_check
 
-    def spy(name, detail, dom, cod, phi, policy):
+    def spy(name, detail, dom, cod, phi):
         homs.append(phi)
-        return check(name, detail, dom, cod, phi, policy)
+        return check(name, detail, dom, cod, phi)
 
     monkeypatch.setattr(idealbar.xmod, "_four_letter_check", spy)
     phi_cm1_criterion(xm)

@@ -12,7 +12,8 @@ import idealbar.core as core_mod
 import idealbar.crossed_ideal as crossed_ideal_mod
 import idealbar.enumeration as enumeration_mod
 import idealbar.xmod as xmod_mod
-from idealbar.core import (Algebra, BilinearMap, FiniteModule, Submodule,
+from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
+                           ModuleHom, PreconditionError, Submodule,
                            UnsupportedScaleError, is_ideal,
                            multiplicativity_report, validate_algebra)
 from idealbar.crossed_ideal import (
@@ -32,12 +33,12 @@ from idealbar.enumeration import (
     fuzz_cims,
     fuzz_report,
 )
-from idealbar.policy import Policy
+from idealbar.policy import Policy, non_map_leaf
 from idealbar.report import AXIOM, FAIL, leaf
-from idealbar.xmod import (cm1_report, cm2_report, validate_algebra_action,
-                           validate_crossed_module)
-from oracles import (fuzz_chain, fuzz_cims_oracle, fuzz_report_oracle,
-                     ideals_oracle, workspace)
+from idealbar.xmod import (CrossedModule, cm1_report, cm2_report,
+                           validate_algebra_action, validate_crossed_module)
+from oracles import (counted_sweeps, fuzz_chain, fuzz_cims_oracle,
+                     fuzz_report_oracle, ideals_oracle, workspace)
 
 
 def nilsquare_pair():
@@ -92,12 +93,12 @@ def test_classification_of_the_nilsquare_pair():
         assert not rep.passed
 
 
-def classify_by_candidate(r_alg, s_alg, policy=None):
+def classify_by_candidate(r_alg, s_alg):
     """The oracle of classify_xmods: validate_crossed_module on every
     candidate of enumerate_xmods."""
     valid, invalid = [], []
     for xm in enumerate_xmods(r_alg, s_alg):
-        rep = validate_crossed_module(xm, policy)
+        rep = validate_crossed_module(xm)
         if rep.passed:
             valid.append(xm)
         else:
@@ -112,8 +113,9 @@ def json_text(rep):
 
 
 def assert_same_classification(r_alg, s_alg, policy=None):
+    # classify_xmods reads no policy; a sampling one changes nothing
     valid, invalid = classify_xmods(r_alg, s_alg, policy)
-    o_valid, o_invalid = classify_by_candidate(r_alg, s_alg, policy)
+    o_valid, o_invalid = classify_by_candidate(r_alg, s_alg)
     assert valid == o_valid
     assert [xm.name for xm in valid] == [xm.name for xm in o_valid]
     assert [xm for xm, _ in invalid] == [xm for xm, _ in o_invalid]
@@ -150,17 +152,31 @@ def test_classification_matches_the_oracle_under_sampling():
                                                  sample_count=3, seed=5)])
 def test_classification_matches_the_oracle_off_torsion(policy):
     # over Z/4 + Z/2, g_2 g_2 = g_1 is not torsion-compatible (2 g_1 !=
-    # 0), so every clause that reads this product is swept, on either
-    # side of the pair
+    # 0), so no hom is multiplicative into or out of this product, on
+    # either side of the pair, and the pair has no candidate.  A
+    # candidate built on the zero eta has every clause that reads the
+    # product as the STRUCTURAL leaf, with nothing swept
     mod = FiniteModule(4, [4, 2])
     broken = Algebra(mod, BilinearMap(mod, mod, mod, [[(0, 0), (0, 0)],
                                                       [(0, 0), (1, 0)]]))
     assert not broken.mul.well_defined()
     for other in enumerate_algebras(4, 1)[:3]:
-        assert_same_classification(other, broken, policy)
-        assert_same_classification(broken, other, policy)
-    valid, invalid = classify_xmods(enumerate_algebras(4, 1)[0], broken)
-    assert not valid and invalid
+        for r_alg, s_alg, reading in (
+                (other, broken, ("actor-composition", "cm1")),
+                (broken, other, ("product-compatibility", "cm2"))):
+            with counted_sweeps() as calls:
+                assert classify_xmods(r_alg, s_alg, policy) == ([], [])
+                assert_same_classification(r_alg, s_alg, policy)
+                r_mod, s_mod = r_alg.carrier, s_alg.carrier
+                eta = AlgebraHom(r_alg, s_alg, ModuleHom(
+                    r_mod, s_mod, [s_mod.zero] * r_mod.rank))
+                act = BilinearMap(s_mod, r_mod, r_mod,
+                                  [[r_mod.zero] * r_mod.rank] * s_mod.rank)
+                rep = validate_crossed_module(CrossedModule(eta, act))
+            assert calls == []
+            for name in ("multiplicativity",) + reading:
+                assert rep.find(name).to_json() \
+                    == non_map_leaf(name).to_json()
 
 
 def test_each_factor_is_validated_once(monkeypatch):
@@ -230,18 +246,20 @@ def test_rejects_share_their_factor_reports():
 def test_enumerated_homs_are_multiplicative_over_torsion_violating_products():
     # the codomain product is not torsion-compatible, so generator pairs
     # decide nothing: f = ((1,3), (0,2)) agrees with the product on them,
-    # yet f((1,0)(2,0)) = (0,2) while f(1,0) f(2,0) = (0,0)
+    # yet f((1,0)(2,0)) = (0,2) while f(1,0) f(2,0) = (0,0).  A product
+    # that is no map makes no hom multiplicative, so none is listed
     dom_mod, cod_mod = FiniteModule(4, [4, 2]), FiniteModule(4, [2, 4])
     dom = Algebra(dom_mod, BilinearMap(dom_mod, dom_mod, dom_mod,
                                        [[(3, 0), (0, 0)], [(0, 0), (2, 1)]]))
     cod = Algebra(cod_mod, BilinearMap(cod_mod, cod_mod, cod_mod,
                                        [[(1, 3), (1, 0)], [(1, 0), (0, 2)]]))
     assert dom.mul.well_defined() and not cod.mul.well_defined()
-    homs = enumerate_homs(dom, cod)
-    assert ((1, 3), (0, 2)) not in [h.images for h in homs]
-    for h in homs:
-        assert multiplicativity_report("f", h.hom, dom, cod,
-                                       Policy(mode="exhaustive")).passed
+    with counted_sweeps() as calls:
+        assert enumerate_homs(dom, cod) == []
+    assert calls == []
+    f = ModuleHom(dom_mod, cod_mod, [(1, 3), (0, 2)])
+    assert multiplicativity_report("f", f, dom, cod).to_json() \
+        == non_map_leaf("f").to_json()
 
 
 @pytest.mark.parametrize("modulus, total, valid",
@@ -347,20 +365,32 @@ def _torsion_violating_algebra():
 
 
 def test_ideals_match_the_subgroups_that_are_ideals():
+    # a torsion-violating product absorbs no subgroup, the zero one
+    # included: is_ideal fails each STRUCTURAL, with nothing swept
     algs = [a for modulus, rank in ((2, 0), (2, 1), (2, 2), (4, 1))
             for a in enumerate_algebras(modulus, rank)]
-    for alg in algs + [_torsion_violating_algebra()]:
+    for alg in algs:
         assert [i.elements for i in enumerate_ideals(alg)] \
             == [s.elements for s in ideals_by_subgroups(alg)]
+    with counted_sweeps() as calls:
+        assert ideals_by_subgroups(_torsion_violating_algebra()) == []
+    assert calls == []
+
+
+def test_ideals_of_a_torsion_violating_product_are_refused():
+    # closing on generators would find 6 ideals, and no subgroup is an
+    # ideal of a product that is no map
+    with pytest.raises(PreconditionError, match="well-defined product"):
+        enumerate_ideals(_torsion_violating_algebra())
 
 
 def test_ideals_match_the_oracle_that_closes_every_element():
     # one closure per coset keeps every ideal and the generators it was
-    # first found with, over mixed orders and a torsion-violating product
+    # first found with, over mixed orders
     algs = [a for modulus in (4, 6, 8, 9, 12) for rank in (0, 1)
             for a in enumerate_algebras(modulus, rank)]
     algs += enumerate_algebras(2, 2) + enumerate_algebras(3, 2)
-    for alg in algs + [_torsion_violating_algebra()]:
+    for alg in algs:
         assert [(i.form, i.gens) for i in enumerate_ideals(alg)] \
             == [(i.form, i.gens) for i in ideals_oracle(alg)], alg.name
 

@@ -4,13 +4,15 @@ The multilinear clauses of the bar layer, of xmod, of crossed_ideal and
 of roundtrip (and the absorption clause of is_ideal) are decided on
 generator tuples at every size, and a failing one is witnessed by the
 first failing generator tuple.  The slow path, an element sweep of every
-tuple, is kept as the oracle: each case below runs once as shipped and
-once with the maps dropped from every check call, which closes the
-generator path, and the JSON reports must be identical, verdicts,
+tuple (oracles.swept_leaf), is kept as the oracle: each case below runs
+once as shipped and once with every check call on maps swept element by
+element instead, and the JSON reports must be identical, verdicts,
 witnesses and meta alike.  Under the default policy that compares the
 clauses within the exhaustive bound; with the bound lowered to 1 every
 element sweep samples, and each leaf decided on generators must still
-match the exhaustive sweep.  The image check handed a fuzz draw's sub
+match the exhaustive sweep.  A clause that reads a map that is not well
+defined is not run: its leaf is the STRUCTURAL non_map_leaf, and
+nothing is swept for it.  The image check handed a fuzz draw's sub
 crossed module is held to the same standard against the image it would
 otherwise assemble.
 """
@@ -34,44 +36,49 @@ from idealbar.crossed_ideal import (CrossedIdealMap, image_crossed_ideal_check,
                                     validate_crossed_ideal_map)
 from idealbar.enumeration import (all_valid_xmods, enumerate_algebras,
                                   enumerate_xmods, fuzz_cims, fuzz_report)
-from idealbar.policy import EXHAUSTIVE, SAMPLE, Policy
-from idealbar.report import AXIOM, FAIL
+from idealbar.policy import EXHAUSTIVE, SAMPLE, Policy, non_map_leaf
+from idealbar.report import AXIOM, FAIL, STRUCTURAL
 from idealbar.roundtrip import perturb_and_filter, verify_extracted
 from idealbar.xmod import (CrossedModule, inclusion_xmod, phi_cm1_criterion,
                            phi_cm2_criterion, validate_crossed_module)
-from oracles import workspace
+from oracles import counted_sweeps, swept_leaf, workspace
 
 CHECKERS = (bar_mod, core_mod, xmod_mod, crossed_ideal_mod, roundtrip_mod)
 MULTIPLICATIVITY_CALLERS = (bar_mod, core_mod, crossed_ideal_mod,
                             enumeration_mod, roundtrip_mod)
 LOWERED = Policy(exhaustive_bound=1)
+_shipped_check = policy_mod.check
 _shipped_multiplicativity = core_mod.multiplicativity_report
 
 
-def _without_generators(*args, maps=None, **kwargs):
-    return policy_mod.check(*args, **kwargs)
+def _without_generators(name, kind, spaces, pred, maps, detail="",
+                        policy=None):
+    # a clause on maps swept element by element; one that reads a map
+    # that is not well defined keeps its shipped leaf, which no sweep
+    # reaches
+    if not all(m.well_defined() for m in maps):
+        return _shipped_check(name, kind, spaces, pred, maps, detail, policy)
+    return swept_leaf(name, kind, spaces, pred, policy, detail)
 
 
-def _multiplicativity_without_generators(name, hom, dom, cod, policy=None):
+def _multiplicativity_without_generators(name, hom, dom, cod):
     # a PASS of multiplicativity_report stays on generator pairs: sweeping
     # the 2048^2 pairs of nilcube level 4 takes minutes.  A FAIL read off
-    # the tables is swept under the caller's policy, and the lowered-bound
-    # tests sweep its passes too.  With the gate closed the report already
-    # sweeps through the patched check
-    rep = _shipped_multiplicativity(name, hom, dom, cod, policy)
-    if rep.passed or not all(m.well_defined()
-                             for m in (hom, dom.mul, cod.mul)):
+    # the tables is swept, and the lowered-bound tests sweep its passes
+    # too.  The STRUCTURAL leaf of a map that is not well defined stays
+    rep = _shipped_multiplicativity(name, hom, dom, cod)
+    if rep.passed or rep.kind == STRUCTURAL:
         return rep
-    return policy_mod.check(name, AXIOM, [dom.carrier] * 2,
-                            lambda u, v: hom.apply(dom.multiply(u, v))
-                            == cod.multiply(hom.apply(u), hom.apply(v)),
-                            policy, detail="f(uv) != f(u)f(v)")
+    return swept_leaf(name, AXIOM, [dom.carrier] * 2,
+                      lambda u, v: hom.apply(dom.multiply(u, v))
+                      == cod.multiply(hom.apply(u), hom.apply(v)),
+                      detail="f(uv) != f(u)f(v)")
 
 
 def assert_same(monkeypatch, run):
-    """run() gives the same JSON as shipped and with every check, and
-    every failing multiplicativity read off the tables, swept element by
-    element."""
+    """run() gives the same JSON as shipped and with every check on maps,
+    and every failing multiplicativity read off the tables, swept element
+    by element."""
     fast = run().to_json()
     with monkeypatch.context() as m:
         for mod in CHECKERS:
@@ -82,16 +89,10 @@ def assert_same(monkeypatch, run):
         assert run().to_json() == fast
 
 
-def count_sweeps(monkeypatch):
-    calls = []
-    sweep = policy_mod.sweep
-
-    def counting_sweep(*args, **kwargs):
-        calls.append(args)
-        return sweep(*args, **kwargs)
-
-    monkeypatch.setattr(policy_mod, "sweep", counting_sweep)
-    return calls
+def assert_unmapped(rep, names):
+    """Each leaf of rep named in names is the STRUCTURAL non_map_leaf."""
+    for name in names:
+        assert rep.find(name).to_json() == non_map_leaf(name).to_json(), name
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 4])
@@ -120,22 +121,21 @@ def test_fixtures_at_depth_four(monkeypatch, name):
     assert_same(monkeypatch, lambda: verify_bar(build_bar_algebra(xm, 4)))
 
 
-def _swept_exhaustively(name, kind, spaces, pred, policy=None, detail="",
-                        maps=None):
-    return policy_mod.check(name, kind, spaces, pred, Policy(mode=EXHAUSTIVE),
-                            detail)
+def _swept_exhaustively(name, kind, spaces, pred, maps, detail="",
+                        policy=None):
+    return _without_generators(name, kind, spaces, pred, maps, detail,
+                               Policy(mode=EXHAUSTIVE))
 
 
-def _multiplicativity_swept(name, hom, dom, cod, policy=None):
+def _multiplicativity_swept(name, hom, dom, cod):
     # multiplicativity_report as a predicate swept exhaustively, its
     # generator-pair leaf fields kept: the table read it makes must match
-    gate = all(m.well_defined() for m in (hom, dom.mul, cod.mul))
     rep = _swept_exhaustively(
         name, AXIOM, [dom.carrier] * 2,
         lambda u, v: hom.apply(dom.multiply(u, v))
         == cod.multiply(hom.apply(u), hom.apply(v)),
-        detail="f(uv) != f(u)f(v)" if gate else "f(uv) = f(u)f(v)")
-    if gate and rep.passed:
+        (hom, dom.mul, cod.mul), detail="f(uv) != f(u)f(v)")
+    if rep.passed:
         rep.detail = "f(uv) = f(u)f(v), generator pairs, complete by bilinearity"
         rep.meta["generator_pairs"] = dom.carrier.rank ** 2
     return rep
@@ -247,20 +247,23 @@ def _by_letters(xm):
         return d0.apply(bar.multiply(2, u, v)) \
             == bar.multiply(1, d0.apply(u), d0.apply(v))
 
-    return [policy_mod.check("cm1-phi-criterion", AXIOM, [s_el, r_el] * 2,
-                             cm1, None, phi_cm1_criterion(xm).detail),
-            policy_mod.check("cm2-phi-criterion", AXIOM, [r_el] * 4, cm2,
-                             None, phi_cm2_criterion(xm).detail),
-            policy_mod.check("d0-on-tail-multiplicative @ 2", AXIOM,
-                             [r_el] * 4, tail, None,
-                             "fails exactly on CM2 violations")]
+    return [swept_leaf("cm1-phi-criterion", AXIOM, [s_el, r_el] * 2, cm1,
+                       detail="s + eta(r) multiplicative on S|xR, "
+                              "equivalent to CM1"),
+            swept_leaf("cm2-phi-criterion", AXIOM, [r_el] * 4, cm2,
+                       detail="(a, b) -> (eta(a), b) multiplicative into "
+                              "S|xR, equivalent to CM2"),
+            swept_leaf("d0-on-tail-multiplicative @ 2", AXIOM, [r_el] * 4,
+                       tail, detail="fails exactly on CM2 violations")]
 
 
 def test_semidirect_criteria_and_the_tail_face(monkeypatch):
     # cm1-phi-criterion, cm2-phi-criterion and d0-on-tail-multiplicative
     # @ 2 check pairs of elements of a semidirect product or of the
     # level-2 tail, and split the witness back into four letters; the
-    # sweep over the four letters is the oracle
+    # sweep over the four letters is the oracle.  Each reads every map
+    # of the crossed module, so on the torsion-violating one each is the
+    # STRUCTURAL leaf, with nothing swept
     algebras = enumerate_algebras(4, 1)
     cases = [xm for r_alg in algebras for s_alg in algebras
              for xm in enumerate_xmods(r_alg, s_alg)[::7]]
@@ -269,14 +272,19 @@ def test_semidirect_criteria_and_the_tail_face(monkeypatch):
     cases.append(_torsion_violating_xmod())
     statuses = set()
     for xm in cases:
+        maps = all(f.well_defined() for _, f in xm.maps(""))
         runs = [lambda: phi_cm1_criterion(xm), lambda: phi_cm2_criterion(xm),
                 lambda: verify_extracted(build_bar_algebra(xm, 2)).find(
                     "d0-on-tail-multiplicative @ 2")]
         for run, oracle in zip(runs, _by_letters(xm)):
-            assert run().to_json() == oracle.to_json()
+            if not maps:
+                oracle = non_map_leaf(oracle.name)
+            with counted_sweeps() as calls:
+                assert run().to_json() == oracle.to_json()
+            assert calls == []
             assert_same(monkeypatch, run)
-            statuses.add(oracle.passed)
-    assert statuses == {True, False}
+            statuses.add((oracle.kind, oracle.passed))
+    assert statuses == {(AXIOM, True), (AXIOM, False), (STRUCTURAL, False)}
 
 
 def test_fuzz_report_mod_4(monkeypatch):
@@ -297,7 +305,13 @@ def _twisted(cim, rng):
                            cim.alpha2_xmod.action, h, name="twisted")
 
 
+H_CLAUSES = ("alpha1-of-h", "eta1-of-h", "h-on-alpha1-image",
+             "h-on-eta1-image", "h-base-balance")
+
+
 def test_fuzzed_and_twisted_crossed_ideal_maps_mod_4(monkeypatch):
+    # a twist that breaks the torsion of h leaves every h clause the
+    # STRUCTURAL leaf, with nothing swept
     rng = random.Random(5)
     statuses = set()
     for _, cim in fuzz_cims(4, 2, 25, 7):
@@ -309,8 +323,13 @@ def test_fuzzed_and_twisted_crossed_ideal_maps_mod_4(monkeypatch):
                         lambda: validate_crossed_ideal_map(case))
             assert_same(monkeypatch,
                         lambda: image_crossed_ideal_check(case))
-            statuses.add(validate_crossed_ideal_map(case).passed)
-    assert statuses == {True, False}
+            with counted_sweeps() as calls:
+                rep = validate_crossed_ideal_map(case)
+            assert calls == []
+            if not case.h.well_defined():
+                assert_unmapped(rep, H_CLAUSES)
+            statuses.add((case.h.well_defined(), rep.passed))
+    assert statuses == {(True, True), (True, False), (False, False)}
 
 
 def _count_sub_assembly(monkeypatch):
@@ -374,21 +393,21 @@ def test_image_check_assembles_the_image_for_a_sub_that_does_not_span_it(
     assert len(calls) == 3
 
 
-def test_rank_one_candidates_never_sweep(monkeypatch):
-    calls = count_sweeps(monkeypatch)
-    for r_alg in enumerate_algebras(4, 1):
-        for s_alg in enumerate_algebras(4, 1):
-            for xm in enumerate_xmods(r_alg, s_alg):
-                validate_crossed_module(xm)
+def test_rank_one_candidates_never_sweep():
+    with counted_sweeps() as calls:
+        for r_alg in enumerate_algebras(4, 1):
+            for s_alg in enumerate_algebras(4, 1):
+                for xm in enumerate_xmods(r_alg, s_alg):
+                    validate_crossed_module(xm)
     assert calls == []
 
 
-def test_nilcube_depth_four_never_sweeps(monkeypatch):
+def test_nilcube_depth_four_never_sweeps():
     # the differential tests above would pass vacuously if the fast path
     # were never taken
     xm = workspace("nilcube").xmod("main")
-    calls = count_sweeps(monkeypatch)
-    rep = verify_bar(build_bar_algebra(xm, 4))
+    with counted_sweeps() as calls:
+        rep = verify_bar(build_bar_algebra(xm, 4))
     assert rep.passed
     assert calls == []
 
@@ -409,16 +428,37 @@ def _torsion_violating_xmod():
     return CrossedModule(eta, act, name="torsion")
 
 
+def _swept_whatever_the_maps(name, kind, spaces, pred, maps, detail="",
+                             policy=None):
+    return swept_leaf(name, kind, spaces, pred, policy, detail)
+
+
+def assert_bar_clauses_unmapped(bar, groups=()):
+    """verify_bar sweeps nothing, and every face, degeneracy and
+    absorption clause, and every clause of the named groups, is the
+    STRUCTURAL leaf."""
+    with counted_sweeps() as calls:
+        rep = verify_bar(bar)
+    assert calls == []
+    for name in ("level-homomorphisms", "tail-absorption", *groups):
+        assert_unmapped(rep, [leaf.name for leaf in rep.find(name).checks])
+
+
 def test_torsion_violation_closes_the_gate(monkeypatch):
     xm = _torsion_violating_xmod()
     assert next(xm.r_alg.mul.torsion_violations(), None) is not None
     bar = build_bar_algebra(xm, 2)
     assert not all(t.well_defined() for t in bar.tensors)
+    assert_bar_clauses_unmapped(bar, ["tail-ideal-products @ 1",
+                                      "tail-ideal-products @ 2"])
     assert_same(monkeypatch, lambda: verify_bar(build_bar_algebra(xm, 2)))
 
-    # the gate matters: with it forced open the generator pairs pass a
-    # clause that the element sweep refutes at (0,0,e0)(0,e0,e0)
-    assert not verify_bar(bar).find("tail-tail-product @ 2").passed
+    # the gate matters: the representatives refute a clause at
+    # (0,0,e0)(0,e0,e0) that the generator pairs pass with the gate
+    # forced open
+    with monkeypatch.context() as m:
+        m.setattr(bar_mod, "check", _swept_whatever_the_maps)
+        assert not verify_bar(bar).find("tail-tail-product @ 2").passed
     monkeypatch.setattr(bar, "tensors", ())
     assert verify_bar(bar).find("tail-tail-product @ 2").passed
 
@@ -438,6 +478,7 @@ def test_torsion_violating_level_tensor_closes_the_gate(monkeypatch):
     assert next(tensor.torsion_violations(), None) is not None
     mutant = canonical.with_level_tensor(1, tensor)
     assert not all(t.well_defined() for t in mutant.tensors)
+    assert_bar_clauses_unmapped(mutant)
     assert_same(monkeypatch, lambda: verify_bar(mutant))
 
 
@@ -445,7 +486,6 @@ def test_fuzzed_subsets_are_closed_on_generators(monkeypatch):
     # every subset fuzz_cims builds is a span, so the closures in
     # sub_crossed_module and the presentation inclusion_xmod builds pass
     # on generators
-    calls = count_sweeps(monkeypatch)
     inside = []
 
     def counted(fn):
@@ -461,14 +501,14 @@ def test_fuzzed_subsets_are_closed_on_generators(monkeypatch):
                       (crossed_ideal_mod, "_present_subalgebra"),
                       (xmod_mod, "_present_subalgebra")):
         monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
-    assert fuzz_report(2, 2, 100).passed
+    with counted_sweeps() as calls:
+        assert fuzz_report(2, 2, 100).passed
     assert inside and sum(inside) == 0
 
 
 def test_ideal_enumeration_never_sweeps(monkeypatch):
     # enumerate_ideals grows ideal closures, so no span is swept for an
     # absorption witness
-    calls = count_sweeps(monkeypatch)
     inside = []
     enumerate_ideals = enumeration_mod.enumerate_ideals
 
@@ -479,5 +519,6 @@ def test_ideal_enumeration_never_sweeps(monkeypatch):
         return out
 
     monkeypatch.setattr(enumeration_mod, "enumerate_ideals", counted)
-    assert fuzz_report(2, 2, 100).passed
+    with counted_sweeps() as calls:
+        assert fuzz_report(2, 2, 100).passed
     assert inside and sum(inside) == 0

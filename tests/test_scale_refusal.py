@@ -155,7 +155,7 @@ def test_census_at_modulus_3_and_rank_2_is_not_refused(monkeypatch):
     from idealbar import enumeration
     pairs = []
     monkeypatch.setattr(enumeration, "_classify",
-                        lambda r, s, tensors, policy: (pairs.append(
+                        lambda r, s, tensors: (pairs.append(
                             (r, s)), ([], []))[1])
     rep = enumeration.enumeration_report(3, 2)
     algebras = sum(c.meta["count"] for c in rep.checks[:3])

@@ -10,7 +10,7 @@ have mixed orders over m in {4, 6, 8, 9, 12}; order-1 summands are
 drawn too, so a module may have rank 0.
 """
 
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -110,12 +110,18 @@ def test_kernel_and_solve_read_one_graph_form(monkeypatch):
 
 
 def algebra_with_ideals(data, m):
-    """A tensor on a small mixed-order module, with the subsets that
-    enumerate_ideals finds and is_ideal passes."""
+    """A torsion-compatible tensor on a small mixed-order module, with
+    the subsets that enumerate_ideals finds and is_ideal passes: cell
+    (i, j) is drawn among the values gcd(d_i, d_j) kills."""
     mod = module(data, m, 16)
+
+    def cell(d, e):
+        g = gcd(d, e)
+        return [f // gcd(f, g) * data.draw(st.integers(0, gcd(f, g) - 1))
+                for f in mod.orders]
+
     alg = Algebra(mod, BilinearMap(mod, mod, mod, [
-        [data.draw(st.sampled_from(mod.elements())) for _ in mod.orders]
-        for _ in mod.orders]), name="a")
+        [cell(d, e) for e in mod.orders] for d in mod.orders]), name="a")
     return alg, [i for i in enumerate_ideals(alg) if is_ideal(alg, i).passed]
 
 

@@ -5,7 +5,8 @@ them off when the maps the predicate reads are well defined: the span's
 generators may decide a PASS, and a failure is swept for the least
 witness.  The oracle is the same clause over the span's elements given
 as a plain list, for is_ideal's absorption leaf too.  Products are
-drawn torsion-violating as well, which must close the gate.
+drawn torsion-violating as well, which must close the gate: the leaf
+is then the STRUCTURAL non_map_leaf, and nothing is swept.
 """
 
 from math import prod
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 
 from idealbar.core import (Algebra, BilinearMap, FiniteModule, Submodule,
                            is_ideal)
-from idealbar.policy import EXHAUSTIVE, Policy, check
+from idealbar.policy import EXHAUSTIVE, Policy, check, non_map_leaf
 from idealbar.report import AXIOM, FAIL, PASS
-from oracles import absorption_oracle
+from oracles import absorption_oracle, counted_sweeps, swept_leaf
 
 MODULI = [4, 6, 8, 9]
 ORACLE = Policy(mode=EXHAUSTIVE)
@@ -50,10 +51,14 @@ def test_is_ideal_on_a_span_matches_its_elements(data, m):
     mod = module(data, m, 36)
     alg = Algebra(mod, tensor(data, mod, mod, mod))
     sub = span(data, mod)
-    rep = is_ideal(alg, sub)
+    with counted_sweeps() as calls:
+        rep = is_ideal(alg, sub)
     assert rep.find("additive-closure").status == PASS
-    assert rep.find("absorption").to_json() \
-        == absorption_oracle(alg, sub.elements).to_json()
+    oracle = (absorption_oracle(alg, sub.elements) if alg.mul.well_defined()
+              else non_map_leaf("absorption"))
+    assert rep.find("absorption").to_json() == oracle.to_json()
+    assert len(calls) == (rep.find("absorption").kind == AXIOM
+                          and not rep.passed)
 
 
 @given(st.data(), st.sampled_from(MODULI))
@@ -69,24 +74,31 @@ def test_check_on_a_span_matches_the_sweep(data, m):
     def pred(x, y):
         return b1.evaluate(x, y) == b2.evaluate(x, y)
 
-    fast = check("clause", AXIOM, [sub, other], pred, ORACLE, maps=(b1, b2))
-    slow = check("clause", AXIOM, [list(sub.elements), other.elements()],
-                 pred, ORACLE)
+    with counted_sweeps() as calls:
+        fast = check("clause", AXIOM, [sub, other], pred, (b1, b2),
+                     policy=ORACLE)
+    slow = (swept_leaf("clause", AXIOM, [sub, other], pred, ORACLE)
+            if b1.well_defined() and b2.well_defined()
+            else non_map_leaf("clause"))
     assert fast.to_json() == slow.to_json()
+    assert len(calls) == (fast.kind == AXIOM and not fast.passed)
 
 
 def test_torsion_violating_product_closes_the_gate_on_a_span():
     # Z/2 + Z/3 over Z/6: e0 has order 2 but e0*e0 = (1, 1) does not, so
     # the product is not bilinear on the module.  The span of (0, 2) is
-    # absorbed on generator pairs, yet e0*(0, 1) = (1, 2) leaves it
+    # absorbed on generator pairs, yet e0*(0, 1) = (1, 2) leaves it: the
+    # representatives disagree, and no absorption is read off them
     mod = FiniteModule(6, [2, 3])
     alg = Algebra(mod, BilinearMap(mod, mod, mod,
                                    [[(1, 1), (1, 2)], [(0, 2), (0, 2)]]))
     assert not alg.mul.well_defined()
     sub = Submodule.from_generators(mod, [(0, 2)])
-    node = is_ideal(alg, sub).find("absorption")
-    assert node.status == FAIL
-    assert node.witness == ((1, 0), (0, 1))
+    assert absorption_oracle(alg, sub.elements).witness == ((1, 0), (0, 1))
+    with counted_sweeps() as calls:
+        node = is_ideal(alg, sub).find("absorption")
+    assert calls == []
+    assert node.to_json() == non_map_leaf("absorption").to_json()
 
 
 def test_a_failing_span_is_swept_for_the_least_witness():

@@ -12,8 +12,10 @@ torsion_violations and order_violations read only the cells whose
 orders allow a violation, and the perturbation harness derives each
 mutant from the canonical tensor's changed cells.
 The slow forms are kept here as oracles: the coordinate double sum, the
-generator-tuple predicate through policy.check, the full (i, j, l) walk,
-and the rebuild of a mutant from raw lists.  multiplicativity_report is
+generator-tuple predicate through policy.check, the element sweep of
+oracles.swept_leaf, the full (i, j, l) walk, and the rebuild of a
+mutant from raw lists.  A clause that reads a map that is not well
+defined is the STRUCTURAL policy.non_map_leaf on both paths.  multiplicativity_report is
 compared with its oracle on the operators the bar and bibar verifiers
 check, on the mutants of the perturbation harness and on drawn algebras.
 """
@@ -32,13 +34,13 @@ from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                            ModuleHom, identity_hom, multiplicativity_report)
 from idealbar.enumeration import (enumerate_action_tensors, enumerate_algebras,
                                   enumerate_homs)
-from idealbar.policy import EXHAUSTIVE, Policy, check
+from idealbar.policy import EXHAUSTIVE, Policy, check, non_map_leaf
 from idealbar.report import AXIOM
 from idealbar.roundtrip import _mutate_tensors
 from idealbar.xmod import (CrossedModule, algebra_action_validator,
                            cm1_report, cm2_report, crossed_module_clauses,
                            validate_algebra_action)
-from oracles import FIXTURES, workspace
+from oracles import FIXTURES, counted_sweeps, swept_leaf, workspace
 
 MODULI = [4, 6, 8, 9]
 CASES = settings(max_examples=150, deadline=None)
@@ -54,30 +56,26 @@ def double_sum(x, images, cod):
                  for l, f in enumerate(cod.orders))
 
 
-def predicate_multiplicativity(name, hom, dom, cod, policy=None, kind=AXIOM):
+def predicate_multiplicativity(name, hom, dom, cod, kind=AXIOM):
     """multiplicativity_report as it was: the predicate f(uv) = f(u)f(v)
-    handed to check with the three maps, so a closed gate sweeps the
-    elements and an open one takes the generator pairs.  f is applied
-    as the coordinate double sum, so that no combine is shared with the
-    path under test."""
-    maps = (hom, dom.mul, cod.mul)
-    gate = all(m.well_defined() for m in maps)
-
+    handed to check with the three maps, so a closed gate gives the
+    STRUCTURAL leaf and an open one takes the generator pairs.  f is
+    applied as the coordinate double sum, so that no combine is shared
+    with the path under test."""
     def f(x):
         return double_sum(x, hom.images, hom.codomain)
 
     rep = check(name, kind, [dom.carrier] * 2,
                 lambda u, v: f(dom.multiply(u, v))
-                == cod.multiply(f(u), f(v)), policy,
-                detail="f(uv) != f(u)f(v)" if gate else "f(uv) = f(u)f(v)",
-                maps=maps)
-    if gate and rep.passed:
+                == cod.multiply(f(u), f(v)), (hom, dom.mul, cod.mul),
+                detail="f(uv) != f(u)f(v)")
+    if rep.passed:
         rep.detail = "f(uv) = f(u)f(v), generator pairs, complete by bilinearity"
         rep.meta["generator_pairs"] = dom.carrier.rank ** 2
     return rep
 
 
-def predicate_clauses(eta, tensor, policy=None):
+def predicate_clauses(eta, tensor):
     """The four clauses of the crossed module (eta, tensor) as they were:
     product compatibility, actor composition, cm1 and cm2, each the
     predicate handed to check with the maps it reads."""
@@ -90,19 +88,16 @@ def predicate_clauses(eta, tensor, policy=None):
 
     return [
         check("product-compatibility", AXIOM, [s_alg, r_alg, r_alg], compat,
-              policy, detail="s.(r1 r2) = (s.r1) r2 = r1 (s.r2)",
-              maps=(tensor, r_alg.mul)),
+              (tensor, r_alg.mul), detail="s.(r1 r2) = (s.r1) r2 = r1 (s.r2)"),
         check("actor-composition", AXIOM, [s_alg, s_alg, r_alg],
               lambda s1, s2, r: act(smul(s1, s2), r) == act(s1, act(s2, r)),
-              policy, detail="(s1 s2).r = s1.(s2.r)",
-              maps=(tensor, s_alg.mul)),
+              (tensor, s_alg.mul), detail="(s1 s2).r = s1.(s2.r)"),
         check("cm1", AXIOM, [s_alg, r_alg],
               lambda s, r: eta.apply(act(s, r)) == smul(s, eta.apply(r)),
-              policy, detail="eta(s.r) = s eta(r)",
-              maps=(eta.hom, tensor, s_alg.mul)),
+              (eta.hom, tensor, s_alg.mul), detail="eta(s.r) = s eta(r)"),
         check("cm2", AXIOM, [r_alg, r_alg],
-              lambda r1, r2: act(eta.apply(r1), r2) == rmul(r1, r2), policy,
-              detail="eta(r1).r2 = r1 r2", maps=(eta.hom, tensor, r_alg.mul)),
+              lambda r1, r2: act(eta.apply(r1), r2) == rmul(r1, r2),
+              (eta.hom, tensor, r_alg.mul), detail="eta(r1).r2 = r1 r2"),
     ]
 
 
@@ -191,7 +186,7 @@ def test_multiplicativity_matches_the_predicate_path(data, m, endo, dom_ok,
     # an endomorphism starts from the identity, so passes and failures on
     # a few generator pairs both occur; otherwise both algebras and the
     # hom are drawn outright.  A hom or product that is not well defined
-    # closes the gate
+    # closes the gate, and no element is swept
     dom = module(data, m, 36)
     a = Algebra(dom, product_tensor(data, dom, dom_ok))
     if endo:
@@ -201,9 +196,10 @@ def test_multiplicativity_matches_the_predicate_path(data, m, endo, dom_ok,
         b = Algebra(cod, product_tensor(data, cod, cod_ok))
         base = ModuleHom(dom, cod, [[0] * cod.rank] * dom.rank)
     f = redrawn_hom(data, base, hom_ok)
-    for policy in (None, Policy(mode=EXHAUSTIVE)):
-        assert multiplicativity_report("mult", f, a, b, policy).to_json() \
-            == predicate_multiplicativity("mult", f, a, b, policy).to_json()
+    with counted_sweeps() as calls:
+        assert multiplicativity_report("mult", f, a, b).to_json() \
+            == predicate_multiplicativity("mult", f, a, b).to_json()
+    assert calls == []
 
 
 def test_a_forward_scan_would_give_another_witness():
@@ -303,7 +299,7 @@ def test_multiplicativity_matches_on_every_vertical_bibar_operator():
 def test_multiplicativity_matches_on_mutated_levels(fixture, depth):
     # each mutant replaces one level's product, so the operators into
     # and out of that level read it; mutants over Z/4 may break torsion,
-    # and then both paths sweep the elements
+    # and then both paths give the STRUCTURAL leaf
     bar = build_bar_algebra(workspace(fixture).xmod("main"), depth)
     statuses = set()
     for seed in range(20):
@@ -384,20 +380,20 @@ def json_leaves(reports):
     return [rep.to_json() for rep in reports]
 
 
-def assert_clauses_match(eta, tensors, policy=None):
+def assert_clauses_match(eta, tensors):
     """Every route to the four clauses of (eta, tensor) gives the leaves
     of the predicate path: validate_algebra_action with cm1_report and
     cm2_report, and the functions classify_xmods builds once per pair of
     algebras and once per eta."""
     s_alg, r_alg = eta.cod, eta.dom
-    validate = algebra_action_validator(s_alg, r_alg, policy)
-    cm = crossed_module_clauses(eta, policy)
+    validate = algebra_action_validator(s_alg, r_alg)
+    cm = crossed_module_clauses(eta)
     for tensor in tensors:
-        oracle = json_leaves(predicate_clauses(eta, tensor, policy))
+        oracle = json_leaves(predicate_clauses(eta, tensor))
         xm = CrossedModule(eta, tensor)
-        act = validate_algebra_action(xm, policy)
-        assert json_leaves(act.checks[2:] + [cm1_report(xm, policy),
-                                             cm2_report(xm, policy)]) == oracle
+        act = validate_algebra_action(xm)
+        assert json_leaves(act.checks[2:] + [cm1_report(xm),
+                                             cm2_report(xm)]) == oracle
         assert json_leaves(validate(tensor).checks[2:] + cm(tensor)) == oracle
 
 
@@ -452,17 +448,17 @@ def redrawn_tensor(data, base, compatible):
 
 
 @given(st.data(), st.sampled_from(MODULI), st.booleans(), st.booleans(),
-       st.booleans(), st.booleans(), st.booleans())
+       st.booleans(), st.booleans())
 @CASES
 def test_crossed_module_clauses_match_the_predicate_path(
-        data, m, endo, mul_ok, eta_ok, act_ok, sampled):
+        data, m, endo, mul_ok, eta_ok, act_ok):
     # the identity crossed module of an algebra, acting on itself by its
     # product, passes every clause when the product is a zero or a
     # commutative associative one, and fails a few generator tuples once
     # eta or the tensor is redrawn; otherwise S, R, eta and the tensor
     # are drawn outright.  A product, hom or tensor that is not well
-    # defined closes the gate, and the sampled policy then shows in the
-    # swept leaf
+    # defined closes the gate, and the clauses that read it are the
+    # STRUCTURAL leaf
     s_mod = module(data, m, 12)
     s_alg = drawn_algebra(data, s_mod, mul_ok)
     if endo:
@@ -474,9 +470,7 @@ def test_crossed_module_clauses_match_the_predicate_path(
         base_act = zero_tensor(s_mod, r_mod, r_mod)
     eta = AlgebraHom(r_alg, s_alg, redrawn_hom(data, base_eta, eta_ok))
     tensor = redrawn_tensor(data, base_act, act_ok)
-    policy = Policy(mode="sample", sample_count=40, seed=7) if sampled \
-        else None
-    assert_clauses_match(eta, [tensor], policy)
+    assert_clauses_match(eta, [tensor])
 
 
 def test_a_failing_clause_takes_the_least_element_witness():
@@ -550,7 +544,8 @@ def test_clause_tables_are_kept_per_eta():
 def swept_action_leaves(s_alg, r_alg, tensor):
     """The torsion, product-compatibility and actor-composition leaves
     of an action as the full walk and an exhaustive element sweep of
-    each predicate give them, with no generator decision."""
+    each predicate give them, with no generator decision; a clause whose
+    tensor or product is not well defined is the STRUCTURAL leaf."""
     exact = Policy(mode=EXHAUSTIVE)
     act, smul, rmul = tensor.evaluate, s_alg.multiply, r_alg.multiply
 
@@ -558,16 +553,21 @@ def swept_action_leaves(s_alg, r_alg, tensor):
         lhs = act(s, rmul(r1, r2))
         return lhs == rmul(act(s, r1), r2) and lhs == rmul(r1, act(s, r2))
 
+    def swept(name, spaces, pred, mul):
+        if tensor.well_defined() and mul.well_defined():
+            return swept_leaf(name, AXIOM, spaces, pred, exact)
+        return non_map_leaf(name)
+
     walked = walked_torsion_violations(tensor)
     return [
         ("torsion-compatibility", "FAIL" if walked else "PASS",
          walked[0] if walked else None, {}),
         *((rep.name, rep.status, rep.witness, rep.meta) for rep in (
-            check("product-compatibility", AXIOM, [s_alg, r_alg, r_alg],
-                  compat, exact),
-            check("actor-composition", AXIOM, [s_alg, s_alg, r_alg],
+            swept("product-compatibility", [s_alg, r_alg, r_alg], compat,
+                  r_alg.mul),
+            swept("actor-composition", [s_alg, s_alg, r_alg],
                   lambda s1, s2, r: act(smul(s1, s2), r)
-                  == act(s1, act(s2, r)), exact)))]
+                  == act(s1, act(s2, r)), s_alg.mul)))]
 
 
 def drawn_action(data, m, mul_ok):
@@ -590,13 +590,15 @@ def test_tabled_action_leaves_match_the_exhaustive_element_sweep(
     # when act_ok is false: the shared torsion leaf and the tabled
     # product-compatibility and actor-composition leaves carry the
     # status, witness and meta of the full walk and of the exhaustive
-    # sweep of the element predicates
+    # sweep of the element predicates, or are the STRUCTURAL leaf of a
+    # tensor or product that is not well defined, with nothing swept
     s_alg, r_alg, base = drawn_action(data, m, mul_ok)
-    validate = algebra_action_validator(s_alg, r_alg,
-                                        Policy(mode=EXHAUSTIVE))
+    validate = algebra_action_validator(s_alg, r_alg)
     for _ in range(3):
         tensor = redrawn_tensor(data, base, act_ok)
-        got = validate(tensor).checks
+        with counted_sweeps() as calls:
+            got = validate(tensor).checks
+        assert calls == []
         assert got[1].name == "k-bilinearity"
         assert [(c.name, c.status, c.witness, c.meta)
                 for c in got[:1] + got[2:]] \
@@ -647,10 +649,10 @@ def test_columns_are_the_nested_transpose(data, m):
     assert tensor.columns() == transpose(tensor)
 
 
-def test_torsion_breaking_tensors_sweep_and_share_no_leaf():
+def test_torsion_breaking_tensors_fail_structural_and_share_one_leaf():
     # over Z/4 + Z/2, a cell of order 4 in a Z/2 row breaks torsion, so
-    # each clause sweeps the elements; a swept leaf is the tensor's own,
-    # while a table-decided leaf is kept once per witness
+    # each clause is the STRUCTURAL leaf, kept once per clause, as a
+    # table-decided leaf is kept once per witness
     mod = FiniteModule(4, [4, 2])
     alg = Algebra(mod, zero_tensor(mod, mod, mod))
     eta = AlgebraHom(alg, alg, identity_hom(mod))
@@ -661,11 +663,15 @@ def test_torsion_breaking_tensors_sweep_and_share_no_leaf():
     validate = algebra_action_validator(alg, alg)
     cm = crossed_module_clauses(eta)
     for tensor in (broken, sound):
-        first = validate(tensor).checks[2:] + cm(tensor)
-        again = validate(tensor).checks[2:] + cm(tensor)
+        with counted_sweeps() as calls:
+            first = validate(tensor).checks[2:] + cm(tensor)
+            again = validate(tensor).checks[2:] + cm(tensor)
+        assert calls == []
         assert json_leaves(first) == json_leaves(again)
-        shared = [a is b for a, b in zip(first, again)]
-        assert shared == [tensor is sound] * 4
+        assert all(a is b for a, b in zip(first, again))
+    assert json_leaves(validate(broken).checks[2:] + cm(broken)) \
+        == json_leaves(map(non_map_leaf, ("product-compatibility",
+                                          "actor-composition", "cm1", "cm2")))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
                            ModuleHom, StructuralError, Submodule,
                            order_compatibility, validate_hom)
 from idealbar.enumeration import enumerate_xmods
-from idealbar.policy import check
 from idealbar.report import AXIOM, group
 from idealbar.xmod import (
     CrossedModule,
@@ -26,7 +25,7 @@ from idealbar.xmod import (
     validate_algebra_action,
     validate_crossed_module,
 )
-from oracles import fixture_xmods, workspace
+from oracles import fixture_xmods, swept_leaf, workspace
 
 
 def test_fixture_crossed_modules_validate():
@@ -141,18 +140,19 @@ def swept_module_action(t):
         return sp.add(x, t.apply(r))
 
     return group("module-action-axioms", [
-        check("actor-sum-composes", AXIOM, [xs, rs, rs],
-              lambda x, r1, r2: act(x, r_mod.add(r1, r2))
-              == act(act(x, r1), r2)),
-        check("zero-acts-trivially", AXIOM, [xs],
-              lambda x: act(x, r_mod.zero) == x),
-        check("additivity", AXIOM, [xs, xs, rs, rs],
-              lambda x1, x2, r1, r2:
-              act(sp.add(x1, x2), r_mod.add(r1, r2))
-              == sp.add(act(x1, r1), act(x2, r2))),
-        check("scalar-compatibility", AXIOM, [range(r_mod.modulus), xs, rs],
-              lambda k, x, r: sp.scale(k, act(x, r))
-              == act(sp.scale(k, x), r_mod.scale(k, r))),
+        swept_leaf("actor-sum-composes", AXIOM, [xs, rs, rs],
+                   lambda x, r1, r2: act(x, r_mod.add(r1, r2))
+                   == act(act(x, r1), r2)),
+        swept_leaf("zero-acts-trivially", AXIOM, [xs],
+                   lambda x: act(x, r_mod.zero) == x),
+        swept_leaf("additivity", AXIOM, [xs, xs, rs, rs],
+                   lambda x1, x2, r1, r2:
+                   act(sp.add(x1, x2), r_mod.add(r1, r2))
+                   == sp.add(act(x1, r1), act(x2, r2))),
+        swept_leaf("scalar-compatibility", AXIOM,
+                   [range(r_mod.modulus), xs, rs],
+                   lambda k, x, r: sp.scale(k, act(x, r))
+                   == act(sp.scale(k, x), r_mod.scale(k, r))),
     ])
 
 
