@@ -758,19 +758,52 @@ def cellwise_axioms(alg: Algebra):
 
 
 def _unit_note(alg: Algebra) -> Report:
-    # informational only, a unit is never required.  e*x is linear in x
-    # on canonical representatives whatever the tensor, so e*g = g on
-    # the generators decides e*x = x on every element; the detail is
-    # found once per algebra
+    # informational only, a unit is never required; the detail is found
+    # once per algebra
     if alg._unit is None:
         if alg.carrier.size > 4096:
             alg._unit = "unit detection skipped, carrier too large"
         else:
-            gens = alg.generators()
-            unit = next((e for e in alg.elements()
-                         if all(alg.multiply(e, g) == g for g in gens)), None)
+            unit = _least_unit(alg)
             alg._unit = "no unit" if unit is None else f"unit {unit}"
     return leaf("unital", NOTE, None, detail=alg._unit)
+
+
+def _least_unit(alg: Algebra):
+    """The least e, in element order, with e g_j = g_j for every
+    generator g_j, or None; no element is listed.
+
+    Coordinate l of e g_j is sum_i e_i c[i][j][l] mod f_l on canonical
+    representatives, whatever the tensor, and e x is linear in x there,
+    so these equations decide e x = x on every element.  The search
+    fixes e_0, e_1, .. in turn, each child in increasing order, so the
+    first leaf it reaches is the first unit of the element scan.  Once
+    e_0 .. e_k are fixed, every (j, l) whose rows i > k are zero at
+    coordinate l is fixed too, and a prefix that fixes one wrong is
+    pruned with its subtree.  With no pruning the search is the scan."""
+    n, orders, c = alg.carrier.rank, alg.orders, alg.mul.constants
+    # fixed[k]: the nonzero terms (i, c[i][j][l]), the target and f_l of
+    # each (j, l) whose last nonzero row is k
+    fixed = [[] for _ in range(n)]
+    for j in range(n):
+        for l, f in enumerate(orders):
+            terms = [(i, row[j][l]) for i, row in enumerate(c) if row[j][l]]
+            if terms:
+                fixed[terms[-1][0]].append((terms, int(j == l), f))
+            elif j == l:  # coordinate j of e g_j is 0 for every e
+                return None
+    unit = [0] * n
+
+    def search(k):
+        if k == n:
+            return True
+        for unit[k] in range(orders[k]):
+            if all(sum(unit[i] * w for i, w in terms) % f == target
+                   for terms, target, f in fixed[k]) and search(k + 1):
+                return True
+        return False
+
+    return tuple(unit) if search(0) else None
 
 
 def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
@@ -778,27 +811,38 @@ def multiplicativity_report(name: str, hom: ModuleHom, dom: Algebra,
     """Check f(uv) = f(u)f(v).
 
     When hom and both products are well defined, both sides are bilinear
-    in (u, v), so generator pairs decide the property at every size, and
-    they are read off tables built for this call: f(g_i g_j) is f of the
-    cell c[i][j] of dom's product, applied once per distinct cell, and
-    f(g_i)f(g_j) is combine(F[j], P_i) for the image matrix F, where
-    P_i[b] = f(g_i) g_b combines F[i] with column b of cod's product.
-    The pairs are scanned e_n < .. < e_1 in both arguments, as
-    policy.check takes them, so the first mismatch is the least element
-    witness and the leaf is the one the exhaustive sweep gives.
-    Otherwise the leaf is policy.non_map_leaf: nothing is multiplicative
-    that is not a map between algebras."""
+    in (u, v), so generator pairs decide the property at every size.
+    f(g_i g_j) is f of the cell c[i][j] of dom's product, applied once
+    per distinct cell.  f(g_i)f(g_j) is read off the nonzero image
+    terms, sum v w c'[a][b] over (a, v) in f(g_i) and (b, w) in f(g_j),
+    c' being cod's product; an image that is one generator with
+    coefficient 1, as a bar operator's almost always is, reads the
+    stored cell c'[a][b] alone.  The pairs are scanned e_n < .. < e_1 in
+    both arguments, as policy.check takes them, so the first mismatch is
+    the least element witness and the leaf is the one the exhaustive
+    sweep gives.  Otherwise the leaf is policy.non_map_leaf: nothing is
+    multiplicative that is not a map between algebras."""
     if not all(m.well_defined() for m in (hom, dom.mul, cod.mul)):
         return non_map_leaf(name)
-    gens, images, orders = dom.carrier.generators(), hom.images, cod.orders
-    consts, cols = dom.mul.constants, cod.mul.columns()
+    gens, orders = dom.carrier.generators(), cod.orders
+    consts, cells = dom.mul.constants, cod.mul.constants
     f_cell = {cell: hom.apply(cell) for cell in set().union(*consts)}
+    terms = [[(a, v) for a, v in enumerate(img) if v] for img in hom.images]
+    # the generator a of a single-term image with coefficient 1, else None
+    single = [t[0][0] if len(t) == 1 and t[0][1] == 1 else None
+              for t in terms]
+
+    def image_product(i, j):
+        a, b = single[i], single[j]
+        if a is not None and b is not None:
+            return cells[a][b]
+        s, t = terms[i], terms[j]
+        return combine([v * w for _, v in s for _, w in t],
+                       [cells[a][b] for a, _ in s for b, _ in t], orders)
+
     order = range(dom.carrier.rank - 1, -1, -1)
-    bad = next(((gens[i], gens[j]) for i in order
-                for p_i in [[combine(images[i], col, orders) for col in cols]]
-                for j in order
-                if f_cell[consts[i][j]] != combine(images[j], p_i, orders)),
-               None)
+    bad = next(((gens[i], gens[j]) for i in order for j in order
+                if f_cell[consts[i][j]] != image_product(i, j)), None)
     meta = {"mode": EXHAUSTIVE, "checked": dom.carrier.size ** 2}
     if bad is not None:
         return leaf(name, FAIL, AXIOM, detail="f(uv) != f(u)f(v)",
@@ -885,6 +929,17 @@ def injective(f: ModuleHom) -> bool:
     if not f.well_defined():
         raise PreconditionError("injective needs a well-defined map")
     return all(c < f.codomain.rank for c, _ in f.graph().form)
+
+
+def escaping_product(alg: Algebra, span: Submodule):
+    """The first product a x of a generator a of alg and a generator x
+    of span that leaves span, or None.  When alg.mul is well defined,
+    absorption is bilinear, so None says that span is an ideal."""
+    if span.ambient != alg.carrier:
+        raise StructuralError("submodule does not live in the algebra carrier")
+    return next((p for p in (alg.multiply(a, x) for a, x in
+                             product(alg.generators(), span.gens))
+                 if not span.contains(p)), None)
 
 
 def is_ideal(alg: Algebra, sub: Submodule,

@@ -13,7 +13,8 @@ from math import gcd, prod
 
 from .core import (Algebra, AlgebraHom, BilinearMap, FiniteModule, ModuleHom,
                    PreconditionError, Submodule, UnsupportedScaleError,
-                   axiom_witnesses, multiplicativity_report, solve,
+                   axiom_witnesses, escaping_product,
+                   multiplicativity_report, solve,
                    validate_algebra, validate_hom)
 from .crossed_ideal import (CrossedIdealMap, SubXMod, XModMorphism,
                             image_crossed_ideal_check, inclusion_cim,
@@ -200,13 +201,9 @@ def _ideal_closure(alg: Algebra, gens) -> Submodule:
     it."""
     carrier = alg.carrier
     span = Submodule.from_generators(carrier, gens)
-    while True:
-        pairs = product(alg.generators(), span.gens)
-        escaped = next((p for p in (alg.multiply(a, x) for a, x in pairs)
-                        if not span.contains(p)), None)
-        if escaped is None:
-            return span
+    while (escaped := escaping_product(alg, span)) is not None:
         span = Submodule.from_generators(carrier, span.gens + (escaped,))
+    return span
 
 
 def enumerate_ideals(alg: Algebra) -> list[Submodule]:

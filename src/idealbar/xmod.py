@@ -39,8 +39,9 @@ from math import prod
 
 from .core import (Algebra, AlgebraHom, BilinearMap, ModuleHom,
                    PreconditionError, StructuralError, Submodule,
-                   _present_subalgebra, block_hom, combine, image, is_ideal,
-                   kernel, semidirect_product, solve, torsion_leaf,
+                   _present_subalgebra, block_hom, combine,
+                   escaping_product, image, is_ideal, kernel,
+                   semidirect_product, solve, torsion_leaf,
                    torsion_witness, validate_algebra, validate_hom)
 from .policy import EXHAUSTIVE, Policy, check, non_map_leaf
 from .policy import sweep  # noqa: F401 (see core)
@@ -326,9 +327,10 @@ def crossed_module_report(xm: CrossedModule, checks: list[Report]) -> Report:
 def inclusion_xmod(alg: Algebra, ideal: Submodule, name: str = "") -> CrossedModule:
     """The inclusion of an ideal, with S acting on I by multiplication.
     An ideal is closed under addition and, by absorption, under
-    multiplication, so is_ideal is the one precondition check; it is
-    exhaustive, so no sample can stand in for the closure."""
-    if not is_ideal(alg, ideal, Policy(mode=EXHAUSTIVE)).passed:
+    multiplication, so absorption is the one precondition: a product
+    that is no map is refused first, and then absorption is decided on
+    generator pairs (escaping_product), with no sweep for a witness."""
+    if not alg.mul.well_defined() or escaping_product(alg, ideal) is not None:
         raise PreconditionError("inclusion_xmod requires an ideal")
     sub_alg, embed = _present_subalgebra(alg, ideal)
     constants = [[solve(embed.hom, alg.multiply(sg, emb))
@@ -340,35 +342,43 @@ def inclusion_xmod(alg: Algebra, ideal: Submodule, name: str = "") -> CrossedMod
 
 def consequence_checks(xm: CrossedModule, policy: Policy | None = None) -> Report:
     """Statements that follow from CM1/CM2; a failure on a validated
-    crossed module is an implementation bug, so these are THEOREM class."""
+    crossed module is an implementation bug, so these are THEOREM class.
+    Every clause but the NOTE reads the image or the kernel of eta, so
+    when eta is not a well-defined map each is policy.non_map_leaf."""
     s_alg, r_alg, act = xm.s_alg, xm.r_alg, xm.action
+    mapped = xm.eta.hom.well_defined()
     im = image(xm.eta.hom)
-    ker = kernel(xm.eta.hom)
-    checks = []
+    ker = kernel(xm.eta.hom) if mapped else None
 
-    for name, alg, sub in (("image-is-ideal", s_alg, im),
-                           ("kernel-is-ideal", r_alg, ker)):
+    def on_eta(name, clause, *args, **kwargs):
+        return clause(name, *args, **kwargs) if mapped else non_map_leaf(name)
+
+    def ideal(name, alg, sub):
         rep = relabel(is_ideal(alg, sub, policy), THEOREM)
         rep.name = name
-        checks.append(rep)
+        return rep
 
-    checks.append(check("kernel-annihilates", THEOREM, [ker, r_alg],
-                        lambda x, r: r_alg.multiply(x, r) == r_alg.zero,
-                        (r_alg.mul,), detail="x r = 0 for x in ker(eta)",
-                        policy=policy))
+    checks = [
+        on_eta("image-is-ideal", ideal, s_alg, im),
+        on_eta("kernel-is-ideal", ideal, r_alg, ker),
+        on_eta("kernel-annihilates", check, THEOREM, [ker, r_alg],
+               lambda x, r: r_alg.multiply(x, r) == r_alg.zero,
+               (r_alg.mul,), detail="x r = 0 for x in ker(eta)",
+               policy=policy)]
 
     checks.append(group("quotient-action-well-defined", [
-        check("kernel-closed-under-action", THEOREM, [s_alg, ker],
-              lambda s, x: ker.contains(act.evaluate(s, x)), (act,),
-              policy=policy),
-        check("image-acts-trivially-on-kernel", THEOREM, [im, ker],
-              lambda t, x: act.evaluate(t, x) == r_alg.zero, (act,),
-              detail="makes the action of S/im(eta) well defined",
-              policy=policy),
-        check("induced-action-composes", THEOREM, [s_alg, s_alg, ker],
-              lambda s1, s2, x: act.evaluate(s_alg.multiply(s1, s2), x)
-              == act.evaluate(s1, act.evaluate(s2, x)), (act, s_alg.mul),
-              policy=policy),
+        on_eta("kernel-closed-under-action", check, THEOREM, [s_alg, ker],
+               lambda s, x: ker.contains(act.evaluate(s, x)), (act,),
+               policy=policy),
+        on_eta("image-acts-trivially-on-kernel", check, THEOREM, [im, ker],
+               lambda t, x: act.evaluate(t, x) == r_alg.zero, (act,),
+               detail="makes the action of S/im(eta) well defined",
+               policy=policy),
+        on_eta("induced-action-composes", check, THEOREM,
+               [s_alg, s_alg, ker],
+               lambda s1, s2, x: act.evaluate(s_alg.multiply(s1, s2), x)
+               == act.evaluate(s1, act.evaluate(s2, x)), (act, s_alg.mul),
+               policy=policy),
         leaf("induced-action-reading", NOTE, None,
              detail="checked as a k-bilinear module action; translation-"
                     "style axioms are not imposed, they fail for linear "

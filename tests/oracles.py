@@ -31,6 +31,12 @@ unchanged.  coordinates_oracle lists the coordinates of a subgroup in
 cyclic generators, which core.solve finds through the embedding, and
 presentation_oracle presents a subalgebra by that table.
 
+rows_multiplicativity_oracle reads f(g_i)f(g_j) off the row P_i of the
+products f(g_i) g_b over every codomain generator b, where
+core.multiplicativity_report reads it off the nonzero image terms, and
+unit_scan_oracle scans the elements in order for the unit, where
+core._unit_note searches their coordinates with pruning.
+
 ideals_oracle lists the ideals of an algebra closing base + e for every
 e outside each ideal found, where enumeration.enumerate_ideals closes
 one e per coset.
@@ -54,9 +60,9 @@ from pathlib import Path
 import idealbar.crossed_ideal as crossed_ideal
 import idealbar.policy as policy_mod
 from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
-                           ModuleHom, Submodule, decompose_abelian,
+                           ModuleHom, Submodule, combine, decompose_abelian,
                            direct_sum, image)
-from idealbar.policy import sweep
+from idealbar.policy import EXHAUSTIVE, non_map_leaf, sweep
 from idealbar.enumeration import (_ideal_closure, enumerate_algebras,
                                   enumerate_ideals)
 from idealbar.report import AXIOM, FAIL, PASS, THEOREM, group, leaf
@@ -316,6 +322,43 @@ def kernel_oracle(f):
     """The elements of the domain that f sends to zero."""
     zero = f.codomain.zero
     return tuple(x for x in f.domain.elements() if f.apply(x) == zero)
+
+
+def rows_multiplicativity_oracle(name, hom, dom, cod):
+    """core.multiplicativity_report with f(g_i)f(g_j) read as
+    combine(F[j], P_i) for the image matrix F, P_i[b] = f(g_i) g_b being
+    F[i] combined with column b of cod's product, built for every i."""
+    if not all(m.well_defined() for m in (hom, dom.mul, cod.mul)):
+        return non_map_leaf(name)
+    gens, images, orders = dom.carrier.generators(), hom.images, cod.orders
+    consts = dom.mul.constants
+    cols = [[row[b] for row in cod.mul.constants]
+            for b in range(cod.carrier.rank)]
+    order = range(dom.carrier.rank - 1, -1, -1)
+    bad = next(((gens[i], gens[j]) for i in order
+                for p_i in [[combine(images[i], col, orders) for col in cols]]
+                for j in order
+                if hom.apply(consts[i][j]) != combine(images[j], p_i, orders)),
+               None)
+    meta = {"mode": EXHAUSTIVE, "checked": dom.carrier.size ** 2}
+    if bad is not None:
+        return leaf(name, FAIL, AXIOM, detail="f(uv) != f(u)f(v)",
+                    witness=bad, meta=meta)
+    meta["generator_pairs"] = dom.carrier.rank ** 2
+    return leaf(name, PASS, AXIOM,
+                detail="f(uv) = f(u)f(v), generator pairs, complete by bilinearity",
+                meta=meta)
+
+
+def unit_scan_oracle(alg):
+    """The detail of core._unit_note from the element scan: the first
+    element e with e g = g on every generator g."""
+    if alg.carrier.size > 4096:
+        return "unit detection skipped, carrier too large"
+    gens = alg.generators()
+    unit = next((e for e in alg.elements()
+                 if all(alg.multiply(e, g) == g for g in gens)), None)
+    return "no unit" if unit is None else f"unit {unit}"
 
 
 def swept_leaf(name, kind, spaces, pred, policy=None, detail=""):

@@ -14,7 +14,7 @@ held to the same standard.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idealbar.bar import build_bar_algebra, definition_checks, verify_bar
@@ -27,8 +27,9 @@ from idealbar.crossed_ideal import (CrossedIdealMap, XModMorphism,
 from idealbar.policy import non_map_leaf
 from idealbar.report import exit_code
 from idealbar.roundtrip import _mutate_tensors, roundtrip_check
-from idealbar.xmod import (CrossedModule, phi_cm1_criterion,
-                           phi_cm2_criterion, validate_crossed_module)
+from idealbar.xmod import (CrossedModule, consequence_checks,
+                           phi_cm1_criterion, phi_cm2_criterion,
+                           validate_crossed_module)
 from oracles import counted_sweeps, workspace
 
 CASES = settings(max_examples=40, deadline=None)
@@ -184,8 +185,28 @@ def test_the_zero_crossed_module_passes():
     bar = build_bar_algebra(xm, 2)
     for rep in (validate_crossed_module(xm), phi_cm1_criterion(xm),
                 phi_cm2_criterion(xm), verify_bar(bar),
-                definition_checks(bar), roundtrip_check(xm, 2)):
+                definition_checks(bar), roundtrip_check(xm, 2),
+                consequence_checks(xm)):
         assert exit_code(rep) == 0 and not unmapped(rep)
+
+
+CONSEQUENCES = "consequence-checks x"
+QUOTIENT = "quotient-action-well-defined"
+
+
+@given(mixed_orders())
+@CASES
+@example((FiniteModule(4, [2, 4]), 1))
+def test_consequence_checks_on_an_eta_that_is_not_a_map(orders):
+    # each clause reads the image or the kernel of eta; the NOTE stays
+    xm = xmod_with(*orders, "eta")
+    rep = assert_unmapped(lambda: consequence_checks(xm), {
+        (CONSEQUENCES, "image-is-ideal"), (CONSEQUENCES, "kernel-is-ideal"),
+        (CONSEQUENCES, "kernel-annihilates"),
+        (QUOTIENT, "kernel-closed-under-action"),
+        (QUOTIENT, "image-acts-trivially-on-kernel"),
+        (QUOTIENT, "induced-action-composes")})
+    assert rep.find("induced-action-reading").status == "NOTE"
 
 
 @given(mixed_orders(), st.sampled_from(["alpha1", "alpha2"]))

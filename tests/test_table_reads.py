@@ -3,8 +3,8 @@
 core.combine is the one linear combination: a hom's apply is the
 combination of its image rows, and compose keeps the images apply
 gives.  multiplicativity_report reads f(c[i][j]) once per distinct cell
-value and f(g_i)f(g_j) as combinations of image rows with the columns of
-the codomain's product, instead of evaluating a predicate on generator
+value and f(g_i)f(g_j) off the nonzero image terms and the cells of the
+codomain's product, instead of evaluating a predicate on generator
 pairs; so do the four clauses of a crossed module (product
 compatibility, actor composition, CM1 and CM2), which also table what
 they compute from a cell, column or row and keep one leaf per witness.
@@ -232,7 +232,7 @@ def counting(monkeypatch, cls, attr):
 def test_a_passing_hom_costs_one_apply_per_cell_value_and_no_evaluate(
         monkeypatch):
     # f(c[i][j]) is tabled per distinct cell value of dom's product, and
-    # f(g_i)f(g_j) is combined from image rows and the columns of cod's
+    # f(g_i)f(g_j) is read off the image terms and the cells of cod's
     # product, so no product of elements is evaluated
     bar = build_bar_algebra(workspace("nilcube").xmod("main"), 2)
     face = bar.face(2, 1)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import idealbar.core as core_mod
 from idealbar.core import (Algebra, AlgebraHom, BilinearMap, FiniteModule,
-                           ModuleHom, StructuralError, Submodule,
-                           order_compatibility, validate_hom)
+                           ModuleHom, PreconditionError, StructuralError,
+                           Submodule, order_compatibility, validate_hom)
 from idealbar.enumeration import enumerate_xmods
 from idealbar.report import AXIOM, group
 from idealbar.xmod import (
@@ -25,7 +25,7 @@ from idealbar.xmod import (
     validate_algebra_action,
     validate_crossed_module,
 )
-from oracles import fixture_xmods, swept_leaf, workspace
+from oracles import counted_sweeps, fixture_xmods, swept_leaf, workspace
 
 
 def test_fixture_crossed_modules_validate():
@@ -222,7 +222,7 @@ def test_inclusion_xmod_of_nilcube_ideal():
 
 
 def test_inclusion_xmod_checks_closure_once(monkeypatch):
-    # is_ideal is the one precondition check: an ideal is closed under
+    # absorption is the one precondition check: an ideal is closed under
     # multiplication by absorption, so no separate closure check runs
     calls = []
     closed = core_mod.multiplicatively_closed
@@ -250,11 +250,29 @@ def test_action_torsion_failure_is_pinned():
 
 
 def test_inclusion_xmod_rejects_non_ideal():
+    # x * 1 = x escapes the span of 1: refused on generator pairs, with
+    # no sweep for a witness that the refusal would throw away
     alg = workspace("nilcube").algebra("S")
     units = Submodule.from_generators(alg.carrier, [(1, 0, 0)])
-    from idealbar.core import PreconditionError
-    with pytest.raises(PreconditionError):
+    with counted_sweeps() as calls, \
+            pytest.raises(PreconditionError,
+                          match="^inclusion_xmod requires an ideal$"):
         inclusion_xmod(alg, units)
+    assert calls == []
+
+
+def test_inclusion_xmod_refuses_a_product_that_is_not_a_map():
+    # over Z/4 the cell g_1 g_1 = (0, 1) of Z/2 + Z/4 breaks torsion; the
+    # zero span would absorb it, but the product is refused first
+    mod = FiniteModule(4, [2, 4])
+    alg = Algebra(mod, BilinearMap(mod, mod, mod, [[(0, 1), (0, 0)],
+                                                   [(0, 0), (0, 0)]]))
+    assert not alg.mul.well_defined()
+    with counted_sweeps() as calls, \
+            pytest.raises(PreconditionError,
+                          match="^inclusion_xmod requires an ideal$"):
+        inclusion_xmod(alg, Submodule.from_generators(mod, []))
+    assert calls == []
 
 
 def test_consequence_checks_pass_on_fixtures():
